@@ -137,8 +137,9 @@ def insert_trojan(golden: GoldenDesign, trojan: HardwareTrojan,
     # Extra load on tapped host nets: one added input pin plus a stub route
     # from the host net's endpoints to the trojan cell observing it.
     tap_extra_delay: Dict[str, float] = {}
+    host_nets = golden.netlist.nets()
     for host_net, tap_net in zip(trojan.tapped_host_nets, trojan.tap_input_nets):
-        if host_net not in golden.netlist.nets():
+        if host_net not in host_nets:
             raise InsertionError(
                 f"trojan {trojan.name!r} taps unknown host net {host_net!r}"
             )

@@ -14,13 +14,28 @@ components (Bowman et al., 2002):
 a seed, so a given physical die always presents the same intra-die
 fingerprint, which is exactly what makes the golden-model comparison of
 the paper meaningful.
+
+Because an offset is a pure function of the die seed, the two sigmas,
+the die extent and the cell's name and position, the per-die offset map
+is memoised per process: :meth:`IntraDieVariation.offsets_for` looks it
+up in a bounded LRU cache keyed by ``(seed, sigma_spatial_ps,
+sigma_random_ps, die_rows, die_cols, tuple(cell_positions.items()))``.
+Every device of a campaign that sits on the same die (its clean copy
+and each infected copy share the golden placement) then reuses one map.
+A miss computes every entry with :meth:`IntraDieVariation.cell_offset_ps`,
+the single definition of an offset, so a hit returns exactly the floats
+a recomputation would — the memo is bit-identical by construction.
+Forked worker processes start from their parent's memo and fill their
+own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -31,6 +46,8 @@ DEFAULT_SIGMA_SPATIAL_PS = 6.0
 DEFAULT_SIGMA_RANDOM_PS = 4.0
 #: Number of random low-frequency modes composing the spatial field.
 _NUM_SPATIAL_MODES = 6
+#: Distinct (die, placement) offset maps kept by the per-process memo.
+_OFFSETS_MEMO_SIZE = 256
 
 
 @dataclass
@@ -103,12 +120,41 @@ class IntraDieVariation:
 
     def offsets_for(self, cell_positions: Mapping[str, Tuple[int, int]]
                     ) -> Dict[str, float]:
-        """Delay offsets for every placed cell of a design."""
-        return {
-            name: self.cell_offset_ps(name, coord)
-            for name, coord in cell_positions.items()
-        }
+        """Delay offsets for every placed cell of a design.
+
+        The map is memoised per process on ``(seed, sigma_spatial_ps,
+        sigma_random_ps, die_rows, die_cols,
+        tuple(cell_positions.items()))`` (see :func:`die_offsets`), so
+        each distinct die is computed once however many devices sit on
+        it.  The result is a fresh ``dict`` the caller may mutate.
+        """
+        return dict(die_offsets(
+            self.seed, self.sigma_spatial_ps, self.sigma_random_ps,
+            self.die_rows, self.die_cols, tuple(cell_positions.items()),
+        ))
 
     def total_sigma_ps(self) -> float:
         """Combined standard deviation of the per-cell offset."""
         return math.sqrt(self.sigma_spatial_ps ** 2 + self.sigma_random_ps ** 2)
+
+
+@functools.lru_cache(maxsize=_OFFSETS_MEMO_SIZE)
+def die_offsets(seed: int, sigma_spatial_ps: float, sigma_random_ps: float,
+                die_rows: int, die_cols: int,
+                placed: Tuple[Tuple[str, Tuple[int, int]], ...]
+                ) -> Mapping[str, float]:
+    """Read-only offset map of the cells ``placed`` on one die (memoised).
+
+    ``placed`` is the ``(cell name, coord)`` items of a placement, in
+    order.  Every offset comes from
+    :meth:`IntraDieVariation.cell_offset_ps`, so the map equals the
+    per-cell computation bit for bit.  ``die_offsets.cache_clear()``
+    empties the memo.
+    """
+    variation = IntraDieVariation(
+        seed=seed, sigma_spatial_ps=sigma_spatial_ps,
+        sigma_random_ps=sigma_random_ps, die_rows=die_rows, die_cols=die_cols,
+    )
+    return MappingProxyType({
+        name: variation.cell_offset_ps(name, coord) for name, coord in placed
+    })

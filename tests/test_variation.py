@@ -10,7 +10,8 @@ from repro.variation.bowman import (
     sample_die_critical_delays,
 )
 from repro.variation.inter_die import DiePopulation, DieProfile
-from repro.variation.intra_die import IntraDieVariation
+from repro.campaigns import CampaignEngine, CampaignSpec
+from repro.variation.intra_die import IntraDieVariation, die_offsets
 
 
 def test_intra_die_variation_is_deterministic():
@@ -45,6 +46,89 @@ def test_intra_die_offsets_for_positions():
     assert variation.total_sigma_ps() == pytest.approx(
         np.hypot(variation.sigma_spatial_ps, variation.sigma_random_ps)
     )
+
+
+def _positions(count=40):
+    return {f"c{k}": (k % 80, (7 * k) % 60) for k in range(count)}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2015, 987654321])
+def test_offsets_for_memo_matches_per_cell_oracle(seed):
+    die_offsets.cache_clear()
+    variation = IntraDieVariation(seed=seed)
+    positions = _positions()
+    oracle = {name: variation.cell_offset_ps(name, coord)
+              for name, coord in positions.items()}
+    first = variation.offsets_for(positions)
+    hits_before = die_offsets.cache_info().hits
+    second = IntraDieVariation(seed=seed).offsets_for(positions)
+    assert die_offsets.cache_info().hits == hits_before + 1
+    for offsets in (first, second):
+        assert list(offsets) == list(oracle)
+        assert all(offsets[name] == oracle[name] for name in oracle)
+
+
+@pytest.mark.parametrize("change", [
+    {"sigma_spatial_ps": 7.0},
+    {"sigma_random_ps": 5.0},
+    {"die_rows": 81},
+    {"die_cols": 61},
+    "move_one_cell",
+])
+def test_offsets_for_memo_key_covers_every_input(change):
+    die_offsets.cache_clear()
+    positions = _positions()
+    base = IntraDieVariation(seed=5).offsets_for(positions)
+    if change == "move_one_cell":
+        variation = IntraDieVariation(seed=5)
+        positions = dict(positions, c3=(positions["c3"][0] + 20,
+                                        positions["c3"][1]))
+    else:
+        variation = IntraDieVariation(seed=5, **change)
+    misses_before = die_offsets.cache_info().misses
+    changed = variation.offsets_for(positions)
+    assert die_offsets.cache_info().misses == misses_before + 1
+    assert changed != base
+    assert changed == {name: variation.cell_offset_ps(name, coord)
+                       for name, coord in positions.items()}
+
+
+def test_offsets_for_returns_an_independent_dict():
+    variation = IntraDieVariation(seed=8)
+    positions = _positions()
+    first = variation.offsets_for(positions)
+    expected = dict(first)
+    first["c0"] += 1000.0
+    first["intruder"] = 1.0
+    assert variation.offsets_for(positions) == expected
+
+
+def test_campaign_computes_each_die_offset_once(golden_design, monkeypatch):
+    """A delay cell and a fault cell over 8 dies and three trojans
+    annotate 64 devices, but each die's offsets are computed once."""
+    spec = CampaignSpec(
+        name="offset-memo", trojans=("HT1", "HT2", "HT3"), die_counts=(8,),
+        metrics=("delay_max_difference", "fault_coverage"), seed=11,
+        num_pk_pairs=2, delay_repetitions=1, workers=1,
+    )
+    die_offsets.cache_clear()
+    seeds = []
+    original = IntraDieVariation.cell_offset_ps
+
+    def counting(self, cell_name, coord):
+        seeds.append(self.seed)
+        return original(self, cell_name, coord)
+
+    monkeypatch.setattr(IntraDieVariation, "cell_offset_ps", counting)
+    engine = CampaignEngine(spec, golden=golden_design)
+    result = engine.run()
+    assert [cell.status for cell in result.cells] == ["ok", "ok"]
+    population = engine.platform_for(spec.grid()[0]).population
+    distinct_dies = {die.intra_die_seed for die in population}
+    assert len(distinct_dies) == 8
+    placed = len(golden_design.placement.cell_positions)
+    assert set(seeds) == distinct_dies
+    assert len(seeds) == len(distinct_dies) * placed
 
 
 def test_intra_die_validation():
