@@ -1,7 +1,7 @@
 """CAMPAIGN — batched engine versus the old per-die acquisition loop.
 
 The campaign engine's claim: a 16-die x 3-trojan EM campaign through
-``CampaignEngine`` (vectorised ``acquire_batch``, shared design and
+``CampaignEngine`` (vectorised ``acquire_many_batch_tensor``, shared design and
 fingerprint caches) produces the same headline numbers as the sequential
 ``run_population_em_study`` path built on the per-die ``acquire`` loop,
 at least 2x faster.

@@ -1,8 +1,8 @@
 """STIMULUS — whole-stimulus batched acquisition versus the serial loop.
 
-The third hot axis goes vector: after the die population (PR 1,
-``acquire_batch``) and the netlist walks (PR 2, the compiled kernel),
-the *stimulus* dimension is lifted onto the batched AES kernel of
+The third hot axis goes vector: after the die population (one
+vectorised pass per design) and the netlist walks (the compiled
+kernel), the *stimulus* dimension is lifted onto the batched AES kernel of
 :mod:`repro.crypto.batch`.  ``EMSimulator.acquire_many_batch``
 synthesises a fig-scale (32 plaintexts x 8 dies) infected-population
 study as one (plaintexts x dies x samples) tensor — batched cipher,

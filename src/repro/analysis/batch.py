@@ -35,9 +35,11 @@ min-distance suppression — which is what the equivalence tests in
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .gaussian import GaussianFit, fit_gaussian
 
 __all__ = [
     "abs_difference_matrix",
@@ -46,6 +48,8 @@ __all__ = [
     "fit_gaussians_batch",
     "pooled_std_batch",
     "false_negative_rates",
+    "ScorePopulationFits",
+    "characterise_score_populations",
 ]
 
 
@@ -378,3 +382,50 @@ def false_negative_rates(mu: Union[Sequence[float], np.ndarray],
                 mu_value / (2.0 * sigma_value * math.sqrt(2.0))
             )
     return rates
+
+
+class ScorePopulationFits(NamedTuple):
+    """Eq. (5) characterisation of several infected score populations.
+
+    ``genuine`` is the fit of the shared genuine population; the other
+    fields are vectors with one entry per infected population.
+    """
+
+    genuine: GaussianFit
+    infected_means: np.ndarray
+    infected_stds: np.ndarray
+    mus: np.ndarray
+    sigmas: np.ndarray
+    rates: np.ndarray
+
+
+def characterise_score_populations(genuine_scores: Sequence[float],
+                                   infected_scores: np.ndarray
+                                   ) -> ScorePopulationFits:
+    """Gaussian fits, pooled sigma and Eq. (5) rates in one batched pass.
+
+    ``infected_scores`` is a ``(populations x scores)`` matrix, one row
+    per trojan.  ``mu`` is each infected mean minus the genuine mean;
+    ``sigma`` is the pooled std when both populations hold at least two
+    scores, else the larger of the two fitted stds.  Every value is
+    bit-identical to :func:`~repro.analysis.gaussian.fit_gaussian`,
+    :func:`~repro.analysis.gaussian.pooled_std` and
+    :func:`repro.core.metrics.false_negative_rate` applied per row.
+    """
+    genuine = np.asarray(genuine_scores, dtype=float)
+    infected = np.asarray(infected_scores, dtype=float)
+    genuine_fit = fit_gaussian(genuine)
+    means, stds = fit_gaussians_batch(infected)
+    mus = means - genuine_fit.mean
+    if genuine.size >= 2 and infected.shape[1] >= 2:
+        sigmas = pooled_std_batch(genuine, infected)
+    else:
+        sigmas = np.maximum(genuine_fit.std, stds)
+    return ScorePopulationFits(
+        genuine=genuine_fit,
+        infected_means=means,
+        infected_stds=stds,
+        mus=mus,
+        sigmas=sigmas,
+        rates=false_negative_rates(mus, sigmas),
+    )

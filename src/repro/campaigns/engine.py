@@ -6,7 +6,7 @@ cell:
 
 * **batched acquisition** — every (design, die-population) trace set is
   synthesised in one vectorised NumPy pass
-  (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_batch`);
+  (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch_tensor`);
 * **memoised designs** — the golden design is built once and trojan
   insertion happens once per trojan name, shared by every grid cell
   through a common infected-design cache;
@@ -55,24 +55,19 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..backend import use_backend
-from ..analysis.batch import (
-    false_negative_rates,
-    fit_gaussians_batch,
-    pooled_std_batch,
-)
-from ..analysis.gaussian import fit_gaussian
-from ..analysis.traces import stack_traces
+from ..analysis.batch import characterise_score_populations
+from ..analysis.gaussian import GaussianFit
 from ..core.delay_detector import DelayDetector
 from ..core.fingerprint import DelayFingerprint
 from ..core.metrics import (
     L1TraceMetric,
     LocalMaximaSumMetric,
     MaxDifferenceMetric,
-    false_negative_rate,
 )
 from ..core.pipeline import (
     HTDetectionPlatform,
     PlatformConfig,
+    PopulationTraceTensors,
     run_population_em_study,
 )
 from ..core.report import format_table
@@ -114,6 +109,9 @@ from ..trojan.library import build_trojan
 from .spec import CampaignSpec, GridCell
 
 PathLike = Union[str, Path]
+
+#: Artifact kinds stored as JSON documents; every other kind is arrays.
+_JSON_ARTIFACT_KINDS = frozenset({"infected_summary"})
 
 #: Metric registry: spec metric name -> factory.
 METRIC_FACTORIES = {
@@ -215,6 +213,30 @@ class _FaultSweepData:
     correct: "np.ndarray"
     golden_faulted: "np.ndarray"
     infected_faulted: Dict[str, "np.ndarray"]
+
+
+def _unpack_delay_study(stored: Mapping[str, np.ndarray]) -> _DelayStudyData:
+    golden_differences, infected_differences = unpack_delay_differences(stored)
+    return _DelayStudyData(
+        golden_differences=np.stack(golden_differences),
+        infected_differences={name: np.stack(matrices)
+                              for name, matrices in infected_differences.items()},
+    )
+
+
+def _unpack_fault_sweep(stored: Mapping[str, np.ndarray]) -> _FaultSweepData:
+    axes, plaintexts, correct, golden_faulted, infected_faulted = (
+        unpack_fault_sweep(stored)
+    )
+    return _FaultSweepData(
+        grid=GlitchGrid(offsets_ps=tuple(axes["offsets_ps"]),
+                        widths_ps=tuple(axes["widths_ps"]),
+                        periods_ps=tuple(axes["periods_ps"])),
+        plaintexts=plaintexts,
+        correct=correct,
+        golden_faulted=golden_faulted,
+        infected_faulted=infected_faulted,
+    )
 
 
 @dataclass
@@ -484,28 +506,11 @@ class CampaignEngine:
         #: Trojan insertion cache shared by every platform of the grid.
         self._infected_cache: Dict[str, InfectedDesign] = {}
         self._platform_cache: Dict[Tuple[int, str], HTDetectionPlatform] = {}
-        self._acquisition_cache: Dict[
-            Tuple[int, str], Tuple[List[EMTrace], Dict[str, List[EMTrace]]]
-        ] = {}
-        #: Stacked (dies x samples) score inputs — seeded straight from
-        #: the acquisition tensors (or stacked once from store-loaded
-        #: traces) per acquisition key and shared by every metric cell,
-        #: so scoring never re-converts the same population.
-        self._matrix_cache: Dict[
-            Tuple[int, str], Tuple[np.ndarray, Dict[str, np.ndarray]]
-        ] = {}
-        #: Freshly acquired populations in tensor form, kept so the
-        #: EMTrace boundary (:meth:`acquire_cell_traces`) can wrap them
-        #: on demand without re-acquiring.
-        self._tensor_cache: Dict[Tuple[int, str], Any] = {}
-        #: Delay campaign measurements keyed by die count (the delay
-        #: bench is not affected by the EM acquisition variant, so cells
-        #: that differ only in variant or metric share one measurement).
-        self._delay_cache: Dict[int, "_DelayStudyData"] = {}
-        #: Fault-sweep tensors keyed by die count (the glitch bench is
-        #: likewise independent of the EM acquisition variant).
-        self._fault_cache: Dict[int, "_FaultSweepData"] = {}
-        self._area_fraction_cache: Dict[str, float] = {}
+        #: Read-through memo of every store-backed artifact, keyed by
+        #: ``(kind, key)``: population tensors per acquisition key, delay
+        #: and fault-sweep data per die count (both independent of the EM
+        #: variant) and area fractions per trojan (:meth:`_read_through`).
+        self._memo: Dict[Tuple[str, Any], Any] = {}
         self._artifact_dir: Optional[Path] = None
         self._saved_archives: Dict[Tuple[int, str], str] = {}
         #: Grid indices of the cells the current ``run`` invocation
@@ -536,38 +541,57 @@ class CampaignEngine:
                                                               trojan)
         return self._infected_cache[trojan_name]
 
+    def _read_through(self, kind: str, memo_key: Any,
+                      store_key: Optional[str], compute, pack, unpack,
+                      meta) -> Any:
+        """Memo, then store load, then compute and store put.
+
+        The one path by which the engine reuses an artifact.  Without a
+        store (``store_key is None``) only the memo applies.
+        ``meta(value)`` gives the manifest metadata of a stored value.
+        The store's ``load_*`` folds a corrupt (quarantined) object into
+        a miss, so a torn store write costs a recompute, not a crashed
+        campaign.
+        """
+        memo_key = (kind, memo_key)
+        if memo_key in self._memo:
+            return self._memo[memo_key]
+        is_json = kind in _JSON_ARTIFACT_KINDS
+        stored = None
+        if store_key is not None:
+            load = self.store.load_json if is_json else self.store.load_arrays
+            stored = load(store_key)
+        if stored is not None:
+            value = unpack(stored)
+        else:
+            value = compute()
+            if store_key is not None:
+                put = self.store.put_json if is_json else self.store.put_arrays
+                put(store_key, pack(value), kind=kind, meta=meta(value))
+        self._memo[memo_key] = value
+        return value
+
     def trojan_area_fraction(self, trojan_name: str) -> float:
         """The trojan's area as a fraction of the AES design.
 
         Reads through the store: a warm run prints its ``% of AES``
         column without paying for golden synthesis and trojan insertion.
         """
-        if trojan_name in self._area_fraction_cache:
-            return self._area_fraction_cache[trojan_name]
         store_key = None
         if self.store is not None:
             store_key = infected_summary_key(
                 device=self.device, golden=self._golden_signature,
                 trojan=trojan_name,
             )
-            # load_json folds a corrupt (quarantined) object into a
-            # miss, so a torn store write costs a recompute, not a
-            # crashed campaign.
-            payload = self.store.load_json(store_key)
-            if payload is not None:
-                fraction = float(payload["area_fraction_of_aes"])
-                self._area_fraction_cache[trojan_name] = fraction
-                return fraction
-        fraction = float(self.infected_design(trojan_name)
-                         .area_fraction_of_aes())
-        if store_key is not None:
-            self.store.put_json(
-                store_key,
-                {"trojan": trojan_name, "area_fraction_of_aes": fraction},
-                kind="infected_summary", meta={"trojan": trojan_name},
-            )
-        self._area_fraction_cache[trojan_name] = fraction
-        return fraction
+        return self._read_through(
+            "infected_summary", trojan_name, store_key,
+            compute=lambda: float(self.infected_design(trojan_name)
+                                  .area_fraction_of_aes()),
+            pack=lambda fraction: {"trojan": trojan_name,
+                                   "area_fraction_of_aes": fraction},
+            unpack=lambda payload: float(payload["area_fraction_of_aes"]),
+            meta=lambda fraction: {"trojan": trojan_name},
+        )
 
     def platform_for(self, cell: GridCell) -> HTDetectionPlatform:
         """The (cached) detection platform of one grid cell.
@@ -606,104 +630,42 @@ class CampaignEngine:
             plaintexts=self.spec.stimulus_plaintexts(),
         )
 
-    def _acquire_cell_tensors(self, cell: GridCell):
-        """Acquire (and memoise) one cell's population in tensor form."""
-        cache_key = cell.acquisition_key
-        if cache_key in self._tensor_cache:
-            return self._tensor_cache[cache_key]
-        plaintexts = self.spec.stimulus_plaintexts()
-        platform = self.platform_for(cell)
-        if len(plaintexts) == 1:
-            tensors = platform.acquire_population_tensors(
-                self.spec.trojans, plaintexts[0], self.spec.key
-            )
-        else:
-            # Whole-stimulus tensor acquisition with one axis reduction
-            # per design (:func:`average_stimulus_tensor`).
-            tensors = platform.acquire_population_tensors_stimuli(
-                self.spec.trojans, plaintexts, self.spec.key
-            )
-        self._tensor_cache[cache_key] = tensors
-        self._matrix_cache.setdefault(
-            cache_key,
-            (tensors.golden,
-             {name: tensors.infected[name] for name in self.spec.trojans}),
+    def _cell_tensors(self, cell: GridCell) -> PopulationTraceTensors:
+        """Acquire (or reuse) the population of one grid cell.
+
+        This is the golden-fingerprint cache: cells that differ only in
+        the metric share one population per acquisition key, and with
+        it the golden reference they induce.  With
+        ``spec.num_plaintexts > 1`` each die is represented by its
+        stimulus-averaged trace.  The population stays tensor-resident;
+        :class:`EMTrace` objects are built only for the store write (and
+        a store hit is stacked once).
+        """
+        return self._read_through(
+            "population_traces", cell.acquisition_key,
+            self._population_store_key(cell),
+            compute=lambda: self.platform_for(cell).acquire_population_tensors(
+                self.spec.trojans, self.spec.stimulus_plaintexts(),
+                self.spec.key),
+            pack=lambda tensors: pack_population_traces(*tensors.to_traces()),
+            unpack=lambda stored: PopulationTraceTensors.from_traces(
+                *unpack_population_traces(stored)),
+            meta=lambda tensors: {
+                "num_dies": cell.num_dies, "variant": cell.variant.name,
+                "num_plaintexts": len(self.spec.stimulus_plaintexts())},
         )
-        return tensors
 
     def acquire_cell_traces(self, cell: GridCell
                             ) -> Tuple[List[EMTrace], Dict[str, List[EMTrace]]]:
-        """Acquire (or reuse) the population traces of one grid cell.
-
-        This is the golden-fingerprint cache: cells that differ only in
-        the metric share the acquired traces and therefore the golden
-        reference they induce.  With ``spec.num_plaintexts > 1`` the
-        whole stimulus set is acquired in batched
-        (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch`)
-        passes and each die is represented by its stimulus-averaged
-        trace.  This is the :class:`EMTrace` *persistence boundary* —
-        scoring runs on the tensors of :meth:`cell_trace_matrices`;
-        trace objects are wrapped here for the store and the trace
-        archives (and on demand from an already-acquired tensor, without
-        re-acquiring).
-        """
-        cache_key = cell.acquisition_key
-        if cache_key in self._acquisition_cache:
-            return self._acquisition_cache[cache_key]
-        store_key = self._population_store_key(cell)
-        if store_key is not None:
-            stored = self.store.load_arrays(store_key)
-            if stored is not None:
-                self._acquisition_cache[cache_key] = (
-                    unpack_population_traces(stored))
-                return self._acquisition_cache[cache_key]
-        tensors = self._acquire_cell_tensors(cell)
-        self._acquisition_cache[cache_key] = tensors.to_traces()
-        if store_key is not None:
-            golden_traces, infected_traces = self._acquisition_cache[cache_key]
-            self.store.put_arrays(
-                store_key,
-                pack_population_traces(golden_traces, infected_traces),
-                kind="population_traces",
-                meta={"num_dies": cell.num_dies,
-                      "variant": cell.variant.name,
-                      "num_plaintexts":
-                          len(self.spec.stimulus_plaintexts())},
-            )
-        return self._acquisition_cache[cache_key]
+        """The cell's population as :class:`EMTrace` lists (trace archives)."""
+        return self._cell_tensors(cell).to_traces()
 
     def cell_trace_matrices(self, cell: GridCell
                             ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """The cell's population as stacked ``(dies, samples)`` matrices.
-
-        Memoised per acquisition key: cells that differ only in the
-        metric share one population, and every scorer consumes the
-        matrices directly (:mod:`repro.analysis.batch`).  Fresh
-        acquisitions stay tensor-resident end-to-end (no intermediate
-        :class:`EMTrace` objects); only a store hit — whose payload *is*
-        trace objects — pays one stacking pass, and a store-backed cold
-        run wraps traces once for the store write while the matrices
-        come straight from the acquisition tensors.
-        """
-        cache_key = cell.acquisition_key
-        if cache_key in self._matrix_cache:
-            return self._matrix_cache[cache_key]
-        store_key = self._population_store_key(cell)
-        if store_key is None and cache_key not in self._acquisition_cache:
-            # No store attached: acquire in tensor form and skip the
-            # EMTrace boundary entirely (the trace archive, if enabled,
-            # wraps the cached tensors later without re-acquiring).
-            self._acquire_cell_tensors(cell)
-            return self._matrix_cache[cache_key]
-        golden_traces, infected_traces = self.acquire_cell_traces(cell)
-        if cache_key not in self._matrix_cache:
-            # Store hit: stack the loaded trace lists once.
-            self._matrix_cache[cache_key] = (
-                stack_traces(golden_traces),
-                {name: stack_traces(infected_traces[name])
-                 for name in self.spec.trojans},
-            )
-        return self._matrix_cache[cache_key]
+        """The cell's population as stacked ``(dies, samples)`` matrices."""
+        tensors = self._cell_tensors(cell)
+        return tensors.golden, {name: tensors.infected[name]
+                                for name in self.spec.trojans}
 
     def delay_study_data(self, cell: GridCell) -> "_DelayStudyData":
         """Measure (or reuse) the delay campaigns of one grid cell.
@@ -717,9 +679,6 @@ class CampaignEngine:
         only in the metric (or the EM variant) re-score the cached
         Eq. (4) difference matrices.
         """
-        num_dies = cell.num_dies
-        if num_dies in self._delay_cache:
-            return self._delay_cache[num_dies]
         store_key = None
         if self.store is not None:
             store_key = delay_differences_key(
@@ -728,23 +687,22 @@ class CampaignEngine:
                     repetitions=self.spec.delay_repetitions,
                     seed=self.spec.seed,
                 ),
-                seed=self.spec.seed, num_dies=num_dies,
+                seed=self.spec.seed, num_dies=cell.num_dies,
                 trojans=self.spec.trojans,
                 num_pk_pairs=self.spec.num_pk_pairs,
             )
-            stored = self.store.load_arrays(store_key)
-            if stored is not None:
-                golden_differences, infected_differences = (
-                    unpack_delay_differences(stored)
-                )
-                self._delay_cache[num_dies] = _DelayStudyData(
-                    golden_differences=np.stack(golden_differences),
-                    infected_differences={
-                        name: np.stack(matrices)
-                        for name, matrices in infected_differences.items()
-                    },
-                )
-                return self._delay_cache[num_dies]
+        return self._read_through(
+            "delay_differences", cell.num_dies, store_key,
+            compute=lambda: self._measure_delay_study(cell),
+            pack=lambda data: pack_delay_differences(
+                data.golden_differences, data.infected_differences),
+            unpack=_unpack_delay_study,
+            meta=lambda data: {"num_dies": cell.num_dies,
+                               "num_pk_pairs": self.spec.num_pk_pairs},
+        )
+
+    def _measure_delay_study(self, cell: GridCell) -> "_DelayStudyData":
+        num_dies = cell.num_dies
         spec = self.spec
         platform = self.platform_for(cell)
         meter = platform.delay_meter
@@ -765,13 +723,7 @@ class CampaignEngine:
             DelayFingerprint.from_measurement(fingerprint_measurement)
         )
 
-        duts = []
-        for die_index in range(num_dies):
-            duts.append(platform.golden_dut(die_index,
-                                            label=f"Clean_die{die_index}"))
-        for name in spec.trojans:
-            for die_index in range(num_dies):
-                duts.append(platform.infected_dut(name, die_index))
+        duts = self._population_duts(platform, num_dies)
         # One seed per device position: injective for any population
         # size, so no two devices ever share a noise stream.
         seeds = [spec.seed + 100 + position
@@ -782,24 +734,9 @@ class CampaignEngine:
         # One batched Eq. (4) evaluation over every (device, die)
         # campaign, then views into the stacked tensor per population.
         differences = detector.difference_ps_batch(measurements)
-        infected_differences: Dict[str, np.ndarray] = {}
-        for trojan_index, name in enumerate(spec.trojans):
-            begin = num_dies * (1 + trojan_index)
-            infected_differences[name] = differences[begin:begin + num_dies]
-        self._delay_cache[num_dies] = _DelayStudyData(
-            golden_differences=differences[:num_dies],
-            infected_differences=infected_differences,
-        )
-        if store_key is not None:
-            self.store.put_arrays(
-                store_key,
-                pack_delay_differences(differences[:num_dies],
-                                       infected_differences),
-                kind="delay_differences",
-                meta={"num_dies": num_dies,
-                      "num_pk_pairs": self.spec.num_pk_pairs},
-            )
-        return self._delay_cache[num_dies]
+        golden, infected = self._split_populations(differences, num_dies)
+        return _DelayStudyData(golden_differences=golden,
+                               infected_differences=infected)
 
     def _spec_glitch_grid(self) -> Optional[GlitchGrid]:
         """The spec's explicit glitch grid, or None for auto-calibration."""
@@ -843,28 +780,24 @@ class CampaignEngine:
         grid axes travel in the payload, so warm runs skip calibration
         and the golden build entirely).
         """
+        return self._read_through(
+            "fault_sweep", cell.num_dies,
+            self._fault_sweep_store_key(cell.num_dies),
+            compute=lambda: self._synthesise_fault_sweep(cell),
+            pack=lambda data: pack_fault_sweep(
+                {"offsets_ps": data.grid.offsets_ps,
+                 "widths_ps": data.grid.widths_ps,
+                 "periods_ps": data.grid.periods_ps},
+                data.plaintexts, data.correct,
+                data.golden_faulted, data.infected_faulted),
+            unpack=_unpack_fault_sweep,
+            meta=lambda data: {"num_dies": cell.num_dies,
+                               "num_grid_points": data.grid.num_points,
+                               "num_plaintexts": len(data.plaintexts)},
+        )
+
+    def _synthesise_fault_sweep(self, cell: GridCell) -> "_FaultSweepData":
         num_dies = cell.num_dies
-        if num_dies in self._fault_cache:
-            return self._fault_cache[num_dies]
-        store_key = self._fault_sweep_store_key(num_dies)
-        stored = (self.store.load_arrays(store_key)
-                  if store_key is not None else None)
-        if stored is not None:
-            axes, plaintexts, correct, golden_faulted, infected_faulted = (
-                unpack_fault_sweep(stored)
-            )
-            self._fault_cache[num_dies] = _FaultSweepData(
-                grid=GlitchGrid(
-                    offsets_ps=tuple(axes["offsets_ps"]),
-                    widths_ps=tuple(axes["widths_ps"]),
-                    periods_ps=tuple(axes["periods_ps"]),
-                ),
-                plaintexts=plaintexts,
-                correct=correct,
-                golden_faulted=golden_faulted,
-                infected_faulted=infected_faulted,
-            )
-            return self._fault_cache[num_dies]
         spec = self.spec
         platform = self.platform_for(cell)
         meter = platform.delay_meter
@@ -873,13 +806,7 @@ class CampaignEngine:
                                   key=spec.key)
                  for index, plaintext in enumerate(plaintexts)]
 
-        duts = []
-        for die_index in range(num_dies):
-            duts.append(platform.golden_dut(die_index,
-                                            label=f"Clean_die{die_index}"))
-        for name in spec.trojans:
-            for die_index in range(num_dies):
-                duts.append(platform.infected_dut(name, die_index))
+        duts = self._population_duts(platform, num_dies)
         arrivals = meter.batch_arrival_times(duts, pairs)
 
         # Correct/stale capture values of the attacked round, straight
@@ -914,33 +841,33 @@ class CampaignEngine:
             )
             for position in range(len(duts))
         ])
-        infected_faulted: Dict[str, np.ndarray] = {}
-        for trojan_index, name in enumerate(spec.trojans):
-            begin = num_dies * (1 + trojan_index)
-            infected_faulted[name] = faulted[begin:begin + num_dies]
-        self._fault_cache[num_dies] = _FaultSweepData(
+        golden, infected = self._split_populations(faulted, num_dies)
+        return _FaultSweepData(
             grid=grid,
             plaintexts=as_block_matrix(plaintexts),
             correct=correct,
-            golden_faulted=faulted[:num_dies],
-            infected_faulted=infected_faulted,
+            golden_faulted=golden,
+            infected_faulted=infected,
         )
-        if store_key is not None:
-            self.store.put_arrays(
-                store_key,
-                pack_fault_sweep(
-                    {"offsets_ps": grid.offsets_ps,
-                     "widths_ps": grid.widths_ps,
-                     "periods_ps": grid.periods_ps},
-                    as_block_matrix(plaintexts), correct,
-                    faulted[:num_dies], infected_faulted,
-                ),
-                kind="fault_sweep",
-                meta={"num_dies": num_dies,
-                      "num_grid_points": grid.num_points,
-                      "num_plaintexts": len(plaintexts)},
-            )
-        return self._fault_cache[num_dies]
+
+    def _population_duts(self, platform: HTDetectionPlatform,
+                         num_dies: int) -> list:
+        """Clean devices on every die, then each trojan on every die."""
+        duts = [platform.golden_dut(die_index, label=f"Clean_die{die_index}")
+                for die_index in range(num_dies)]
+        for name in self.spec.trojans:
+            duts.extend(platform.infected_dut(name, die_index)
+                        for die_index in range(num_dies))
+        return duts
+
+    def _split_populations(self, stacked: np.ndarray, num_dies: int
+                           ) -> "Tuple[np.ndarray, Dict[str, np.ndarray]]":
+        """Views of a :meth:`_population_duts`-ordered stack per population."""
+        infected = {
+            name: stacked[num_dies * (1 + index):num_dies * (2 + index)]
+            for index, name in enumerate(self.spec.trojans)
+        }
+        return stacked[:num_dies], infected
 
     # -- execution ----------------------------------------------------------------
 
@@ -973,43 +900,14 @@ class CampaignEngine:
         """
         start = time.perf_counter()
         data = self.fault_sweep_data(cell)
-        genuine_scores = device_fault_coverages(data.correct,
-                                                data.golden_faulted)
-        genuine_fit = fit_gaussian(genuine_scores)
-        infected_score_matrix = np.stack(
-            [device_fault_coverages(data.correct,
-                                    data.infected_faulted[name])
-             for name in self.spec.trojans]
-        ) if self.spec.trojans else np.zeros((0, genuine_scores.size))
-        infected_means, _ = fit_gaussians_batch(infected_score_matrix)
-        mus = infected_means - genuine_fit.mean
-        sigmas = pooled_std_batch(genuine_scores, infected_score_matrix)
-        fn_rates = false_negative_rates(mus, sigmas)
-        rows = []
-        for trojan_index, name in enumerate(self.spec.trojans):
-            fn_rate = float(fn_rates[trojan_index])
-            rows.append(CampaignRow(
-                cell_index=cell.index,
-                num_dies=cell.num_dies,
-                variant=cell.variant.name,
-                metric=cell.metric,
-                trojan=name,
-                area_fraction=self.trojan_area_fraction(name),
-                mu=float(mus[trojan_index]),
-                sigma=float(sigmas[trojan_index]),
-                false_negative_rate=fn_rate,
-                detection_probability=1.0 - fn_rate,
-            ))
-        return CampaignCellResult(
-            index=cell.index,
-            num_dies=cell.num_dies,
-            variant=cell.variant.name,
-            metric=cell.metric,
-            rows=rows,
-            golden_score_mean=float(genuine_fit.mean),
-            golden_score_std=float(genuine_fit.std),
-            elapsed_s=time.perf_counter() - start,
+        fits = characterise_score_populations(
+            device_fault_coverages(data.correct, data.golden_faulted),
+            np.stack([device_fault_coverages(data.correct,
+                                             data.infected_faulted[name])
+                      for name in self.spec.trojans]),
         )
+        return self._cell_result(cell, start, fits.genuine, fits.mus,
+                                 fits.sigmas, fits.rates)
 
     def _run_delay_cell(self, cell: GridCell) -> CampaignCellResult:
         """Score one delay-study cell from the cached difference tensors.
@@ -1027,45 +925,13 @@ class CampaignEngine:
         start = time.perf_counter()
         data = self.delay_study_data(cell)
         scorer = build_delay_batch_scorer(cell.metric)
-        genuine_scores = scorer(data.golden_differences)
-        genuine_fit = fit_gaussian(genuine_scores)
-        infected_score_matrix = np.stack(
-            [scorer(data.infected_differences[name])
-             for name in self.spec.trojans]
-        ) if self.spec.trojans else np.zeros((0, genuine_scores.size))
-        infected_means, _ = fit_gaussians_batch(infected_score_matrix)
-        mus = infected_means - genuine_fit.mean
-        # Both populations have one score per die and the spec enforces
-        # >= 2 dies, so the pooled estimate always applies.
-        sigmas = pooled_std_batch(genuine_scores, infected_score_matrix)
-        fn_rates = false_negative_rates(mus, sigmas)
-        rows = []
-        for trojan_index, name in enumerate(self.spec.trojans):
-            mu = float(mus[trojan_index])
-            sigma = float(sigmas[trojan_index])
-            fn_rate = float(fn_rates[trojan_index])
-            rows.append(CampaignRow(
-                cell_index=cell.index,
-                num_dies=cell.num_dies,
-                variant=cell.variant.name,
-                metric=cell.metric,
-                trojan=name,
-                area_fraction=self.trojan_area_fraction(name),
-                mu=mu,
-                sigma=sigma,
-                false_negative_rate=fn_rate,
-                detection_probability=1.0 - fn_rate,
-            ))
-        return CampaignCellResult(
-            index=cell.index,
-            num_dies=cell.num_dies,
-            variant=cell.variant.name,
-            metric=cell.metric,
-            rows=rows,
-            golden_score_mean=float(genuine_fit.mean),
-            golden_score_std=float(genuine_fit.std),
-            elapsed_s=time.perf_counter() - start,
+        fits = characterise_score_populations(
+            scorer(data.golden_differences),
+            np.stack([scorer(data.infected_differences[name])
+                      for name in self.spec.trojans]),
         )
+        return self._cell_result(cell, start, fits.genuine, fits.mus,
+                                 fits.sigmas, fits.rates)
 
     def _run_em_cell(self, cell: GridCell) -> CampaignCellResult:
         """Execute one EM grid cell: acquire (or reuse) traces, score, decide.
@@ -1086,31 +952,46 @@ class CampaignEngine:
             area_fractions={name: self.trojan_area_fraction(name)
                             for name in self.spec.trojans},
         )
-        golden_fit = study.characterisations[self.spec.trojans[0]].genuine
-        rows = [
-            CampaignRow(
+        characterisations = [study.characterisations[name]
+                             for name in self.spec.trojans]
+        trace_archive = self._maybe_save_traces(cell)
+        return self._cell_result(
+            cell, start, characterisations[0].genuine,
+            [char.mu for char in characterisations],
+            [char.sigma for char in characterisations],
+            [char.false_negative_rate for char in characterisations],
+            trace_archive=trace_archive,
+        )
+
+    def _cell_result(self, cell: GridCell, start: float,
+                     genuine: GaussianFit, mus: Sequence[float],
+                     sigmas: Sequence[float], rates: Sequence[float],
+                     trace_archive: Optional[str] = None
+                     ) -> CampaignCellResult:
+        """One row per trojan (in spec order) plus the cell's summary."""
+        rows = []
+        for index, name in enumerate(self.spec.trojans):
+            fn_rate = float(rates[index])
+            rows.append(CampaignRow(
                 cell_index=cell.index,
                 num_dies=cell.num_dies,
                 variant=cell.variant.name,
                 metric=cell.metric,
                 trojan=name,
-                area_fraction=study.trojan_area_fractions[name],
-                mu=study.characterisations[name].mu,
-                sigma=study.characterisations[name].sigma,
-                false_negative_rate=study.characterisations[name].false_negative_rate,
-                detection_probability=study.characterisations[name].detection_probability,
-            )
-            for name in self.spec.trojans
-        ]
-        trace_archive = self._maybe_save_traces(cell)
+                area_fraction=self.trojan_area_fraction(name),
+                mu=float(mus[index]),
+                sigma=float(sigmas[index]),
+                false_negative_rate=fn_rate,
+                detection_probability=1.0 - fn_rate,
+            ))
         return CampaignCellResult(
             index=cell.index,
             num_dies=cell.num_dies,
             variant=cell.variant.name,
             metric=cell.metric,
             rows=rows,
-            golden_score_mean=float(golden_fit.mean),
-            golden_score_std=float(golden_fit.std),
+            golden_score_mean=float(genuine.mean),
+            golden_score_std=float(genuine.std),
             elapsed_s=time.perf_counter() - start,
             trace_archive=trace_archive,
         )
@@ -1120,10 +1001,9 @@ class CampaignEngine:
 
         Ownership is deterministic — the lowest-index cell of each
         acquisition key writes the archive — so parallel workers never
-        race on the same file.  The :class:`EMTrace` objects live in the
-        acquisition cache (this persistence boundary is the only scoring
-        consumer that needs them; the scorers run on the stacked
-        matrices).
+        race on the same file.  The :class:`EMTrace` objects are wrapped
+        from the cell's population tensors only here (the scorers run on
+        the stacked matrices).
         """
         if self._artifact_dir is None or not self.spec.save_traces:
             return None
@@ -1224,7 +1104,7 @@ class CampaignEngine:
         else:
             shard = (int(shard[0]), int(shard[1]))
             cells = self.spec.shard(*shard)
-        if self.store is not None and hasattr(self.store, "acquire_lease"):
+        if self.store is not None:
             # The whole run counts as "live" to concurrent maintenance:
             # the lease covers the compute time between store writes,
             # not just the writes themselves.
@@ -1260,8 +1140,7 @@ class CampaignEngine:
             ordered = [completed[cell.index] for cell in cells]
         finally:
             self._active_indices = None
-            if (self.store is not None
-                    and hasattr(self.store, "release_lease")):
+            if self.store is not None:
                 self.store.release_lease()
         result = CampaignResult(
             spec=self.spec,
@@ -1286,7 +1165,7 @@ class CampaignEngine:
         ``BrokenProcessPool``.
 
         Cells are chunked by acquisition key so a worker reuses its
-        acquisition cache across the metrics of one (die count, variant)
+        acquired population across the metrics of one (die count, variant)
         point instead of re-acquiring per cell.  Workers share the
         engine's store (if any): artifacts written by one worker are
         hits for the others, and each worker records its cells'

@@ -164,7 +164,7 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
         engine._artifact_dir = Path(artifact_dir)
     if active is not None:
         engine._active_indices = frozenset(active)
-    if engine.store is not None and hasattr(engine.store, "acquire_lease"):
+    if engine.store is not None:
         # Register this worker's writer lease up front so concurrent
         # maintenance treats its in-flight writes as off-limits for the
         # whole worker lifetime, not just between put_* calls.
@@ -194,8 +194,7 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
             else:
                 result_conn.send(("done", index, attempt, cell_result))
     finally:
-        if (engine.store is not None
-                and hasattr(engine.store, "release_lease")):
+        if engine.store is not None:
             engine.store.release_lease()
     result_conn.send(("bye",))
 

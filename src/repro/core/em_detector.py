@@ -24,16 +24,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.batch import (
-    false_negative_rates,
-    fit_gaussians_batch,
-    pooled_std_batch,
-)
-from ..analysis.gaussian import GaussianFit, fit_gaussian, pooled_std
+from ..analysis.batch import characterise_score_populations
+from ..analysis.gaussian import GaussianFit
 from ..analysis.traces import TraceLike, abs_difference, as_samples, stack_traces
 from .decision import DetectionOutcome, ThresholdPolicy
 from .fingerprint import EMReference
-from .metrics import LocalMaximaSumMetric, false_negative_rate
+from .metrics import LocalMaximaSumMetric
 
 
 @dataclass
@@ -230,26 +226,24 @@ class PopulationEMDetector:
         infected_scores = self._population_scores(
             stack_traces(infected_traces)
         )
-        return self._characterise_scores(infected_scores)
+        return self._characterise_rows(infected_scores[None, :])[0]
 
-    def _characterise_scores(self, infected_scores: np.ndarray
-                             ) -> PopulationCharacterisation:
-        """Two-Gaussian model of one infected score population."""
-        genuine_scores = self.golden_scores()
-        genuine_fit = fit_gaussian(genuine_scores)
-        infected_fit = fit_gaussian(infected_scores)
-        mu = infected_fit.mean - genuine_fit.mean
-        if genuine_scores.size >= 2 and infected_scores.size >= 2:
-            sigma = pooled_std(genuine_scores, infected_scores)
-        else:
-            sigma = max(genuine_fit.std, infected_fit.std)
-        return PopulationCharacterisation(
-            genuine=genuine_fit,
-            infected=infected_fit,
-            mu=float(mu),
-            sigma=float(sigma),
-            false_negative_rate=false_negative_rate(mu, sigma),
-        )
+    def _characterise_rows(self, score_matrix: np.ndarray
+                           ) -> "List[PopulationCharacterisation]":
+        """Two-Gaussian model of each infected score population (one per row)."""
+        fits = characterise_score_populations(self.golden_scores(),
+                                              score_matrix)
+        return [
+            PopulationCharacterisation(
+                genuine=fits.genuine,
+                infected=GaussianFit(mean=float(fits.infected_means[index]),
+                                     std=float(fits.infected_stds[index])),
+                mu=float(fits.mus[index]),
+                sigma=float(fits.sigmas[index]),
+                false_negative_rate=float(fits.rates[index]),
+            )
+            for index in range(score_matrix.shape[0])
+        ]
 
     def _stack_populations(self, infected_populations: "Dict[str, Sequence[TraceLike]]"
                            ) -> "tuple[List[str], List[np.ndarray]]":
@@ -270,41 +264,19 @@ class PopulationEMDetector:
 
         ``scores`` holds the infected populations' scores concatenated
         in ``names`` order.  In the study shape (every population one
-        score per die, at least two dies) all Gaussian fits, pooled
-        sigmas and Eq. (5) rates come out of the batched score-matrix
-        primitives; either path is bit-identical to
-        :meth:`characterise` on each trojan alone.
+        score per die) every trojan is characterised by one batched
+        call; populations of unequal size are characterised one by one.
+        Either way each result is bit-identical to :meth:`characterise`
+        on that trojan alone.
         """
-        genuine_scores = self.golden_scores()
-        sizes = {matrix.shape[0] for matrix in matrices}
-        if names and len(sizes) == 1 and min(sizes) >= 2 \
-                and genuine_scores.size >= 2:
-            genuine_fit = fit_gaussian(genuine_scores)
-            score_matrix = scores.reshape(len(names), -1)
-            infected_means, infected_stds = fit_gaussians_batch(score_matrix)
-            mus = infected_means - genuine_fit.mean
-            sigmas = pooled_std_batch(genuine_scores, score_matrix)
-            rates = false_negative_rates(mus, sigmas)
-            return {
-                name: PopulationCharacterisation(
-                    genuine=genuine_fit,
-                    infected=GaussianFit(mean=float(infected_means[index]),
-                                         std=float(infected_stds[index])),
-                    mu=float(mus[index]),
-                    sigma=float(sigmas[index]),
-                    false_negative_rate=float(rates[index]),
-                )
-                for index, name in enumerate(names)
-            }
-        characterisations: Dict[str, PopulationCharacterisation] = {}
-        begin = 0
-        for name, matrix in zip(names, matrices):
-            end = begin + matrix.shape[0]
-            characterisations[name] = self._characterise_scores(
-                scores[begin:end]
-            )
-            begin = end
-        return characterisations
+        sizes = [matrix.shape[0] for matrix in matrices]
+        if len(set(sizes)) == 1:
+            rows = self._characterise_rows(scores.reshape(len(names), -1))
+        else:
+            bounds = np.cumsum([0] + sizes).tolist()
+            rows = [self._characterise_rows(scores[None, begin:end])[0]
+                    for begin, end in zip(bounds[:-1], bounds[1:])]
+        return dict(zip(names, rows))
 
     def characterise_many(self, infected_populations: "Dict[str, Sequence[TraceLike]]"
                           ) -> "Dict[str, PopulationCharacterisation]":

@@ -143,6 +143,24 @@ class PopulationTraceTensors:
              for name, matrix in self.infected.items()},
         )
 
+    @classmethod
+    def from_traces(cls, golden_traces: Sequence[EMTrace],
+                    infected_traces: Dict[str, Sequence[EMTrace]]
+                    ) -> "PopulationTraceTensors":
+        """Stack an :class:`EMTrace` population (inverse of :meth:`to_traces`)."""
+        first = golden_traces[0]
+        return cls(
+            golden=stack_traces(golden_traces),
+            infected={name: stack_traces(traces)
+                      for name, traces in infected_traces.items()},
+            golden_labels=[trace.label for trace in golden_traces],
+            infected_labels={name: [trace.label for trace in traces]
+                             for name, traces in infected_traces.items()},
+            plaintext=first.plaintext,
+            sample_period_ns=first.sample_period_ns,
+            cycle_sample_offsets=list(first.cycle_sample_offsets),
+        )
+
 
 class HTDetectionPlatform:
     """The full reproduction platform (design + trojans + dies + benches)."""
@@ -291,44 +309,56 @@ class HTDetectionPlatform:
                 for die_index in range(len(self.population))]
 
     def acquire_population_tensors(self, trojan_names: Sequence[str],
-                                   plaintext: Optional[bytes] = None,
+                                   plaintexts: Optional[Sequence[bytes]] = None,
                                    key: Optional[bytes] = None
                                    ) -> "PopulationTraceTensors":
         """The Sec. V-A population as matrix-resident sample tensors.
 
-        Every design's die population is synthesised as one
-        ``(dies, samples)`` matrix
-        (:meth:`EMSimulator.acquire_batch_matrix`); no
-        :class:`EMTrace` objects are built — scoring consumes the
-        matrices directly and
-        :meth:`PopulationTraceTensors.to_traces` wraps them at the
+        Every design's (plaintext x die) grid is synthesised as one
+        ``(plaintexts, dies, samples)`` tensor
+        (:meth:`EMSimulator.acquire_many_batch_tensor`) and each die is
+        represented by its stimulus-averaged trace
+        (:func:`average_stimulus_tensor`); ``plaintexts=None`` is the
+        paper's single stimulus.  No :class:`EMTrace` objects are built
+        — :meth:`PopulationTraceTensors.to_traces` wraps the rows at the
         persistence/report boundary.  Each die keeps its own noise
-        stream, consumed in the same order as the per-die loop of
-        :meth:`acquire_population_traces_serial`, so every row is
-        bit-identical to the serial reference implementation.
+        stream, consumed in the order of the serial references
+        (:meth:`acquire_population_traces_serial`,
+        :meth:`acquire_population_traces_stimuli_serial`), so every row
+        is bit-identical to them.
         """
-        plaintext, key = self._population_stimulus(plaintext, key)
-        die_indices = range(len(self.population))
+        plaintexts = ([DEFAULT_PLAINTEXT] if plaintexts is None
+                      else [bytes(plaintext) for plaintext in plaintexts])
+        key = key if key is not None else DEFAULT_KEY
         rngs = self._die_rngs()
+
+        def acquire(duts: List[DeviceUnderTest]):
+            grid, cycle_offsets = self.em_simulator.acquire_many_batch_tensor(
+                duts, plaintexts, key, rngs, new_setup_installation=True,
+            )
+            # One stimulus: take the plane itself.  mean(axis=0) would
+            # turn every -0.0 sample into +0.0, so the rows would no
+            # longer be byte-identical to the serial acquisition.
+            if grid.shape[0] == 1:
+                return grid[0], cycle_offsets
+            return average_stimulus_tensor(grid), cycle_offsets
+
+        die_indices = range(len(self.population))
         golden_duts = [self.golden_dut(die_index) for die_index in die_indices]
-        golden, cycle_offsets = self.em_simulator.acquire_batch_matrix(
-            golden_duts, plaintext, key, rngs, new_setup_installation=True,
-        )
+        golden, cycle_offsets = acquire(golden_duts)
         infected: Dict[str, np.ndarray] = {}
         infected_labels: Dict[str, List[str]] = {}
         for name in trojan_names:
             duts = [self.infected_dut(name, die_index)
                     for die_index in die_indices]
-            infected[name], _ = self.em_simulator.acquire_batch_matrix(
-                duts, plaintext, key, rngs, new_setup_installation=True,
-            )
+            infected[name], _ = acquire(duts)
             infected_labels[name] = [dut.label for dut in duts]
         return PopulationTraceTensors(
             golden=golden,
             infected=infected,
             golden_labels=[dut.label for dut in golden_duts],
             infected_labels=infected_labels,
-            plaintext=bytes(plaintext),
+            plaintext=plaintexts[0],
             sample_period_ns=1.0
             / self.config.em.oscilloscope.sample_rate_gsps,
             cycle_sample_offsets=list(cycle_offsets),
@@ -340,13 +370,14 @@ class HTDetectionPlatform:
                                   ) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
         """One averaged trace per (design, die): the 32 traces of Sec. V-A.
 
-        Thin :class:`EMTrace` wrapper over
+        Single-plaintext :class:`EMTrace` view of
         :meth:`acquire_population_tensors` (the persistence/report
         boundary); bit-identical to the serial reference
         :meth:`acquire_population_traces_serial`.
         """
+        plaintexts = None if plaintext is None else [plaintext]
         return self.acquire_population_tensors(
-            trojan_names, plaintext, key
+            trojan_names, plaintexts, key
         ).to_traces()
 
     def acquire_population_traces_serial(self, trojan_names: Sequence[str],
@@ -377,90 +408,6 @@ class HTDetectionPlatform:
                 )
         return golden_traces, infected_traces
 
-    # -- random-plaintext (multi-stimulus) population acquisition ---------------
-
-    def acquire_population_tensors_stimuli(self, trojan_names: Sequence[str],
-                                           plaintexts: Sequence[bytes],
-                                           key: Optional[bytes] = None
-                                           ) -> "PopulationTraceTensors":
-        """Stimulus-averaged population as matrix-resident tensors.
-
-        Every design's whole (plaintext x die) grid is synthesised as
-        one ``(plaintexts, dies, samples)`` tensor
-        (:meth:`EMSimulator.acquire_many_batch_tensor`) and collapsed to
-        each die's stimulus-averaged trace with one axis reduction
-        (:func:`average_stimulus_tensor`) — the multi-stimulus Sec. V
-        comparison without a single :class:`EMTrace` in flight.  Each
-        plane is bit-identical to the serial reference
-        :meth:`acquire_population_traces_stimuli_serial`, and the
-        averaged rows equal :func:`average_stimulus_traces` on the
-        wrapped grid.
-        """
-        key = key if key is not None else DEFAULT_KEY
-        die_indices = range(len(self.population))
-        rngs = self._die_rngs()
-        golden_duts = [self.golden_dut(die_index) for die_index in die_indices]
-        golden_grid, cycle_offsets = (
-            self.em_simulator.acquire_many_batch_tensor(
-                golden_duts, plaintexts, key, rngs,
-                new_setup_installation=True,
-            )
-        )
-        infected: Dict[str, np.ndarray] = {}
-        infected_labels: Dict[str, List[str]] = {}
-        for name in trojan_names:
-            duts = [self.infected_dut(name, die_index)
-                    for die_index in die_indices]
-            grid, _ = self.em_simulator.acquire_many_batch_tensor(
-                duts, plaintexts, key, rngs, new_setup_installation=True,
-            )
-            infected[name] = average_stimulus_tensor(grid)
-            infected_labels[name] = [dut.label for dut in duts]
-        return PopulationTraceTensors(
-            golden=average_stimulus_tensor(golden_grid),
-            infected=infected,
-            golden_labels=[dut.label for dut in golden_duts],
-            infected_labels=infected_labels,
-            plaintext=bytes(plaintexts[0]),
-            sample_period_ns=1.0
-            / self.config.em.oscilloscope.sample_rate_gsps,
-            cycle_sample_offsets=list(cycle_offsets),
-        )
-
-    def acquire_population_traces_stimuli(self, trojan_names: Sequence[str],
-                                          plaintexts: Sequence[bytes],
-                                          key: Optional[bytes] = None
-                                          ) -> "tuple[List[List[EMTrace]], Dict[str, List[List[EMTrace]]]]":
-        """Population traces over a whole *stimulus set* in batched passes.
-
-        Every design's (plaintext x die) grid is synthesised by one
-        :meth:`EMSimulator.acquire_many_batch` call — the batched AES
-        kernel prices all plaintexts at once, the trojan activity of all
-        encryptions comes from one compiled-kernel evaluation, and the
-        oscilloscope noise/quantise pass is vectorised.  Each die keeps
-        its own noise stream, consumed in the order of
-        :meth:`acquire_population_traces_stimuli_serial`, so the result
-        is bit-identical to that serial reference.
-
-        Returns ``(golden, infected)`` with ``golden[die][plaintext]``
-        and ``infected[name][die][plaintext]``.
-        """
-        key = key if key is not None else DEFAULT_KEY
-        die_indices = range(len(self.population))
-        rngs = self._die_rngs()
-        golden_traces = self.em_simulator.acquire_many_batch(
-            [self.golden_dut(die_index) for die_index in die_indices],
-            plaintexts, key, rngs, new_setup_installation=True,
-        )
-        infected_traces: Dict[str, List[List[EMTrace]]] = {}
-        for name in trojan_names:
-            infected_traces[name] = self.em_simulator.acquire_many_batch(
-                [self.infected_dut(name, die_index)
-                 for die_index in die_indices],
-                plaintexts, key, rngs, new_setup_installation=True,
-            )
-        return golden_traces, infected_traces
-
     def acquire_population_traces_stimuli_serial(
             self, trojan_names: Sequence[str], plaintexts: Sequence[bytes],
             key: Optional[bytes] = None
@@ -468,9 +415,9 @@ class HTDetectionPlatform:
         """Reference nested loop for the multi-stimulus acquisition.
 
         One serial :meth:`EMSimulator.acquire_many` per (design, die),
-        golden first, in die order — the ground truth
-        :meth:`acquire_population_traces_stimuli` is validated (and
-        benchmarked) against.
+        golden first, in die order — the ground truth the
+        multi-stimulus :meth:`acquire_population_tensors` is validated
+        (and benchmarked) against.
         """
         key = key if key is not None else DEFAULT_KEY
         golden_traces: List[List[EMTrace]] = []
@@ -602,18 +549,11 @@ def run_population_em_study(platform: "Optional[HTDetectionPlatform]",
     if traces is None:
         if plaintexts is not None and plaintext is not None:
             raise ValueError("pass either plaintext or plaintexts, not both")
-        if plaintexts is not None and not plaintexts:
-            raise ValueError("plaintexts must contain at least one stimulus")
-        if plaintexts is not None and len(plaintexts) > 1:
-            tensors = platform.acquire_population_tensors_stimuli(
-                trojan_names, plaintexts, key
-            )
-        else:
-            if plaintexts is not None:
-                plaintext = plaintexts[0]
-            tensors = platform.acquire_population_tensors(
-                trojan_names, plaintext, key
-            )
+        if plaintext is not None:
+            plaintexts = [plaintext]
+        tensors = platform.acquire_population_tensors(
+            trojan_names, plaintexts, key
+        )
         golden_matrix = tensors.golden
         infected_matrices = {name: tensors.infected[name]
                              for name in trojan_names}

@@ -23,7 +23,7 @@ Everything here is **bit-identical** to the scalar cipher (the LUTs are
 generated from the same first-principles GF arithmetic, and XOR/gather
 have no rounding), which stays the serial reference the equivalence
 tests compare against — the same contract as
-:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_batch` and
+:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch_tensor` and
 the compiled netlist kernel.
 """
 

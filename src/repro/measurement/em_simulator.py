@@ -361,227 +361,6 @@ class EMSimulator:
 
     # -- batched acquisition -----------------------------------------------------
 
-    def _cached_host_activities(self, aes: AES, plaintext: bytes,
-                                key: bytes) -> List[float]:
-        cache_key = (bytes(key), bytes(plaintext))
-        if cache_key not in self._host_activity_cache:
-            self._cache_insert(
-                self._host_activity_cache, cache_key,
-                self.host_cycle_activities(aes, plaintext),
-                self.host_activity_cache_entries,
-            )
-        return self._host_activity_cache[cache_key]
-
-    def _cached_trojan_activities(self, dut: DeviceUnderTest, aes: AES,
-                                  plaintext: bytes, key: bytes,
-                                  encryption_index: int) -> List[float]:
-        cache_key = (id(dut.design), bytes(key), bytes(plaintext),
-                     encryption_index)
-        entry = self._trojan_activity_cache.get(cache_key)
-        if entry is None or entry[0] is not dut.design:
-            activities = self.trojan_cycle_activities(
-                dut, aes, plaintext, encryption_index
-            )
-            entry = (dut.design, activities)
-            self._cache_insert(self._trojan_activity_cache, cache_key, entry,
-                               self.trojan_activity_cache_entries)
-        return entry[1]
-
-    def batch_noiseless_matrix(self, duts: Sequence[DeviceUnderTest],
-                               plaintext: bytes, key: bytes,
-                               encryption_index: int = 0
-                               ) -> "Tuple[np.ndarray, List[int]]":
-        """Deterministic emissions of one encryption as a ``(duts, samples)`` matrix.
-
-        The expensive stimulus-dependent work (AES round trace, host and
-        trojan switching activity, probe couplings) is evaluated once per
-        *design* appearing in ``duts``; only the per-die EM gains and
-        offsets differ between rows, so the whole population is
-        synthesised in one vectorised NumPy pass.  Every row is
-        arithmetically identical to what :meth:`noiseless_trace` produces
-        for the same DUT.  Returns ``(signal, cycle_sample_offsets)``;
-        no :class:`EMTrace` objects are built — wrap through
-        :meth:`batch_noiseless_traces` at a persistence/report boundary.
-        """
-        if not duts:
-            raise ValueError("at least one DUT is required")
-        config = self.config
-        aes = AES(key)
-        host_activity = self._cached_host_activities(aes, plaintext, key)
-        host_arr = np.asarray(host_activity, dtype=float)
-        num_cycles = len(host_activity)
-        num_rounds = num_cycles - 1
-        samples_per_cycle = config.samples_per_cycle
-        total_samples = config.total_samples(num_rounds)
-        num_duts = len(duts)
-        kernel = self._kernel
-
-        # Per-design coupled activity, evaluated once per unique design.
-        coupled_by_design: Dict[int, Tuple[np.ndarray, float]] = {}
-        coupled = np.empty((num_duts, num_cycles))
-        host_couplings = np.empty(num_duts)
-        for row, dut in enumerate(duts):
-            design_key = id(dut.design)
-            if design_key not in coupled_by_design:
-                trojan_arr = np.asarray(
-                    self._cached_trojan_activities(
-                        dut, aes, plaintext, key, encryption_index
-                    ),
-                    dtype=float,
-                )
-                host_coupling = self.host_probe_coupling(dut)
-                coupled_by_design[design_key] = (
-                    host_coupling * host_arr
-                    + self.trojan_probe_coupling(dut) * trojan_arr,
-                    host_coupling,
-                )
-            coupled[row], host_couplings[row] = coupled_by_design[design_key]
-
-        gains = np.stack(
-            [self.die_cycle_gains(dut, num_cycles) for dut in duts]
-        )
-        base_gains = np.array([dut.em_gain() for dut in duts])
-        offsets = np.array([dut.em_offset() for dut in duts])
-
-        amplitudes = gains * config.activity_to_amplitude * coupled
-        signal = np.zeros((num_duts, total_samples))
-        cycle_offsets: List[int] = []
-        for cycle in range(num_cycles):
-            offset = (config.pre_trigger_cycles + cycle) * samples_per_cycle
-            cycle_offsets.append(offset)
-            end = min(total_samples, offset + kernel.size)
-            signal[:, offset:end] += (amplitudes[:, cycle, None]
-                                      * kernel[None, : end - offset])
-
-        idle_cycles = list(range(config.pre_trigger_cycles)) + [
-            config.pre_trigger_cycles + num_cycles + cycle
-            for cycle in range(config.post_trigger_cycles)
-        ]
-        idle_amplitudes = (base_gains * config.activity_to_amplitude
-                           * host_couplings * config.baseline_activity)
-        for cycle_index in idle_cycles:
-            offset = cycle_index * samples_per_cycle
-            end = min(total_samples, offset + kernel.size)
-            signal[:, offset:end] += (idle_amplitudes[:, None]
-                                      * kernel[None, : end - offset])
-
-        signal = config.amplifier.amplify(signal) + offsets[:, None]
-        return signal, cycle_offsets
-
-    def batch_noiseless_traces(self, duts: Sequence[DeviceUnderTest],
-                               plaintext: bytes, key: bytes,
-                               encryption_index: int = 0) -> List[EMTrace]:
-        """:meth:`batch_noiseless_matrix` wrapped into :class:`EMTrace` rows."""
-        if not duts:
-            return []
-        signal, cycle_offsets = self.batch_noiseless_matrix(
-            duts, plaintext, key, encryption_index
-        )
-        sample_period_ns = 1.0 / self.config.oscilloscope.sample_rate_gsps
-        return [
-            EMTrace(
-                samples=signal[row].copy(),
-                label=dut.label,
-                plaintext=bytes(plaintext),
-                sample_period_ns=sample_period_ns,
-                cycle_sample_offsets=list(cycle_offsets),
-            )
-            for row, dut in enumerate(duts)
-        ]
-
-    def _normalised_rngs(self, duts: Sequence[DeviceUnderTest],
-                         rngs: Union[np.random.Generator,
-                                     Sequence[np.random.Generator]]
-                         ) -> Sequence[np.random.Generator]:
-        if isinstance(rngs, np.random.Generator):
-            return [rngs] * len(duts)
-        rng_list = list(rngs)
-        if len(rng_list) != len(duts):
-            raise ValueError(
-                f"got {len(rng_list)} generators for {len(duts)} DUTs"
-            )
-        return rng_list
-
-    def acquire_batch_matrix(self, duts: Sequence[DeviceUnderTest],
-                             plaintext: bytes, key: bytes,
-                             rngs: Union[np.random.Generator,
-                                         Sequence[np.random.Generator]],
-                             encryption_index: int = 0,
-                             new_setup_installation: bool = False
-                             ) -> "Tuple[np.ndarray, List[int]]":
-        """Acquire a whole population as one ``(duts, samples)`` matrix.
-
-        The tensor-resident core of :meth:`acquire_batch`: per-die setup
-        perturbation and averaged noise are drawn row by row in the
-        serial generator order, then the whole matrix is quantised in
-        one oscilloscope pass.  Row ``d`` is bit-identical to the serial
-        :meth:`acquire` of ``duts[d]``; no :class:`EMTrace` objects are
-        built.  Returns ``(signal, cycle_sample_offsets)``.
-        """
-        rng_list = self._normalised_rngs(duts, rngs)
-        config = self.config
-        signal, cycle_offsets = self.batch_noiseless_matrix(
-            duts, plaintext, key, encryption_index
-        )
-        sigma = config.oscilloscope.effective_noise_sigma(
-            config.noise.sigma_single_shot
-        )
-        for row, rng in enumerate(rng_list):
-            trace = signal[row]
-            if new_setup_installation:
-                gain, offset = config.noise.sample_setup_perturbation(rng)
-                trace = trace * gain + offset
-            if sigma > 0:
-                trace = trace + rng.normal(0.0, sigma, size=trace.shape)
-            signal[row] = trace
-        if config.quantise:
-            signal = config.oscilloscope.quantise(
-                signal, lsb=config.oscilloscope.effective_lsb()
-            )
-        return signal, cycle_offsets
-
-    def acquire_batch(self, duts: Sequence[DeviceUnderTest], plaintext: bytes,
-                      key: bytes,
-                      rngs: Union[np.random.Generator,
-                                  Sequence[np.random.Generator]],
-                      encryption_index: int = 0,
-                      new_setup_installation: bool = False) -> List[EMTrace]:
-        """Acquire one averaged trace per DUT in a single vectorised pass.
-
-        Thin :class:`EMTrace` wrapper over :meth:`acquire_batch_matrix`
-        (the persistence/report boundary).
-
-        Parameters
-        ----------
-        rngs:
-            Either one generator per DUT (each die keeps its own noise
-            stream, as the population campaigns do) or a single shared
-            generator consumed in DUT order.  Both conventions reproduce
-            the corresponding serial :meth:`acquire` loop exactly.
-        new_setup_installation:
-            Applied to every acquisition of the batch (the population
-            campaigns re-install the setup for every die).
-        """
-        if not duts:
-            return []
-        signal, cycle_offsets = self.acquire_batch_matrix(
-            duts, plaintext, key, rngs, encryption_index,
-            new_setup_installation,
-        )
-        sample_period_ns = 1.0 / self.config.oscilloscope.sample_rate_gsps
-        return [
-            EMTrace(
-                samples=signal[row].copy(),
-                label=dut.label,
-                plaintext=bytes(plaintext),
-                sample_period_ns=sample_period_ns,
-                cycle_sample_offsets=list(cycle_offsets),
-            )
-            for row, dut in enumerate(duts)
-        ]
-
-    # -- whole-stimulus batched acquisition ---------------------------------------
-
     def _host_activity_matrix(self, key: bytes, plaintexts: Sequence[bytes],
                               round_states: Optional[np.ndarray] = None
                               ) -> np.ndarray:
@@ -589,8 +368,7 @@ class EMSimulator:
 
         One batched-cipher pass covers every plaintext; rows already in
         the per-(key, plaintext) cache are reused and freshly computed
-        rows are inserted (bounded), so single-stimulus and batch paths
-        share one memo.
+        rows are inserted (bounded).
         """
         key = bytes(key)
         plaintexts = [bytes(plaintext) for plaintext in plaintexts]
@@ -757,16 +535,30 @@ class EMSimulator:
                                   ) -> "Tuple[np.ndarray, List[int]]":
         """Acquire the (plaintext x DUT) grid as one ``(P, D, S)`` tensor.
 
-        The tensor-resident core of :meth:`acquire_many_batch`: noise is
-        drawn DUT-major / plaintext-minor in the serial generator order,
-        then one oscilloscope pass quantises the whole tensor.  Plane
-        ``[p, d]`` is bit-identical to the serial
-        ``acquire(duts[d], plaintexts[p], ...)``; no :class:`EMTrace`
-        objects are built.  Returns ``(signal, cycle_sample_offsets)``.
+        The entry point of :meth:`acquire_many_batch` and of every
+        population acquisition: plane ``[p, d]`` is bit-identical
+        to the serial ``acquire(duts[d], plaintexts[p], ...)``; no
+        :class:`EMTrace` objects are built.  Returns ``(signal,
+        cycle_sample_offsets)``.
+        """
+        return self._acquire_grid(duts, plaintexts, key, rngs,
+                                  new_setup_installation)
+
+    def _acquire_grid(self, duts: Sequence[DeviceUnderTest],
+                      plaintexts: Sequence[bytes], key: bytes,
+                      rngs: Union[np.random.Generator,
+                                  Sequence[np.random.Generator]],
+                      new_setup_installation: bool
+                      ) -> "Tuple[np.ndarray, List[int]]":
+        """Noiseless grid plus the oscilloscope pass: the one acquisition core.
+
+        Setup perturbation and averaged noise are drawn DUT-major /
+        plaintext-minor in the serial generator order, then the whole
+        ``(P, D, S)`` tensor is quantised in one pass.  Both public
+        entry points call this, neither calls the other, so a wrapper
+        around either one sees each acquisition exactly once.
         """
         rng_list = self._normalised_rngs(duts, rngs)
-        if not plaintexts:
-            raise ValueError("at least one plaintext is required")
         config = self.config
         signal, cycle_offsets = self.batch_noiseless_traces_many(
             duts, plaintexts, key
@@ -774,9 +566,8 @@ class EMSimulator:
         sigma = config.oscilloscope.effective_noise_sigma(
             config.noise.sigma_single_shot
         )
-        num_plaintexts = len(plaintexts)
         for column, rng in enumerate(rng_list):
-            for row in range(num_plaintexts):
+            for row in range(signal.shape[0]):
                 trace = signal[row, column]
                 if new_setup_installation:
                     gain, offset = config.noise.sample_setup_perturbation(rng)
@@ -789,6 +580,38 @@ class EMSimulator:
                 signal, lsb=config.oscilloscope.effective_lsb()
             )
         return signal, cycle_offsets
+
+    def _normalised_rngs(self, duts: Sequence[DeviceUnderTest],
+                         rngs: Union[np.random.Generator,
+                                     Sequence[np.random.Generator]]
+                         ) -> Sequence[np.random.Generator]:
+        if isinstance(rngs, np.random.Generator):
+            return [rngs] * len(duts)
+        rng_list = list(rngs)
+        if len(rng_list) != len(duts):
+            raise ValueError(
+                f"got {len(rng_list)} generators for {len(duts)} DUTs"
+            )
+        return rng_list
+
+    def acquire_batch_matrix(self, duts: Sequence[DeviceUnderTest],
+                             plaintext: bytes, key: bytes,
+                             rngs: Union[np.random.Generator,
+                                         Sequence[np.random.Generator]],
+                             new_setup_installation: bool = False
+                             ) -> "Tuple[np.ndarray, List[int]]":
+        """Acquire a whole population under one plaintext as a ``(duts, samples)`` matrix.
+
+        The single-stimulus view of :meth:`acquire_many_batch_tensor`:
+        row ``d`` is bit-identical to the serial :meth:`acquire` of
+        ``duts[d]``.  ``rngs`` is one generator per DUT or one shared
+        generator consumed in DUT order.  Returns ``(signal,
+        cycle_sample_offsets)``.
+        """
+        signal, cycle_offsets = self._acquire_grid(
+            duts, [plaintext], key, rngs, new_setup_installation
+        )
+        return signal[0], cycle_offsets
 
     def acquire_many_batch(self, duts: Sequence[DeviceUnderTest],
                            plaintexts: Sequence[bytes], key: bytes,

@@ -25,7 +25,8 @@ Both kernels are **bit-identical** to the interpreted walks in
 float operations are applied in an order whose result is unchanged);
 the interpreted implementations remain the serial reference the
 equivalence tests and benchmarks compare against — the same contract
-``EMSimulator.acquire_batch`` established for trace acquisition.
+``EMSimulator.acquire_many_batch_tensor`` established for trace
+acquisition.
 
 Compiled netlists are cached on the netlist itself
 (:meth:`~repro.netlist.netlist.Netlist.compiled`); structural edits

@@ -1,6 +1,6 @@
 """Equivalence of the batched acquisition paths with the serial loops.
 
-``EMSimulator.acquire_batch``/``acquire_many_batch`` and
+``EMSimulator.acquire_batch_matrix``/``acquire_many_batch`` and
 ``PathDelayMeter.measure_batch`` are pure performance refactors: for
 every trojan in the catalog (and the golden design) they must reproduce
 the per-DUT serial results within float tolerance — in fact
@@ -15,7 +15,7 @@ import pytest
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.crypto.batch import encrypt_round_states
 from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
-from repro.stimulus import random_plaintexts
+from repro.stimulus import DEFAULT_PLAINTEXT, random_plaintexts
 from repro.trojan.base import HardwareTrojan
 from repro.trojan.library import available_trojans, build_trojan
 
@@ -48,12 +48,12 @@ def test_noiseless_batch_matches_per_die_loop(batch_platform, trojan_name):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
     serial = [simulator.noiseless_trace(dut, PLAINTEXT, KEY) for dut in duts]
-    batch = simulator.batch_noiseless_traces(duts, PLAINTEXT, KEY)
-    for serial_trace, batch_trace in zip(serial, batch):
-        assert serial_trace.label == batch_trace.label
-        assert serial_trace.cycle_sample_offsets == \
-            batch_trace.cycle_sample_offsets
-        np.testing.assert_allclose(batch_trace.samples, serial_trace.samples,
+    simulator.clear_caches()
+    batch, offsets = simulator.batch_noiseless_traces_many(duts, [PLAINTEXT],
+                                                           KEY)
+    for row, serial_trace in enumerate(serial):
+        assert serial_trace.cycle_sample_offsets == offsets
+        np.testing.assert_allclose(batch[0, row], serial_trace.samples,
                                    rtol=1e-12, atol=1e-9)
 
 
@@ -67,13 +67,13 @@ def test_acquire_batch_matches_per_die_loop(batch_platform, trojan_name):
                           new_setup_installation=True)
         for die, dut in enumerate(duts)
     ]
-    batch = simulator.acquire_batch(
+    batch, _ = simulator.acquire_batch_matrix(
         duts, PLAINTEXT, KEY,
         [np.random.default_rng(100 + die) for die in range(len(duts))],
         new_setup_installation=True,
     )
-    for serial_trace, batch_trace in zip(serial, batch):
-        assert np.array_equal(serial_trace.samples, batch_trace.samples)
+    for row, serial_trace in enumerate(serial):
+        assert np.array_equal(serial_trace.samples, batch[row])
 
 
 def test_acquire_batch_with_shared_generator_matches_serial(batch_platform):
@@ -83,16 +83,16 @@ def test_acquire_batch_with_shared_generator_matches_serial(batch_platform):
     rng_serial = np.random.default_rng(7)
     serial = [simulator.acquire(dut, PLAINTEXT, KEY, rng_serial)
               for dut in duts]
-    batch = simulator.acquire_batch(duts, PLAINTEXT, KEY,
-                                    np.random.default_rng(7))
-    for serial_trace, batch_trace in zip(serial, batch):
-        assert np.array_equal(serial_trace.samples, batch_trace.samples)
+    batch, _ = simulator.acquire_batch_matrix(duts, PLAINTEXT, KEY,
+                                              np.random.default_rng(7))
+    for row, serial_trace in enumerate(serial):
+        assert np.array_equal(serial_trace.samples, batch[row])
 
 
 def test_acquire_batch_rejects_mismatched_generators(batch_platform):
     duts = _duts(batch_platform, None)
     with pytest.raises(ValueError):
-        batch_platform.em_simulator.acquire_batch(
+        batch_platform.em_simulator.acquire_batch_matrix(
             duts, PLAINTEXT, KEY, [np.random.default_rng(0)]
         )
 
@@ -156,24 +156,24 @@ def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
 
 
 def test_population_stimuli_acquisition_matches_serial(batch_platform):
+    """The multi-stimulus population equals the serial nested loop,
+    stimulus-averaged per die."""
+    from repro.core.pipeline import average_stimulus_traces
+
     trojans = ("HT1", "HT_seq")
     golden_serial, infected_serial = (
         batch_platform.acquire_population_traces_stimuli_serial(
             trojans, STIMULI)
     )
     batch_platform.em_simulator.clear_caches()
-    golden_batch, infected_batch = (
-        batch_platform.acquire_population_traces_stimuli(trojans, STIMULI)
-    )
-    for serial_list, batch_list in zip(golden_serial, golden_batch):
-        for serial_trace, batch_trace in zip(serial_list, batch_list):
-            assert np.array_equal(serial_trace.samples, batch_trace.samples)
+    tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
+    for row, trace in enumerate(average_stimulus_traces(golden_serial)):
+        assert np.array_equal(tensors.golden[row], trace.samples)
     for name in trojans:
-        for serial_list, batch_list in zip(infected_serial[name],
-                                           infected_batch[name]):
-            for serial_trace, batch_trace in zip(serial_list, batch_list):
-                assert np.array_equal(serial_trace.samples,
-                                      batch_trace.samples)
+        for row, trace in enumerate(
+                average_stimulus_traces(infected_serial[name])):
+            assert np.array_equal(tensors.infected[name][row],
+                                  trace.samples)
 
 
 @pytest.mark.parametrize("trojan_name", available_trojans())
@@ -261,7 +261,8 @@ def test_delay_measure_batch_self_calibration_matches(batch_platform):
 
 
 def test_acquire_batch_matrix_matches_wrapped_traces(batch_platform):
-    """The matrix core and its EMTrace wrapper carry identical samples."""
+    """The single-stimulus matrix view and the EMTrace list view carry
+    identical samples."""
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT1")
     matrix, offsets = simulator.acquire_batch_matrix(
@@ -269,14 +270,15 @@ def test_acquire_batch_matrix_matches_wrapped_traces(batch_platform):
         [np.random.default_rng(500 + die) for die in range(len(duts))],
         new_setup_installation=True,
     )
-    traces = simulator.acquire_batch(
-        duts, PLAINTEXT, KEY,
+    grid = simulator.acquire_many_batch(
+        duts, [PLAINTEXT], KEY,
         [np.random.default_rng(500 + die) for die in range(len(duts))],
         new_setup_installation=True,
     )
-    assert matrix.shape == (len(duts), len(traces[0]))
-    for row, trace in enumerate(traces):
-        assert np.array_equal(matrix[row], trace.samples)
+    assert matrix.shape == (len(duts), len(grid[0][0]))
+    for row, (trace,) in enumerate(grid):
+        assert matrix[row].tobytes() == trace.samples.tobytes()
+        assert trace.plaintext == PLAINTEXT
         assert trace.cycle_sample_offsets == list(offsets)
 
 
@@ -353,23 +355,48 @@ def test_average_stimulus_tensor_matches_trace_average(batch_platform):
 
 
 def test_stimulus_tensors_match_averaged_traces(batch_platform):
-    """acquire_population_tensors_stimuli equals the serial average path."""
+    """Multi-stimulus population tensors equal the EMTrace grid view of
+    the same per-die noise streams, averaged per die."""
     from repro.core.pipeline import average_stimulus_traces
 
     trojans = ("HT1",)
     batch_platform.em_simulator.clear_caches()
-    tensors = batch_platform.acquire_population_tensors_stimuli(
-        trojans, STIMULI)
+    tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
     batch_platform.em_simulator.clear_caches()
-    golden_grid, infected_grid = (
-        batch_platform.acquire_population_traces_stimuli(trojans, STIMULI)
-    )
+    rngs = batch_platform._die_rngs()
+    golden_grid = batch_platform.em_simulator.acquire_many_batch(
+        _duts(batch_platform, None), STIMULI, KEY, rngs,
+        new_setup_installation=True)
+    infected_grid = batch_platform.em_simulator.acquire_many_batch(
+        _duts(batch_platform, "HT1"), STIMULI, KEY, rngs,
+        new_setup_installation=True)
+    assert tensors.plaintext == STIMULI[0]
     for row, trace in enumerate(average_stimulus_traces(golden_grid)):
         assert np.array_equal(tensors.golden[row], trace.samples)
-    for name in trojans:
-        for row, trace in enumerate(
-                average_stimulus_traces(infected_grid[name])):
-            assert np.array_equal(tensors.infected[name][row], trace.samples)
+    for row, trace in enumerate(average_stimulus_traces(infected_grid)):
+        assert np.array_equal(tensors.infected["HT1"][row], trace.samples)
+
+
+def test_single_stimulus_population_is_byte_identical_to_serial(
+        batch_platform):
+    """One stimulus keeps the acquired plane itself: every sample,
+    signed zeros included, equals the serial per-die acquisition.
+    (``np.array_equal`` treats -0.0 and +0.0 as equal, so compare
+    bytes.)"""
+    trojans = ("HT1", "HT_seq")
+    golden_serial, infected_serial = (
+        batch_platform.acquire_population_traces_serial(trojans)
+    )
+    serial_golden = np.stack([trace.samples for trace in golden_serial])
+    assert np.signbit(serial_golden[serial_golden == 0]).any()
+    for tensors in (batch_platform.acquire_population_tensors(trojans),
+                    batch_platform.acquire_population_tensors(
+                        trojans, [DEFAULT_PLAINTEXT])):
+        assert tensors.golden.tobytes() == serial_golden.tobytes()
+        for name in trojans:
+            serial = np.stack([trace.samples
+                               for trace in infected_serial[name]])
+            assert tensors.infected[name].tobytes() == serial.tobytes()
 
 
 def test_delay_difference_batch_matches_serial(batch_platform):

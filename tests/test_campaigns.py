@@ -130,15 +130,71 @@ def test_engine_shares_infected_designs_and_acquisitions(small_campaign):
     engine, _ = small_campaign
     # one insertion per trojan for the whole grid
     assert set(engine._infected_cache) == {"HT1", "HT3"}
-    # cells differing only in metric share one acquisition; without a
-    # store or trace archiving the populations stay tensor-resident
-    # (no EMTrace objects are ever built)
-    assert len(engine._tensor_cache) == 2
-    assert len(engine._matrix_cache) == 2
-    assert len(engine._acquisition_cache) == 0
-    # bigger trojan is easier to catch under every scenario
     for cell in engine._platform_cache.values():
         assert cell.golden is engine.golden
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every ``owner.name`` call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_engine_acquires_each_population_once(monkeypatch, golden_design):
+    """One acquisition per (acquisition key, design), shared by every
+    metric; without a store or trace archives no EMTrace is ever built."""
+    from repro.core.pipeline import PopulationTraceTensors
+    from repro.measurement.em_simulator import EMSimulator
+
+    acquisitions = _count_calls(monkeypatch, EMSimulator,
+                                "acquire_many_batch_tensor")
+    wraps = _count_calls(monkeypatch, PopulationTraceTensors, "to_traces")
+    spec = CampaignSpec(
+        name="acquire-once", trojans=("HT1", "HT3"), die_counts=(2,),
+        variants=(AcquisitionVariant.make("paper"),
+                  AcquisitionVariant.make(
+                      "quiet", {"noise.sigma_single_shot": 200.0})),
+        metrics=("local_maxima_sum", "l1", "max_difference"), seed=55,
+    )
+    result = CampaignEngine(spec, golden=golden_design).run()
+    assert len(result.cells) == 6
+    # 2 acquisition keys x (golden + 2 trojans) design populations.
+    assert len(acquisitions) == 2 * 3
+    assert wraps == []
+
+
+def test_engine_builds_traces_only_for_the_store_write(monkeypatch, tmp_path,
+                                                       golden_design):
+    from repro.core.pipeline import PopulationTraceTensors
+
+    wraps = _count_calls(monkeypatch, PopulationTraceTensors, "to_traces")
+    spec = CampaignSpec(name="store-wrap", trojans=("HT1",),
+                        die_counts=(2,), metrics=("l1", "max_difference"),
+                        seed=5)
+    cold = CampaignEngine(spec, golden=golden_design,
+                          store=tmp_path / "store").run()
+    assert len(wraps) == 1  # one wrap for the population store write
+    # A second engine on the same store loads (and stacks) the stored
+    # population instead of acquiring it; its cells resume outright.
+    del wraps[:]
+    warm = CampaignEngine(spec, golden=golden_design,
+                          store=tmp_path / "store")
+    cell = spec.grid()[0]
+    golden_matrix, infected = warm.cell_trace_matrices(cell)
+    cold_engine = CampaignEngine(spec, golden=golden_design)
+    fresh_golden, fresh_infected = cold_engine.cell_trace_matrices(cell)
+    assert golden_matrix.tobytes() == fresh_golden.tobytes()
+    assert infected["HT1"].tobytes() == fresh_infected["HT1"].tobytes()
+    assert wraps == []
+    assert [row.to_dict() for row in warm.run().rows()] == \
+        [row.to_dict() for row in cold.rows()]
 
 
 def test_larger_trojan_detected_more_reliably(small_campaign):
@@ -227,11 +283,26 @@ def test_delay_cells_execute_end_to_end(delay_campaign):
             assert row.sigma >= 0.0
 
 
-def test_delay_cells_share_one_measurement(delay_campaign):
-    engine, _ = delay_campaign
-    # Both metrics re-score the same cached difference matrices.
-    assert list(engine._delay_cache) == [3]
-    data = engine._delay_cache[3]
+def test_delay_cells_share_one_measurement(monkeypatch, golden_design):
+    """Cells differing only in metric re-score one delay measurement
+    per die count."""
+    from repro.measurement.delay_meter import PathDelayMeter
+
+    batches = _count_calls(monkeypatch, PathDelayMeter, "measure_batch")
+    spec = CampaignSpec(
+        name="delay-shared", trojans=("HT_comb", "HT_seq"),
+        die_counts=(2, 3),
+        metrics=("delay_max_difference", "delay_mean_pair_max"),
+        seed=19, num_pk_pairs=2, delay_repetitions=2,
+    )
+    engine = CampaignEngine(spec, golden=golden_design)
+    result = engine.run()
+    assert len(result.cells) == 4
+    # Per die count: the golden fingerprint, then every (clean,
+    # infected) device in one batch.
+    assert [len(args[1]) for args in batches] == [1, 2 * 3, 1, 3 * 3]
+    data = engine.delay_study_data(spec.grid()[-1])
+    assert len(batches) == 4
     assert len(data.golden_differences) == 3
     assert set(data.infected_differences) == {"HT_comb", "HT_seq"}
 

@@ -70,12 +70,12 @@ def test_batch_paths_are_deterministic_too():
     def batch(platform):
         rngs = [np.random.default_rng(5 + die) for die in range(4)]
         duts = [platform.infected_dut("HT3", die) for die in range(4)]
-        return platform.em_simulator.acquire_batch(
+        matrix, _ = platform.em_simulator.acquire_batch_matrix(
             duts, plaintext, key, rngs, new_setup_installation=True
         )
+        return matrix
 
-    for trace_a, trace_b in zip(batch(platform_a), batch(platform_b)):
-        assert trace_a.samples.tobytes() == trace_b.samples.tobytes()
+    assert batch(platform_a).tobytes() == batch(platform_b).tobytes()
 
 
 @pytest.fixture(scope="module")
