@@ -23,55 +23,57 @@ Quick start::
     platform = HTDetectionPlatform()
     study = platform.run_population_em_study(["HT1", "HT2", "HT3"])
     print(study.false_negative_rates())
+
+Every name in ``__all__`` is resolved lazily on first access (PEP 562),
+so ``import repro`` loads no subpackage and a command pays only for the
+modules it uses.
 """
 
-from .core import (
-    DelayDetector,
-    DelayFingerprint,
-    EMReference,
-    HTDetectionPlatform,
-    LocalMaximaSumMetric,
-    PlatformConfig,
-    PopulationEMDetector,
-    SameDieEMDetector,
-    detection_probability,
-    false_negative_rate,
-)
-from .crypto import AES
-from .fpga import GoldenDesign, spartan3an_700, virtex5_lx30
-from .measurement import (
-    DeviceUnderTest,
-    EMSimulator,
-    PathDelayMeter,
-    generate_pk_pairs,
-)
-from .trojan import available_trojans, build_trojan, insert_trojan
-from .variation import DiePopulation
+from importlib import import_module
+from typing import Any, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AES",
-    "DelayDetector",
-    "DelayFingerprint",
-    "DeviceUnderTest",
-    "DiePopulation",
-    "EMReference",
-    "EMSimulator",
-    "GoldenDesign",
-    "HTDetectionPlatform",
-    "LocalMaximaSumMetric",
-    "PathDelayMeter",
-    "PlatformConfig",
-    "PopulationEMDetector",
-    "SameDieEMDetector",
-    "available_trojans",
-    "build_trojan",
-    "detection_probability",
-    "false_negative_rate",
-    "generate_pk_pairs",
-    "insert_trojan",
-    "spartan3an_700",
-    "virtex5_lx30",
-    "__version__",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "AES": ".crypto",
+    "DelayDetector": ".core",
+    "DelayFingerprint": ".core",
+    "DeviceUnderTest": ".measurement",
+    "DiePopulation": ".variation",
+    "EMReference": ".core",
+    "EMSimulator": ".measurement",
+    "GoldenDesign": ".fpga",
+    "HTDetectionPlatform": ".core",
+    "LocalMaximaSumMetric": ".core",
+    "PathDelayMeter": ".measurement",
+    "PlatformConfig": ".core",
+    "PopulationEMDetector": ".core",
+    "SameDieEMDetector": ".core",
+    "available_trojans": ".trojan",
+    "build_trojan": ".trojan",
+    "detection_probability": ".core",
+    "false_negative_rate": ".core",
+    "generate_pk_pairs": ".measurement",
+    "insert_trojan": ".trojan",
+    "spartan3an_700": ".fpga",
+    "virtex5_lx30": ".fpga",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

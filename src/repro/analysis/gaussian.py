@@ -9,11 +9,13 @@ formula itself lives in :mod:`repro.core.metrics`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -31,13 +33,16 @@ class GaussianFit:
         """Probability density at ``x``."""
         if self.std == 0:
             raise ValueError("pdf undefined for a degenerate (std=0) fit")
-        return stats.norm.pdf(np.asarray(x, dtype=float), self.mean, self.std)
+        z = (np.asarray(x, dtype=float) - self.mean) / self.std
+        return np.exp(-0.5 * z * z) / (self.std * _SQRT_2PI)
 
     def cdf(self, x: float) -> float:
         """Cumulative probability below ``x``."""
         if self.std == 0:
             return float(x >= self.mean)
-        return float(stats.norm.cdf(x, self.mean, self.std))
+        # erfc keeps the lower tail accurate where 0.5 * (1 + erf) cancels.
+        z = (x - self.mean) / self.std
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw samples from the fitted distribution."""
@@ -87,6 +92,4 @@ def overlap_threshold(genuine: GaussianFit, infected: GaussianFit) -> float:
     the threshold implied by Fig. 7 where the false-positive and
     false-negative areas are equal.
     """
-    if genuine.std == 0 and infected.std == 0:
-        return (genuine.mean + infected.mean) / 2.0
     return (genuine.mean + infected.mean) / 2.0

@@ -48,7 +48,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .backend import known_backend_names
 from .campaigns.spec import KNOWN_METRICS
@@ -59,10 +59,15 @@ from .core.report import (
     population_em_report,
     same_die_em_report,
 )
-from .experiments import ExperimentConfig, headline, runner, table_ht_sizes
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .experiments import ExperimentConfig
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    # The figure drivers load only for the study commands that use them.
+    from .experiments import ExperimentConfig
+
     config = ExperimentConfig.fast() if args.quick else ExperimentConfig.paper()
     if args.seed is not None:
         config.seed = args.seed
@@ -77,6 +82,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_trojans(args: argparse.Namespace) -> int:
+    from .experiments import table_ht_sizes
+
     config = _experiment_config(args)
     table = table_ht_sizes.run(config)
     rows = [[row.trojan_name, str(row.trigger_width), f"{row.lut_count:.0f}",
@@ -112,6 +119,8 @@ def cmd_em(args: argparse.Namespace) -> int:
 
 
 def cmd_headline(args: argparse.Namespace) -> int:
+    from .experiments import headline
+
     config = _experiment_config(args)
     platform = config.build_platform()
     study = platform.run_population_em_study()
@@ -124,6 +133,8 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
+    from .experiments import runner
+
     config = _experiment_config(args)
     suite = runner.run_all(config, store=args.store)
     print(suite.summary_table())

@@ -134,12 +134,24 @@ def test_fit_gaussian_and_pdf():
     assert fit.cdf(2.5) == pytest.approx(0.5)
     single = fit_gaussian([3.0])
     assert single.std == 0.0
+    assert (single.cdf(2.999), single.cdf(3.0), single.cdf(4.0)) == (0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         fit_gaussian([])
     with pytest.raises(ValueError):
         single.pdf([1.0])
     with pytest.raises(ValueError):
         GaussianFit(0.0, -1.0)
+
+
+@pytest.mark.parametrize("mean, std", [(0.0, 1.0), (2.5, 0.3), (-40.0, 7.0)])
+def test_gaussian_pdf_and_cdf_match_scipy_norm(mean, std):
+    norm = pytest.importorskip("scipy.stats").norm
+    fit = GaussianFit(mean, std)
+    x = mean + std * np.linspace(-8.0, 8.0, 161)
+    np.testing.assert_allclose(fit.pdf(x), norm.pdf(x, mean, std),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose([fit.cdf(value) for value in x],
+                               norm.cdf(x, mean, std), rtol=1e-12, atol=0)
 
 
 def test_pooled_std_and_separation():
@@ -155,6 +167,7 @@ def test_pooled_std_and_separation():
 def test_overlap_threshold_is_midpoint():
     threshold = overlap_threshold(GaussianFit(0, 1), GaussianFit(10, 1))
     assert threshold == pytest.approx(5.0)
+    assert overlap_threshold(GaussianFit(2, 0), GaussianFit(4, 0)) == 3.0
 
 
 # -- roc ----------------------------------------------------------------------
