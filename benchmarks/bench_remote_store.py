@@ -1,13 +1,14 @@
 """STORE — tiered (local + loopback remote) overhead on warm resume.
 
-ISSUE 10's remote layer (write-through :class:`TieredStore`, SHA-verified
+The remote layer (write-through :class:`TieredStore`, SHA-verified
 :class:`RemoteStore` puts/gets, retry + circuit-breaker bookkeeping) must
 stay close to free on the path users actually feel: a warm store-backed
 rerun that resolves every cell from the local tier's manifest.  The gate:
-the tiered store's warm rerun takes at most **20%** longer than the same
-rerun against a plain local :class:`ArtifactStore`, plus a small absolute
-slack so the gate is meaningful on runs whose total is a few dozen
-milliseconds.
+the median tiered warm rerun takes at most **20%** longer than the
+median plain local :class:`ArtifactStore` rerun.  There is no absolute
+slack: each timed sample is ``REPEATS`` reruns long (>= 0.2 s on a 2-core
+VM, where one warm rerun of this grid takes about 1 ms) and the medians
+of ``SAMPLES`` interleaved plain/tiered samples are compared.
 
 The warm rows must also stay bit-identical between the two modes —
 tiering is a durability feature, never a behaviour change.
@@ -16,6 +17,7 @@ tiering is a durability feature, never a behaviour change.
 from __future__ import annotations
 
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -27,14 +29,14 @@ NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
 SEED = 2015
 
-#: Tiered warm rerun may cost at most 20% over the plain-local baseline ...
+#: Median tiered warm rerun may cost at most 20% over the plain-local one.
 OVERHEAD_GATE = 1.20
-#: ... plus this absolute slack: a warm rerun is tens of milliseconds,
-#: where scheduler noise alone can exceed 20%.
-ABSOLUTE_SLACK_S = 0.25
 
-#: Warm reruns per timing sample (averaging tames filesystem jitter).
-REPEATS = 3
+#: Warm reruns per timed sample (sized so that one sample takes >= 0.2 s).
+REPEATS = 500
+
+#: Interleaved plain/tiered sample pairs; the gate compares their medians.
+SAMPLES = 5
 
 
 def _spec() -> CampaignSpec:
@@ -49,12 +51,24 @@ def _tiered(local_dir: Path, remote_dir: Path) -> TieredStore:
     return TieredStore(local_dir, RemoteStore(LoopbackTransport(remote_dir)))
 
 
-def _warm_rerun_seconds(spec: CampaignSpec, make_store) -> tuple:
-    start = time.perf_counter()
-    for _ in range(REPEATS):
-        result = CampaignEngine(spec, store=make_store()).run()
-    elapsed = (time.perf_counter() - start) / REPEATS
-    return elapsed, [row.to_dict() for row in result.rows()]
+def _interleaved_medians(baseline, candidate) -> tuple:
+    """Median seconds per call of two workloads, timed in alternation.
+
+    Each sample alternates single calls of the two workloads ``REPEATS``
+    times and sums each side's time, so a slow phase of a shared host
+    hits both sides alike instead of biasing one whole sample.
+    """
+    samples = ([], [])
+    for _ in range(SAMPLES):
+        totals = [0.0, 0.0]
+        for _ in range(REPEATS):
+            for side, work in enumerate((baseline, candidate)):
+                start = time.perf_counter()
+                work()
+                totals[side] += time.perf_counter() - start
+        for series, total in zip(samples, totals):
+            series.append(total / REPEATS)
+    return statistics.median(samples[0]), statistics.median(samples[1])
 
 
 def test_tiered_overhead_on_warm_resume_is_within_20_percent(benchmark):
@@ -73,36 +87,40 @@ def test_tiered_overhead_on_warm_resume_is_within_20_percent(benchmark):
         )
         CampaignEngine(spec, store=str(plain_dir)).run()
 
-        # Interleave-free ordering: plain baseline first, tiered second —
-        # both fully warm, each against its own populated directory.
-        plain_seconds, plain_rows = _warm_rerun_seconds(
-            spec, lambda: str(plain_dir))
-        tiered_seconds, tiered_rows = _warm_rerun_seconds(
-            spec, lambda: _tiered(local_dir, remote_dir))
+        def plain_rerun():
+            return CampaignEngine(spec, store=str(plain_dir)).run()
 
-        assert tiered_rows == plain_rows, (
+        def tiered_rerun():
+            return CampaignEngine(
+                spec, store=_tiered(local_dir, remote_dir)).run()
+
+        assert [row.to_dict() for row in tiered_rerun().rows()] == \
+            [row.to_dict() for row in plain_rerun().rows()], (
             "tiering must never change campaign rows"
         )
 
+        plain_seconds, tiered_seconds = _interleaved_medians(
+            plain_rerun, tiered_rerun)
         overhead = tiered_seconds / plain_seconds
-        budget = plain_seconds * OVERHEAD_GATE + ABSOLUTE_SLACK_S
-        benchmark.extra_info["plain_seconds"] = round(plain_seconds, 4)
-        benchmark.extra_info["tiered_seconds"] = round(tiered_seconds, 4)
+        benchmark.extra_info["plain_seconds"] = round(plain_seconds, 6)
+        benchmark.extra_info["tiered_seconds"] = round(tiered_seconds, 6)
+        benchmark.extra_info["plain_sample_seconds"] = round(
+            plain_seconds * REPEATS, 3)
         benchmark.extra_info["overhead_factor"] = round(overhead, 3)
         benchmark.extra_info["gate_factor"] = OVERHEAD_GATE
-        benchmark.extra_info["absolute_slack_s"] = ABSOLUTE_SLACK_S
         benchmark.extra_info["repeats"] = REPEATS
+        benchmark.extra_info["samples"] = SAMPLES
         benchmark.extra_info["cells"] = spec.num_cells()
-        assert tiered_seconds <= budget, (
+        assert overhead <= OVERHEAD_GATE, (
             f"tiered store costs {overhead:.2f}x on the warm resume path "
-            f"(tiered {tiered_seconds:.3f} s vs plain "
-            f"{plain_seconds:.3f} s; budget {budget:.3f} s)"
+            f"(median tiered {tiered_seconds * 1e3:.3f} ms vs plain "
+            f"{plain_seconds * 1e3:.3f} ms per rerun; gate "
+            f"{OVERHEAD_GATE:.2f}x)"
         )
 
         # The recorded benchmark is the steady-state tiered warm rerun —
         # what a remote-backed campaign pays on every resume.
-        benchmark(lambda: CampaignEngine(
-            spec, store=_tiered(local_dir, remote_dir)).run())
+        benchmark(tiered_rerun)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

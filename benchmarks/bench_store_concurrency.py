@@ -1,13 +1,14 @@
 """STORE — locking + lease overhead on the warm store-resume path.
 
-PR 8's concurrency layer (shared/exclusive store locks around each file
+The concurrency layer (shared/exclusive store locks around each file
 mutation, per-key write locks, heartbeated writer leases) must be close
 to free on the path users actually feel: a warm store-backed rerun that
-resolves every cell from the manifest.  The gate: the locked store's
-warm rerun takes at most **10%** longer than the same rerun against a
-``locking=False`` store (the PR 7 behaviour), plus a small absolute
-slack so the gate is meaningful on runs whose total is a few dozen
-milliseconds.
+resolves every cell from the manifest.  The gate: the median locked
+warm rerun takes at most **10%** longer than the median rerun against a
+``locking=False`` store.  There is no absolute slack: each timed sample
+is ``REPEATS`` reruns long (>= 0.2 s on a 2-core VM, where one warm
+rerun of this grid takes about 1 ms) and the medians of ``SAMPLES``
+interleaved unlocked/locked samples are compared.
 
 The warm rows must also stay bit-identical between the two modes —
 locking is a concurrency-safety feature, never a behaviour change.
@@ -16,6 +17,7 @@ locking is a concurrency-safety feature, never a behaviour change.
 from __future__ import annotations
 
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -27,14 +29,14 @@ NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
 SEED = 2015
 
-#: Locked warm rerun may cost at most 10% over the unlocked baseline ...
+#: Median locked warm rerun may cost at most 10% over the unlocked one.
 OVERHEAD_GATE = 1.10
-#: ... plus this absolute slack: a warm rerun is tens of milliseconds,
-#: where scheduler noise alone can exceed 10%.
-ABSOLUTE_SLACK_S = 0.25
 
-#: Warm reruns per timing sample (averaging tames filesystem jitter).
-REPEATS = 3
+#: Warm reruns per timed sample (sized so that one sample takes >= 0.2 s).
+REPEATS = 500
+
+#: Interleaved unlocked/locked sample pairs; the gate compares medians.
+SAMPLES = 5
 
 
 def _spec() -> CampaignSpec:
@@ -45,23 +47,24 @@ def _spec() -> CampaignSpec:
     )
 
 
-class _UnlockedEngineStore(ArtifactStore):
-    """The PR 7 store: same directory layout, no locks, no leases."""
+def _interleaved_medians(baseline, candidate) -> tuple:
+    """Median seconds per call of two workloads, timed in alternation.
 
-    def __init__(self, root):
-        super().__init__(root, locking=False)
-
-
-def _warm_rerun_seconds(spec: CampaignSpec, store_dir: Path,
-                        locking: bool) -> tuple:
-    start = time.perf_counter()
-    for _ in range(REPEATS):
-        engine = CampaignEngine(spec, store=store_dir)
-        if not locking:
-            engine.store = _UnlockedEngineStore(store_dir)
-        result = engine.run()
-    elapsed = (time.perf_counter() - start) / REPEATS
-    return elapsed, [row.to_dict() for row in result.rows()]
+    Each sample alternates single calls of the two workloads ``REPEATS``
+    times and sums each side's time, so a slow phase of a shared host
+    hits both sides alike instead of biasing one whole sample.
+    """
+    samples = ([], [])
+    for _ in range(SAMPLES):
+        totals = [0.0, 0.0]
+        for _ in range(REPEATS):
+            for side, work in enumerate((baseline, candidate)):
+                start = time.perf_counter()
+                work()
+                totals[side] += time.perf_counter() - start
+        for series, total in zip(samples, totals):
+            series.append(total / REPEATS)
+    return statistics.median(samples[0]), statistics.median(samples[1])
 
 
 def test_locking_overhead_on_warm_resume_is_within_10_percent(benchmark):
@@ -71,35 +74,41 @@ def test_locking_overhead_on_warm_resume_is_within_10_percent(benchmark):
         store_dir = root / "store"
         CampaignEngine(spec, store=store_dir).run()  # populate (locked)
 
-        # Interleave-free ordering: unlocked baseline first, locked
-        # second — both fully warm, same store directory.
-        unlocked_seconds, unlocked_rows = _warm_rerun_seconds(
-            spec, store_dir, locking=False)
-        locked_seconds, locked_rows = _warm_rerun_seconds(
-            spec, store_dir, locking=True)
+        # Both modes run fully warm against the same store directory.
+        def unlocked_rerun():
+            return CampaignEngine(
+                spec, store=ArtifactStore(store_dir, locking=False)).run()
 
-        assert locked_rows == unlocked_rows, (
+        def locked_rerun():
+            return CampaignEngine(spec, store=store_dir).run()
+
+        assert [row.to_dict() for row in locked_rerun().rows()] == \
+            [row.to_dict() for row in unlocked_rerun().rows()], (
             "locking must never change campaign rows"
         )
 
+        unlocked_seconds, locked_seconds = _interleaved_medians(
+            unlocked_rerun, locked_rerun)
         overhead = locked_seconds / unlocked_seconds
-        budget = unlocked_seconds * OVERHEAD_GATE + ABSOLUTE_SLACK_S
-        benchmark.extra_info["unlocked_seconds"] = round(unlocked_seconds, 4)
-        benchmark.extra_info["locked_seconds"] = round(locked_seconds, 4)
+        benchmark.extra_info["unlocked_seconds"] = round(unlocked_seconds, 6)
+        benchmark.extra_info["locked_seconds"] = round(locked_seconds, 6)
+        benchmark.extra_info["unlocked_sample_seconds"] = round(
+            unlocked_seconds * REPEATS, 3)
         benchmark.extra_info["overhead_factor"] = round(overhead, 3)
         benchmark.extra_info["gate_factor"] = OVERHEAD_GATE
-        benchmark.extra_info["absolute_slack_s"] = ABSOLUTE_SLACK_S
         benchmark.extra_info["repeats"] = REPEATS
+        benchmark.extra_info["samples"] = SAMPLES
         benchmark.extra_info["cells"] = spec.num_cells()
-        assert locked_seconds <= budget, (
+        assert overhead <= OVERHEAD_GATE, (
             f"locking+leases cost {overhead:.2f}x on the warm resume path "
-            f"(locked {locked_seconds:.3f} s vs unlocked "
-            f"{unlocked_seconds:.3f} s; budget {budget:.3f} s)"
+            f"(median locked {locked_seconds * 1e3:.3f} ms vs unlocked "
+            f"{unlocked_seconds * 1e3:.3f} ms per rerun; gate "
+            f"{OVERHEAD_GATE:.2f}x)"
         )
 
         # The recorded benchmark is the steady-state locked warm rerun —
         # the configuration every campaign now runs with.
-        benchmark(lambda: CampaignEngine(spec, store=store_dir).run())
+        benchmark(locked_rerun)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

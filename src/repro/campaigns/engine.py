@@ -89,7 +89,8 @@ from ..measurement.delay_meter import (
 from ..measurement.em_simulator import EMTrace
 from ..store import (
     DEFAULT_GOLDEN_SIGNATURE,
-    ArtifactStore,
+    Store,
+    build_store,
     cell_result_key,
     delay_differences_key,
     fault_sweep_key,
@@ -471,8 +472,9 @@ def format_campaign_rows(rows: Sequence[Mapping[str, Any]]) -> str:
 class CampaignEngine:
     """Executes a campaign grid with shared caches and batched acquisition.
 
-    ``store`` (an :class:`~repro.store.ArtifactStore` or a directory
-    path) makes every cache *read through* content-addressed on-disk
+    ``store`` (anything :func:`~repro.store.build_store` accepts: a
+    directory path, a store's ``spawn_config()`` dict or a live store)
+    makes every cache *read through* content-addressed on-disk
     artifacts and records per-cell completion, enabling warm reruns,
     resume after interruption, and sharded multi-process/host campaigns.
     """
@@ -480,7 +482,8 @@ class CampaignEngine:
     def __init__(self, spec: CampaignSpec,
                  device: Optional[FPGADevice] = None,
                  golden: Optional[GoldenDesign] = None,
-                 store: Optional[Union[ArtifactStore, PathLike]] = None):
+                 store: Union[None, Store, PathLike,
+                              Mapping[str, Any]] = None):
         self.spec = spec
         self.device = device or virtex5_lx30()
         # The golden design is built lazily: a fully warm store-backed
@@ -490,19 +493,7 @@ class CampaignEngine:
             DEFAULT_GOLDEN_SIGNATURE if golden is None
             else golden_signature(golden)
         )
-        if store is None or isinstance(store, (str, Path)):
-            self.store = (None if store is None
-                          else ArtifactStore(store))
-        elif isinstance(store, Mapping):
-            # A spawn_config dict (local/remote/tiered) — how worker
-            # processes receive tiered stores, which are not picklable
-            # as live objects.
-            from ..store import build_store
-            self.store = build_store(store)
-        else:
-            # Any object with the store surface (ArtifactStore,
-            # TieredStore, RemoteStore, chaos stores) is used as-is.
-            self.store = store
+        self.store: Optional[Store] = build_store(store)
         #: Trojan insertion cache shared by every platform of the grid.
         self._infected_cache: Dict[str, InfectedDesign] = {}
         self._platform_cache: Dict[Tuple[int, str], HTDetectionPlatform] = {}
@@ -1104,11 +1095,6 @@ class CampaignEngine:
         else:
             shard = (int(shard[0]), int(shard[1]))
             cells = self.spec.shard(*shard)
-        if self.store is not None:
-            # The whole run counts as "live" to concurrent maintenance:
-            # the lease covers the compute time between store writes,
-            # not just the writes themselves.
-            self.store.acquire_lease(owner=f"campaign:{self.spec.name}")
         try:
             completed: Dict[int, CampaignCellResult] = {}
             pending: List[GridCell] = []
@@ -1118,6 +1104,12 @@ class CampaignEngine:
                     completed[cell.index] = loaded
                 else:
                     pending.append(cell)
+            if pending and self.store is not None:
+                # The whole computing run counts as "live" to concurrent
+                # maintenance: the lease covers the compute time between
+                # store writes, not just the writes themselves.  A fully
+                # resumed run writes nothing and registers no lease.
+                self.store.acquire_lease(owner=f"campaign:{self.spec.name}")
             # Trace-archive ownership is decided among the cells that
             # *execute* this invocation: store-resumed cells never run,
             # so a full-grid (or even in-shard) owner that resolved from
@@ -1177,7 +1169,8 @@ class CampaignEngine:
             chunks.setdefault(cell.acquisition_key, []).append(cell.index)
         spec_dict = self.spec.to_dict()
         artifact = str(self._artifact_dir) if self._artifact_dir else None
-        store_root = store_spawn_config(self.store)
+        store_config = (self.store.spawn_config()
+                        if self.store is not None else None)
         active = (sorted(self._active_indices)
                   if self._active_indices is not None else None)
         workers = min(self.spec.workers, len(chunks))
@@ -1193,26 +1186,11 @@ class CampaignEngine:
             for chunk_results in pool.map(
                     _run_cells_in_subprocess,
                     [(spec_dict, indices, artifact, self.device, self._golden,
-                      store_root, self._golden_signature, active)
+                      store_config, self._golden_signature, active)
                      for indices in chunks.values()]):
                 for cell_result in chunk_results:
                     results[cell_result.index] = cell_result
         return [results[cell.index] for cell in cells]
-
-
-def store_spawn_config(store: Any) -> Any:
-    """The picklable store description worker payloads carry.
-
-    Stores that know how to describe themselves (local/remote/tiered
-    ``spawn_config``) ship their config dict; anything else falls back
-    to its root path (rebuilt as a plain local store); ``None`` passes
-    through for store-less engines.
-    """
-    if store is None:
-        return None
-    if hasattr(store, "spawn_config"):
-        return store.spawn_config()
-    return str(store.root)
 
 
 def _run_cells_in_subprocess(payload: Tuple[Dict[str, Any], List[int],
@@ -1222,10 +1200,10 @@ def _run_cells_in_subprocess(payload: Tuple[Dict[str, Any], List[int],
                                             Optional[List[int]]]
                              ) -> List[CampaignCellResult]:
     """Worker entry point: rebuild the engine and run a chunk of cells."""
-    (spec_dict, indices, artifact_dir, device, golden, store_root,
+    (spec_dict, indices, artifact_dir, device, golden, store_config,
      golden_sig, active) = payload
     engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
-                            device=device, golden=golden, store=store_root)
+                            device=device, golden=golden, store=store_config)
     engine._golden_signature = golden_sig
     if artifact_dir is not None:
         engine._artifact_dir = Path(artifact_dir)
@@ -1300,7 +1278,7 @@ def merge_campaign_results(results: Sequence[CampaignResult]
 
 def run_campaign(spec: CampaignSpec,
                  artifact_dir: Optional[PathLike] = None,
-                 store: Optional[Union[ArtifactStore, PathLike]] = None
+                 store: Union[None, Store, PathLike] = None
                  ) -> CampaignResult:
     """Convenience one-shot: build an engine and run the campaign."""
     return CampaignEngine(spec, store=store).run(artifact_dir=artifact_dir)

@@ -153,13 +153,14 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
     engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
                             device=device, golden=golden, store=store_config)
     engine._golden_signature = golden_sig
+    chaos_store = None
     if fault_plan is not None and type(engine.store) is ArtifactStore:
         from ..testing.chaos import ChaosStore
 
         # Torn-write chaos targets the plain local store; tiered/remote
         # stores get their faults injected at the transport layer
         # (FlakyTransport) instead.
-        engine.store = ChaosStore(engine.store.root, fault_plan)
+        chaos_store = engine.store = ChaosStore(engine.store.root, fault_plan)
     if artifact_dir is not None:
         engine._artifact_dir = Path(artifact_dir)
     if active is not None:
@@ -177,8 +178,8 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
                 break
             _, index, attempt = message
             if fault_plan is not None:
-                if hasattr(engine.store, "arm"):
-                    engine.store.arm(index, attempt)
+                if chaos_store is not None:
+                    chaos_store.arm(index, attempt)
                 injection = fault_plan.worker_fault(index, attempt)
                 if injection is not None:
                     # Crash faults never return; hang faults sleep into
@@ -227,15 +228,13 @@ class CampaignSupervisor:
     # -- worker lifecycle ---------------------------------------------------------
 
     def _worker_payload(self) -> Tuple[Any, ...]:
-        from .engine import store_spawn_config
-
         engine = self.engine
         return (
             engine.spec.to_dict(),
             str(engine._artifact_dir) if engine._artifact_dir else None,
             engine.device,
             engine._golden,
-            store_spawn_config(engine.store),
+            engine.store.spawn_config() if engine.store is not None else None,
             engine._golden_signature,
             (sorted(engine._active_indices)
              if engine._active_indices is not None else None),

@@ -16,7 +16,8 @@ from ..core.pipeline import HTDetectionPlatform, run_population_em_study
 from ..core.report import format_table, percentage
 from ..store import (
     DEFAULT_GOLDEN_SIGNATURE,
-    ArtifactStore,
+    Store,
+    build_store,
     pack_population_traces,
     population_traces_key,
     unpack_population_traces,
@@ -66,7 +67,7 @@ class SuiteResult:
 
 
 def _store_backed_population_study(platform: HTDetectionPlatform,
-                                   store: Optional[ArtifactStore]):
+                                   store: Optional[Store]):
     """The shared Fig. 6 / headline study, read through the store.
 
     The suite runner is a plain store *client*: it keys the population
@@ -87,8 +88,9 @@ def _store_backed_population_study(platform: HTDetectionPlatform,
         num_dies=platform.config.num_dies, trojans=trojans,
         key=FIXED_KEY, plaintexts=[FIXED_PLAINTEXT],
     )
-    if artifact_key in store:
-        traces = unpack_population_traces(store.get_arrays(artifact_key))
+    stored = store.load_arrays(artifact_key)
+    if stored is not None:
+        traces = unpack_population_traces(stored)
     else:
         traces = platform.acquire_population_traces(
             trojans, FIXED_PLAINTEXT, FIXED_KEY
@@ -104,7 +106,7 @@ def _store_backed_population_study(platform: HTDetectionPlatform,
 
 
 def run_all(config: Optional[ExperimentConfig] = None,
-            store: Optional[Union[ArtifactStore, str, Path]] = None
+            store: Union[None, Store, str, Path] = None
             ) -> SuiteResult:
     """Run every experiment driver and build the summary.
 
@@ -112,8 +114,7 @@ def run_all(config: Optional[ExperimentConfig] = None,
     expensive shared population study then reads through it.
     """
     config = config or ExperimentConfig.fast()
-    if store is not None and not isinstance(store, ArtifactStore):
-        store = ArtifactStore(store)
+    store = build_store(store)
     platform = config.build_platform()
     summaries: List[ExperimentSummary] = []
     results: Dict[str, object] = {}

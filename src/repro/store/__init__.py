@@ -8,6 +8,11 @@ them.  Equal configuration therefore means an instant hit across runs,
 processes and hosts, and any perturbation means a clean miss.  Writes
 are atomic and indexed by a manifest, which doubles as the per-cell
 completion record sharded or interrupted campaigns resume from.
+
+There is one store implementation, :class:`ArtifactStore`, written
+against a byte-blob :class:`Transport`; :class:`RemoteStore` and
+:class:`TieredStore` are thin subclasses, and :func:`build_store` turns
+a path, a ``spawn_config()`` dict or a live store into a :class:`Store`.
 """
 
 from .artifact_store import (
@@ -15,6 +20,7 @@ from .artifact_store import (
     ArtifactStore,
     FsckReport,
     ManifestEntry,
+    Store,
     StoreIntegrityError,
 )
 from .artifacts import (
@@ -82,6 +88,7 @@ __all__ = [
     "RemoteStore",
     "RetryPolicy",
     "STORE_FORMAT_VERSION",
+    "Store",
     "StoreIntegrityError",
     "TieredStore",
     "Transport",

@@ -1,19 +1,27 @@
-"""Content-addressed on-disk artifact store.
+"""The content-addressed artifact store — one implementation, any backend.
 
-Layout of a store directory::
+Layout of a store (transport keys; one directory per prefix on a
+:class:`~repro.store.transport.LoopbackTransport`)::
 
-    <root>/
-        objects/     <key>.json | <key>.npz    the payloads
-        manifest/    <key>.json                one index entry per key
-        quarantine/  <filename>                corrupt objects, moved aside
+    objects/     <key>.json | <key>.npz    the payloads
+    manifest/    <key>.json                one index entry per key
+    quarantine/  <filename>[.n]            corrupt objects, moved aside
 
-Writes are *atomic*: the payload is written to a hidden ``*.tmp`` file
-in the same directory and moved into place with :func:`os.replace`, and
-the manifest entry is only written after the object exists.  A key is a
-*hit* only when both the manifest entry and the object file are present,
-so a crash mid-write (a stray temp file, or an object without its
-manifest entry) can never surface as a corrupt hit — the next producer
-simply recomputes and overwrites.
+:class:`ArtifactStore` does all of its IO through a
+:class:`~repro.store.transport.Transport`.  ``ArtifactStore(path)`` is
+the local store over ``LoopbackTransport(path)``;
+:class:`~repro.store.remote.RemoteStore` is the same class over any
+transport, adding only retries-with-breaker and an upload-then-commit
+object write; :class:`~repro.store.tiered.TieredStore` is a local store
+with a remote behind it.  Local and remote stores therefore write
+byte-identical objects and manifest entries under identical keys.
+
+Writes are *atomic*: the object is written first (a temp file plus
+:func:`os.replace` on a directory), the manifest entry only after the
+object exists.  A key is a *hit* only when both are present, so a crash
+mid-write (a stray temp file, or an object without its manifest entry)
+can never surface as a corrupt hit — the next producer simply
+recomputes and overwrites.
 
 Reads are *verified*: every manifest entry records the SHA-256 digest of
 the payload bytes, and :meth:`ArtifactStore.get_json` /
@@ -21,48 +29,54 @@ the payload bytes, and :meth:`ArtifactStore.get_json` /
 A torn or truncated object (digest mismatch, unparseable JSON, a bad
 zip) is **never returned**: the object is moved to ``quarantine/``, the
 manifest entry is dropped — so the key becomes a clean miss — and the
-read raises :class:`StoreIntegrityError` naming the key and the object
-path.  The :meth:`ArtifactStore.load_json` / :meth:`load_arrays`
-convenience readers fold both "missing" and "corrupt" into ``None`` for
-callers that recompute on a miss.  :meth:`ArtifactStore.fsck` audits the
-whole store (digests, parseability, dangling entries, orphan objects,
-stray temp files) and :meth:`ArtifactStore.gc` sweeps the garbage.
+read raises :class:`StoreIntegrityError` naming the key and the object.
+The :meth:`ArtifactStore.load_json` / :meth:`load_arrays` convenience
+readers fold both "missing" and "corrupt" into ``None`` for callers
+that recompute on a miss.
 
 Because keys are content addresses of the *producing* configuration
 (:mod:`repro.store.keys`) and every producer in this repository is
 seed-deterministic, concurrent writers of the same key write identical
 bytes; the last ``os.replace`` wins and nothing is torn.
 
-**Concurrency protocol** (``locking=True``, the default): any number of
-writer processes and one maintenance process can share a store
-directory.  Writers register a heartbeated :mod:`lease
-<repro.store.leases>` and take the *shared* side of the store lock
-(:mod:`repro.store.locks`) around each file mutation, plus a per-key
-write lock across the object-then-manifest pair; reads stay lock-free
-on the hit path (the digest check guarantees integrity, not a lock).
-:meth:`ArtifactStore.gc` and :meth:`ArtifactStore.fsck(repair=True)
-<ArtifactStore.fsck>` take the *exclusive* side with a bounded wait,
-break stale leases (dead pid or expired heartbeat), treat orphan
-objects and temp files covered by a live foreign lease as off-limits
-(a live writer mid-``put`` looks exactly like an orphan), and
-re-verify each candidate against the manifest immediately before any
-destructive action — so maintenance is safe to loop against a live
-campaign fleet.
+**Local-directory capabilities** — a store over a directory it owns
+(not a :class:`RemoteStore`) also has:
+
+* a **concurrency protocol** (``locking=True``, the default): any
+  number of writer processes and one maintenance process can share a
+  store directory.  Writers register a heartbeated :mod:`lease
+  <repro.store.leases>` and take the *shared* side of the store lock
+  (:mod:`repro.store.locks`) around each file mutation, plus a per-key
+  write lock across the object-then-manifest pair; reads stay lock-free
+  on the hit path (the digest check guarantees integrity, not a lock);
+* an object-presence check in :meth:`ArtifactStore.entry` (a manifest
+  entry whose object file is gone is a miss);
+* **maintenance**: :meth:`ArtifactStore.fsck` audits the whole store
+  (digests, parseability, dangling entries, orphan objects, stray temp
+  files) and :meth:`ArtifactStore.gc` sweeps the garbage.  Both take
+  the *exclusive* side of the store lock with a bounded wait, break
+  stale leases (dead pid or expired heartbeat), treat orphan objects
+  and temp files covered by a live foreign lease as off-limits (a live
+  writer mid-``put`` looks exactly like an orphan), and re-verify each
+  candidate against the manifest immediately before any destructive
+  action — so maintenance is safe to loop against a live campaign
+  fleet.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
 import os
-import tempfile
 import time
 import zipfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, NoReturn,
+                    Optional, Protocol, Tuple, Union)
 
 import numpy as np
 
@@ -74,8 +88,9 @@ from .leases import (
     list_leases,
     live_foreign_leases,
 )
-from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock, LockTimeout
-from .retry import RetryPolicy
+from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock
+from .retry import RetryPolicy, is_retryable_error
+from .transport import LoopbackTransport, Transport
 
 PathLike = Union[str, Path]
 
@@ -85,6 +100,9 @@ PathLike = Union[str, Path]
 STORE_FORMAT_VERSION = 2
 
 _KEY_FORBIDDEN = set("/\\")
+
+#: What a torn JSON or npz payload raises while being parsed.
+_DECODE_ERRORS = (ValueError, zipfile.BadZipFile, OSError, EOFError)
 
 
 class StoreIntegrityError(RuntimeError):
@@ -112,10 +130,8 @@ def _sha256(data: bytes) -> str:
 def encode_json_bytes(payload: Any) -> bytes:
     """The canonical JSON payload encoding of the store.
 
-    One encoder serves every backend (local directory, remote object
-    store): identical payloads produce identical bytes, hence identical
-    digests, which is what makes replication and journal drains
-    idempotent.
+    Identical payloads produce identical bytes, hence identical digests,
+    which is what makes replication and journal drains idempotent.
     """
     from ..io.results import to_jsonable
 
@@ -144,6 +160,17 @@ def decode_array_bytes(data: bytes) -> Dict[str, "np.ndarray"]:
         return {name: archive[name] for name in archive.files}
 
 
+def _parses(filename: str, data: bytes) -> bool:
+    """True when ``data`` parses as the payload kind ``filename`` names."""
+    decode = (decode_json_bytes if filename.endswith(".json")
+              else decode_array_bytes)
+    try:
+        decode(data)
+    except _DECODE_ERRORS:
+        return False
+    return True
+
+
 def _list_dir(directory: Path) -> List[Path]:
     """Sorted children of ``directory``; empty when the directory is
     missing (a fresh or partially-copied store must audit as empty, not
@@ -154,20 +181,12 @@ def _list_dir(directory: Path) -> List[Path]:
         return []
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file + replace."""
-    handle, temp_name = tempfile.mkstemp(prefix=f".{path.name}.",
-                                         suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(handle, "wb") as temp_file:
-            temp_file.write(data)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+def _is_tmp(name: str) -> bool:
+    return name.startswith(".") and name.endswith(".tmp")
+
+
+def _manifest_key(key: str) -> str:
+    return f"manifest/{key}.json"
 
 
 @dataclass(frozen=True)
@@ -182,10 +201,19 @@ class ManifestEntry:
     #: (format-version-1) entries, which skip digest verification.
     digest: Optional[str] = None
 
+    @property
+    def object_key(self) -> str:
+        """The transport key of the entry's object."""
+        return f"objects/{self.filename}"
+
     def to_dict(self) -> Dict[str, Any]:
         return {"format_version": STORE_FORMAT_VERSION, "key": self.key,
                 "kind": self.kind, "filename": self.filename,
                 "meta": dict(self.meta), "digest": self.digest}
+
+    def to_bytes(self) -> bytes:
+        """The canonical manifest-file encoding of the entry."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True).encode()
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ManifestEntry":
@@ -193,6 +221,23 @@ class ManifestEntry:
                    filename=payload["filename"],
                    meta=dict(payload.get("meta", {})),
                    digest=payload.get("digest"))
+
+
+class Store(Protocol):
+    """The store surface the campaign engine, its workers and the suite
+    runner use; :func:`~repro.store.tiered.build_store` builds every
+    flavour.  Declared as attributes: :class:`ArtifactStore` holds the
+    one implementation of each operation."""
+
+    root: Any
+    put_json: Callable[..., ManifestEntry]
+    put_arrays: Callable[..., ManifestEntry]
+    load_json: Callable[[str], Optional[Any]]
+    load_arrays: Callable[[str], Optional[Dict[str, np.ndarray]]]
+    get_arrays: Callable[[str], Dict[str, np.ndarray]]
+    acquire_lease: Callable[..., Optional[WriterLease]]
+    release_lease: Callable[[], None]
+    spawn_config: Callable[[], Dict[str, Any]]
 
 
 @dataclass
@@ -260,15 +305,18 @@ class FsckReport:
 class ArtifactStore:
     """Content-addressed npz/JSON artifact store with a manifest index.
 
-    ``locking=False`` restores the single-process store (no locks, no
-    leases) — kept for the concurrency-overhead benchmark baseline and
-    for callers that own the directory exclusively.
+    ``ArtifactStore(path)`` is the local store over
+    ``LoopbackTransport(path)``.  ``locking=False`` restores the
+    single-process store (no locks, no leases) — kept for the
+    concurrency-overhead benchmark baseline and for callers that own
+    the directory exclusively.
     """
 
     def __init__(self, root: PathLike, *, locking: bool = True,
                  lock_timeout_s: float = DEFAULT_LOCK_TIMEOUT_S,
                  lease_ttl_s: float = DEFAULT_LEASE_TTL_S):
         self.root = Path(root)
+        self.transport: Transport = LoopbackTransport(self.root)
         self.objects_dir = self.root / "objects"
         self.manifest_dir = self.root / "manifest"
         self.quarantine_dir = self.root / "quarantine"
@@ -280,17 +328,19 @@ class ArtifactStore:
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         self._lease: Optional[WriterLease] = None
-        #: Transient-IO retry policy around lock acquisition and
-        #: manifest/object reads (EAGAIN-class blips, not real misses).
+        #: Retries transient failures (EAGAIN-class blips, connection
+        #: resets) around lock acquisition and every transport call.
         self.retry = RetryPolicy(token=f"store:{os.getpid()}")
 
-    # -- locks & leases -----------------------------------------------------------
+    def _call(self, operation: Callable[..., Any], *args: Any) -> Any:
+        """One transport call, retried per :func:`is_retryable_error`."""
+        return self.retry.call(lambda: operation(*args),
+                               retry_on=is_retryable_error)
+
+    # -- locks & leases (local capability) ----------------------------------------
 
     def _store_lock(self) -> FileLock:
         return FileLock(self.locks_dir / "store.lock")
-
-    def _key_lock(self, key: str) -> FileLock:
-        return FileLock(self.locks_dir / f"key.{key}.lock")
 
     @contextmanager
     def _shared_store_lock(self):
@@ -311,7 +361,7 @@ class ArtifactStore:
         if not self.locking:
             return nullcontext()
         self._ensure_lease()
-        lock = self._key_lock(key)
+        lock = FileLock(self.locks_dir / f"key.{key}.lock")
         return lock.holding(shared=False, timeout_s=self.lock_timeout_s)
 
     @contextmanager
@@ -334,6 +384,7 @@ class ArtifactStore:
         Campaign engines call this at run start so their whole run —
         including the compute time between store writes — counts as
         live to concurrent maintenance.  ``put_*`` calls it implicitly.
+        A store without locking (every remote) has no leases.
         """
         if not self.locking:
             return None
@@ -360,68 +411,52 @@ class ArtifactStore:
 
     # -- write --------------------------------------------------------------------
 
-    def _record(self, key: str, kind: str, object_path: Path,
-                meta: Optional[Mapping[str, Any]],
-                digest: Optional[str]) -> ManifestEntry:
-        entry = ManifestEntry(key=key, kind=kind, filename=object_path.name,
-                              meta=dict(meta or {}), digest=digest)
+    def _write_object(self, entry: ManifestEntry, data: bytes) -> None:
         with self._shared_store_lock():
-            _atomic_write_bytes(
-                self.manifest_dir / f"{key}.json",
-                json.dumps(entry.to_dict(), indent=2,
-                           sort_keys=True).encode(),
-            )
+            self._call(self.transport.put, entry.object_key, data)
+
+    def _record(self, entry: ManifestEntry) -> ManifestEntry:
+        with self._shared_store_lock():
+            self._call(self.transport.put, _manifest_key(entry.key),
+                       entry.to_bytes())
         return entry
 
-    def _write_object(self, object_path: Path, data: bytes) -> None:
-        with self._shared_store_lock():
-            _atomic_write_bytes(object_path, data)
+    def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
+        """Write one artifact: the object, then its manifest entry.
+
+        ``put_json``/``put_arrays`` and every replication (tiered
+        write-through and backfill, the journal drain) land here.  The
+        payload is checked against ``entry.digest`` before anything is
+        written (a digest-less entry gets one), so corrupt bytes can
+        never be installed as a hit; equal keys hold equal bytes, so a
+        replayed put is idempotent.
+        """
+        _check_key(entry.key)
+        digest = _sha256(data)
+        if entry.digest is None:
+            entry = dataclasses.replace(entry, digest=digest)
+        elif entry.digest != digest:
+            raise StoreIntegrityError(
+                f"refusing to write artifact {entry.key!r}: payload bytes "
+                f"do not match the manifest digest")
+        with self._write_guard(entry.key):
+            self._write_object(entry, data)
+            return self._record(entry)
 
     def put_json(self, key: str, payload: Any, *, kind: str = "json",
                  meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
         """Store a JSON-serialisable payload under ``key``."""
-        _check_key(key)
-        data = encode_json_bytes(payload)
-        object_path = self.objects_dir / f"{key}.json"
-        with self._write_guard(key):
-            self._write_object(object_path, data)
-            return self._record(key, kind, object_path, meta, _sha256(data))
+        entry = ManifestEntry(key=_check_key(key), kind=kind,
+                              filename=f"{key}.json", meta=dict(meta or {}))
+        return self.put_object(entry, encode_json_bytes(payload))
 
     def put_arrays(self, key: str, arrays: Mapping[str, np.ndarray], *,
                    kind: str = "arrays",
                    meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
         """Store a named-array payload under ``key`` as compressed npz."""
-        _check_key(key)
-        data = encode_array_bytes(arrays)
-        object_path = self.objects_dir / f"{key}.npz"
-        with self._write_guard(key):
-            self._write_object(object_path, data)
-            return self._record(key, kind, object_path, meta, _sha256(data))
-
-    def put_verbatim(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
-        """Replicate an artifact byte-for-byte from another backend.
-
-        The tiered store's remote→local backfill (and any future
-        replicator) lands payloads through here: the bytes are verified
-        against the entry's digest *before* anything touches disk, then
-        written with the same atomic object-then-manifest protocol as a
-        fresh ``put_*`` — so a corrupt payload can never be installed as
-        a local hit.
-        """
-        _check_key(entry.key)
-        if entry.digest is not None and _sha256(data) != entry.digest:
-            raise StoreIntegrityError(
-                f"refusing to replicate artifact {entry.key!r}: payload "
-                f"bytes do not match the manifest digest")
-        object_path = self.objects_dir / entry.filename
-        with self._write_guard(entry.key):
-            self._write_object(object_path, data)
-            return self._record(entry.key, entry.kind, object_path,
-                                entry.meta, entry.digest)
-
-    def object_bytes(self, key: str) -> bytes:
-        """The verified raw payload bytes of ``key`` (for replication)."""
-        return self._verified_bytes(key)
+        entry = ManifestEntry(key=_check_key(key), kind=kind,
+                              filename=f"{key}.npz", meta=dict(meta or {}))
+        return self.put_object(entry, encode_array_bytes(arrays))
 
     def spawn_config(self) -> Dict[str, Any]:
         """A picklable description a worker process can rebuild from."""
@@ -430,23 +465,24 @@ class ArtifactStore:
 
     # -- read ---------------------------------------------------------------------
 
+    def _has_object(self, entry: ManifestEntry) -> bool:
+        """Whether the entry's object exists (a stat on the directory)."""
+        return (self.objects_dir / entry.filename).exists()
+
     def entry(self, key: str) -> Optional[ManifestEntry]:
-        """The manifest entry of ``key`` — ``None`` unless key is a full hit."""
+        """The manifest entry of ``key`` — ``None`` unless key is a full hit.
+
+        A missing or unparseable manifest (or a concurrent discard) is a
+        miss; connection failures propagate, so "the backend is down"
+        never masquerades as "the key is a miss".
+        """
         _check_key(key)
-        manifest_path = self.manifest_dir / f"{key}.json"
-        if not manifest_path.exists():
-            return None
         try:
-            # Retry transient-IO blips; a manifest removed between the
-            # existence check and the read (concurrent discard) is a
-            # plain miss.
-            text = self.retry.call(manifest_path.read_text)
-            entry = ManifestEntry.from_dict(json.loads(text))
-        except (FileNotFoundError, json.JSONDecodeError, KeyError):
+            raw = self._call(self.transport.get, _manifest_key(key))
+            entry = ManifestEntry.from_dict(json.loads(raw))
+        except (KeyError, ValueError, TypeError):
             return None
-        if not (self.objects_dir / entry.filename).exists():
-            return None
-        return entry
+        return entry if self._has_object(entry) else None
 
     def __contains__(self, key: str) -> bool:
         return self.entry(key) is not None
@@ -454,7 +490,7 @@ class ArtifactStore:
     def has(self, key: str) -> bool:
         return key in self
 
-    def _quarantine_object(self, key: str, object_path: Path) -> Path:
+    def _quarantine_object(self, entry: ManifestEntry) -> str:
         """Move a corrupt object aside and drop its manifest entry.
 
         After this the key is a clean *miss*: the corrupt payload can
@@ -463,25 +499,31 @@ class ArtifactStore:
         taken, so a key corrupted more than once keeps every forensic
         payload instead of silently clobbering the previous one.
         """
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        destination = self.quarantine_dir / object_path.name
+        taken = set(self._call(self.transport.list, "quarantine"))
+        destination = f"quarantine/{entry.filename}"
         suffix = 0
-        while destination.exists():
+        while destination in taken:
             suffix += 1
-            destination = self.quarantine_dir / (
-                f"{object_path.name}.{suffix}")
+            destination = f"quarantine/{entry.filename}.{suffix}"
         try:
-            os.replace(object_path, destination)
-        except OSError:
+            self._call(self.transport.commit, entry.object_key, destination)
+        except KeyError:
             pass
-        try:
-            (self.manifest_dir / f"{key}.json").unlink()
-        except OSError:
-            pass
+        self._call(self.transport.delete, _manifest_key(entry.key))
         return destination
 
-    def _verified_bytes(self, key: str) -> bytes:
-        """The object payload of ``key``, digest-checked.
+    def _reject(self, entry: ManifestEntry, problem: str,
+                cause: Optional[BaseException] = None) -> NoReturn:
+        """Quarantine ``entry``'s object and raise the integrity error."""
+        destination = self._quarantine_object(entry)
+        raise StoreIntegrityError(
+            f"artifact {entry.key!r} object {entry.object_key} in "
+            f"{self.root} {problem}; the corrupt object was quarantined to "
+            f"{destination} and the key is now a miss"
+        ) from cause
+
+    def _verified_bytes(self, key: str) -> Tuple[ManifestEntry, bytes]:
+        """The entry and object payload of ``key``, digest-checked.
 
         Raises ``KeyError`` on a miss and :class:`StoreIntegrityError`
         (after quarantining) when the payload does not match its
@@ -490,28 +532,33 @@ class ArtifactStore:
         entry = self.entry(key)
         if entry is None:
             raise KeyError(f"artifact {key!r} is not in the store")
-        object_path = self.objects_dir / entry.filename
         try:
-            # Transient EAGAIN-class blips retry with backoff; a
-            # vanished object (concurrent discard/gc between the
-            # manifest read and this read) is a clean *miss*, not a
-            # raw FileNotFoundError escaping into the engine.
-            data = self.retry.call(object_path.read_bytes)
-        except FileNotFoundError:
+            data = self._call(self.transport.get, entry.object_key)
+        except KeyError:
+            # A concurrent discard/gc between the manifest read and this
+            # read: a clean miss, not a raw error escaping the engine.
             raise KeyError(
                 f"artifact {key!r} object disappeared between the "
                 f"manifest read and the payload read (concurrent "
                 f"discard or gc); the key is a miss"
             ) from None
         if entry.digest is not None and _sha256(data) != entry.digest:
-            destination = self._quarantine_object(key, object_path)
-            raise StoreIntegrityError(
-                f"artifact {key!r} object {object_path} does not match its "
-                f"recorded SHA-256 digest (torn or truncated write); the "
-                f"corrupt object was quarantined to {destination} and the "
-                f"key is now a miss"
-            )
-        return data
+            self._reject(entry, "does not match its recorded SHA-256 digest "
+                                "(torn or truncated write)")
+        return entry, data
+
+    def _read(self, key: str, decode: Callable[[bytes], Any]) -> Any:
+        """Fetch, verify and decode one payload; quarantine what fails."""
+        entry, data = self._verified_bytes(key)
+        try:
+            return decode(data)
+        except _DECODE_ERRORS as error:
+            self._reject(entry, f"holds an unparseable payload ({error})",
+                         error)
+
+    def object_bytes(self, key: str) -> bytes:
+        """The verified raw payload bytes of ``key`` (for replication)."""
+        return self._verified_bytes(key)[1]
 
     def get_json(self, key: str) -> Any:
         """Load the JSON payload stored under ``key``.
@@ -520,17 +567,7 @@ class ArtifactStore:
         :class:`StoreIntegrityError` — never returned, never a raw
         ``JSONDecodeError``.
         """
-        data = self._verified_bytes(key)
-        try:
-            return decode_json_bytes(data)
-        except ValueError as error:
-            object_path = self.objects_dir / f"{key}.json"
-            destination = self._quarantine_object(key, object_path)
-            raise StoreIntegrityError(
-                f"artifact {key!r} object {object_path} holds unparseable "
-                f"JSON ({error}); the corrupt object was quarantined to "
-                f"{destination} and the key is now a miss"
-            ) from error
+        return self._read(key, decode_json_bytes)
 
     def get_arrays(self, key: str) -> Dict[str, np.ndarray]:
         """Load the named-array payload stored under ``key``.
@@ -539,17 +576,7 @@ class ArtifactStore:
         :class:`StoreIntegrityError` — never returned, never a raw
         ``BadZipFile``.
         """
-        data = self._verified_bytes(key)
-        try:
-            return decode_array_bytes(data)
-        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as error:
-            object_path = self.objects_dir / f"{key}.npz"
-            destination = self._quarantine_object(key, object_path)
-            raise StoreIntegrityError(
-                f"artifact {key!r} object {object_path} holds an unreadable "
-                f"npz archive ({error}); the corrupt object was quarantined "
-                f"to {destination} and the key is now a miss"
-            ) from error
+        return self._read(key, decode_array_bytes)
 
     def load_json(self, key: str) -> Optional[Any]:
         """Read-through helper: the payload, or ``None`` on miss *or*
@@ -569,56 +596,56 @@ class ArtifactStore:
 
     # -- index --------------------------------------------------------------------
 
-    def keys(self) -> Iterator[str]:
-        """Iterate over the keys with a valid manifest entry *and* object."""
-        for manifest_path in sorted(self.manifest_dir.glob("*.json")):
-            key = manifest_path.stem
-            if key in self:
-                yield key
-
     def index(self) -> Dict[str, ManifestEntry]:
         """The manifest: every complete (entry + object) artifact."""
         entries = {}
-        for key in self.keys():
-            entry = self.entry(key)
+        for manifest_key in self._call(self.transport.list, "manifest"):
+            name = manifest_key.split("/", 1)[1]
+            if not name.endswith(".json"):
+                continue
+            entry = self.entry(name[:-len(".json")])
             if entry is not None:
-                entries[key] = entry
+                entries[entry.key] = entry
         return entries
+
+    def keys(self) -> Iterator[str]:
+        """Iterate over the keys with a valid manifest entry *and* object."""
+        return iter(self.index())
 
     def discard(self, key: str) -> bool:
         """Remove ``key`` (manifest entry first, then the object).
 
-        The object is removed by key prefix over ``objects/``, not only
-        through the manifest entry: an unreadable entry (e.g. a torn
+        The object is removed under both candidate names, not only the
+        one the manifest entry names: an unreadable entry (e.g. a torn
         manifest write) must not leak the object file forever.
         """
         _check_key(key)
         entry = self.entry(key)
-        removed = False
-        manifest_path = self.manifest_dir / f"{key}.json"
-        if manifest_path.exists():
-            manifest_path.unlink()
-            removed = True
-        object_paths = {self.objects_dir / f"{key}.json",
-                        self.objects_dir / f"{key}.npz"}
+        removed = self._call(self.transport.delete, _manifest_key(key))
+        filenames = {f"{key}.json", f"{key}.npz"}
         if entry is not None:
-            object_paths.add(self.objects_dir / entry.filename)
-        for object_path in object_paths:
-            if object_path.exists():
-                object_path.unlink()
+            filenames.add(entry.filename)
+        for filename in sorted(filenames):
+            if self._call(self.transport.delete, f"objects/{filename}"):
                 removed = True
         return removed
 
-    # -- integrity ----------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.index())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
+        return f"{type(self).__name__}({str(self.root)!r})"
+
+    # -- integrity (local capability) ---------------------------------------------
 
     def _stray_tmp_files(self, older_than_s: float = 0.0) -> List[Path]:
         """Leftover temp files of interrupted writes, oldest first."""
         now = time.time()
         strays = []
         for directory in (self.objects_dir, self.manifest_dir):
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.glob(".*.tmp")):
+            for path in _list_dir(directory):
+                if not _is_tmp(path.name):
+                    continue
                 try:
                     age = now - path.stat().st_mtime
                 except OSError:
@@ -650,24 +677,15 @@ class ArtifactStore:
                 pass
         return removed
 
-    def _verify_entry(self, key: str, entry: ManifestEntry) -> bool:
+    def _verify_entry(self, entry: ManifestEntry) -> bool:
         """True when the entry's payload passes digest + parse checks."""
-        object_path = self.objects_dir / entry.filename
         try:
-            data = object_path.read_bytes()
+            data = (self.objects_dir / entry.filename).read_bytes()
         except OSError:
             return False
         if entry.digest is not None and _sha256(data) != entry.digest:
             return False
-        try:
-            if entry.filename.endswith(".json"):
-                json.loads(data)
-            else:
-                with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-                    list(archive.files)
-        except (ValueError, zipfile.BadZipFile, OSError, EOFError):
-            return False
-        return True
+        return _parses(entry.filename, data)
 
     def _rebuild_manifest(self, key: str) -> Optional[ManifestEntry]:
         """Rebuild a corrupt/unreadable manifest from the intact object.
@@ -683,14 +701,7 @@ class ArtifactStore:
                 data = object_path.read_bytes()
             except OSError:
                 continue
-            try:
-                if suffix == ".json":
-                    json.loads(data)
-                else:
-                    with np.load(io.BytesIO(data),
-                                 allow_pickle=False) as archive:
-                        list(archive.files)
-            except (ValueError, zipfile.BadZipFile, OSError, EOFError):
+            if not _parses(object_path.name, data):
                 continue
             # Written directly, NOT via _record: the caller (fsck
             # --repair) already holds the exclusive store lock, and a
@@ -700,18 +711,29 @@ class ArtifactStore:
                                   filename=object_path.name,
                                   meta={"rebuilt": True},
                                   digest=_sha256(data))
-            _atomic_write_bytes(
-                self.manifest_dir / f"{key}.json",
-                json.dumps(entry.to_dict(), indent=2, sort_keys=True).encode())
+            self.transport.put(_manifest_key(key), entry.to_bytes())
             return entry
         return None
 
-    def _protected_filenames(self) -> set:
-        """Object filenames no maintenance pass may treat as orphans."""
-        protected: set = set()
-        for entry in self.index().values():
-            protected.add(entry.filename)
-        return protected
+    def _orphans(self, referenced: set) -> List[Path]:
+        """Object files no manifest entry references (temp files aside)."""
+        return [path for path in _list_dir(self.objects_dir)
+                if not _is_tmp(path.name) and path.name not in referenced]
+
+    def _remove_orphan(self, object_path: Path) -> bool:
+        """Delete one orphan, re-verified against the manifest first.
+
+        A writer may have recorded the entry since the index snapshot
+        (possible in ``force`` mode only — the exclusive lock excludes
+        writers otherwise).
+        """
+        if (self.manifest_dir / f"{object_path.stem}.json").exists():
+            return False
+        try:
+            object_path.unlink()
+        except OSError:  # pragma: no cover - lost a delete race
+            pass
+        return True
 
     def fsck(self, repair: bool = False,
              wait_s: Optional[float] = None,
@@ -763,48 +785,27 @@ class ArtifactStore:
                     report.unreadable_manifests.append(key)
                     manifest_path.unlink(missing_ok=True)
                     for suffix in (".json", ".npz"):
-                        stray = self.objects_dir / f"{key}{suffix}"
-                        if stray.exists():
-                            stray.unlink()
+                        (self.objects_dir / f"{key}{suffix}").unlink(
+                            missing_ok=True)
                 continue
             referenced.add(entry.filename)
-            object_path = self.objects_dir / entry.filename
-            if not object_path.exists():
+            if not self._has_object(entry):
                 report.missing_objects.append(key)
                 if repair:
                     manifest_path.unlink(missing_ok=True)
                 continue
-            if self._verify_entry(key, entry):
+            if self._verify_entry(entry):
                 report.ok.append(key)
             else:
                 report.corrupt.append(key)
                 if repair:
-                    self._quarantine_object(key, object_path)
-        for object_path in _list_dir(self.objects_dir):
-            name = object_path.name
-            if name.startswith(".") and name.endswith(".tmp"):
-                continue
-            if name in referenced:
-                continue
+                    self._quarantine_object(entry)
+        for object_path in self._orphans(referenced):
             if live:
-                report.leased_orphans.append(name)
-                continue
-            report.orphan_objects.append(name)
-            if repair:
-                # Re-verify against the manifest immediately before the
-                # destructive action: a writer may have recorded the
-                # entry since the index snapshot (force mode only — the
-                # exclusive lock already excludes writers otherwise).
-                if (self.manifest_dir / f"{object_path.stem}.json").exists():
-                    report.orphan_objects.pop()
-                    continue
-                try:
-                    object_path.unlink()
-                except OSError:  # pragma: no cover - lost a delete race
-                    pass
-        if live:
-            report.stray_tmp = []
-        else:
+                report.leased_orphans.append(object_path.name)
+            elif not repair or self._remove_orphan(object_path):
+                report.orphan_objects.append(object_path.name)
+        if not live:
             report.stray_tmp = [str(path.relative_to(self.root))
                                 for path in self._stray_tmp_files()]
             if repair:
@@ -843,36 +844,15 @@ class ArtifactStore:
                     if self.locking and not force else [])
             if tmp_older_than_s is None:
                 tmp_older_than_s = 0.0 if self.locking else 3600.0
-            orphans = 0
-            skipped_leased = 0
-            if live:
-                skipped_leased = sum(
-                    1 for path in _list_dir(self.objects_dir)
-                    if not (path.name.startswith(".")
-                            and path.name.endswith(".tmp"))
-                    and path.name not in self._protected_filenames())
-            else:
-                referenced = self._protected_filenames()
-                for object_path in _list_dir(self.objects_dir):
-                    name = object_path.name
-                    if name.startswith(".") and name.endswith(".tmp"):
-                        continue
-                    if name in referenced:
-                        continue
-                    # Re-verify right before deleting: the manifest may
-                    # have gained this key since the index snapshot.
-                    if (self.manifest_dir
-                            / f"{object_path.stem}.json").exists():
-                        continue
-                    try:
-                        object_path.unlink()
-                        orphans += 1
-                    except OSError:
-                        pass
+            orphans = self._orphans(
+                {entry.filename for entry in self.index().values()})
+            removed = 0
+            if not live:
+                removed = sum(self._remove_orphan(path) for path in orphans)
             swept = 0 if live else len(self.sweep_tmp(tmp_older_than_s))
             quarantined = 0
-            if purge_quarantine and self.quarantine_dir.exists():
-                for path in sorted(self.quarantine_dir.iterdir()):
+            if purge_quarantine:
+                for path in _list_dir(self.quarantine_dir):
                     try:
                         path.unlink()
                         quarantined += 1
@@ -880,9 +860,9 @@ class ArtifactStore:
                         pass
             if not live and self.locking:
                 self._sweep_key_locks()
-            return {"orphan_objects": orphans, "stray_tmp": swept,
+            return {"orphan_objects": removed, "stray_tmp": swept,
                     "quarantined": quarantined,
-                    "skipped_leased": skipped_leased,
+                    "skipped_leased": len(orphans) if live else 0,
                     "broken_leases": broken,
                     "live_leases": [lease.path.name for lease in live]}
 
@@ -895,16 +875,8 @@ class ArtifactStore:
         section; deleting the lock files cannot split a mutex.  The
         store-level lock file itself is kept (we are holding it).
         """
-        if not self.locks_dir.exists():
-            return
         for path in self.locks_dir.glob("key.*.lock"):
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - concurrent sweep
                 pass
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"ArtifactStore({str(self.root)!r}, {len(self)} artifacts)"

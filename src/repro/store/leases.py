@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from .locks import _pid_alive
+from .transport import _atomic_write_bytes
 
 PathLike = Union[str, Path]
 
@@ -101,8 +102,6 @@ class WriterLease:
     # -- lifecycle ----------------------------------------------------------------
 
     def _write(self) -> None:
-        from .artifact_store import _atomic_write_bytes
-
         self.leases_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "pid": self.pid,

@@ -1,34 +1,33 @@
-"""Object-store-semantics artifact store over a blob transport.
+"""The artifact store over a remote blob transport.
 
-:class:`RemoteStore` speaks the same artifact protocol as the local
-:class:`~repro.store.artifact_store.ArtifactStore` — identical SHA-256
-content keys, identical canonical payload encodings, a manifest entry
-per key — but stores everything through a :class:`~repro.store
-.transport.Transport`, with the robustness layers a network demands:
+:class:`RemoteStore` is an :class:`~repro.store.artifact_store
+.ArtifactStore` — the same put, verified read, quarantine, index and
+load code, the same content keys and byte-identical objects and
+manifest entries — over any :class:`~repro.store.transport.Transport`
+instead of a local directory.  It adds only what a network demands:
 
-* **Atomic puts.**  The payload is uploaded to a ``tmp/`` key and
-  *committed* (renamed) to its final ``objects/`` key before the
-  manifest entry is written; a crash or partition mid-upload leaves a
-  tmp blob, never a half-visible object, and the manifest is written
-  last so a key is only ever a hit once its payload is fully in place.
-* **Verified gets.**  Every read re-hashes the payload against the
-  manifest digest.  A mismatch (torn upload, in-flight corruption)
-  moves the blob to ``quarantine/`` *on the remote*, drops the remote
-  manifest entry, and raises
-  :class:`~repro.store.artifact_store.StoreIntegrityError` — the same
-  contract as the local store, so read-through callers recompute.
-* **Retries.**  Every transport call runs under the store's
-  :class:`~repro.store.retry.RetryPolicy` with the explicit
-  :func:`~repro.store.retry.is_retryable_error` classification:
-  connection resets and timeouts retry with bounded deterministic
-  jitter; misses and corruption never do.
-* **Circuit breaker.**  After ``failure_threshold`` consecutive
-  failed operations the breaker opens and every call fails fast with
-  :class:`~repro.store.breaker.CircuitOpenError` (a
+* **Upload-then-commit puts.**  The payload is uploaded to a ``tmp/``
+  key and *committed* (renamed) to its final ``objects/`` key before
+  the manifest entry is written; a crash or partition mid-upload leaves
+  a tmp blob, never a half-visible object.  A put is exactly ``put
+  tmp`` → ``commit`` → ``put manifest``.
+* **Retries behind a circuit breaker.**  Every transport call runs
+  under the store's :class:`~repro.store.retry.RetryPolicy` with the
+  :func:`~repro.store.retry.is_retryable_error` classification
+  (connection resets and timeouts retry with bounded deterministic
+  jitter; misses and corruption never do).  After ``failure_threshold``
+  consecutive failed operations the breaker opens and every call fails
+  fast with :class:`~repro.store.breaker.CircuitOpenError` (a
   ``ConnectionError``) until a cooldown elapses and a half-open probe
   succeeds.  The breaker clock defaults to *operation counting*, not
   wall time, so breaker behaviour is a pure function of the operation
   sequence — a requirement of the deterministic chaos tests.
+
+Locks, writer leases, the object-presence check and ``fsck``/``gc`` are
+local-directory capabilities a remote does not have: last-writer-wins
+is safe because equal keys hold equal bytes, an :meth:`entry` lookup is
+exactly one manifest ``get`` and a read is a manifest ``get`` followed
+by an object ``get``.  A corrupt read is quarantined *on the remote*.
 
 Remote key layout (slash-separated transport keys)::
 
@@ -40,28 +39,12 @@ Remote key layout (slash-separated transport keys)::
 
 from __future__ import annotations
 
-import json
-import zipfile
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
-import numpy as np
-
-from .artifact_store import (
-    ManifestEntry,
-    StoreIntegrityError,
-    _check_key,
-    _sha256,
-    decode_array_bytes,
-    decode_json_bytes,
-    encode_array_bytes,
-    encode_json_bytes,
-)
+from .artifact_store import ArtifactStore, ManifestEntry
 from .breaker import CircuitBreaker, CircuitOpenError
-from .retry import RetryPolicy, is_retryable_error
+from .retry import RetryPolicy
 from .transport import Transport, build_transport
-
-#: Default per-operation transport time budget.
-DEFAULT_OP_TIMEOUT_S = 30.0
 
 
 class _OpClock:
@@ -82,22 +65,20 @@ class _OpClock:
         self.ticks += 1
 
 
-class RemoteStore:
-    """Content-addressed artifact store over a blob transport.
-
-    Drop-in for the read/write surface campaign engines use
-    (``put_json``/``put_arrays``/``load_json``/``load_arrays``/
-    ``entry``/``keys``); leases and file locks are local-filesystem
-    concepts and are no-ops here — the remote's atomicity comes from
-    upload-then-commit, and last-writer-wins is safe because equal keys
-    hold equal bytes.
-    """
+class RemoteStore(ArtifactStore):
+    """Content-addressed artifact store over a blob transport."""
 
     def __init__(self, transport: Union[Transport, str, Dict[str, Any]], *,
                  retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 op_timeout_s: float = DEFAULT_OP_TIMEOUT_S):
+                 breaker: Optional[CircuitBreaker] = None):
+        # Deliberately not ArtifactStore.__init__: a remote has no local
+        # directory to create, lock or lease.
         self.transport = build_transport(transport)
+        config = self.transport.spawn_config()
+        #: A display name (transports have no local root path).
+        self.root = str(config.get("root", config.get("kind", "remote")))
+        self.locking = False
+        self._lease = None
         self.retry = retry if retry is not None else RetryPolicy(
             token="remote-store")
         self._op_clock: Optional[_OpClock] = None
@@ -106,11 +87,8 @@ class RemoteStore:
             breaker = CircuitBreaker(failure_threshold=3, reset_after=8.0,
                                      clock=self._op_clock)
         self.breaker = breaker
-        self.op_timeout_s = float(op_timeout_s)
 
-    # -- plumbing -----------------------------------------------------------------
-
-    def _call(self, operation, *args, **kwargs):
+    def _call(self, operation: Callable[..., Any], *args: Any) -> Any:
         """One breaker-guarded, retry-wrapped transport call.
 
         A ``KeyError`` miss counts as a *successful* round-trip (the
@@ -124,10 +102,8 @@ class RemoteStore:
                 f"remote store circuit is open after "
                 f"{self.breaker.consecutive_failures} consecutive "
                 f"transport failures")
-        kwargs.setdefault("timeout_s", self.op_timeout_s)
         try:
-            result = self.retry.call(lambda: operation(*args, **kwargs),
-                                     retry_on=is_retryable_error)
+            result = super()._call(operation, *args)
         except KeyError:
             self.breaker.record_success()
             raise
@@ -137,227 +113,16 @@ class RemoteStore:
         self.breaker.record_success()
         return result
 
-    @staticmethod
-    def _object_key(entry: ManifestEntry) -> str:
-        return f"objects/{entry.filename}"
-
-    @staticmethod
-    def _manifest_key(key: str) -> str:
-        return f"manifest/{key}.json"
-
-    # -- write --------------------------------------------------------------------
-
-    def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
-        """Upload one artifact atomically: tmp → commit → manifest.
-
-        The replication primitive under ``put_json``/``put_arrays`` and
-        the tiered store's journal drain.  The digest is verified
-        before upload; content addressing makes replays idempotent, so
-        a drain that died after commit but before the manifest write
-        simply re-runs.
-        """
-        _check_key(entry.key)
-        if entry.digest is None:
-            entry = ManifestEntry(key=entry.key, kind=entry.kind,
-                                  filename=entry.filename,
-                                  meta=entry.meta, digest=_sha256(data))
-        elif _sha256(data) != entry.digest:
-            raise StoreIntegrityError(
-                f"refusing to upload artifact {entry.key!r}: payload bytes "
-                f"do not match the manifest digest")
+    def _write_object(self, entry: ManifestEntry, data: bytes) -> None:
+        """Upload to a tmp key, then commit it to the object key."""
         tmp_key = f"tmp/{entry.key}.{entry.digest[:12]}"
         self._call(self.transport.put, tmp_key, data)
-        self._call(self.transport.commit, tmp_key, self._object_key(entry))
-        manifest_bytes = json.dumps(entry.to_dict(), indent=2,
-                                    sort_keys=True).encode()
-        self._call(self.transport.put, self._manifest_key(entry.key),
-                   manifest_bytes)
-        return entry
+        self._call(self.transport.commit, tmp_key, entry.object_key)
 
-    def put_json(self, key: str, payload: Any, *, kind: str = "json",
-                 meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a JSON-serialisable payload under ``key``."""
-        _check_key(key)
-        data = encode_json_bytes(payload)
-        entry = ManifestEntry(key=key, kind=kind, filename=f"{key}.json",
-                              meta=dict(meta or {}), digest=_sha256(data))
-        return self.put_object(entry, data)
-
-    def put_arrays(self, key: str, arrays: Mapping[str, np.ndarray], *,
-                   kind: str = "arrays",
-                   meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a named-array payload under ``key`` as compressed npz."""
-        _check_key(key)
-        data = encode_array_bytes(arrays)
-        entry = ManifestEntry(key=key, kind=kind, filename=f"{key}.npz",
-                              meta=dict(meta or {}), digest=_sha256(data))
-        return self.put_object(entry, data)
-
-    # -- read ---------------------------------------------------------------------
-
-    def entry(self, key: str) -> Optional[ManifestEntry]:
-        """The manifest entry of ``key`` — ``None`` on a miss.
-
-        Connection failures propagate (callers that degrade, like the
-        tiered store, catch them); only a genuine remote miss or an
-        unparseable manifest folds to ``None``.
-        """
-        _check_key(key)
-        try:
-            raw = self._call(self.transport.get, self._manifest_key(key))
-        except KeyError:
-            return None
-        try:
-            return ManifestEntry.from_dict(json.loads(raw))
-        except (ValueError, KeyError):
-            return None
-
-    def __contains__(self, key: str) -> bool:
-        return self.entry(key) is not None
-
-    def has(self, key: str) -> bool:
-        return key in self
-
-    def _quarantine_object(self, entry: ManifestEntry) -> str:
-        """Move a corrupt remote blob aside and drop its manifest entry."""
-        destination = f"quarantine/{entry.filename}"
-        taken = set(self._call(self.transport.list, "quarantine"))
-        suffix = 0
-        while destination in taken:
-            suffix += 1
-            destination = f"quarantine/{entry.filename}.{suffix}"
-        try:
-            self._call(self.transport.commit, self._object_key(entry),
-                       destination)
-        except KeyError:
-            pass
-        self._call(self.transport.delete, self._manifest_key(entry.key))
-        return destination
-
-    def _verified_bytes(self, key: str) -> bytes:
-        entry = self.entry(key)
-        if entry is None:
-            raise KeyError(f"artifact {key!r} is not in the remote store")
-        try:
-            data = self._call(self.transport.get, self._object_key(entry))
-        except KeyError:
-            raise KeyError(
-                f"artifact {key!r} has a remote manifest entry but no "
-                f"object blob; the key is a miss") from None
-        if entry.digest is not None and _sha256(data) != entry.digest:
-            destination = self._quarantine_object(entry)
-            raise StoreIntegrityError(
-                f"remote artifact {key!r} does not match its recorded "
-                f"SHA-256 digest (torn or corrupted transfer); the blob was "
-                f"quarantined to {destination} and the key is now a miss")
-        return data
-
-    def object_bytes(self, key: str) -> bytes:
-        """The verified raw payload bytes of ``key`` (for replication)."""
-        return self._verified_bytes(key)
-
-    def get_json(self, key: str) -> Any:
-        data = self._verified_bytes(key)
-        try:
-            return decode_json_bytes(data)
-        except ValueError as error:
-            entry = self.entry(key)
-            destination = (self._quarantine_object(entry)
-                           if entry is not None else "<gone>")
-            raise StoreIntegrityError(
-                f"remote artifact {key!r} holds unparseable JSON ({error}); "
-                f"quarantined to {destination}") from error
-
-    def get_arrays(self, key: str) -> Dict[str, np.ndarray]:
-        data = self._verified_bytes(key)
-        try:
-            return decode_array_bytes(data)
-        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as error:
-            entry = self.entry(key)
-            destination = (self._quarantine_object(entry)
-                           if entry is not None else "<gone>")
-            raise StoreIntegrityError(
-                f"remote artifact {key!r} holds an unreadable npz archive "
-                f"({error}); quarantined to {destination}") from error
-
-    def load_json(self, key: str) -> Optional[Any]:
-        """Read-through helper: payload, or ``None`` on miss/corruption.
-
-        Connection failures still propagate — "the remote is down" must
-        not masquerade as "the key is a miss" (that distinction is what
-        lets the tiered store degrade instead of recomputing the world).
-        """
-        try:
-            return self.get_json(key)
-        except (KeyError, StoreIntegrityError):
-            return None
-
-    def load_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Read-through helper: arrays, or ``None`` on miss/corruption."""
-        try:
-            return self.get_arrays(key)
-        except (KeyError, StoreIntegrityError):
-            return None
-
-    # -- index / maintenance ------------------------------------------------------
-
-    def keys(self) -> Iterator[str]:
-        """Keys with a remote manifest entry, sorted."""
-        for transport_key in self._call(self.transport.list, "manifest"):
-            name = transport_key.split("/", 1)[1]
-            if name.endswith(".json"):
-                yield name[:-len(".json")]
-
-    def index(self) -> Dict[str, ManifestEntry]:
-        entries = {}
-        for key in list(self.keys()):
-            entry = self.entry(key)
-            if entry is not None:
-                entries[key] = entry
-        return entries
-
-    def discard(self, key: str) -> bool:
-        """Remove ``key`` from the remote (manifest first, then blob)."""
-        _check_key(key)
-        entry = self.entry(key)
-        self._call(self.transport.delete, self._manifest_key(key))
-        for filename in ({entry.filename} if entry is not None
-                         else {f"{key}.json", f"{key}.npz"}):
-            self._call(self.transport.delete, f"objects/{filename}")
-        return entry is not None
-
-    def sweep_tmp(self) -> List[str]:
-        """Delete leftover ``tmp/`` blobs from interrupted uploads."""
-        removed = []
-        for transport_key in self._call(self.transport.list, "tmp"):
-            self._call(self.transport.delete, transport_key)
-            removed.append(transport_key)
-        return removed
-
-    # -- engine-facing no-ops -----------------------------------------------------
-
-    @property
-    def root(self) -> str:
-        """A display name (transports have no local root path)."""
-        config = self.transport.spawn_config()
-        return str(config.get("root", config.get("kind", "remote")))
-
-    def acquire_lease(self, owner: str = "") -> None:
-        """Leases are a local-filesystem concept; no-op on a remote."""
-        return None
-
-    def release_lease(self) -> None:
-        return None
+    def _has_object(self, entry: ManifestEntry) -> bool:
+        """Trusted without a round-trip: the manifest is written last."""
+        return True
 
     def spawn_config(self) -> Dict[str, Any]:
         """A picklable description a worker process can rebuild from."""
-        return {"kind": "remote",
-                "transport": self.transport.spawn_config(),
-                "op_timeout_s": self.op_timeout_s}
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (f"RemoteStore({self.root!r}, "
-                f"breaker={self.breaker.state})")
+        return {"kind": "remote", "transport": self.transport.spawn_config()}

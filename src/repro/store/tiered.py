@@ -1,9 +1,11 @@
-"""Local + remote artifact stores composed as a write-through cache.
+"""A local artifact store with a remote tier behind it.
 
-:class:`TieredStore` is what a campaign engine actually mounts when a
-fleet shares one warm cache: every read and write goes to the fast
-local :class:`~repro.store.artifact_store.ArtifactStore` first, and the
-:class:`~repro.store.remote.RemoteStore` rides behind it —
+:class:`TieredStore` is what a campaign engine mounts when a fleet
+shares one warm cache.  It is two :class:`~repro.store.artifact_store
+.ArtifactStore` instances — itself, over the local directory, and a
+:class:`~repro.store.remote.RemoteStore` — plus a pending-upload
+journal; every reader, the verification and the quarantine path are the
+one :class:`ArtifactStore` implementation:
 
 * **writes** land locally (atomic, leased, digest-recorded), then
   replicate to the remote.  If the remote is unreachable — a raised
@@ -11,21 +13,23 @@ local :class:`~repro.store.artifact_store.ArtifactStore` first, and the
   breaker — the key is appended to a crash-safe **pending-upload
   journal** and the write still succeeds: campaigns degrade to
   local-only operation instead of dying mid-grid;
-* **reads** hit the local store first; on a local miss the remote is
-  consulted and a hit is **backfilled** into the local tier (verified
-  byte-for-byte via the manifest digest) so the next read is local.  A
-  partitioned remote turns remote consultation into a clean miss — the
-  engine recomputes, which is always correct under content addressing;
+* **reads** hit the local store first; on a local miss (or after a
+  corrupt local copy is quarantined) the remote is consulted and a hit
+  is **backfilled** into the local tier (verified byte-for-byte via the
+  manifest digest) so the next read is local.  A partitioned remote
+  turns remote consultation into a clean miss — the engine recomputes,
+  which is always correct under content addressing;
 * **sync** (the ``repro-ht store sync`` CLI) drains the journal once
   the remote heals.  Content keys make the drain idempotent: a key
   whose remote digest already matches is skipped, a half-drained
   journal re-runs harmlessly, and two hosts draining overlapping
   journals converge on identical remote state.
 
-The journal is a JSON-lines file under the *local* store root
-(``pending_uploads.jsonl``), append-only on the hot path (single
-``O_APPEND`` writes are atomic for these line sizes) and compacted
-under the local store's file lock during :meth:`TieredStore.sync`.
+Index and maintenance calls (``keys``, ``index``, ``fsck``, ``gc``)
+see the local tier only.  The journal is a JSON-lines file under the
+local store root (``pending_uploads.jsonl``), append-only on the hot
+path (single ``O_APPEND`` writes are atomic for these line sizes) and
+compacted under a file lock during :meth:`TieredStore.sync`.
 """
 
 from __future__ import annotations
@@ -33,11 +37,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
-import numpy as np
-
-from .artifact_store import ArtifactStore, ManifestEntry
+from .artifact_store import (
+    ArtifactStore,
+    ManifestEntry,
+    PathLike,
+    Store,
+    StoreIntegrityError,
+)
 from .locks import FileLock
 from .remote import RemoteStore
 
@@ -66,19 +74,21 @@ class PendingUploadJournal:
     def _lock(self) -> FileLock:
         return FileLock(self.path.with_suffix(".lock"))
 
-    def append(self, entry: ManifestEntry) -> None:
-        line = json.dumps({"key": entry.key, "kind": entry.kind,
+    @staticmethod
+    def _line(entry: ManifestEntry) -> str:
+        return json.dumps({"key": entry.key, "kind": entry.kind,
                            "filename": entry.filename,
                            "digest": entry.digest,
-                           "meta": dict(entry.meta)},
-                          sort_keys=True) + "\n"
+                           "meta": dict(entry.meta)}, sort_keys=True)
+
+    def append(self, entry: ManifestEntry) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # A single O_APPEND write of a short line is atomic on POSIX —
         # concurrent degraded writers interleave whole lines.
         fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
                      0o644)
         try:
-            os.write(fd, line.encode())
+            os.write(fd, (self._line(entry) + "\n").encode())
         finally:
             os.close(fd)
 
@@ -88,15 +98,10 @@ class PendingUploadJournal:
             return []
         by_key: Dict[str, ManifestEntry] = {}
         for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
-                entry = ManifestEntry(key=raw["key"], kind=raw["kind"],
-                                      filename=raw["filename"],
-                                      meta=dict(raw.get("meta", {})),
-                                      digest=raw.get("digest"))
+                entry = ManifestEntry.from_dict(json.loads(line))
             except (ValueError, KeyError, TypeError):
                 # A torn trailing line (crash mid-append) is dropped;
                 # the artifact itself is safe in the local store and a
@@ -109,166 +114,91 @@ class PendingUploadJournal:
         """Replace the journal contents (compaction; lock held)."""
         with self._lock().holding(shared=False, timeout_s=10.0):
             if not entries:
-                try:
-                    self.path.unlink()
-                except FileNotFoundError:
-                    pass
+                self.path.unlink(missing_ok=True)
                 return
-            lines = [json.dumps({"key": e.key, "kind": e.kind,
-                                 "filename": e.filename, "digest": e.digest,
-                                 "meta": dict(e.meta)}, sort_keys=True)
-                     for e in entries]
             tmp = self.path.with_suffix(".tmp")
-            tmp.write_text("\n".join(lines) + "\n")
+            tmp.write_text("".join(self._line(entry) + "\n"
+                                   for entry in entries))
             os.replace(tmp, self.path)
 
-    def __len__(self) -> int:
-        return len(self.pending())
 
+class TieredStore(ArtifactStore):
+    """The local store with a :class:`RemoteStore` behind it.
 
-class TieredStore:
-    """Write-through local + remote store with graceful degradation.
-
-    Exposes the full engine-facing store surface (``put_*``/``load_*``/
-    ``get_*``/``entry``/``keys``/leases/``root``) so
-    ``CampaignEngine(store=...)`` and the supervisor accept it
-    unchanged.  ``degraded_writes``/``remote_hits``/``backfills`` count
-    what the tiers actually did, for tests and operators.
+    A :class:`TieredStore` *is* the local tier — an
+    :class:`ArtifactStore` over ``local``'s directory, with its locks,
+    leases, readers and maintenance — plus the remote and the
+    pending-upload journal.  It overrides only where a tier boundary is
+    crossed: :meth:`put_object` (write-through), :meth:`entry`
+    (backfill on a local miss) and the read retry after a corrupt local
+    copy is quarantined.  ``local`` stays reachable as a plain local
+    store; ``degraded_writes``/``remote_hits``/``backfills`` count what
+    the tiers actually did, for tests and operators.
     """
 
-    def __init__(self, local: Union[ArtifactStore, str, Path],
-                 remote: Union[RemoteStore, str, Dict[str, Any]], *,
-                 read_through: bool = True):
-        self.local = (local if isinstance(local, ArtifactStore)
-                      else ArtifactStore(local))
+    def __init__(self, local: Union[ArtifactStore, PathLike],
+                 remote: Union[RemoteStore, str, Dict[str, Any]]):
+        if isinstance(local, ArtifactStore):
+            super().__init__(local.root, locking=local.locking,
+                             lock_timeout_s=local.lock_timeout_s,
+                             lease_ttl_s=local.lease_ttl_s)
+            self._local: Optional[ArtifactStore] = local
+        else:
+            super().__init__(local)
+            self._local = None
         self.remote = (remote if isinstance(remote, RemoteStore)
                        else RemoteStore(remote))
-        self.read_through = bool(read_through)
-        self.journal = PendingUploadJournal(
-            self.local.root / JOURNAL_FILENAME)
+        self.journal = PendingUploadJournal(self.root / JOURNAL_FILENAME)
         self.degraded_writes = 0
         self.remote_hits = 0
         self.backfills = 0
 
-    # -- engine-facing surface ----------------------------------------------------
-
     @property
-    def root(self) -> Path:
-        """The local tier's root (campaign CSV/JSON outputs live here)."""
-        return self.local.root
+    def local(self) -> ArtifactStore:
+        """The local tier as a plain store: no backfill, no write-through."""
+        if self._local is None:
+            self._local = ArtifactStore(self.root, locking=self.locking,
+                                        lock_timeout_s=self.lock_timeout_s,
+                                        lease_ttl_s=self.lease_ttl_s)
+        return self._local
 
-    @property
-    def retry(self):
-        return self.local.retry
-
-    def acquire_lease(self, owner: str = ""):
-        return self.local.acquire_lease(owner)
-
-    def release_lease(self) -> None:
-        self.local.release_lease()
-
-    # -- write --------------------------------------------------------------------
-
-    def _replicate(self, entry: ManifestEntry) -> None:
-        """Push a just-written local artifact to the remote tier."""
+    def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
+        """Write locally, then replicate; journal when the remote is down."""
+        entry = super().put_object(entry, data)
         try:
-            data = self.local.object_bytes(entry.key)
             self.remote.put_object(entry, data)
         except REMOTE_UNAVAILABLE:
             self.journal.append(entry)
             self.degraded_writes += 1
-
-    def put_json(self, key: str, payload: Any, *, kind: str = "json",
-                 meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        entry = self.local.put_json(key, payload, kind=kind, meta=meta)
-        self._replicate(entry)
         return entry
 
-    def put_arrays(self, key: str, arrays: Mapping[str, np.ndarray], *,
-                   kind: str = "arrays",
-                   meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        entry = self.local.put_arrays(key, arrays, kind=kind, meta=meta)
-        self._replicate(entry)
-        return entry
+    def entry(self, key: str) -> Optional[ManifestEntry]:
+        """The local entry of ``key``, backfilled from the remote on a
+        local miss (verified byte-for-byte, so the next read is local).
 
-    # -- read ---------------------------------------------------------------------
-
-    def _backfill(self, key: str) -> Optional[ManifestEntry]:
-        """Copy a remote hit into the local tier; ``None`` on any miss.
-
-        An unreachable remote (connection/timeout/open breaker) is a
-        clean miss — recomputing is always correct, waiting is not.
+        An unreachable remote (connection/timeout/open breaker) or a
+        corrupt remote copy is a clean miss — recomputing is always
+        correct, waiting is not.
         """
-        if not self.read_through:
-            return None
+        entry = super().entry(key)
+        if entry is not None:
+            return entry
         try:
-            entry = self.remote.entry(key)
-            if entry is None:
-                return None
-            data = self.remote.object_bytes(key)
-        except REMOTE_UNAVAILABLE:
-            return None
-        except KeyError:
+            remote_entry, data = self.remote._verified_bytes(key)
+        except REMOTE_UNAVAILABLE + (KeyError, StoreIntegrityError):
             return None
         self.remote_hits += 1
-        installed = self.local.put_verbatim(entry, data)
+        installed = super().put_object(remote_entry, data)
         self.backfills += 1
         return installed
 
-    def entry(self, key: str) -> Optional[ManifestEntry]:
-        entry = self.local.entry(key)
-        if entry is not None:
-            return entry
-        return self._backfill(key)
-
-    def __contains__(self, key: str) -> bool:
-        return self.entry(key) is not None
-
-    def has(self, key: str) -> bool:
-        return key in self
-
-    def load_json(self, key: str) -> Optional[Any]:
-        payload = self.local.load_json(key)
-        if payload is not None:
-            return payload
-        if self._backfill(key) is None:
-            return None
-        return self.local.load_json(key)
-
-    def load_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        arrays = self.local.load_arrays(key)
-        if arrays is not None:
-            return arrays
-        if self._backfill(key) is None:
-            return None
-        return self.local.load_arrays(key)
-
-    def get_json(self, key: str) -> Any:
-        payload = self.load_json(key)
-        if payload is None:
-            # Re-raise with the local store's miss/corruption semantics.
-            return self.local.get_json(key)
-        return payload
-
-    def get_arrays(self, key: str) -> Dict[str, np.ndarray]:
-        arrays = self.load_arrays(key)
-        if arrays is None:
-            return self.local.get_arrays(key)
-        return arrays
-
-    # -- index --------------------------------------------------------------------
-
-    def keys(self) -> Iterator[str]:
-        """Union of local and (reachable) remote keys, sorted."""
-        seen = set(self.local.keys())
+    def _read(self, key: str, decode: Callable[[bytes], Any]) -> Any:
         try:
-            seen.update(self.remote.keys())
-        except REMOTE_UNAVAILABLE:
-            pass
-        return iter(sorted(seen))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+            return super()._read(key, decode)
+        except StoreIntegrityError:
+            # The corrupt local copy is quarantined, so the key is a
+            # local miss now: one more read backfills it from the remote.
+            return super()._read(key, decode)
 
     # -- degraded-mode drain ------------------------------------------------------
 
@@ -311,33 +241,24 @@ class TieredStore:
                 "missing_local": missing,
                 "remaining": [entry.key for entry in remaining]}
 
-    # -- spawning -----------------------------------------------------------------
-
     def spawn_config(self) -> Dict[str, Any]:
         """A picklable description a worker process can rebuild from."""
         return {"kind": "tiered",
                 "local": self.local.spawn_config(),
-                "remote": self.remote.spawn_config(),
-                "read_through": self.read_through}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (f"TieredStore(local={str(self.local.root)!r}, "
-                f"remote={self.remote.root!r}, "
-                f"pending={len(self.journal)})")
+                "remote": self.remote.spawn_config()}
 
 
-def build_store(config: Union[None, str, Path, Mapping[str, Any],
-                              ArtifactStore, RemoteStore, TieredStore]):
+def build_store(config: Union[None, PathLike, Mapping[str, Any], Store]
+                ) -> Optional[Store]:
     """Build any store flavour from a picklable config.
 
-    The inverse of every store's ``spawn_config()`` — the campaign
-    supervisor ships these dicts to worker processes instead of live
-    store objects.  Strings/paths mean a plain local store; ``None``
-    passes through (store-less engines); live stores pass through
-    unchanged.
+    The inverse of every store's ``spawn_config()`` and the one place a
+    store argument is resolved: the campaign engine, its supervised
+    workers and the suite runner all call it.  Strings/paths mean a
+    plain local store; ``None`` passes through (store-less engines);
+    live stores pass through unchanged.
     """
-    if config is None or isinstance(config, (ArtifactStore, RemoteStore,
-                                             TieredStore)):
+    if config is None or isinstance(config, ArtifactStore):
         return config
     if isinstance(config, (str, Path)):
         return ArtifactStore(config)
@@ -346,13 +267,8 @@ def build_store(config: Union[None, str, Path, Mapping[str, Any],
         return ArtifactStore(str(config["root"]),
                              locking=bool(config.get("locking", True)))
     if kind == "remote":
-        return RemoteStore(dict(config["transport"]),
-                           op_timeout_s=float(
-                               config.get("op_timeout_s", 30.0)))
+        return RemoteStore(dict(config["transport"]))
     if kind == "tiered":
-        local = build_store(dict(config["local"]))
-        remote = build_store(dict(config["remote"]))
-        return TieredStore(local, remote,
-                           read_through=bool(config.get("read_through",
-                                                        True)))
+        return TieredStore(build_store(dict(config["local"])),
+                           build_store(dict(config["remote"])))
     raise ValueError(f"unknown store config {config!r}")

@@ -1,17 +1,22 @@
-"""Minimal blob transport under the remote artifact store.
+"""The blob transport every artifact store does its IO through.
 
 A :class:`Transport` moves opaque byte payloads under string keys —
-``get``/``put``/``list``/``delete`` plus an atomic ``commit`` (rename)
-so :class:`~repro.store.remote.RemoteStore` can build object-store
-semantics (upload to a tmp key, then commit) on any backend.  Keys are
-slash-separated paths (``objects/<sha>.json``); payloads are bytes;
-misses raise :class:`KeyError`; ``delete`` is idempotent.
+``get``/``put``/``list``/``delete`` plus an atomic ``commit`` (rename).
+:class:`~repro.store.artifact_store.ArtifactStore` is written against
+this seam and nothing else: the content-addressed protocol above it
+(encode, SHA-256, object-then-manifest put, verified read, quarantine)
+is one implementation whatever the backend.  Keys are slash-separated
+paths (``objects/<sha>.json``); payloads are bytes; misses raise
+:class:`KeyError`; ``delete`` is idempotent and reports whether the key
+existed.
 
 Two implementations ship here:
 
-* :class:`LoopbackTransport` — a directory on the local filesystem, so
-  the whole remote-store stack is testable hermetically and a shared
-  NFS/SMB mount works as a real deployment target out of the box;
+* :class:`LoopbackTransport` — a directory on the local filesystem.  It
+  is the backend of every local :class:`ArtifactStore` and, behind a
+  :class:`~repro.store.remote.RemoteStore`, a remote (a shared NFS/SMB
+  mount works as a real deployment target out of the box), so the
+  whole remote stack is testable hermetically;
 * :class:`FlakyTransport` — a decorator that injects *seeded,
   scripted* faults from a :class:`~repro.testing.faults.FaultSchedule`:
   connection errors, timeouts, latency, truncated payloads and corrupt
@@ -30,8 +35,7 @@ campaign-level :class:`repro.testing.chaos.FaultKind` vocabulary):
     the operation raises :class:`TransportTimeout` (a
     ``TimeoutError``) before touching the backend;
 ``latency``
-    the operation sleeps a tiny deterministic delay, then succeeds —
-    for exercising timeout budgets without failing;
+    the operation sleeps a tiny deterministic delay, then succeeds;
 ``truncate``
     a ``get`` returns the first half of the payload, a ``put`` stores
     only the first half — the digest-verified read path must catch it;
@@ -43,15 +47,13 @@ from __future__ import annotations
 
 import os
 import random
+import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from ..testing.faults import FaultClock, FaultSchedule, FaultWindow
-
-
-class TransportError(ConnectionError):
-    """Base class for transport-level failures (a ``ConnectionError``)."""
+if TYPE_CHECKING:
+    from ..testing.faults import FaultSchedule
 
 
 class TransportConnectionError(ConnectionResetError):
@@ -79,34 +81,29 @@ class Transport:
 
     Implementations move bytes; everything content-addressed (digests,
     manifests, atomicity protocols) lives a layer up in
-    :class:`~repro.store.remote.RemoteStore`.  ``timeout_s`` is a
-    per-operation budget; backends that cannot enforce one may ignore
-    it.
+    :class:`~repro.store.artifact_store.ArtifactStore`.
     """
 
-    def get(self, key: str, *, timeout_s: Optional[float] = None) -> bytes:
+    def get(self, key: str) -> bytes:
         """The payload at ``key``; :class:`KeyError` on a miss."""
         raise NotImplementedError
 
-    def put(self, key: str, data: bytes, *,
-            timeout_s: Optional[float] = None) -> None:
+    def put(self, key: str, data: bytes) -> None:
         """Store ``data`` at ``key`` (creating parents as needed)."""
         raise NotImplementedError
 
-    def list(self, prefix: str = "", *,
-             timeout_s: Optional[float] = None) -> List[str]:
+    def list(self, prefix: str = "") -> List[str]:
         """All keys under ``prefix``, sorted."""
         raise NotImplementedError
 
-    def delete(self, key: str, *,
-               timeout_s: Optional[float] = None) -> None:
-        """Remove ``key``; silently succeeds when already absent."""
+    def delete(self, key: str) -> bool:
+        """Remove ``key``; ``False`` (not an error) when already absent."""
         raise NotImplementedError
 
-    def commit(self, src_key: str, dst_key: str, *,
-               timeout_s: Optional[float] = None) -> None:
+    def commit(self, src_key: str, dst_key: str) -> None:
         """Atomically rename ``src_key`` to ``dst_key`` (the second leg
-        of an upload-then-commit atomic put)."""
+        of an upload-then-commit atomic put); :class:`KeyError` when
+        ``src_key`` is missing."""
         raise NotImplementedError
 
     def spawn_config(self) -> Dict[str, object]:
@@ -116,13 +113,30 @@ class Transport:
 
 def _check_key(key: str) -> str:
     """Reject keys that could escape the transport's namespace."""
-    if not key:
-        raise ValueError("empty transport key")
-    parts = key.split("/")
-    for part in parts:
+    for part in key.split("/"):
         if part in ("", ".", "..") or "\\" in part:
             raise ValueError(f"invalid transport key {key!r}")
     return key
+
+
+def _atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a same-directory temp file + replace.
+
+    The temp file is hidden and ends in ``.tmp``, the pattern the local
+    store's ``fsck``/``gc`` sweep after an interrupted write.
+    """
+    handle, temp_name = tempfile.mkstemp(prefix=f".{path.name}.",
+                                         suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(handle, "wb") as temp_file:
+            temp_file.write(data)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
 class LoopbackTransport(Transport):
@@ -132,40 +146,30 @@ class LoopbackTransport(Transport):
     even the *loopback* never exposes a half-written payload — the
     torn-payload failure mode is injected explicitly by
     :class:`FlakyTransport` instead of happening by accident.
+    Directories are created on the first write under them.
     """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.root.joinpath(*_check_key(key).split("/"))
 
-    def get(self, key: str, *, timeout_s: Optional[float] = None) -> bytes:
-        path = self._path(key)
+    def get(self, key: str) -> bytes:
         try:
-            return path.read_bytes()
+            return self._path(key).read_bytes()
         except FileNotFoundError:
             raise KeyError(key) from None
 
-    def put(self, key: str, data: bytes, *,
-            timeout_s: Optional[float] = None) -> None:
+    def put(self, key: str, data: bytes) -> None:
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tx-{os.getpid()}.tmp")
         try:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+            _atomic_write_bytes(path, data)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _atomic_write_bytes(path, data)
 
-    def list(self, prefix: str = "", *,
-             timeout_s: Optional[float] = None) -> List[str]:
+    def list(self, prefix: str = "") -> List[str]:
         base = self.root.joinpath(*prefix.split("/")) if prefix else self.root
         if not base.is_dir():
             return []
@@ -175,20 +179,20 @@ class LoopbackTransport(Transport):
                 keys.append(path.relative_to(self.root).as_posix())
         return sorted(keys)
 
-    def delete(self, key: str, *,
-               timeout_s: Optional[float] = None) -> None:
+    def delete(self, key: str) -> bool:
         try:
             self._path(key).unlink()
         except FileNotFoundError:
-            pass
+            return False
+        return True
 
-    def commit(self, src_key: str, dst_key: str, *,
-               timeout_s: Optional[float] = None) -> None:
+    def commit(self, src_key: str, dst_key: str) -> None:
         src, dst = self._path(src_key), self._path(dst_key)
-        if not src.exists():
-            raise KeyError(src_key)
         dst.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(src, dst)
+        try:
+            os.replace(src, dst)
+        except FileNotFoundError:
+            raise KeyError(src_key) from None
 
     def spawn_config(self) -> Dict[str, object]:
         return {"kind": "loopback", "root": str(self.root)}
@@ -206,6 +210,10 @@ class FlakyTransport(Transport):
 
     def __init__(self, inner: Transport, schedule: FaultSchedule, *,
                  latency_s: float = 0.002):
+        # Imported here: the local store imports this module, and
+        # ``repro.testing`` imports the local store.
+        from ..testing.faults import FaultClock
+
         self.inner = inner
         self.schedule = schedule
         self.latency_s = latency_s
@@ -252,33 +260,29 @@ class FlakyTransport(Transport):
             return bytes(mangled)
         return data
 
-    def get(self, key: str, *, timeout_s: Optional[float] = None) -> bytes:
+    def get(self, key: str) -> bytes:
         fault = self._tick("get")
-        data = self.inner.get(key, timeout_s=timeout_s)
+        data = self.inner.get(key)
         return self._mangle(data, fault,
                             f"{self.schedule.seed}:get:{key}")
 
-    def put(self, key: str, data: bytes, *,
-            timeout_s: Optional[float] = None) -> None:
+    def put(self, key: str, data: bytes) -> None:
         fault = self._tick("put")
         data = self._mangle(data, fault,
                             f"{self.schedule.seed}:put:{key}")
-        self.inner.put(key, data, timeout_s=timeout_s)
+        self.inner.put(key, data)
 
-    def list(self, prefix: str = "", *,
-             timeout_s: Optional[float] = None) -> List[str]:
+    def list(self, prefix: str = "") -> List[str]:
         self._tick("list")
-        return self.inner.list(prefix, timeout_s=timeout_s)
+        return self.inner.list(prefix)
 
-    def delete(self, key: str, *,
-               timeout_s: Optional[float] = None) -> None:
+    def delete(self, key: str) -> bool:
         self._tick("delete")
-        self.inner.delete(key, timeout_s=timeout_s)
+        return self.inner.delete(key)
 
-    def commit(self, src_key: str, dst_key: str, *,
-               timeout_s: Optional[float] = None) -> None:
+    def commit(self, src_key: str, dst_key: str) -> None:
         self._tick("commit")
-        self.inner.commit(src_key, dst_key, timeout_s=timeout_s)
+        self.inner.commit(src_key, dst_key)
 
     def spawn_config(self) -> Dict[str, object]:
         return {
@@ -313,6 +317,8 @@ def build_transport(config: Union[Transport, Dict[str, object], str,
     if kind == "loopback":
         return LoopbackTransport(str(config["root"]))
     if kind == "flaky":
+        from ..testing.faults import FaultSchedule, FaultWindow
+
         raw = dict(config.get("schedule") or {})
         schedule = FaultSchedule(
             at=tuple((int(o), str(k)) for o, k in raw.get("at", ())),

@@ -165,19 +165,14 @@ class FaultHookStore(ArtifactStore):
         """Called with the crash-consistency window open."""
 
     def _post_put_hook(self, entry: ManifestEntry) -> None:
-        """Called after a completed ``put_json``/``put_arrays``."""
+        """Called after a completed ``put_*``."""
 
-    def _record(self, key, kind, object_path, meta, digest) -> ManifestEntry:
-        self._pre_record_hook(key)
-        return super()._record(key, kind, object_path, meta, digest)
+    def _record(self, entry: ManifestEntry) -> ManifestEntry:
+        self._pre_record_hook(entry.key)
+        return super()._record(entry)
 
-    def put_json(self, key, payload, **kwargs) -> ManifestEntry:
-        entry = super().put_json(key, payload, **kwargs)
-        self._post_put_hook(entry)
-        return entry
-
-    def put_arrays(self, key, arrays, **kwargs) -> ManifestEntry:
-        entry = super().put_arrays(key, arrays, **kwargs)
+    def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
+        entry = super().put_object(entry, data)
         self._post_put_hook(entry)
         return entry
 

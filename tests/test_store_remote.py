@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -303,6 +304,43 @@ def test_remote_store_truncated_payload_quarantines(tmp_path):
     assert inner.list("quarantine") == [f"quarantine/{key}.json"]
 
 
+def test_local_and_remote_stores_write_the_same_bytes(tmp_path):
+    """One store implementation, one on-disk format: a local store and a
+    loopback remote lay down byte-identical objects and manifest entries
+    at the same relative paths, and the JSON bytes are pinned."""
+    local_root, remote_root = tmp_path / "local", tmp_path / "remote"
+    stores = (ArtifactStore(local_root),
+              _remote(LoopbackTransport(remote_root)))
+    jkey = stable_key({"format": "json"})
+    akey = stable_key({"format": "arrays"})
+    for store in stores:
+        store.put_json(jkey, {"b": [1, 2.5, "x"], "a": {"nested": True}},
+                       kind="probe", meta={"producer": "pin", "n": 3})
+        store.put_arrays(akey, {"x": np.arange(6.0).reshape(2, 3),
+                                "y": np.array([1, 2], dtype=np.int32)},
+                         kind="probe_arrays", meta={"n": 2})
+    layout = [f"objects/{jkey}.json", f"manifest/{jkey}.json",
+              f"objects/{akey}.npz", f"manifest/{akey}.json"]
+    for root in (local_root, remote_root):
+        assert sorted(path.relative_to(root).as_posix()
+                      for directory in ("objects", "manifest")
+                      for path in (root / directory).iterdir()) == \
+            sorted(layout)
+    for relative in layout:
+        assert (local_root / relative).read_bytes() == \
+            (remote_root / relative).read_bytes(), relative
+    digests = {relative: hashlib.sha256(
+        (local_root / relative).read_bytes()).hexdigest()
+        for relative in layout[:2]}
+    # Changing these changes every content digest a store ever recorded.
+    assert digests == {
+        f"objects/{jkey}.json":
+            "d46e0fc8cbafd01f419583d70214ff9ec5eec291261e66f55f39cb89128fe682",
+        f"manifest/{jkey}.json":
+            "b99aa577ff41ac9f2b5ace0fe1d80d15ab8973b5ed89356888f5a96dc39caf9b",
+    }
+
+
 # -- tiered store --------------------------------------------------------------
 
 
@@ -328,6 +366,27 @@ def test_tiered_store_write_through_and_backfill(tmp_path):
     tiered.put_arrays(akey, {"x": np.arange(3)})
     assert (tiered2.load_arrays(akey)["x"] == np.arange(3)).all()
     assert sorted(tiered.keys()) == sorted([key, akey])
+
+
+def test_tiered_store_backfills_over_a_corrupt_local_copy(tmp_path):
+    """A torn local object is quarantined and replaced by the intact
+    remote copy within the same read; the next read is local."""
+    remote_dir = tmp_path / "remote"
+    writer = TieredStore(tmp_path / "local",
+                         _remote(LoopbackTransport(remote_dir)))
+    key = stable_key({"t": "corrupt-local"})
+    writer.put_json(key, {"v": 1})
+    (writer.local.objects_dir / f"{key}.json").write_bytes(b"torn local copy")
+
+    tiered = TieredStore(tmp_path / "local",
+                         _remote(LoopbackTransport(remote_dir)))
+    assert tiered.load_json(key) == {"v": 1}
+    assert tiered.remote_hits == 1 and tiered.backfills == 1
+    assert (tiered.local.quarantine_dir / f"{key}.json").read_bytes() == \
+        b"torn local copy"
+    assert tiered.local.load_json(key) == {"v": 1}
+    assert tiered.load_json(key) == {"v": 1}
+    assert tiered.remote_hits == 1 and tiered.backfills == 1
 
 
 def test_tiered_store_degrades_and_syncs(tmp_path):
