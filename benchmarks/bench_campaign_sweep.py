@@ -27,6 +27,8 @@ from repro.core.pipeline import (
     run_population_em_study,
 )
 
+from oracles import acquire_population_traces_serial
+
 NUM_DIES = 16
 TROJANS = ("HT1", "HT2", "HT3")
 SEED = 2015
@@ -40,7 +42,7 @@ def _build_platform() -> HTDetectionPlatform:
 
 def _serial_study(platform: HTDetectionPlatform):
     """The pre-engine path: one ``acquire`` per (design, die)."""
-    traces = platform.acquire_population_traces_serial(TROJANS)
+    traces = acquire_population_traces_serial(platform, TROJANS)
     return run_population_em_study(platform, trojan_names=TROJANS,
                                    traces=traces)
 
@@ -96,7 +98,7 @@ def test_batched_acquisition_bitwise_matches_serial():
     platform_serial = _build_platform()
     platform_batch = _build_platform()
     golden_serial, infected_serial = (
-        platform_serial.acquire_population_traces_serial(TROJANS)
+        acquire_population_traces_serial(platform_serial, TROJANS)
     )
     golden_batch, infected_batch = (
         platform_batch.acquire_population_traces(TROJANS)

@@ -5,9 +5,9 @@ fingerprint plus clean and infected devices, several (P, K) pairs,
 everything through ``PathDelayMeter``) runs **at least 5x faster**
 through the compiled batch path (``measure_batch`` on
 :class:`~repro.netlist.compiled.CompiledTimingEngine`) than through the
-interpreted per-cell reference loop (``measure`` per DUT on
-:class:`~repro.netlist.timing.TimingEngine`) — while producing
-bit-identical steps-to-fault matrices.
+interpreted per-cell reference loop (the ``measure`` oracle per DUT on
+the interpreted ``TimingEngine`` in ``tests/oracles/``) — while
+producing bit-identical steps-to-fault matrices.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.measurement.delay_meter import (
     DelayMeasurementConfig,
     generate_pk_pairs,
+)
+
+from oracles import (
+    TimingEngine,
+    calibrate_glitches,
+    measure,
+    pair_transitions,
+    two_vector_result,
 )
 
 NUM_PAIRS = 6
@@ -43,7 +51,7 @@ def _build_bench() -> tuple:
     duts = [platform.golden_dut(0, label="Clean1"),
             platform.golden_dut(0, label="Clean2")]
     duts.extend(platform.infected_dut(name, 0) for name in TROJANS)
-    glitch = meter.calibrate_glitches(duts[0], pairs)
+    glitch = calibrate_glitches(meter, duts[0], pairs)
     seeds = [SEED + 100 + index for index in range(len(duts))]
     # Shared one-time costs stay outside the timed region: the delay
     # annotation of every DUT (used identically by both paths) and the
@@ -58,7 +66,7 @@ def test_compiled_delay_study_matches_interpreted_and_is_5x_faster(benchmark):
     meter, duts, pairs, glitch, seeds = _build_bench()
 
     start = time.perf_counter()
-    serial = [meter.measure(dut, pairs, glitch, seed=seed)
+    serial = [measure(meter, dut, pairs, glitch, seed=seed)
               for dut, seed in zip(duts, seeds)]
     interpreted_seconds = time.perf_counter() - start
 
@@ -97,16 +105,15 @@ def test_compiled_delay_study_matches_interpreted_and_is_5x_faster(benchmark):
 def test_compiled_two_vector_sweep_bitwise_matches_interpreted():
     """Spot-check at the engine level (below the meter's noise sampling)."""
     from repro.netlist.compiled import CompiledTimingEngine
-    from repro.netlist.timing import TimingEngine
 
     meter, duts, pairs, _, _ = _build_bench()
     dut = duts[-1]
-    before, after = meter.pair_transitions(dut, pairs[0])
+    before, after = pair_transitions(meter, dut, pairs[0])
     interpreted = TimingEngine(dut.netlist, dut.delay_annotation())
     compiled = CompiledTimingEngine(dut.netlist.compiled(),
                                     dut.delay_annotation())
     reference = interpreted.two_vector_arrival_times(before, after)
-    result = compiled.two_vector_result(before, after)
+    result = two_vector_result(compiled, before, after)
     assert result.values_before == reference.values_before
     assert result.values_after == reference.values_after
     assert result.arrival_ps == reference.arrival_ps

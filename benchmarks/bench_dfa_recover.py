@@ -21,13 +21,11 @@ import time
 
 import numpy as np
 
-from repro.analysis.dfa import (
-    dfa_key_scores,
-    dfa_key_scores_serial,
-    recover_last_round_key,
-)
+from repro.analysis.dfa import dfa_key_scores, recover_last_round_key
 from repro.crypto.batch import BatchedAES
 from repro.crypto.keyschedule import last_round_key
+
+from oracles import dfa_key_scores_serial
 
 KEY = bytes(range(16))
 SEED = 2015

@@ -43,6 +43,8 @@ from repro.core.pipeline import (
     run_population_em_study,
 )
 
+from oracles import scores_serial
+
 NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
 SEED = 2015
@@ -143,9 +145,9 @@ def _score_current_serial(golden, infected):
     """The per-trace loop over today's scalar reference."""
     metric = LocalMaximaSumMetric()
     reference = EMReference.from_traces(golden)
-    genuine_scores = metric.scores_serial(golden, reference.mean)
+    genuine_scores = scores_serial(metric, golden, reference.mean)
     scores = {
-        trojan: metric.scores_serial(infected[trojan], reference.mean)
+        trojan: scores_serial(metric, infected[trojan], reference.mean)
         for trojan in TROJANS
     }
     return _characterise_rows(genuine_scores, scores)

@@ -32,10 +32,12 @@ from pathlib import Path
 import pytest
 
 # Make the bench suite importable from a clean checkout without
-# installation or a PYTHONPATH export.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# installation or a PYTHONPATH export; ``tests/`` holds the serial
+# oracles (``from oracles import ...``) the speed-up gates time.
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "tests", _ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 

@@ -30,11 +30,10 @@ from .dfa import (
     FaultLocalisation,
     RecoveredKeyByte,
     dfa_key_scores,
-    dfa_key_scores_serial,
     localise_faults,
     recover_last_round_key,
 )
-from .roc import ROCCurve, roc_curve, roc_curve_serial
+from .roc import ROCCurve, roc_curve
 from .stats import (
     bootstrap_mean_ci,
     empirical_rate,
@@ -73,12 +72,10 @@ __all__ = [
     "FaultLocalisation",
     "RecoveredKeyByte",
     "dfa_key_scores",
-    "dfa_key_scores_serial",
     "localise_faults",
     "recover_last_round_key",
     "ROCCurve",
     "roc_curve",
-    "roc_curve_serial",
     "bootstrap_mean_ci",
     "empirical_rate",
     "mad",

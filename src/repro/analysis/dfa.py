@@ -42,9 +42,8 @@ the per-byte fault counts localise which register bytes (and hence
 which key bytes) the glitch campaign actually reached.
 
 :func:`dfa_key_scores` evaluates all (faults x 16 positions x 256
-guesses) in a few NumPy passes; :func:`dfa_key_scores_serial` is the
-bit-identical scalar reference it is tested (and benchmarked, see
-``benchmarks/bench_dfa_recover.py``) against.
+guesses) in a few NumPy passes; its bit-identical scalar reference (one
+loop per fault, position and guess) lives in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -130,8 +129,8 @@ def dfa_key_scores(correct_ciphertexts, faulted_ciphertexts,
     guess pays about 4 weighted bits per fault.
 
     One LUT gather + popcount pass per fault chunk — all 16 positions
-    and all 256 guesses at once; bit-identical to
-    :func:`dfa_key_scores_serial`.
+    and all 256 guesses at once; bit-identical to the scalar per-guess
+    loop.
     """
     correct, faulted = _normalise_fault_pair(correct_ciphertexts,
                                              faulted_ciphertexts)
@@ -161,46 +160,6 @@ def dfa_key_scores(correct_ciphertexts, faulted_ciphertexts,
         mismatch = (PHANTOM_TOGGLE_WEIGHT * phantom
                     + MISSED_TOGGLE_WEIGHT * missed) * active
         scores += mismatch.sum(axis=0, dtype=np.int64)
-    return scores
-
-
-def dfa_key_scores_serial(correct_ciphertexts, faulted_ciphertexts,
-                          observable_bits=None) -> np.ndarray:
-    """Scalar reference of :func:`dfa_key_scores`.
-
-    One Python loop per (fault, position, guess) over the plain-list
-    ``INV_SBOX`` — the executable specification the vectorised kernel
-    must match entry-for-entry, and the baseline of the >= 5x speedup
-    gate in ``benchmarks/bench_dfa_recover.py``.
-    """
-    correct, faulted = _normalise_fault_pair(correct_ciphertexts,
-                                             faulted_ciphertexts)
-    if observable_bits is None:
-        observable = np.full(correct.shape, 0xFF, dtype=np.uint8)
-    else:
-        observable = np.broadcast_to(
-            np.asarray(observable_bits, dtype=np.uint8), correct.shape)
-    scores = np.zeros((BLOCK_BYTES, NUM_GUESSES), dtype=np.int64)
-    for fault_index in range(correct.shape[0]):
-        correct_block = correct[fault_index]
-        faulted_block = faulted[fault_index]
-        for position in range(BLOCK_BYTES):
-            register_byte = SHIFT_ROWS_PERM[position]
-            register = int(correct_block[register_byte])
-            observed_mask = int(faulted_block[register_byte]) ^ register
-            if observed_mask == 0:
-                continue
-            capturable = int(observable[fault_index, register_byte])
-            ciphertext_byte = int(correct_block[position])
-            for guess in range(NUM_GUESSES):
-                predicted_mask = INV_SBOX[ciphertext_byte ^ guess] ^ register
-                scores[position, guess] += (
-                    PHANTOM_TOGGLE_WEIGHT * bin(
-                        observed_mask & ~predicted_mask & 0xFF).count("1")
-                    + MISSED_TOGGLE_WEIGHT * bin(
-                        predicted_mask & capturable
-                        & ~observed_mask & 0xFF).count("1")
-                )
     return scores
 
 

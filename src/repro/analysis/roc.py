@@ -9,7 +9,7 @@ local-maxima-sum metric against simpler trace distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -77,8 +77,8 @@ def roc_curve(genuine_scores: Sequence[float],
     at once from one sort per population:
     ``(scores > t).mean() == (n - searchsorted(sorted_scores, t,
     'right')) / n`` — O((N + T) log N) instead of the per-threshold
-    O(N·T) scan, bit-identical to :func:`roc_curve_serial` (the mean of
-    a boolean mask is an exact small-integer ratio in both cases).
+    O(N·T) scan, and bit-identical to it (the mean of a boolean mask is
+    an exact small-integer ratio in both cases).
     """
     genuine = np.asarray(genuine_scores, dtype=float)
     infected = np.asarray(infected_scores, dtype=float)
@@ -94,29 +94,4 @@ def roc_curve(genuine_scores: Sequence[float],
         thresholds=thresholds,
         false_positive_rates=exceedance(genuine),
         true_positive_rates=exceedance(infected),
-    )
-
-
-def roc_curve_serial(genuine_scores: Sequence[float],
-                     infected_scores: Sequence[float]) -> ROCCurve:
-    """Serial reference of :func:`roc_curve`.
-
-    The original per-threshold scan — one ``(scores > threshold).mean()``
-    pass per threshold — kept as the pinned reference the equivalence
-    tests compare the sort + ``searchsorted`` curve against.
-    """
-    genuine = np.asarray(genuine_scores, dtype=float)
-    infected = np.asarray(infected_scores, dtype=float)
-    if genuine.size == 0 or infected.size == 0:
-        raise ValueError("both score populations must be non-empty")
-    thresholds = _roc_thresholds(genuine, infected)
-    fprs: List[float] = []
-    tprs: List[float] = []
-    for threshold in thresholds:
-        fprs.append(float((genuine > threshold).mean()))
-        tprs.append(float((infected > threshold).mean()))
-    return ROCCurve(
-        thresholds=thresholds,
-        false_positive_rates=np.array(fprs),
-        true_positive_rates=np.array(tprs),
     )

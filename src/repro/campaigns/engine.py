@@ -54,7 +54,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import use_backend
 from ..analysis.batch import characterise_score_populations
 from ..analysis.gaussian import GaussianFit
 from ..core.delay_detector import DelayDetector
@@ -863,20 +862,12 @@ class CampaignEngine:
     # -- execution ----------------------------------------------------------------
 
     def run_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Execute one grid cell (EM acquisition, delay study or fault sweep).
-
-        The cell runs under the spec's ``kernel_backend``
-        (:mod:`repro.backend`): every hot kernel beneath it — netlist
-        evaluation for trojan activity, the timing sweeps, toggle
-        counting — dispatches through the seam, with results
-        bit-identical to the default ``numpy`` backend.
-        """
-        with use_backend(self.spec.kernel_backend):
-            if cell.is_delay:
-                return self._run_delay_cell(cell)
-            if cell.is_fault:
-                return self._run_fault_cell(cell)
-            return self._run_em_cell(cell)
+        """Execute one grid cell (EM acquisition, delay study or fault sweep)."""
+        if cell.is_delay:
+            return self._run_delay_cell(cell)
+        if cell.is_fault:
+            return self._run_fault_cell(cell)
+        return self._run_em_cell(cell)
 
     def _run_fault_cell(self, cell: GridCell) -> CampaignCellResult:
         """Score one fault-sweep cell from the cached ciphertext tensors.

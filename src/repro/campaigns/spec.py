@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..backend import known_backend_names
 from ..measurement.em_simulator import EMAcquisitionConfig
 from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT, campaign_stimuli
 from ..trojan.library import TROJAN_SPECS
@@ -187,13 +186,6 @@ class CampaignSpec:
     max_retries: int = 2
     cell_timeout_s: Optional[float] = None
     retry_backoff_s: float = 0.5
-    #: Array/kernel backend the engine activates while executing each
-    #: cell (:mod:`repro.backend`): ``"numpy"`` (default, the pinned
-    #: uint8 reference kernel), ``"bitslice"`` (uint64 bitplane netlist
-    #: kernel) or any registered accelerator backend.  Execution-only:
-    #: every backend is bit-identical to numpy, so the field never
-    #: enters store content keys and a warm store stays warm.
-    kernel_backend: str = "numpy"
     #: Delay-study campaign sizes (used by ``delay_*`` metric cells).
     num_pk_pairs: int = 4
     delay_repetitions: int = 3
@@ -255,12 +247,6 @@ class CampaignSpec:
                                  "to disable the per-cell timeout)")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        self.kernel_backend = str(self.kernel_backend)
-        if self.kernel_backend not in known_backend_names():
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                "registered: " + ", ".join(known_backend_names())
-            )
         if self.num_pk_pairs < 1:
             raise ValueError("num_pk_pairs must be >= 1")
         if self.delay_repetitions < 1:
@@ -370,7 +356,6 @@ class CampaignSpec:
             "max_retries": self.max_retries,
             "cell_timeout_s": self.cell_timeout_s,
             "retry_backoff_s": self.retry_backoff_s,
-            "kernel_backend": self.kernel_backend,
             "num_pk_pairs": self.num_pk_pairs,
             "delay_repetitions": self.delay_repetitions,
             "num_plaintexts": self.num_plaintexts,
@@ -382,6 +367,10 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
         kwargs: Dict[str, Any] = dict(payload)
+        # Specs written before the netlist kernel had a single
+        # implementation carry an execution-only ``kernel_backend``;
+        # it never entered content keys, so dropping it keeps stores warm.
+        kwargs.pop("kernel_backend", None)
         if "variants" in kwargs:
             kwargs["variants"] = tuple(
                 AcquisitionVariant.make(entry["name"],

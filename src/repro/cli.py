@@ -50,7 +50,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .backend import known_backend_names
 from .campaigns.spec import KNOWN_METRICS
 from .core.report import (
     delay_study_report,
@@ -179,8 +178,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         spec.delay_repetitions = args.delay_repetitions
     if args.plaintexts is not None:
         spec.num_plaintexts = args.plaintexts
-    if args.backend is not None:
-        spec.kernel_backend = args.backend
     if args.save_traces:
         spec.save_traces = True
     if args.retries is not None:
@@ -558,11 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="EM stimulus diversity: 1 fixed plaintext "
                             "(paper), N sweeps N-1 extra random plaintexts "
                             "through the batched stimulus kernel")
-    p_run.add_argument("--backend", default=None,
-                       choices=list(known_backend_names()),
-                       help="array/kernel backend for cell execution "
-                            "(bit-identical results; 'bitslice' packs 64 "
-                            "stimuli per uint64 word; default numpy)")
     p_run.add_argument("--workers", type=int, default=None,
                        help="supervised worker processes for independent "
                             "grid cells")

@@ -120,15 +120,10 @@ class LocalMaximaSumMetric:
         """Scores of a whole population of traces against one reference.
 
         Stacks once (a pre-stacked ndarray passes through) and scores
-        through :meth:`scores_matrix`; equals :meth:`scores_serial`
+        through :meth:`scores_matrix`; equals a :meth:`score` loop
         bit-for-bit.
         """
         return self.scores_matrix(stack_traces(traces), reference)
-
-    def scores_serial(self, traces: Sequence[TraceLike], reference: TraceLike
-                      ) -> np.ndarray:
-        """Per-trace scoring loop — the serial reference of :meth:`scores`."""
-        return np.array([self.score(trace, reference) for trace in traces])
 
 
 @dataclass(frozen=True)
@@ -153,11 +148,6 @@ class L1TraceMetric:
                ) -> np.ndarray:
         return self.scores_matrix(stack_traces(traces), reference)
 
-    def scores_serial(self, traces: Sequence[TraceLike], reference: TraceLike
-                      ) -> np.ndarray:
-        """Per-trace scoring loop — the serial reference of :meth:`scores`."""
-        return np.array([self.score(trace, reference) for trace in traces])
-
 
 @dataclass(frozen=True)
 class MaxDifferenceMetric:
@@ -175,8 +165,3 @@ class MaxDifferenceMetric:
     def scores(self, traces: Sequence[TraceLike], reference: TraceLike
                ) -> np.ndarray:
         return self.scores_matrix(stack_traces(traces), reference)
-
-    def scores_serial(self, traces: Sequence[TraceLike], reference: TraceLike
-                      ) -> np.ndarray:
-        """Per-trace scoring loop — the serial reference of :meth:`scores`."""
-        return np.array([self.score(trace, reference) for trace in traces])

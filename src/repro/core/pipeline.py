@@ -220,29 +220,25 @@ class HTDetectionPlatform:
         they are the paper's control showing the noise floor.
         """
         pairs = generate_pk_pairs(num_pairs, seed=pair_seed)
-        golden_dut = self.golden_dut(die_index, label="GM")
+        seed = self.config.seed
+        labels = ["GM", "Clean1", "Clean2"]
+        duts = [self.golden_dut(die_index, label=label) for label in labels]
+        duts += [self.infected_dut(name, die_index, label=name)
+                 for name in trojan_names]
+        seeds = [seed, seed + 101, seed + 102]
+        seeds += [seed + 200 + index for index in range(len(trojan_names))]
         # Per-pair sweeps calibrated once on the golden model and reused for
-        # every device under test, so step counts stay comparable.
-        glitch = self.delay_meter.calibrate_glitches(golden_dut, pairs)
-
-        fingerprint_measurement = self.delay_meter.measure(
-            golden_dut, pairs, glitch, seed=self.config.seed
-        )
+        # every device under test, so step counts stay comparable; every
+        # device is then measured in one compiled (DUT x pair) sweep.
+        glitch = self.delay_meter.calibrate_glitches(duts[0], pairs)
+        fingerprint_measurement, *device_measurements = \
+            self.delay_meter.measure_batch(duts, pairs, glitch, seeds=seeds)
         fingerprint = DelayFingerprint.from_measurement(fingerprint_measurement)
         detector = DelayDetector(fingerprint)
-
-        measurements: Dict[str, DelayMeasurement] = {}
-        for clean_index in (1, 2):
-            label = f"Clean{clean_index}"
-            dut = self.golden_dut(die_index, label=label)
-            measurements[label] = self.delay_meter.measure(
-                dut, pairs, glitch, seed=self.config.seed + 100 + clean_index
-            )
-        for trojan_index, name in enumerate(trojan_names):
-            dut = self.infected_dut(name, die_index, label=name)
-            measurements[name] = self.delay_meter.measure(
-                dut, pairs, glitch, seed=self.config.seed + 200 + trojan_index
-            )
+        measurements: Dict[str, DelayMeasurement] = {
+            dut.label: measurement
+            for dut, measurement in zip(duts[1:], device_measurements)
+        }
 
         detector.calibrate_with_clean([measurements["Clean1"]])
         comparisons = {label: detector.compare(measurement)
@@ -297,12 +293,6 @@ class HTDetectionPlatform:
 
     # -- Sec. V: population EM study -------------------------------------------------------------
 
-    def _population_stimulus(self, plaintext: Optional[bytes],
-                             key: Optional[bytes]) -> "tuple[bytes, bytes]":
-        plaintext = plaintext if plaintext is not None else DEFAULT_PLAINTEXT
-        key = key if key is not None else DEFAULT_KEY
-        return plaintext, key
-
     def _die_rngs(self) -> List[np.random.Generator]:
         """One noise stream per die, seeded as the Sec. V campaign does."""
         return [np.random.default_rng(self.config.seed + 1000 + die_index)
@@ -322,10 +312,8 @@ class HTDetectionPlatform:
         paper's single stimulus.  No :class:`EMTrace` objects are built
         — :meth:`PopulationTraceTensors.to_traces` wraps the rows at the
         persistence/report boundary.  Each die keeps its own noise
-        stream, consumed in the order of the serial references
-        (:meth:`acquire_population_traces_serial`,
-        :meth:`acquire_population_traces_stimuli_serial`), so every row
-        is bit-identical to them.
+        stream, consumed in the order of a serial per-(design, die)
+        acquisition loop, so every row is bit-identical to it.
         """
         plaintexts = ([DEFAULT_PLAINTEXT] if plaintexts is None
                       else [bytes(plaintext) for plaintext in plaintexts])
@@ -372,75 +360,13 @@ class HTDetectionPlatform:
 
         Single-plaintext :class:`EMTrace` view of
         :meth:`acquire_population_tensors` (the persistence/report
-        boundary); bit-identical to the serial reference
-        :meth:`acquire_population_traces_serial`.
+        boundary); bit-identical to one :meth:`EMSimulator.acquire` per
+        (design, die).
         """
         plaintexts = None if plaintext is None else [plaintext]
         return self.acquire_population_tensors(
             trojan_names, plaintexts, key
         ).to_traces()
-
-    def acquire_population_traces_serial(self, trojan_names: Sequence[str],
-                                         plaintext: Optional[bytes] = None,
-                                         key: Optional[bytes] = None
-                                         ) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
-        """Reference per-die acquisition loop (one :meth:`acquire` per DUT).
-
-        Kept as the ground truth the batched path is validated (and
-        benchmarked) against.
-        """
-        plaintext, key = self._population_stimulus(plaintext, key)
-        golden_traces: List[EMTrace] = []
-        infected_traces: Dict[str, List[EMTrace]] = {name: [] for name in trojan_names}
-        for die_index, rng in enumerate(self._die_rngs()):
-            golden_traces.append(
-                self.em_simulator.acquire(
-                    self.golden_dut(die_index), plaintext, key, rng,
-                    new_setup_installation=True,
-                )
-            )
-            for name in trojan_names:
-                infected_traces[name].append(
-                    self.em_simulator.acquire(
-                        self.infected_dut(name, die_index), plaintext, key, rng,
-                        new_setup_installation=True,
-                    )
-                )
-        return golden_traces, infected_traces
-
-    def acquire_population_traces_stimuli_serial(
-            self, trojan_names: Sequence[str], plaintexts: Sequence[bytes],
-            key: Optional[bytes] = None
-            ) -> "tuple[List[List[EMTrace]], Dict[str, List[List[EMTrace]]]]":
-        """Reference nested loop for the multi-stimulus acquisition.
-
-        One serial :meth:`EMSimulator.acquire_many` per (design, die),
-        golden first, in die order — the ground truth the
-        multi-stimulus :meth:`acquire_population_tensors` is validated
-        (and benchmarked) against.
-        """
-        key = key if key is not None else DEFAULT_KEY
-        golden_traces: List[List[EMTrace]] = []
-        infected_traces: Dict[str, List[List[EMTrace]]] = {
-            name: [] for name in trojan_names
-        }
-        rngs = self._die_rngs()
-        for die_index, rng in enumerate(rngs):
-            golden_traces.append(
-                self.em_simulator.acquire_many(
-                    self.golden_dut(die_index), plaintexts, key, rng,
-                    new_setup_installation=True,
-                )
-            )
-        for name in trojan_names:
-            for die_index, rng in enumerate(rngs):
-                infected_traces[name].append(
-                    self.em_simulator.acquire_many(
-                        self.infected_dut(name, die_index), plaintexts, key,
-                        rng, new_setup_installation=True,
-                    )
-                )
-        return golden_traces, infected_traces
 
     def run_population_em_study(self, trojan_names: Sequence[str] = ("HT1", "HT2", "HT3"),
                                 plaintext: Optional[bytes] = None,
@@ -464,12 +390,11 @@ class HTDetectionPlatform:
 def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
     """Collapse a ``(plaintexts, dies, samples)`` tensor to per-die means.
 
-    One axis reduction — the tensor-resident counterpart of
-    :func:`average_stimulus_traces` (the serial reference it is
-    bit-identical to): a random-plaintext campaign characterises each
-    die by the mean of its per-stimulus averaged traces, and golden and
-    infected devices are averaged over the *same* stimulus set, so the
-    Sec. V comparison stays like-for-like.
+    One axis reduction, bit-identical to averaging the per-stimulus
+    :class:`EMTrace` samples die by die: a random-plaintext campaign
+    characterises each die by the mean of its per-stimulus averaged
+    traces, and golden and infected devices are averaged over the
+    *same* stimulus set, so the Sec. V comparison stays like-for-like.
     """
     tensor = np.asarray(grid, dtype=float)
     if tensor.ndim != 3:
@@ -477,34 +402,6 @@ def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
     if tensor.shape[0] == 0:
         raise ValueError("every die needs at least one stimulus trace")
     return tensor.mean(axis=0)
-
-
-def average_stimulus_traces(per_die_traces: Sequence[Sequence[EMTrace]]
-                            ) -> List[EMTrace]:
-    """Collapse a (die x plaintext) trace grid to one trace per die.
-
-    A random-plaintext campaign characterises each die by the mean of
-    its per-stimulus averaged traces (the multi-stimulus analogue of the
-    oscilloscope's 1 000-fold same-stimulus averaging); the golden
-    reference and every infected device are averaged over the *same*
-    stimulus set, so the Sec. V comparison stays like-for-like.
-    Serial (:class:`EMTrace`-level) reference of
-    :func:`average_stimulus_tensor`.
-    """
-    averaged: List[EMTrace] = []
-    for die_traces in per_die_traces:
-        if not die_traces:
-            raise ValueError("every die needs at least one stimulus trace")
-        first = die_traces[0]
-        samples = np.mean([trace.samples for trace in die_traces], axis=0)
-        averaged.append(EMTrace(
-            samples=samples,
-            label=first.label,
-            plaintext=first.plaintext,
-            sample_period_ns=first.sample_period_ns,
-            cycle_sample_offsets=list(first.cycle_sample_offsets),
-        ))
-    return averaged
 
 
 def run_population_em_study(platform: "Optional[HTDetectionPlatform]",

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.pipeline import HTDetectionPlatform
 from ..measurement.clock import TimingBudget
-from ..netlist.timing import TimingEngine
+from ..netlist.compiled import CompiledTimingEngine
 from .config import ExperimentConfig
 
 
@@ -56,8 +56,8 @@ def run(config: Optional[ExperimentConfig] = None,
     budget = TimingBudget()
 
     dut = platform.golden_dut(0, label="GM")
-    engine = TimingEngine(dut.netlist, annotation=dut.delay_annotation())
-    critical_path = engine.critical_path_ps()
+    engine = CompiledTimingEngine(dut.netlist, dut.delay_annotation())
+    critical_path = float(engine.critical_path_ps()[0])
     required = budget.required_period_ps(critical_path)
     nominal = platform.device.nominal_clock_period_ps
 

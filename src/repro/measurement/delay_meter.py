@@ -23,14 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..crypto.aes import AES
 from ..crypto.batch import (
     as_block_matrix,
     expand_keys,
     round_states_with_keys,
 )
 from ..crypto.state import BLOCK_BITS
-from ..netlist.timing import TimingEngine
 from .clock import ClockGlitchGenerator, TimingBudget
 from .dut import DeviceUnderTest
 from .fault_injection import SetupViolationFaultModel
@@ -171,45 +169,18 @@ class PathDelayMeter:
 
     # -- timing helpers ---------------------------------------------------------
 
-    def _timing_engine(self, dut: DeviceUnderTest) -> TimingEngine:
-        return TimingEngine(
-            dut.netlist,
-            annotation=dut.delay_annotation(),
-            input_arrival_ps=0.0,
-        )
-
-    def pair_transitions(self, dut: DeviceUnderTest, pair: PlaintextKeyPair
-                         ) -> "Tuple[Dict[str, int], Dict[str, int]]":
-        """Attacked-round (before, after) input vectors for one (P, K) pair.
-
-        The stimulus only depends on the pair and the host circuit — not
-        on the die or the inserted trojan — so batch campaigns compute it
-        once and share it across every device under test.
-        """
-        aes = AES(pair.key)
-        trace = aes.encrypt_trace(pair.plaintext)
-        attacked = self.config.attacked_round
-        if not 2 <= attacked <= trace.num_rounds:
-            raise ValueError(
-                f"attacked_round must be in 2..{trace.num_rounds}, got {attacked}"
-            )
-        circuit = dut.circuit
-        before = circuit.input_values(trace.round(attacked - 1).state_in,
-                                      aes.round_keys[attacked - 1])
-        after = circuit.input_values(trace.round(attacked).state_in,
-                                     aes.round_keys[attacked])
-        return before, after
-
     def pair_transitions_batch(self, dut: DeviceUnderTest,
                                pairs: Sequence[PlaintextKeyPair]
                                ) -> "List[Tuple[Dict[str, int], Dict[str, int]]]":
         """Attacked-round input vectors of *all* pairs in one cipher pass.
 
-        The register states of every (P, K) stimulus come from the
-        batched AES kernel (:mod:`repro.crypto.batch`, one array pass
-        per round with per-pair round keys) instead of one scalar
-        ``encrypt_trace`` per pair; each entry is bit-identical to
-        :meth:`pair_transitions`, which remains the serial reference.
+        The stimulus only depends on the pair and the host circuit — not
+        on the die or the inserted trojan — so campaigns compute it once
+        and share it across every device under test.  The register
+        states of every (P, K) stimulus come from the batched AES kernel
+        (:mod:`repro.crypto.batch`, one array pass per round with
+        per-pair round keys); each entry is bit-identical to the scalar
+        ``encrypt_trace`` walk of the serial reference.
         """
         if not pairs:
             return []
@@ -237,32 +208,16 @@ class PathDelayMeter:
         ]
 
     def arrival_times_ps(self, dut: DeviceUnderTest,
-                         pair: PlaintextKeyPair,
-                         engine: Optional[TimingEngine] = None,
-                         transitions: Optional[tuple] = None) -> np.ndarray:
+                         pair: PlaintextKeyPair) -> np.ndarray:
         """Noiseless per-bit arrival times for one (P, K) pair.
 
         The attacked round's input transition is derived from the AES
         round trace: the state register switches from the round-9 input
         to the round-10 input, and the round-key input from key 9 to
         key 10.  Bits whose flip-flop D input does not toggle get NaN.
-        ``engine`` and ``transitions`` let batch campaigns reuse the
-        per-DUT timing engine and the per-pair stimulus.
+        One-cell view of :meth:`batch_arrival_times`.
         """
-        circuit = dut.circuit
-        before, after = (transitions if transitions is not None
-                         else self.pair_transitions(dut, pair))
-        if engine is None:
-            engine = self._timing_engine(dut)
-        result = engine.two_vector_arrival_times(before, after)
-        endpoint_delays = engine.endpoint_delays(result, circuit.output_d_nets())
-
-        arrivals = np.full(BLOCK_BITS, np.nan)
-        for bit_index, net in enumerate(circuit.output_d_nets()):
-            delay = endpoint_delays[net]
-            if delay is not None:
-                arrivals[bit_index] = delay
-        return arrivals
+        return self.batch_arrival_times([dut], [pair])[0, 0]
 
     # -- calibration ----------------------------------------------------------------
 
@@ -277,15 +232,9 @@ class PathDelayMeter:
         """
         if not pairs:
             raise ValueError("at least one pair is required for calibration")
-        worst = 0.0
-        for pair in pairs:
-            arrivals = self.arrival_times_ps(dut, pair)
-            finite = arrivals[~np.isnan(arrivals)]
-            if finite.size:
-                worst = max(worst, float(finite.max()))
-        if worst <= 0.0:
-            raise ValueError("no observable path found during calibration")
-        return self._calibrated_glitch(worst)
+        return self._calibrated_glitch(
+            self._worst_arrival(self.batch_arrival_times([dut], pairs))
+        )
 
     def _calibrated_glitch(self, worst_path_ps: float) -> ClockGlitchGenerator:
         """The sweep this meter's configuration centres on a worst path."""
@@ -312,29 +261,34 @@ class PathDelayMeter:
         """
         if not pairs:
             raise ValueError("at least one pair is required for calibration")
-        return {pair.index: self.calibrate_glitch(dut, [pair]) for pair in pairs}
+        return self._per_pair_glitches(
+            pairs, self.batch_arrival_times([dut], pairs)[0]
+        )
+
+    def _per_pair_glitches(self, pairs: Sequence[PlaintextKeyPair],
+                           arrivals: np.ndarray
+                           ) -> Dict[int, ClockGlitchGenerator]:
+        """One sweep per pair from a ``(num_pairs, 128)`` arrival matrix."""
+        return {
+            pair.index: self._calibrated_glitch(
+                self._worst_arrival(arrivals[pair_pos]))
+            for pair_pos, pair in enumerate(pairs)
+        }
 
     # -- measurement -----------------------------------------------------------------
 
-    def measure_pair(self, dut: DeviceUnderTest, pair: PlaintextKeyPair,
-                     glitch: ClockGlitchGenerator,
-                     rng: np.random.Generator) -> PairMeasurement:
-        """Measure the steps-to-fault of every bit for one (P, K) pair.
+    def _pair_measurement(self, pair: PlaintextKeyPair, arrivals: np.ndarray,
+                          glitch: ClockGlitchGenerator,
+                          rng: np.random.Generator) -> PairMeasurement:
+        """Sample the steps-to-fault matrix from precomputed arrival times.
 
-        The implementation vectorises the sweep: the per-bit capture
-        behaviour is the one of
+        The sweep is vectorised: the per-bit capture behaviour is the
+        one of
         :class:`~repro.measurement.fault_injection.SetupViolationFaultModel`
         (violation probability ramping over the metastability window,
         stale or random resolution), evaluated for every (repetition,
         bit, step) at once.
         """
-        arrivals = self.arrival_times_ps(dut, pair)
-        return self._pair_measurement(pair, arrivals, glitch, rng)
-
-    def _pair_measurement(self, pair: PlaintextKeyPair, arrivals: np.ndarray,
-                          glitch: ClockGlitchGenerator,
-                          rng: np.random.Generator) -> PairMeasurement:
-        """Sample the steps-to-fault matrix from precomputed arrival times."""
         config = self.config
         fault_model = config.fault_model
         periods = np.asarray(glitch.periods())  # (S+1,)
@@ -371,22 +325,10 @@ class PathDelayMeter:
         ``glitch`` may be a single :class:`ClockGlitchGenerator`, a mapping
         from ``pair.index`` to per-pair generators (see
         :meth:`calibrate_glitches`), or None to calibrate per pair on this
-        DUT.
+        DUT.  One-DUT view of :meth:`measure_batch`.
         """
-        if not pairs:
-            raise ValueError("the campaign needs at least one (P, K) pair")
-        if glitch is None:
-            glitch = self.calibrate_glitches(dut, pairs)
-        rng = np.random.default_rng(self.config.seed if seed is None else seed)
-        first_glitch = (glitch if isinstance(glitch, ClockGlitchGenerator)
-                        else glitch[pairs[0].index])
-        measurement = DelayMeasurement(label=dut.label, glitch=first_glitch,
-                                       config=self.config)
-        for pair in pairs:
-            pair_glitch = (glitch if isinstance(glitch, ClockGlitchGenerator)
-                           else glitch[pair.index])
-            measurement.pairs.append(self.measure_pair(dut, pair, pair_glitch, rng))
-        return measurement
+        seeds = None if seed is None else [seed]
+        return self.measure_batch([dut], pairs, glitch, seeds=seeds)[0]
 
     def batch_arrival_times(self, duts: Sequence[DeviceUnderTest],
                             pairs: Sequence[PlaintextKeyPair]) -> np.ndarray:
@@ -398,7 +340,8 @@ class PathDelayMeter:
         pairs and all dies of each circuit group together — per-die
         delay vectors broadcast over the pair axis, so the whole
         (pairs x dies) grid costs one levelised sweep.  Every entry is
-        bit-identical to :meth:`arrival_times_ps` for that (DUT, pair).
+        bit-identical to the interpreted per-cell timing walk for that
+        (DUT, pair).
 
         Returns shape ``(num_duts, num_pairs, 128)`` (NaN = stable bit).
         """
@@ -458,9 +401,9 @@ class PathDelayMeter:
         the per-bit arrival times of the whole (DUT x pair) grid come
         from one :meth:`batch_arrival_times` sweep instead of a per-cell
         Python walk per (DUT, pair).  ``seeds[i]`` seeds DUT ``i``'s
-        noise stream; the result is bit-identical to calling the
-        interpreted :meth:`measure` per DUT with the same seed (that
-        serial walk remains the reference this path is tested against).
+        noise stream (default: the configured seed for every DUT); the
+        result is bit-identical to a serial per-DUT measurement with the
+        same seed.
         """
         if not pairs:
             raise ValueError("the campaign needs at least one (P, K) pair")
@@ -478,12 +421,8 @@ class PathDelayMeter:
             if dut_glitch is None:
                 # Same per-pair calibration as calibrate_glitches, with
                 # the already-computed arrivals reused.
-                dut_glitch = {
-                    pair.index: self._calibrated_glitch(
-                        self._worst_arrival(arrivals[pair.index])
-                    )
-                    for pair in pairs
-                }
+                dut_glitch = self._per_pair_glitches(pairs,
+                                                     arrival_grid[dut_index])
             seed = self.config.seed if seeds is None else seeds[dut_index]
             rng = np.random.default_rng(seed)
             first_glitch = (dut_glitch
@@ -504,7 +443,7 @@ class PathDelayMeter:
 
     @staticmethod
     def _worst_arrival(arrivals: np.ndarray) -> float:
-        """Worst observable path of one pair's arrival times."""
+        """Worst observable path over an arrival array (NaN = stable)."""
         finite = arrivals[~np.isnan(arrivals)]
         if not finite.size or float(finite.max()) <= 0.0:
             raise ValueError("no observable path found during calibration")
@@ -520,9 +459,8 @@ class PathDelayMeter:
         Uses the explicit faulted-ciphertext path of the fault-injection
         model: for every step the glitched round is "run" once and the
         faulted ciphertext compared against the correct one.  The
-        attacked-round register states (stimulus, stale and correct
-        capture values) come from the batched AES kernel rather than a
-        scalar ``encrypt_trace``.
+        stale and correct capture values come from the batched AES
+        kernel, the per-bit arrivals from :meth:`arrival_times_ps`.
         """
         rng = np.random.default_rng(seed)
         attacked = self.config.attacked_round
@@ -535,15 +473,8 @@ class PathDelayMeter:
             raise ValueError(
                 f"attacked_round must be in 2..{num_rounds}, got {attacked}"
             )
-        circuit = dut.circuit
-        engine = self._timing_engine(dut)
-        before = circuit.input_values(bytes(states[0, attacked - 1]),
-                                      bytes(round_keys[0, attacked - 1]))
-        after = circuit.input_values(bytes(states[0, attacked]),
-                                     bytes(round_keys[0, attacked]))
-        result = engine.two_vector_arrival_times(before, after)
-        endpoint = engine.endpoint_delays(result, circuit.output_d_nets())
-        arrivals = [endpoint[net] for net in circuit.output_d_nets()]
+        # NaN marks a stable bit, which the fault model never faults.
+        arrivals = self.arrival_times_ps(dut, pair).tolist()
 
         correct = bytes(states[0, attacked + 1])
         stale = bytes(states[0, attacked])

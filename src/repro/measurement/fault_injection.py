@@ -14,6 +14,7 @@ ciphertext, with a metastability window and stale/random resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -62,15 +63,16 @@ class SetupViolationFaultModel:
                               clock_period_ps: float) -> float:
         """Probability that a bit with this arrival time is mis-captured.
 
-        ``None`` arrival means the bit did not toggle this cycle: its
-        stale value equals its final value, so no observable violation.
+        ``None`` (or NaN, the timing engine's marker) arrival means the
+        bit did not toggle this cycle: its stale value equals its final
+        value, so no observable violation.
 
         Zero slack is a setup violation: the model is a clean step
         function at ``slack <= 0`` whatever the metastability window, so
         a zero-width window degenerates to exactly that step instead of
         leaving the ``slack == 0`` boundary on the no-violation side.
         """
-        if arrival_ps is None:
+        if arrival_ps is None or math.isnan(arrival_ps):
             return 0.0
         slack = self.budget.setup_slack_ps(clock_period_ps, arrival_ps)
         if slack <= 0.0:
@@ -178,12 +180,10 @@ class SetupViolationFaultModel:
 
         The rng layout is fixed — three full-population draws, in order:
         a violation uniform, a stale-vs-random resolution uniform, and a
-        uint8 random capture bit per entry.
-        :meth:`faulted_bits_population_serial` consumes the stream
-        identically and is the bit-identical serial reference this
-        kernel is tested against; the scalar :meth:`capture_bit` walk
-        stays the behavioural specification (same per-bit law, but its
-        conditional draws consume the stream in a different order).
+        uint8 random capture bit per entry.  The scalar
+        :meth:`capture_bit` walk stays the behavioural specification
+        (same per-bit law, but its conditional draws consume the stream
+        in a different order).
         """
         correct = np.asarray(correct_bits, dtype=np.uint8)
         stale = np.asarray(stale_bits, dtype=np.uint8)
@@ -206,49 +206,6 @@ class SetupViolationFaultModel:
                             random_bits)
         return np.where(violated, resolved,
                         np.broadcast_to(correct, shape)).astype(np.uint8)
-
-    def faulted_bits_population_serial(self, correct_bits: np.ndarray,
-                                       stale_bits: np.ndarray,
-                                       arrival_ps: np.ndarray,
-                                       clock_period_ps: np.ndarray,
-                                       rng: np.random.Generator) -> np.ndarray:
-        """Serial reference of :meth:`faulted_bits_population`.
-
-        Same rng stream layout (three whole-population draws up front),
-        then one scalar :meth:`violation_probability` /
-        :meth:`capture_bit` decision per entry in C order — bit-identical
-        to the vectorised kernel by construction, kept as the pinned
-        reference the equivalence tests compare against.
-        """
-        correct = np.asarray(correct_bits, dtype=np.uint8)
-        stale = np.asarray(stale_bits, dtype=np.uint8)
-        arrivals = np.asarray(arrival_ps, dtype=float)
-        periods = np.asarray(clock_period_ps, dtype=float)[..., None]
-        shape = np.broadcast_shapes(
-            correct.shape, stale.shape,
-            np.broadcast(arrivals, periods).shape,
-        )
-        violation_draw = rng.random(size=shape)
-        resolution_draw = rng.random(size=shape)
-        random_bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
-        correct_b = np.broadcast_to(correct, shape)
-        stale_b = np.broadcast_to(stale, shape)
-        arrivals_b = np.broadcast_to(arrivals, shape)
-        periods_b = np.broadcast_to(periods, shape)
-        captured = np.empty(shape, dtype=np.uint8)
-        for index in np.ndindex(shape):
-            arrival = arrivals_b[index]
-            probability = self.violation_probability(
-                None if np.isnan(arrival) else float(arrival),
-                float(periods_b[index]),
-            )
-            if violation_draw[index] >= probability:
-                captured[index] = correct_b[index]
-            elif resolution_draw[index] < self.stale_capture_probability:
-                captured[index] = stale_b[index]
-            else:
-                captured[index] = random_bits[index]
-        return captured
 
     def faulted_ciphertext_population(self, correct_ciphertexts: np.ndarray,
                                       stale_states: np.ndarray,

@@ -23,7 +23,6 @@ from .cells import (
     make_mux2,
     make_xor,
 )
-from .bitslice import BitslicedNetlist, pack_bits, unpack_words
 from .compiled import CompiledNetlist, CompiledTimingEngine
 from .netlist import Netlist, NetlistError
 from .sbox_circuit import build_sbox_netlist, evaluate_sbox_netlist
@@ -34,12 +33,7 @@ from .synth import (
     synthesize_reduction_tree,
     truth_table_from_function,
 )
-from .timing import (
-    DEFAULT_NET_DELAY_PS,
-    DelayAnnotation,
-    TimingEngine,
-    TwoVectorResult,
-)
+from .timing import DEFAULT_NET_DELAY_PS, DelayAnnotation
 
 __all__ = [
     "AESLastRoundCircuit",
@@ -54,9 +48,6 @@ __all__ = [
     "make_lut",
     "make_mux2",
     "make_xor",
-    "BitslicedNetlist",
-    "pack_bits",
-    "unpack_words",
     "CompiledNetlist",
     "CompiledTimingEngine",
     "Netlist",
@@ -70,6 +61,4 @@ __all__ = [
     "truth_table_from_function",
     "DEFAULT_NET_DELAY_PS",
     "DelayAnnotation",
-    "TimingEngine",
-    "TwoVectorResult",
 ]

@@ -27,7 +27,7 @@ byte; the "paper bit number" used on Fig. 3's X-axis is mapped through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,17 +91,6 @@ def block_to_net_values(block: Sequence[int], net_namer) -> Dict[str, int]:
         for bit in range(8):
             values[net_namer(byte, bit)] = (data[byte] >> bit) & 1
     return values
-
-
-def net_values_to_block(values: Mapping[str, int], net_namer) -> bytes:
-    """Collapse per-bit net values back into a 16-byte block."""
-    out = bytearray(BLOCK_BYTES)
-    for byte in range(BLOCK_BYTES):
-        acc = 0
-        for bit in range(8):
-            acc |= (int(values[net_namer(byte, bit)]) & 1) << bit
-        out[byte] = acc
-    return bytes(out)
 
 
 @dataclass
@@ -176,16 +165,9 @@ class AESLastRoundCircuit:
     def evaluate(self, state_in: Sequence[int], round_key: Sequence[int]) -> bytes:
         """Compute the round output (ciphertext) for ``state_in`` and ``round_key``.
 
-        Runs on the compiled kernel; :meth:`evaluate_interpreted` is the
-        cell-by-cell reference it is tested against.
+        Runs on the compiled kernel.
         """
         return self.evaluate_batch([state_in], [round_key])[0]
-
-    def evaluate_interpreted(self, state_in: Sequence[int],
-                             round_key: Sequence[int]) -> bytes:
-        """Reference evaluation through the interpreted netlist walk."""
-        values = self.netlist.evaluate(self.input_values(state_in, round_key))
-        return net_values_to_block(values, ciphertext_d_net)
 
     def evaluate_batch(self, states_in: Sequence[Sequence[int]],
                        round_keys: Sequence[Sequence[int]]) -> List[bytes]:
@@ -193,7 +175,8 @@ class AESLastRoundCircuit:
 
         Conformance checks (and any caller sweeping stimuli) get the
         whole batch from a single levelised sweep of the compiled
-        netlist; each result is bit-identical to :meth:`evaluate_interpreted`.
+        netlist; each result is bit-identical to the cell-by-cell
+        interpreted walk of :meth:`Netlist.evaluate`.
         """
         if len(states_in) != len(round_keys):
             raise ValueError(

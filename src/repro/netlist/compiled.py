@@ -20,13 +20,11 @@ at once*:
   vectors so a single pass covers every (stimulus pair, die)
   combination of a delay campaign.
 
-Both kernels are **bit-identical** to the interpreted walks in
-:mod:`repro.netlist.netlist` and :mod:`repro.netlist.timing` (the same
-float operations are applied in an order whose result is unchanged);
-the interpreted implementations remain the serial reference the
-equivalence tests and benchmarks compare against — the same contract
-``EMSimulator.acquire_many_batch_tensor`` established for trace
-acquisition.
+Both kernels are the only implementations of netlist evaluation and
+timing in the package.  The interpreted cell-by-cell walks they are
+pinned against bit for bit (the same float operations, applied in an
+order whose result is unchanged) live with the tests, in
+``tests/oracles/``.
 
 Compiled netlists are cached on the netlist itself
 (:meth:`~repro.netlist.netlist.Netlist.compiled`); structural edits
@@ -35,16 +33,15 @@ invalidate the cache together with the topological order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import active_backend
 from .cells import Cell, CellType
 from .netlist import Netlist, NetlistError
-from .timing import DelayAnnotation, TwoVectorResult
+from .timing import DelayAnnotation
 
 #: Upper bound on the boolean toggle-chunk size (elements) the
 #: switching-activity kernel materialises at once; bounds peak RSS at
@@ -287,32 +284,6 @@ class CompiledNetlist:
         -------
         ``(num_vectors, num_nets)`` uint8 matrix; columns follow
         :attr:`net_names`.
-
-        The sweep itself dispatches on the active
-        :mod:`repro.backend`: the default ``numpy`` backend runs the
-        uint8 lane kernel (:meth:`_sweep`, the pinned reference), a
-        backend with ``bitslice=True`` routes through the packed uint64
-        bitplane kernel (:mod:`repro.netlist.bitslice`) — bit-identical
-        results either way.
-        """
-        state = self._prepare_state(input_rows, input_nets,
-                                    register_rows, register_nets)
-        backend = active_backend()
-        if backend.bitslice:
-            return self.bitsliced().evaluate_state(state, xp=backend.xp)
-        self._sweep(state)
-        return state[:, : self.num_nets]
-
-    def _prepare_state(self, input_rows: np.ndarray,
-                       input_nets: Optional[Sequence[str]] = None,
-                       register_rows: Optional[np.ndarray] = None,
-                       register_nets: Optional[Sequence[str]] = None
-                       ) -> np.ndarray:
-        """Validate a stimulus batch and build the padded value matrix.
-
-        Returns the ``(num_vectors, num_nets + 1)`` uint8 state with
-        input, constant and register planes written — the matrix both
-        sweep kernels (uint8 lanes and uint64 bitplanes) consume.
         """
         input_rows = np.ascontiguousarray(input_rows, dtype=np.uint8) & 1
         if input_rows.ndim != 2:
@@ -384,7 +355,9 @@ class CompiledNetlist:
             )
             if reg_cols.size:
                 state[:, reg_cols] = register_rows[:, reg_known]
-        return state
+
+        self._sweep(state)
+        return state[:, : self.num_nets]
 
     @cached_property
     def _level_widths_arities(self) -> List[Tuple[int, int]]:
@@ -430,20 +403,6 @@ class CompiledNetlist:
             np.add(level_address, self.table_offset[start:end][None, :],
                    out=level_address)
             state[:, self.output_idx[start:end]] = self.tables[level_address]
-
-    def bitsliced(self) -> "BitslicedNetlist":
-        """The uint64 bitplane lowering of this netlist (cached).
-
-        Lowered lazily on first use (the bitslice backend's dispatch or
-        a direct caller) and cached on the instance, mirroring
-        :meth:`Netlist.compiled`.
-        """
-        cached = self.__dict__.get("_bitsliced_cache")
-        if cached is None:
-            from .bitslice import BitslicedNetlist
-            cached = BitslicedNetlist.from_compiled(self)
-            self.__dict__["_bitsliced_cache"] = cached
-        return cached
 
     def evaluate(self, input_values: Mapping[str, int],
                  register_values: Optional[Mapping[str, int]] = None
@@ -554,14 +513,14 @@ class CompiledNetlist:
 class CompiledTimingEngine:
     """Array-based two-vector timing over one compiled netlist.
 
-    The engine evaluates the last-transition arrival model of
-    :meth:`~repro.netlist.timing.TimingEngine.two_vector_arrival_times`
-    for a whole batch of stimulus transitions and a whole batch of delay
+    The engine evaluates the last-transition arrival model (a cell output
+    that changes value transitions after the latest of its toggling
+    inputs, plus routing and cell delay) for a whole batch of stimulus transitions and a whole batch of delay
     annotations (dies) in one levelised sweep: arrivals live in a
     ``(num_pairs, num_dies, num_nets)`` float64 array (NaN = stable
     net), and per-die cell/net delay vectors broadcast across the pair
     axis.  Each element equals — bit for bit — what the interpreted
-    engine produces for that (pair, die).
+    cell-by-cell walk produces for that (pair, die).
 
     Parameters
     ----------
@@ -676,48 +635,33 @@ class CompiledTimingEngine:
         cols = self.compiled.columns_for(endpoint_nets)
         return arrivals[:, :, cols] + self.net_delays[None, :, cols]
 
-    # -- interpreted-compatible convenience ------------------------------------
+    def critical_path_ps(self, nets: Optional[Iterable[str]] = None
+                         ) -> np.ndarray:
+        """Static (data-independent) worst arrival over ``nets``, per die.
 
-    def two_vector_result(self, inputs_before: Mapping[str, int],
-                          inputs_after: Mapping[str, int],
-                          die: int = 0) -> TwoVectorResult:
-        """One transition on one die, as a :class:`TwoVectorResult`.
-
-        Drop-in for the interpreted
-        :meth:`~repro.netlist.timing.TimingEngine.two_vector_arrival_times`
-        (used by the equivalence tests; hot callers use the batched
-        matrix API directly).
+        ``nets`` defaults to the DFF D inputs, else the primary outputs;
+        each endpoint's arrival includes its routing delay.  One
+        levelised max sweep: a cell output arrives at the latest of its
+        inputs' arrival plus routing delay, plus the cell delay (the
+        same add-then-max float order as the interpreted static
+        analysis).  Returns shape ``(num_dies,)``.
         """
-        input_nets = list(inputs_before)
-        if set(input_nets) != set(inputs_after):
-            raise NetlistError(
-                "before and after vectors must drive the same nets"
-            )
-        before_rows = np.array(
-            [[int(inputs_before[n]) & 1 for n in input_nets]], dtype=np.uint8
-        )
-        after_rows = np.array(
-            [[int(inputs_after[n]) & 1 for n in input_nets]], dtype=np.uint8
-        )
-        values_before, values_after, arrivals = self.two_vector_arrivals(
-            before_rows, after_rows, input_nets
-        )
         compiled = self.compiled
-        known = set(compiled.net_index)
-        arrival_ps: Dict[str, Optional[float]] = {}
-        for net, col in compiled.net_index.items():
-            value = float(arrivals[0, die, col])
-            arrival_ps[net] = None if np.isnan(value) else value
-        before_dict = {net: int(values_before[0, col])
-                       for net, col in compiled.net_index.items()}
-        after_dict = {net: int(values_after[0, col])
-                      for net, col in compiled.net_index.items()}
-        for net in input_nets:
-            if net not in known:
-                before_dict[net] = int(inputs_before[net]) & 1
-                after_dict[net] = int(inputs_after[net]) & 1
-        return TwoVectorResult(
-            values_before=before_dict,
-            values_after=after_dict,
-            arrival_ps=arrival_ps,
-        )
+        if nets is None:
+            registers = compiled.netlist.register_cells()
+            nets = ([cell.inputs[0] for cell in registers] if registers
+                    else compiled.netlist.outputs)
+        cols = [compiled.net_index[net] for net in nets
+                if net in compiled.net_index]
+        if not cols:
+            raise NetlistError("no observable nets for critical path "
+                               "computation")
+        arrivals = np.full((self.num_dies, compiled.num_nets + 1),
+                           self.input_arrival_ps)
+        arrivals[:, -1] = -np.inf  # padded pins never set the launch
+        for start, end in compiled.level_slices:
+            pins = compiled.input_idx[start:end]
+            launch = (arrivals[:, pins] + self.net_delays[:, pins]).max(axis=2)
+            arrivals[:, compiled.output_idx[start:end]] = \
+                launch + self.cell_delays[:, start:end]
+        return (arrivals[:, cols] + self.net_delays[:, cols]).max(axis=1)

@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from ..crypto.state import BLOCK_BITS, BLOCK_BYTES, validate_block
 from ..netlist.netlist import Netlist
 
 
@@ -158,15 +155,12 @@ class HardwareTrojan:
 
         ``round_states`` is the sequence of state-register values over
         the encryption (initial state then one entry per round); the
-        result has one entry per transition.
-
-        Concrete trojans override this with a compiled-kernel batch
-        (every cycle's netlist state evaluated in one array pass);
-        :meth:`encryption_activity_interpreted` remains the per-cycle
-        reference walk the overrides are tested against.
+        result has one entry per transition, equal to
+        :meth:`round_activity` for that cycle.  Concrete trojans
+        evaluate every cycle's netlist state in one compiled-kernel
+        batch.
         """
-        return self.encryption_activity_interpreted(round_states,
-                                                    encryption_index)
+        raise NotImplementedError
 
     def encryption_activity_counts(self, round_states: "object",
                                    encryption_indices: Optional[Sequence[int]]
@@ -180,54 +174,10 @@ class HardwareTrojan:
         register load); ``encryption_indices`` gives each row's position
         in the acquisition campaign (defaults to ``0..N-1``).  Returns
         ``(output_toggles, input_pin_toggles)`` int64 matrices of shape
-        ``(num_encryptions, num_cycles)``.
-
-        The default implementation loops :meth:`encryption_activity`
-        per encryption and is the reference the vectorised overrides in
-        :mod:`repro.trojan.combinational` and
-        :mod:`repro.trojan.sequential` are tested against.
+        ``(num_encryptions, num_cycles)``, row ``i`` equal to
+        :meth:`encryption_activity` of encryption ``i``.
         """
-        states = np.ascontiguousarray(round_states, dtype=np.uint8)
-        if states.ndim != 3 or states.shape[2] != BLOCK_BYTES:
-            raise ValueError(
-                f"round_states must be (N, cycles + 1, {BLOCK_BYTES}), got "
-                f"{states.shape}"
-            )
-        num_encryptions = states.shape[0]
-        num_cycles = max(0, states.shape[1] - 1)
-        if encryption_indices is None:
-            encryption_indices = range(num_encryptions)
-        indices = list(encryption_indices)
-        if len(indices) != num_encryptions:
-            raise ValueError(
-                f"got {len(indices)} encryption indices for "
-                f"{num_encryptions} encryptions"
-            )
-        output_toggles = np.zeros((num_encryptions, num_cycles),
-                                  dtype=np.int64)
-        pin_toggles = np.zeros((num_encryptions, num_cycles), dtype=np.int64)
-        for row in range(num_encryptions):
-            activities = self.encryption_activity(
-                [bytes(state) for state in states[row]],
-                encryption_index=indices[row],
-            )
-            output_toggles[row] = [a.output_toggles for a in activities]
-            pin_toggles[row] = [a.input_pin_toggles for a in activities]
-        return output_toggles, pin_toggles
-
-    def encryption_activity_interpreted(self, round_states: Sequence[bytes],
-                                        encryption_index: int = 0
-                                        ) -> List[TrojanActivity]:
-        """Reference implementation: one interpreted walk per cycle."""
-        activities: List[TrojanActivity] = []
-        for cycle, (before, after) in enumerate(
-                zip(round_states[:-1], round_states[1:]), start=1):
-            activities.append(
-                self.round_activity(before, after,
-                                    encryption_index=encryption_index,
-                                    round_index=cycle)
-            )
-        return activities
+        raise NotImplementedError
 
     # -- helpers for subclasses ------------------------------------------------
 

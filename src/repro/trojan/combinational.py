@@ -148,9 +148,8 @@ class CombinationalTrojan(HardwareTrojan):
         single ``evaluate_batch`` call; toggle counts are taken between
         consecutive rows *within* each encryption (the trigger tree is
         purely combinational, so nothing depends on
-        ``encryption_indices``).  Matches the per-encryption reference
-        loop of :meth:`HardwareTrojan.encryption_activity_counts`
-        exactly.
+        ``encryption_indices``).  Matches a per-encryption loop over
+        :meth:`encryption_activity` exactly.
         """
         states = np.ascontiguousarray(round_states, dtype=np.uint8)
         if states.ndim != 3 or states.shape[2] != BLOCK_BITS // 8:

@@ -188,8 +188,8 @@ class SequentialTrojan(HardwareTrojan):
         the toggle pattern depends solely on the encryption index, so
         every *distinct* counter value appearing in the batch is
         evaluated once through the compiled kernel and the per-
-        encryption counts are gathered from that table.  Matches the
-        per-encryption reference loop exactly.
+        encryption counts are gathered from that table.  Matches a
+        per-encryption loop over :meth:`encryption_activity` exactly.
         """
         states = np.ascontiguousarray(round_states, dtype=np.uint8)
         if states.ndim != 3:

@@ -16,7 +16,7 @@ from repro.analysis.local_maxima import (
     local_maxima_values,
     sum_of_local_maxima,
 )
-from repro.analysis.roc import roc_curve, roc_curve_serial
+from repro.analysis.roc import roc_curve
 from repro.analysis.stats import (
     bootstrap_mean_ci,
     empirical_rate,
@@ -34,6 +34,8 @@ from repro.analysis.traces import (
     signal_to_noise_ratio,
     stack_traces,
 )
+
+from oracles import roc_curve_serial
 
 # -- local maxima -------------------------------------------------------------
 

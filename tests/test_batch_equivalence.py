@@ -16,8 +16,20 @@ from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.crypto.batch import encrypt_round_states
 from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
 from repro.stimulus import DEFAULT_PLAINTEXT, random_plaintexts
-from repro.trojan.base import HardwareTrojan
 from repro.trojan.library import available_trojans, build_trojan
+
+from oracles import (
+    acquire_population_traces_serial,
+    acquire_population_traces_stimuli_serial,
+    arrival_times_ps,
+    average_stimulus_traces,
+    calibrate_glitch,
+    calibrate_glitches,
+    encryption_activity_counts_loop,
+    measure,
+    pair_transitions,
+    scores_serial,
+)
 
 NUM_DIES = 3
 PLAINTEXT = bytes(range(16))
@@ -100,7 +112,7 @@ def test_acquire_batch_rejects_mismatched_generators(batch_platform):
 def test_population_acquisition_matches_serial_reference(batch_platform):
     trojans = ("HT1", "HT_seq")
     golden_serial, infected_serial = (
-        batch_platform.acquire_population_traces_serial(trojans)
+        acquire_population_traces_serial(batch_platform, trojans)
     )
     golden_batch, infected_batch = (
         batch_platform.acquire_population_traces(trojans)
@@ -158,12 +170,10 @@ def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
 def test_population_stimuli_acquisition_matches_serial(batch_platform):
     """The multi-stimulus population equals the serial nested loop,
     stimulus-averaged per die."""
-    from repro.core.pipeline import average_stimulus_traces
-
     trojans = ("HT1", "HT_seq")
     golden_serial, infected_serial = (
-        batch_platform.acquire_population_traces_stimuli_serial(
-            trojans, STIMULI)
+        acquire_population_traces_stimuli_serial(
+            batch_platform, trojans, STIMULI)
     )
     batch_platform.em_simulator.clear_caches()
     tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
@@ -183,7 +193,7 @@ def test_encryption_activity_counts_match_reference_loop(device,
     trojan = build_trojan(trojan_name, device)
     states = encrypt_round_states(STIMULI, KEY)
     indices = [0, 3, 1, 255]
-    reference = HardwareTrojan.encryption_activity_counts(
+    reference = encryption_activity_counts_loop(
         trojan, states, indices
     )
     batched = trojan.encryption_activity_counts(states, indices)
@@ -220,9 +230,9 @@ def test_delay_measure_batch_matches_per_dut_loop(batch_platform):
     duts = [batch_platform.golden_dut(0, label="GM"),
             batch_platform.infected_dut("HT_comb", 0),
             batch_platform.infected_dut("HT_seq", 0)]
-    glitch = meter.calibrate_glitches(duts[0], pairs)
+    glitch = calibrate_glitches(meter, duts[0], pairs)
     seeds = [41, 42, 43]
-    serial = [meter.measure(dut, pairs, glitch, seed=seed)
+    serial = [measure(meter, dut, pairs, glitch, seed=seed)
               for dut, seed in zip(duts, seeds)]
     batch = meter.measure_batch(duts, pairs, glitch, seeds=seeds)
     for serial_measurement, batch_measurement in zip(serial, batch):
@@ -232,13 +242,39 @@ def test_delay_measure_batch_matches_per_dut_loop(batch_platform):
                                    rtol=0, atol=0)
 
 
+def test_compiled_arrivals_and_calibration_match_interpreted(batch_platform):
+    """Every arrival the meter reads — the (DUT x pair) grid, the
+    one-cell view and the glitch calibrations built on them — equals
+    the interpreted per-cell walk bit for bit (NaN = stable bit)."""
+    meter = batch_platform.delay_meter
+    pairs = generate_pk_pairs(3, seed=17)
+    duts = [batch_platform.golden_dut(0), batch_platform.golden_dut(2),
+            batch_platform.infected_dut("HT_comb", 1),
+            batch_platform.infected_dut("HT_seq", 0)]
+    grid = meter.batch_arrival_times(duts, pairs)
+    for dut_index, dut in enumerate(duts):
+        for pair_index, pair in enumerate(pairs):
+            reference = arrival_times_ps(meter, dut, pair)
+            assert np.array_equal(grid[dut_index, pair_index], reference,
+                                  equal_nan=True)
+            assert np.array_equal(meter.arrival_times_ps(dut, pair),
+                                  reference, equal_nan=True)
+        assert meter.calibrate_glitch(dut, pairs).periods() == \
+            calibrate_glitch(meter, dut, pairs).periods()
+        compiled = meter.calibrate_glitches(dut, pairs)
+        interpreted = calibrate_glitches(meter, dut, pairs)
+        assert compiled.keys() == interpreted.keys()
+        for index, glitch in compiled.items():
+            assert glitch.periods() == interpreted[index].periods()
+
+
 def test_pair_transitions_batch_matches_serial(batch_platform):
     """Batched-cipher attacked-round stimuli equal the scalar walk."""
     meter = batch_platform.delay_meter
     dut = batch_platform.golden_dut(0)
     for pairs in (generate_pk_pairs(4, seed=21),
                   generate_pk_pairs(3, seed=22, fixed_key=KEY)):
-        serial = [meter.pair_transitions(dut, pair) for pair in pairs]
+        serial = [pair_transitions(meter, dut, pair) for pair in pairs]
         assert meter.pair_transitions_batch(dut, pairs) == serial
     assert meter.pair_transitions_batch(dut, []) == []
 
@@ -247,7 +283,7 @@ def test_delay_measure_batch_self_calibration_matches(batch_platform):
     meter = batch_platform.delay_meter
     pairs = generate_pk_pairs(2, seed=13)
     duts = [batch_platform.golden_dut(1), batch_platform.infected_dut("HT3", 1)]
-    serial = [meter.measure(dut, pairs, None, seed=5) for dut in duts]
+    serial = [measure(meter, dut, pairs, None, seed=5) for dut in duts]
     batch = meter.measure_batch(duts, pairs, None, seeds=[5, 5])
     for serial_measurement, batch_measurement in zip(serial, batch):
         assert np.array_equal(serial_measurement.steps_matrix(),
@@ -331,10 +367,7 @@ def test_population_tensors_match_trace_acquisition(batch_platform):
 
 
 def test_average_stimulus_tensor_matches_trace_average(batch_platform):
-    from repro.core.pipeline import (
-        average_stimulus_tensor,
-        average_stimulus_traces,
-    )
+    from repro.core.pipeline import average_stimulus_tensor
 
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT3")
@@ -357,8 +390,6 @@ def test_average_stimulus_tensor_matches_trace_average(batch_platform):
 def test_stimulus_tensors_match_averaged_traces(batch_platform):
     """Multi-stimulus population tensors equal the EMTrace grid view of
     the same per-die noise streams, averaged per die."""
-    from repro.core.pipeline import average_stimulus_traces
-
     trojans = ("HT1",)
     batch_platform.em_simulator.clear_caches()
     tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
@@ -385,7 +416,7 @@ def test_single_stimulus_population_is_byte_identical_to_serial(
     bytes.)"""
     trojans = ("HT1", "HT_seq")
     golden_serial, infected_serial = (
-        batch_platform.acquire_population_traces_serial(trojans)
+        acquire_population_traces_serial(batch_platform, trojans)
     )
     serial_golden = np.stack([trace.samples for trace in golden_serial])
     assert np.signbit(serial_golden[serial_golden == 0]).any()
@@ -447,13 +478,13 @@ def test_campaign_em_rows_match_serial_scoring(batch_platform):
         metric = build_metric(cell.metric)
         reference = np.mean([trace.samples for trace in golden_traces],
                             axis=0)
-        genuine_scores = metric.scores_serial(golden_traces, reference)
+        genuine_scores = scores_serial(metric, golden_traces, reference)
         genuine_fit = fit_gaussian(genuine_scores)
         assert cell_result.golden_score_mean == float(genuine_fit.mean)
         assert cell_result.golden_score_std == float(genuine_fit.std)
         for row in cell_result.rows:
-            infected_scores = metric.scores_serial(
-                infected_traces[row.trojan], reference)
+            infected_scores = scores_serial(
+                metric, infected_traces[row.trojan], reference)
             infected_fit = fit_gaussian(infected_scores)
             mu = infected_fit.mean - genuine_fit.mean
             sigma = pooled_std(genuine_scores, infected_scores)
@@ -503,15 +534,15 @@ def test_population_study_matches_serial_replica(batch_platform):
     trojans = ("HT1", "HT_seq")
     study = batch_platform.run_population_em_study(trojan_names=trojans)
     golden_serial, infected_serial = (
-        batch_platform.acquire_population_traces_serial(trojans)
+        acquire_population_traces_serial(batch_platform, trojans)
     )
     metric = LocalMaximaSumMetric()
     reference = np.mean([trace.samples for trace in golden_serial], axis=0)
     assert np.array_equal(study.reference.mean, reference)
-    genuine_scores = metric.scores_serial(golden_serial, reference)
+    genuine_scores = scores_serial(metric, golden_serial, reference)
     for name in trojans:
-        infected_scores = metric.scores_serial(infected_serial[name],
-                                               reference)
+        infected_scores = scores_serial(metric, infected_serial[name],
+                                        reference)
         mu = fit_gaussian(infected_scores).mean \
             - fit_gaussian(genuine_scores).mean
         sigma = pooled_std(genuine_scores, infected_scores)

@@ -36,6 +36,8 @@ from repro.core.metrics import (
     false_negative_rate,
 )
 
+from oracles import scores_serial
+
 # -- hypothesis strategies ----------------------------------------------------
 
 #: Signal values that exercise plateaus and exact ties (integer-valued
@@ -223,7 +225,7 @@ def test_metric_scores_equal_serial_loop(small_population, metric):
     golden, infected = small_population
     population = list(golden) + list(infected["HT1"]) + list(infected["HT3"])
     reference = stack_traces(golden).mean(axis=0)
-    serial = metric.scores_serial(population, reference)
+    serial = scores_serial(metric, population, reference)
     batched = metric.scores(population, reference)
     matrix_scores = metric.scores_matrix(stack_traces(population), reference)
     assert np.array_equal(serial, batched)

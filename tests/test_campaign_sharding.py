@@ -165,8 +165,7 @@ def test_cli_shard_run_and_merge_round_trip(tmp_path, capsys):
     store = str(tmp_path / "store")
     common = ["campaign", "run", "--name", "cliq", "--trojan", "HT1",
               "--dies", "3", "--metric", "local_maxima_sum", "--metric",
-              "l1", "--seed", "4", "--store", store,
-              "--backend", "bitslice"]
+              "l1", "--seed", "4", "--store", store]
     assert main(common + ["--shard", "0/2",
                           "--out", str(tmp_path / "shard0")]) == 0
     assert main(common + ["--shard", "1/2",

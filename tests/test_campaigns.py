@@ -328,6 +328,25 @@ def test_delay_spec_round_trips(tmp_path):
     assert loaded.grid()[0].is_delay
 
 
+def test_legacy_kernel_backend_field_is_accepted_and_dropped():
+    """Specs saved while the netlist kernel had a selectable backend
+    carry ``kernel_backend``; any value loads, is dropped from
+    ``to_dict``, and leaves the store content fragment unchanged."""
+    from repro.store import spec_content_fragment
+
+    spec = CampaignSpec(name="legacy", trojans=("HT1",), die_counts=(2,),
+                        metrics=("local_maxima_sum",
+                                 "delay_max_difference"),
+                        seed=11, num_pk_pairs=2, delay_repetitions=2)
+    for value in ("bitslice", "numpy", "vulkan"):
+        legacy = CampaignSpec.from_dict(
+            {**spec.to_dict(), "kernel_backend": value})
+        assert "kernel_backend" not in legacy.to_dict()
+        assert legacy.to_dict() == spec.to_dict()
+        assert spec_content_fragment(legacy.to_dict()) == \
+            spec_content_fragment(spec.to_dict())
+
+
 def test_mixed_em_and_delay_grid(golden_design, tmp_path):
     """EM and delay metrics coexist in one grid; archives are owned by
     the EM cells only."""

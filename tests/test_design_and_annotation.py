@@ -6,9 +6,10 @@ from repro.fpga.annotation import build_delay_annotation
 from repro.fpga.design import GoldenDesign, build_golden_design_cached
 from repro.fpga.device import virtex5_lx30
 from repro.fpga.power_grid import PowerGrid
-from repro.netlist.timing import TimingEngine
 from repro.variation.inter_die import DiePopulation
 from repro.variation.intra_die import IntraDieVariation
+
+from oracles import TimingEngine
 
 
 def test_golden_design_build_is_deterministic(golden_design):

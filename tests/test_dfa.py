@@ -6,13 +6,14 @@ import pytest
 from repro.analysis.dfa import (
     PHANTOM_TOGGLE_WEIGHT,
     dfa_key_scores,
-    dfa_key_scores_serial,
     localise_faults,
     recover_last_round_key,
 )
 from repro.crypto.aes import INV_SHIFT_ROWS_PERM, SHIFT_ROWS_PERM
 from repro.crypto.batch import BatchedAES
 from repro.crypto.keyschedule import last_round_key
+
+from oracles import dfa_key_scores_serial
 
 KEY = bytes(range(16))
 

@@ -8,6 +8,8 @@ from repro.crypto.state import BLOCK_BITS, bytes_to_bits
 from repro.measurement.clock import TimingBudget
 from repro.measurement.fault_injection import SetupViolationFaultModel
 
+from oracles import faulted_bits_population_serial
+
 
 @pytest.fixture()
 def model():
@@ -85,6 +87,24 @@ def test_violation_probabilities_match_scalar_grid(model):
                     None if np.isnan(arrival) else float(arrival),
                     float(period))
                 assert batched[i, j] == scalar
+
+
+def test_nan_arrival_is_a_stable_bit_on_the_scalar_path():
+    """NaN, the timing engine's stable-bit marker, behaves like None on
+    the scalar path exactly as on the vectorised one: probability 0,
+    the correct bit captured, and no rng draw consumed."""
+    for fault_model in (SetupViolationFaultModel(),
+                        SetupViolationFaultModel(metastability_window_ps=0.0)):
+        for period in (10.0, 5000.0, 1e6):
+            scalar = fault_model.violation_probability(float("nan"), period)
+            assert scalar == fault_model.violation_probability(None, period)
+            assert scalar == fault_model.violation_probabilities(
+                np.array([np.nan]), np.array([period]))[0] == 0.0
+            for arrival in (None, float("nan")):
+                rng = np.random.default_rng(0)
+                assert fault_model.capture_bit(0, 1, arrival, period,
+                                               rng) == 0
+                assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_capture_bit_correct_when_no_violation(model, rng):
@@ -166,8 +186,8 @@ def test_population_kernel_matches_serial_reference(seed, num_grid,
                                                     num_stimuli)
     batched = model.faulted_bits_population(
         correct, stale, arrivals, periods, np.random.default_rng(seed))
-    serial = model.faulted_bits_population_serial(
-        correct, stale, arrivals, periods, np.random.default_rng(seed))
+    serial = faulted_bits_population_serial(
+        model, correct, stale, arrivals, periods, np.random.default_rng(seed))
     assert np.array_equal(batched, serial)
 
 

@@ -151,11 +151,6 @@ def test_cli_parser_campaign_store_and_shard_flags():
                               "--shard", "1/4"])
     assert args.store == "artifacts"
     assert args.shard == (1, 4)
-    assert args.backend is None
-    args = parser.parse_args(["campaign", "run", "--backend", "bitslice"])
-    assert args.backend == "bitslice"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["campaign", "run", "--backend", "vulkan"])
     args = parser.parse_args(["campaign", "merge", "a", "b", "--out", "m"])
     assert args.shards == ["a", "b"] and args.out == "m"
     for bad_shard in ("2/2", "x/2", "1", "-1/2", "1/0"):
