@@ -13,7 +13,6 @@ from .engine import (
     CampaignEngine,
     CampaignResult,
     CampaignRow,
-    build_delay_scorer,
     build_metric,
     format_campaign_rows,
     merge_campaign_results,
@@ -52,7 +51,6 @@ __all__ = [
     "SupervisorPolicy",
     "run_cells_serial",
     "apply_em_overrides",
-    "build_delay_scorer",
     "build_metric",
     "format_campaign_rows",
     "merge_campaign_results",

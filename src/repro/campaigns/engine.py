@@ -25,7 +25,8 @@ cell:
   the compiled timing kernel: one
   :meth:`~repro.measurement.delay_meter.PathDelayMeter.measure_batch`
   call covers every (pair, device) combination, and cells differing
-  only in metric re-score the cached Eq. (4) difference matrices;
+  only in metric re-score the cached Eq. (4) difference tensors with
+  one :data:`DELAY_METRIC_BATCH_SCORERS` call per population;
 * **content-addressed persistence** — with a
   :class:`~repro.store.ArtifactStore` attached, the acquisition/delay
   caches, the infected-design summaries and every finished cell's rows
@@ -121,29 +122,17 @@ METRIC_FACTORIES = {
 }
 
 
-#: Delay-metric registry: spec metric name -> scorer over the Eq. (4)
-#: per-(pair, bit) difference matrix of one device campaign.  These
-#: per-device scorers are the serial references of
-#: :data:`DELAY_METRIC_BATCH_SCORERS`.
-DELAY_METRIC_SCORERS = {
+#: Delay-metric registry: spec metric name -> batched scorer over a
+#: stacked ``(devices, pairs, bits)`` tensor of Eq. (4) per-(pair, bit)
+#: differences, one device campaign per plane; each returns the
+#: ``(devices,)`` score vector.
+DELAY_METRIC_BATCH_SCORERS = {
     # Worst per-bit shift anywhere (the paper's device-level score: one
     # disturbed net is enough).
     "delay_max_difference":
-        lambda differences: float(differences.max()),
+        lambda differences: differences.max(axis=(1, 2)),
     # Mean over pairs of the per-pair worst shift (rewards trojans whose
     # influence shows on many stimuli, damps single-pair outliers).
-    "delay_mean_pair_max":
-        lambda differences: float(differences.max(axis=1).mean()),
-}
-
-
-#: Batched delay scorers over a stacked ``(devices, pairs, bits)``
-#: difference tensor; each returns the ``(devices,)`` score vector,
-#: bit-identical to looping the :data:`DELAY_METRIC_SCORERS` serial
-#: reference over the planes.
-DELAY_METRIC_BATCH_SCORERS = {
-    "delay_max_difference":
-        lambda differences: differences.max(axis=(1, 2)),
     "delay_mean_pair_max":
         lambda differences: differences.max(axis=2).mean(axis=1),
 }
@@ -157,17 +146,6 @@ def build_metric(name: str):
         raise KeyError(
             f"unknown metric {name!r}; available: "
             + ", ".join(METRIC_FACTORIES)
-        ) from exc
-
-
-def build_delay_scorer(name: str):
-    """Resolve a (serial) delay-metric scorer from its campaign-spec name."""
-    try:
-        return DELAY_METRIC_SCORERS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown delay metric {name!r}; available: "
-            + ", ".join(DELAY_METRIC_SCORERS)
         ) from exc
 
 

@@ -232,6 +232,11 @@ class CampaignSpec:
                 f"unknown metric(s) {unknown}; available: "
                 + ", ".join(KNOWN_METRICS)
             )
+        for field_name in ("trojans", "die_counts", "metrics"):
+            values = getattr(self, field_name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{field_name} must not repeat an entry, "
+                                 f"got {list(values)}")
         if len(self.plaintext) != 16:
             raise ValueError("plaintext must be 16 bytes")
         if len(self.key) not in (16, 24, 32):

@@ -44,11 +44,12 @@ paths) and ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .campaigns.spec import KNOWN_METRICS
 from .core.report import (
@@ -140,6 +141,18 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0 if suite.all_shapes_match() else 1
 
 
+def _fail(message: object) -> int:
+    """Report a spec or input error on one line; exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _given(**values: Any) -> Dict[str, Any]:
+    """The spec-field overrides whose flags were passed (``None`` = absent)."""
+    return {name: value for name, value in values.items()
+            if value is not None}
+
+
 def _parse_shard(text: str) -> Tuple[int, int]:
     """Parse a ``--shard I/N`` argument into ``(index, count)``."""
     match = re.fullmatch(r"(\d+)/(\d+)", text.strip())
@@ -158,42 +171,34 @@ def _parse_shard(text: str) -> Tuple[int, int]:
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     from .campaigns import AcquisitionVariant, CampaignEngine, CampaignSpec
 
-    if args.spec is not None:
-        spec = CampaignSpec.load(args.spec)
-    else:
-        spec = CampaignSpec(
-            name=args.name,
-            trojans=tuple(args.trojan or ("HT1", "HT2", "HT3")),
-            die_counts=tuple(args.dies or (8,)),
-            variants=(AcquisitionVariant.make("paper"),),
-            metrics=tuple(args.metric or ("local_maxima_sum",)),
-        )
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.workers is not None:
-        spec.workers = args.workers
-    if args.pk_pairs is not None:
-        spec.num_pk_pairs = args.pk_pairs
-    if args.delay_repetitions is not None:
-        spec.delay_repetitions = args.delay_repetitions
-    if args.plaintexts is not None:
-        spec.num_plaintexts = args.plaintexts
-    if args.save_traces:
-        spec.save_traces = True
-    if args.retries is not None:
-        spec.max_retries = args.retries
-    if args.cell_timeout is not None:
-        spec.cell_timeout_s = args.cell_timeout
+    try:
+        if args.spec is not None:
+            spec = CampaignSpec.load(args.spec)
+        else:
+            spec = CampaignSpec(
+                name=args.name,
+                trojans=tuple(args.trojan or ("HT1", "HT2", "HT3")),
+                die_counts=tuple(args.dies or (8,)),
+                variants=(AcquisitionVariant.make("paper"),),
+                metrics=tuple(args.metric or ("local_maxima_sum",)),
+            )
+        # replace() re-runs the spec's validation over the overrides.
+        spec = dataclasses.replace(spec, **_given(
+            seed=args.seed, workers=args.workers,
+            num_pk_pairs=args.pk_pairs,
+            delay_repetitions=args.delay_repetitions,
+            num_plaintexts=args.plaintexts,
+            save_traces=args.save_traces or None,
+            max_retries=args.retries, cell_timeout_s=args.cell_timeout,
+        ))
+    except (OSError, ValueError) as error:
+        return _fail(error)
     if spec.save_traces and args.out is None:
-        print("error: --save-traces needs --out DIR to write the archives to",
-              file=sys.stderr)
-        return 2
+        return _fail("--save-traces needs --out DIR to write the archives to")
     store = args.store
     if getattr(args, "remote", None) is not None:
         if args.store is None:
-            print("error: --remote needs --store DIR for the local tier",
-                  file=sys.stderr)
-            return 2
+            return _fail("--remote needs --store DIR for the local tier")
         from .store import TieredStore
 
         store = TieredStore(args.store, args.remote)
@@ -225,9 +230,7 @@ def cmd_store_fsck(args: argparse.Namespace) -> int:
 
     root = Path(args.store)
     if not root.exists():
-        print(f"error: store directory {root} does not exist",
-              file=sys.stderr)
-        return 2
+        return _fail(f"store directory {root} does not exist")
     store = ArtifactStore(root)
     try:
         report = store.fsck(repair=args.repair, wait_s=args.wait,
@@ -249,9 +252,7 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
 
     root = Path(args.store)
     if not root.exists():
-        print(f"error: store directory {root} does not exist",
-              file=sys.stderr)
-        return 2
+        return _fail(f"store directory {root} does not exist")
     store = ArtifactStore(root)
     try:
         removed = store.gc(tmp_older_than_s=args.tmp_age,
@@ -281,9 +282,7 @@ def cmd_store_sync(args: argparse.Namespace) -> int:
 
     root = Path(args.store)
     if not root.exists():
-        print(f"error: store directory {root} does not exist",
-              file=sys.stderr)
-        return 2
+        return _fail(f"store directory {root} does not exist")
     tiered = TieredStore(root, args.remote)
     pending_before = len(tiered.pending_uploads())
     stats = tiered.sync()
@@ -305,9 +304,7 @@ def cmd_store_leases(args: argparse.Namespace) -> int:
 
     root = Path(args.store)
     if not root.exists():
-        print(f"error: store directory {root} does not exist",
-              file=sys.stderr)
-        return 2
+        return _fail(f"store directory {root} does not exist")
     store = ArtifactStore(root)
     leases = store.leases()
     if not leases:
@@ -354,8 +351,7 @@ def cmd_campaign_merge(args: argparse.Namespace) -> int:
                    for p in args.shards]
         merged = merge_campaign_results(results)
     except (FileNotFoundError, ValueError, KeyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     print(merged.report())
     print(f"\nmerged {len(results)} shard result(s) into "
           f"{len(merged.cells)} grid cells")
@@ -370,7 +366,10 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
     from .campaigns import format_campaign_rows
 
-    payload = json.loads(Path(args.results).read_text())
+    try:
+        payload = json.loads(Path(args.results).read_text())
+    except (OSError, ValueError) as error:
+        return _fail(error)
     rows = [row for cell in payload.get("cells", []) for row in cell["rows"]]
     if not rows:
         print("no campaign rows in", args.results)
@@ -381,16 +380,17 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _attack_spec(args: argparse.Namespace):
+def _attack_spec(args: argparse.Namespace, **execution: Any):
     """Build the fault-sweep campaign spec shared by ``attack`` commands.
 
     ``attack sweep`` and ``attack recover`` must agree on every spec
     field that feeds the artifact-store keys (seed, stimuli, die count,
-    glitch axes), so both build the spec here from the same flags.
+    glitch axes), so both build the spec here from the same flags;
+    ``execution`` carries execution-only fields (``None`` = default).
     """
     from .campaigns import AcquisitionVariant, CampaignSpec
 
-    spec = CampaignSpec(
+    return CampaignSpec(
         name=args.name,
         trojans=tuple(args.trojan or ("HT1",)),
         die_counts=tuple(args.dies or (3,)),
@@ -400,22 +400,19 @@ def _attack_spec(args: argparse.Namespace):
         glitch_offsets_ps=tuple(args.offset or ()),
         glitch_widths_ps=tuple(args.width or ()),
         glitch_periods_ps=tuple(args.period or ()),
+        **_given(seed=args.seed, **execution),
     )
-    if args.seed is not None:
-        spec.seed = args.seed
-    return spec
 
 
 def cmd_attack_sweep(args: argparse.Namespace) -> int:
     from .campaigns import CampaignEngine
 
-    spec = _attack_spec(args)
-    if args.workers is not None:
-        spec.workers = args.workers
-    if args.retries is not None:
-        spec.max_retries = args.retries
-    if args.cell_timeout is not None:
-        spec.cell_timeout_s = args.cell_timeout
+    try:
+        spec = _attack_spec(args, workers=args.workers,
+                            max_retries=args.retries,
+                            cell_timeout_s=args.cell_timeout)
+    except ValueError as error:
+        return _fail(error)
     engine = CampaignEngine(spec, store=args.store)
     result = engine.run(artifact_dir=args.out, shard=args.shard)
     print(result.report())
@@ -438,7 +435,10 @@ def cmd_attack_recover(args: argparse.Namespace) -> int:
     from .campaigns import CampaignEngine
     from .crypto.keyschedule import last_round_key
 
-    spec = _attack_spec(args)
+    try:
+        spec = _attack_spec(args)
+    except ValueError as error:
+        return _fail(error)
     engine = CampaignEngine(spec, store=args.store)
     cell = next(cell for cell in spec.grid() if cell.is_fault)
     data = engine.fault_sweep_data(cell)

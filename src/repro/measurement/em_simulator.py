@@ -32,9 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..crypto.aes import AES
 from ..crypto.batch import BatchedAES, switching_activity_counts
-from ..crypto.state import hamming_distance
 from .dut import DeviceUnderTest
 from .em_probe import Amplifier, EMProbe, probe_impulse_response
 from .noise import EMNoiseModel
@@ -65,11 +63,6 @@ ACTIVITY_TO_AMPLITUDE = 1.0
 #: slightly different amount per cycle — this is what makes the |G_j - E(G)|
 #: curves of Fig. 6 look jagged rather than like a scaled copy of the trace.
 DIE_CYCLE_GAIN_JITTER = 0.03
-#: Bounds on the memoised per-(key, plaintext) activity caches.  Long
-#: random-plaintext campaigns would otherwise grow them without limit;
-#: eviction is oldest-first (insertion order).
-HOST_ACTIVITY_CACHE_ENTRIES = 4096
-TROJAN_ACTIVITY_CACHE_ENTRIES = 4096
 
 
 @dataclass
@@ -155,76 +148,8 @@ class EMSimulator:
         self._kernel = probe_impulse_response(
             self.config.oscilloscope.sample_rate_gsps
         )
-        # Memoised per-(key, plaintext) host activity and per-(design,
-        # stimulus) trojan activity, reused by the batch paths.  The
-        # activity model only depends on the stimulus and the design
-        # structure, both immutable once built, so entries never go
-        # stale; the design object is kept in the entry so an id() key
-        # cannot be recycled while cached.
-        self._host_activity_cache: Dict[Tuple[bytes, bytes], List[float]] = {}
-        self._trojan_activity_cache: Dict[
-            Tuple[int, bytes, bytes, int], Tuple[object, List[float]]
-        ] = {}
-        #: Per-instance cache bounds (entries; tweakable for tests).
-        self.host_activity_cache_entries = HOST_ACTIVITY_CACHE_ENTRIES
-        self.trojan_activity_cache_entries = TROJAN_ACTIVITY_CACHE_ENTRIES
 
-    # -- cache management -------------------------------------------------------
-
-    def clear_caches(self) -> None:
-        """Drop every memoised host/trojan activity entry."""
-        self._host_activity_cache.clear()
-        self._trojan_activity_cache.clear()
-
-    @staticmethod
-    def _cache_insert(cache: Dict, key, value, max_entries: int) -> None:
-        """Insert with oldest-first eviction once ``max_entries`` is hit."""
-        if key not in cache:
-            while len(cache) >= max(1, max_entries):
-                cache.pop(next(iter(cache)))
-        cache[key] = value
-
-    # -- activity model ---------------------------------------------------------
-
-    def host_cycle_activities(self, aes: AES, plaintext: bytes) -> List[float]:
-        """Per-cycle switching activity of the host AES (load + rounds)."""
-        config = self.config
-        trace = aes.encrypt_trace(plaintext)
-        register_toggles = trace.switching_activities()
-        activities = []
-        for toggles in register_toggles:
-            activities.append(
-                config.baseline_activity
-                + config.register_toggle_weight * toggles
-                * (1.0 + config.combinational_activity_factor)
-            )
-        return activities
-
-    def trojan_cycle_activities(self, dut: DeviceUnderTest, aes: AES,
-                                plaintext: bytes,
-                                encryption_index: int = 0) -> List[float]:
-        """Per-cycle dormant activity of the inserted trojan (zeros if clean).
-
-        Two components: the data-dependent toggles of the trigger logic
-        (evaluated on the trojan's structural netlist — one compiled
-        batch per encryption rather than one interpreted walk per
-        cycle), and the size-proportional clock/configuration load of
-        every trojan cell, which is present on every cycle.
-        """
-        config = self.config
-        trace = aes.encrypt_trace(plaintext)
-        num_cycles = 1 + trace.num_rounds
-        if dut.trojan is None:
-            return [0.0] * num_cycles
-        register_states: List[bytes] = [plaintext, trace.initial_state]
-        register_states.extend(record.state_out for record in trace.rounds)
-        activities = dut.trojan.encryption_activity(
-            register_states, encryption_index=encryption_index
-        )
-        clock_load = (config.trojan_clock_load_per_cell
-                      * dut.trojan.cell_count())
-        return [clock_load + activity.weighted(config.trojan_pin_toggle_weight)
-                for activity in activities]
+    # -- probe coupling and die gain -------------------------------------------
 
     def trojan_probe_coupling(self, dut: DeviceUnderTest) -> float:
         """Coupling between the trojan slices and the probe."""
@@ -262,183 +187,42 @@ class EMSimulator:
         jitter = rng.normal(0.0, jitter_sigma, size=num_cycles)
         return base * (1.0 + jitter)
 
-    # -- trace synthesis -----------------------------------------------------------
+    # -- acquisition ---------------------------------------------------------------
 
-    def noiseless_trace(self, dut: DeviceUnderTest, plaintext: bytes,
-                        key: bytes, encryption_index: int = 0) -> EMTrace:
-        """Deterministic emission of one encryption (no noise, no setup error)."""
+    def _host_activity_matrix(self, round_states: np.ndarray) -> np.ndarray:
+        """Per-cycle host activities of a stimulus batch, shape ``(P, C)``."""
         config = self.config
-        aes = AES(key)
-        host_activity = self.host_cycle_activities(aes, plaintext)
-        trojan_activity = self.trojan_cycle_activities(
-            dut, aes, plaintext, encryption_index
-        )
-        num_rounds = len(host_activity) - 1
-        samples_per_cycle = config.samples_per_cycle
-        total_samples = config.total_samples(num_rounds)
-        signal = np.zeros(total_samples)
-
-        host_coupling = self.host_probe_coupling(dut)
-        trojan_coupling = self.trojan_probe_coupling(dut)
-        cycle_gains = self.die_cycle_gains(dut, len(host_activity))
-        base_gain = dut.em_gain()
-
-        cycle_offsets: List[int] = []
-        for cycle in range(len(host_activity)):
-            offset = (config.pre_trigger_cycles + cycle) * samples_per_cycle
-            cycle_offsets.append(offset)
-            amplitude = cycle_gains[cycle] * config.activity_to_amplitude * (
-                host_coupling * host_activity[cycle]
-                + trojan_coupling * trojan_activity[cycle]
-            )
-            end = min(total_samples, offset + self._kernel.size)
-            signal[offset:end] += amplitude * self._kernel[: end - offset]
-
-        # Idle cycles still show the clock-tree baseline.
-        idle_cycles = list(range(config.pre_trigger_cycles)) + [
-            config.pre_trigger_cycles + len(host_activity) + cycle
-            for cycle in range(config.post_trigger_cycles)
-        ]
-        for cycle_index in idle_cycles:
-            offset = cycle_index * samples_per_cycle
-            amplitude = base_gain * config.activity_to_amplitude * host_coupling \
-                * config.baseline_activity
-            end = min(total_samples, offset + self._kernel.size)
-            signal[offset:end] += amplitude * self._kernel[: end - offset]
-
-        signal = config.amplifier.amplify(signal) + dut.em_offset()
-        return EMTrace(
-            samples=signal,
-            label=dut.label,
-            plaintext=bytes(plaintext),
-            sample_period_ns=1.0 / config.oscilloscope.sample_rate_gsps,
-            cycle_sample_offsets=cycle_offsets,
-        )
-
-    def acquire(self, dut: DeviceUnderTest, plaintext: bytes, key: bytes,
-                rng: np.random.Generator,
-                encryption_index: int = 0,
-                new_setup_installation: bool = False) -> EMTrace:
-        """Acquire one averaged trace as the oscilloscope would store it.
-
-        Parameters
-        ----------
-        new_setup_installation:
-            When True, a fresh setup (probe repositioning, board
-            reinstallation) gain/offset perturbation is drawn — this is
-            the effect Fig. 5 demonstrates to be negligible after
-            1 000-fold averaging.
-        """
-        trace = self.noiseless_trace(dut, plaintext, key, encryption_index)
-        config = self.config
-        signal = trace.samples
-        if new_setup_installation:
-            gain, offset = config.noise.sample_setup_perturbation(rng)
-            signal = signal * gain + offset
-        signal = config.oscilloscope.acquire(
-            signal,
-            noise_sigma_single_shot=config.noise.sigma_single_shot,
-            rng=rng,
-            quantise=config.quantise,
-        )
-        acquired = trace.copy()
-        acquired.samples = signal
-        return acquired
-
-    def acquire_many(self, dut: DeviceUnderTest, plaintexts: Sequence[bytes],
-                     key: bytes, rng: np.random.Generator,
-                     new_setup_installation: bool = False) -> List[EMTrace]:
-        """Acquire one averaged trace per plaintext (random-plaintext campaign).
-
-        This per-plaintext loop is the serial reference
-        :meth:`acquire_many_batch` is tested (and benchmarked) against.
-        """
-        return [
-            self.acquire(dut, plaintext, key, rng, encryption_index=index,
-                         new_setup_installation=new_setup_installation)
-            for index, plaintext in enumerate(plaintexts)
-        ]
-
-    # -- batched acquisition -----------------------------------------------------
-
-    def _host_activity_matrix(self, key: bytes, plaintexts: Sequence[bytes],
-                              round_states: Optional[np.ndarray] = None
-                              ) -> np.ndarray:
-        """Per-cycle host activities of a stimulus batch, shape ``(P, C)``.
-
-        One batched-cipher pass covers every plaintext; rows already in
-        the per-(key, plaintext) cache are reused and freshly computed
-        rows are inserted (bounded).
-        """
-        key = bytes(key)
-        plaintexts = [bytes(plaintext) for plaintext in plaintexts]
-        cached = [self._host_activity_cache.get((key, plaintext))
-                  for plaintext in plaintexts]
-        if plaintexts and all(row is not None for row in cached):
-            return np.asarray(cached, dtype=float)
-        config = self.config
-        if round_states is None:
-            round_states = BatchedAES(key).round_states(plaintexts)
         toggles = switching_activity_counts(round_states)
-        matrix = (config.baseline_activity
-                  + config.register_toggle_weight * toggles
-                  * (1.0 + config.combinational_activity_factor))
-        for plaintext, row in zip(plaintexts, matrix):
-            self._cache_insert(
-                self._host_activity_cache, (key, plaintext),
-                [float(value) for value in row],
-                self.host_activity_cache_entries,
-            )
-        return matrix
+        return (config.baseline_activity
+                + config.register_toggle_weight * toggles
+                * (1.0 + config.combinational_activity_factor))
 
-    def _trojan_activity_matrix(self, dut: DeviceUnderTest, key: bytes,
-                                plaintexts: Sequence[bytes],
-                                round_states: np.ndarray,
-                                encryption_indices: Sequence[int]
-                                ) -> np.ndarray:
+    def _trojan_activity_matrix(self, dut: DeviceUnderTest,
+                                round_states: np.ndarray) -> np.ndarray:
         """Per-cycle trojan activities of a stimulus batch, shape ``(P, C)``.
 
-        All encryptions' register states go through one compiled-kernel
+        Two components: the data-dependent toggles of the trigger logic,
+        all encryptions' register states in one compiled-kernel
         evaluation (:meth:`~repro.trojan.base.HardwareTrojan.
-        encryption_activity_counts`); zeros for a clean design.
+        encryption_activity_counts`, encryption ``p`` at campaign
+        position ``p``), and the size-proportional clock/configuration
+        load of every trojan cell, present on every cycle.  Zeros for a
+        clean design.
         """
         num_cycles = round_states.shape[1] - 1
         if dut.trojan is None:
             return np.zeros((round_states.shape[0], num_cycles))
-        key = bytes(key)
-        plaintexts = [bytes(plaintext) for plaintext in plaintexts]
-        cached_rows: List[List[float]] = []
-        for plaintext, index in zip(plaintexts, encryption_indices):
-            entry = self._trojan_activity_cache.get(
-                (id(dut.design), key, plaintext, index)
-            )
-            if entry is None or entry[0] is not dut.design:
-                break
-            cached_rows.append(entry[1])
-        if plaintexts and len(cached_rows) == len(plaintexts):
-            return np.asarray(cached_rows, dtype=float)
         config = self.config
         output_toggles, pin_toggles = dut.trojan.encryption_activity_counts(
-            round_states, encryption_indices
+            round_states
         )
         clock_load = (config.trojan_clock_load_per_cell
                       * dut.trojan.cell_count())
-        matrix = clock_load + (output_toggles
-                               + config.trojan_pin_toggle_weight * pin_toggles)
-        for plaintext, index, row in zip(plaintexts, encryption_indices,
-                                         matrix):
-            self._cache_insert(
-                self._trojan_activity_cache,
-                (id(dut.design), key, plaintext, index),
-                (dut.design, [float(value) for value in row]),
-                self.trojan_activity_cache_entries,
-            )
-        return matrix
+        return clock_load + (output_toggles
+                             + config.trojan_pin_toggle_weight * pin_toggles)
 
     def batch_noiseless_traces_many(self, duts: Sequence[DeviceUnderTest],
-                                    plaintexts: Sequence[bytes], key: bytes,
-                                    encryption_indices: Optional[Sequence[int]]
-                                    = None
+                                    plaintexts: Sequence[bytes], key: bytes
                                     ) -> "Tuple[np.ndarray, List[int]]":
         """Deterministic emissions of a whole (plaintext x DUT) grid.
 
@@ -446,9 +230,8 @@ class EMSimulator:
         unique design's trojan activity comes from one compiled-kernel
         evaluation over all encryptions' register states, and the pulse
         synthesis fills a ``(plaintexts, duts, samples)`` tensor in a
-        handful of broadcast operations.  Every ``[p, d]`` plane is
-        arithmetically identical to ``noiseless_trace(duts[d],
-        plaintexts[p], key, encryption_index=p)``.
+        handful of broadcast operations.  Plaintext ``p`` is encryption
+        ``p`` of the campaign (the sequential trojans' counter value).
 
         Returns ``(signal, cycle_sample_offsets)``.
         """
@@ -456,20 +239,11 @@ class EMSimulator:
         plaintexts = [bytes(plaintext) for plaintext in plaintexts]
         num_plaintexts = len(plaintexts)
         num_duts = len(duts)
-        if encryption_indices is None:
-            encryption_indices = list(range(num_plaintexts))
-        else:
-            encryption_indices = [int(i) for i in encryption_indices]
-            if len(encryption_indices) != num_plaintexts:
-                raise ValueError(
-                    f"got {len(encryption_indices)} encryption indices for "
-                    f"{num_plaintexts} plaintexts"
-                )
         if not num_duts or not num_plaintexts:
             raise ValueError("at least one DUT and one plaintext are required")
 
         round_states = BatchedAES(key).round_states(plaintexts)
-        host_matrix = self._host_activity_matrix(key, plaintexts, round_states)
+        host_matrix = self._host_activity_matrix(round_states)
         num_cycles = host_matrix.shape[1]
         num_rounds = num_cycles - 1
         samples_per_cycle = config.samples_per_cycle
@@ -483,9 +257,7 @@ class EMSimulator:
         for column, dut in enumerate(duts):
             design_key = id(dut.design)
             if design_key not in coupled_by_design:
-                trojan_matrix = self._trojan_activity_matrix(
-                    dut, key, plaintexts, round_states, encryption_indices
-                )
+                trojan_matrix = self._trojan_activity_matrix(dut, round_states)
                 host_coupling = self.host_probe_coupling(dut)
                 coupled_by_design[design_key] = (
                     host_coupling * host_matrix
@@ -512,6 +284,7 @@ class EMSimulator:
             signal[:, :, offset:end] += (amplitudes[:, :, cycle, None]
                                          * kernel[None, None, : end - offset])
 
+        # Idle cycles still show the clock-tree baseline.
         idle_cycles = list(range(config.pre_trigger_cycles)) + [
             config.pre_trigger_cycles + num_cycles + cycle
             for cycle in range(config.post_trigger_cycles)
@@ -527,23 +300,6 @@ class EMSimulator:
         signal = config.amplifier.amplify(signal) + offsets[None, :, None]
         return signal, cycle_offsets
 
-    def acquire_many_batch_tensor(self, duts: Sequence[DeviceUnderTest],
-                                  plaintexts: Sequence[bytes], key: bytes,
-                                  rngs: Union[np.random.Generator,
-                                              Sequence[np.random.Generator]],
-                                  new_setup_installation: bool = False
-                                  ) -> "Tuple[np.ndarray, List[int]]":
-        """Acquire the (plaintext x DUT) grid as one ``(P, D, S)`` tensor.
-
-        The entry point of :meth:`acquire_many_batch` and of every
-        population acquisition: plane ``[p, d]`` is bit-identical
-        to the serial ``acquire(duts[d], plaintexts[p], ...)``; no
-        :class:`EMTrace` objects are built.  Returns ``(signal,
-        cycle_sample_offsets)``.
-        """
-        return self._acquire_grid(duts, plaintexts, key, rngs,
-                                  new_setup_installation)
-
     def _acquire_grid(self, duts: Sequence[DeviceUnderTest],
                       plaintexts: Sequence[bytes], key: bytes,
                       rngs: Union[np.random.Generator,
@@ -553,10 +309,11 @@ class EMSimulator:
         """Noiseless grid plus the oscilloscope pass: the one acquisition core.
 
         Setup perturbation and averaged noise are drawn DUT-major /
-        plaintext-minor in the serial generator order, then the whole
-        ``(P, D, S)`` tensor is quantised in one pass.  Both public
-        entry points call this, neither calls the other, so a wrapper
-        around either one sees each acquisition exactly once.
+        plaintext-minor (one generator per DUT, or one shared generator
+        consumed in that order), then the whole ``(P, D, S)`` tensor is
+        quantised in one pass.  Every public entry point calls this and
+        none calls another, so a wrapper around any of them sees each
+        acquisition exactly once.
         """
         rng_list = self._normalised_rngs(duts, rngs)
         config = self.config
@@ -594,6 +351,32 @@ class EMSimulator:
             )
         return rng_list
 
+    def acquire_many_batch_tensor(self, duts: Sequence[DeviceUnderTest],
+                                  plaintexts: Sequence[bytes], key: bytes,
+                                  rngs: Union[np.random.Generator,
+                                              Sequence[np.random.Generator]],
+                                  new_setup_installation: bool = False
+                                  ) -> "Tuple[np.ndarray, List[int]]":
+        """Acquire the (plaintext x DUT) grid as one ``(P, D, S)`` tensor.
+
+        The entry point of every population acquisition; no
+        :class:`EMTrace` objects are built.
+
+        Parameters
+        ----------
+        rngs:
+            Either one generator per DUT (each die keeps its own noise
+            stream, consumed across the plaintexts in order) or a single
+            shared generator consumed DUT-major / plaintext-minor.
+        new_setup_installation:
+            Applied to every acquisition of the grid (the population
+            campaigns re-install the setup for every trace).
+
+        Returns ``(signal, cycle_sample_offsets)``.
+        """
+        return self._acquire_grid(duts, plaintexts, key, rngs,
+                                  new_setup_installation)
+
     def acquire_batch_matrix(self, duts: Sequence[DeviceUnderTest],
                              plaintext: bytes, key: bytes,
                              rngs: Union[np.random.Generator,
@@ -602,62 +385,38 @@ class EMSimulator:
                              ) -> "Tuple[np.ndarray, List[int]]":
         """Acquire a whole population under one plaintext as a ``(duts, samples)`` matrix.
 
-        The single-stimulus view of :meth:`acquire_many_batch_tensor`:
-        row ``d`` is bit-identical to the serial :meth:`acquire` of
-        ``duts[d]``.  ``rngs`` is one generator per DUT or one shared
-        generator consumed in DUT order.  Returns ``(signal,
-        cycle_sample_offsets)``.
+        The single-stimulus view of the acquisition grid.  ``rngs`` is
+        one generator per DUT or one shared generator consumed in DUT
+        order.  Returns ``(signal, cycle_sample_offsets)``.
         """
         signal, cycle_offsets = self._acquire_grid(
             duts, [plaintext], key, rngs, new_setup_installation
         )
         return signal[0], cycle_offsets
 
-    def acquire_many_batch(self, duts: Sequence[DeviceUnderTest],
-                           plaintexts: Sequence[bytes], key: bytes,
-                           rngs: Union[np.random.Generator,
-                                       Sequence[np.random.Generator]],
-                           new_setup_installation: bool = False
-                           ) -> List[List[EMTrace]]:
-        """Acquire the whole (plaintext x DUT) grid in one vectorised pass.
+    def acquire(self, dut: DeviceUnderTest, plaintext: bytes, key: bytes,
+                rng: np.random.Generator,
+                new_setup_installation: bool = False) -> EMTrace:
+        """Acquire one averaged trace as the oscilloscope would store it.
 
-        Thin :class:`EMTrace` wrapper over
-        :meth:`acquire_many_batch_tensor` (the persistence/report
-        boundary).  Returns one list per DUT (``result[d][p]``),
-        bit-identical to calling the serial :meth:`acquire_many` per
-        DUT.
+        The one-cell view of the acquisition grid (the same-die study and
+        the Fig. 4/5 experiments).
 
         Parameters
         ----------
-        rngs:
-            Either one generator per DUT (each die keeps its own noise
-            stream, consumed across the plaintexts in order) or a single
-            shared generator consumed DUT-major / plaintext-minor — both
-            conventions reproduce ``[acquire_many(dut, plaintexts, key,
-            rng) for dut in duts]`` exactly.
         new_setup_installation:
-            Applied to every acquisition of the grid (the population
-            campaigns re-install the setup for every trace).
+            When True, a fresh setup (probe repositioning, board
+            reinstallation) gain/offset perturbation is drawn — this is
+            the effect Fig. 5 demonstrates to be negligible after
+            1 000-fold averaging.
         """
-        self._normalised_rngs(duts, rngs)
-        if not duts:
-            return []
-        if not plaintexts:
-            return [[] for _ in duts]
-        signal, cycle_offsets = self.acquire_many_batch_tensor(
-            duts, plaintexts, key, rngs, new_setup_installation
+        signal, cycle_offsets = self._acquire_grid(
+            [dut], [plaintext], key, rng, new_setup_installation
         )
-        sample_period_ns = 1.0 / self.config.oscilloscope.sample_rate_gsps
-        return [
-            [
-                EMTrace(
-                    samples=signal[row, column].copy(),
-                    label=dut.label,
-                    plaintext=bytes(plaintexts[row]),
-                    sample_period_ns=sample_period_ns,
-                    cycle_sample_offsets=list(cycle_offsets),
-                )
-                for row in range(len(plaintexts))
-            ]
-            for column, dut in enumerate(duts)
-        ]
+        return EMTrace(
+            samples=signal[0, 0],
+            label=dut.label,
+            plaintext=bytes(plaintext),
+            sample_period_ns=1.0 / self.config.oscilloscope.sample_rate_gsps,
+            cycle_sample_offsets=cycle_offsets,
+        )

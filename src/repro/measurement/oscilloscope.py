@@ -89,20 +89,3 @@ class Oscilloscope:
         if single_shot_sigma < 0:
             raise ValueError("single_shot_sigma must be non-negative")
         return single_shot_sigma / np.sqrt(self.num_averages)
-
-    def acquire(self, averaged_signal: np.ndarray,
-                noise_sigma_single_shot: float,
-                rng: np.random.Generator,
-                quantise: bool = True) -> np.ndarray:
-        """Produce the stored (averaged) trace for a noiseless input signal.
-
-        ``averaged_signal`` is the deterministic part of the emission;
-        the function adds the residual averaged noise and quantises.
-        """
-        signal = np.asarray(averaged_signal, dtype=float)
-        sigma = self.effective_noise_sigma(noise_sigma_single_shot)
-        if sigma > 0:
-            signal = signal + rng.normal(0.0, sigma, size=signal.shape)
-        if quantise:
-            signal = self.quantise(signal, lsb=self.effective_lsb())
-        return signal

@@ -465,9 +465,8 @@ class CompiledNetlist:
         evaluations (e.g. one row per clock cycle); the result is a pair
         of ``(num_states - 1,)`` int arrays counting, for each
         consecutive pair of rows, how many cell outputs and how many
-        cell input pins changed value — the quantities
-        :meth:`~repro.trojan.base.HardwareTrojan._netlist_toggle_counts`
-        derives from two interpreted evaluations.
+        cell input pins changed value — what comparing two interpreted
+        :meth:`~repro.netlist.netlist.Netlist.evaluate` walks would give.
 
         A ``(num_groups, num_states, num_nets)`` tensor counts every
         group independently along its own state axis (no toggles are

@@ -1,6 +1,6 @@
 """Hardware trojan models, catalog and layout-preserving insertion."""
 
-from .base import HardwareTrojan, NO_ACTIVITY, TrojanActivity, TrojanKind
+from .base import HardwareTrojan, TrojanKind
 from .combinational import (
     CombinationalTrojan,
     build_combinational_trojan,
@@ -19,8 +19,6 @@ from .sequential import SequentialTrojan, build_sequential_trojan
 
 __all__ = [
     "HardwareTrojan",
-    "NO_ACTIVITY",
-    "TrojanActivity",
     "TrojanKind",
     "CombinationalTrojan",
     "build_combinational_trojan",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..netlist.netlist import Netlist
 
@@ -33,39 +33,6 @@ class TrojanKind(str, Enum):
 
     COMBINATIONAL = "combinational"
     SEQUENTIAL = "sequential"
-
-
-@dataclass(frozen=True)
-class TrojanActivity:
-    """Switching-activity counts of a trojan over one host clock cycle.
-
-    Attributes
-    ----------
-    output_toggles:
-        Number of trojan cell outputs that changed value.
-    input_pin_toggles:
-        Number of trojan cell input pins whose driving net changed value
-        (dormant trigger logic mostly shows up through these).
-    """
-
-    output_toggles: int
-    input_pin_toggles: int
-
-    def weighted(self, pin_weight: float = 0.3) -> float:
-        """Scalar activity: full weight for output toggles, ``pin_weight``
-        for input-pin toggles (an input pin charging internal LUT
-        capacitance draws a fraction of a full output transition)."""
-        return self.output_toggles + pin_weight * self.input_pin_toggles
-
-    def __add__(self, other: "TrojanActivity") -> "TrojanActivity":
-        return TrojanActivity(
-            output_toggles=self.output_toggles + other.output_toggles,
-            input_pin_toggles=self.input_pin_toggles + other.input_pin_toggles,
-        )
-
-
-#: The zero activity constant.
-NO_ACTIVITY = TrojanActivity(0, 0)
 
 
 @dataclass
@@ -131,37 +98,6 @@ class HardwareTrojan:
         """
         raise NotImplementedError
 
-    def round_activity(self, state_before: Sequence[int],
-                       state_after: Sequence[int],
-                       encryption_index: int = 0,
-                       round_index: int = 0) -> TrojanActivity:
-        """Dormant switching activity over one host clock cycle.
-
-        Parameters
-        ----------
-        state_before, state_after:
-            Host state register content before/after the clock edge.
-        encryption_index:
-            Index of the encryption in the acquisition campaign (used by
-            sequential trojans whose counter advances per encryption).
-        round_index:
-            Round number within the encryption (1-based).
-        """
-        raise NotImplementedError
-
-    def encryption_activity(self, round_states: Sequence[bytes],
-                            encryption_index: int = 0) -> List[TrojanActivity]:
-        """Activity for every clock cycle of one encryption.
-
-        ``round_states`` is the sequence of state-register values over
-        the encryption (initial state then one entry per round); the
-        result has one entry per transition, equal to
-        :meth:`round_activity` for that cycle.  Concrete trojans
-        evaluate every cycle's netlist state in one compiled-kernel
-        batch.
-        """
-        raise NotImplementedError
-
     def encryption_activity_counts(self, round_states: "object",
                                    encryption_indices: Optional[Sequence[int]]
                                    = None
@@ -174,42 +110,9 @@ class HardwareTrojan:
         register load); ``encryption_indices`` gives each row's position
         in the acquisition campaign (defaults to ``0..N-1``).  Returns
         ``(output_toggles, input_pin_toggles)`` int64 matrices of shape
-        ``(num_encryptions, num_cycles)``, row ``i`` equal to
-        :meth:`encryption_activity` of encryption ``i``.
+        ``(num_encryptions, num_cycles)``: entry ``[i, c]`` counts the
+        trojan cell outputs and input pins that change value over clock
+        cycle ``c + 1`` of encryption ``i``.  Concrete trojans evaluate
+        the whole batch through the compiled netlist kernel.
         """
         raise NotImplementedError
-
-    # -- helpers for subclasses ------------------------------------------------
-
-    def _batched_toggle_counts(self, values: "object") -> List[TrojanActivity]:
-        """Toggle counts between consecutive rows of a compiled evaluation.
-
-        ``values`` is the ``(num_states, num_nets)`` matrix returned by
-        the compiled netlist for successive cycle states; entry ``i`` of
-        the result equals what :meth:`_netlist_toggle_counts` computes
-        for rows ``i`` and ``i + 1``.
-        """
-        output_toggles, pin_toggles = self.netlist.compiled().toggle_counts(
-            values
-        )
-        return [TrojanActivity(output_toggles=int(out), input_pin_toggles=int(pins))
-                for out, pins in zip(output_toggles, pin_toggles)]
-
-    def _netlist_toggle_counts(self, inputs_before: Mapping[str, int],
-                               inputs_after: Mapping[str, int],
-                               registers_before: Optional[Mapping[str, int]] = None,
-                               registers_after: Optional[Mapping[str, int]] = None
-                               ) -> TrojanActivity:
-        """Count output and input-pin toggles between two evaluations."""
-        values_before = self.netlist.evaluate(dict(inputs_before), registers_before)
-        values_after = self.netlist.evaluate(dict(inputs_after), registers_after)
-        output_toggles = 0
-        pin_toggles = 0
-        for cell in self.netlist.cells.values():
-            if values_before.get(cell.output) != values_after.get(cell.output):
-                output_toggles += 1
-            for net in cell.inputs:
-                if values_before.get(net) != values_after.get(net):
-                    pin_toggles += 1
-        return TrojanActivity(output_toggles=output_toggles,
-                              input_pin_toggles=pin_toggles)

@@ -28,7 +28,7 @@ from ..crypto.state import BLOCK_BITS, bytes_to_bits, validate_block
 from ..netlist.aes_round_circuit import paper_bit_to_byte_bit, state_input_net
 from ..netlist.netlist import Netlist
 from ..netlist.synth import synthesize_reduction_tree
-from .base import HardwareTrojan, TrojanActivity, TrojanKind
+from .base import HardwareTrojan, TrojanKind
 from .payload import add_dos_payload
 
 #: Net name carrying the trigger condition inside the trojan netlist.
@@ -109,38 +109,6 @@ class CombinationalTrojan(HardwareTrojan):
         values = self.netlist.evaluate(self.tap_values(host_state))
         return bool(values[TRIGGER_NET])
 
-    def round_activity(self, state_before: Sequence[int],
-                       state_after: Sequence[int],
-                       encryption_index: int = 0,
-                       round_index: int = 0) -> TrojanActivity:
-        return self._netlist_toggle_counts(
-            self.tap_values(state_before),
-            self.tap_values(state_after),
-        )
-
-    def encryption_activity(self, round_states: Sequence[bytes],
-                            encryption_index: int = 0) -> List[TrojanActivity]:
-        """All cycles of one encryption in a single compiled-kernel pass.
-
-        The trigger tree is evaluated once per register state (one row
-        per cycle boundary) instead of twice per cycle through the
-        interpreted walk; consecutive-row toggle counts reproduce
-        :meth:`round_activity` for every cycle exactly.
-        """
-        if len(round_states) < 2:
-            return []
-        # Paper-numbered state bits are MSB-first per byte.
-        state_bits = np.unpackbits(
-            np.array([list(validate_block(state)) for state in round_states],
-                     dtype=np.uint8),
-            axis=1,
-        )
-        tap_rows = state_bits[:, self.scanned_bits]
-        values = self.netlist.compiled().evaluate_batch(
-            tap_rows, input_nets=self.tap_input_nets
-        )
-        return self._batched_toggle_counts(values)
-
     def encryption_activity_counts(self, round_states, encryption_indices=None):
         """Whole stimulus batches in one compiled-kernel evaluation.
 
@@ -148,8 +116,7 @@ class CombinationalTrojan(HardwareTrojan):
         single ``evaluate_batch`` call; toggle counts are taken between
         consecutive rows *within* each encryption (the trigger tree is
         purely combinational, so nothing depends on
-        ``encryption_indices``).  Matches a per-encryption loop over
-        :meth:`encryption_activity` exactly.
+        ``encryption_indices``).
         """
         states = np.ascontiguousarray(round_states, dtype=np.uint8)
         if states.ndim != 3 or states.shape[2] != BLOCK_BITS // 8:

@@ -24,7 +24,7 @@ import numpy as np
 from ..netlist.cells import make_dff, make_lut
 from ..netlist.netlist import Netlist
 from ..netlist.synth import synthesize_reduction_tree
-from .base import HardwareTrojan, NO_ACTIVITY, TrojanActivity, TrojanKind
+from .base import HardwareTrojan, TrojanKind
 from .payload import add_dos_payload
 
 #: Net name carrying the trigger condition inside the trojan netlist.
@@ -141,46 +141,6 @@ class SequentialTrojan(HardwareTrojan):
         """The sequential trojan does not observe the host datapath."""
         return {}
 
-    def round_activity(self, state_before: Sequence[int],
-                       state_after: Sequence[int],
-                       encryption_index: int = 0,
-                       round_index: int = 0) -> TrojanActivity:
-        if round_index != self.increment_round:
-            return NO_ACTIVITY
-        before = self.counter_register_values(encryption_index)
-        after = self.counter_register_values(encryption_index + 1)
-        return self._netlist_toggle_counts(
-            {"inc": 0}, {"inc": 0},
-            registers_before=before, registers_after=after,
-        )
-
-    def encryption_activity(self, round_states: Sequence[bytes],
-                            encryption_index: int = 0) -> List[TrojanActivity]:
-        """One encryption's activity from a single compiled-kernel batch.
-
-        Only the increment cycle toggles anything; its before/after
-        counter states are evaluated as two rows of one batch instead of
-        two interpreted walks.
-        """
-        num_cycles = max(0, len(round_states) - 1)
-        activities = [NO_ACTIVITY] * num_cycles
-        if not 1 <= self.increment_round <= num_cycles:
-            return activities
-        register_nets = [f"cnt_q{bit}" for bit in range(self.counter_width)]
-        register_rows = np.array(
-            [[self.counter_register_values(value)[net] for net in register_nets]
-             for value in (encryption_index, encryption_index + 1)],
-            dtype=np.uint8,
-        )
-        values = self.netlist.compiled().evaluate_batch(
-            np.zeros((2, 1), dtype=np.uint8), input_nets=["inc"],
-            register_rows=register_rows, register_nets=register_nets,
-        )
-        activities[self.increment_round - 1] = self._batched_toggle_counts(
-            values
-        )[0]
-        return activities
-
     def encryption_activity_counts(self, round_states, encryption_indices=None):
         """Counter toggles for a whole batch of encryptions at once.
 
@@ -188,8 +148,7 @@ class SequentialTrojan(HardwareTrojan):
         the toggle pattern depends solely on the encryption index, so
         every *distinct* counter value appearing in the batch is
         evaluated once through the compiled kernel and the per-
-        encryption counts are gathered from that table.  Matches a
-        per-encryption loop over :meth:`encryption_activity` exactly.
+        encryption counts are gathered from that table.
         """
         states = np.ascontiguousarray(round_states, dtype=np.uint8)
         if states.ndim != 3:

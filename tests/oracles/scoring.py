@@ -24,6 +24,28 @@ from repro.crypto.state import BLOCK_BYTES
 from repro.measurement.fault_injection import SetupViolationFaultModel
 
 
+#: Per-device delay scorers over the Eq. (4) per-(pair, bit) difference
+#: matrix of one device campaign: the serial references of the campaign
+#: engine's ``DELAY_METRIC_BATCH_SCORERS``.
+DELAY_METRIC_SCORERS = {
+    "delay_max_difference":
+        lambda differences: float(differences.max()),
+    "delay_mean_pair_max":
+        lambda differences: float(differences.max(axis=1).mean()),
+}
+
+
+def build_delay_scorer(name: str):
+    """Resolve a serial delay-metric scorer from its campaign-spec name."""
+    try:
+        return DELAY_METRIC_SCORERS[name]
+    except KeyError as exc:
+        raise KeyError(
+            f"unknown delay metric {name!r}; available: "
+            + ", ".join(DELAY_METRIC_SCORERS)
+        ) from exc
+
+
 def scores_serial(metric, traces: Sequence, reference) -> np.ndarray:
     """Per-trace scoring loop — the serial reference of ``metric.scores``.
 

@@ -1,6 +1,7 @@
 """Equivalence of the batched acquisition paths with the serial loops.
 
-``EMSimulator.acquire_batch_matrix``/``acquire_many_batch`` and
+The acquisition views of ``EMSimulator`` (``acquire``,
+``acquire_batch_matrix``, ``acquire_many_batch_tensor``) and
 ``PathDelayMeter.measure_batch`` are pure performance refactors: for
 every trojan in the catalog (and the golden design) they must reproduce
 the per-DUT serial results within float tolerance — in fact
@@ -19,14 +20,18 @@ from repro.stimulus import DEFAULT_PLAINTEXT, random_plaintexts
 from repro.trojan.library import available_trojans, build_trojan
 
 from oracles import (
+    acquire_many,
     acquire_population_traces_serial,
     acquire_population_traces_stimuli_serial,
+    acquire_serial,
     arrival_times_ps,
     average_stimulus_traces,
+    build_delay_scorer,
     calibrate_glitch,
     calibrate_glitches,
     encryption_activity_counts_loop,
     measure,
+    noiseless_trace,
     pair_transitions,
     scores_serial,
 )
@@ -59,8 +64,7 @@ def _duts(platform, trojan_name):
 def test_noiseless_batch_matches_per_die_loop(batch_platform, trojan_name):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
-    serial = [simulator.noiseless_trace(dut, PLAINTEXT, KEY) for dut in duts]
-    simulator.clear_caches()
+    serial = [noiseless_trace(simulator, dut, PLAINTEXT, KEY) for dut in duts]
     batch, offsets = simulator.batch_noiseless_traces_many(duts, [PLAINTEXT],
                                                            KEY)
     for row, serial_trace in enumerate(serial):
@@ -74,9 +78,9 @@ def test_acquire_batch_matches_per_die_loop(batch_platform, trojan_name):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
     serial = [
-        simulator.acquire(dut, PLAINTEXT, KEY,
-                          np.random.default_rng(100 + die),
-                          new_setup_installation=True)
+        acquire_serial(simulator, dut, PLAINTEXT, KEY,
+                       np.random.default_rng(100 + die),
+                       new_setup_installation=True)
         for die, dut in enumerate(duts)
     ]
     batch, _ = simulator.acquire_batch_matrix(
@@ -93,7 +97,7 @@ def test_acquire_batch_with_shared_generator_matches_serial(batch_platform):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT_comb")
     rng_serial = np.random.default_rng(7)
-    serial = [simulator.acquire(dut, PLAINTEXT, KEY, rng_serial)
+    serial = [acquire_serial(simulator, dut, PLAINTEXT, KEY, rng_serial)
               for dut in duts]
     batch, _ = simulator.acquire_batch_matrix(duts, PLAINTEXT, KEY,
                                               np.random.default_rng(7))
@@ -132,24 +136,22 @@ def test_acquire_many_batch_matches_serial_acquire_many(batch_platform,
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
     serial = [
-        simulator.acquire_many(dut, STIMULI, KEY,
-                               np.random.default_rng(300 + die),
-                               new_setup_installation=True)
+        acquire_many(simulator, dut, STIMULI, KEY,
+                     np.random.default_rng(300 + die),
+                     new_setup_installation=True)
         for die, dut in enumerate(duts)
     ]
-    simulator.clear_caches()
-    batch = simulator.acquire_many_batch(
+    batch, offsets = simulator.acquire_many_batch_tensor(
         duts, STIMULI, KEY,
         [np.random.default_rng(300 + die) for die in range(len(duts))],
         new_setup_installation=True,
     )
-    for serial_list, batch_list in zip(serial, batch):
-        assert len(serial_list) == len(batch_list) == len(STIMULI)
-        for serial_trace, batch_trace in zip(serial_list, batch_list):
-            assert serial_trace.plaintext == batch_trace.plaintext
-            assert serial_trace.cycle_sample_offsets == \
-                batch_trace.cycle_sample_offsets
-            assert np.array_equal(serial_trace.samples, batch_trace.samples)
+    assert batch.shape[:2] == (len(STIMULI), len(duts))
+    for column, serial_list in enumerate(serial):
+        assert len(serial_list) == len(STIMULI)
+        for row, serial_trace in enumerate(serial_list):
+            assert serial_trace.cycle_sample_offsets == offsets
+            assert np.array_equal(serial_trace.samples, batch[row, column])
 
 
 def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
@@ -157,14 +159,13 @@ def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT2")
     rng_serial = np.random.default_rng(17)
-    serial = [simulator.acquire_many(dut, STIMULI, KEY, rng_serial)
+    serial = [acquire_many(simulator, dut, STIMULI, KEY, rng_serial)
               for dut in duts]
-    simulator.clear_caches()
-    batch = simulator.acquire_many_batch(duts, STIMULI, KEY,
-                                         np.random.default_rng(17))
-    for serial_list, batch_list in zip(serial, batch):
-        for serial_trace, batch_trace in zip(serial_list, batch_list):
-            assert np.array_equal(serial_trace.samples, batch_trace.samples)
+    batch, _ = simulator.acquire_many_batch_tensor(
+        duts, STIMULI, KEY, np.random.default_rng(17))
+    for column, serial_list in enumerate(serial):
+        for row, serial_trace in enumerate(serial_list):
+            assert np.array_equal(serial_trace.samples, batch[row, column])
 
 
 def test_population_stimuli_acquisition_matches_serial(batch_platform):
@@ -175,7 +176,6 @@ def test_population_stimuli_acquisition_matches_serial(batch_platform):
         acquire_population_traces_stimuli_serial(
             batch_platform, trojans, STIMULI)
     )
-    batch_platform.em_simulator.clear_caches()
     tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
     for row, trace in enumerate(average_stimulus_traces(golden_serial)):
         assert np.array_equal(tensors.golden[row], trace.samples)
@@ -199,29 +199,6 @@ def test_encryption_activity_counts_match_reference_loop(device,
     batched = trojan.encryption_activity_counts(states, indices)
     assert np.array_equal(reference[0], batched[0])
     assert np.array_equal(reference[1], batched[1])
-
-
-def test_activity_caches_are_bounded_and_clearable(batch_platform):
-    simulator = batch_platform.em_simulator
-    simulator.clear_caches()
-    original = simulator.host_activity_cache_entries
-    try:
-        simulator.host_activity_cache_entries = 8
-        dut = batch_platform.golden_dut(0)
-        plaintexts = random_plaintexts(20, seed=3)
-        simulator.acquire_many_batch(
-            [dut], plaintexts, KEY, [np.random.default_rng(0)]
-        )
-        assert len(simulator._host_activity_cache) <= 8
-        # The most recent insertions survive, the oldest are evicted.
-        assert (bytes(KEY), plaintexts[-1]) in simulator._host_activity_cache
-        assert (bytes(KEY), plaintexts[0]) not in simulator._host_activity_cache
-        simulator.clear_caches()
-        assert not simulator._host_activity_cache
-        assert not simulator._trojan_activity_cache
-    finally:
-        simulator.host_activity_cache_entries = original
-        simulator.clear_caches()
 
 
 def test_delay_measure_batch_matches_per_dut_loop(batch_platform):
@@ -297,8 +274,8 @@ def test_delay_measure_batch_self_calibration_matches(batch_platform):
 
 
 def test_acquire_batch_matrix_matches_wrapped_traces(batch_platform):
-    """The single-stimulus matrix view and the EMTrace list view carry
-    identical samples."""
+    """The single-stimulus matrix view and the one-cell EMTrace view
+    carry identical samples."""
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT1")
     matrix, offsets = simulator.acquire_batch_matrix(
@@ -306,38 +283,18 @@ def test_acquire_batch_matrix_matches_wrapped_traces(batch_platform):
         [np.random.default_rng(500 + die) for die in range(len(duts))],
         new_setup_installation=True,
     )
-    grid = simulator.acquire_many_batch(
-        duts, [PLAINTEXT], KEY,
-        [np.random.default_rng(500 + die) for die in range(len(duts))],
-        new_setup_installation=True,
-    )
-    assert matrix.shape == (len(duts), len(grid[0][0]))
-    for row, (trace,) in enumerate(grid):
+    traces = [
+        simulator.acquire(dut, PLAINTEXT, KEY,
+                          np.random.default_rng(500 + die),
+                          new_setup_installation=True)
+        for die, dut in enumerate(duts)
+    ]
+    assert matrix.shape == (len(duts), len(traces[0]))
+    for row, trace in enumerate(traces):
         assert matrix[row].tobytes() == trace.samples.tobytes()
         assert trace.plaintext == PLAINTEXT
+        assert trace.label == duts[row].label
         assert trace.cycle_sample_offsets == list(offsets)
-
-
-def test_acquire_many_batch_tensor_matches_wrapped_grid(batch_platform):
-    simulator = batch_platform.em_simulator
-    duts = _duts(batch_platform, "HT2")
-    simulator.clear_caches()
-    tensor, offsets = simulator.acquire_many_batch_tensor(
-        duts, STIMULI, KEY,
-        [np.random.default_rng(700 + die) for die in range(len(duts))],
-        new_setup_installation=True,
-    )
-    simulator.clear_caches()
-    grid = simulator.acquire_many_batch(
-        duts, STIMULI, KEY,
-        [np.random.default_rng(700 + die) for die in range(len(duts))],
-        new_setup_installation=True,
-    )
-    assert tensor.shape[:2] == (len(STIMULI), len(duts))
-    for column, trace_list in enumerate(grid):
-        for row, trace in enumerate(trace_list):
-            assert np.array_equal(tensor[row, column], trace.samples)
-            assert trace.cycle_sample_offsets == list(offsets)
 
 
 def test_population_tensors_match_trace_acquisition(batch_platform):
@@ -371,16 +328,13 @@ def test_average_stimulus_tensor_matches_trace_average(batch_platform):
 
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT3")
-    simulator.clear_caches()
     tensor, _ = simulator.acquire_many_batch_tensor(
         duts, STIMULI, KEY,
         [np.random.default_rng(800 + die) for die in range(len(duts))],
     )
-    simulator.clear_caches()
-    grid = simulator.acquire_many_batch(
-        duts, STIMULI, KEY,
-        [np.random.default_rng(800 + die) for die in range(len(duts))],
-    )
+    grid = [acquire_many(simulator, dut, STIMULI, KEY,
+                         np.random.default_rng(800 + die))
+            for die, dut in enumerate(duts)]
     averaged_matrix = average_stimulus_tensor(tensor)
     averaged_traces = average_stimulus_traces(grid)
     for row, trace in enumerate(averaged_traces):
@@ -388,19 +342,18 @@ def test_average_stimulus_tensor_matches_trace_average(batch_platform):
 
 
 def test_stimulus_tensors_match_averaged_traces(batch_platform):
-    """Multi-stimulus population tensors equal the EMTrace grid view of
-    the same per-die noise streams, averaged per die."""
+    """Multi-stimulus population tensors equal the serial per-plaintext
+    traces of the same per-die noise streams, averaged per die."""
     trojans = ("HT1",)
-    batch_platform.em_simulator.clear_caches()
     tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
-    batch_platform.em_simulator.clear_caches()
+    simulator = batch_platform.em_simulator
     rngs = batch_platform._die_rngs()
-    golden_grid = batch_platform.em_simulator.acquire_many_batch(
-        _duts(batch_platform, None), STIMULI, KEY, rngs,
-        new_setup_installation=True)
-    infected_grid = batch_platform.em_simulator.acquire_many_batch(
-        _duts(batch_platform, "HT1"), STIMULI, KEY, rngs,
-        new_setup_installation=True)
+    golden_grid = [acquire_many(simulator, dut, STIMULI, KEY, rng,
+                                new_setup_installation=True)
+                   for dut, rng in zip(_duts(batch_platform, None), rngs)]
+    infected_grid = [acquire_many(simulator, dut, STIMULI, KEY, rng,
+                                  new_setup_installation=True)
+                     for dut, rng in zip(_duts(batch_platform, "HT1"), rngs)]
     assert tensors.plaintext == STIMULI[0]
     for row, trace in enumerate(average_stimulus_traces(golden_grid)):
         assert np.array_equal(tensors.golden[row], trace.samples)
@@ -497,7 +450,6 @@ def test_campaign_delay_rows_match_serial_scoring(batch_platform):
     """Delay cells' batched scorers equal the per-die serial scorers."""
     from repro.analysis.gaussian import fit_gaussian, pooled_std
     from repro.campaigns import CampaignEngine, CampaignSpec
-    from repro.campaigns.engine import build_delay_scorer
     from repro.core.metrics import false_negative_rate
 
     spec = CampaignSpec(

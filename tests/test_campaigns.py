@@ -64,6 +64,9 @@ def test_spec_round_trips_through_json(tmp_path):
     {"metrics": ("not_a_metric",)},
     {"workers": 0},
     {"plaintext": b"short"},
+    {"trojans": ("HT1", "HT2", "HT1")},
+    {"die_counts": (4, 4)},
+    {"metrics": ("l1", "local_maxima_sum", "l1")},
 ])
 def test_spec_rejects_invalid_configurations(bad_kwargs):
     with pytest.raises(ValueError):
@@ -383,7 +386,7 @@ def test_delay_metrics_not_crossed_with_em_variants():
 
 
 def test_build_delay_scorer_rejects_unknown_names():
-    from repro.campaigns import build_delay_scorer
+    from repro.campaigns.engine import build_delay_batch_scorer
 
     with pytest.raises(KeyError, match="delay_max_difference"):
-        build_delay_scorer("nope")
+        build_delay_batch_scorer("nope")

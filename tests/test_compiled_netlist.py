@@ -212,9 +212,14 @@ def test_encryption_activity_matches_interpreted(trojans, trojan_name):
         reference = encryption_activity_interpreted(
             trojan, states, encryption_index=encryption_index
         )
-        assert trojan.encryption_activity(
-            states, encryption_index=encryption_index
-        ) == reference
+        output_toggles, pin_toggles = trojan.encryption_activity_counts(
+            np.array([[list(state) for state in states]], dtype=np.uint8),
+            [encryption_index],
+        )
+        assert output_toggles[0].tolist() == \
+            [activity.output_toggles for activity in reference]
+        assert pin_toggles[0].tolist() == \
+            [activity.input_pin_toggles for activity in reference]
 
 
 # -- cache maintenance -------------------------------------------------------

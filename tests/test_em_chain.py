@@ -9,6 +9,8 @@ from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
 from repro.measurement.noise import EMNoiseModel
 from repro.measurement.oscilloscope import Oscilloscope
 
+from oracles import host_cycle_activities, noiseless_trace, trojan_cycle_activities
+
 PLAINTEXT = bytes(range(16))
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -79,7 +81,7 @@ def test_acquisition_config_geometry():
 def test_host_activities_track_register_switching(simulator, golden_dut):
     from repro.crypto.aes import AES
 
-    activities = simulator.host_cycle_activities(AES(KEY), PLAINTEXT)
+    activities = host_cycle_activities(simulator, AES(KEY), PLAINTEXT)
     assert len(activities) == 11
     assert all(a >= simulator.config.baseline_activity for a in activities)
 
@@ -87,20 +89,20 @@ def test_host_activities_track_register_switching(simulator, golden_dut):
 def test_trojan_activities_zero_for_clean_design(simulator, golden_dut):
     from repro.crypto.aes import AES
 
-    activities = simulator.trojan_cycle_activities(golden_dut, AES(KEY), PLAINTEXT)
+    activities = trojan_cycle_activities(simulator, golden_dut, AES(KEY), PLAINTEXT)
     assert activities == [0.0] * 11
 
 
 def test_trojan_activities_positive_for_infected(simulator, infected_dut):
     from repro.crypto.aes import AES
 
-    activities = simulator.trojan_cycle_activities(infected_dut, AES(KEY), PLAINTEXT)
+    activities = trojan_cycle_activities(simulator, infected_dut, AES(KEY), PLAINTEXT)
     assert len(activities) == 11
     assert all(a > 0 for a in activities)
 
 
 def test_noiseless_trace_structure(simulator, golden_dut):
-    trace = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    trace = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
     expected_samples = simulator.config.total_samples(10)
     assert len(trace) == expected_samples
     assert len(trace.cycle_sample_offsets) == 11
@@ -108,20 +110,20 @@ def test_noiseless_trace_structure(simulator, golden_dut):
 
 
 def test_noiseless_trace_deterministic(simulator, golden_dut):
-    a = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
-    b = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    a = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
+    b = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_noiseless_trace_depends_on_plaintext(simulator, golden_dut):
-    a = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
-    b = simulator.noiseless_trace(golden_dut, bytes(16), KEY)
+    a = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
+    b = noiseless_trace(simulator, golden_dut, bytes(16), KEY)
     assert not np.array_equal(a.samples, b.samples)
 
 
 def test_infected_trace_differs_from_golden(simulator, golden_dut, infected_dut):
-    golden = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
-    infected = simulator.noiseless_trace(infected_dut, PLAINTEXT, KEY)
+    golden = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
+    infected = noiseless_trace(simulator, infected_dut, PLAINTEXT, KEY)
     difference = np.abs(golden.samples - infected.samples)
     assert difference.max() > 50
     # The trojan adds activity; it must not change the trace length.
@@ -135,19 +137,19 @@ def test_trojan_size_increases_em_difference(simulator, golden_design,
 
     die = die_population[0]
     golden_dut = DeviceUnderTest(golden_design, die)
-    golden = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    golden = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
     differences = {}
     for name in ("HT1", "HT3"):
         infected = insert_trojan(golden_design, build_trojan(name,
                                                              golden_design.device))
         dut = DeviceUnderTest(infected, die)
-        trace = simulator.noiseless_trace(dut, PLAINTEXT, KEY)
+        trace = noiseless_trace(simulator, dut, PLAINTEXT, KEY)
         differences[name] = float(np.abs(trace.samples - golden.samples).max())
     assert differences["HT3"] > differences["HT1"]
 
 
 def test_acquire_adds_bounded_noise(simulator, golden_dut, rng):
-    noiseless = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    noiseless = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
     acquired = simulator.acquire(golden_dut, PLAINTEXT, KEY, rng)
     residual = acquired.samples - noiseless.samples
     sigma = simulator.config.noise.averaged_sigma(
@@ -157,9 +159,10 @@ def test_acquire_adds_bounded_noise(simulator, golden_dut, rng):
 
 
 def test_acquire_many_counts(simulator, golden_dut, rng):
-    traces = simulator.acquire_many(golden_dut, [PLAINTEXT, bytes(16)], KEY, rng)
-    assert len(traces) == 2
-    assert traces[0].plaintext == PLAINTEXT
+    traces, offsets = simulator.acquire_many_batch_tensor(
+        [golden_dut], [PLAINTEXT, bytes(16)], KEY, rng)
+    assert traces.shape == (2, 1, simulator.config.total_samples(10))
+    assert len(offsets) == 11
 
 
 def test_setup_installation_perturbs_trace(simulator, golden_dut):

@@ -158,6 +158,41 @@ def test_cli_parser_campaign_store_and_shard_flags():
             parser.parse_args(["campaign", "run", "--shard", bad_shard])
 
 
+_EM_CELL = ["campaign", "run", "--trojan", "HT1", "--dies", "2",
+            "--metric", "l1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_EM_CELL + ["--plaintexts", "0"], "num_plaintexts must be >= 1"),
+    (_EM_CELL + ["--pk-pairs", "0"], "num_pk_pairs must be >= 1"),
+    (_EM_CELL + ["--retries", "-1"], "max_retries must be >= 0"),
+    (_EM_CELL + ["--cell-timeout", "0"], "cell_timeout_s must be positive"),
+    (["campaign", "run", "--trojan", "HT1", "--dies", "0"], "die_counts"),
+    (["campaign", "run", "--trojan", "HTX", "--dies", "2"], "'HTX'"),
+    (_EM_CELL + ["--trojan", "HT1"], "trojans must not repeat"),
+    (_EM_CELL + ["--dies", "2"], "die_counts must not repeat"),
+    (_EM_CELL + ["--metric", "l1"], "metrics must not repeat"),
+    (["attack", "recover", "--trojan", "HTX"], "'HTX'"),
+    (["attack", "recover", "--dies", "0"], "die_counts"),
+    (["attack", "sweep", "--dies", "1"], "die_counts"),
+    (["campaign", "report", "MISSING"], "missing.json"),
+], ids=["plaintexts", "pk-pairs", "retries", "cell-timeout", "dies",
+        "trojan", "repeated-trojan", "repeated-dies", "repeated-metric",
+        "recover-trojan", "recover-dies", "sweep-dies", "report-missing"])
+def test_cli_spec_and_input_errors_exit_2_on_one_line(argv, message, capsys,
+                                                       tmp_path):
+    """Bad flags are rejected before any cell runs: one ``error:`` line
+    on stderr, nothing on stdout, exit status 2."""
+    argv = [str(tmp_path / "missing.json") if arg == "MISSING" else arg
+            for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_cli_trojans_command(capsys):
     exit_code = main(["trojans", "--quick"])
     assert exit_code == 0

@@ -2,9 +2,12 @@
 
 The serial loops and interpreted walks the batched kernels are pinned
 against live in ``tests/oracles/``; ``src/`` keeps exactly one netlist
-kernel and one timing path.  These checks keep it that way: no oracle
-is redefined under ``src/``, nothing there imports the removed backend
-seam, bitslice kernel or interpreted timing engine, and the paper's
+kernel, one timing path, one EM trace-synthesis core
+(``EMSimulator._acquire_grid``) and one trojan-activity path
+(``encryption_activity_counts``).  These checks keep it that way: no
+oracle is redefined under ``src/``, nothing there imports the removed
+backend seam, bitslice kernel or interpreted timing engine, every
+acquisition entry point is a view of the one core, and the paper's
 delay figures run without a single interpreted netlist evaluation.
 """
 
@@ -36,7 +39,38 @@ ORACLE_ONLY_NAMES = {
     "BitslicedNetlist",
     "pack_bits",
     "unpack_words",
+    # Serial EM synthesis and the per-encryption trojan activity.
+    "noiseless_trace",
+    "host_cycle_activities",
+    "trojan_cycle_activities",
+    "acquire_many",
+    "acquire_serial",
+    "oscilloscope_acquire",
+    "acquire_many_batch",
+    "round_activity",
+    "encryption_activity",
+    "netlist_toggle_counts",
+    "_netlist_toggle_counts",
+    "_batched_toggle_counts",
+    "TrojanActivity",
+    "NO_ACTIVITY",
+    # The activity caches.
+    "clear_caches",
+    "_cache_insert",
+    "HOST_ACTIVITY_CACHE_ENTRIES",
+    "TROJAN_ACTIVITY_CACHE_ENTRIES",
+    "host_activity_cache_entries",
+    "trojan_activity_cache_entries",
+    "_host_activity_cache",
+    "_trojan_activity_cache",
+    # Serial delay scorers.
+    "DELAY_METRIC_SCORERS",
+    "build_delay_scorer",
 }
+
+#: The acquisition entry points ``e2e_bench/tracer.py`` wraps by name.
+ACQUISITION_VIEWS = ("acquire", "acquire_batch_matrix",
+                     "acquire_many_batch_tensor")
 
 REMOVED_MODULES = ("repro.backend", "repro.netlist.bitslice")
 
@@ -59,16 +93,91 @@ def _absolute(module: str, path: Path, node: ast.ImportFrom) -> str:
     return ".".join(base + ([node.module] if node.module else []))
 
 
+def _defined_names(node: ast.AST):
+    """Names a definition or assignment node binds (attributes included)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name):
+                names.append(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.append(sub.attr)
+    return names
+
+
 def test_no_oracle_is_defined_under_src():
     defined = []
     for path, _, tree in _modules():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and node.name in ORACLE_ONLY_NAMES:
-                defined.append(f"{path.relative_to(SRC)}:{node.lineno} "
-                               f"{node.name}")
+            for name in _defined_names(node):
+                if name in ORACLE_ONLY_NAMES:
+                    defined.append(f"{path.relative_to(SRC)}:{node.lineno} "
+                                   f"{name}")
     assert not defined, defined
+
+
+def _em_simulator_methods():
+    path = SRC / "repro" / "measurement" / "em_simulator.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (simulator,) = [node for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "EMSimulator"]
+    return {node.name: node for node in simulator.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_acquisition_view_calls_the_one_core_once():
+    """Each traced entry point calls ``self._acquire_grid`` and none
+    calls another, so the tracer counts every acquisition exactly once."""
+    methods = _em_simulator_methods()
+    for name in ACQUISITION_VIEWS:
+        called = [node.func.attr for node in ast.walk(methods[name])
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "self"]
+        assert called.count("_acquire_grid") == 1, (name, called)
+        assert not set(called) & set(ACQUISITION_VIEWS), (name, called)
+    core_calls = {node.func.attr for node in ast.walk(methods["_acquire_grid"])
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)}
+    assert not core_calls & set(ACQUISITION_VIEWS), core_calls
+
+
+def test_serial_acquisition_and_activity_paths_are_gone():
+    import inspect
+
+    from repro.measurement.em_simulator import EMSimulator
+    from repro.measurement.oscilloscope import Oscilloscope
+    from repro.trojan.base import HardwareTrojan
+    from repro.trojan.combinational import CombinationalTrojan
+    from repro.trojan.sequential import SequentialTrojan
+
+    for name in ("noiseless_trace", "host_cycle_activities",
+                 "trojan_cycle_activities", "acquire_many",
+                 "acquire_many_batch", "clear_caches"):
+        assert not hasattr(EMSimulator, name), name
+    assert not hasattr(Oscilloscope, "acquire")
+    for trojan_class in (HardwareTrojan, CombinationalTrojan,
+                         SequentialTrojan):
+        for name in ("round_activity", "encryption_activity"):
+            assert not hasattr(trojan_class, name), (trojan_class, name)
+    assert list(inspect.signature(
+        EMSimulator.batch_noiseless_traces_many).parameters) == \
+        ["self", "duts", "plaintexts", "key"]
+    assert "encryption_index" not in inspect.signature(
+        EMSimulator.acquire).parameters
+    assert not [name for name in vars(EMSimulator())
+                if "cache" in name]
 
 
 def test_src_imports_no_removed_kernel():

@@ -1,5 +1,6 @@
 """Tests for combinational trojans."""
 
+import numpy as np
 import pytest
 
 from repro.crypto.state import BLOCK_BITS
@@ -9,6 +10,8 @@ from repro.trojan.combinational import (
     build_combinational_trojan,
     default_scanned_bits,
 )
+
+from oracles import round_activity
 
 
 def test_default_scanned_bits():
@@ -71,18 +74,19 @@ def test_tap_values_follow_state_bits(small_trojan):
 
 
 def test_round_activity_counts_toggles(small_trojan):
-    quiet = small_trojan.round_activity(bytes(16), bytes(16))
+    quiet = round_activity(small_trojan, bytes(16), bytes(16))
     assert quiet.output_toggles == 0
     assert quiet.input_pin_toggles == 0
-    busy = small_trojan.round_activity(bytes(16), bytes([0xFF] * 16))
+    busy = round_activity(small_trojan, bytes(16), bytes([0xFF] * 16))
     assert busy.input_pin_toggles >= 8
     assert busy.weighted() > 0
 
 
 def test_encryption_activity_length(small_trojan):
-    states = [bytes([k] * 16) for k in range(5)]
-    activities = small_trojan.encryption_activity(states)
-    assert len(activities) == 4
+    states = np.array([[[k] * 16 for k in range(5)]], dtype=np.uint8)
+    output_toggles, pin_toggles = \
+        small_trojan.encryption_activity_counts(states)
+    assert output_toggles.shape == pin_toggles.shape == (1, 4)
 
 
 def test_payload_is_dormant_without_trigger():

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.trojan.base import NO_ACTIVITY, TrojanKind
+from repro.trojan.base import TrojanKind
 from repro.trojan.sequential import SequentialTrojan, build_sequential_trojan
+
+from oracles import NO_ACTIVITY, round_activity
 
 
 def test_kind_and_structure(sequential_trojan):
@@ -67,20 +69,20 @@ def test_counter_holds_without_increment(sequential_trojan):
 
 
 def test_round_activity_only_at_increment_round(sequential_trojan):
-    silent = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                              encryption_index=5, round_index=3)
+    silent = round_activity(sequential_trojan, bytes(16), bytes(16),
+                            encryption_index=5, round_index=3)
     assert silent == NO_ACTIVITY
-    active = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                              encryption_index=5, round_index=10)
+    active = round_activity(sequential_trojan, bytes(16), bytes(16),
+                            encryption_index=5, round_index=10)
     assert active.output_toggles > 0
 
 
 def test_activity_larger_on_carry_chains(sequential_trojan):
     """Incrementing 0b0111...1 flips many bits; incrementing an even value flips one."""
-    few = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                           encryption_index=0, round_index=10)
-    many = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                            encryption_index=127, round_index=10)
+    few = round_activity(sequential_trojan, bytes(16), bytes(16),
+                         encryption_index=0, round_index=10)
+    many = round_activity(sequential_trojan, bytes(16), bytes(16),
+                          encryption_index=127, round_index=10)
     assert many.output_toggles > few.output_toggles
 
 
