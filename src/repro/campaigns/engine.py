@@ -338,6 +338,8 @@ class CampaignResult:
     cells: List[CampaignCellResult]
     elapsed_s: float = 0.0
     shard: Optional[Tuple[int, int]] = None
+    #: Cells this run loaded from store completion records (not saved).
+    resumed: int = 0
 
     def rows(self) -> List[CampaignRow]:
         """Summary rows of the successfully computed cells only."""
@@ -1108,6 +1110,7 @@ class CampaignEngine:
             cells=ordered,
             elapsed_s=time.perf_counter() - start,
             shard=shard,
+            resumed=len(cells) - len(pending),
         )
         if self._artifact_dir is not None:
             result.save(self._artifact_dir)

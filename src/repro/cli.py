@@ -212,7 +212,8 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.out is not None:
         print(f"summary written to {args.out}")
     if args.store is not None:
-        print(f"artifact store: {args.store}")
+        print(f"artifact store: {args.store} ({result.resumed} cell(s) "
+              f"resumed)")
     if getattr(args, "remote", None) is not None:
         pending = store.pending_uploads()
         if pending:

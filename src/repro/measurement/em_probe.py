@@ -78,10 +78,6 @@ class Amplifier:
         """Voltage gain corresponding to ``gain_db``."""
         return 10.0 ** (self.gain_db / 20.0)
 
-    def amplify(self, signal: np.ndarray) -> np.ndarray:
-        """Apply the amplifier gain to a signal."""
-        return np.asarray(signal, dtype=float) * self.linear_gain
-
 
 def probe_impulse_response(sample_rate_gsps: float,
                            ringing_frequency_mhz: float = DEFAULT_RINGING_FREQUENCY_MHZ,

@@ -276,13 +276,16 @@ class EMSimulator:
         amplitudes = (gains[None, :, :] * config.activity_to_amplitude
                       * coupled)
         signal = np.zeros((num_plaintexts, num_duts, total_samples))
+        pulse = np.empty((num_plaintexts, num_duts, kernel.size))
         cycle_offsets: List[int] = []
         for cycle in range(num_cycles):
             offset = (config.pre_trigger_cycles + cycle) * samples_per_cycle
             cycle_offsets.append(offset)
             end = min(total_samples, offset + kernel.size)
-            signal[:, :, offset:end] += (amplitudes[:, :, cycle, None]
-                                         * kernel[None, None, : end - offset])
+            window = pulse[:, :, : end - offset]
+            np.multiply(amplitudes[:, :, cycle, None],
+                        kernel[None, None, : end - offset], out=window)
+            signal[:, :, offset:end] += window
 
         # Idle cycles still show the clock-tree baseline.
         idle_cycles = list(range(config.pre_trigger_cycles)) + [
@@ -297,7 +300,8 @@ class EMSimulator:
             signal[:, :, offset:end] += (idle_amplitudes[None, :, None]
                                          * kernel[None, None, : end - offset])
 
-        signal = config.amplifier.amplify(signal) + offsets[None, :, None]
+        signal *= config.amplifier.linear_gain
+        signal += offsets[None, :, None]
         return signal, cycle_offsets
 
     def _acquire_grid(self, duts: Sequence[DeviceUnderTest],
@@ -310,10 +314,11 @@ class EMSimulator:
 
         Setup perturbation and averaged noise are drawn DUT-major /
         plaintext-minor (one generator per DUT, or one shared generator
-        consumed in that order), then the whole ``(P, D, S)`` tensor is
-        quantised in one pass.  Every public entry point calls this and
-        none calls another, so a wrapper around any of them sees each
-        acquisition exactly once.
+        consumed in that order) as one block per DUT, and the noise and
+        the quantisation are applied in place on the ``(P, D, S)``
+        tensor.  Every public entry point calls this and none calls
+        another, so a wrapper around any of them sees each acquisition
+        exactly once.
         """
         rng_list = self._normalised_rngs(duts, rngs)
         config = self.config
@@ -323,17 +328,19 @@ class EMSimulator:
         sigma = config.oscilloscope.effective_noise_sigma(
             config.noise.sigma_single_shot
         )
+        num_plaintexts, _, num_samples = signal.shape
         for column, rng in enumerate(rng_list):
-            for row in range(signal.shape[0]):
-                trace = signal[row, column]
-                if new_setup_installation:
-                    gain, offset = config.noise.sample_setup_perturbation(rng)
-                    trace = trace * gain + offset
-                if sigma > 0:
-                    trace = trace + rng.normal(0.0, sigma, size=trace.shape)
-                signal[row, column] = trace
+            gains, offsets, noise = config.noise.sample_acquisitions(
+                rng, num_plaintexts, num_samples, sigma,
+                new_setup_installation)
+            traces = signal[:, column]
+            if gains is not None:
+                traces *= gains[:, None]
+                traces += offsets[:, None]
+            if noise is not None:
+                traces += noise
         if config.quantise:
-            signal = config.oscilloscope.quantise(
+            config.oscilloscope.quantise_in_place(
                 signal, lsb=config.oscilloscope.effective_lsb()
             )
         return signal, cycle_offsets

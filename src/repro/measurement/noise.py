@@ -80,19 +80,33 @@ class EMNoiseModel:
             raise ValueError("num_averages must be positive")
         return self.sigma_single_shot / np.sqrt(num_averages)
 
-    def sample_averaged(self, rng: np.random.Generator, num_samples: int,
-                        num_averages: int) -> np.ndarray:
-        """Residual noise vector of an averaged trace."""
-        sigma = self.averaged_sigma(num_averages)
-        if sigma == 0:
-            return np.zeros(num_samples)
-        return rng.normal(0.0, sigma, size=num_samples)
+    def sample_acquisitions(self, rng: np.random.Generator,
+                            num_traces: int, num_samples: int,
+                            noise_sigma: float, new_setup_installation: bool
+                            ) -> "tuple[Optional[np.ndarray], ...]":
+        """``(gains, offsets, noise)`` of ``num_traces`` acquisitions.
 
-    def sample_setup_perturbation(self, rng: np.random.Generator
-                                  ) -> "tuple[float, float]":
-        """Draw a (gain, offset) perturbation for one setup installation."""
-        gain = 1.0 + rng.normal(0.0, self.setup_gain_sigma) \
-            if self.setup_gain_sigma > 0 else 1.0
-        offset = rng.normal(0.0, self.setup_offset_sigma) \
-            if self.setup_offset_sigma > 0 else 0.0
-        return float(gain), float(offset)
+        One standard-normal block whose row ``r`` holds trace ``r``'s
+        draws in trace-by-trace order: setup gain and offset (on a new
+        installation, each if its sigma is non-zero), then the samples'
+        noise (if ``noise_sigma`` is).  ``0.0 + sigma * z`` is bit for
+        bit ``rng.normal(0.0, sigma)``.  Absent parts are ``None``.
+        """
+        gain_sigma = self.setup_gain_sigma
+        offset_sigma = self.setup_offset_sigma
+        lead = (gain_sigma > 0) + (offset_sigma > 0) \
+            if new_setup_installation else 0
+        draws = rng.standard_normal(
+            (num_traces, lead + (num_samples if noise_sigma > 0 else 0)))
+        gains = offsets = noise = None
+        if new_setup_installation:
+            gains, offsets = np.ones(num_traces), np.zeros(num_traces)
+            if gain_sigma > 0:
+                gains += gain_sigma * draws[:, 0]
+            if offset_sigma > 0:
+                offsets += offset_sigma * draws[:, lead - 1]
+        if noise_sigma > 0:
+            noise = draws[:, lead:]
+            noise *= noise_sigma
+            noise += 0.0
+        return gains, offsets, noise

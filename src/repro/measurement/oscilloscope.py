@@ -76,13 +76,20 @@ class Oscilloscope:
     def quantise(self, signal: np.ndarray,
                  lsb: Optional[float] = None) -> np.ndarray:
         """Quantise a signal to the ADC grid (clipping at full scale)."""
-        signal = np.asarray(signal, dtype=float)
+        return self.quantise_in_place(np.array(signal, dtype=float), lsb)
+
+    def quantise_in_place(self, values: np.ndarray,
+                          lsb: Optional[float] = None) -> np.ndarray:
+        """:meth:`quantise` into ``values`` itself, a float64 array."""
         half_scale = self.full_scale / 2.0
         step = self.lsb if lsb is None else float(lsb)
         if step <= 0:
             raise ValueError("quantisation step must be positive")
-        clipped = np.clip(signal, -half_scale, half_scale - step)
-        return np.round(clipped / step) * step
+        np.clip(values, -half_scale, half_scale - step, out=values)
+        values /= step
+        np.round(values, out=values)
+        values *= step
+        return values
 
     def effective_noise_sigma(self, single_shot_sigma: float) -> float:
         """Residual noise after on-board averaging."""

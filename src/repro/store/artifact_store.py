@@ -71,7 +71,9 @@ import io
 import json
 import os
 import time
+import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,8 +103,11 @@ STORE_FORMAT_VERSION = 2
 
 _KEY_FORBIDDEN = set("/\\")
 
-#: What a torn JSON or npz payload raises while being parsed.
-_DECODE_ERRORS = (ValueError, zipfile.BadZipFile, OSError, EOFError)
+#: What a torn JSON or npz payload raises while being parsed (corrupt
+#: bytes reach the parser behind digest-less format-version-1 entries).
+_DECODE_ERRORS = (ValueError, zipfile.BadZipFile, OSError, EOFError,
+                  zlib.error, NotImplementedError, RuntimeError,
+                  tokenize.TokenError)
 
 
 class StoreIntegrityError(RuntimeError):
@@ -140,12 +145,13 @@ def encode_json_bytes(payload: Any) -> bytes:
 
 
 def encode_array_bytes(arrays: Mapping[str, "np.ndarray"]) -> bytes:
-    """The canonical compressed-npz payload encoding of the store."""
+    """The canonical npz payload encoding of the store: members are
+    stored, not deflated (:func:`decode_array_bytes` reads both)."""
     if not arrays:
         raise ValueError("cannot store an empty array payload")
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **{str(name): np.asarray(value)
-                                   for name, value in arrays.items()})
+    np.savez(buffer, **{str(name): np.asarray(value)
+                        for name, value in arrays.items()})
     return buffer.getvalue()
 
 
@@ -453,7 +459,7 @@ class ArtifactStore:
     def put_arrays(self, key: str, arrays: Mapping[str, np.ndarray], *,
                    kind: str = "arrays",
                    meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a named-array payload under ``key`` as compressed npz."""
+        """Store a named-array payload under ``key`` as an npz archive."""
         entry = ManifestEntry(key=_check_key(key), kind=kind,
                               filename=f"{key}.npz", meta=dict(meta or {}))
         return self.put_object(entry, encode_array_bytes(arrays))

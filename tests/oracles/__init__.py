@@ -14,10 +14,12 @@ from .acquisition import (
     acquire_population_traces_serial,
     acquire_population_traces_stimuli_serial,
     acquire_serial,
+    amplify,
     average_stimulus_traces,
     host_cycle_activities,
     noiseless_trace,
     oscilloscope_acquire,
+    sample_setup_perturbation,
     trojan_cycle_activities,
 )
 from .delay import (
@@ -53,10 +55,12 @@ __all__ = [
     "acquire_population_traces_serial",
     "acquire_population_traces_stimuli_serial",
     "acquire_serial",
+    "amplify",
     "average_stimulus_traces",
     "host_cycle_activities",
     "noiseless_trace",
     "oscilloscope_acquire",
+    "sample_setup_perturbation",
     "trojan_cycle_activities",
     "arrival_times_ps",
     "calibrate_glitch",

@@ -4,10 +4,11 @@
 ``EMSimulator._acquire_grid`` (batched cipher, one compiled trojan
 pass per design, broadcast pulse synthesis, one noise/quantise pass).
 The per-encryption chain it replaced lives here: host and trojan
-activity of one encryption, its pulse-by-pulse noiseless emission, the
-oscilloscope's noise and quantisation, and the per-plaintext and
-per-(design, die) loops over them.  Each reference of a method takes
-the instance (simulator, oscilloscope or platform) as its first
+activity of one encryption, its pulse-by-pulse noiseless emission and
+amplification, the per-trace setup draw, the oscilloscope's noise and
+quantisation, and the per-plaintext and per-(design, die) loops over
+them.  Each reference of a method takes the instance (simulator,
+amplifier, noise model, oscilloscope or platform) as its first
 argument; the generator consumption order is the one the batched core
 reproduces.
 """
@@ -21,9 +22,26 @@ import numpy as np
 from repro.core.pipeline import HTDetectionPlatform
 from repro.crypto.aes import AES
 from repro.measurement.dut import DeviceUnderTest
+from repro.measurement.em_probe import Amplifier
 from repro.measurement.em_simulator import EMSimulator, EMTrace
+from repro.measurement.noise import EMNoiseModel
 from repro.measurement.oscilloscope import Oscilloscope
 from repro.stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
+
+
+def amplify(amplifier: Amplifier, signal: np.ndarray) -> np.ndarray:
+    """Apply the amplifier gain to a signal."""
+    return np.asarray(signal, dtype=float) * amplifier.linear_gain
+
+
+def sample_setup_perturbation(noise: EMNoiseModel, rng: np.random.Generator
+                              ) -> "tuple[float, float]":
+    """Draw a (gain, offset) perturbation for one setup installation."""
+    gain = 1.0 + rng.normal(0.0, noise.setup_gain_sigma) \
+        if noise.setup_gain_sigma > 0 else 1.0
+    offset = rng.normal(0.0, noise.setup_offset_sigma) \
+        if noise.setup_offset_sigma > 0 else 0.0
+    return float(gain), float(offset)
 
 
 def host_cycle_activities(simulator: EMSimulator, aes: AES,
@@ -111,7 +129,7 @@ def noiseless_trace(simulator: EMSimulator, dut: DeviceUnderTest,
         end = min(total_samples, offset + kernel.size)
         signal[offset:end] += amplitude * kernel[: end - offset]
 
-    signal = config.amplifier.amplify(signal) + dut.em_offset()
+    signal = amplify(config.amplifier, signal) + dut.em_offset()
     return EMTrace(
         samples=signal,
         label=dut.label,
@@ -148,7 +166,7 @@ def acquire_serial(simulator: EMSimulator, dut: DeviceUnderTest,
     config = simulator.config
     signal = trace.samples
     if new_setup_installation:
-        gain, offset = config.noise.sample_setup_perturbation(rng)
+        gain, offset = sample_setup_perturbation(config.noise, rng)
         signal = signal * gain + offset
     acquired = trace.copy()
     acquired.samples = oscilloscope_acquire(

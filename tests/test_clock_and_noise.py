@@ -6,6 +6,8 @@ import pytest
 from repro.measurement.clock import ClockGlitchGenerator, TimingBudget
 from repro.measurement.noise import DelayNoiseModel, EMNoiseModel
 
+from oracles import sample_setup_perturbation
+
 
 def test_timing_budget_equation_one():
     budget = TimingBudget(clk2q_ps=400, setup_ps=180, hold_ps=100,
@@ -79,14 +81,44 @@ def test_delay_noise_model(rng):
 def test_em_noise_model_averaging(rng):
     model = EMNoiseModel(sigma_single_shot=1000.0)
     assert model.averaged_sigma(100) == pytest.approx(100.0)
-    trace_noise = model.sample_averaged(rng, 500, 100)
-    assert trace_noise.shape == (500,)
-    assert 50 < trace_noise.std() < 200
+    gains, offsets, noise = model.sample_acquisitions(
+        rng, 4, 500, model.averaged_sigma(100), new_setup_installation=True)
+    assert noise.shape == (4, 500)
+    assert 50 < noise.std() < 200
+    assert np.all((0.9 < gains) & (gains < 1.1))
+    assert np.all(np.abs(offsets) < 200)
     with pytest.raises(ValueError):
         model.averaged_sigma(0)
-    gain, offset = model.sample_setup_perturbation(rng)
+    gain, offset = sample_setup_perturbation(model, rng)
     assert 0.9 < gain < 1.1
     assert abs(offset) < 200
+
+
+@pytest.mark.parametrize("gain_sigma,offset_sigma,noise_sigma,new_setup", [
+    (0.003, 10.0, 25.0, True), (0.0, 10.0, 25.0, True),
+    (0.003, 0.0, 25.0, True), (0.0, 0.0, 25.0, True),
+    (0.003, 10.0, 0.0, True), (0.003, 10.0, 25.0, False),
+])
+def test_em_noise_block_matches_trace_by_trace_draws(gain_sigma, offset_sigma,
+                                                     noise_sigma, new_setup):
+    """The block draw reproduces the per-trace setup draw and
+    ``rng.normal`` noise bit for bit, and leaves the generator where the
+    trace-by-trace loop leaves it."""
+    model = EMNoiseModel(setup_gain_sigma=gain_sigma,
+                         setup_offset_sigma=offset_sigma)
+    block_rng, serial_rng = np.random.default_rng(3), np.random.default_rng(3)
+    gains, offsets, noise = model.sample_acquisitions(
+        block_rng, 5, 64, noise_sigma, new_setup)
+    for row in range(5):
+        if new_setup:
+            gain, offset = sample_setup_perturbation(model, serial_rng)
+            assert (gains[row], offsets[row]) == (gain, offset)
+        if noise_sigma > 0:
+            expected = serial_rng.normal(0.0, noise_sigma, size=64)
+            assert noise[row].tobytes() == expected.tobytes()
+    assert (gains is None) == (not new_setup)
+    assert (noise is None) == (noise_sigma == 0)
+    assert block_rng.random() == serial_rng.random()
 
 
 def test_em_noise_model_validation():

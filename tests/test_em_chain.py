@@ -9,7 +9,8 @@ from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
 from repro.measurement.noise import EMNoiseModel
 from repro.measurement.oscilloscope import Oscilloscope
 
-from oracles import host_cycle_activities, noiseless_trace, trojan_cycle_activities
+from oracles import (amplify, host_cycle_activities, noiseless_trace,
+                     trojan_cycle_activities)
 
 PLAINTEXT = bytes(range(16))
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -41,7 +42,7 @@ def test_probe_coupling_decays_with_distance():
 def test_amplifier_gain():
     amp = Amplifier(gain_db=30.0)
     assert amp.linear_gain == pytest.approx(10 ** 1.5)
-    assert amp.amplify(np.ones(3))[0] == pytest.approx(amp.linear_gain)
+    assert amplify(amp, np.ones(3))[0] == pytest.approx(amp.linear_gain)
     with pytest.raises(ValueError):
         Amplifier(gain_db=-3)
 
@@ -65,6 +66,22 @@ def test_oscilloscope_sampling_and_quantisation():
         Oscilloscope(sample_rate_gsps=0)
     with pytest.raises(ValueError):
         scope.quantise(np.zeros(3), lsb=0.0)
+
+
+def test_quantise_leaves_its_input_and_matches_the_in_place_pass():
+    scope = Oscilloscope()
+    signal = np.array([-0.0, 0.4, -7.6, 1e9, -1e9, 123.456])
+    before = signal.tobytes()
+    quantised = scope.quantise(signal, lsb=scope.effective_lsb())
+    assert signal.tobytes() == before
+    expected = (np.round(np.clip(signal, -scope.full_scale / 2,
+                                 scope.full_scale / 2 - scope.effective_lsb())
+                         / scope.effective_lsb()) * scope.effective_lsb())
+    assert quantised.tobytes() == expected.tobytes()
+    in_place = signal.copy()
+    assert scope.quantise_in_place(in_place,
+                                   lsb=scope.effective_lsb()) is in_place
+    assert in_place.tobytes() == expected.tobytes()
 
 
 def test_acquisition_config_geometry():

@@ -47,6 +47,11 @@ ORACLE_ONLY_NAMES = {
     "acquire_serial",
     "oscilloscope_acquire",
     "acquire_many_batch",
+    # Per-trace noise draws and the amplifier copy the in-place
+    # acquisition pass replaced.
+    "sample_setup_perturbation",
+    "sample_averaged",
+    "amplify",
     "round_activity",
     "encryption_activity",
     "netlist_toggle_counts",

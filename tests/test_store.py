@@ -282,6 +282,19 @@ def test_manifest_resume_after_interrupt(tmp_path, resume_spec):
             [row.to_dict() for row in cell.rows]
 
 
+def test_cli_rerun_reports_every_cell_resumed(tmp_path, capsys):
+    from repro.cli import main
+
+    argv = ["campaign", "run", "--trojan", "HT1", "--dies", "3",
+            "--plaintexts", "2", "--metric", "local_maxima_sum",
+            "--metric", "l1", "--seed", "4",
+            "--store", str(tmp_path / "store")]
+    assert main(argv) == 0
+    assert "(0 cell(s) resumed)" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "(2 cell(s) resumed)" in capsys.readouterr().out
+
+
 def test_resumed_run_still_writes_trace_archives(tmp_path):
     """Archive ownership falls to a cell that actually executes.
 
