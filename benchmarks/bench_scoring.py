@@ -20,7 +20,7 @@ run pays nothing for it) three ways:
 * **current serial** — the same per-trace loop over today's scalar
   reference (itself sped up by this change); recorded for transparency,
   not gated;
-* **batched** — the tensor-resident study path a warm campaign cell
+* **batched** — the detector call a warm campaign EM cell
   runs.
 
 All three must produce bit-identical mu/sigma/FN-rate rows.
@@ -37,11 +37,8 @@ from repro.analysis.gaussian import fit_gaussian, pooled_std
 from repro.analysis.traces import stack_traces
 from repro.core.fingerprint import EMReference
 from repro.core.metrics import LocalMaximaSumMetric, false_negative_rate
-from repro.core.pipeline import (
-    HTDetectionPlatform,
-    PlatformConfig,
-    run_population_em_study,
-)
+from repro.core.em_detector import PopulationEMDetector
+from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 
 from oracles import scores_serial
 
@@ -102,10 +99,7 @@ def _acquire_population():
     platform = HTDetectionPlatform(
         config=PlatformConfig(num_dies=NUM_DIES, seed=SEED)
     )
-    golden, infected = platform.acquire_population_traces(TROJANS)
-    fractions = {name: platform.infected_design(name).area_fraction_of_aes()
-                 for name in TROJANS}
-    return golden, infected, fractions
+    return platform.acquire_population_traces(TROJANS)
 
 
 def _characterise_rows(genuine_scores, scores_by_trojan):
@@ -153,18 +147,15 @@ def _score_current_serial(golden, infected):
     return _characterise_rows(genuine_scores, scores)
 
 
-def _score_batched(golden_matrix, infected_matrices, fractions):
-    """The tensor-resident study path a warm campaign cell runs."""
-    study = run_population_em_study(
-        None,
-        trojan_names=TROJANS,
-        traces=(golden_matrix, infected_matrices),
-        area_fractions=fractions,
-    )
+def _score_batched(golden_matrix, infected_matrices):
+    """The detector call a warm campaign EM cell runs."""
+    _, characterisations = PopulationEMDetector(
+        LocalMaximaSumMetric()
+    ).fit_and_characterise(golden_matrix, infected_matrices)
     return {
-        trojan: (study.characterisations[trojan].mu,
-                 study.characterisations[trojan].sigma,
-                 study.characterisations[trojan].false_negative_rate)
+        trojan: (characterisations[trojan].mu,
+                 characterisations[trojan].sigma,
+                 characterisations[trojan].false_negative_rate)
         for trojan in TROJANS
     }
 
@@ -189,7 +180,7 @@ def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
     # The population is acquired up front: this is the warm-study
     # premise (a store-hit campaign loads the tensors for free); what is
     # timed is scoring the fig6-scale study.
-    golden, infected, fractions = _acquire_population()
+    golden, infected = _acquire_population()
     golden_matrix = stack_traces(golden)
     infected_matrices = {name: stack_traces(infected[name])
                          for name in TROJANS}
@@ -202,7 +193,7 @@ def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
     )
     batch_seconds, batch_rows = _best_of(
         TIMING_ROUNDS,
-        lambda: _score_batched(golden_matrix, infected_matrices, fractions),
+        lambda: _score_batched(golden_matrix, infected_matrices),
     )
 
     assert seed_rows == current_rows, (
@@ -233,8 +224,7 @@ def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
 
     # The timed comparison above is the contract; the benchmark records
     # the steady-state cost of one batched study scoring pass.
-    benchmark(lambda: _score_batched(golden_matrix, infected_matrices,
-                                     fractions))
+    benchmark(lambda: _score_batched(golden_matrix, infected_matrices))
 
 
 def test_scoring_kernel_equivalence_at_campaign_scale():

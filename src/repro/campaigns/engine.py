@@ -28,11 +28,13 @@ cell:
   only in metric re-score the cached Eq. (4) difference tensors with
   one :data:`DELAY_METRIC_BATCH_SCORERS` call per population;
 * **content-addressed persistence** — with a
-  :class:`~repro.store.ArtifactStore` attached, the acquisition/delay
-  caches, the infected-design summaries and every finished cell's rows
-  *read through* the store: a rerun (same spec fragment, any campaign
-  name, any host) loads instead of recomputing, an interrupted run
-  resumes with only the missing cells, and
+  :class:`~repro.store.ArtifactStore` attached, the acquisition, delay
+  and fault-sweep caches and the infected-design summaries go through
+  :func:`repro.store.read_through` (tensors as stored by their
+  ``to_arrays`` over :func:`repro.store.pack_groups`), and every
+  finished cell's rows are recorded: a rerun (same spec fragment, any
+  campaign name, any host) loads instead of recomputing, an interrupted
+  run resumes with only the missing cells, and
   :meth:`CampaignSpec.shard`-ed runs on separate processes or hosts
   share artifacts and are fused back with
   :func:`merge_campaign_results` into a result row-for-row identical to
@@ -40,15 +42,15 @@ cell:
 
 The paper's Sec. V study itself lives in
 :func:`repro.core.pipeline.run_population_em_study` (re-exported here);
-both the platform method and the engine's grid cells are thin wrappers
-over that one implementation.
+an EM grid cell scores its cached population with the same
+:meth:`~repro.core.em_detector.PopulationEMDetector.fit_and_characterise`
+pass that study runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -58,6 +60,7 @@ import numpy as np
 from ..analysis.batch import characterise_score_populations
 from ..analysis.gaussian import GaussianFit
 from ..core.delay_detector import DelayDetector
+from ..core.em_detector import PopulationEMDetector
 from ..core.fingerprint import DelayFingerprint
 from ..core.metrics import (
     L1TraceMetric,
@@ -96,23 +99,17 @@ from ..store import (
     fault_sweep_key,
     golden_signature,
     infected_summary_key,
-    pack_delay_differences,
-    pack_fault_sweep,
-    pack_population_traces,
+    pack_groups,
     population_traces_key,
+    read_through,
     spec_content_fragment,
-    unpack_delay_differences,
-    unpack_fault_sweep,
-    unpack_population_traces,
+    unpack_groups,
 )
 from ..trojan.insertion import InfectedDesign, insert_trojan
 from ..trojan.library import build_trojan
 from .spec import CampaignSpec, GridCell
 
 PathLike = Union[str, Path]
-
-#: Artifact kinds stored as JSON documents; every other kind is arrays.
-_JSON_ARTIFACT_KINDS = frozenset({"infected_summary"})
 
 #: Metric registry: spec metric name -> factory.
 METRIC_FACTORIES = {
@@ -174,6 +171,23 @@ class _DelayStudyData:
     golden_differences: "np.ndarray"
     infected_differences: Dict[str, "np.ndarray"]
 
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        return pack_groups({}, {"diff": self.golden_differences},
+                           {name: {"diff": differences} for name, differences
+                            in self.infected_differences.items()})
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]
+                    ) -> "_DelayStudyData":
+        _, golden, infected = unpack_groups(arrays)
+        return cls(golden_differences=golden["diff"],
+                   infected_differences={name: fields["diff"]
+                                         for name, fields in infected.items()})
+
+
+#: The glitch-grid axes a fault sweep stores (``axes::<name>`` members).
+_GRID_AXES = ("offsets_ps", "widths_ps", "periods_ps")
+
 
 @dataclass
 class _FaultSweepData:
@@ -192,29 +206,31 @@ class _FaultSweepData:
     golden_faulted: "np.ndarray"
     infected_faulted: Dict[str, "np.ndarray"]
 
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The store payload; the resolved grid axes travel with it, so a
+        store hit reproduces the exact grid without re-calibrating."""
+        axes = {f"axes::{axis}": np.asarray(getattr(self.grid, axis),
+                                            dtype=float)
+                for axis in _GRID_AXES}
+        return pack_groups(
+            {**axes, "plaintexts": self.plaintexts, "correct": self.correct},
+            {"faulted": self.golden_faulted},
+            {name: {"faulted": tensor}
+             for name, tensor in self.infected_faulted.items()})
 
-def _unpack_delay_study(stored: Mapping[str, np.ndarray]) -> _DelayStudyData:
-    golden_differences, infected_differences = unpack_delay_differences(stored)
-    return _DelayStudyData(
-        golden_differences=np.stack(golden_differences),
-        infected_differences={name: np.stack(matrices)
-                              for name, matrices in infected_differences.items()},
-    )
-
-
-def _unpack_fault_sweep(stored: Mapping[str, np.ndarray]) -> _FaultSweepData:
-    axes, plaintexts, correct, golden_faulted, infected_faulted = (
-        unpack_fault_sweep(stored)
-    )
-    return _FaultSweepData(
-        grid=GlitchGrid(offsets_ps=tuple(axes["offsets_ps"]),
-                        widths_ps=tuple(axes["widths_ps"]),
-                        periods_ps=tuple(axes["periods_ps"])),
-        plaintexts=plaintexts,
-        correct=correct,
-        golden_faulted=golden_faulted,
-        infected_faulted=infected_faulted,
-    )
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]
+                    ) -> "_FaultSweepData":
+        shared, golden, infected = unpack_groups(arrays)
+        return cls(
+            grid=GlitchGrid(**{axis: tuple(shared[f"axes::{axis}"])
+                               for axis in _GRID_AXES}),
+            plaintexts=shared["plaintexts"],
+            correct=shared["correct"],
+            golden_faulted=golden["faulted"],
+            infected_faulted={name: fields["faulted"]
+                              for name, fields in infected.items()},
+        )
 
 
 @dataclass
@@ -514,32 +530,13 @@ class CampaignEngine:
     def _read_through(self, kind: str, memo_key: Any,
                       store_key: Optional[str], compute, pack, unpack,
                       meta) -> Any:
-        """Memo, then store load, then compute and store put.
-
-        The one path by which the engine reuses an artifact.  Without a
-        store (``store_key is None``) only the memo applies.
-        ``meta(value)`` gives the manifest metadata of a stored value.
-        The store's ``load_*`` folds a corrupt (quarantined) object into
-        a miss, so a torn store write costs a recompute, not a crashed
-        campaign.
-        """
+        """The memo in front of :func:`repro.store.read_through`, the one
+        path by which the engine reuses an artifact."""
         memo_key = (kind, memo_key)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
-        is_json = kind in _JSON_ARTIFACT_KINDS
-        stored = None
-        if store_key is not None:
-            load = self.store.load_json if is_json else self.store.load_arrays
-            stored = load(store_key)
-        if stored is not None:
-            value = unpack(stored)
-        else:
-            value = compute()
-            if store_key is not None:
-                put = self.store.put_json if is_json else self.store.put_arrays
-                put(store_key, pack(value), kind=kind, meta=meta(value))
-        self._memo[memo_key] = value
-        return value
+        if memo_key not in self._memo:
+            self._memo[memo_key] = read_through(
+                self.store, kind, store_key, compute, pack, unpack, meta)
+        return self._memo[memo_key]
 
     def trojan_area_fraction(self, trojan_name: str) -> float:
         """The trojan's area as a fraction of the AES design.
@@ -607,9 +604,9 @@ class CampaignEngine:
         the metric share one population per acquisition key, and with
         it the golden reference they induce.  With
         ``spec.num_plaintexts > 1`` each die is represented by its
-        stimulus-averaged trace.  The population stays tensor-resident;
-        :class:`EMTrace` objects are built only for the store write (and
-        a store hit is stacked once).
+        stimulus-averaged trace.  The population stays tensor-resident:
+        the store payload is written from and read into the matrices,
+        and :class:`EMTrace` objects are built only for trace archives.
         """
         return self._read_through(
             "population_traces", cell.acquisition_key,
@@ -617,9 +614,8 @@ class CampaignEngine:
             compute=lambda: self.platform_for(cell).acquire_population_tensors(
                 self.spec.trojans, self.spec.stimulus_plaintexts(),
                 self.spec.key),
-            pack=lambda tensors: pack_population_traces(*tensors.to_traces()),
-            unpack=lambda stored: PopulationTraceTensors.from_traces(
-                *unpack_population_traces(stored)),
+            pack=PopulationTraceTensors.to_arrays,
+            unpack=PopulationTraceTensors.from_arrays,
             meta=lambda tensors: {
                 "num_dies": cell.num_dies, "variant": cell.variant.name,
                 "num_plaintexts": len(self.spec.stimulus_plaintexts())},
@@ -664,9 +660,8 @@ class CampaignEngine:
         return self._read_through(
             "delay_differences", cell.num_dies, store_key,
             compute=lambda: self._measure_delay_study(cell),
-            pack=lambda data: pack_delay_differences(
-                data.golden_differences, data.infected_differences),
-            unpack=_unpack_delay_study,
+            pack=_DelayStudyData.to_arrays,
+            unpack=_DelayStudyData.from_arrays,
             meta=lambda data: {"num_dies": cell.num_dies,
                                "num_pk_pairs": self.spec.num_pk_pairs},
         )
@@ -754,13 +749,8 @@ class CampaignEngine:
             "fault_sweep", cell.num_dies,
             self._fault_sweep_store_key(cell.num_dies),
             compute=lambda: self._synthesise_fault_sweep(cell),
-            pack=lambda data: pack_fault_sweep(
-                {"offsets_ps": data.grid.offsets_ps,
-                 "widths_ps": data.grid.widths_ps,
-                 "periods_ps": data.grid.periods_ps},
-                data.plaintexts, data.correct,
-                data.golden_faulted, data.infected_faulted),
-            unpack=_unpack_fault_sweep,
+            pack=_FaultSweepData.to_arrays,
+            unpack=_FaultSweepData.from_arrays,
             meta=lambda data: {"num_dies": cell.num_dies,
                                "num_grid_points": data.grid.num_points,
                                "num_plaintexts": len(data.plaintexts)},
@@ -899,23 +889,17 @@ class CampaignEngine:
         """Execute one EM grid cell: acquire (or reuse) traces, score, decide.
 
         Scoring is matrix-resident: the cell's population enters the
-        study as pre-stacked ``(dies x samples)`` matrices
+        Sec. V detector as pre-stacked ``(dies x samples)`` matrices
         (:meth:`cell_trace_matrices`) shared across every metric cell of
         the acquisition key, and the whole-population scores come out of
-        the batched kernel passes of :mod:`repro.analysis.batch`.
+        one :meth:`PopulationEMDetector.fit_and_characterise` pass.
         """
         start = time.perf_counter()
         golden_matrix, infected_matrices = self.cell_trace_matrices(cell)
-        study = run_population_em_study(
-            None,
-            trojan_names=self.spec.trojans,
-            metric=build_metric(cell.metric),
-            traces=(golden_matrix, infected_matrices),
-            area_fractions={name: self.trojan_area_fraction(name)
-                            for name in self.spec.trojans},
-        )
-        characterisations = [study.characterisations[name]
-                             for name in self.spec.trojans]
+        _, by_trojan = PopulationEMDetector(
+            build_metric(cell.metric)
+        ).fit_and_characterise(golden_matrix, infected_matrices)
+        characterisations = [by_trojan[name] for name in self.spec.trojans]
         trace_archive = self._maybe_save_traces(cell)
         return self._cell_result(
             cell, start, characterisations[0].genuine,
@@ -1115,85 +1099,6 @@ class CampaignEngine:
         if self._artifact_dir is not None:
             result.save(self._artifact_dir)
         return result
-
-    def _run_parallel(self, cells: List[GridCell]) -> List[CampaignCellResult]:
-        """Bare process-pool execution — the *unsupervised* reference.
-
-        ``run`` no longer uses this: campaign execution goes through
-        :class:`repro.campaigns.supervisor.CampaignSupervisor`, which
-        adds retries, timeouts and poison-cell quarantine on top of the
-        same chunking.  This method is kept as the zero-overhead
-        baseline the supervisor-overhead benchmark gate compares
-        against (``benchmarks/bench_supervisor_overhead.py``) — one
-        crashed worker here still aborts everything with
-        ``BrokenProcessPool``.
-
-        Cells are chunked by acquisition key so a worker reuses its
-        acquired population across the metrics of one (die count, variant)
-        point instead of re-acquiring per cell.  Workers share the
-        engine's store (if any): artifacts written by one worker are
-        hits for the others, and each worker records its cells'
-        completion itself so an interrupted pool still leaves every
-        finished cell resumable.
-        """
-        chunks: Dict[Tuple[int, str], List[int]] = {}
-        for cell in cells:
-            chunks.setdefault(cell.acquisition_key, []).append(cell.index)
-        spec_dict = self.spec.to_dict()
-        artifact = str(self._artifact_dir) if self._artifact_dir else None
-        store_config = (self.store.spawn_config()
-                        if self.store is not None else None)
-        active = (sorted(self._active_indices)
-                  if self._active_indices is not None else None)
-        workers = min(self.spec.workers, len(chunks))
-        results: Dict[int, CampaignCellResult] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # The engine's device and golden design travel with the
-            # payload so workers compute on exactly what this engine was
-            # built with (a custom device/golden must not silently fall
-            # back to the defaults); the golden *signature* travels too
-            # so worker-written artifacts carry the same content keys as
-            # this engine's.  An unbuilt golden ships as None — workers
-            # build lazily only if their cells actually need a design.
-            for chunk_results in pool.map(
-                    _run_cells_in_subprocess,
-                    [(spec_dict, indices, artifact, self.device, self._golden,
-                      store_config, self._golden_signature, active)
-                     for indices in chunks.values()]):
-                for cell_result in chunk_results:
-                    results[cell_result.index] = cell_result
-        return [results[cell.index] for cell in cells]
-
-
-def _run_cells_in_subprocess(payload: Tuple[Dict[str, Any], List[int],
-                                            Optional[str], FPGADevice,
-                                            Optional[GoldenDesign],
-                                            Optional[Any], Any,
-                                            Optional[List[int]]]
-                             ) -> List[CampaignCellResult]:
-    """Worker entry point: rebuild the engine and run a chunk of cells."""
-    (spec_dict, indices, artifact_dir, device, golden, store_config,
-     golden_sig, active) = payload
-    engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
-                            device=device, golden=golden, store=store_config)
-    engine._golden_signature = golden_sig
-    if artifact_dir is not None:
-        engine._artifact_dir = Path(artifact_dir)
-    if active is not None:
-        engine._active_indices = frozenset(active)
-    if engine.store is not None:
-        engine.store.acquire_lease(owner=f"chunk:{engine.spec.name}")
-    grid = engine.spec.grid()
-    chunk_results: List[CampaignCellResult] = []
-    try:
-        for index in indices:
-            cell_result = engine.run_cell(grid[index])
-            engine.record_cell_result(grid[index], cell_result)
-            chunk_results.append(cell_result)
-    finally:
-        if engine.store is not None:
-            engine.store.release_lease()
-    return chunk_results
 
 
 def merge_campaign_results(results: Sequence[CampaignResult]

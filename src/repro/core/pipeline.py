@@ -18,11 +18,10 @@ thin wrappers over this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.traces import stack_traces
 from ..fpga.design import GoldenDesign
 from ..fpga.device import FPGADevice, virtex5_lx30
 from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
@@ -35,6 +34,7 @@ from ..measurement.delay_meter import (
 )
 from ..measurement.dut import DeviceUnderTest
 from ..measurement.em_simulator import EMAcquisitionConfig, EMSimulator, EMTrace
+from ..store.artifacts import pack_groups, unpack_groups
 from ..trojan.insertion import InfectedDesign, insert_trojan
 from ..trojan.library import build_trojan
 from ..variation.inter_die import DiePopulation, DieProfile
@@ -108,10 +108,11 @@ class PopulationTraceTensors:
 
     The tensor form the batched acquisition produces and the batched
     scoring consumes: ``golden`` and each ``infected[name]`` are
-    ``(num_dies, num_samples)`` float matrices.  :class:`EMTrace`
-    objects exist only at the persistence/report boundary —
-    :meth:`to_traces` wraps the rows on demand, carrying the acquisition
-    context (labels, stimulus, sampling grid) stored here.
+    ``(num_dies, num_samples)`` float matrices, stored as they are by
+    :meth:`to_arrays`.  :class:`EMTrace` objects exist only at the
+    report/archive boundary — :meth:`to_traces` wraps the rows on
+    demand, carrying the acquisition context (labels, stimulus, sampling
+    grid) stored here.
     """
 
     golden: np.ndarray
@@ -143,22 +144,48 @@ class PopulationTraceTensors:
              for name, matrix in self.infected.items()},
         )
 
+    def _fields(self, matrix: np.ndarray, labels: Sequence[str]
+                ) -> Dict[str, np.ndarray]:
+        """One design's members, in the trace-archive field layout
+        (:func:`repro.io.tracefile.traces_to_arrays`) of its rows."""
+        rows = matrix.shape[0]
+        offsets = np.asarray(self.cycle_sample_offsets, dtype=np.int64)
+        return {
+            "samples": matrix,
+            "labels": np.array(labels),
+            "plaintexts": np.full(rows, self.plaintext.hex()),
+            "sample_period_ns": np.full(rows, self.sample_period_ns),
+            "cycle_sample_offsets_flat": np.tile(offsets, rows),
+            "cycle_sample_offsets_lengths": np.full(rows, offsets.size,
+                                                    dtype=np.int64),
+        }
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The store payload (:func:`~repro.store.pack_groups` layout)."""
+        return pack_groups(
+            {}, self._fields(self.golden, self.golden_labels),
+            {name: self._fields(matrix, self.infected_labels[name])
+             for name, matrix in self.infected.items()},
+        )
+
     @classmethod
-    def from_traces(cls, golden_traces: Sequence[EMTrace],
-                    infected_traces: Dict[str, Sequence[EMTrace]]
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]
                     ) -> "PopulationTraceTensors":
-        """Stack an :class:`EMTrace` population (inverse of :meth:`to_traces`)."""
-        first = golden_traces[0]
+        """Inverse of :meth:`to_arrays`; the matrices are used as stored."""
+        _, golden, infected = unpack_groups(arrays)
+        num_offsets = int(golden["cycle_sample_offsets_lengths"][0])
         return cls(
-            golden=stack_traces(golden_traces),
-            infected={name: stack_traces(traces)
-                      for name, traces in infected_traces.items()},
-            golden_labels=[trace.label for trace in golden_traces],
-            infected_labels={name: [trace.label for trace in traces]
-                             for name, traces in infected_traces.items()},
-            plaintext=first.plaintext,
-            sample_period_ns=first.sample_period_ns,
-            cycle_sample_offsets=list(first.cycle_sample_offsets),
+            golden=golden["samples"],
+            infected={name: fields["samples"]
+                      for name, fields in infected.items()},
+            golden_labels=[str(label) for label in golden["labels"]],
+            infected_labels={name: [str(label) for label in fields["labels"]]
+                             for name, fields in infected.items()},
+            plaintext=bytes.fromhex(str(golden["plaintexts"][0])),
+            sample_period_ns=float(golden["sample_period_ns"][0]),
+            cycle_sample_offsets=[
+                int(offset) for offset
+                in golden["cycle_sample_offsets_flat"][:num_offsets]],
         )
 
 
@@ -376,8 +403,7 @@ class HTDetectionPlatform:
                                 ) -> PopulationEMStudyResult:
         """HT size sweep across the die population (Figs. 6-7, headline numbers).
 
-        Thin wrapper over :func:`run_population_em_study`, the single
-        implementation shared with the campaign engine's grid cells;
+        Thin wrapper over :func:`run_population_em_study`;
         ``plaintexts`` runs the random-plaintext variant (each die
         scored on its stimulus-averaged trace).
         """
@@ -404,23 +430,20 @@ def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
     return tensor.mean(axis=0)
 
 
-def run_population_em_study(platform: "Optional[HTDetectionPlatform]",
+def run_population_em_study(platform: HTDetectionPlatform,
                             trojan_names: Sequence[str] = ("HT1", "HT2", "HT3"),
                             plaintext: Optional[bytes] = None,
                             key: Optional[bytes] = None,
                             metric: Optional[LocalMaximaSumMetric] = None,
                             traces: "Optional[tuple]" = None,
-                            plaintexts: Optional[Sequence[bytes]] = None,
-                            area_fractions: "Optional[Dict[str, float]]" = None
+                            plaintexts: Optional[Sequence[bytes]] = None
                             ) -> PopulationEMStudyResult:
     """The Sec. V inter-die study (HT size sweep over a die population).
 
-    One implementation serves both the paper path
-    (:meth:`HTDetectionPlatform.run_population_em_study`) and the
-    campaign engine's grid cells.  Acquisition and scoring are
-    tensor-resident end-to-end: the population is acquired (or passed
-    in) as ``(dies, samples)`` matrices, the whole study is scored in
-    batched kernel passes (:mod:`repro.analysis.batch`), and
+    The paper path behind :meth:`HTDetectionPlatform.run_population_em_study`:
+    the population is acquired (or passed in) as ``(dies, samples)``
+    matrices and scored in one
+    :meth:`PopulationEMDetector.fit_and_characterise` pass;
     :class:`~repro.measurement.em_simulator.EMTrace` objects are built
     only at the report boundary for the result's trace fields.
 
@@ -431,18 +454,8 @@ def run_population_em_study(platform: "Optional[HTDetectionPlatform]",
     ``plaintexts`` (mutually exclusive with ``plaintext``) sweeps a
     whole stimulus set through the batched acquisition and scores each
     die on its stimulus-averaged trace.
-    ``area_fractions`` supplies the per-trojan ``% of AES`` figures
-    directly (e.g. from a warm artifact store); with both ``traces``
-    and ``area_fractions`` given, ``platform`` may be ``None`` — the
-    study then runs without any design being built.
     """
-    if platform is None and (traces is None or area_fractions is None):
-        raise ValueError(
-            "platform may only be None when both traces and area_fractions "
-            "are supplied"
-        )
     tensors: Optional[PopulationTraceTensors] = None
-    golden_traces = infected_traces = None
     if traces is None:
         if plaintexts is not None and plaintext is not None:
             raise ValueError("pass either plaintext or plaintexts, not both")
@@ -451,28 +464,14 @@ def run_population_em_study(platform: "Optional[HTDetectionPlatform]",
         tensors = platform.acquire_population_tensors(
             trojan_names, plaintexts, key
         )
-        golden_matrix = tensors.golden
-        infected_matrices = {name: tensors.infected[name]
-                             for name in trojan_names}
-    else:
-        # Caller-supplied population: EMTrace lists or pre-stacked
-        # matrices (the campaign engine passes matrices); either way the
-        # population is stacked (at most) once and scored batched.
-        golden_traces, infected_traces = traces
-        golden_matrix = stack_traces(golden_traces)
-        infected_matrices = {name: stack_traces(infected_traces[name])
-                             for name in trojan_names}
-    detector = PopulationEMDetector(metric=metric)
-    reference, characterisations = detector.fit_and_characterise(
-        golden_matrix, infected_matrices
-    )
-
-    fractions: Dict[str, float] = {}
-    for name in trojan_names:
-        if area_fractions is not None:
-            fractions[name] = float(area_fractions[name])
-        else:
-            fractions[name] = platform.infected_design(name).area_fraction_of_aes()
+        traces = (tensors.golden, tensors.infected)
+    golden_traces, infected_traces = traces
+    reference, characterisations = PopulationEMDetector(
+        metric=metric
+    ).fit_and_characterise(golden_traces, {name: infected_traces[name]
+                                           for name in trojan_names})
+    fractions = {name: platform.infected_design(name).area_fraction_of_aes()
+                 for name in trojan_names}
     if tensors is not None:
         # EMTrace objects are built only here, at the report boundary.
         golden_traces, infected_traces = tensors.to_traces()

@@ -6,14 +6,15 @@ process-variation floor) and ``Dt_{s,j} = |T_{s,j} - E_8(G)|`` for every
 infected die — showing that an HT of 1 % of the AES already rises above
 the process-variation fluctuation at specific samples.
 
-The driver acquires one trace per (design, die), builds the mean golden
-reference and reports the per-die difference traces and their peak
-statistics.
+The driver acquires one trace per (design, die) — averaged over the
+config's stimulus set, one fixed plaintext by default — builds the mean
+golden reference and reports the per-die difference traces and their
+peak statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -21,8 +22,7 @@ import numpy as np
 from ..analysis.batch import abs_difference_matrix
 from ..analysis.traces import stack_traces
 from ..core.pipeline import HTDetectionPlatform
-from ..measurement.em_simulator import EMTrace
-from .config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
+from .config import FIXED_KEY, ExperimentConfig
 
 
 @dataclass
@@ -70,9 +70,10 @@ def run(config: Optional[ExperimentConfig] = None,
     if traces is not None:
         golden_traces, infected_traces = traces
     else:
-        golden_traces, infected_traces = platform.acquire_population_traces(
-            trojan_names, plaintext=FIXED_PLAINTEXT, key=FIXED_KEY
+        tensors = platform.acquire_population_tensors(
+            trojan_names, config.stimulus_plaintexts(), FIXED_KEY
         )
+        golden_traces, infected_traces = tensors.golden, tensors.infected
     # Matrix-resident difference build: stack each population once (a
     # pre-stacked ndarray passes through) and take the |G_j - E(G)|
     # planes from one batched abs-difference per design — bit-identical

@@ -12,15 +12,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..core.pipeline import HTDetectionPlatform, run_population_em_study
+from ..core.pipeline import (
+    HTDetectionPlatform,
+    PopulationEMStudyResult,
+    PopulationTraceTensors,
+    run_population_em_study,
+)
 from ..core.report import format_table, percentage
 from ..store import (
     DEFAULT_GOLDEN_SIGNATURE,
     Store,
     build_store,
-    pack_population_traces,
     population_traces_key,
-    unpack_population_traces,
+    read_through,
 )
 from . import (
     fig1_timing,
@@ -33,7 +37,7 @@ from . import (
     headline,
     table_ht_sizes,
 )
-from .config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
+from .config import FIXED_KEY, ExperimentConfig
 
 
 @dataclass
@@ -66,43 +70,40 @@ class SuiteResult:
         return all(s.matches_shape for s in self.summaries)
 
 
-def _store_backed_population_study(platform: HTDetectionPlatform,
-                                   store: Optional[Store]):
+def _shared_population_study(config: ExperimentConfig,
+                             platform: HTDetectionPlatform,
+                             store: Optional[Store]
+                             ) -> PopulationEMStudyResult:
     """The shared Fig. 6 / headline study, read through the store.
 
-    The suite runner is a plain store *client*: it keys the population
-    trace tensor exactly as the campaign engine does, so a suite run
-    warms the store for subsequent campaigns (and vice versa — a
-    campaign on the same geometry makes ``repro-ht experiments`` skip
-    the acquisition entirely).
+    The population covers ``config.stimulus_plaintexts()``, the stimulus
+    set the standalone Fig. 6 and headline drivers use, so one config
+    means one population.  The suite runner is a plain store *client*:
+    it keys the population tensors exactly as the campaign engine does
+    and reads them through the same :func:`~repro.store.read_through`,
+    so a suite run warms the store for subsequent campaigns (and vice
+    versa — a campaign on the same geometry makes ``repro-ht
+    experiments`` skip the acquisition entirely).
     """
     trojans = ("HT1", "HT2", "HT3")
-    if store is None:
-        return run_population_em_study(
-            platform, trojan_names=trojans,
-            plaintext=FIXED_PLAINTEXT, key=FIXED_KEY,
-        )
+    plaintexts = config.stimulus_plaintexts()
     artifact_key = population_traces_key(
         device=platform.device, golden=DEFAULT_GOLDEN_SIGNATURE,
         em_config=platform.config.em, seed=platform.config.seed,
         num_dies=platform.config.num_dies, trojans=trojans,
-        key=FIXED_KEY, plaintexts=[FIXED_PLAINTEXT],
+        key=FIXED_KEY, plaintexts=plaintexts,
     )
-    stored = store.load_arrays(artifact_key)
-    if stored is not None:
-        traces = unpack_population_traces(stored)
-    else:
-        traces = platform.acquire_population_traces(
-            trojans, FIXED_PLAINTEXT, FIXED_KEY
-        )
-        store.put_arrays(
-            artifact_key, pack_population_traces(*traces),
-            kind="population_traces",
-            meta={"num_dies": platform.config.num_dies,
-                  "producer": "experiments.runner"},
-        )
+    tensors = read_through(
+        store, "population_traces", artifact_key,
+        compute=lambda: platform.acquire_population_tensors(
+            trojans, plaintexts, FIXED_KEY),
+        pack=PopulationTraceTensors.to_arrays,
+        unpack=PopulationTraceTensors.from_arrays,
+        meta=lambda _: {"num_dies": platform.config.num_dies,
+                        "producer": "experiments.runner"},
+    )
     return run_population_em_study(platform, trojan_names=trojans,
-                                   traces=traces)
+                                   traces=tensors.to_traces())
 
 
 def run_all(config: Optional[ExperimentConfig] = None,
@@ -184,10 +185,9 @@ def run_all(config: Optional[ExperimentConfig] = None,
         matches_shape=r5.detected and r5.contrast() > 1.5,
     ))
 
-    # FIG6 / HEADLINE share one Sec. V population study, run once through
-    # the campaign engine (the platform method is a thin wrapper over it)
+    # FIG6 / HEADLINE share one Sec. V population study, acquired once
     # and read through the artifact store when one is attached.
-    population_study = _store_backed_population_study(platform, store)
+    population_study = _shared_population_study(config, platform, store)
 
     # FIG6 -------------------------------------------------------------------
     r6 = fig6_pv.run(config, platform,

@@ -39,10 +39,9 @@ _READABLE_VERSIONS = (1, 2)
 def traces_to_arrays(traces: Sequence[EMTrace]) -> Dict[str, np.ndarray]:
     """Flatten a trace set into named arrays — every field, losslessly.
 
-    The single EMTrace serialisation codec: trace archives here and the
-    artifact payloads of :mod:`repro.store` both use it, so a field
-    added to :class:`EMTrace` round-trips (or fails loudly) in one
-    place.
+    The trace-archive layout; the store's population payload
+    (:meth:`~repro.core.pipeline.PopulationTraceTensors.to_arrays`)
+    writes the same members straight from the matrices.
     """
     if not traces:
         raise ValueError("cannot serialise an empty trace set")

@@ -1,18 +1,21 @@
 """Content-addressed artifact store for campaign intermediates.
 
 ``repro.store`` persists the expensive intermediates of the detection
-protocol — infected designs' summaries, golden fingerprints, averaged
-trace tensors, per-cell campaign results — under *content addresses*:
-the SHA-256 of the canonical JSON of the spec fragment that produces
-them.  Equal configuration therefore means an instant hit across runs,
-processes and hosts, and any perturbation means a clean miss.  Writes
-are atomic and indexed by a manifest, which doubles as the per-cell
-completion record sharded or interrupted campaigns resume from.
+protocol — infected designs' summaries, averaged trace tensors, delay
+difference and fault-sweep tensors, per-cell campaign results — under
+*content addresses*: the SHA-256 of the canonical JSON of the spec
+fragment that produces them.  Equal configuration therefore means an
+instant hit across runs, processes and hosts, and any perturbation
+means a clean miss.  Writes are atomic and indexed by a manifest, which
+doubles as the per-cell completion record sharded or interrupted
+campaigns resume from.
 
 There is one store implementation, :class:`ArtifactStore`, written
 against a byte-blob :class:`Transport`; :class:`RemoteStore` and
 :class:`TieredStore` are thin subclasses, and :func:`build_store` turns
 a path, a ``spawn_config()`` dict or a live store into a :class:`Store`.
+Tensor artifacts share one group codec (:func:`pack_groups`), and every
+client goes through one :func:`read_through`.
 """
 
 from .artifact_store import (
@@ -31,14 +34,11 @@ from .artifacts import (
     fault_sweep_key,
     golden_signature,
     infected_summary_key,
-    pack_delay_differences,
-    pack_fault_sweep,
-    pack_population_traces,
+    pack_groups,
     population_traces_key,
+    read_through,
     spec_content_fragment,
-    unpack_delay_differences,
-    unpack_fault_sweep,
-    unpack_population_traces,
+    unpack_groups,
 )
 from .breaker import CircuitBreaker, CircuitOpenError
 from .keys import canonical_json, stable_key
@@ -110,13 +110,10 @@ __all__ = [
     "is_transient_os_error",
     "list_leases",
     "live_foreign_leases",
-    "pack_delay_differences",
-    "pack_fault_sweep",
-    "pack_population_traces",
+    "pack_groups",
     "population_traces_key",
+    "read_through",
     "spec_content_fragment",
     "stable_key",
-    "unpack_delay_differences",
-    "unpack_fault_sweep",
-    "unpack_population_traces",
+    "unpack_groups",
 ]

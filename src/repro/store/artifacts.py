@@ -1,14 +1,16 @@
-"""Campaign artifact schemas: content keys and npz payload packing.
+"""Campaign artifact schemas: content keys, the group codec, the read-through.
 
-The campaign engine caches three expensive intermediates, all of which
-are pure functions of a spec fragment and therefore content-addressable
+The campaign engine caches five kinds of artifact, all of which are
+pure functions of a spec fragment and therefore content-addressable
 (:mod:`repro.store.keys`):
 
 * **population traces** — the per-(design, die) averaged EM traces of
   one acquisition point (die count x acquisition variant x stimulus
   set), the input every EM metric re-scores;
-* **delay difference matrices** — the Eq. (4) per-(pair, bit) matrices
-  of one clock-glitch campaign over the die population;
+* **delay difference tensors** — the Eq. (4) per-(pair, bit)
+  differences of one clock-glitch campaign over the die population;
+* **fault sweeps** — the faulted-ciphertext tensors of one glitch-grid
+  sweep over the die population, with the resolved grid axes;
 * **infected-design summaries** — the area bookkeeping a report row
   needs (a warm run must not pay for synthesis + trojan insertion just
   to print ``% of AES``);
@@ -16,19 +18,19 @@ are pure functions of a spec fragment and therefore content-addressable
   presence in the manifest is the per-cell completion record that
   interrupted or sharded runs resume from.
 
-Payloads are npz (trace/matrix tensors) or JSON (summaries, rows); both
-are self-describing so :func:`unpack_population_traces` and
-:func:`unpack_delay_differences` need nothing but the archive.
+Summaries and rows are JSON; the three tensor artifacts are npz laid
+out by one group codec (:func:`pack_groups` / :func:`unpack_groups`),
+which each cached value type maps its arrays onto in its
+``to_arrays`` / ``from_arrays``.  :func:`read_through` is the one
+load-or-compute-and-put path of every store client.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..io.tracefile import traces_from_arrays, traces_to_arrays
-from ..measurement.em_simulator import EMTrace
 from .keys import stable_key
 
 #: Bump when the meaning of a stored artifact changes; old keys then
@@ -170,135 +172,71 @@ def spec_content_fragment(spec_payload: Mapping[str, Any]) -> Dict[str, Any]:
             if field not in EXECUTION_ONLY_SPEC_FIELDS}
 
 
-# -- trace payloads -----------------------------------------------------------
+# -- array payloads and the read-through --------------------------------------
 
 
-def _pack_trace_group(prefix: str, traces: Sequence[EMTrace],
-                      arrays: Dict[str, np.ndarray]) -> None:
-    """Add one trace group to ``arrays`` under ``<prefix>::<field>`` keys.
+def pack_groups(shared: Mapping[str, np.ndarray],
+                golden: Mapping[str, np.ndarray],
+                infected: Mapping[str, Mapping[str, np.ndarray]]
+                ) -> Dict[str, np.ndarray]:
+    """Lay a (golden, per-trojan infected) payload out as npz members.
 
-    The field layout is :func:`repro.io.tracefile.traces_to_arrays` —
-    the one EMTrace codec, shared with the trace archives.
+    The member order is part of the npz bytes: ``groups`` (``golden``
+    then the trojan names), the ``shared`` members, ``golden::<field>``,
+    then ``trojan::<name>::<field>`` per trojan.
     """
-    for name, value in traces_to_arrays(traces).items():
-        arrays[f"{prefix}::{name}"] = value
-
-
-def _unpack_trace_group(prefix: str,
-                        arrays: Mapping[str, np.ndarray]) -> List[EMTrace]:
-    marker = f"{prefix}::"
-    return traces_from_arrays({name[len(marker):]: value
-                               for name, value in arrays.items()
-                               if name.startswith(marker)})
-
-
-def pack_population_traces(golden_traces: Sequence[EMTrace],
-                           infected_traces: Mapping[str, Sequence[EMTrace]]
-                           ) -> Dict[str, np.ndarray]:
-    """Flatten a (golden, per-trojan infected) trace set into npz arrays."""
-    arrays: Dict[str, np.ndarray] = {
-        "groups": np.array(["golden"] + list(infected_traces)),
-    }
-    _pack_trace_group("golden", golden_traces, arrays)
-    for name, traces in infected_traces.items():
-        _pack_trace_group(f"trojan::{name}", traces, arrays)
+    arrays = {"groups": np.array(["golden"] + list(infected)), **shared}
+    groups = [("golden", golden)] + [(f"trojan::{name}", fields)
+                                     for name, fields in infected.items()]
+    for prefix, fields in groups:
+        arrays.update((f"{prefix}::{field}", value)
+                      for field, value in fields.items())
     return arrays
 
 
-def unpack_population_traces(arrays: Mapping[str, np.ndarray]
-                             ) -> Tuple[List[EMTrace],
-                                        Dict[str, List[EMTrace]]]:
-    """Inverse of :func:`pack_population_traces`."""
-    groups = [str(name) for name in arrays["groups"]]
-    golden_traces = _unpack_trace_group("golden", arrays)
-    infected_traces = {name: _unpack_trace_group(f"trojan::{name}", arrays)
-                       for name in groups if name != "golden"}
-    return golden_traces, infected_traces
+def unpack_groups(arrays: Mapping[str, np.ndarray]
+                  ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray],
+                             Dict[str, Dict[str, np.ndarray]]]:
+    """Inverse of :func:`pack_groups`: ``(shared, golden, infected)``,
+    the arrays as stored (no copies), trojans in ``groups`` order."""
+
+    def members(prefix: str) -> Dict[str, np.ndarray]:
+        return {member[len(prefix):]: value
+                for member, value in arrays.items()
+                if member.startswith(prefix)}
+
+    shared = {member: value for member, value in arrays.items()
+              if member != "groups"
+              and not member.startswith(("golden::", "trojan::"))}
+    infected = {str(name): members(f"trojan::{name}::")
+                for name in arrays["groups"][1:]}
+    return shared, members("golden::"), infected
 
 
-# -- delay payloads -----------------------------------------------------------
+#: Artifact kinds stored as JSON documents; every other kind is arrays.
+_JSON_ARTIFACT_KINDS = frozenset({"infected_summary"})
 
 
-def pack_delay_differences(golden_differences: Sequence[np.ndarray],
-                           infected_differences: Mapping[str,
-                                                         Sequence[np.ndarray]]
-                           ) -> Dict[str, np.ndarray]:
-    """Flatten the per-die Eq. (4) difference matrices into npz arrays."""
-    arrays: Dict[str, np.ndarray] = {
-        "groups": np.array(["golden"] + list(infected_differences)),
-        "golden::diff": np.stack([np.asarray(matrix)
-                                  for matrix in golden_differences]),
-    }
-    for name, matrices in infected_differences.items():
-        arrays[f"trojan::{name}::diff"] = np.stack(
-            [np.asarray(matrix) for matrix in matrices])
-    return arrays
+def read_through(store: Optional[Any], kind: str, key: Optional[str],
+                 compute: Callable[[], Any],
+                 pack: Callable[[Any], Any], unpack: Callable[[Any], Any],
+                 meta: Callable[[Any], Dict[str, Any]]) -> Any:
+    """Load and unpack ``key``, or compute, pack and put it.
 
-
-def unpack_delay_differences(arrays: Mapping[str, np.ndarray]
-                             ) -> Tuple[List[np.ndarray],
-                                        Dict[str, List[np.ndarray]]]:
-    """Inverse of :func:`pack_delay_differences`."""
-    groups = [str(name) for name in arrays["groups"]]
-    golden_differences = [matrix.copy() for matrix in arrays["golden::diff"]]
-    infected_differences = {
-        name: [matrix.copy() for matrix in arrays[f"trojan::{name}::diff"]]
-        for name in groups if name != "golden"
-    }
-    return golden_differences, infected_differences
-
-
-# -- fault-sweep payloads -----------------------------------------------------
-
-
-def pack_fault_sweep(axes: Mapping[str, Sequence[float]],
-                     plaintexts: np.ndarray,
-                     correct: np.ndarray,
-                     golden_faulted: np.ndarray,
-                     infected_faulted: Mapping[str, np.ndarray]
-                     ) -> Dict[str, np.ndarray]:
-    """Flatten one glitch-grid sweep into npz arrays.
-
-    ``axes`` holds the *resolved* grid axes (offsets/widths/periods in
-    ps — after auto-calibration, not the possibly-empty spec values), so
-    a store hit reproduces the exact grid without re-calibrating;
-    ``plaintexts``/``correct`` are the ``(N, 16)`` stimulus and
-    fault-free ciphertexts, and the faulted tensors are ``(D, G, N,
-    16)`` per population.
+    The one path by which a store client reuses an artifact.  ``kind``
+    picks the payload form (JSON for the infected-design summaries, npz
+    arrays otherwise) and ``meta(value)`` gives the manifest metadata of
+    a stored value.  Without a store (``store is None``) this is just
+    ``compute()``.  The store's ``load_*`` folds a corrupt (quarantined)
+    object into a miss, so a torn write costs a recompute, not a crash.
     """
-    arrays: Dict[str, np.ndarray] = {
-        "groups": np.array(["golden"] + list(infected_faulted)),
-        "axes::offsets_ps": np.asarray(axes["offsets_ps"], dtype=float),
-        "axes::widths_ps": np.asarray(axes["widths_ps"], dtype=float),
-        "axes::periods_ps": np.asarray(axes["periods_ps"], dtype=float),
-        "plaintexts": np.asarray(plaintexts, dtype=np.uint8),
-        "correct": np.asarray(correct, dtype=np.uint8),
-        "golden::faulted": np.asarray(golden_faulted, dtype=np.uint8),
-    }
-    for name, tensor in infected_faulted.items():
-        arrays[f"trojan::{name}::faulted"] = np.asarray(tensor,
-                                                        dtype=np.uint8)
-    return arrays
-
-
-def unpack_fault_sweep(arrays: Mapping[str, np.ndarray]
-                       ) -> Tuple[Dict[str, np.ndarray], np.ndarray,
-                                  np.ndarray, np.ndarray,
-                                  Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_fault_sweep`.
-
-    Returns ``(axes, plaintexts, correct, golden_faulted,
-    infected_faulted)``.
-    """
-    groups = [str(name) for name in arrays["groups"]]
-    axes = {
-        "offsets_ps": arrays["axes::offsets_ps"].copy(),
-        "widths_ps": arrays["axes::widths_ps"].copy(),
-        "periods_ps": arrays["axes::periods_ps"].copy(),
-    }
-    infected_faulted = {
-        name: arrays[f"trojan::{name}::faulted"].copy()
-        for name in groups if name != "golden"
-    }
-    return (axes, arrays["plaintexts"].copy(), arrays["correct"].copy(),
-            arrays["golden::faulted"].copy(), infected_faulted)
+    if store is None:
+        return compute()
+    is_json = kind in _JSON_ARTIFACT_KINDS
+    stored = (store.load_json if is_json else store.load_arrays)(key)
+    if stored is not None:
+        return unpack(stored)
+    value = compute()
+    put = store.put_json if is_json else store.put_arrays
+    put(key, pack(value), kind=kind, meta=meta(value))
+    return value

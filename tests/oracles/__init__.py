@@ -2,10 +2,11 @@
 
 The package in ``src/`` keeps one implementation per operation: the
 compiled netlist and timing kernels, the one EM acquisition core, the
-batched trojan activity, scoring, ROC, DFA and fault kernels.  The
-per-element loops and cell-by-cell walks they replaced live here, as
-the executable specifications the bit-identity tests (``from oracles
-import ...``) and the speed-up benchmarks compare against.  Each
+batched trojan activity, scoring, ROC, DFA and fault kernels, and the
+store payload codecs.  The per-element loops, cell-by-cell walks and
+trace-list payload packers they replaced live here, as the executable
+specifications the bit-identity tests (``from oracles import ...``) and
+the speed-up benchmarks compare against.  Each
 reference of a method takes the instance as its first argument.
 """
 
@@ -39,6 +40,11 @@ from .netlist import (
     net_values_to_block,
     netlist_toggle_counts,
     round_activity,
+)
+from .payloads import (
+    pack_delay_differences,
+    pack_fault_sweep,
+    pack_population_traces,
 )
 from .scoring import (
     DELAY_METRIC_SCORERS,
@@ -76,6 +82,9 @@ __all__ = [
     "net_values_to_block",
     "netlist_toggle_counts",
     "round_activity",
+    "pack_delay_differences",
+    "pack_fault_sweep",
+    "pack_population_traces",
     "DELAY_METRIC_SCORERS",
     "build_delay_scorer",
     "dfa_key_scores_serial",

@@ -173,20 +173,23 @@ def test_engine_acquires_each_population_once(monkeypatch, golden_design):
     assert wraps == []
 
 
-def test_engine_builds_traces_only_for_the_store_write(monkeypatch, tmp_path,
-                                                       golden_design):
+def test_engine_builds_no_traces_for_the_store_write(monkeypatch, tmp_path,
+                                                     golden_design):
+    """The population store payload is written from, and read into, the
+    matrices: no EMTrace is built on a cold or a warm store-backed run."""
     from repro.core.pipeline import PopulationTraceTensors
+    from repro.measurement.em_simulator import EMTrace
 
     wraps = _count_calls(monkeypatch, PopulationTraceTensors, "to_traces")
+    built = _count_calls(monkeypatch, EMTrace, "__init__")
     spec = CampaignSpec(name="store-wrap", trojans=("HT1",),
                         die_counts=(2,), metrics=("l1", "max_difference"),
                         seed=5)
     cold = CampaignEngine(spec, golden=golden_design,
                           store=tmp_path / "store").run()
-    assert len(wraps) == 1  # one wrap for the population store write
-    # A second engine on the same store loads (and stacks) the stored
-    # population instead of acquiring it; its cells resume outright.
-    del wraps[:]
+    assert wraps == [] and built == []
+    # A second engine on the same store loads the stored population
+    # instead of acquiring it; its cells resume outright.
     warm = CampaignEngine(spec, golden=golden_design,
                           store=tmp_path / "store")
     cell = spec.grid()[0]
@@ -195,9 +198,9 @@ def test_engine_builds_traces_only_for_the_store_write(monkeypatch, tmp_path,
     fresh_golden, fresh_infected = cold_engine.cell_trace_matrices(cell)
     assert golden_matrix.tobytes() == fresh_golden.tobytes()
     assert infected["HT1"].tobytes() == fresh_infected["HT1"].tobytes()
-    assert wraps == []
     assert [row.to_dict() for row in warm.run().rows()] == \
         [row.to_dict() for row in cold.rows()]
+    assert wraps == [] and built == []
 
 
 def test_larger_trojan_detected_more_reliably(small_campaign):

@@ -3,8 +3,9 @@
 The serial loops and interpreted walks the batched kernels are pinned
 against live in ``tests/oracles/``; ``src/`` keeps exactly one netlist
 kernel, one timing path, one EM trace-synthesis core
-(``EMSimulator._acquire_grid``) and one trojan-activity path
-(``encryption_activity_counts``).  These checks keep it that way: no
+(``EMSimulator._acquire_grid``), one trojan-activity path
+(``encryption_activity_counts``) and one array-payload codec with one
+store read-through.  These checks keep it that way: no
 oracle is redefined under ``src/``, nothing there imports the removed
 backend seam, bitslice kernel or interpreted timing engine, every
 acquisition entry point is a view of the one core, and the paper's
@@ -71,6 +72,21 @@ ORACLE_ONLY_NAMES = {
     # Serial delay scorers.
     "DELAY_METRIC_SCORERS",
     "build_delay_scorer",
+    # Trace-list payload packers and their per-kind unpack adapters;
+    # every tensor artifact goes through the one group codec.
+    "pack_population_traces",
+    "unpack_population_traces",
+    "_pack_trace_group",
+    "_unpack_trace_group",
+    "pack_delay_differences",
+    "unpack_delay_differences",
+    "pack_fault_sweep",
+    "unpack_fault_sweep",
+    "_unpack_delay_study",
+    "_unpack_fault_sweep",
+    # The unsupervised process-pool reference of the supervisor gate.
+    "_run_parallel",
+    "_run_cells_in_subprocess",
 }
 
 #: The acquisition entry points ``e2e_bench/tracer.py`` wraps by name.
@@ -227,3 +243,28 @@ def test_delay_figures_make_no_interpreted_evaluation(monkeypatch, driver):
     module = importlib.import_module(f"repro.experiments.{driver}")
     module.run(ExperimentConfig.fast())
     assert calls == []
+
+
+def test_payloads_go_through_the_one_codec_and_read_through():
+    import inspect
+
+    from repro.campaigns.engine import CampaignEngine
+    from repro.core.pipeline import (
+        PopulationTraceTensors,
+        run_population_em_study,
+    )
+
+    assert not hasattr(PopulationTraceTensors, "from_traces")
+    params = inspect.signature(run_population_em_study).parameters
+    assert "area_fractions" not in params
+    assert params["platform"].default is inspect.Parameter.empty
+    for name in ("_run_parallel", "_run_cells_in_subprocess"):
+        assert not hasattr(CampaignEngine, name), name
+    # Array payloads are loaded and put only by the one read-through.
+    offending = [f"{path.relative_to(SRC)}:{node.lineno} {node.attr}"
+                 for path, module, tree in _modules()
+                 if not module.startswith("repro.store")
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("load_arrays", "put_arrays")]
+    assert not offending, offending

@@ -8,32 +8,25 @@ import numpy as np
 import pytest
 
 from repro.campaigns import CampaignEngine, CampaignSpec
-from repro.measurement.em_simulator import EMTrace
+from repro.campaigns.engine import _DelayStudyData
+from repro.core.pipeline import PopulationTraceTensors
 from repro.store import (
     ArtifactStore,
     canonical_json,
     cell_result_key,
     infected_summary_key,
-    pack_delay_differences,
-    pack_population_traces,
+    pack_groups,
     population_traces_key,
     spec_content_fragment,
     stable_key,
-    unpack_delay_differences,
-    unpack_population_traces,
+    unpack_groups,
 )
+from repro.store.artifact_store import decode_array_bytes, encode_array_bytes
 
 
-def make_trace(label: str, seed: int, num_samples: int = 64,
-               dtype=np.float64) -> EMTrace:
-    rng = np.random.default_rng(seed)
-    return EMTrace(
-        samples=rng.normal(0, 100, num_samples).astype(dtype),
-        label=label,
-        plaintext=bytes(range(16)),
-        sample_period_ns=0.2,
-        cycle_sample_offsets=[4 * cycle + seed for cycle in range(5)],
-    )
+def _stored_round_trip(arrays):
+    """``arrays`` through the store's npz encoding and back."""
+    return decode_array_bytes(encode_array_bytes(arrays))
 
 
 # -- keys ---------------------------------------------------------------------
@@ -134,34 +127,68 @@ def test_store_array_round_trip_preserves_dtype(tmp_path):
         assert np.array_equal(loaded[name], value)
 
 
+def test_group_codec_orders_members_and_inverts():
+    shared = {"axes::x": np.arange(3.0), "plaintexts": np.zeros((2, 16))}
+    golden = {"a": np.ones(2), "b": np.arange(2)}
+    infected = {"HT3": {"a": np.full(2, 3.0), "b": np.arange(2) + 3},
+                "HT1": {"a": np.full(2, 1.0), "b": np.arange(2) + 1}}
+    arrays = pack_groups(shared, golden, infected)
+    assert list(arrays) == ["groups", "axes::x", "plaintexts",
+                            "golden::a", "golden::b",
+                            "trojan::HT3::a", "trojan::HT3::b",
+                            "trojan::HT1::a", "trojan::HT1::b"]
+    assert list(arrays["groups"]) == ["golden", "HT3", "HT1"]
+    shared_back, golden_back, infected_back = unpack_groups(
+        _stored_round_trip(arrays))
+    assert list(infected_back) == ["HT3", "HT1"]
+    for original, loaded in [(shared, shared_back), (golden, golden_back),
+                             (infected["HT3"], infected_back["HT3"]),
+                             (infected["HT1"], infected_back["HT1"])]:
+        assert list(loaded) == list(original)
+        for name, value in original.items():
+            assert loaded[name].dtype == value.dtype
+            assert np.array_equal(loaded[name], value)
+
+
 def test_population_trace_payload_round_trip():
-    golden = [make_trace("golden0", 1), make_trace("golden1", 2)]
-    infected = {"HT1": [make_trace("HT1_0", 3), make_trace("HT1_1", 4)],
-                "HT3": [make_trace("HT3_0", 5), make_trace("HT3_1", 6)]}
-    arrays = pack_population_traces(golden, infected)
-    loaded_golden, loaded_infected = unpack_population_traces(arrays)
-    assert [t.label for t in loaded_golden] == ["golden0", "golden1"]
-    assert set(loaded_infected) == {"HT1", "HT3"}
-    for original, loaded in zip(golden + infected["HT1"] + infected["HT3"],
-                                loaded_golden + loaded_infected["HT1"]
-                                + loaded_infected["HT3"]):
-        assert np.array_equal(original.samples, loaded.samples)
-        assert original.samples.dtype == loaded.samples.dtype
-        assert original.plaintext == loaded.plaintext
-        assert original.sample_period_ns == loaded.sample_period_ns
-        assert original.cycle_sample_offsets == loaded.cycle_sample_offsets
+    rng = np.random.default_rng(1)
+    tensors = PopulationTraceTensors(
+        golden=rng.normal(0, 100, (2, 64)),
+        infected={"HT1": rng.normal(0, 100, (2, 64)),
+                  "HT3": rng.normal(0, 100, (2, 64))},
+        golden_labels=["golden0", "golden1"],
+        infected_labels={"HT1": ["HT1_0", "HT1_1"],
+                         "HT3": ["HT3_0", "HT3_1"]},
+        plaintext=bytes(range(16)),
+        sample_period_ns=0.2,
+        cycle_sample_offsets=[4 * cycle + 1 for cycle in range(5)],
+    )
+    loaded = PopulationTraceTensors.from_arrays(
+        _stored_round_trip(tensors.to_arrays()))
+    assert list(loaded.infected) == ["HT1", "HT3"]
+    for name in ("HT1", "HT3"):
+        assert loaded.infected[name].tobytes() == \
+            tensors.infected[name].tobytes()
+    assert loaded.golden.tobytes() == tensors.golden.tobytes()
+    assert loaded.golden.dtype == tensors.golden.dtype
+    assert loaded.golden_labels == tensors.golden_labels
+    assert loaded.infected_labels == tensors.infected_labels
+    assert loaded.plaintext == tensors.plaintext
+    assert loaded.sample_period_ns == tensors.sample_period_ns
+    assert loaded.cycle_sample_offsets == tensors.cycle_sample_offsets
 
 
 def test_delay_difference_payload_round_trip():
     rng = np.random.default_rng(8)
-    golden = [rng.normal(size=(3, 8)) for _ in range(2)]
-    infected = {"HT_comb": [rng.normal(size=(3, 8)) for _ in range(2)]}
-    golden_back, infected_back = unpack_delay_differences(
-        pack_delay_differences(golden, infected)
+    data = _DelayStudyData(
+        golden_differences=rng.normal(size=(2, 3, 8)),
+        infected_differences={"HT_comb": rng.normal(size=(2, 3, 8))},
     )
-    for original, loaded in zip(golden + infected["HT_comb"],
-                                golden_back + infected_back["HT_comb"]):
-        assert np.array_equal(original, loaded)
+    loaded = _DelayStudyData.from_arrays(_stored_round_trip(data.to_arrays()))
+    assert np.array_equal(loaded.golden_differences, data.golden_differences)
+    assert list(loaded.infected_differences) == ["HT_comb"]
+    assert np.array_equal(loaded.infected_differences["HT_comb"],
+                          data.infected_differences["HT_comb"])
 
 
 def test_store_rejects_unsafe_keys_and_empty_payloads(tmp_path):
