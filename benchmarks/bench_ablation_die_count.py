@@ -8,18 +8,18 @@ reference grows.
 
 import pytest
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.campaigns import CampaignEngine, CampaignSpec
 
 
 @pytest.mark.parametrize("num_dies", [3, 6, 10])
 def test_die_count_ablation(benchmark, platform, num_dies):
-    ablated = HTDetectionPlatform(
-        config=PlatformConfig(num_dies=num_dies),
-        golden=platform.golden,
-    )
+    spec = CampaignSpec(name="die-count", trojans=("HT2",),
+                        die_counts=(num_dies,))
+    (cell,) = spec.grid()
 
     def run_study():
-        return ablated.run_population_em_study(("HT2",))
+        engine = CampaignEngine(spec, golden=platform.golden)
+        return engine.population_study(cell)
 
     study = benchmark(run_study)
     characterisation = study.characterisations["HT2"]

@@ -22,19 +22,19 @@ METRICS = {
 
 
 @pytest.fixture(scope="module")
-def population_traces(platform):
-    return platform.acquire_population_traces(("HT2",), FIXED_PLAINTEXT, FIXED_KEY)
+def population(platform):
+    return platform.acquire_population_tensors(("HT2",), [FIXED_PLAINTEXT],
+                                               FIXED_KEY)
 
 
 @pytest.mark.parametrize("metric_name", sorted(METRICS))
-def test_metric_ablation(benchmark, metric_name, population_traces):
-    golden_traces, infected_traces = population_traces
+def test_metric_ablation(benchmark, metric_name, population):
     metric = METRICS[metric_name]
 
     def characterise():
         detector = PopulationEMDetector(metric=metric)
-        detector.fit_reference(golden_traces)
-        return detector.characterise(infected_traces["HT2"])
+        detector.fit_reference(population.golden)
+        return detector.characterise(population.infected["HT2"])
 
     characterisation = benchmark(characterise)
     effect = (characterisation.mu / characterisation.sigma

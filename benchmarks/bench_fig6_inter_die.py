@@ -10,8 +10,8 @@ import numpy as np
 from repro.experiments import fig6_pv
 
 
-def test_fig6_inter_die_differences(benchmark, config, platform):
-    result = benchmark(fig6_pv.run, config, platform)
+def test_fig6_inter_die_differences(benchmark, config, suite_engine):
+    result = benchmark(lambda: fig6_pv.run(config, suite_engine()))
     benchmark.extra_info["pv_envelope"] = round(result.golden_envelope(), 1)
     for name in result.trojan_names:
         peaks = result.infected_peak_per_die(name)

@@ -9,8 +9,8 @@ from repro.experiments import headline
 from repro.experiments.headline import PAPER_FALSE_NEGATIVE_RATES
 
 
-def test_headline_false_negative_rates(benchmark, config, platform):
-    result = benchmark(headline.run, config, platform)
+def test_headline_false_negative_rates(benchmark, config, suite_engine):
+    result = benchmark(lambda: headline.run(config, suite_engine()))
     for row in result.rows:
         benchmark.extra_info[f"fn_rate[{row.trojan_name}]"] = round(
             row.false_negative_rate, 4

@@ -40,7 +40,7 @@ from repro.core.metrics import LocalMaximaSumMetric, false_negative_rate
 from repro.core.em_detector import PopulationEMDetector
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 
-from oracles import scores_serial
+from oracles import acquire_population_traces, scores_serial
 
 NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
@@ -99,7 +99,7 @@ def _acquire_population():
     platform = HTDetectionPlatform(
         config=PlatformConfig(num_dies=NUM_DIES, seed=SEED)
     )
-    return platform.acquire_population_traces(TROJANS)
+    return acquire_population_traces(platform, TROJANS)
 
 
 def _characterise_rows(genuine_scores, scores_by_trojan):

@@ -39,6 +39,7 @@ for _path in (_ROOT / "tests", _ROOT / "src"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
+from repro.campaigns import CampaignEngine  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 
 try:
@@ -135,3 +136,12 @@ def config():
 def platform(config):
     """One detection platform shared by all benchmarks."""
     return config.build_platform()
+
+
+@pytest.fixture
+def suite_engine(config, platform):
+    """``suite_engine()``: a fresh engine over the suite's campaign on
+    the shared golden design, so a timed round re-acquires the Sec. V
+    population the way one suite run does."""
+    return lambda: CampaignEngine(config.campaign_spec(),
+                                  golden=platform.golden)

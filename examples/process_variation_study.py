@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import HTDetectionPlatform, PlatformConfig, required_separation
+from repro.campaigns import CampaignEngine, CampaignSpec
+from repro.core import required_separation
 from repro.core.report import format_table, percentage
 
 
@@ -29,23 +30,16 @@ def main() -> None:
                         help="catalog trojans to screen")
     args = parser.parse_args()
 
-    rows = []
-    last_study = None
-    for num_dies in args.dies:
-        platform = HTDetectionPlatform(config=PlatformConfig(num_dies=num_dies))
-        study = platform.run_population_em_study(tuple(args.trojans))
-        last_study = study
-        for name in args.trojans:
-            characterisation = study.characterisations[name]
-            rows.append([
-                str(num_dies),
-                name,
-                percentage(study.trojan_area_fractions[name]),
-                f"{characterisation.mu:.0f}",
-                f"{characterisation.sigma:.0f}",
-                percentage(characterisation.false_negative_rate),
-                percentage(characterisation.detection_probability),
-            ])
+    # One campaign: one grid cell (one Sec. V population study) per die
+    # count, sharing the golden design and the trojan insertions.
+    spec = CampaignSpec(name="process-variation", trojans=tuple(args.trojans),
+                        die_counts=tuple(args.dies))
+    result = CampaignEngine(spec).run()
+    rows = [[str(row.num_dies), row.trojan, percentage(row.area_fraction),
+             f"{row.mu:.0f}", f"{row.sigma:.0f}",
+             percentage(row.false_negative_rate),
+             percentage(row.detection_probability)]
+            for row in result.rows()]
 
     print(format_table(
         ["dies", "trojan", "size (% AES)", "mu", "sigma",
@@ -53,19 +47,19 @@ def main() -> None:
         rows,
     ))
 
-    # Sizing question: with the spread observed on the largest population,
+    # Sizing question: with the spread observed on the last population,
     # what separation (and hence, roughly, what trojan size) is needed for
     # a 5 % false-negative rate, the paper's headline operating point?
-    if last_study is not None:
-        sigma = max(c.sigma for c in last_study.characterisations.values())
-        needed_mu = required_separation(0.05, sigma)
-        reference = last_study.characterisations[args.trojans[-1]]
-        print(f"\nMetric separation needed for a 5% false-negative rate: "
-              f"{needed_mu:.0f} (sigma = {sigma:.0f})")
-        print(f"The largest screened trojan ({args.trojans[-1]}) achieves "
-              f"mu = {reference.mu:.0f}, i.e. "
-              f"{'enough' if reference.mu >= needed_mu else 'not enough'} "
-              "for the paper's >95% detection claim on this population.")
+    last_cell = result.cells[-1].rows
+    sigma = max(row.sigma for row in last_cell)
+    needed_mu = required_separation(0.05, sigma)
+    reference = last_cell[-1]
+    print(f"\nMetric separation needed for a 5% false-negative rate: "
+          f"{needed_mu:.0f} (sigma = {sigma:.0f})")
+    print(f"The largest screened trojan ({reference.trojan}) achieves "
+          f"mu = {reference.mu:.0f}, i.e. "
+          f"{'enough' if reference.mu >= needed_mu else 'not enough'} "
+          "for the paper's >95% detection claim on this population.")
 
 
 if __name__ == "__main__":

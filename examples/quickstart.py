@@ -3,8 +3,9 @@
 
 This example walks the shortest path through the library:
 
-1. build the detection platform (golden AES design, die population,
-   simulated measurement benches),
+1. describe the paper's Sec. V campaign (HT1/HT2/HT3 over a die
+   population) and take its detection platform (golden AES design, die
+   population, simulated measurement benches) from a campaign engine,
 2. run the delay-based detection of Sec. III on one die,
 3. run the inter-die EM detection of Sec. V on the HT1/HT2/HT3 size
    sweep and print the false-negative rates the paper's headline result
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.campaigns import CampaignEngine
 from repro.core.report import (
     delay_study_report,
     population_em_report,
@@ -37,7 +39,9 @@ def main() -> None:
     args = parser.parse_args()
 
     config = ExperimentConfig.paper() if args.paper else ExperimentConfig.fast()
-    platform = config.build_platform()
+    engine = CampaignEngine(config.campaign_spec())
+    (cell,) = engine.spec.grid()
+    platform = engine.platform_for(cell)
 
     print("=" * 72)
     print("Delay-based detection (Sec. III): clock-glitch path-delay comparison")
@@ -59,7 +63,7 @@ def main() -> None:
     print("=" * 72)
     print("Inter-die EM detection (Sec. V): HT size sweep across the die population")
     print("=" * 72)
-    population = platform.run_population_em_study(("HT1", "HT2", "HT3"))
+    population = engine.population_study(cell)
     print(population_em_report(population))
     print()
     print("Paper reference: false negatives of 26% / 17% / 5% for trojans of")

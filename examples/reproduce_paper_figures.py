@@ -68,9 +68,8 @@ def main() -> None:
         args.out / "fig5_same_die",
         list(fig5.study.golden_traces) + list(fig5.study.infected_traces.values()),
     )
-    headline = suite.results["headline"]
-    save_traces(args.out / "fig6_golden_population",
-                headline.study.golden_traces)
+    golden_population, _ = suite.results["headline"].study.tensors.to_traces()
+    save_traces(args.out / "fig6_golden_population", golden_population)
     print(f"Trace archives written to {args.out}/")
 
 

@@ -16,13 +16,13 @@ The package is organised as:
 * :mod:`repro.io` — trace and result persistence,
 * :mod:`repro.store` — content-addressed artifacts (sharding/resume).
 
-Quick start::
+Quick start (the paper's Sec. V study, one cell of a campaign)::
 
-    from repro import HTDetectionPlatform
+    from repro.campaigns import CampaignEngine, CampaignSpec
 
-    platform = HTDetectionPlatform()
-    study = platform.run_population_em_study(["HT1", "HT2", "HT3"])
-    print(study.false_negative_rates())
+    engine = CampaignEngine(CampaignSpec(die_counts=(8,)))
+    (cell,) = engine.spec.grid()
+    print(engine.population_study(cell).false_negative_rates())
 
 Every name in ``__all__`` is resolved lazily on first access (PEP 562),
 so ``import repro`` loads no subpackage and a command pays only for the

@@ -17,7 +17,6 @@ from .engine import (
     format_campaign_rows,
     merge_campaign_results,
     run_campaign,
-    run_population_em_study,
 )
 from .supervisor import (
     CampaignSupervisor,
@@ -55,5 +54,4 @@ __all__ = [
     "format_campaign_rows",
     "merge_campaign_results",
     "run_campaign",
-    "run_population_em_study",
 ]

@@ -1,8 +1,7 @@
 """Batched campaign execution.
 
 :class:`CampaignEngine` executes a :class:`~repro.campaigns.spec.CampaignSpec`
-grid far faster than naively re-running ``run_population_em_study`` per
-cell:
+grid far faster than naively re-running a population study per cell:
 
 * **batched acquisition** — every (design, die-population) trace set is
   synthesised in one vectorised NumPy pass
@@ -40,11 +39,12 @@ cell:
   :func:`merge_campaign_results` into a result row-for-row identical to
   an unsharded run.
 
-The paper's Sec. V study itself lives in
-:func:`repro.core.pipeline.run_population_em_study` (re-exported here);
-an EM grid cell scores its cached population with the same
+The paper's Sec. V study is :meth:`CampaignEngine.population_study`:
+one cell's cached population scored in one
 :meth:`~repro.core.em_detector.PopulationEMDetector.fit_and_characterise`
-pass that study runs.
+pass.  EM grid cells build their rows from it, and the experiment suite
+(:mod:`repro.experiments`) reads Fig. 6 and the headline table from it.
+Every stored artifact is keyed in one place, :meth:`CampaignEngine._store_key`.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ from ..core.metrics import (
 from ..core.pipeline import (
     HTDetectionPlatform,
     PlatformConfig,
+    PopulationEMStudyResult,
     PopulationTraceTensors,
-    run_population_em_study,
 )
 from ..core.report import format_table
 from ..fpga.design import GoldenDesign
@@ -91,18 +91,15 @@ from ..measurement.delay_meter import (
 )
 from ..measurement.em_simulator import EMTrace
 from ..store import (
+    ARTIFACT_SCHEMA_VERSION,
     DEFAULT_GOLDEN_SIGNATURE,
     Store,
     build_store,
-    cell_result_key,
-    delay_differences_key,
-    fault_sweep_key,
     golden_signature,
-    infected_summary_key,
     pack_groups,
-    population_traces_key,
     read_through,
     spec_content_fragment,
+    stable_key,
     unpack_groups,
 )
 from ..trojan.insertion import InfectedDesign, insert_trojan
@@ -527,15 +524,30 @@ class CampaignEngine:
                                                               trojan)
         return self._infected_cache[trojan_name]
 
+    def _store_key(self, kind: str, **fields: Any) -> Optional[str]:
+        """The content key of one stored artifact (``None`` without a store).
+
+        The one place a store key is built: the artifact ``kind``, the
+        schema version, the device and the golden design, plus the
+        ``fields`` of the spec fragment that produces the artifact.
+        """
+        if self.store is None:
+            return None
+        return stable_key({"kind": kind, "schema": ARTIFACT_SCHEMA_VERSION,
+                           "device": self.device,
+                           "golden": self._golden_signature, **fields})
+
     def _read_through(self, kind: str, memo_key: Any,
-                      store_key: Optional[str], compute, pack, unpack,
+                      key_fields: Mapping[str, Any], compute, pack, unpack,
                       meta) -> Any:
         """The memo in front of :func:`repro.store.read_through`, the one
-        path by which the engine reuses an artifact."""
+        path by which the engine reuses an artifact, stored under
+        :meth:`_store_key` of ``kind`` and ``key_fields``."""
         memo_key = (kind, memo_key)
         if memo_key not in self._memo:
             self._memo[memo_key] = read_through(
-                self.store, kind, store_key, compute, pack, unpack, meta)
+                self.store, kind, self._store_key(kind, **key_fields),
+                compute, pack, unpack, meta)
         return self._memo[memo_key]
 
     def trojan_area_fraction(self, trojan_name: str) -> float:
@@ -544,14 +556,8 @@ class CampaignEngine:
         Reads through the store: a warm run prints its ``% of AES``
         column without paying for golden synthesis and trojan insertion.
         """
-        store_key = None
-        if self.store is not None:
-            store_key = infected_summary_key(
-                device=self.device, golden=self._golden_signature,
-                trojan=trojan_name,
-            )
         return self._read_through(
-            "infected_summary", trojan_name, store_key,
+            "infected_summary", trojan_name, {"trojan": str(trojan_name)},
             compute=lambda: float(self.infected_design(trojan_name)
                                   .area_fraction_of_aes()),
             pack=lambda fraction: {"trojan": trojan_name,
@@ -572,10 +578,7 @@ class CampaignEngine:
             config = PlatformConfig(
                 num_dies=cell.num_dies,
                 seed=self.spec.seed,
-                delay=DelayMeasurementConfig(
-                    repetitions=self.spec.delay_repetitions,
-                    seed=self.spec.seed,
-                ),
+                delay=self._delay_config(),
                 em=cell.variant.build_em_config(),
             )
             self._platform_cache[cache_key] = HTDetectionPlatform(
@@ -586,16 +589,10 @@ class CampaignEngine:
             )
         return self._platform_cache[cache_key]
 
-    def _population_store_key(self, cell: GridCell) -> Optional[str]:
-        if self.store is None:
-            return None
-        return population_traces_key(
-            device=self.device, golden=self._golden_signature,
-            em_config=cell.variant.build_em_config(),
-            seed=self.spec.seed, num_dies=cell.num_dies,
-            trojans=self.spec.trojans, key=self.spec.key,
-            plaintexts=self.spec.stimulus_plaintexts(),
-        )
+    def _delay_config(self) -> DelayMeasurementConfig:
+        """The clock-glitch bench of every platform (and delay key)."""
+        return DelayMeasurementConfig(
+            repetitions=self.spec.delay_repetitions, seed=self.spec.seed)
 
     def _cell_tensors(self, cell: GridCell) -> PopulationTraceTensors:
         """Acquire (or reuse) the population of one grid cell.
@@ -610,7 +607,10 @@ class CampaignEngine:
         """
         return self._read_through(
             "population_traces", cell.acquisition_key,
-            self._population_store_key(cell),
+            {"em": cell.variant.build_em_config(),
+             "seed": int(self.spec.seed), "num_dies": cell.num_dies,
+             "trojans": self.spec.trojans, "key": self.spec.key,
+             "plaintexts": self.spec.stimulus_plaintexts()},
             compute=lambda: self.platform_for(cell).acquire_population_tensors(
                 self.spec.trojans, self.spec.stimulus_plaintexts(),
                 self.spec.key),
@@ -633,6 +633,28 @@ class CampaignEngine:
         return tensors.golden, {name: tensors.infected[name]
                                 for name in self.spec.trojans}
 
+    def population_study(self, cell: GridCell) -> PopulationEMStudyResult:
+        """The Sec. V inter-die study of one EM grid cell.
+
+        The cell's population (:meth:`_cell_tensors`, read through the
+        store) scored with the cell's metric in one
+        :meth:`PopulationEMDetector.fit_and_characterise` pass, plus each
+        trojan's area fraction.  The population stays matrix-resident.
+        """
+        tensors = self._cell_tensors(cell)
+        reference, characterisations = PopulationEMDetector(
+            build_metric(cell.metric)
+        ).fit_and_characterise(tensors.golden,
+                               {name: tensors.infected[name]
+                                for name in self.spec.trojans})
+        return PopulationEMStudyResult(
+            reference=reference,
+            tensors=tensors,
+            characterisations=characterisations,
+            trojan_area_fractions={name: self.trojan_area_fraction(name)
+                                   for name in self.spec.trojans},
+        )
+
     def delay_study_data(self, cell: GridCell) -> "_DelayStudyData":
         """Measure (or reuse) the delay campaigns of one grid cell.
 
@@ -645,20 +667,11 @@ class CampaignEngine:
         only in the metric (or the EM variant) re-score the cached
         Eq. (4) difference matrices.
         """
-        store_key = None
-        if self.store is not None:
-            store_key = delay_differences_key(
-                device=self.device, golden=self._golden_signature,
-                delay_config=DelayMeasurementConfig(
-                    repetitions=self.spec.delay_repetitions,
-                    seed=self.spec.seed,
-                ),
-                seed=self.spec.seed, num_dies=cell.num_dies,
-                trojans=self.spec.trojans,
-                num_pk_pairs=self.spec.num_pk_pairs,
-            )
         return self._read_through(
-            "delay_differences", cell.num_dies, store_key,
+            "delay_differences", cell.num_dies,
+            {"delay": self._delay_config(), "seed": int(self.spec.seed),
+             "num_dies": cell.num_dies, "trojans": self.spec.trojans,
+             "num_pk_pairs": int(self.spec.num_pk_pairs)},
             compute=lambda: self._measure_delay_study(cell),
             pack=_DelayStudyData.to_arrays,
             unpack=_DelayStudyData.from_arrays,
@@ -713,23 +726,6 @@ class CampaignEngine:
             periods_ps=self.spec.glitch_periods_ps,
         )
 
-    def _fault_sweep_store_key(self, num_dies: int) -> Optional[str]:
-        if self.store is None:
-            return None
-        return fault_sweep_key(
-            device=self.device, golden=self._golden_signature,
-            delay_config=DelayMeasurementConfig(
-                repetitions=self.spec.delay_repetitions,
-                seed=self.spec.seed,
-            ),
-            seed=self.spec.seed, num_dies=num_dies,
-            trojans=self.spec.trojans, key=self.spec.key,
-            plaintexts=self.spec.stimulus_plaintexts(),
-            offsets_ps=self.spec.glitch_offsets_ps,
-            widths_ps=self.spec.glitch_widths_ps,
-            periods_ps=self.spec.glitch_periods_ps,
-        )
-
     def fault_sweep_data(self, cell: GridCell) -> "_FaultSweepData":
         """Synthesise (or reuse) the glitch-grid sweep of one grid cell.
 
@@ -743,11 +739,20 @@ class CampaignEngine:
         call.  Cells that differ only in the EM variant share the sweep;
         with a store attached the tensors read through it (the resolved
         grid axes travel in the payload, so warm runs skip calibration
-        and the golden build entirely).
+        and the golden build entirely).  The grid axes enter the key as
+        the spec-level values (empty = auto-calibrated), so a warm rerun
+        of an auto-calibrated sweep hits without the golden build the
+        calibration would need.
         """
+        spec = self.spec
         return self._read_through(
             "fault_sweep", cell.num_dies,
-            self._fault_sweep_store_key(cell.num_dies),
+            {"delay": self._delay_config(), "seed": int(spec.seed),
+             "num_dies": cell.num_dies, "trojans": spec.trojans,
+             "key": spec.key, "plaintexts": spec.stimulus_plaintexts(),
+             "offsets_ps": spec.glitch_offsets_ps,
+             "widths_ps": spec.glitch_widths_ps,
+             "periods_ps": spec.glitch_periods_ps},
             compute=lambda: self._synthesise_fault_sweep(cell),
             pack=_FaultSweepData.to_arrays,
             unpack=_FaultSweepData.from_arrays,
@@ -888,18 +893,13 @@ class CampaignEngine:
     def _run_em_cell(self, cell: GridCell) -> CampaignCellResult:
         """Execute one EM grid cell: acquire (or reuse) traces, score, decide.
 
-        Scoring is matrix-resident: the cell's population enters the
-        Sec. V detector as pre-stacked ``(dies x samples)`` matrices
-        (:meth:`cell_trace_matrices`) shared across every metric cell of
-        the acquisition key, and the whole-population scores come out of
-        one :meth:`PopulationEMDetector.fit_and_characterise` pass.
+        The rows are the cell's :meth:`population_study`: its population
+        is shared across every metric cell of the acquisition key.
         """
         start = time.perf_counter()
-        golden_matrix, infected_matrices = self.cell_trace_matrices(cell)
-        _, by_trojan = PopulationEMDetector(
-            build_metric(cell.metric)
-        ).fit_and_characterise(golden_matrix, infected_matrices)
-        characterisations = [by_trojan[name] for name in self.spec.trojans]
+        study = self.population_study(cell)
+        characterisations = [study.characterisations[name]
+                             for name in self.spec.trojans]
         trace_archive = self._maybe_save_traces(cell)
         return self._cell_result(
             cell, start, characterisations[0].genuine,
@@ -977,14 +977,13 @@ class CampaignEngine:
 
     # -- per-cell completion records ----------------------------------------------
 
-    def _cell_result_store_key(self, cell: GridCell) -> Optional[str]:
-        if self.store is None:
-            return None
-        return cell_result_key(
-            device=self.device, golden=self._golden_signature,
-            spec_payload=spec_content_fragment(self.spec.to_dict()),
-            cell_index=cell.index,
-        )
+    def _cell_key(self, cell: GridCell) -> Optional[str]:
+        """Key of the cell's completion record.  Execution-only spec
+        fields stay out of it (:func:`~repro.store.spec_content_fragment`),
+        so a rename or a new worker count resumes instead of recomputing."""
+        return self._store_key(
+            "campaign_cell", spec=spec_content_fragment(self.spec.to_dict()),
+            cell_index=cell.index)
 
     def load_cell_result(self, cell: GridCell) -> Optional[CampaignCellResult]:
         """The cell's completion record, if a previous run stored one.
@@ -992,7 +991,7 @@ class CampaignEngine:
         Failed (quarantined) records and corrupt payloads both count as
         *no record*: the resuming run retries exactly those cells.
         """
-        store_key = self._cell_result_store_key(cell)
+        store_key = self._cell_key(cell)
         if store_key is None:
             return None
         payload = self.store.load_json(store_key)
@@ -1004,7 +1003,7 @@ class CampaignEngine:
     def record_cell_result(self, cell: GridCell,
                            result: CampaignCellResult) -> None:
         """Record the cell as complete in the store manifest."""
-        store_key = self._cell_result_store_key(cell)
+        store_key = self._cell_key(cell)
         if store_key is None:
             return
         self.store.put_json(

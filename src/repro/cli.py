@@ -121,11 +121,8 @@ def cmd_em(args: argparse.Namespace) -> int:
 def cmd_headline(args: argparse.Namespace) -> int:
     from .experiments import headline
 
-    config = _experiment_config(args)
-    platform = config.build_platform()
-    study = platform.run_population_em_study()
-    print(population_em_report(study))
-    result = headline.run(config, platform, study=study)
+    result = headline.run(_experiment_config(args))
+    print(population_em_report(result.study))
     detection = result.largest_trojan_detection()
     print(f"\nLargest trojan detection probability: {percentage(detection)} "
           "(paper: > 95%)")

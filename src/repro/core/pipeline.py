@@ -8,11 +8,14 @@ exposes the campaigns the paper runs:
   model, comparison of clean and infected devices over (P, K) pairs;
 * :meth:`run_same_die_em_study` — Sec. IV: averaged-trace comparison of
   a genuine and an infected design on the same die;
-* :meth:`run_population_em_study` — Sec. V: HT1/HT2/HT3 across a die
-  population, local-maxima-sum metric, Eq. (5) false-negative rates.
+* :meth:`acquire_population_tensors` — Sec. V: one averaged trace per
+  (design, die) of a die population, as matrices.
 
-The experiment drivers (:mod:`repro.experiments`) and the examples are
-thin wrappers over this class.
+The Sec. V study itself (scoring, Eq. (5) false-negative rates, the
+store read-through) is
+:meth:`repro.campaigns.engine.CampaignEngine.population_study`; the
+experiment drivers (:mod:`repro.experiments`) are thin wrappers over
+this class and that engine.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ from ..variation.inter_die import DiePopulation, DieProfile
 from .delay_detector import DelayComparisonResult, DelayDetector
 from .em_detector import (
     PopulationCharacterisation,
-    PopulationEMDetector,
     SameDieComparison,
     SameDieEMDetector,
 )
 from .fingerprint import DelayFingerprint, EMReference
-from .metrics import LocalMaximaSumMetric
 
 
 @dataclass
@@ -88,11 +89,15 @@ class SameDieEMStudyResult:
 
 @dataclass
 class PopulationEMStudyResult:
-    """Output of the Sec. V inter-die EM study."""
+    """Output of the Sec. V inter-die EM study.
+
+    ``tensors`` is the scored population, matrix-resident; its
+    :meth:`~PopulationTraceTensors.to_traces` builds :class:`EMTrace`
+    objects where a trace is printed or archived.
+    """
 
     reference: EMReference
-    golden_traces: List[EMTrace]
-    infected_traces: Dict[str, List[EMTrace]]
+    tensors: PopulationTraceTensors
     characterisations: Dict[str, PopulationCharacterisation]
     trojan_area_fractions: Dict[str, float]
 
@@ -379,39 +384,6 @@ class HTDetectionPlatform:
             cycle_sample_offsets=list(cycle_offsets),
         )
 
-    def acquire_population_traces(self, trojan_names: Sequence[str],
-                                  plaintext: Optional[bytes] = None,
-                                  key: Optional[bytes] = None
-                                  ) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
-        """One averaged trace per (design, die): the 32 traces of Sec. V-A.
-
-        Single-plaintext :class:`EMTrace` view of
-        :meth:`acquire_population_tensors` (the persistence/report
-        boundary); bit-identical to one :meth:`EMSimulator.acquire` per
-        (design, die).
-        """
-        plaintexts = None if plaintext is None else [plaintext]
-        return self.acquire_population_tensors(
-            trojan_names, plaintexts, key
-        ).to_traces()
-
-    def run_population_em_study(self, trojan_names: Sequence[str] = ("HT1", "HT2", "HT3"),
-                                plaintext: Optional[bytes] = None,
-                                key: Optional[bytes] = None,
-                                metric: Optional[LocalMaximaSumMetric] = None,
-                                plaintexts: Optional[Sequence[bytes]] = None
-                                ) -> PopulationEMStudyResult:
-        """HT size sweep across the die population (Figs. 6-7, headline numbers).
-
-        Thin wrapper over :func:`run_population_em_study`;
-        ``plaintexts`` runs the random-plaintext variant (each die
-        scored on its stimulus-averaged trace).
-        """
-        return run_population_em_study(
-            self, trojan_names=trojan_names, plaintext=plaintext, key=key,
-            metric=metric, plaintexts=plaintexts,
-        )
-
 
 def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
     """Collapse a ``(plaintexts, dies, samples)`` tensor to per-die means.
@@ -428,57 +400,3 @@ def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
     if tensor.shape[0] == 0:
         raise ValueError("every die needs at least one stimulus trace")
     return tensor.mean(axis=0)
-
-
-def run_population_em_study(platform: HTDetectionPlatform,
-                            trojan_names: Sequence[str] = ("HT1", "HT2", "HT3"),
-                            plaintext: Optional[bytes] = None,
-                            key: Optional[bytes] = None,
-                            metric: Optional[LocalMaximaSumMetric] = None,
-                            traces: "Optional[tuple]" = None,
-                            plaintexts: Optional[Sequence[bytes]] = None
-                            ) -> PopulationEMStudyResult:
-    """The Sec. V inter-die study (HT size sweep over a die population).
-
-    The paper path behind :meth:`HTDetectionPlatform.run_population_em_study`:
-    the population is acquired (or passed in) as ``(dies, samples)``
-    matrices and scored in one
-    :meth:`PopulationEMDetector.fit_and_characterise` pass;
-    :class:`~repro.measurement.em_simulator.EMTrace` objects are built
-    only at the report boundary for the result's trace fields.
-
-    ``traces`` lets callers feed an already-acquired
-    ``(golden_traces, infected_traces)`` population instead of
-    re-acquiring — either :class:`EMTrace` lists or pre-stacked
-    matrices (the result's trace fields then mirror the input form).
-    ``plaintexts`` (mutually exclusive with ``plaintext``) sweeps a
-    whole stimulus set through the batched acquisition and scores each
-    die on its stimulus-averaged trace.
-    """
-    tensors: Optional[PopulationTraceTensors] = None
-    if traces is None:
-        if plaintexts is not None and plaintext is not None:
-            raise ValueError("pass either plaintext or plaintexts, not both")
-        if plaintext is not None:
-            plaintexts = [plaintext]
-        tensors = platform.acquire_population_tensors(
-            trojan_names, plaintexts, key
-        )
-        traces = (tensors.golden, tensors.infected)
-    golden_traces, infected_traces = traces
-    reference, characterisations = PopulationEMDetector(
-        metric=metric
-    ).fit_and_characterise(golden_traces, {name: infected_traces[name]
-                                           for name in trojan_names})
-    fractions = {name: platform.infected_design(name).area_fraction_of_aes()
-                 for name in trojan_names}
-    if tensors is not None:
-        # EMTrace objects are built only here, at the report boundary.
-        golden_traces, infected_traces = tensors.to_traces()
-    return PopulationEMStudyResult(
-        reference=reference,
-        golden_traces=golden_traces,
-        infected_traces=infected_traces,
-        characterisations=characterisations,
-        trojan_area_fractions=fractions,
-    )

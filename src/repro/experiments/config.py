@@ -10,11 +10,12 @@ pytest benchmarks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
-from ..core.pipeline import HTDetectionPlatform, PlatformConfig
-from ..measurement.delay_meter import DelayMeasurementConfig
+from ..campaigns.engine import CampaignEngine
+from ..campaigns.spec import CampaignSpec
+from ..core.pipeline import HTDetectionPlatform
 from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT, campaign_stimuli
 
 
@@ -27,7 +28,6 @@ class ExperimentConfig:
     repetitions: int = 10
     representative_pairs: "tuple[int, int]" = (13, 47)
     seed: int = 2015
-    quick: bool = False
     #: EM stimulus diversity: 1 reproduces the paper's fixed plaintext;
     #: N > 1 adds N - 1 seed-derived random plaintexts (each die is then
     #: scored on its stimulus-averaged trace).
@@ -71,21 +71,33 @@ class ExperimentConfig:
             num_pk_pairs=4,
             repetitions=3,
             representative_pairs=(0, 3),
-            quick=True,
+        )
+
+    def campaign_spec(self) -> CampaignSpec:
+        """The suite's one-cell Sec. V campaign: HT1-HT3 over
+        ``num_dies`` dies, the fixed key and the config's stimulus set,
+        scored with the paper's local-maxima-sum metric.  Fig. 6 and the
+        headline read its population study from a
+        :class:`~repro.campaigns.engine.CampaignEngine`, and the
+        figure platform is that engine's platform."""
+        return CampaignSpec(
+            name="experiments",
+            trojans=("HT1", "HT2", "HT3"),
+            die_counts=(self.num_dies,),
+            metrics=("local_maxima_sum",),
+            seed=self.seed,
+            plaintext=FIXED_PLAINTEXT,
+            key=FIXED_KEY,
+            num_plaintexts=self.num_plaintexts,
+            delay_repetitions=self.repetitions,
         )
 
     def build_platform(self) -> HTDetectionPlatform:
-        """Instantiate the detection platform for this configuration."""
-        delay_config = DelayMeasurementConfig(
-            repetitions=self.repetitions,
-            seed=self.seed,
-        )
-        platform_config = PlatformConfig(
-            num_dies=self.num_dies,
-            seed=self.seed,
-            delay=delay_config,
-        )
-        return HTDetectionPlatform(config=platform_config)
+        """The detection platform of this configuration: the platform of
+        the one cell of :meth:`campaign_spec`."""
+        engine = CampaignEngine(self.campaign_spec())
+        (cell,) = engine.spec.grid()
+        return engine.platform_for(cell)
 
 
 #: Fixed plaintext/key used by the EM experiments (the paper fixes the

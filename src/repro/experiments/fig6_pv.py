@@ -6,10 +6,12 @@ process-variation floor) and ``Dt_{s,j} = |T_{s,j} - E_8(G)|`` for every
 infected die — showing that an HT of 1 % of the AES already rises above
 the process-variation fluctuation at specific samples.
 
-The driver acquires one trace per (design, die) — averaged over the
-config's stimulus set, one fixed plaintext by default — builds the mean
-golden reference and reports the per-die difference traces and their
-peak statistics.
+The driver reads the Sec. V population of the config's campaign (one
+trace per (design, die), averaged over the config's stimulus set, one
+fixed plaintext by default) from a
+:class:`~repro.campaigns.engine.CampaignEngine` as matrices, builds the
+mean golden reference and reports the per-die difference traces and
+their peak statistics.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.batch import abs_difference_matrix
-from ..analysis.traces import stack_traces
-from ..core.pipeline import HTDetectionPlatform
-from .config import FIXED_KEY, ExperimentConfig
+from ..campaigns.engine import CampaignEngine
+from .config import ExperimentConfig
 
 
 @dataclass
@@ -55,39 +56,29 @@ class Fig6Result:
 
 
 def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
-        trojan_names: Sequence[str] = ("HT1", "HT2", "HT3"),
-        traces: "Optional[tuple]" = None) -> Fig6Result:
-    """Acquire the 4-design x N-die traces and build the Fig. 6 differences.
+        engine: Optional[CampaignEngine] = None) -> Fig6Result:
+    """Build the Fig. 6 differences of the 4-design x N-die population.
 
-    ``traces`` optionally feeds an already-acquired
-    ``(golden_traces, infected_traces)`` population (e.g. from the
-    campaign engine) so the suite acquires each population only once.
+    ``engine`` is the suite's campaign engine (a fresh one over
+    ``config.campaign_spec()`` by default); its population is shared
+    with the headline study, so the suite acquires it only once.
     """
     config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
-
-    if traces is not None:
-        golden_traces, infected_traces = traces
-    else:
-        tensors = platform.acquire_population_tensors(
-            trojan_names, config.stimulus_plaintexts(), FIXED_KEY
-        )
-        golden_traces, infected_traces = tensors.golden, tensors.infected
-    # Matrix-resident difference build: stack each population once (a
-    # pre-stacked ndarray passes through) and take the |G_j - E(G)|
-    # planes from one batched abs-difference per design — bit-identical
-    # to the per-trace ``abs_difference`` loop.
-    golden_matrix = stack_traces(golden_traces)
+    engine = engine or CampaignEngine(config.campaign_spec())
+    (cell,) = engine.spec.grid()
+    golden_matrix, infected_matrices = engine.cell_trace_matrices(cell)
+    # Matrix-resident difference build: the |G_j - E(G)| planes come
+    # from one batched abs-difference per design — bit-identical to the
+    # per-trace ``abs_difference`` loop.
     reference = golden_matrix.mean(axis=0)
     golden_differences = list(abs_difference_matrix(golden_matrix, reference))
     infected_differences = {
-        name: list(abs_difference_matrix(stack_traces(population), reference))
-        for name, population in infected_traces.items()
+        name: list(abs_difference_matrix(matrix, reference))
+        for name, matrix in infected_matrices.items()
     }
     return Fig6Result(
         reference_mean=reference,
         golden_differences=golden_differences,
         infected_differences=infected_differences,
-        trojan_names=tuple(trojan_names),
+        trojan_names=engine.spec.trojans,
     )

@@ -6,18 +6,20 @@ maxima metric and 8 dies, the false-negative rates of HTs occupying
 detection probability exceeds 95 % for trojans larger than 1.7 % of the
 original circuit.
 
-The driver runs the full Sec. V study and produces that table, together
-with the monotonicity and crossover checks the reproduction is judged
-on (who wins, by how much, where the 95 % threshold falls).
+The driver reads the Sec. V study of the config's campaign from a
+:class:`~repro.campaigns.engine.CampaignEngine` and produces that table,
+together with the monotonicity and crossover checks the reproduction is
+judged on (who wins, by how much, where the 95 % threshold falls).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..core.pipeline import HTDetectionPlatform, PopulationEMStudyResult
-from .config import FIXED_KEY, ExperimentConfig
+from ..campaigns.engine import CampaignEngine
+from ..core.pipeline import PopulationEMStudyResult
+from .config import ExperimentConfig
 
 #: The paper's reported false-negative rates, keyed by trojan name.
 PAPER_FALSE_NEGATIVE_RATES: Dict[str, float] = {
@@ -78,27 +80,19 @@ class HeadlineResult:
 
 
 def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
-        trojan_names: Sequence[str] = ("HT1", "HT2", "HT3"),
-        study: Optional[PopulationEMStudyResult] = None) -> HeadlineResult:
+        engine: Optional[CampaignEngine] = None) -> HeadlineResult:
     """Produce the headline false-negative-rate table.
 
-    ``study`` optionally reuses an already-run population study (e.g.
-    from the campaign engine) instead of re-acquiring the population.
+    ``engine`` is the suite's campaign engine (a fresh one over
+    ``config.campaign_spec()`` by default); the table is its one cell's
+    :meth:`~repro.campaigns.engine.CampaignEngine.population_study`.
     """
     config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
-    if study is None:
-        # ``num_plaintexts == 1`` yields ``[FIXED_PLAINTEXT]``, which the
-        # study maps back onto the paper's fixed-stimulus path; larger
-        # values sweep the whole stimulus set through the batched
-        # acquisition and average per die.
-        study = platform.run_population_em_study(
-            trojan_names=trojan_names, key=FIXED_KEY,
-            plaintexts=config.stimulus_plaintexts(),
-        )
+    engine = engine or CampaignEngine(config.campaign_spec())
+    (cell,) = engine.spec.grid()
+    study = engine.population_study(cell)
     rows: List[HeadlineRow] = []
-    for name in trojan_names:
+    for name in engine.spec.trojans:
         characterisation = study.characterisations[name]
         rows.append(
             HeadlineRow(

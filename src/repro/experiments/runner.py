@@ -1,7 +1,11 @@
 """Run the complete experiment suite and summarise paper-vs-measured.
 
-``run_all`` executes every figure/table driver on a shared platform (so
-the expensive golden design and trojan insertions are built once) and
+``run_all`` is a campaign client: one
+:class:`~repro.campaigns.engine.CampaignEngine` over the config's
+:meth:`~repro.experiments.config.ExperimentConfig.campaign_spec` keys,
+reads through and scores the Sec. V population that Fig. 6 and the
+headline share, and its platform runs every other figure/table driver
+(so the golden design and the trojan insertions are built once).  It
 returns a dictionary of summary rows — the same content EXPERIMENTS.md
 records and the CLI prints.
 """
@@ -12,20 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..core.pipeline import (
-    HTDetectionPlatform,
-    PopulationEMStudyResult,
-    PopulationTraceTensors,
-    run_population_em_study,
-)
+from ..campaigns.engine import CampaignEngine
 from ..core.report import format_table, percentage
-from ..store import (
-    DEFAULT_GOLDEN_SIGNATURE,
-    Store,
-    build_store,
-    population_traces_key,
-    read_through,
-)
+from ..store import Store
 from . import (
     fig1_timing,
     fig2_staircase,
@@ -37,7 +30,7 @@ from . import (
     headline,
     table_ht_sizes,
 )
-from .config import FIXED_KEY, ExperimentConfig
+from .config import ExperimentConfig
 
 
 @dataclass
@@ -70,53 +63,19 @@ class SuiteResult:
         return all(s.matches_shape for s in self.summaries)
 
 
-def _shared_population_study(config: ExperimentConfig,
-                             platform: HTDetectionPlatform,
-                             store: Optional[Store]
-                             ) -> PopulationEMStudyResult:
-    """The shared Fig. 6 / headline study, read through the store.
-
-    The population covers ``config.stimulus_plaintexts()``, the stimulus
-    set the standalone Fig. 6 and headline drivers use, so one config
-    means one population.  The suite runner is a plain store *client*:
-    it keys the population tensors exactly as the campaign engine does
-    and reads them through the same :func:`~repro.store.read_through`,
-    so a suite run warms the store for subsequent campaigns (and vice
-    versa — a campaign on the same geometry makes ``repro-ht
-    experiments`` skip the acquisition entirely).
-    """
-    trojans = ("HT1", "HT2", "HT3")
-    plaintexts = config.stimulus_plaintexts()
-    artifact_key = population_traces_key(
-        device=platform.device, golden=DEFAULT_GOLDEN_SIGNATURE,
-        em_config=platform.config.em, seed=platform.config.seed,
-        num_dies=platform.config.num_dies, trojans=trojans,
-        key=FIXED_KEY, plaintexts=plaintexts,
-    )
-    tensors = read_through(
-        store, "population_traces", artifact_key,
-        compute=lambda: platform.acquire_population_tensors(
-            trojans, plaintexts, FIXED_KEY),
-        pack=PopulationTraceTensors.to_arrays,
-        unpack=PopulationTraceTensors.from_arrays,
-        meta=lambda _: {"num_dies": platform.config.num_dies,
-                        "producer": "experiments.runner"},
-    )
-    return run_population_em_study(platform, trojan_names=trojans,
-                                   traces=tensors.to_traces())
-
-
 def run_all(config: Optional[ExperimentConfig] = None,
             store: Union[None, Store, str, Path] = None
             ) -> SuiteResult:
     """Run every experiment driver and build the summary.
 
     ``store`` attaches a content-addressed artifact store: the
-    expensive shared population study then reads through it.
+    expensive shared population study then reads through it, under the
+    same key a ``campaign run`` of that geometry uses.
     """
     config = config or ExperimentConfig.fast()
-    store = build_store(store)
-    platform = config.build_platform()
+    engine = CampaignEngine(config.campaign_spec(), store=store)
+    (cell,) = engine.spec.grid()
+    platform = engine.platform_for(cell)
     summaries: List[ExperimentSummary] = []
     results: Dict[str, object] = {}
 
@@ -185,14 +144,10 @@ def run_all(config: Optional[ExperimentConfig] = None,
         matches_shape=r5.detected and r5.contrast() > 1.5,
     ))
 
-    # FIG6 / HEADLINE share one Sec. V population study, acquired once
-    # and read through the artifact store when one is attached.
-    population_study = _shared_population_study(config, platform, store)
-
     # FIG6 -------------------------------------------------------------------
-    r6 = fig6_pv.run(config, platform,
-                     traces=(population_study.golden_traces,
-                             population_study.infected_traces))
+    # Fig. 6 and the headline share the engine's one Sec. V population,
+    # acquired once and read through the store when one is attached.
+    r6 = fig6_pv.run(config, engine)
     results["fig6"] = r6
     above = {name: r6.exceeds_pv_envelope(name) for name in r6.trojan_names}
     summaries.append(ExperimentSummary(
@@ -233,7 +188,7 @@ def run_all(config: Optional[ExperimentConfig] = None,
     ))
 
     # HEADLINE ---------------------------------------------------------------
-    rh = headline.run(config, platform, study=population_study)
+    rh = headline.run(config, engine)
     results["headline"] = rh
     summaries.append(ExperimentSummary(
         experiment="Headline FN vs HT size",

@@ -29,13 +29,8 @@ from .artifact_store import (
 from .artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     DEFAULT_GOLDEN_SIGNATURE,
-    cell_result_key,
-    delay_differences_key,
-    fault_sweep_key,
     golden_signature,
-    infected_summary_key,
     pack_groups,
-    population_traces_key,
     read_through,
     spec_content_fragment,
     unpack_groups,
@@ -101,17 +96,12 @@ __all__ = [
     "build_store",
     "build_transport",
     "canonical_json",
-    "cell_result_key",
-    "delay_differences_key",
-    "fault_sweep_key",
     "golden_signature",
-    "infected_summary_key",
     "is_retryable_error",
     "is_transient_os_error",
     "list_leases",
     "live_foreign_leases",
     "pack_groups",
-    "population_traces_key",
     "read_through",
     "spec_content_fragment",
     "stable_key",

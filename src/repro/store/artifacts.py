@@ -2,7 +2,7 @@
 
 The campaign engine caches five kinds of artifact, all of which are
 pure functions of a spec fragment and therefore content-addressable
-(:mod:`repro.store.keys`):
+(:mod:`repro.store.keys`; the engine's ``_store_key`` keys all five):
 
 * **population traces** — the per-(design, die) averaged EM traces of
   one acquisition point (die count x acquisition variant x stimulus
@@ -27,7 +27,7 @@ load-or-compute-and-put path of every store client.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -55,105 +55,6 @@ def golden_signature(golden: Any) -> Dict[str, Any]:
         "modelled_slices": golden.modelled_slice_count(),
         "net_delays": stable_key(golden.net_delays_ps),
     }
-
-
-# -- content keys -------------------------------------------------------------
-
-
-def population_traces_key(*, device: Any, golden: Any, em_config: Any,
-                          seed: int, num_dies: int,
-                          trojans: Sequence[str], key: bytes,
-                          plaintexts: Sequence[bytes]) -> str:
-    """Key of one acquisition point's (golden + infected) trace set."""
-    return stable_key({
-        "kind": "population_traces",
-        "schema": ARTIFACT_SCHEMA_VERSION,
-        "device": device,
-        "golden": golden,
-        "em": em_config,
-        "seed": int(seed),
-        "num_dies": int(num_dies),
-        "trojans": list(trojans),
-        "key": key,
-        "plaintexts": list(plaintexts),
-    })
-
-
-def delay_differences_key(*, device: Any, golden: Any, delay_config: Any,
-                          seed: int, num_dies: int,
-                          trojans: Sequence[str], num_pk_pairs: int) -> str:
-    """Key of one delay campaign's Eq. (4) difference matrices."""
-    return stable_key({
-        "kind": "delay_differences",
-        "schema": ARTIFACT_SCHEMA_VERSION,
-        "device": device,
-        "golden": golden,
-        "delay": delay_config,
-        "seed": int(seed),
-        "num_dies": int(num_dies),
-        "trojans": list(trojans),
-        "num_pk_pairs": int(num_pk_pairs),
-    })
-
-
-def fault_sweep_key(*, device: Any, golden: Any, delay_config: Any,
-                    seed: int, num_dies: int, trojans: Sequence[str],
-                    key: bytes, plaintexts: Sequence[bytes],
-                    offsets_ps: Sequence[float], widths_ps: Sequence[float],
-                    periods_ps: Sequence[float]) -> str:
-    """Key of one glitch-grid fault-injection sweep's ciphertext tensors.
-
-    The grid axes enter the key as the *spec-level* values (empty =
-    auto-calibrated on the golden die), so a warm rerun of an
-    auto-calibrated sweep hits without paying for the golden build the
-    calibration would need.
-    """
-    return stable_key({
-        "kind": "fault_sweep",
-        "schema": ARTIFACT_SCHEMA_VERSION,
-        "device": device,
-        "golden": golden,
-        "delay": delay_config,
-        "seed": int(seed),
-        "num_dies": int(num_dies),
-        "trojans": list(trojans),
-        "key": key,
-        "plaintexts": list(plaintexts),
-        "offsets_ps": [float(v) for v in offsets_ps],
-        "widths_ps": [float(v) for v in widths_ps],
-        "periods_ps": [float(v) for v in periods_ps],
-    })
-
-
-def infected_summary_key(*, device: Any, golden: Any, trojan: str) -> str:
-    """Key of one trojan's infected-design area summary."""
-    return stable_key({
-        "kind": "infected_summary",
-        "schema": ARTIFACT_SCHEMA_VERSION,
-        "device": device,
-        "golden": golden,
-        "trojan": str(trojan),
-    })
-
-
-def cell_result_key(*, device: Any, golden: Any,
-                    spec_payload: Mapping[str, Any], cell_index: int) -> str:
-    """Key of one executed grid cell's result rows.
-
-    ``spec_payload`` must already be stripped of execution-only fields
-    (name, workers, trace archiving) — see
-    :func:`spec_content_fragment` — so re-running the same physics under
-    a different campaign name or worker count resumes instead of
-    recomputing.
-    """
-    return stable_key({
-        "kind": "campaign_cell",
-        "schema": ARTIFACT_SCHEMA_VERSION,
-        "device": device,
-        "golden": golden,
-        "spec": dict(spec_payload),
-        "cell_index": int(cell_index),
-    })
 
 
 #: Spec fields that change how a campaign *executes* but not what its

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.experiments.config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
 from repro.fpga.design import GoldenDesign
@@ -89,13 +90,30 @@ def delay_study(platform):
 
 
 @pytest.fixture(scope="session")
-def population_study(platform):
-    """A small Sec. V campaign shared by the EM-detection tests."""
-    return platform.run_population_em_study(
-        trojan_names=("HT1", "HT3"),
-        plaintext=FIXED_PLAINTEXT,
-        key=FIXED_KEY,
-    )
+def engine_study(golden_design):
+    """``engine_study(**spec_fields)``: the Sec. V study of a one-cell
+    campaign (``spec_fields`` go to :class:`CampaignSpec`) on the
+    session's golden design."""
+    def study(**spec_fields):
+        spec = CampaignSpec(name="tests", **spec_fields)
+        (cell,) = spec.grid()
+        return CampaignEngine(spec, golden=golden_design).population_study(
+            cell)
+    return study
+
+
+@pytest.fixture(scope="session")
+def population_study(engine_study):
+    """A small Sec. V campaign shared by the EM-detection tests: the
+    population of the ``platform`` fixture's dies and seed."""
+    return engine_study(trojans=("HT1", "HT3"), die_counts=(4,), seed=2015,
+                        plaintext=FIXED_PLAINTEXT, key=FIXED_KEY)
+
+
+@pytest.fixture(scope="session")
+def population_traces(population_study):
+    """``population_study``'s population as ``EMTrace`` lists."""
+    return population_study.tensors.to_traces()
 
 
 @pytest.fixture()

@@ -12,6 +12,7 @@ reference of a method takes the instance as its first argument.
 
 from .acquisition import (
     acquire_many,
+    acquire_population_traces,
     acquire_population_traces_serial,
     acquire_population_traces_stimuli_serial,
     acquire_serial,
@@ -58,6 +59,7 @@ from .timing import TimingEngine, TwoVectorResult, two_vector_result
 
 __all__ = [
     "acquire_many",
+    "acquire_population_traces",
     "acquire_population_traces_serial",
     "acquire_population_traces_stimuli_serial",
     "acquire_serial",

@@ -198,7 +198,7 @@ def acquire_population_traces_serial(platform: HTDetectionPlatform,
                                      ) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
     """Reference per-die acquisition loop (one serial acquisition per DUT).
 
-    The ground truth ``platform.acquire_population_traces`` is validated
+    The ground truth :func:`acquire_population_traces` is validated
     (and benchmarked) against.
     """
     plaintext = plaintext if plaintext is not None else DEFAULT_PLAINTEXT
@@ -221,6 +221,22 @@ def acquire_population_traces_serial(platform: HTDetectionPlatform,
                 )
             )
     return golden_traces, infected_traces
+
+
+def acquire_population_traces(platform: HTDetectionPlatform,
+                              trojan_names: Sequence[str],
+                              plaintext: Optional[bytes] = None,
+                              key: Optional[bytes] = None
+                              ) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
+    """The single-plaintext population as :class:`EMTrace` lists.
+
+    A view of ``platform.acquire_population_tensors`` for the tests
+    that compare or score trace objects; ``src/`` keeps the population
+    matrix-resident and wraps traces only for archives.
+    """
+    plaintexts = None if plaintext is None else [plaintext]
+    return platform.acquire_population_tensors(
+        trojan_names, plaintexts, key).to_traces()
 
 
 def acquire_population_traces_stimuli_serial(

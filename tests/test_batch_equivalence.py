@@ -21,6 +21,7 @@ from repro.trojan.library import available_trojans, build_trojan
 
 from oracles import (
     acquire_many,
+    acquire_population_traces,
     acquire_population_traces_serial,
     acquire_population_traces_stimuli_serial,
     acquire_serial,
@@ -119,7 +120,7 @@ def test_population_acquisition_matches_serial_reference(batch_platform):
         acquire_population_traces_serial(batch_platform, trojans)
     )
     golden_batch, infected_batch = (
-        batch_platform.acquire_population_traces(trojans)
+        acquire_population_traces(batch_platform, trojans)
     )
     for serial_trace, batch_trace in zip(golden_serial, golden_batch):
         assert np.array_equal(serial_trace.samples, batch_trace.samples)
@@ -302,7 +303,7 @@ def test_population_tensors_match_trace_acquisition(batch_platform):
     trojans = ("HT1", "HT_seq")
     tensors = batch_platform.acquire_population_tensors(trojans)
     golden_traces, infected_traces = (
-        batch_platform.acquire_population_traces(trojans)
+        acquire_population_traces(batch_platform, trojans)
     )
     for row, trace in enumerate(golden_traces):
         assert np.array_equal(tensors.golden[row], trace.samples)
@@ -481,10 +482,14 @@ def test_campaign_delay_rows_match_serial_scoring(batch_platform):
 def test_population_study_matches_serial_replica(batch_platform):
     """The tensor-resident Sec. V study equals a fully serial replica."""
     from repro.analysis.gaussian import fit_gaussian, pooled_std
+    from repro.campaigns import CampaignEngine, CampaignSpec
     from repro.core.metrics import LocalMaximaSumMetric, false_negative_rate
 
     trojans = ("HT1", "HT_seq")
-    study = batch_platform.run_population_em_study(trojan_names=trojans)
+    spec = CampaignSpec(trojans=trojans, die_counts=(NUM_DIES,), seed=31)
+    (cell,) = spec.grid()
+    study = CampaignEngine(spec, golden=batch_platform.golden
+                           ).population_study(cell)
     golden_serial, infected_serial = (
         acquire_population_traces_serial(batch_platform, trojans)
     )
@@ -503,6 +508,7 @@ def test_population_study_matches_serial_replica(batch_platform):
         assert char.sigma == float(sigma)
         assert char.false_negative_rate == false_negative_rate(mu, sigma)
     # The report-boundary EMTrace objects carry the serial samples.
-    for study_trace, serial_trace in zip(study.golden_traces, golden_serial):
+    study_golden, _ = study.tensors.to_traces()
+    for study_trace, serial_trace in zip(study_golden, golden_serial):
         assert np.array_equal(study_trace.samples, serial_trace.samples)
         assert study_trace.label == serial_trace.label

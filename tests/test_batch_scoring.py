@@ -36,7 +36,7 @@ from repro.core.metrics import (
     false_negative_rate,
 )
 
-from oracles import scores_serial
+from oracles import acquire_population_traces, scores_serial
 
 # -- hypothesis strategies ----------------------------------------------------
 
@@ -214,8 +214,7 @@ METRICS = [LocalMaximaSumMetric(), LocalMaximaSumMetric(min_peak_distance=1),
 
 @pytest.fixture(scope="module")
 def small_population(platform):
-    golden, infected = platform.acquire_population_traces(("HT1", "HT3"))
-    return golden, infected
+    return acquire_population_traces(platform, ("HT1", "HT3"))
 
 
 @pytest.mark.parametrize("metric", METRICS,

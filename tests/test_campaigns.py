@@ -211,18 +211,22 @@ def test_larger_trojan_detected_more_reliably(small_campaign):
 
 
 def test_engine_matches_platform_study(small_campaign, golden_design):
-    """Acceptance: the engine cell equals the run_population_em_study path."""
+    """Acceptance: the engine cell equals a standalone platform's
+    population scored by the Sec. V detector."""
+    from repro.core.em_detector import PopulationEMDetector
     from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 
     engine, result = small_campaign
     platform = HTDetectionPlatform(
         config=PlatformConfig(num_dies=3, seed=55), golden=golden_design
     )
-    study = platform.run_population_em_study(("HT1", "HT3"))
+    tensors = platform.acquire_population_tensors(("HT1", "HT3"))
+    _, characterisations = PopulationEMDetector().fit_and_characterise(
+        tensors.golden, tensors.infected)
     cell = result.cells[0]  # paper variant, local_maxima_sum
-    for name, rate in study.false_negative_rates().items():
+    for name, char in characterisations.items():
         assert cell.false_negative_rates()[name] == pytest.approx(
-            rate, abs=1e-12
+            char.false_negative_rate, abs=1e-12
         )
 
 

@@ -148,14 +148,15 @@ def test_same_die_detector_rejects_length_mismatch(platform):
 # -- population EM detector -----------------------------------------------------------
 
 
-def test_population_detector_requires_fit(population_study):
+def test_population_detector_requires_fit(population_traces):
+    golden, _ = population_traces
     detector = PopulationEMDetector()
     with pytest.raises(RuntimeError):
-        detector.score(population_study.golden_traces[0])
+        detector.score(golden[0])
     with pytest.raises(RuntimeError):
         detector.golden_scores()
     with pytest.raises(ValueError):
-        detector.fit_reference(population_study.golden_traces[:1])
+        detector.fit_reference(golden[:1])
 
 
 def test_population_detector_characterisation(population_study):
@@ -170,18 +171,20 @@ def test_population_detector_characterisation(population_study):
         )
 
 
-def test_population_detector_flags_large_trojan(population_study):
+def test_population_detector_flags_large_trojan(population_traces):
+    golden, infected = population_traces
     detector = PopulationEMDetector(metric=LocalMaximaSumMetric())
-    detector.fit_reference(population_study.golden_traces)
+    detector.fit_reference(golden)
     flagged = 0
-    for trace in population_study.infected_traces["HT3"]:
+    for trace in infected["HT3"]:
         if detector.compare(trace).outcome.is_infected:
             flagged += 1
-    assert flagged >= len(population_study.infected_traces["HT3"]) // 2
+    assert flagged >= len(infected["HT3"]) // 2
 
 
-def test_population_detector_characterise_requires_traces(population_study):
+def test_population_detector_characterise_requires_traces(population_traces):
+    golden, _ = population_traces
     detector = PopulationEMDetector()
-    detector.fit_reference(population_study.golden_traces)
+    detector.fit_reference(golden)
     with pytest.raises(ValueError):
         detector.characterise([])

@@ -28,18 +28,23 @@ def _fresh_platform(num_dies: int = 4, seed: int = 77) -> HTDetectionPlatform:
 
 
 def test_same_seed_byte_identical_population_traces():
-    golden_a, infected_a = _fresh_platform().acquire_population_traces(TROJANS)
-    golden_b, infected_b = _fresh_platform().acquire_population_traces(TROJANS)
-    for trace_a, trace_b in zip(golden_a, golden_b):
-        assert trace_a.samples.tobytes() == trace_b.samples.tobytes()
+    tensors_a = _fresh_platform().acquire_population_tensors(TROJANS)
+    tensors_b = _fresh_platform().acquire_population_tensors(TROJANS)
+    assert tensors_a.golden.tobytes() == tensors_b.golden.tobytes()
     for name in TROJANS:
-        for trace_a, trace_b in zip(infected_a[name], infected_b[name]):
-            assert trace_a.samples.tobytes() == trace_b.samples.tobytes()
+        assert tensors_a.infected[name].tobytes() == \
+            tensors_b.infected[name].tobytes()
+
+
+def _fresh_population_study():
+    spec = CampaignSpec(trojans=TROJANS, die_counts=(4,), seed=77)
+    (cell,) = spec.grid()
+    return CampaignEngine(spec).population_study(cell)
 
 
 def test_same_seed_identical_population_study():
-    study_a = _fresh_platform().run_population_em_study(TROJANS)
-    study_b = _fresh_platform().run_population_em_study(TROJANS)
+    study_a = _fresh_population_study()
+    study_b = _fresh_population_study()
     assert study_a.false_negative_rates() == study_b.false_negative_rates()
     for name in TROJANS:
         assert study_a.characterisations[name].mu == \

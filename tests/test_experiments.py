@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.campaigns import CampaignEngine
 from repro.experiments import (
     ExperimentConfig,
     fig1_timing,
@@ -15,6 +16,7 @@ from repro.experiments import (
     headline,
     table_ht_sizes,
 )
+from repro.experiments.config import FIXED_KEY, FIXED_PLAINTEXT
 from repro.experiments.headline import PAPER_FALSE_NEGATIVE_RATES
 
 
@@ -24,8 +26,14 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def exp_platform(config):
-    return config.build_platform()
+def exp_engine(config):
+    return CampaignEngine(config.campaign_spec())
+
+
+@pytest.fixture(scope="module")
+def exp_platform(exp_engine):
+    (cell,) = exp_engine.spec.grid()
+    return exp_engine.platform_for(cell)
 
 
 def test_experiment_config_profiles():
@@ -34,11 +42,48 @@ def test_experiment_config_profiles():
     assert paper.num_dies == 8
     assert paper.num_pk_pairs == 50
     assert fast.num_pk_pairs < paper.num_pk_pairs
-    assert fast.quick
+    assert (fast.num_dies, fast.num_pk_pairs, fast.repetitions,
+            fast.representative_pairs) == (4, 4, 3, (0, 3))
     with pytest.raises(ValueError):
         ExperimentConfig(num_dies=1)
     with pytest.raises(ValueError):
         ExperimentConfig(num_pk_pairs=2, representative_pairs=(5, 6))
+
+
+def test_campaign_spec_derives_the_suite_cell():
+    config = ExperimentConfig(num_dies=5, repetitions=4, seed=9,
+                              num_plaintexts=2)
+    spec = config.campaign_spec()
+    (cell,) = spec.grid()
+    assert spec.trojans == ("HT1", "HT2", "HT3")
+    assert (cell.num_dies, cell.metric) == (5, "local_maxima_sum")
+    assert (spec.seed, spec.delay_repetitions) == (9, 4)
+    assert (spec.plaintext, spec.key) == (FIXED_PLAINTEXT, FIXED_KEY)
+    assert spec.stimulus_plaintexts() == config.stimulus_plaintexts()
+    platform = config.build_platform()
+    assert (platform.config.num_dies, platform.config.seed) == (5, 9)
+    assert (platform.config.delay.repetitions,
+            platform.config.delay.seed) == (4, 9)
+
+
+def test_suite_builds_the_golden_design_once(monkeypatch, tmp_path):
+    """The suite's engine and every figure share one golden design,
+    cold and warm."""
+    from repro.experiments.runner import run_all
+    from repro.fpga.design import GoldenDesign
+
+    builds = []
+    build = GoldenDesign.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(cls)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(GoldenDesign, "build", classmethod(counting_build))
+    for _ in ("cold", "warm"):
+        del builds[:]
+        run_all(ExperimentConfig.fast(), store=tmp_path / "store")
+        assert len(builds) == 1
 
 
 def test_fig1_timing_constraint(config, exp_platform):
@@ -85,8 +130,8 @@ def test_fig5_same_die_comparison(config, exp_platform):
     assert result.contrast() > 1.5
 
 
-def test_fig6_process_variation_envelope(config, exp_platform):
-    result = fig6_pv.run(config, exp_platform, trojan_names=("HT1", "HT3"))
+def test_fig6_process_variation_envelope(config, exp_engine):
+    result = fig6_pv.run(config, exp_engine)
     assert len(result.golden_differences) == config.num_dies
     assert result.golden_envelope() > 0
     assert result.exceeds_pv_envelope("HT3") >= result.exceeds_pv_envelope("HT1")
@@ -119,8 +164,8 @@ def test_table_ht_sizes(config, exp_platform):
         table.row("unknown")
 
 
-def test_headline_result(config, exp_platform):
-    result = headline.run(config, exp_platform)
+def test_headline_result(config, exp_engine):
+    result = headline.run(config, exp_engine)
     assert result.is_monotone_decreasing()
     assert result.largest_trojan_detection() > 0.9
     rates = result.false_negative_rates()

@@ -10,14 +10,14 @@ measurement conditions.
 import numpy as np
 import pytest
 
+from repro.campaigns import AcquisitionVariant
 from repro.core.delay_detector import DelayDetector
 from repro.core.em_detector import PopulationEMDetector, SameDieEMDetector
 from repro.core.fingerprint import DelayFingerprint, EMReference
 from repro.core.metrics import L1TraceMetric, LocalMaximaSumMetric
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.measurement.delay_meter import DelayMeasurementConfig
-from repro.measurement.em_simulator import EMAcquisitionConfig
-from repro.measurement.noise import DelayNoiseModel, EMNoiseModel
+from repro.measurement.noise import DelayNoiseModel
 
 
 def test_full_story_delay_and_em_agree(platform, delay_study, population_study):
@@ -39,10 +39,10 @@ def test_detection_improves_with_trojan_size(population_study):
     assert mus["HT3"] > mus["HT1"]
 
 
-def test_local_maxima_metric_beats_plain_l1(population_study):
+def test_local_maxima_metric_beats_plain_l1(population_traces):
     """Ablation: the paper's metric separates at least as well as plain L1."""
-    golden = population_study.golden_traces
-    infected = population_study.infected_traces["HT3"]
+    golden, infected_traces = population_traces
+    infected = infected_traces["HT3"]
 
     def effect_size(metric):
         detector = PopulationEMDetector(metric=metric)
@@ -78,22 +78,18 @@ def test_noise_free_campaign_has_zero_clean_difference(golden_design):
     assert difference.max() == pytest.approx(0.0)
 
 
-def test_detection_survives_noisier_em_chain(golden_design):
+def test_detection_survives_noisier_em_chain(engine_study):
     """Failure injection: a 4x noisier oscilloscope still catches HT3."""
-    noisy_em = EMAcquisitionConfig(noise=EMNoiseModel(sigma_single_shot=3200.0))
-    platform = HTDetectionPlatform(
-        config=PlatformConfig(num_dies=4, em=noisy_em), golden=golden_design
-    )
-    study = platform.run_population_em_study(("HT3",))
+    noisy = AcquisitionVariant.make("noisy",
+                                    {"noise.sigma_single_shot": 3200.0})
+    study = engine_study(trojans=("HT3",), die_counts=(4,),
+                         variants=(noisy,))
     assert study.characterisations["HT3"].detection_probability > 0.7
 
 
-def test_small_reference_population_degrades_gracefully(golden_design):
+def test_small_reference_population_degrades_gracefully(engine_study):
     """With only 2 reference dies the detector still runs and yields a rate."""
-    platform = HTDetectionPlatform(
-        config=PlatformConfig(num_dies=2), golden=golden_design
-    )
-    study = platform.run_population_em_study(("HT2",))
+    study = engine_study(trojans=("HT2",), die_counts=(2,))
     rate = study.characterisations["HT2"].false_negative_rate
     assert 0.0 <= rate <= 0.5
 
@@ -117,13 +113,10 @@ def test_same_die_detector_with_single_reference_trace(platform, rng):
     assert comparison.outcome.is_infected
 
 
-def test_campaigns_are_reproducible(golden_design):
+def test_campaigns_are_reproducible(engine_study):
     """Same seeds, same platform configuration => identical headline numbers."""
     def run_once():
-        platform = HTDetectionPlatform(
-            config=PlatformConfig(num_dies=3, seed=77), golden=golden_design
-        )
-        study = platform.run_population_em_study(("HT2",))
+        study = engine_study(trojans=("HT2",), die_counts=(3,), seed=77)
         return study.characterisations["HT2"].false_negative_rate
 
     assert run_once() == pytest.approx(run_once())

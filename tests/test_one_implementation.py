@@ -4,12 +4,15 @@ The serial loops and interpreted walks the batched kernels are pinned
 against live in ``tests/oracles/``; ``src/`` keeps exactly one netlist
 kernel, one timing path, one EM trace-synthesis core
 (``EMSimulator._acquire_grid``), one trojan-activity path
-(``encryption_activity_counts``) and one array-payload codec with one
-store read-through.  These checks keep it that way: no
-oracle is redefined under ``src/``, nothing there imports the removed
-backend seam, bitslice kernel or interpreted timing engine, every
-acquisition entry point is a view of the one core, and the paper's
-delay figures run without a single interpreted netlist evaluation.
+(``encryption_activity_counts``), one array-payload codec with one
+store read-through, one keying site for stored artifacts
+(``CampaignEngine._store_key``) and one Sec. V population study
+(``CampaignEngine.population_study``).  These checks keep it that way:
+no oracle is redefined under ``src/``, nothing there imports the
+removed backend seam, bitslice kernel or interpreted timing engine,
+every acquisition entry point is a view of the one core, the paper's
+delay figures run without a single interpreted netlist evaluation, and
+only the engine keys artifacts and scores the Sec. V population.
 """
 
 from __future__ import annotations
@@ -87,6 +90,21 @@ ORACLE_ONLY_NAMES = {
     # The unsupervised process-pool reference of the supervisor gate.
     "_run_parallel",
     "_run_cells_in_subprocess",
+    # The Sec. V study entry points besides the campaign engine's, and
+    # the EMTrace view of the population (a test helper now).
+    "run_population_em_study",
+    "acquire_population_traces",
+    "_shared_population_study",
+    # The per-kind key builders and the engine's key helpers; every key
+    # is built by ``CampaignEngine._store_key``.
+    "population_traces_key",
+    "delay_differences_key",
+    "fault_sweep_key",
+    "infected_summary_key",
+    "cell_result_key",
+    "_population_store_key",
+    "_fault_sweep_store_key",
+    "_cell_result_store_key",
 }
 
 #: The acquisition entry points ``e2e_bench/tracer.py`` wraps by name.
@@ -246,18 +264,28 @@ def test_delay_figures_make_no_interpreted_evaluation(monkeypatch, driver):
 
 
 def test_payloads_go_through_the_one_codec_and_read_through():
+    import dataclasses
     import inspect
 
     from repro.campaigns.engine import CampaignEngine
     from repro.core.pipeline import (
+        PopulationEMStudyResult,
         PopulationTraceTensors,
-        run_population_em_study,
     )
+    from repro.experiments import fig6_pv, headline
 
     assert not hasattr(PopulationTraceTensors, "from_traces")
-    params = inspect.signature(run_population_em_study).parameters
-    assert "area_fractions" not in params
-    assert params["platform"].default is inspect.Parameter.empty
+    # The study is computed from a grid cell alone (no injected traces
+    # or area fractions) and carries the population as tensors.
+    assert list(inspect.signature(
+        CampaignEngine.population_study).parameters) == ["self", "cell"]
+    assert [field.name for field in dataclasses.fields(
+        PopulationEMStudyResult)] == ["reference", "tensors",
+                                      "characterisations",
+                                      "trojan_area_fractions"]
+    for driver in (fig6_pv, headline):
+        assert list(inspect.signature(driver.run).parameters) == \
+            ["config", "engine"], driver
     for name in ("_run_parallel", "_run_cells_in_subprocess"):
         assert not hasattr(CampaignEngine, name), name
     # Array payloads are loaded and put only by the one read-through.
@@ -268,3 +296,44 @@ def test_payloads_go_through_the_one_codec_and_read_through():
                  if isinstance(node, ast.Attribute)
                  and node.attr in ("load_arrays", "put_arrays")]
     assert not offending, offending
+
+
+def _functions_calling(name: str):
+    """``(path, function)`` of every function under ``src/`` that calls
+    ``name`` (as a bare name or an attribute)."""
+    found = set()
+    for path, _, tree in _modules():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    found.add((path.relative_to(SRC).as_posix(),
+                               function.name))
+    return found
+
+
+def test_artifact_keys_are_built_only_by_the_engine_store_key():
+    """Content keys are built in ``CampaignEngine._store_key`` alone;
+    the only other hash is the custom golden design's signature."""
+    assert _functions_calling("stable_key") == {("repro/campaigns/engine.py", "_store_key"),
+                     ("repro/store/artifacts.py", "golden_signature")}
+    schema_readers = {
+        (path.relative_to(SRC).as_posix(), function.name)
+        for path, _, tree in _modules()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "ARTIFACT_SCHEMA_VERSION"
+    }
+    assert schema_readers == {("repro/campaigns/engine.py", "_store_key")}
+
+
+def test_sec_v_scoring_runs_only_in_the_population_study_and_fig7():
+    """The suite, headline, Fig. 6 and the EM cells score the Sec. V
+    population through ``CampaignEngine.population_study``; Fig. 7
+    scores its own (golden, trojan) population."""
+    assert _functions_calling("fit_and_characterise") == {("repro/campaigns/engine.py", "population_study"),
+                     ("repro/experiments/fig7_model.py", "run")}

@@ -56,7 +56,7 @@ def test_same_die_em_study(platform):
 
 
 def test_population_em_study(population_study, platform):
-    assert len(population_study.golden_traces) == len(platform.population)
+    assert len(population_study.tensors.golden) == len(platform.population)
     rates = population_study.false_negative_rates()
     assert set(rates) == {"HT1", "HT3"}
     assert rates["HT3"] <= rates["HT1"]

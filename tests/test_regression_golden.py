@@ -57,7 +57,12 @@ def golden_platform():
 
 @pytest.fixture(scope="module")
 def population_study(golden_platform):
-    return golden_platform.run_population_em_study()
+    from repro.campaigns import CampaignEngine, CampaignSpec
+
+    spec = CampaignSpec(name="golden", die_counts=(NUM_DIES,), seed=SEED)
+    (cell,) = spec.grid()
+    return CampaignEngine(spec, golden=golden_platform.golden
+                          ).population_study(cell)
 
 
 @pytest.fixture(scope="module")
@@ -139,33 +144,25 @@ def test_store_backed_campaign_cold_vs_warm_bit_identical(tmp_path):
     assert renamed_rows == cold_rows
 
 
-def test_pinned_numbers_fail_loudly_when_perturbed(golden_platform,
-                                                   population_study):
+def test_pinned_numbers_fail_loudly_when_perturbed(population_study):
     """A perturbed acquisition must move the pinned headline numbers.
 
     This guards the regression tests themselves: the pinned quantities
     must be *sensitive* to the physics, not constants that would survive
     a broken pipeline.
     """
-    from repro.campaigns.engine import run_population_em_study
+    from repro.core.em_detector import PopulationEMDetector
 
-    golden_traces = [trace.copy() for trace in population_study.golden_traces]
-    infected = {
-        name: [trace.copy() for trace in traces]
-        for name, traces in population_study.infected_traces.items()
-    }
+    tensors = population_study.tensors
     # Inject a tiny extra emission into every infected trace — the FN
     # rates must respond.
-    for traces in infected.values():
-        for trace in traces:
-            trace.samples = trace.samples + 50.0 * np.sin(
-                np.arange(trace.samples.size) / 7.0
-            )
-    perturbed = run_population_em_study(
-        golden_platform, trojan_names=tuple(GOLDEN_FALSE_NEGATIVE_RATES),
-        traces=(golden_traces, infected),
-    )
-    rates = perturbed.false_negative_rates()
+    emission = 50.0 * np.sin(np.arange(tensors.golden.shape[1]) / 7.0)
+    infected = {name: matrix + emission
+                for name, matrix in tensors.infected.items()}
+    _, perturbed = PopulationEMDetector().fit_and_characterise(
+        tensors.golden, infected)
+    rates = {name: char.false_negative_rate
+             for name, char in perturbed.items()}
     assert any(
         abs(rates[name] - GOLDEN_FALSE_NEGATIVE_RATES[name]) > 1e-6
         for name in GOLDEN_FALSE_NEGATIVE_RATES

@@ -13,11 +13,7 @@ from repro.core.pipeline import PopulationTraceTensors
 from repro.store import (
     ArtifactStore,
     canonical_json,
-    cell_result_key,
-    infected_summary_key,
     pack_groups,
-    population_traces_key,
-    spec_content_fragment,
     stable_key,
     unpack_groups,
 )
@@ -39,30 +35,40 @@ def test_stable_key_is_order_independent_and_deterministic():
     assert len(key_a) == 64 and set(key_a) <= set("0123456789abcdef")
 
 
-def test_stable_key_same_spec_fragment_same_key():
-    base = dict(device={"name": "lx30"}, golden="built-in",
-                em_config={"noise": 400.0}, seed=2015, num_dies=8,
-                trojans=("HT1", "HT2"), key=bytes(16),
-                plaintexts=[bytes(range(16))])
-    assert population_traces_key(**base) == population_traces_key(**base)
+#: Population-key fields of one acquisition point.
+POPULATION_KEY_FIELDS = dict(em={"noise": 400.0}, seed=2015, num_dies=8,
+                             trojans=("HT1", "HT2"), key=bytes(16),
+                             plaintexts=[bytes(range(16))])
+
+
+def _population_key(store_dir, golden=None, **fields):
+    """The engine's population key of ``fields`` (built-in golden design
+    unless ``golden`` is given)."""
+    engine = CampaignEngine(CampaignSpec(), golden=golden, store=store_dir)
+    return engine._store_key("population_traces", **fields)
+
+
+def test_stable_key_same_spec_fragment_same_key(tmp_path):
+    assert _population_key(tmp_path, **POPULATION_KEY_FIELDS) == \
+        _population_key(tmp_path, **POPULATION_KEY_FIELDS)
 
 
 @pytest.mark.parametrize("perturbation", [
     {"seed": 2016},
     {"num_dies": 9},
     {"trojans": ("HT1", "HT3")},
-    {"em_config": {"noise": 401.0}},
+    {"em": {"noise": 401.0}},
     {"key": bytes(15) + b"\x01"},
     {"plaintexts": [bytes(16)]},
     {"golden": "custom"},
 ])
-def test_stable_key_perturbed_spec_new_key(perturbation):
-    base = dict(device={"name": "lx30"}, golden="built-in",
-                em_config={"noise": 400.0}, seed=2015, num_dies=8,
-                trojans=("HT1", "HT2"), key=bytes(16),
-                plaintexts=[bytes(range(16))])
-    assert population_traces_key(**base) != \
-        population_traces_key(**{**base, **perturbation})
+def test_stable_key_perturbed_spec_new_key(perturbation, tmp_path,
+                                           golden_design):
+    fields = dict(POPULATION_KEY_FIELDS, **perturbation)
+    # A custom golden design enters the key as its content signature.
+    golden = golden_design if fields.pop("golden", None) else None
+    assert _population_key(tmp_path, **POPULATION_KEY_FIELDS) != \
+        _population_key(tmp_path, golden, **fields)
 
 
 def test_canonical_json_coerces_bytes_and_dataclasses():
@@ -75,23 +81,19 @@ def test_canonical_json_coerces_bytes_and_dataclasses():
     assert payload["config"]["clock_frequency_mhz"] == 24.0
 
 
-def test_cell_result_key_ignores_execution_only_fields():
+def test_cell_result_key_ignores_execution_only_fields(tmp_path):
+    def cell_key(spec):
+        engine = CampaignEngine(spec, store=tmp_path / "store")
+        return engine._cell_key(spec.grid()[0])
+
     spec = CampaignSpec(name="a", trojans=("HT1",), die_counts=(2,))
     renamed = CampaignSpec(name="b", trojans=("HT1",), die_counts=(2,),
-                           workers=4, save_traces=True)
-    common = dict(device={"name": "lx30"}, golden="built-in", cell_index=0)
-    assert cell_result_key(
-        spec_payload=spec_content_fragment(spec.to_dict()), **common
-    ) == cell_result_key(
-        spec_payload=spec_content_fragment(renamed.to_dict()), **common
-    )
+                           workers=4, save_traces=True, max_retries=5,
+                           cell_timeout_s=9.0, retry_backoff_s=0.1)
+    assert cell_key(spec) == cell_key(renamed)
     reseeded = CampaignSpec(name="a", trojans=("HT1",), die_counts=(2,),
                             seed=1)
-    assert cell_result_key(
-        spec_payload=spec_content_fragment(spec.to_dict()), **common
-    ) != cell_result_key(
-        spec_payload=spec_content_fragment(reseeded.to_dict()), **common
-    )
+    assert cell_key(spec) != cell_key(reseeded)
 
 
 # -- round trips --------------------------------------------------------------
@@ -342,7 +344,7 @@ def test_resumed_run_still_writes_trace_archives(tmp_path):
     # Interrupted-run shape: the owner cell (index 0) completed, the
     # other metric cell did not.
     owner, follower = spec.grid()
-    assert engine.store.discard(engine._cell_result_store_key(follower))
+    assert engine.store.discard(engine._cell_key(follower))
 
     resumed = CampaignEngine(spec, store=store_dir).run(
         artifact_dir=tmp_path / "out2"
@@ -363,7 +365,7 @@ def test_deleting_one_completion_recomputes_only_that_cell(tmp_path,
     baseline = engine.run()
 
     victim = resume_spec.grid()[1]
-    store_key = engine._cell_result_store_key(victim)
+    store_key = engine._cell_key(victim)
     assert engine.store.discard(store_key)
 
     recomputed = []

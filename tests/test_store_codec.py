@@ -134,7 +134,7 @@ def test_store_of_deflated_objects_resumes_warm(tmp_path, golden_design,
     store = cold_engine.store
     assert _deflate_array_objects(store) >= 1
     resumed, lost = spec.grid()
-    assert store.discard(cold_engine._cell_result_store_key(lost))
+    assert store.discard(cold_engine._cell_key(lost))
 
     def no_acquisition(*args, **kwargs):
         raise AssertionError("acquired instead of reading the store")
