@@ -24,10 +24,16 @@ run pays nothing for it) three ways:
   runs.
 
 All three must produce bit-identical mu/sigma/FN-rate rows.
+
+Each timed sample repeats one contender's call until it lasts at least
+``MIN_SAMPLE_S`` (one batched call takes a few ms); the contenders'
+samples alternate ``SAMPLES`` times and the gate compares their
+medians, with no absolute slack.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from bisect import bisect_left, bisect_right
 
@@ -46,7 +52,10 @@ NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
 SEED = 2015
 GATE_SPEEDUP = 5.0
-TIMING_ROUNDS = 5
+#: Shortest timed sample, per contender (its call repeated to fill it).
+MIN_SAMPLE_S = 0.2
+#: Interleaved samples per contender; the gate compares their medians.
+SAMPLES = 5
 MIN_PEAK_DISTANCE = LocalMaximaSumMetric().min_peak_distance
 
 
@@ -160,20 +169,44 @@ def _score_batched(golden_matrix, infected_matrices):
     }
 
 
-def _best_of(rounds, func):
-    """Best-of-N wall time after one untimed warmup pass.
+def _calls_per_sample(func):
+    """Calls that make one timed sample last at least ``MIN_SAMPLE_S``.
 
-    The warmup keeps allocator growth and lazily-initialised NumPy
-    machinery out of the timed rounds for both contenders alike.
+    Doubles the count from one until a sample is long enough; the first
+    call doubles as the untimed warmup that keeps allocator growth and
+    lazily-initialised NumPy machinery out of the samples.
     """
     func()
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
+    calls = 1
+    while True:
         start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for _ in range(calls):
+            func()
+        if time.perf_counter() - start >= MIN_SAMPLE_S:
+            return calls
+        calls *= 2
+
+
+def _interleaved_medians(*funcs):
+    """Median seconds per call of each contender, plus its last result.
+
+    One sample repeats a contender's call until it lasts at least
+    ``MIN_SAMPLE_S``; the contenders' samples alternate ``SAMPLES``
+    times, so a slow phase of a shared host hits them alike instead of
+    biasing one contender.
+    """
+    calls = [_calls_per_sample(func) for func in funcs]
+    seconds = [[] for _ in funcs]
+    results = [None] * len(funcs)
+    for _ in range(SAMPLES):
+        for index, func in enumerate(funcs):
+            start = time.perf_counter()
+            for _ in range(calls[index]):
+                results[index] = func()
+            seconds[index].append(
+                (time.perf_counter() - start) / calls[index])
+    return ([statistics.median(series) for series in seconds], results,
+            calls)
 
 
 def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
@@ -185,16 +218,13 @@ def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
     infected_matrices = {name: stack_traces(infected[name])
                          for name in TROJANS}
 
-    seed_seconds, seed_rows = _best_of(
-        TIMING_ROUNDS, lambda: _score_seed_serial(golden, infected)
-    )
-    current_seconds, current_rows = _best_of(
-        TIMING_ROUNDS, lambda: _score_current_serial(golden, infected)
-    )
-    batch_seconds, batch_rows = _best_of(
-        TIMING_ROUNDS,
+    medians, results, calls = _interleaved_medians(
+        lambda: _score_seed_serial(golden, infected),
+        lambda: _score_current_serial(golden, infected),
         lambda: _score_batched(golden_matrix, infected_matrices),
     )
+    seed_seconds, current_seconds, batch_seconds = medians
+    seed_rows, current_rows, batch_rows = results
 
     assert seed_rows == current_rows, (
         "the tightened scalar reference diverged from the seed scorer"
@@ -212,6 +242,10 @@ def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
     benchmark.extra_info["speedup_vs_current_serial"] = round(
         current_seconds / batch_seconds, 2)
     benchmark.extra_info["gate"] = GATE_SPEEDUP
+    benchmark.extra_info["samples"] = SAMPLES
+    benchmark.extra_info["calls_per_sample"] = {
+        "serial": calls[0], "current_serial": calls[1], "batch": calls[2],
+    }
     benchmark.extra_info["num_dies"] = NUM_DIES
     benchmark.extra_info["fn_rates"] = {
         trojan: round(batch_rows[trojan][2], 4) for trojan in TROJANS

@@ -125,7 +125,9 @@ def _local_maxima_flat(x: np.ndarray, min_height: Optional[float],
     if num_rows == 0 or num_samples < 3:
         return np.array([], dtype=np.int64), None
     mask = np.zeros((num_rows, num_samples), dtype=bool)
-    mask[:, 1:-1] = (x[:, 1:-1] > x[:, :-2]) & (x[:, 1:-1] >= x[:, 2:])
+    inner = mask[:, 1:-1]
+    np.greater(x[:, 1:-1], x[:, :-2], out=inner)
+    inner &= x[:, 1:-1] >= x[:, 2:]
     if min_height is not None:
         mask &= x >= min_height
     flat = np.flatnonzero(mask.ravel())
@@ -151,6 +153,7 @@ def _local_maxima_flat(x: np.ndarray, min_height: Optional[float],
     values = x.ravel()[flat]
     ranks = _greedy_priority_ranks(values, rows, num_rows, keys.dtype)
     kept = _suppress_by_min_distance(keys, ranks, min_distance)
+    kept = np.flatnonzero(kept)
     return flat[kept], values[kept]
 
 
@@ -236,7 +239,7 @@ def _suppress_by_min_distance(keys: np.ndarray, ranks: np.ndarray,
                            out=window_min[offset:])
         new_kept = active_ranks == window_min
         if active_positions is None:
-            kept[new_kept] = True
+            kept |= new_kept
         else:
             kept[active_positions[new_kept]] = True
         # Retire the kept peaks and every active candidate inside one of
@@ -249,11 +252,10 @@ def _suppress_by_min_distance(keys: np.ndarray, ranks: np.ndarray,
             else:
                 retired[offset:] |= new_kept[:-offset] & near
                 retired[:-offset] |= new_kept[offset:] & near
-        survivors = ~retired
+        survivors = np.flatnonzero(~retired)
         active_keys = active_keys[survivors]
         active_ranks = active_ranks[survivors]
-        active_positions = (np.flatnonzero(survivors)
-                            if active_positions is None
+        active_positions = (survivors if active_positions is None
                             else active_positions[survivors])
     return kept
 

@@ -27,8 +27,11 @@ detection metric performs is relative.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -63,6 +66,12 @@ ACTIVITY_TO_AMPLITUDE = 1.0
 #: slightly different amount per cycle — this is what makes the |G_j - E(G)|
 #: curves of Fig. 6 look jagged rather than like a scaled copy of the trace.
 DIE_CYCLE_GAIN_JITTER = 0.03
+#: Smallest grid (plaintexts x DUTs x samples values) whose columns are
+#: filled on threads.  Below it, handing the GIL between threads costs
+#: more than a second core saves: on 2 cores, the paper suite's grids (at
+#: most 8 dies x 1 plaintext x 2,912 samples, about 23 k values) spent
+#: about 48 ms in acquisition on threads against 38 ms serially.
+_THREADED_GRID_FLOOR = 1 << 20
 
 
 @dataclass
@@ -138,6 +147,73 @@ class EMTrace:
             sample_period_ns=self.sample_period_ns,
             cycle_sample_offsets=list(self.cycle_sample_offsets),
         )
+
+
+class _GridPlan(NamedTuple):
+    """What every column fill of one grid shares (see ``_grid_plan``)."""
+
+    amplitudes: np.ndarray  # (plaintexts, duts, cycles) pulse amplitudes
+    idle_amplitudes: np.ndarray  # (duts,) clock-tree pulse of idle cycles
+    offsets: np.ndarray  # (duts,) output offsets after the amplifier
+    cycle_offsets: List[int]
+    idle_offsets: List[int]
+    shape: Tuple[int, int, int]
+
+
+def _available_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _column_chunks(rngs: Sequence[np.random.Generator],
+                   grid_size: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` DUT-column ranges, one per thread.
+
+    One range over every column unless each column has its own generator
+    and the grid reaches ``_THREADED_GRID_FLOOR`` values; then one range
+    per available core, at most one per column.
+    """
+    num_columns = len(rngs)
+    threads = 1
+    if (grid_size >= _THREADED_GRID_FLOOR
+            and len({id(rng) for rng in rngs}) == num_columns):
+        threads = min(_available_cores(), num_columns)
+    bounds = [num_columns * index // threads for index in range(threads + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_column_chunks(work: Callable[[int, int], None],
+                       chunks: Sequence[Tuple[int, int]]) -> None:
+    """``work(lo, hi)`` for every chunk, the first on the calling thread.
+
+    The others run on helper threads that are all joined before this
+    returns, so none outlives the call (campaign supervisors fork their
+    workers).  A helper's exception is re-raised here, the lowest chunk's
+    first; one raised by the calling thread's chunk takes precedence.
+    """
+    errors: List[Optional[BaseException]] = [None] * len(chunks)
+
+    def guarded(index: int) -> None:
+        try:
+            work(*chunks[index])
+        except BaseException as error:  # re-raised in the caller
+            errors[index] = error
+
+    helpers: List[threading.Thread] = []
+    try:
+        for index in range(1, len(chunks)):
+            helper = threading.Thread(target=guarded, args=(index,))
+            helper.start()
+            helpers.append(helper)
+        work(*chunks[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 class EMSimulator:
@@ -221,19 +297,16 @@ class EMSimulator:
         return clock_load + (output_toggles
                              + config.trojan_pin_toggle_weight * pin_toggles)
 
-    def batch_noiseless_traces_many(self, duts: Sequence[DeviceUnderTest],
-                                    plaintexts: Sequence[bytes], key: bytes
-                                    ) -> "Tuple[np.ndarray, List[int]]":
-        """Deterministic emissions of a whole (plaintext x DUT) grid.
+    def _grid_plan(self, duts: Sequence[DeviceUnderTest],
+                   plaintexts: Sequence[bytes], key: bytes) -> "_GridPlan":
+        """The shared prologue of a (plaintext x DUT) grid synthesis.
 
-        The batched cipher prices every stimulus in one pass, each
+        The batched cipher prices every stimulus in one pass and each
         unique design's trojan activity comes from one compiled-kernel
-        evaluation over all encryptions' register states, and the pulse
-        synthesis fills a ``(plaintexts, duts, samples)`` tensor in a
-        handful of broadcast operations.  Plaintext ``p`` is encryption
-        ``p`` of the campaign (the sequential trojans' counter value).
-
-        Returns ``(signal, cycle_sample_offsets)``.
+        evaluation over all encryptions' register states (plaintext
+        ``p`` is encryption ``p`` of the campaign, the sequential
+        trojans' counter value).  What is left per column is the pulse
+        fill of :meth:`_fill_noiseless`.
         """
         config = self.config
         plaintexts = [bytes(plaintext) for plaintext in plaintexts]
@@ -245,10 +318,7 @@ class EMSimulator:
         round_states = BatchedAES(key).round_states(plaintexts)
         host_matrix = self._host_activity_matrix(round_states)
         num_cycles = host_matrix.shape[1]
-        num_rounds = num_cycles - 1
         samples_per_cycle = config.samples_per_cycle
-        total_samples = config.total_samples(num_rounds)
-        kernel = self._kernel
 
         # Per-design coupled activity, one compiled pass per unique design.
         coupled_by_design: Dict[int, Tuple[np.ndarray, float]] = {}
@@ -271,38 +341,69 @@ class EMSimulator:
             [self.die_cycle_gains(dut, num_cycles) for dut in duts]
         )
         base_gains = np.array([dut.em_gain() for dut in duts])
-        offsets = np.array([dut.em_offset() for dut in duts])
-
-        amplitudes = (gains[None, :, :] * config.activity_to_amplitude
-                      * coupled)
-        signal = np.zeros((num_plaintexts, num_duts, total_samples))
-        pulse = np.empty((num_plaintexts, num_duts, kernel.size))
-        cycle_offsets: List[int] = []
-        for cycle in range(num_cycles):
-            offset = (config.pre_trigger_cycles + cycle) * samples_per_cycle
-            cycle_offsets.append(offset)
-            end = min(total_samples, offset + kernel.size)
-            window = pulse[:, :, : end - offset]
-            np.multiply(amplitudes[:, :, cycle, None],
-                        kernel[None, None, : end - offset], out=window)
-            signal[:, :, offset:end] += window
-
         # Idle cycles still show the clock-tree baseline.
         idle_cycles = list(range(config.pre_trigger_cycles)) + [
             config.pre_trigger_cycles + num_cycles + cycle
             for cycle in range(config.post_trigger_cycles)
         ]
-        idle_amplitudes = (base_gains * config.activity_to_amplitude
-                           * host_couplings * config.baseline_activity)
-        for cycle_index in idle_cycles:
-            offset = cycle_index * samples_per_cycle
-            end = min(total_samples, offset + kernel.size)
-            signal[:, :, offset:end] += (idle_amplitudes[None, :, None]
-                                         * kernel[None, None, : end - offset])
+        return _GridPlan(
+            amplitudes=(gains[None, :, :] * config.activity_to_amplitude
+                        * coupled),
+            idle_amplitudes=(base_gains * config.activity_to_amplitude
+                             * host_couplings * config.baseline_activity),
+            offsets=np.array([dut.em_offset() for dut in duts]),
+            cycle_offsets=[(config.pre_trigger_cycles + cycle)
+                           * samples_per_cycle
+                           for cycle in range(num_cycles)],
+            idle_offsets=[cycle * samples_per_cycle for cycle in idle_cycles],
+            shape=(num_plaintexts, num_duts,
+                   config.total_samples(num_cycles - 1)),
+        )
 
-        signal *= config.amplifier.linear_gain
-        signal += offsets[None, :, None]
-        return signal, cycle_offsets
+    def _fill_noiseless(self, plan: "_GridPlan", signal: np.ndarray,
+                        lo: int, hi: int) -> None:
+        """Synthesise the emissions of DUT columns ``lo:hi`` into ``signal``.
+
+        Every cycle's damped pulse, the idle cycles' baseline, the
+        amplifier gain and the DUT's offset, each one broadcast
+        operation over the ``(plaintexts, hi - lo, samples)`` view of a
+        zeroed ``signal``.  Every operation is element-wise, so a column
+        gets the same bytes whatever range it is filled in.
+        """
+        kernel = self._kernel
+        total_samples = plan.shape[2]
+        columns = signal[:, lo:hi]
+        amplitudes = plan.amplitudes[:, lo:hi]
+        pulse = np.empty(columns.shape[:2] + (kernel.size,))
+        for cycle, offset in enumerate(plan.cycle_offsets):
+            end = min(total_samples, offset + kernel.size)
+            window = pulse[:, :, : end - offset]
+            np.multiply(amplitudes[:, :, cycle, None],
+                        kernel[None, None, : end - offset], out=window)
+            columns[:, :, offset:end] += window
+        idle_amplitudes = plan.idle_amplitudes[None, lo:hi, None]
+        for offset in plan.idle_offsets:
+            end = min(total_samples, offset + kernel.size)
+            columns[:, :, offset:end] += (idle_amplitudes
+                                          * kernel[None, None, : end - offset])
+        columns *= self.config.amplifier.linear_gain
+        columns += plan.offsets[None, lo:hi, None]
+
+    def batch_noiseless_traces_many(self, duts: Sequence[DeviceUnderTest],
+                                    plaintexts: Sequence[bytes], key: bytes
+                                    ) -> "Tuple[np.ndarray, List[int]]":
+        """Deterministic emissions of a whole (plaintext x DUT) grid.
+
+        The prologue of :meth:`_grid_plan`, then one
+        :meth:`_fill_noiseless` over every column of a
+        ``(plaintexts, duts, samples)`` tensor.
+
+        Returns ``(signal, cycle_sample_offsets)``.
+        """
+        plan = self._grid_plan(duts, plaintexts, key)
+        signal = np.zeros(plan.shape)
+        self._fill_noiseless(plan, signal, 0, plan.shape[1])
+        return signal, plan.cycle_offsets
 
     def _acquire_grid(self, duts: Sequence[DeviceUnderTest],
                       plaintexts: Sequence[bytes], key: bytes,
@@ -319,31 +420,48 @@ class EMSimulator:
         tensor.  Every public entry point calls this and none calls
         another, so a wrapper around any of them sees each acquisition
         exactly once.
+
+        **Threads.** When every DUT has its own generator (distinct
+        objects) and the grid holds at least ``_THREADED_GRID_FLOOR``
+        values, the DUT columns are split into one contiguous chunk per
+        available core (at most one per DUT); each chunk is synthesised,
+        noised and quantised on its own thread, the calling thread
+        running the first, and every helper is joined before this
+        returns.  A column's draws still come from its own generator in
+        plaintext order and every other operation is element-wise, so
+        the tensor is byte-identical to the serial pass.  A shared or
+        repeated generator, or a smaller grid, runs serially in
+        DUT-major order.
         """
         rng_list = self._normalised_rngs(duts, rngs)
         config = self.config
-        signal, cycle_offsets = self.batch_noiseless_traces_many(
-            duts, plaintexts, key
-        )
+        plan = self._grid_plan(duts, plaintexts, key)
+        signal = np.zeros(plan.shape)
         sigma = config.oscilloscope.effective_noise_sigma(
             config.noise.sigma_single_shot
         )
-        num_plaintexts, _, num_samples = signal.shape
-        for column, rng in enumerate(rng_list):
-            gains, offsets, noise = config.noise.sample_acquisitions(
-                rng, num_plaintexts, num_samples, sigma,
-                new_setup_installation)
-            traces = signal[:, column]
-            if gains is not None:
-                traces *= gains[:, None]
-                traces += offsets[:, None]
-            if noise is not None:
-                traces += noise
-        if config.quantise:
-            config.oscilloscope.quantise_in_place(
-                signal, lsb=config.oscilloscope.effective_lsb()
-            )
-        return signal, cycle_offsets
+        num_plaintexts, _, num_samples = plan.shape
+
+        def acquire_columns(lo: int, hi: int) -> None:
+            self._fill_noiseless(plan, signal, lo, hi)
+            for column in range(lo, hi):
+                gains, offsets, noise = config.noise.sample_acquisitions(
+                    rng_list[column], num_plaintexts, num_samples, sigma,
+                    new_setup_installation)
+                traces = signal[:, column]
+                if gains is not None:
+                    traces *= gains[:, None]
+                    traces += offsets[:, None]
+                if noise is not None:
+                    traces += noise
+            if config.quantise:
+                config.oscilloscope.quantise_in_place(
+                    signal[:, lo:hi], lsb=config.oscilloscope.effective_lsb()
+                )
+
+        _run_column_chunks(acquire_columns,
+                           _column_chunks(rng_list, signal.size))
+        return signal, plan.cycle_offsets
 
     def _normalised_rngs(self, duts: Sequence[DeviceUnderTest],
                          rngs: Union[np.random.Generator,
@@ -375,6 +493,12 @@ class EMSimulator:
             Either one generator per DUT (each die keeps its own noise
             stream, consumed across the plaintexts in order) or a single
             shared generator consumed DUT-major / plaintext-minor.
+            Distinct per-DUT generators let a grid of at least
+            ``_THREADED_GRID_FLOOR`` values be filled in contiguous
+            DUT-column chunks on one thread per core; every column
+            still draws from its own generator in the same order, so
+            the bytes do not depend on the thread count.  A shared or
+            repeated generator is always consumed serially.
         new_setup_installation:
             Applied to every acquisition of the grid (the population
             campaigns re-install the setup for every trace).

@@ -7,16 +7,23 @@ byte (``tobytes()``, so signed zeros count) against the per-trace
 serial chain in ``tests/oracles/`` over every noise configuration the
 block layout depends on: which setup sigmas are non-zero, whether the
 residual noise is drawn at all, and whether the trace is quantised.
+
+Every grid test runs on both fill paths: ``serial`` (the grids here
+are far below the thread floor) and ``threaded`` (the floor patched to
+0 and two cores assumed, so the DUT columns split across threads).
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.measurement import em_simulator
 from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
 from repro.measurement.noise import EMNoiseModel
 from repro.stimulus import random_plaintexts
@@ -37,6 +44,23 @@ NOISE_CONFIGS = {
 }
 
 
+def _force_threads(monkeypatch):
+    """Thread every grid with distinct generators, over two cores."""
+    monkeypatch.setattr(em_simulator, "_THREADED_GRID_FLOOR", 0)
+    monkeypatch.setattr(em_simulator, "_available_cores", lambda: 2)
+
+
+@pytest.fixture
+def fill_path(request, monkeypatch):
+    if request.param == "threaded":
+        _force_threads(monkeypatch)
+    return request.param
+
+
+FILL_PATHS = pytest.mark.parametrize("fill_path", ["serial", "threaded"],
+                                     indirect=True)
+
+
 @pytest.fixture(scope="module")
 def grid_platform(golden_design):
     return HTDetectionPlatform(config=PlatformConfig(num_dies=3, seed=41),
@@ -55,13 +79,15 @@ def _simulator(settings):
     ))
 
 
+@FILL_PATHS
 @pytest.mark.parametrize("new_setup", [True, False],
                          ids=["new_setup", "same_setup"])
 @pytest.mark.parametrize("shared", [False, True],
                          ids=["per_dut_rngs", "shared_rng"])
 @pytest.mark.parametrize("config_name", sorted(NOISE_CONFIGS))
 def test_grid_matches_serial_chain_byte_for_byte(grid_platform, config_name,
-                                                 shared, new_setup):
+                                                 shared, new_setup,
+                                                 fill_path):
     simulator = _simulator(NOISE_CONFIGS[config_name])
     duts = _duts(grid_platform)
 
@@ -84,10 +110,12 @@ def test_grid_matches_serial_chain_byte_for_byte(grid_platform, config_name,
                 f"plaintext {row}, DUT {column}")
 
 
-def test_acquisition_peak_allocation_is_bounded(golden_design):
+@FILL_PATHS
+def test_acquisition_peak_allocation_is_bounded(golden_design, fill_path):
     """One 16-die x 8-plaintext acquisition allocates little beyond its
     output tensor: no full-size temporaries in the noise or quantise
-    pass."""
+    pass.  ``tracemalloc`` sees every thread's allocations, so the
+    threaded fill is held to the same bound."""
     platform = HTDetectionPlatform(config=PlatformConfig(num_dies=16, seed=7),
                                    golden=golden_design)
     duts = [platform.infected_dut("HT1", die) for die in range(16)]
@@ -108,3 +136,88 @@ def test_acquisition_peak_allocation_is_bounded(golden_design):
     assert signal.shape[:2] == (8, 16)
     assert peak <= 2.5 * signal.nbytes, (
         f"peak {peak / signal.nbytes:.2f}x the output tensor")
+
+
+@pytest.mark.parametrize("layout", ["repeated", "interleaved"])
+def test_repeated_generators_stay_serial_in_dut_major_order(
+        grid_platform, monkeypatch, layout):
+    """A generator shared between columns is consumed column after
+    column, exactly as the serial chain does, even where threads would
+    otherwise be used."""
+    _force_threads(monkeypatch)
+    simulator = _simulator({})
+    duts = _duts(grid_platform)
+
+    def generators():
+        first, second = np.random.default_rng(7), np.random.default_rng(8)
+        if layout == "repeated":
+            return [first] * len(duts)
+        return [first, second, first]
+
+    batch_rngs = generators()
+    assert em_simulator._column_chunks(batch_rngs, 10 ** 9) == \
+        [(0, len(duts))]
+    batch, _ = simulator.acquire_many_batch_tensor(
+        duts, STIMULI, KEY, batch_rngs, new_setup_installation=True)
+    # The same generator objects, consumed DUT-major by the serial chain.
+    for column, (dut, rng) in enumerate(zip(duts, generators())):
+        traces = acquire_many(simulator, dut, STIMULI, KEY, rng,
+                              new_setup_installation=True)
+        for row, trace in enumerate(traces):
+            assert trace.samples.tobytes() == batch[row, column].tobytes(), (
+                f"plaintext {row}, DUT {column}")
+
+
+def test_helper_thread_error_reaches_the_caller(grid_platform, monkeypatch):
+    """An exception raised while a helper thread fills its columns is
+    re-raised by the acquisition, and no helper thread outlives it."""
+    _force_threads(monkeypatch)
+    simulator = _simulator({})
+    duts = _duts(grid_platform)
+    rngs = [np.random.default_rng(900 + die) for die in range(len(duts))]
+    raised_on = []
+    sample_acquisitions = EMNoiseModel.sample_acquisitions
+
+    def failing_on_column_2(model, rng, *args):
+        if rng is rngs[2]:
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("column 2 failed")
+        return sample_acquisitions(model, rng, *args)
+
+    monkeypatch.setattr(EMNoiseModel, "sample_acquisitions",
+                        failing_on_column_2)
+    threads_before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="column 2 failed"):
+        simulator.acquire_many_batch_tensor(duts, STIMULI, KEY, rngs)
+    assert len(raised_on) == 1
+    assert raised_on[0] is not threading.current_thread()
+    assert not raised_on[0].is_alive()
+    assert set(threading.enumerate()) == threads_before
+
+
+def test_many_threads_with_fast_switching_match_serial(golden_design,
+                                                       monkeypatch):
+    """More helper threads than cores, switching every microsecond,
+    still write every column exactly as the serial fill does."""
+    platform = HTDetectionPlatform(config=PlatformConfig(num_dies=16, seed=7),
+                                   golden=golden_design)
+    duts = [platform.infected_dut("HT1", die) for die in range(16)]
+    stimuli = random_plaintexts(4, seed=3)
+    simulator = platform.em_simulator
+
+    def acquire():
+        rngs = [np.random.default_rng(die) for die in range(16)]
+        signal, _ = simulator.acquire_many_batch_tensor(
+            duts, stimuli, KEY, rngs, new_setup_installation=True)
+        return signal.tobytes()
+
+    serial = acquire()
+    monkeypatch.setattr(em_simulator, "_THREADED_GRID_FLOOR", 0)
+    monkeypatch.setattr(em_simulator, "_available_cores", lambda: 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [acquire() for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == serial for result in threaded)

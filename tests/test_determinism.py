@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaigns import AcquisitionVariant, CampaignEngine, CampaignSpec
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.measurement import em_simulator
 from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
 
 TROJANS = ("HT1", "HT3")
@@ -109,13 +110,25 @@ def test_campaign_engine_deterministic(campaign_spec):
     assert _row_dicts(result_a) == _row_dicts(result_b)
 
 
-def test_campaign_parallel_matches_serial(campaign_spec):
-    serial = CampaignEngine(campaign_spec).run()
+@pytest.mark.parametrize("fill", ["serial", "threaded"])
+def test_campaign_parallel_matches_serial(campaign_spec, fill, monkeypatch):
+    """Process-pool rows equal inline ones, on either EM fill path.
+
+    ``threaded`` patches the acquisition's thread floor to 0 (and
+    assumes two cores) before both runs, so the inline run and the
+    forked ``workers=2`` run, which inherits the patch, both fill their
+    grids on threads; both must reproduce an unpatched serial run.
+    """
+    serial = _row_dicts(CampaignEngine(campaign_spec).run())
+    if fill == "threaded":
+        monkeypatch.setattr(em_simulator, "_THREADED_GRID_FLOOR", 0)
+        monkeypatch.setattr(em_simulator, "_available_cores", lambda: 2)
+        assert _row_dicts(CampaignEngine(campaign_spec).run()) == serial
     parallel_spec = CampaignSpec.from_dict(
         {**campaign_spec.to_dict(), "workers": 2}
     )
     parallel = CampaignEngine(parallel_spec).run()
-    assert _row_dicts(serial) == _row_dicts(parallel)
+    assert _row_dicts(parallel) == serial
 
 
 def test_sharded_process_pool_matches_serial(campaign_spec, tmp_path):
