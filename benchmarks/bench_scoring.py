@@ -26,15 +26,13 @@ run pays nothing for it) three ways:
 All three must produce bit-identical mu/sigma/FN-rate rows.
 
 Each timed sample repeats one contender's call until it lasts at least
-``MIN_SAMPLE_S`` (one batched call takes a few ms); the contenders'
-samples alternate ``SAMPLES`` times and the gate compares their
-medians, with no absolute slack.
+0.2 s (one batched call takes a few ms); the contenders' samples
+alternate five times and the gate compares their medians, with no
+absolute slack (:mod:`interleave`).
 """
 
 from __future__ import annotations
 
-import statistics
-import time
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -46,16 +44,13 @@ from repro.core.metrics import LocalMaximaSumMetric, false_negative_rate
 from repro.core.em_detector import PopulationEMDetector
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 
+from interleave import SAMPLES, interleaved_medians
 from oracles import acquire_population_traces, scores_serial
 
 NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
 SEED = 2015
 GATE_SPEEDUP = 5.0
-#: Shortest timed sample, per contender (its call repeated to fill it).
-MIN_SAMPLE_S = 0.2
-#: Interleaved samples per contender; the gate compares their medians.
-SAMPLES = 5
 MIN_PEAK_DISTANCE = LocalMaximaSumMetric().min_peak_distance
 
 
@@ -169,46 +164,6 @@ def _score_batched(golden_matrix, infected_matrices):
     }
 
 
-def _calls_per_sample(func):
-    """Calls that make one timed sample last at least ``MIN_SAMPLE_S``.
-
-    Doubles the count from one until a sample is long enough; the first
-    call doubles as the untimed warmup that keeps allocator growth and
-    lazily-initialised NumPy machinery out of the samples.
-    """
-    func()
-    calls = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(calls):
-            func()
-        if time.perf_counter() - start >= MIN_SAMPLE_S:
-            return calls
-        calls *= 2
-
-
-def _interleaved_medians(*funcs):
-    """Median seconds per call of each contender, plus its last result.
-
-    One sample repeats a contender's call until it lasts at least
-    ``MIN_SAMPLE_S``; the contenders' samples alternate ``SAMPLES``
-    times, so a slow phase of a shared host hits them alike instead of
-    biasing one contender.
-    """
-    calls = [_calls_per_sample(func) for func in funcs]
-    seconds = [[] for _ in funcs]
-    results = [None] * len(funcs)
-    for _ in range(SAMPLES):
-        for index, func in enumerate(funcs):
-            start = time.perf_counter()
-            for _ in range(calls[index]):
-                results[index] = func()
-            seconds[index].append(
-                (time.perf_counter() - start) / calls[index])
-    return ([statistics.median(series) for series in seconds], results,
-            calls)
-
-
 def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
     # The population is acquired up front: this is the warm-study
     # premise (a store-hit campaign loads the tensors for free); what is
@@ -218,7 +173,7 @@ def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
     infected_matrices = {name: stack_traces(infected[name])
                          for name in TROJANS}
 
-    medians, results, calls = _interleaved_medians(
+    medians, results, calls = interleaved_medians(
         lambda: _score_seed_serial(golden, infected),
         lambda: _score_current_serial(golden, infected),
         lambda: _score_batched(golden_matrix, infected_matrices),

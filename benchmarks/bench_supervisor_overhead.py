@@ -4,8 +4,12 @@ The supervisor's claim: retries, per-cell timeouts, death detection and
 graceful drains are *bookkeeping*, not a tax on the physics.  On a
 clean fig6-scale parallel campaign (no faults injected) the supervised
 run must finish within **10%** of the bare, unsupervised
-``ProcessPoolExecutor`` reference it replaced — plus a small absolute
-slack so the gate stays meaningful when both runs are fast.
+``ProcessPoolExecutor`` reference it replaced.
+
+Each contender's call is one cold run on a fresh engine and a fresh
+store.  A timed sample repeats the call until it lasts at least 0.2 s;
+the contenders' samples alternate five times and the gate compares
+their medians, with no absolute slack (:mod:`interleave`).
 
 The supervised rows must also be *bit-identical* to the bare pool's:
 supervision changes how cells are scheduled, never what they compute.
@@ -13,9 +17,9 @@ supervision changes how cells are scheduled, never what they compute.
 
 from __future__ import annotations
 
+import itertools
 import shutil
 import tempfile
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List
@@ -25,8 +29,9 @@ from repro.campaigns.engine import CampaignCellResult
 from repro.campaigns.spec import GridCell
 from repro.campaigns.supervisor import CampaignSupervisor
 
+from interleave import SAMPLES, interleaved_medians
+
 OVERHEAD_GATE = 1.10
-ABSOLUTE_SLACK_S = 1.0
 
 
 def _run_parallel(engine: CampaignEngine,
@@ -92,54 +97,55 @@ def _fig6_scale_spec() -> CampaignSpec:
     )
 
 
+def _rows(results: List[CampaignCellResult]):
+    return [row.to_dict()
+            for cell in sorted(results, key=lambda cell: cell.index)
+            for row in cell.rows]
+
+
 def test_supervised_run_overhead_within_10_percent(benchmark):
     spec = _fig6_scale_spec()
+    cells = spec.grid()
     root = Path(tempfile.mkdtemp(prefix="bench_supervisor_"))
+    stores = (root / f"store-{run}" for run in itertools.count())
     try:
-        cells = spec.grid()
-
         # Bare pool reference: the unsupervised executor.map path the
         # supervisor replaced, kept here for exactly this comparison.
-        bare_engine = CampaignEngine(spec, store=root / "bare")
-        start = time.perf_counter()
-        bare_results = _run_parallel(bare_engine, cells)
-        bare_seconds = time.perf_counter() - start
+        def bare():
+            return _run_parallel(CampaignEngine(spec, store=next(stores)),
+                                 cells)
 
-        supervised_engine = CampaignEngine(spec, store=root / "supervised")
-        start = time.perf_counter()
-        supervised_results = CampaignSupervisor(supervised_engine).run(cells)
-        supervised_seconds = time.perf_counter() - start
+        def supervised():
+            engine = CampaignEngine(spec, store=next(stores))
+            return list(CampaignSupervisor(engine).run(cells).values())
 
-        bare_rows = [row.to_dict()
-                     for cell in sorted(bare_results, key=lambda c: c.index)
-                     for row in cell.rows]
-        supervised_rows = [row.to_dict()
-                           for index in sorted(supervised_results)
-                           for row in supervised_results[index].rows]
-        assert supervised_rows == bare_rows, (
+        medians, results, calls = interleaved_medians(bare, supervised)
+        bare_seconds, supervised_seconds = medians
+        assert _rows(results[1]) == _rows(results[0]), (
             "supervision must not change what the cells compute"
         )
 
-        budget = bare_seconds * OVERHEAD_GATE + ABSOLUTE_SLACK_S
         overhead = supervised_seconds / bare_seconds
         benchmark.extra_info["bare_pool_seconds"] = round(bare_seconds, 4)
         benchmark.extra_info["supervised_seconds"] = round(
             supervised_seconds, 4)
         benchmark.extra_info["overhead_factor"] = round(overhead, 3)
         benchmark.extra_info["gate_factor"] = OVERHEAD_GATE
-        benchmark.extra_info["absolute_slack_s"] = ABSOLUTE_SLACK_S
+        benchmark.extra_info["samples"] = SAMPLES
+        benchmark.extra_info["calls_per_sample"] = {
+            "bare": calls[0], "supervised": calls[1]}
         benchmark.extra_info["cells"] = len(cells)
         benchmark.extra_info["workers"] = spec.workers
-        assert supervised_seconds <= budget, (
+        assert overhead <= OVERHEAD_GATE, (
             f"supervised run must stay within {OVERHEAD_GATE:.2f}x of the "
-            f"bare pool + {ABSOLUTE_SLACK_S:.1f} s (bare {bare_seconds:.3f} s, "
-            f"supervised {supervised_seconds:.3f} s, {overhead:.2f}x)"
+            f"bare pool (medians: bare {bare_seconds:.3f} s, supervised "
+            f"{supervised_seconds:.3f} s, {overhead:.2f}x)"
         )
 
         # The timed contract is above; the benchmark records the
         # steady-state cost of one warm supervised run (scheduling +
         # store reads, no recompute) — the overhead floor.
-        warm_engine = CampaignEngine(spec, store=root / "supervised")
+        warm_engine = CampaignEngine(spec, store=root / "store-0")
         benchmark(lambda: CampaignSupervisor(warm_engine).run(cells))
     finally:
         shutil.rmtree(root, ignore_errors=True)

@@ -1014,8 +1014,7 @@ class CampaignEngine:
         )
 
     def run(self, artifact_dir: Optional[PathLike] = None,
-            shard: Optional[Tuple[int, int]] = None,
-            fault_plan: Optional[Any] = None) -> CampaignResult:
+            shard: Optional[Tuple[int, int]] = None) -> CampaignResult:
         """Execute the grid — or one ``(index, count)`` shard of it.
 
         With a store attached, cells whose completion record is already
@@ -1029,10 +1028,7 @@ class CampaignEngine:
         with backoff up to ``spec.max_retries`` times, each attempt is
         bounded by ``spec.cell_timeout_s`` (multi-worker runs), and a
         cell that fails every retry is quarantined as an explicit
-        ``failed`` row instead of aborting the grid.  ``fault_plan`` (a
-        :class:`repro.testing.chaos.FaultPlan`) deterministically
-        injects infrastructure faults for chaos testing and requires
-        ``spec.workers > 1``.
+        ``failed`` row instead of aborting the grid.
         """
         start = time.perf_counter()
         self._artifact_dir = None if artifact_dir is None else Path(artifact_dir)
@@ -1072,17 +1068,9 @@ class CampaignEngine:
             from .supervisor import CampaignSupervisor, run_cells_serial
 
             if self.spec.workers <= 1 or len(pending) <= 1:
-                if fault_plan is not None:
-                    raise ValueError(
-                        "a chaos fault plan needs a multi-worker run "
-                        "(spec.workers > 1 with more than one pending "
-                        "cell): crash/hang/truncate faults are contained "
-                        "by worker processes"
-                    )
                 completed.update(run_cells_serial(self, pending))
             else:
-                supervisor = CampaignSupervisor(self, fault_plan=fault_plan)
-                completed.update(supervisor.run(pending))
+                completed.update(CampaignSupervisor(self).run(pending))
             ordered = [completed[cell.index] for cell in cells]
         finally:
             self._active_indices = None

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..measurement.em_simulator import EMAcquisitionConfig
 from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT, campaign_stimuli
@@ -56,6 +57,54 @@ KNOWN_FAULT_METRICS = ("fault_coverage",)
 KNOWN_METRICS = KNOWN_EM_METRICS + KNOWN_DELAY_METRICS + KNOWN_FAULT_METRICS
 
 
+def _is_a(value: Any, cls: type) -> bool:
+    """``isinstance``, except that a bool is never a number."""
+    return isinstance(value, cls) and (cls is bool
+                                       or not isinstance(value, bool))
+
+
+#: Per annotated field type: its class, and what a value must be.
+_KINDS: Dict[str, Tuple[type, str]] = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+    "bytes": (bytes, "bytes (hex in JSON)"),
+}
+
+
+def _checked(name: str, value: Any, kind: str) -> Any:
+    """``value`` (an int as ``int``), or ``ValueError`` naming the field
+    if it is not of ``kind``: an integer is never a bool or a float."""
+    cls, what = _KINDS[kind]
+    if not _is_a(value, cls):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value) if cls is numbers.Integral else value
+
+
+def _checked_tuple(name: str, values: Any,
+                   kind: Optional[str] = None) -> Tuple[Any, ...]:
+    """``values`` as a tuple whose every entry is of ``kind``; a bare
+    string or number is an error, never a sequence of one."""
+    if isinstance(values, (str, bytes, Mapping)) or not hasattr(
+            values, "__iter__"):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return tuple(value if kind is None
+                 else _checked(f"{name} entry", value, kind)
+                 for value in values)
+
+
+def _like(default: Any, value: Any) -> bool:
+    """True when ``value`` can replace a config field holding
+    ``default``: the same kind (an int for a float, never a bool for a
+    number), a same-length list for a tuple, otherwise the same type."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple))
+                and len(value) == len(default)
+                and all(map(_like, default, value)))
+    kind = _KINDS.get(type(default).__name__)
+    return _is_a(value, kind[0] if kind else type(default))
+
 
 def apply_em_overrides(config: EMAcquisitionConfig,
                        overrides: Mapping[str, Any]) -> EMAcquisitionConfig:
@@ -63,8 +112,9 @@ def apply_em_overrides(config: EMAcquisitionConfig,
 
     ``"clock_frequency_mhz"`` targets the top-level config;
     ``"noise.sigma_single_shot"`` targets a field of a nested dataclass.
-    Unknown paths raise ``ValueError`` so a typo in a spec fails loudly
-    instead of silently sweeping nothing.
+    Unknown paths, and values unlike the field's default (a string for
+    a number, a scalar for a nested config), raise ``ValueError`` so a
+    typo in a spec fails loudly instead of silently sweeping nothing.
     """
     grouped: Dict[str, Dict[str, Any]] = {}
     flat: Dict[str, Any] = {}
@@ -95,7 +145,16 @@ def apply_em_overrides(config: EMAcquisitionConfig,
                 f"unknown field(s) {sorted(unknown)} in {head!r}; available: "
                 + ", ".join(sorted(nested_fields))
             )
-        flat[head] = dataclasses.replace(nested, **nested_overrides)
+    for path, value in overrides.items():
+        default = config
+        for name in str(path).split("."):
+            default = getattr(default, name)
+        if not _like(default, value):
+            raise ValueError(f"override {path} must be like its default "
+                             f"{default!r}, got {value!r}")
+    for head, nested_overrides in grouped.items():
+        flat[head] = dataclasses.replace(getattr(config, head),
+                                         **nested_overrides)
     return dataclasses.replace(config, **flat)
 
 
@@ -107,11 +166,15 @@ class AcquisitionVariant:
     em_overrides: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
+        _checked("variant name", self.name, "str")
         if not self.name:
             raise ValueError("variant name must be non-empty")
         object.__setattr__(self, "em_overrides",
                            tuple((str(k), v) for k, v in
                                  dict(self.em_overrides).items()))
+        # Applied once here so a bad path or value fails the spec, not
+        # every cell of the run.
+        self.build_em_config()
 
     @classmethod
     def make(cls, name: str,
@@ -119,6 +182,20 @@ class AcquisitionVariant:
              ) -> "AcquisitionVariant":
         return cls(name=name,
                    em_overrides=tuple((em_overrides or {}).items()))
+
+    @classmethod
+    def from_dict(cls, payload: Any) -> "AcquisitionVariant":
+        """The inverse of one ``CampaignSpec.to_dict()["variants"]`` entry."""
+        if not isinstance(payload, Mapping) or "name" not in payload \
+                or set(payload) - {"name", "em_overrides"}:
+            raise ValueError(f"each variant must be an object with a "
+                             f"'name' and an optional 'em_overrides' key, "
+                             f"got {payload!r}")
+        overrides = payload.get("em_overrides") or {}
+        if not isinstance(overrides, Mapping):
+            raise ValueError(f"em_overrides must be an object, got "
+                             f"{overrides!r}")
+        return cls.make(payload["name"], overrides)
 
     def overrides_dict(self) -> Dict[str, Any]:
         return dict(self.em_overrides)
@@ -128,6 +205,8 @@ class AcquisitionVariant:
         return apply_em_overrides(EMAcquisitionConfig(),
                                   self.overrides_dict())
 
+
+_KINDS["AcquisitionVariant"] = (AcquisitionVariant, "an AcquisitionVariant")
 
 #: The unmodified paper bench.
 DEFAULT_VARIANT = AcquisitionVariant(name="paper")
@@ -204,10 +283,7 @@ class CampaignSpec:
     glitch_periods_ps: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        self.trojans = tuple(self.trojans)
-        self.die_counts = tuple(int(count) for count in self.die_counts)
-        self.variants = tuple(self.variants)
-        self.metrics = tuple(self.metrics)
+        self._check_types()
         if not self.name:
             raise ValueError("campaign name must be non-empty")
         if not self.trojans:
@@ -241,16 +317,18 @@ class CampaignSpec:
             raise ValueError("plaintext must be 16 bytes")
         if len(self.key) not in (16, 24, 32):
             raise ValueError("key must be 16, 24 or 32 bytes")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.cell_timeout_s is not None:
             self.cell_timeout_s = float(self.cell_timeout_s)
-            if self.cell_timeout_s <= 0:
+            if not self.cell_timeout_s > 0:
                 raise ValueError("cell_timeout_s must be positive (or None "
                                  "to disable the per-cell timeout)")
-        if self.retry_backoff_s < 0:
+        if not self.retry_backoff_s >= 0:
             raise ValueError("retry_backoff_s must be >= 0")
         if self.num_pk_pairs < 1:
             raise ValueError("num_pk_pairs must be >= 1")
@@ -261,7 +339,7 @@ class CampaignSpec:
         for axis_name in ("glitch_offsets_ps", "glitch_widths_ps",
                           "glitch_periods_ps"):
             values = tuple(float(v) for v in getattr(self, axis_name))
-            if values and min(values) <= 0:
+            if not all(value > 0 for value in values):
                 raise ValueError(f"{axis_name} must all be positive")
             setattr(self, axis_name, values)
         axes = (self.glitch_offsets_ps, self.glitch_widths_ps,
@@ -271,6 +349,20 @@ class CampaignSpec:
                 "glitch grid axes must be given together (offsets, widths "
                 "and periods) or all left empty for auto-calibration"
             )
+
+    def _check_types(self) -> None:
+        """Hold every field to its annotation (a JSON spec is untrusted
+        input) and turn sequences into tuples; values are checked after."""
+        for spec_field in dataclasses.fields(self):
+            value = getattr(self, spec_field.name)
+            kind = spec_field.type
+            if kind.startswith("Tuple["):
+                value = _checked_tuple(spec_field.name, value,
+                                       kind[len("Tuple["):-len(", ...]")])
+            elif not (kind.startswith("Optional[") and value is None):
+                value = _checked(spec_field.name, value,
+                                 kind.replace("Optional[", "").rstrip("]"))
+            setattr(self, spec_field.name, value)
 
     def stimulus_plaintexts(self) -> List[bytes]:
         """The EM stimulus set of this campaign.
@@ -371,6 +463,11 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
+        """The inverse of :meth:`to_dict`; any malformed payload raises
+        ``ValueError`` naming the offending field."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"a campaign spec must be a JSON object, got "
+                             f"{type(payload).__name__}")
         kwargs: Dict[str, Any] = dict(payload)
         # Specs written before the netlist kernel had a single
         # implementation carry an execution-only ``kernel_backend``;
@@ -378,10 +475,8 @@ class CampaignSpec:
         kwargs.pop("kernel_backend", None)
         if "variants" in kwargs:
             kwargs["variants"] = tuple(
-                AcquisitionVariant.make(entry["name"],
-                                        entry.get("em_overrides"))
-                for entry in kwargs["variants"]
-            )
+                AcquisitionVariant.from_dict(entry)
+                for entry in _checked_tuple("variants", kwargs["variants"]))
         for key_name in ("plaintext", "key"):
             if isinstance(kwargs.get(key_name), str):
                 kwargs[key_name] = bytes.fromhex(kwargs[key_name])

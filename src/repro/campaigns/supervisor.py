@@ -27,11 +27,14 @@ a time** over per-worker pipes:
   hung worker is SIGKILLed (workers ignore SIGINT/SIGTERM, so only an
   unignorable signal reliably ends a deadlocked kernel call) and the
   attempt enters the normal retry path.
-* **graceful drain** — SIGINT/SIGTERM (or a scripted
-  :class:`~repro.testing.chaos.FaultPlan` ``interrupt``) stops feeding
-  new cells, waits for in-flight cells to finish and record their
-  completion in the store, then raises ``KeyboardInterrupt`` — the store
-  is left resumable with every finished cell manifest-complete.
+* **graceful drain** — SIGINT/SIGTERM stops feeding new cells, waits
+  for in-flight cells to finish and record their completion in the
+  store, then raises ``KeyboardInterrupt`` — the store is left
+  resumable with every finished cell manifest-complete.
+
+Tests reach these paths through one seam: a ``before_attempt`` hook
+the worker calls before each cell, and the supervisor's ``clock``, so a
+test can expire a hung attempt without waiting for it.
 
 Worker liveness is tracked through process **sentinels** passed to
 ``multiprocessing.connection.wait`` alongside the result pipes: under
@@ -40,8 +43,8 @@ ends, so EOF is not a reliable death signal, but a sentinel fires the
 moment the process exits no matter how it died.  Results travel over
 per-worker pipes rather than one shared queue because a queue's feeder
 thread can leave a partial multi-part write when its process is killed
-mid-``put``; ``Connection.send`` completes synchronously before the
-scripted chaos ``os._exit`` can run.
+mid-``put``; ``Connection.send`` completes synchronously, so a worker
+killed after a reply never leaves half of it in the pipe.
 """
 
 from __future__ import annotations
@@ -55,15 +58,17 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
+                    Optional, Tuple)
 
-from ..store.artifact_store import ArtifactStore
 from ..store.retry import backoff_delay_s
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .engine import CampaignCellResult, CampaignEngine
     from .spec import GridCell
-    from ..testing.chaos import FaultPlan
+
+#: Main-loop wake-up period; bounds timeout detection latency.
+POLL_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -85,8 +90,6 @@ class SupervisorPolicy:
     retry_backoff_s: float = 0.5
     #: Jitter / backoff determinism seed (the spec seed by default).
     seed: int = 0
-    #: Main-loop wake-up period; bounds timeout detection latency.
-    poll_interval_s: float = 0.05
 
     @classmethod
     def from_spec(cls, spec: Any) -> "SupervisorPolicy":
@@ -132,7 +135,9 @@ def _ignore_interrupts() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
 
-def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
+def _worker_main(payload: Tuple[Any, ...],
+                 before_attempt: Optional[Callable[..., None]],
+                 task_conn: Any,
                  result_conn: Any) -> None:
     """Worker entry point: rebuild the engine, run cells on demand.
 
@@ -142,25 +147,18 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
     message)``.  Completion records are written by the worker itself
     (store writes are atomic and content-addressed, so a concurrent
     duplicate write is byte-identical), which keeps every finished cell
-    resumable even if the parent dies right after.
+    resumable even if the parent dies right after.  ``before_attempt``
+    runs before each cell.
     """
     from .engine import CampaignEngine
     from .spec import CampaignSpec
 
     _ignore_interrupts()
     (spec_dict, artifact_dir, device, golden, store_config, golden_sig,
-     active, fault_plan) = payload
+     active) = payload
     engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
                             device=device, golden=golden, store=store_config)
     engine._golden_signature = golden_sig
-    chaos_store = None
-    if fault_plan is not None and type(engine.store) is ArtifactStore:
-        from ..testing.chaos import ChaosStore
-
-        # Torn-write chaos targets the plain local store; tiered/remote
-        # stores get their faults injected at the transport layer
-        # (FlakyTransport) instead.
-        chaos_store = engine.store = ChaosStore(engine.store.root, fault_plan)
     if artifact_dir is not None:
         engine._artifact_dir = Path(artifact_dir)
     if active is not None:
@@ -177,14 +175,8 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
             if message[0] != "cell":
                 break
             _, index, attempt = message
-            if fault_plan is not None:
-                if chaos_store is not None:
-                    chaos_store.arm(index, attempt)
-                injection = fault_plan.worker_fault(index, attempt)
-                if injection is not None:
-                    # Crash faults never return; hang faults sleep into
-                    # the supervisor's timeout kill.
-                    fault_plan.execute_worker_fault(injection)
+            if before_attempt is not None:
+                before_attempt(engine, index, attempt)
             try:
                 cell_result = engine.run_cell(grid[index])
                 cell_result.attempts = attempt
@@ -205,14 +197,20 @@ class CampaignSupervisor:
 
     Returns ``{cell_index: CampaignCellResult}`` covering *every* given
     cell — successes and explicit ``failed`` quarantine rows alike.
+    ``clock`` is read for attempt starts, timeouts and retry due times
+    (injected the way :class:`~repro.store.breaker.CircuitBreaker` takes
+    its clock); ``before_attempt(engine, cell_index, attempt)`` runs in
+    the worker before each cell.
     """
 
     def __init__(self, engine: "CampaignEngine",
-                 policy: Optional[SupervisorPolicy] = None,
-                 fault_plan: Optional["FaultPlan"] = None):
+                 policy: Optional[SupervisorPolicy] = None, *,
+                 clock: Callable[[], float] = time.monotonic,
+                 before_attempt: Optional[Callable[..., None]] = None):
         self.engine = engine
         self.policy = policy or SupervisorPolicy.from_spec(engine.spec)
-        self.fault_plan = fault_plan
+        self.clock = clock
+        self.before_attempt = before_attempt
         self._grid = {cell.index: cell for cell in engine.spec.grid()}
         self._mp = get_context()
         # Run state (reset per run()).
@@ -238,7 +236,6 @@ class CampaignSupervisor:
             engine._golden_signature,
             (sorted(engine._active_indices)
              if engine._active_indices is not None else None),
-            self.fault_plan,
         )
 
     def _spawn_worker(self) -> _Worker:
@@ -246,7 +243,8 @@ class CampaignSupervisor:
         result_recv, result_send = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=_worker_main,
-            args=(self._worker_payload(), task_recv, result_send),
+            args=(self._worker_payload(), self.before_attempt, task_recv,
+                  result_send),
             daemon=True,
         )
         process.start()
@@ -313,7 +311,7 @@ class CampaignSupervisor:
             self.engine.record_cell_result(cell, result)
             self._results[index] = result
         elif not self._draining:
-            due = time.monotonic() + self.policy.backoff_s(index, attempt)
+            due = self.clock() + self.policy.backoff_s(index, attempt)
             heapq.heappush(self._retry_heap, (due, index))
         # While draining, a non-final failure is simply left unrecorded:
         # the cell stays pending for the resuming run.
@@ -325,7 +323,7 @@ class CampaignSupervisor:
         index: Optional[int] = None
         if worker.chunk:
             index = worker.chunk.popleft()
-        elif self._retry_heap and self._retry_heap[0][0] <= time.monotonic():
+        elif self._retry_heap and self._retry_heap[0][0] <= self.clock():
             _, index = heapq.heappop(self._retry_heap)
         elif self._chunk_queue:
             worker.chunk = deque(self._chunk_queue.popleft())
@@ -334,19 +332,11 @@ class CampaignSupervisor:
             return False
         attempt = self._attempts.get(index, 0) + 1
         self._attempts[index] = attempt
-        if (self.fault_plan is not None
-                and self.fault_plan.interrupts_at(index, attempt)):
-            # Scripted operator ^C: the drain begins the moment this
-            # coordinate starts executing.  The cell itself is dispatched
-            # first — a real interrupt lands while cells are in flight.
-            worker.task_conn.send(("cell", index, attempt))
-            worker.current = (index, attempt)
-            worker.started_at = time.monotonic()
-            self._begin_drain("scripted interrupt (chaos fault plan)")
-            return True
+        # Timestamped before the send, so whatever the worker does for
+        # this attempt is seen by the clock after the attempt started.
+        worker.started_at = self.clock()
         worker.task_conn.send(("cell", index, attempt))
         worker.current = (index, attempt)
-        worker.started_at = time.monotonic()
         return True
 
     def _drain_messages(self, worker: _Worker) -> None:
@@ -391,7 +381,7 @@ class CampaignSupervisor:
         timeout = self.policy.cell_timeout_s
         if timeout is None:
             return
-        now = time.monotonic()
+        now = self.clock()
         for worker in list(self._workers):
             if worker.current is None:
                 continue
@@ -436,7 +426,7 @@ class CampaignSupervisor:
 
         previous_handlers: Dict[int, Any] = {}
 
-        def _drain_signal_handler(signum, frame):  # pragma: no cover - signal
+        def _drain_signal_handler(signum, frame):
             self._begin_drain(f"received signal {signum}")
 
         if threading.current_thread() is threading.main_thread():
@@ -464,8 +454,7 @@ class CampaignSupervisor:
                 waitables = [worker.result_conn for worker in self._workers]
                 waitables += [worker.process.sentinel
                               for worker in self._workers]
-                connection_wait(waitables,
-                                timeout=self.policy.poll_interval_s)
+                connection_wait(waitables, timeout=POLL_INTERVAL_S)
                 for worker in list(self._workers):
                     self._drain_messages(worker)
                 for worker in list(self._workers):

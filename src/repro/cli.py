@@ -165,6 +165,22 @@ def _parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
+def _run_and_report(args: argparse.Namespace, engine: Any):
+    """Run ``engine`` (its ``--shard`` only) and print the summary."""
+    result = engine.run(artifact_dir=args.out, shard=args.shard)
+    print(result.report())
+    shard_note = (f" (shard {args.shard[0]}/{args.shard[1]} of "
+                  f"{engine.spec.num_cells()})" if args.shard else "")
+    print(f"\n{len(result.cells)} grid cells{shard_note} "
+          f"in {result.elapsed_s:.2f} s")
+    if args.out is not None:
+        print(f"summary written to {args.out}")
+    if args.store is not None:
+        print(f"artifact store: {args.store} ({result.resumed} cell(s) "
+              f"resumed)")
+    return result
+
+
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     from .campaigns import AcquisitionVariant, CampaignEngine, CampaignSpec
 
@@ -199,18 +215,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         from .store import TieredStore
 
         store = TieredStore(args.store, args.remote)
-    engine = CampaignEngine(spec, store=store)
-    result = engine.run(artifact_dir=args.out, shard=args.shard)
-    print(result.report())
-    shard_note = (f" (shard {args.shard[0]}/{args.shard[1]} of "
-                  f"{spec.num_cells()})" if args.shard else "")
-    print(f"\n{len(result.cells)} grid cells{shard_note} "
-          f"in {result.elapsed_s:.2f} s")
-    if args.out is not None:
-        print(f"summary written to {args.out}")
-    if args.store is not None:
-        print(f"artifact store: {args.store} ({result.resumed} cell(s) "
-              f"resumed)")
+    result = _run_and_report(args, CampaignEngine(spec, store=store))
     if getattr(args, "remote", None) is not None:
         pending = store.pending_uploads()
         if pending:
@@ -411,17 +416,7 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
                             cell_timeout_s=args.cell_timeout)
     except ValueError as error:
         return _fail(error)
-    engine = CampaignEngine(spec, store=args.store)
-    result = engine.run(artifact_dir=args.out, shard=args.shard)
-    print(result.report())
-    shard_note = (f" (shard {args.shard[0]}/{args.shard[1]} of "
-                  f"{spec.num_cells()})" if args.shard else "")
-    print(f"\n{len(result.cells)} grid cells{shard_note} "
-          f"in {result.elapsed_s:.2f} s")
-    if args.out is not None:
-        print(f"summary written to {args.out}")
-    if args.store is not None:
-        print(f"artifact store: {args.store}")
+    result = _run_and_report(args, CampaignEngine(spec, store=args.store))
     return 1 if result.failed_cells() else 0
 
 

@@ -54,15 +54,7 @@ from .retry import (
     is_transient_os_error,
 )
 from .tiered import PendingUploadJournal, TieredStore, build_store
-from .transport import (
-    FlakyTransport,
-    LoopbackTransport,
-    Transport,
-    TransportConnectionError,
-    TransportFaultKind,
-    TransportTimeout,
-    build_transport,
-)
+from .transport import LoopbackTransport, Transport, build_transport
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
@@ -73,7 +65,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_LOCK_TIMEOUT_S",
     "FileLock",
-    "FlakyTransport",
     "FsckReport",
     "LeaseInfo",
     "LockTimeout",
@@ -87,9 +78,6 @@ __all__ = [
     "StoreIntegrityError",
     "TieredStore",
     "Transport",
-    "TransportConnectionError",
-    "TransportFaultKind",
-    "TransportTimeout",
     "WriterLease",
     "backoff_delay_s",
     "break_stale_leases",

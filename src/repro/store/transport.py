@@ -10,70 +10,21 @@ paths (``objects/<sha>.json``); payloads are bytes; misses raise
 :class:`KeyError`; ``delete`` is idempotent and reports whether the key
 existed.
 
-Two implementations ship here:
-
-* :class:`LoopbackTransport` — a directory on the local filesystem.  It
-  is the backend of every local :class:`ArtifactStore` and, behind a
-  :class:`~repro.store.remote.RemoteStore`, a remote (a shared NFS/SMB
-  mount works as a real deployment target out of the box), so the
-  whole remote stack is testable hermetically;
-* :class:`FlakyTransport` — a decorator that injects *seeded,
-  scripted* faults from a :class:`~repro.testing.faults.FaultSchedule`:
-  connection errors, timeouts, latency, truncated payloads and corrupt
-  bytes, each at an exact operation ordinal.  Every chaos test in
-  ``tests/`` drives the remote store through this decorator; equal
-  schedules replay equal fault sequences, so there is no wall-clock or
-  RNG nondeterminism anywhere in the failure paths.
-
-Fault kinds (``FaultKind`` constants of this module, distinct from the
-campaign-level :class:`repro.testing.chaos.FaultKind` vocabulary):
-
-``connect``
-    the operation raises :class:`TransportConnectionError`
-    (a ``ConnectionResetError``) before touching the backend;
-``timeout``
-    the operation raises :class:`TransportTimeout` (a
-    ``TimeoutError``) before touching the backend;
-``latency``
-    the operation sleeps a tiny deterministic delay, then succeeds;
-``truncate``
-    a ``get`` returns the first half of the payload, a ``put`` stores
-    only the first half — the digest-verified read path must catch it;
-``corrupt``
-    one seeded byte of the payload is flipped in flight.
+One implementation ships here: :class:`LoopbackTransport`, a directory
+on the local filesystem.  It is the backend of every local
+:class:`ArtifactStore` and, behind a
+:class:`~repro.store.remote.RemoteStore`, a remote (a shared NFS/SMB
+mount works as a real deployment target out of the box), so the whole
+remote stack is testable hermetically.  The fault-injecting decorator
+the remote-store tests wrap around it lives with the test suite.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import tempfile
-import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
-
-if TYPE_CHECKING:
-    from ..testing.faults import FaultSchedule
-
-
-class TransportConnectionError(ConnectionResetError):
-    """The backend was unreachable (injected or real)."""
-
-
-class TransportTimeout(TimeoutError):
-    """The operation exceeded its time budget (injected or real)."""
-
-
-class TransportFaultKind:
-    """The fault vocabulary of :class:`FlakyTransport`."""
-
-    CONNECT = "connect"
-    TIMEOUT = "timeout"
-    LATENCY = "latency"
-    TRUNCATE = "truncate"
-    CORRUPT = "corrupt"
-
-    ALL = (CONNECT, TIMEOUT, LATENCY, TRUNCATE, CORRUPT)
+from typing import Dict, List, Union
 
 
 class Transport:
@@ -143,9 +94,7 @@ class LoopbackTransport(Transport):
     """A directory as a blob backend.
 
     Puts are atomic at the file level (temp file + ``os.replace``) so
-    even the *loopback* never exposes a half-written payload — the
-    torn-payload failure mode is injected explicitly by
-    :class:`FlakyTransport` instead of happening by accident.
+    even the *loopback* never exposes a half-written payload.
     Directories are created on the first write under them.
     """
 
@@ -198,110 +147,6 @@ class LoopbackTransport(Transport):
         return {"kind": "loopback", "root": str(self.root)}
 
 
-class FlakyTransport(Transport):
-    """Deterministic fault injection around any :class:`Transport`.
-
-    One :class:`~repro.testing.faults.FaultClock` counts *every*
-    operation (get/put/list/delete/commit) in call order; the
-    schedule's ordinals index that stream.  ``ops`` exposes the cursor
-    so tests can assert exactly where faults landed, and
-    ``fault_counts`` tallies what fired.
-    """
-
-    def __init__(self, inner: Transport, schedule: FaultSchedule, *,
-                 latency_s: float = 0.002):
-        # Imported here: the local store imports this module, and
-        # ``repro.testing`` imports the local store.
-        from ..testing.faults import FaultClock
-
-        self.inner = inner
-        self.schedule = schedule
-        self.latency_s = latency_s
-        self._clock = FaultClock(schedule)
-        self.fault_counts: Dict[str, int] = {}
-
-    @property
-    def ops(self) -> int:
-        """Operations attempted so far (faulted ones included)."""
-        return self._clock.ordinal
-
-    def _tick(self, op: str) -> Optional[str]:
-        fault = self._clock.next_fault(op)
-        if fault is None:
-            return None
-        self.fault_counts[fault] = self.fault_counts.get(fault, 0) + 1
-        if fault == TransportFaultKind.CONNECT:
-            raise TransportConnectionError(
-                f"injected connection fault at op {self._clock.ordinal - 1} "
-                f"({op})")
-        if fault == TransportFaultKind.TIMEOUT:
-            raise TransportTimeout(
-                f"injected timeout at op {self._clock.ordinal - 1} ({op})")
-        if fault == TransportFaultKind.LATENCY:
-            time.sleep(self.latency_s)
-            return None
-        if fault in (TransportFaultKind.TRUNCATE, TransportFaultKind.CORRUPT):
-            return fault
-        raise ValueError(f"unknown transport fault kind {fault!r}")
-
-    @staticmethod
-    def _mangle(data: bytes, fault: Optional[str], seed_token: str) -> bytes:
-        if fault == TransportFaultKind.TRUNCATE:
-            return data[:len(data) // 2]
-        if fault == TransportFaultKind.CORRUPT:
-            if not data:
-                return data
-            # Deterministic single-byte flip: position and mask come
-            # from the token, not from shared RNG state.
-            rng = random.Random(seed_token)
-            pos = rng.randrange(len(data))
-            mangled = bytearray(data)
-            mangled[pos] ^= 1 + rng.randrange(255)
-            return bytes(mangled)
-        return data
-
-    def get(self, key: str) -> bytes:
-        fault = self._tick("get")
-        data = self.inner.get(key)
-        return self._mangle(data, fault,
-                            f"{self.schedule.seed}:get:{key}")
-
-    def put(self, key: str, data: bytes) -> None:
-        fault = self._tick("put")
-        data = self._mangle(data, fault,
-                            f"{self.schedule.seed}:put:{key}")
-        self.inner.put(key, data)
-
-    def list(self, prefix: str = "") -> List[str]:
-        self._tick("list")
-        return self.inner.list(prefix)
-
-    def delete(self, key: str) -> bool:
-        self._tick("delete")
-        return self.inner.delete(key)
-
-    def commit(self, src_key: str, dst_key: str) -> None:
-        self._tick("commit")
-        self.inner.commit(src_key, dst_key)
-
-    def spawn_config(self) -> Dict[str, object]:
-        return {
-            "kind": "flaky",
-            "inner": self.inner.spawn_config(),
-            "schedule": {
-                "at": list(list(pair) for pair in self.schedule.at),
-                "windows": [
-                    {"start": w.start, "stop": w.stop,
-                     "kind": w.kind, "op": w.op}
-                    for w in self.schedule.windows
-                ],
-                "rates": list(list(pair) for pair in self.schedule.rates),
-                "seed": self.schedule.seed,
-            },
-            "latency_s": self.latency_s,
-        }
-
-
 def build_transport(config: Union[Transport, Dict[str, object], str,
                                   Path]) -> Transport:
     """Rebuild a transport from a :meth:`Transport.spawn_config` dict.
@@ -316,22 +161,4 @@ def build_transport(config: Union[Transport, Dict[str, object], str,
     kind = config.get("kind")
     if kind == "loopback":
         return LoopbackTransport(str(config["root"]))
-    if kind == "flaky":
-        from ..testing.faults import FaultSchedule, FaultWindow
-
-        raw = dict(config.get("schedule") or {})
-        schedule = FaultSchedule(
-            at=tuple((int(o), str(k)) for o, k in raw.get("at", ())),
-            windows=tuple(
-                FaultWindow(start=int(w["start"]), stop=int(w["stop"]),
-                            kind=str(w["kind"]), op=w.get("op"))
-                for w in raw.get("windows", ())),
-            rates=tuple((str(k), float(r)) for k, r in raw.get("rates", ())),
-            seed=int(raw.get("seed", 0)),
-        )
-        return FlakyTransport(
-            build_transport(dict(config["inner"])),  # type: ignore[arg-type]
-            schedule,
-            latency_s=float(config.get("latency_s", 0.002)),
-        )
     raise ValueError(f"unknown transport config {config!r}")

@@ -1,8 +1,7 @@
 """Deterministic fault-schedule primitives.
 
-This module is the shared vocabulary of every fault injector in the
-repository: the chaos stores of :mod:`repro.testing.chaos` and the
-:class:`~repro.store.transport.FlakyTransport` decorator all decide
+The shared vocabulary of the kit's fault injectors: the stores of
+:mod:`chaos.stores` and :class:`chaos.transport.FlakyTransport` decide
 *when* a scripted fault fires through the same two pieces —
 
 * :class:`OneShotTrigger` — "fire exactly once, after N earlier
@@ -13,10 +12,6 @@ repository: the chaos stores of :mod:`repro.testing.chaos` and the
   errors) and seeded per-operation probabilities.  Equal schedules
   replay equal fault sequences: determinism comes from hashing the seed
   and the ordinal, never from wall-clock time or shared RNG state.
-
-Nothing here imports the store or the campaign layers, so both sides of
-the dependency graph (``repro.store`` and ``repro.testing``) can use it
-without a cycle.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ class OneShotTrigger:
     """Fires exactly once, after ``skip`` earlier :meth:`should_fire` calls.
 
     The counting/armed/fired bookkeeping that
-    :class:`~repro.testing.chaos.WindowFaultStore` (and historically its
+    :class:`~chaos.stores.WindowFaultStore` (and historically its
     siblings) each reimplemented, in one place.
     """
 

@@ -15,7 +15,8 @@ from repro.campaigns import (
     merge_campaign_results,
 )
 from repro.cli import main
-from repro.testing import FaultInjection, FaultKind, FaultPlan
+
+from chaos import FaultInjection, FaultKind, FaultPlan, supervise
 
 
 def _grid_spec(num_trojans, num_die_counts, num_variants, metrics):
@@ -197,9 +198,12 @@ def test_cli_merge_errors_on_incomplete_shards(tmp_path, capsys):
     assert "missing cell" in capsys.readouterr().err
 
 
-def test_interrupted_run_resumes_from_the_store(tmp_path):
-    """A mid-campaign SIGINT-style drain leaves the store resumable and
-    the resumed run's rows bit-identical to an uninterrupted one."""
+def test_interrupted_run_resumes_from_the_store(tmp_path, monkeypatch):
+    """A mid-campaign SIGINT drain leaves the store resumable and the
+    resumed run's rows bit-identical to an uninterrupted one.  The
+    worker about to run cell 2 signals the supervisor, whose real
+    handler starts the drain; cell 3 (queued behind cell 2) never
+    starts."""
     spec = CampaignSpec(name="resume", trojans=("HT1",), die_counts=(2, 3),
                         metrics=("local_maxima_sum", "l1"), seed=7,
                         workers=2, max_retries=1, retry_backoff_s=0.01)
@@ -208,8 +212,12 @@ def test_interrupted_run_resumes_from_the_store(tmp_path):
     store_root = tmp_path / "store"
     plan = FaultPlan(injections=(
         FaultInjection(cell_index=2, attempt=1, kind=FaultKind.INTERRUPT),))
-    with pytest.raises(KeyboardInterrupt, match="resumable"):
-        CampaignEngine(spec, store=store_root).run(fault_plan=plan)
+    with monkeypatch.context() as patch:
+        supervise(patch, plan)
+        with pytest.raises(KeyboardInterrupt, match="signal 2"):
+            CampaignEngine(spec, store=store_root).run()
+    assert CampaignEngine(spec, store=store_root).load_cell_result(
+        spec.grid()[3]) is None
 
     resumed = CampaignEngine(spec, store=store_root).run()
     assert resumed.failed_cells() == []

@@ -13,11 +13,18 @@ removed backend seam, bitslice kernel or interpreted timing engine,
 every acquisition entry point is a view of the one core, the paper's
 delay figures run without a single interpreted netlist evaluation, and
 only the engine keys artifacts and scores the Sec. V population.
+
+The fault-injection kit is test tooling too: it lives in
+``tests/chaos/``, and nothing under ``src/`` imports it or names its
+types; the supervisor's ``before_attempt`` hook and ``clock`` are the
+one seam it uses.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -105,7 +112,33 @@ ORACLE_ONLY_NAMES = {
     "_population_store_key",
     "_fault_sweep_store_key",
     "_cell_result_store_key",
+    # The fault-injection kit (``tests/chaos/``) and the supervisor's
+    # former poll-interval knob.
+    "FaultPlan",
+    "FaultInjection",
+    "FaultKind",
+    "ChaosStore",
+    "FaultHookStore",
+    "WindowFaultStore",
+    "SyncFlag",
+    "FaultSchedule",
+    "FaultWindow",
+    "FaultClock",
+    "OneShotTrigger",
+    "HangClock",
+    "FlakyTransport",
+    "TransportFaultKind",
+    "TransportConnectionError",
+    "TransportTimeout",
+    "poll_interval_s",
 }
+
+#: Types of the fault-injection kit no module under ``src/`` may name.
+KIT_NAMES = ("FaultPlan", "ChaosStore", "FlakyTransport", "FaultSchedule",
+             "SyncFlag")
+
+#: Module prefixes of the kit, at its home and at its former one.
+KIT_MODULES = ("chaos", "repro.testing")
 
 #: The acquisition entry points ``e2e_bench/tracer.py`` wraps by name.
 ACQUISITION_VIEWS = ("acquire", "acquire_batch_matrix",
@@ -114,12 +147,29 @@ ACQUISITION_VIEWS = ("acquire", "acquire_batch_matrix",
 REMOVED_MODULES = ("repro.backend", "repro.netlist.bitslice")
 
 
+def _imported_modules(module: str, path: Path, node: ast.AST):
+    """Every module an import node loads (``from a import b`` may load
+    ``a.b``), or ``[]`` for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        source = _absolute(module, path, node)
+        return [source] + [f"{source}.{alias.name}" for alias in node.names]
+    return []
+
+
+@functools.lru_cache(maxsize=None)
 def _modules():
+    """``(path, module name, tree)`` of every module under ``src/``,
+    parsed once for the whole file."""
+    modules = []
     for path in sorted(SRC.rglob("*.py")):
         parts = path.relative_to(SRC).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        yield path, ".".join(parts), ast.parse(path.read_text(), str(path))
+        modules.append((path, ".".join(parts),
+                        ast.parse(path.read_text(), str(path))))
+    return tuple(modules)
 
 
 def _absolute(module: str, path: Path, node: ast.ImportFrom) -> str:
@@ -337,3 +387,49 @@ def test_sec_v_scoring_runs_only_in_the_population_study_and_fig7():
     scores its own (golden, trojan) population."""
     assert _functions_calling("fit_and_characterise") == {("repro/campaigns/engine.py", "population_study"),
                      ("repro/experiments/fig7_model.py", "run")}
+
+
+def test_src_does_not_import_or_name_the_fault_kit():
+    """The kit stays in ``tests/``: no import of it, and no reference
+    to its types (names, attributes, imported aliases or strings)."""
+    offending = []
+    for path, module, tree in _modules():
+        for node in ast.walk(tree):
+            for target in _imported_modules(module, path, node):
+                if target.split(".")[0] == KIT_MODULES[0] \
+                        or target.startswith(KIT_MODULES[1]):
+                    offending.append(f"{path.relative_to(SRC)}:"
+                                     f"{node.lineno} imports {target}")
+            named = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named |= set(re.findall(r"\w+", node.value))
+            for name in named & set(KIT_NAMES):
+                offending.append(f"{path.relative_to(SRC)}:"
+                                 f"{getattr(node, 'lineno', '?')} {name}")
+    assert not offending, offending
+
+
+def test_the_kit_is_not_a_shipped_module():
+    import importlib.util
+
+    assert importlib.util.find_spec("repro.testing") is None
+    assert not (SRC / "repro" / "testing").exists()
+
+
+def test_the_engine_and_supervisor_take_no_fault_plan():
+    import dataclasses
+    import inspect
+
+    from repro.campaigns.engine import CampaignEngine
+    from repro.campaigns.supervisor import (
+        CampaignSupervisor,
+        SupervisorPolicy,
+    )
+
+    assert list(inspect.signature(CampaignEngine.run).parameters) == \
+        ["self", "artifact_dir", "shard"]
+    assert "fault_plan" not in inspect.signature(
+        CampaignSupervisor.__init__).parameters
+    assert "poll_interval_s" not in {
+        field.name for field in dataclasses.fields(SupervisorPolicy)}

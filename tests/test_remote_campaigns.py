@@ -2,8 +2,8 @@
 
 The acceptance test of this suite (ISSUE 10) runs a 3-shard campaign
 whose shards all write through :class:`~repro.store.tiered.TieredStore`
-into one shared remote behind a :class:`~repro.store.transport
-.FlakyTransport` — seeded faults including a full partition window that
+into one shared remote behind a :class:`~chaos.transport.FlakyTransport`
+— seeded faults including a full partition window that
 opens mid-run.  The campaign must complete (degrading to local-only
 writes), ``store sync`` must drain every journaled upload once the
 remote heals, and the merged rows must be bit-identical to a plain
@@ -23,13 +23,12 @@ from repro.campaigns import (
 )
 from repro.store import (
     ArtifactStore,
-    FlakyTransport,
     LoopbackTransport,
     RemoteStore,
     RetryPolicy,
     TieredStore,
 )
-from repro.testing.faults import FaultSchedule, FaultWindow
+from chaos import FaultSchedule, FaultWindow, FlakyTransport
 
 #: Same small multi-chunk grid as the shared-store stress suite:
 #: 2 die populations x 2 metrics = 4 cells.

@@ -5,8 +5,8 @@ sharing one store directory against a concurrent gc/fsck maintenance
 loop, and requires the merged campaign rows to be bit-identical to a
 clean serial run with zero cells lost to maintenance races.  The
 narrower tests script each race individually with the
-:class:`~repro.testing.chaos.WindowFaultStore` /
-:class:`~repro.testing.chaos.SyncFlag` primitives: two writers racing
+:class:`~chaos.stores.WindowFaultStore` /
+:class:`~chaos.stores.SyncFlag` primitives: two writers racing
 one key, ``gc`` inside a writer's object→manifest window, kill -9
 mid-``put``, and a dead lease holder.
 
@@ -31,7 +31,7 @@ from repro.campaigns import (
     merge_campaign_results,
 )
 from repro.store import ArtifactStore, stable_key
-from repro.testing import SyncFlag, WindowFaultStore
+from chaos import SyncFlag, WindowFaultStore
 
 #: Small but multi-chunk campaign grid: 2 die populations x 2 metrics.
 SPEC_KWARGS = dict(

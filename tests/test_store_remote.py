@@ -13,7 +13,6 @@ from repro.store import (
     ArtifactStore,
     CircuitBreaker,
     CircuitOpenError,
-    FlakyTransport,
     LoopbackTransport,
     ManifestEntry,
     PendingUploadJournal,
@@ -21,17 +20,18 @@ from repro.store import (
     RetryPolicy,
     StoreIntegrityError,
     TieredStore,
-    TransportConnectionError,
-    TransportTimeout,
     build_store,
     build_transport,
     stable_key,
 )
-from repro.testing.faults import (
+from chaos import (
     FaultClock,
     FaultSchedule,
     FaultWindow,
+    FlakyTransport,
     OneShotTrigger,
+    TransportConnectionError,
+    TransportTimeout,
 )
 
 #: A retry policy with zero sleeps — determinism without test latency.

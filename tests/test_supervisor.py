@@ -1,11 +1,14 @@
 """Fault-tolerant campaign supervision: retries, quarantine, chaos runs.
 
-The acceptance test points the paper's own methodology at the runner:
-a seeded :class:`~repro.testing.chaos.FaultPlan` injects worker
-crashes, a hang and a mid-write truncation into a multi-worker
-store-backed campaign, and the merged result must come out bit-identical
-to a clean serial run — with exactly the one scripted torn object in
-quarantine and nothing quarantined spuriously.
+The acceptance tests point the paper's own methodology at the runner:
+a :class:`~chaos.plan.FaultPlan`, run as the supervisor's
+``before_attempt`` hook, injects worker crashes and a mid-write
+truncation into a two-worker store-backed campaign, and a hang plus a
+crash into a one-chunk one, and each merged result must come out
+bit-identical to a clean serial run — with exactly the one scripted
+torn object in quarantine and nothing quarantined spuriously.  Hangs
+expire on the :class:`~chaos.plan.HangClock`, so no test waits out a
+real cell timeout.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from repro.campaigns import (
     merge_campaign_results,
 )
 from repro.store import ArtifactStore, spec_content_fragment
-from repro.testing import FaultInjection, FaultKind, FaultPlan
+
+from chaos import FaultInjection, FaultKind, FaultPlan, supervise
 
 #: One small two-chunk grid shared by every test in this module; retry
 #: backoff is near-zero so retries don't dominate the test wall-clock.
@@ -33,11 +37,23 @@ SPEC_KWARGS = dict(
     max_retries=2, retry_backoff_s=0.01,
 )
 
+#: The one-chunk grid of the hang tests: one die count, so one worker
+#: runs the chunk and a hung attempt is the only one in flight when the
+#: hang clock jumps.
+ONE_CHUNK_KWARGS = dict(SPEC_KWARGS, name="one-chunk", die_counts=(2,),
+                        workers=2, cell_timeout_s=15.0)
+
 
 @pytest.fixture(scope="module")
 def serial_rows():
     result = CampaignEngine(CampaignSpec(**SPEC_KWARGS)).run()
     return [row.to_dict() for row in result.rows()]
+
+
+@pytest.fixture(scope="module")
+def one_chunk_rows():
+    spec = CampaignSpec(**{**ONE_CHUNK_KWARGS, "workers": 1})
+    return [row.to_dict() for row in CampaignEngine(spec).run().rows()]
 
 
 def _flaky_run_cell(engine, fail_attempts):
@@ -98,7 +114,7 @@ def test_policy_backoff_is_deterministic_and_exponential():
 # -- fault-plan validation ----------------------------------------------------
 
 
-def test_fault_plan_validation():
+def test_fault_plan_validation(tmp_path):
     with pytest.raises(ValueError, match="unknown fault kind"):
         FaultInjection(cell_index=0, attempt=1, kind="meteor")
     with pytest.raises(ValueError, match="attempt numbers"):
@@ -106,20 +122,14 @@ def test_fault_plan_validation():
     duplicate = (FaultInjection(0, 1, FaultKind.CRASH),
                  FaultInjection(0, 1, FaultKind.HANG))
     with pytest.raises(ValueError, match="one fault per"):
-        FaultPlan(injections=duplicate)
+        FaultPlan(injections=duplicate, flag_dir=tmp_path)
+    with pytest.raises(ValueError, match="flag_dir"):
+        FaultPlan(injections=(FaultInjection(0, 1, FaultKind.HANG),))
     plan = FaultPlan(injections=(FaultInjection(2, 1, FaultKind.CRASH),
                                  FaultInjection(3, 1, FaultKind.INTERRUPT)))
     assert plan.lookup(2, 1).kind == FaultKind.CRASH
+    assert plan.lookup(3, 1).kind == FaultKind.INTERRUPT
     assert plan.lookup(2, 2) is None
-    assert plan.worker_fault(3, 1) is None  # interrupts are parent-side
-    assert plan.interrupts_at(3, 1) and not plan.interrupts_at(2, 1)
-
-
-def test_fault_plan_requires_multi_worker_run(tmp_path):
-    spec = CampaignSpec(**SPEC_KWARGS)  # workers=1
-    plan = FaultPlan(injections=(FaultInjection(0, 1, FaultKind.CRASH),))
-    with pytest.raises(ValueError, match="multi-worker"):
-        CampaignEngine(spec, store=tmp_path / "store").run(fault_plan=plan)
 
 
 # -- serial retry semantics ---------------------------------------------------
@@ -212,36 +222,36 @@ def test_merge_truncates_missing_cell_listing():
 
 
 def test_chaos_run_matches_clean_serial_run_bit_for_bit(tmp_path,
-                                                        serial_rows):
-    """Acceptance: >= 3 crashes + 1 hang + 1 mid-write truncation into a
-    two-worker store-backed campaign; the run completes, quarantines
-    exactly the scripted torn object, and the merged rows are
-    bit-identical to the clean serial run."""
+                                                        serial_rows,
+                                                        monkeypatch):
+    """Acceptance: 3 crashes + 1 mid-write truncation into a two-worker
+    store-backed campaign; the run completes, quarantines exactly the
+    scripted torn object, and the merged rows are bit-identical to the
+    clean serial run."""
     plan = FaultPlan(injections=(
         # Three worker crashes (one cell crashes twice, succeeding on
         # its third and final attempt).
         FaultInjection(cell_index=0, attempt=1, kind=FaultKind.CRASH),
         FaultInjection(cell_index=1, attempt=1, kind=FaultKind.CRASH),
         FaultInjection(cell_index=2, attempt=2, kind=FaultKind.CRASH),
-        # One hang, resolved only by the supervisor's cell timeout.
-        FaultInjection(cell_index=3, attempt=1, kind=FaultKind.HANG),
         # One torn store write: cell 2's first attempt records a
         # manifest entry then truncates the object and dies; the retry
         # must quarantine it on read and recompute.
         FaultInjection(cell_index=2, attempt=1, kind=FaultKind.TRUNCATE),
     ))
+    supervise(monkeypatch, plan)
     store_root = tmp_path / "store"
     spec = CampaignSpec(**{**SPEC_KWARGS, "workers": 2,
                            "cell_timeout_s": 15.0})
     engine = CampaignEngine(spec, store=store_root)
-    result = engine.run(fault_plan=plan)
+    result = engine.run()
 
     assert result.failed_cells() == []
     assert [row.to_dict() for row in result.rows()] == serial_rows
     # Retries were really consumed (crash coordinates burnt attempts).
     by_index = {cell.index: cell for cell in result.cells}
-    assert by_index[0].attempts == 2
-    assert by_index[2].attempts == 3
+    assert {index: cell.attempts for index, cell in by_index.items()} == \
+        {0: 2, 1: 2, 2: 3, 3: 1}
     # Exactly the scripted torn object was quarantined — nothing
     # spurious — and the store audit comes back clean.
     store = ArtifactStore(store_root)
@@ -249,22 +259,44 @@ def test_chaos_run_matches_clean_serial_run_bit_for_bit(tmp_path,
     assert store.fsck().clean()
 
 
-def test_chaos_timeout_exhaustion_quarantines_the_hanging_cell(tmp_path,
-                                                               serial_rows):
+def test_hung_worker_is_killed_and_its_cell_retried(tmp_path, one_chunk_rows,
+                                                    monkeypatch):
+    """A hang, resolved only by the supervisor's timeout kill, then a
+    crash: the one-chunk run completes bit-identical to a serial run,
+    without waiting out the 15 s cell timeout."""
+    plan = FaultPlan(injections=(
+        FaultInjection(cell_index=0, attempt=1, kind=FaultKind.HANG),
+        FaultInjection(cell_index=1, attempt=1, kind=FaultKind.CRASH),
+    ), flag_dir=tmp_path / "flags")
+    spec = CampaignSpec(**ONE_CHUNK_KWARGS)
+    supervise(monkeypatch, plan, spec.cell_timeout_s)
+    result = CampaignEngine(spec, store=tmp_path / "store").run()
+
+    assert result.failed_cells() == []
+    assert [row.to_dict() for row in result.rows()] == one_chunk_rows
+    assert {cell.index: cell.attempts for cell in result.cells} == \
+        {0: 2, 1: 2}
+    assert (tmp_path / "flags" / "hang-0-1.flag").exists()
+
+
+def test_chaos_timeout_exhaustion_quarantines_the_hanging_cell(
+        tmp_path, one_chunk_rows, monkeypatch):
     """A cell that hangs on every attempt becomes a failed row, not an
     aborted campaign — and a healthy rerun recovers it."""
     plan = FaultPlan(injections=tuple(
         FaultInjection(cell_index=1, attempt=attempt, kind=FaultKind.HANG)
-        for attempt in (1, 2)))
+        for attempt in (1, 2)), flag_dir=tmp_path / "flags")
     store_root = tmp_path / "store"
-    spec = CampaignSpec(**{**SPEC_KWARGS, "workers": 2, "max_retries": 1,
-                           "cell_timeout_s": 3.0})
-    degraded = CampaignEngine(spec, store=store_root).run(fault_plan=plan)
+    spec = CampaignSpec(**{**ONE_CHUNK_KWARGS, "max_retries": 1})
+    with monkeypatch.context() as patch:
+        supervise(patch, plan, spec.cell_timeout_s)
+        degraded = CampaignEngine(spec, store=store_root).run()
     failed = degraded.failed_cells()
     assert [cell.index for cell in failed] == [1]
-    assert "cell_timeout_s" in failed[0].error
-    assert len(degraded.rows()) == len(serial_rows) - 1
+    assert failed[0].attempts == 2
+    assert "cell_timeout_s=15.0" in failed[0].error
+    assert len(degraded.rows()) == len(one_chunk_rows) - 1
 
     recovered = CampaignEngine(spec, store=store_root).run()
     assert recovered.failed_cells() == []
-    assert [row.to_dict() for row in recovered.rows()] == serial_rows
+    assert [row.to_dict() for row in recovered.rows()] == one_chunk_rows
