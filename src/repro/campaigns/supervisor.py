@@ -197,10 +197,9 @@ class CampaignSupervisor:
 
     Returns ``{cell_index: CampaignCellResult}`` covering *every* given
     cell — successes and explicit ``failed`` quarantine rows alike.
-    ``clock`` is read for attempt starts, timeouts and retry due times
-    (injected the way :class:`~repro.store.breaker.CircuitBreaker` takes
-    its clock); ``before_attempt(engine, cell_index, attempt)`` runs in
-    the worker before each cell.
+    ``clock`` is read for attempt starts, timeouts and retry due times;
+    ``before_attempt(engine, cell_index, attempt)`` runs in the worker
+    before each cell.
     """
 
     def __init__(self, engine: "CampaignEngine",
@@ -280,6 +279,12 @@ class CampaignSupervisor:
         queued += sum(len(worker.chunk) for worker in self._workers)
         queued += sum(1 for worker in self._workers if worker.current)
         return queued
+
+    def _unclaimed_work(self) -> int:
+        """Queued chunks and retries beyond what idle workers can take."""
+        idle = sum(1 for worker in self._workers
+                   if worker.current is None and not worker.chunk)
+        return max(0, len(self._chunk_queue) + len(self._retry_heap) - idle)
 
     def _begin_drain(self, reason: str) -> None:
         if not self._draining:
@@ -461,12 +466,12 @@ class CampaignSupervisor:
                     if not worker.process.is_alive():
                         self._handle_worker_death(worker)
                 self._check_timeouts()
-                # Workers died with work left and none respawned above:
-                # keep the fleet at least one strong while work remains.
-                if (not self._draining and self._pending_cell_count()
-                        and len(self._workers) < max(
-                            1, min(self.policy.workers,
-                                   self._pending_cell_count()))):
+                # Workers died with work left: fork a replacement only
+                # while a queued chunk or retry has no idle worker to
+                # take it (a busy worker's own chunk needs no second).
+                if (not self._draining
+                        and len(self._workers) < self.policy.workers
+                        and self._unclaimed_work()):
                     self._spawn_worker()
         finally:
             for worker in list(self._workers):

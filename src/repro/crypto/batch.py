@@ -29,7 +29,7 @@ the compiled netlist kernel.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -213,8 +213,3 @@ class BatchedAES:
     def switching_activities(self, plaintexts: BlockBatch) -> np.ndarray:
         """``(N, Nr + 1)`` per-round switching activities of the batch."""
         return switching_activity_counts(self.round_states(plaintexts))
-
-
-def ciphertext_bytes(states: np.ndarray) -> List[bytes]:
-    """The per-row ciphertexts of a round-state tensor, as ``bytes``."""
-    return [bytes(row) for row in states[:, -1]]

@@ -78,11 +78,6 @@ def sub_bytes(data: Sequence[int]) -> List[int]:
     return [sub_byte(b) for b in data]
 
 
-def inv_sub_bytes(data: Sequence[int]) -> List[int]:
-    """Apply the inverse S-box to every byte of ``data``."""
-    return [inv_sub_byte(b) for b in data]
-
-
 def sbox_output_bit(input_byte: int, bit: int) -> int:
     """Return output bit ``bit`` (0 = LSB) of ``SBOX[input_byte]``.
 

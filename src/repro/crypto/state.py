@@ -122,11 +122,6 @@ def state_to_bytes(state: Sequence[Sequence[int]]) -> bytes:
     return bytes(out)
 
 
-def blocks_equal(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Compare two blocks for equality after normalisation to bytes."""
-    return bytes(a) == bytes(b)
-
-
 def random_block(rng) -> bytes:
     """Draw a uniformly random 16-byte block from a numpy Generator."""
     return bytes(int(x) for x in rng.integers(0, 256, size=BLOCK_BYTES))

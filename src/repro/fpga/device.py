@@ -60,11 +60,6 @@ class FPGADevice:
         return self.rows * self.columns
 
     @property
-    def total_luts(self) -> int:
-        """Number of LUTs in the device."""
-        return self.total_slices * self.luts_per_slice
-
-    @property
     def nominal_clock_period_ps(self) -> float:
         """Nominal clock period in picoseconds."""
         return self.nominal_clock_period_ns * 1000.0

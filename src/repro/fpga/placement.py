@@ -30,12 +30,6 @@ class Placement:
     slice_map: SliceMap
     cell_positions: Dict[str, SliceCoord] = field(default_factory=dict)
 
-    def position_of(self, cell_name: str) -> SliceCoord:
-        try:
-            return self.cell_positions[cell_name]
-        except KeyError as exc:
-            raise PlacementError(f"cell {cell_name!r} has no position") from exc
-
     def occupied_slices(self) -> List[SliceCoord]:
         return sorted(self.slice_map.occupied_slices())
 

@@ -48,10 +48,6 @@ class Oscilloscope:
         if not 1 <= self.adc_bits <= 24:
             raise ValueError("adc_bits must be in 1..24")
 
-    def samples_per_nanosecond(self) -> float:
-        """Number of samples acquired per nanosecond."""
-        return self.sample_rate_gsps
-
     def samples_for_duration_ns(self, duration_ns: float) -> int:
         """Number of samples spanning ``duration_ns``."""
         if duration_ns <= 0:

@@ -15,7 +15,10 @@ against a byte-blob :class:`Transport`; :class:`RemoteStore` and
 :class:`TieredStore` are thin subclasses, and :func:`build_store` turns
 a path, a ``spawn_config()`` dict or a live store into a :class:`Store`.
 Tensor artifacts share one group codec (:func:`pack_groups`), and every
-client goes through one :func:`read_through`.
+client goes through one :func:`read_through`.  ``fsck --repair`` and
+``gc`` share one maintenance sweep, processes share a store through
+``fcntl.flock`` locks only (the store is POSIX-only), and the remote
+tier's :class:`CircuitBreaker` counts its own calls.
 """
 
 from .artifact_store import (

@@ -54,13 +54,13 @@ bytes; the last ``os.replace`` wins and nothing is torn.
 * **maintenance**: :meth:`ArtifactStore.fsck` audits the whole store
   (digests, parseability, dangling entries, orphan objects, stray temp
   files) and :meth:`ArtifactStore.gc` sweeps the garbage.  Both take
-  the *exclusive* side of the store lock with a bounded wait, break
-  stale leases (dead pid or expired heartbeat), treat orphan objects
-  and temp files covered by a live foreign lease as off-limits (a live
-  writer mid-``put`` looks exactly like an orphan), and re-verify each
-  candidate against the manifest immediately before any destructive
-  action — so maintenance is safe to loop against a live campaign
-  fleet.
+  the *exclusive* side of the store lock with a bounded wait and run
+  one shared sweep: it breaks stale leases (dead pid or expired
+  heartbeat), treats orphan objects and temp files as off-limits while
+  a live foreign lease exists (a live writer mid-``put`` looks exactly
+  like an orphan) unless forced, and re-verifies each candidate against
+  the manifest immediately before any destructive action — so
+  maintenance is safe to loop against a live campaign fleet.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping, NoReturn,
 import numpy as np
 
 from .leases import (
-    DEFAULT_LEASE_TTL_S,
     LeaseInfo,
     WriterLease,
     break_stale_leases,
@@ -318,9 +317,7 @@ class ArtifactStore:
     the directory exclusively.
     """
 
-    def __init__(self, root: PathLike, *, locking: bool = True,
-                 lock_timeout_s: float = DEFAULT_LOCK_TIMEOUT_S,
-                 lease_ttl_s: float = DEFAULT_LEASE_TTL_S):
+    def __init__(self, root: PathLike, *, locking: bool = True):
         self.root = Path(root)
         self.transport: Transport = LoopbackTransport(self.root)
         self.objects_dir = self.root / "objects"
@@ -329,8 +326,6 @@ class ArtifactStore:
         self.locks_dir = self.root / "locks"
         self.leases_dir = self.root / "leases"
         self.locking = bool(locking)
-        self.lock_timeout_s = float(lock_timeout_s)
-        self.lease_ttl_s = float(lease_ttl_s)
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         self._lease: Optional[WriterLease] = None
@@ -345,18 +340,18 @@ class ArtifactStore:
 
     # -- locks & leases (local capability) ----------------------------------------
 
-    def _store_lock(self) -> FileLock:
-        return FileLock(self.locks_dir / "store.lock")
-
     @contextmanager
-    def _shared_store_lock(self):
-        """Shared side of the store lock around one file mutation."""
+    def _store_lock(self, shared: bool, wait_s: Optional[float] = None):
+        """The store lock: its shared side around one writer's file
+        mutation, its exclusive side (bounded by ``wait_s``) around
+        ``gc``/``fsck --repair``."""
         if not self.locking:
             yield
             return
-        lock = self._store_lock()
-        self.retry.call(lambda: lock.acquire(
-            shared=True, timeout_s=self.lock_timeout_s))
+        lock = FileLock(self.locks_dir / "store.lock")
+        timeout = DEFAULT_LOCK_TIMEOUT_S if wait_s is None else float(wait_s)
+        self.retry.call(lambda: lock.acquire(shared=shared,
+                                             timeout_s=timeout))
         try:
             yield
         finally:
@@ -367,22 +362,7 @@ class ArtifactStore:
         if not self.locking:
             return nullcontext()
         self._ensure_lease()
-        lock = FileLock(self.locks_dir / f"key.{key}.lock")
-        return lock.holding(shared=False, timeout_s=self.lock_timeout_s)
-
-    @contextmanager
-    def _maintenance_lock(self, wait_s: Optional[float]):
-        """Exclusive store lock with bounded wait for gc/fsck-repair."""
-        if not self.locking:
-            yield
-            return
-        lock = self._store_lock()
-        timeout = self.lock_timeout_s if wait_s is None else float(wait_s)
-        lock.acquire(shared=False, timeout_s=timeout)
-        try:
-            yield
-        finally:
-            lock.release()
+        return FileLock(self.locks_dir / f"key.{key}.lock").holding()
 
     def acquire_lease(self, owner: str = "") -> Optional[WriterLease]:
         """Register (or refresh) this process's writer lease.
@@ -395,8 +375,7 @@ class ArtifactStore:
         if not self.locking:
             return None
         if self._lease is None:
-            self._lease = WriterLease(self.leases_dir, owner=owner,
-                                      ttl_s=self.lease_ttl_s)
+            self._lease = WriterLease(self.leases_dir, owner=owner)
         self._lease.acquire()
         return self._lease
 
@@ -418,11 +397,11 @@ class ArtifactStore:
     # -- write --------------------------------------------------------------------
 
     def _write_object(self, entry: ManifestEntry, data: bytes) -> None:
-        with self._shared_store_lock():
+        with self._store_lock(shared=True):
             self._call(self.transport.put, entry.object_key, data)
 
     def _record(self, entry: ManifestEntry) -> ManifestEntry:
-        with self._shared_store_lock():
+        with self._store_lock(shared=True):
             self._call(self.transport.put, _manifest_key(entry.key),
                        entry.to_bytes())
         return entry
@@ -492,9 +471,6 @@ class ArtifactStore:
 
     def __contains__(self, key: str) -> bool:
         return self.entry(key) is not None
-
-    def has(self, key: str) -> bool:
-        return key in self
 
     def _quarantine_object(self, entry: ManifestEntry) -> str:
         """Move a corrupt object aside and drop its manifest entry.
@@ -644,45 +620,6 @@ class ArtifactStore:
 
     # -- integrity (local capability) ---------------------------------------------
 
-    def _stray_tmp_files(self, older_than_s: float = 0.0) -> List[Path]:
-        """Leftover temp files of interrupted writes, oldest first."""
-        now = time.time()
-        strays = []
-        for directory in (self.objects_dir, self.manifest_dir):
-            for path in _list_dir(directory):
-                if not _is_tmp(path.name):
-                    continue
-                try:
-                    age = now - path.stat().st_mtime
-                except OSError:
-                    continue
-                if age >= older_than_s:
-                    strays.append(path)
-        return strays
-
-    def sweep_tmp(self, older_than_s: float = 0.0,
-                  force: bool = False) -> List[Path]:
-        """Delete stray ``*.tmp`` files older than ``older_than_s``.
-
-        With lease accounting active, temp files are off-limits while
-        any live *foreign* lease exists (a live writer's temp file is
-        its in-flight write) unless ``force=True`` — liveness is
-        explicit, so no mtime guess is needed.  On a ``locking=False``
-        store a positive age guard is the only protection against
-        racing a live writer.
-        """
-        if (self.locking and not force
-                and live_foreign_leases(self.leases_dir)):
-            return []
-        removed = []
-        for path in self._stray_tmp_files(older_than_s):
-            try:
-                path.unlink()
-                removed.append(path)
-            except OSError:
-                pass
-        return removed
-
     def _verify_entry(self, entry: ManifestEntry) -> bool:
         """True when the entry's payload passes digest + parse checks."""
         try:
@@ -721,56 +658,10 @@ class ArtifactStore:
             return entry
         return None
 
-    def _orphans(self, referenced: set) -> List[Path]:
-        """Object files no manifest entry references (temp files aside)."""
-        return [path for path in _list_dir(self.objects_dir)
-                if not _is_tmp(path.name) and path.name not in referenced]
-
-    def _remove_orphan(self, object_path: Path) -> bool:
-        """Delete one orphan, re-verified against the manifest first.
-
-        A writer may have recorded the entry since the index snapshot
-        (possible in ``force`` mode only — the exclusive lock excludes
-        writers otherwise).
-        """
-        if (self.manifest_dir / f"{object_path.stem}.json").exists():
-            return False
-        try:
-            object_path.unlink()
-        except OSError:  # pragma: no cover - lost a delete race
-            pass
-        return True
-
-    def fsck(self, repair: bool = False,
-             wait_s: Optional[float] = None,
-             force: bool = False) -> FsckReport:
-        """Audit every artifact: digests, parseability, dangling state.
-
-        ``repair=False`` is a lock-free read-only audit.  With
-        ``repair=True`` the audit runs under the **exclusive** store
-        lock (bounded ``wait_s``; raises :class:`LockTimeout` when
-        writers keep it busy), breaks stale writer leases first, and
-        then: quarantines corrupt objects, drops dangling manifest
-        entries, **rebuilds** a corrupt manifest from its intact object
-        (digest recomputed) instead of discarding the work, removes
-        orphan objects not covered by a live lease, and sweeps stray
-        temp files.  Orphans and temp files covered by a live foreign
-        lease are off-limits — they are a concurrent writer between its
-        object and manifest writes — unless ``force=True``.  A second
-        ``repair`` pass over an idle store reports clean.
-        """
-        guard = self._maintenance_lock(wait_s) if repair else nullcontext()
-        with guard:
-            return self._fsck_locked(repair=repair, force=force)
-
-    def _fsck_locked(self, repair: bool, force: bool) -> FsckReport:
-        report = FsckReport(repaired=repair)
-        if repair and self.locking:
-            report.broken_leases = [
-                lease.path.name
-                for lease in break_stale_leases(self.leases_dir)]
-        live = (live_foreign_leases(self.leases_dir)
-                if self.locking and not force else [])
+    def _check_manifests(self, report: FsckReport) -> set:
+        """Audit every manifest entry into ``report`` (repairing when
+        ``report.repaired``); returns the object filenames they claim."""
+        repair = report.repaired
         referenced: set = set()
         for manifest_path in sorted(self.manifest_dir.glob("*.json")):
             key = manifest_path.stem
@@ -806,17 +697,84 @@ class ArtifactStore:
                 report.corrupt.append(key)
                 if repair:
                     self._quarantine_object(entry)
-        for object_path in self._orphans(referenced):
-            if live:
-                report.leased_orphans.append(object_path.name)
-            elif not repair or self._remove_orphan(object_path):
-                report.orphan_objects.append(object_path.name)
-        if not live:
-            report.stray_tmp = [str(path.relative_to(self.root))
-                                for path in self._stray_tmp_files()]
+        return referenced
+
+    def _sweep(self, report: FsckReport, referenced: set, *, force: bool,
+               tmp_older_than_s: float = 0.0) -> List[LeaseInfo]:
+        """The one lease/orphan/temp-file pass of ``fsck`` and ``gc``.
+
+        Fills ``report``'s lease, orphan and temp-file fields and
+        returns the live foreign leases it honoured.  A repairing pass
+        (``report.repaired``) first breaks stale leases.  While a live
+        foreign lease exists, orphan objects (listed as leased) and
+        temp files are off-limits — a live writer mid-``put`` looks
+        exactly like them — unless ``force``.  Otherwise a repair
+        removes every object file ``referenced`` does not name, each
+        re-verified against the manifest just before (with ``force`` a
+        writer may have recorded it since the scan), and every temp
+        file at least ``tmp_older_than_s`` old; an audit lists them.
+        """
+        repair = report.repaired
+        if repair and self.locking:
+            report.broken_leases = [
+                lease.path.name
+                for lease in break_stale_leases(self.leases_dir)]
+        live = (live_foreign_leases(self.leases_dir)
+                if self.locking and not force else [])
+        orphans = [path for path in _list_dir(self.objects_dir)
+                   if not _is_tmp(path.name) and path.name not in referenced]
+        if live:
+            report.leased_orphans = [path.name for path in orphans]
+            return live
+        for path in orphans:
             if repair:
-                self.sweep_tmp()
-        return report
+                if (self.manifest_dir / f"{path.stem}.json").exists():
+                    continue
+                try:
+                    path.unlink()
+                except OSError:  # pragma: no cover - lost a delete race
+                    pass
+            report.orphan_objects.append(path.name)
+        now = time.time()
+        for directory in (self.objects_dir, self.manifest_dir):
+            for path in _list_dir(directory):
+                if not _is_tmp(path.name):
+                    continue
+                try:
+                    if now - path.stat().st_mtime < tmp_older_than_s:
+                        continue
+                    if repair:
+                        path.unlink()
+                except OSError:
+                    continue
+                report.stray_tmp.append(str(path.relative_to(self.root)))
+        return live
+
+    def fsck(self, repair: bool = False,
+             wait_s: Optional[float] = None,
+             force: bool = False) -> FsckReport:
+        """Audit every artifact: digests, parseability, dangling state.
+
+        ``repair=False`` is a lock-free read-only audit.  With
+        ``repair=True`` the audit runs under the **exclusive** store
+        lock (bounded ``wait_s``; raises :class:`LockTimeout` when
+        writers keep it busy) and quarantines corrupt objects, drops
+        dangling manifest entries and **rebuilds** a corrupt manifest
+        from its intact object (digest recomputed) instead of
+        discarding the work; then the maintenance sweep shared with
+        :meth:`gc` breaks stale writer leases and removes orphan
+        objects and stray temp files.  Orphans and temp files are
+        off-limits while a live foreign lease exists — they may be a
+        concurrent writer between its object and manifest writes —
+        unless ``force=True``.  A second ``repair`` pass over an idle
+        store reports clean.
+        """
+        guard = (self._store_lock(shared=False, wait_s=wait_s) if repair
+                 else nullcontext())
+        with guard:
+            report = FsckReport(repaired=repair)
+            self._sweep(report, self._check_manifests(report), force=force)
+            return report
 
     def gc(self, tmp_older_than_s: Optional[float] = None,
            purge_quarantine: bool = False,
@@ -826,36 +784,27 @@ class ArtifactStore:
 
         Runs under the **exclusive** store lock with a bounded wait
         (raises :class:`LockTimeout` if writers keep the shared side
-        busy past ``wait_s``), breaks stale writer leases (dead pid or
-        expired heartbeat — logged in the returned summary), and then
-        deletes orphan objects and stray temp files **only when no live
-        foreign lease covers the store** — a live lease means a writer
-        may be between its object and manifest writes, and its orphan
-        is its in-flight work.  ``force=True`` overrides the lease
-        protection (for operators who know the fleet is dead).  Each
-        orphan is re-verified against the manifest immediately before
-        deletion.
+        busy past ``wait_s``) the maintenance sweep shared with
+        :meth:`fsck`: stale writer leases (dead pid or expired
+        heartbeat) are broken and logged in the returned summary, and
+        orphan objects and stray temp files are deleted **only when no
+        live foreign lease exists** — a live lease means a writer may
+        be between its object and manifest writes, and its orphan is
+        its in-flight work.  ``force=True`` overrides the lease
+        protection (for operators who know the fleet is dead).
 
         ``tmp_older_than_s`` defaults to 0 with lease accounting active
         (liveness is explicit, no mtime guess needed) and to the legacy
         3600 s guard on a ``locking=False`` store.  Returns removal
         counts per category plus the broken/live lease names.
         """
-        with self._maintenance_lock(wait_s):
-            broken: List[str] = []
-            if self.locking:
-                broken = [lease.path.name
-                          for lease in break_stale_leases(self.leases_dir)]
-            live = (live_foreign_leases(self.leases_dir)
-                    if self.locking and not force else [])
-            if tmp_older_than_s is None:
-                tmp_older_than_s = 0.0 if self.locking else 3600.0
-            orphans = self._orphans(
-                {entry.filename for entry in self.index().values()})
-            removed = 0
-            if not live:
-                removed = sum(self._remove_orphan(path) for path in orphans)
-            swept = 0 if live else len(self.sweep_tmp(tmp_older_than_s))
+        if tmp_older_than_s is None:
+            tmp_older_than_s = 0.0 if self.locking else 3600.0
+        with self._store_lock(shared=False, wait_s=wait_s):
+            report = FsckReport(repaired=True)
+            live = self._sweep(
+                report, {entry.filename for entry in self.index().values()},
+                force=force, tmp_older_than_s=tmp_older_than_s)
             quarantined = 0
             if purge_quarantine:
                 for path in _list_dir(self.quarantine_dir):
@@ -866,10 +815,11 @@ class ArtifactStore:
                         pass
             if not live and self.locking:
                 self._sweep_key_locks()
-            return {"orphan_objects": removed, "stray_tmp": swept,
+            return {"orphan_objects": len(report.orphan_objects),
+                    "stray_tmp": len(report.stray_tmp),
                     "quarantined": quarantined,
-                    "skipped_leased": len(orphans) if live else 0,
-                    "broken_leases": broken,
+                    "skipped_leased": len(report.leased_orphans),
+                    "broken_leases": report.broken_leases,
                     "live_leases": [lease.path.name for lease in live]}
 
     def _sweep_key_locks(self) -> None:

@@ -6,24 +6,23 @@ Classic three-state breaker:
 * **open** — after ``failure_threshold`` consecutive failures the
   breaker trips: every operation is refused immediately with
   :class:`CircuitOpenError` (no transport call, no retry burn) until
-  ``reset_after`` ticks of the injected clock have elapsed.
+  ``reset_after`` further operations have been asked for.
 * **half-open** — after the cooldown, exactly *one* probe operation is
   let through.  Success closes the breaker; failure re-opens it and
   restarts the cooldown.
 
-The clock is injectable and defaults to ``time.monotonic``.  Tests (and
-the deterministic chaos suite) inject a counter-based clock so breaker
-transitions depend only on the operation sequence, never on wall-clock
-scheduling.  :class:`CircuitOpenError` subclasses ``ConnectionError``
-on purpose: callers that already degrade gracefully on connection
-failures (the tiered store) treat a tripped breaker exactly like an
-unreachable remote, which is what it means.
+The breaker counts its own :meth:`CircuitBreaker.allow` calls — one per
+store operation — and measures the cooldown in those calls, not in wall
+time, so its transitions are a pure function of the operation sequence
+and never depend on scheduling.  :class:`CircuitOpenError` subclasses
+``ConnectionError`` on purpose: callers that already degrade gracefully
+on connection failures (the tiered store) treat a tripped breaker
+exactly like an unreachable remote, which is what it means.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 
 class CircuitOpenError(ConnectionError):
@@ -33,9 +32,9 @@ class CircuitOpenError(ConnectionError):
 class CircuitBreaker:
     """Counts consecutive failures; trips, cools down, probes.
 
-    ``transitions`` records every state change as ``(clock_value,
-    from_state, to_state)`` tuples — the chaos tests pin this log to
-    prove determinism.
+    ``calls`` counts :meth:`allow` calls.  ``transitions`` records every
+    state change as ``(calls, from_state, to_state)`` tuples — the
+    tests pin this log to prove determinism.
     """
 
     CLOSED = "closed"
@@ -43,32 +42,33 @@ class CircuitBreaker:
     HALF_OPEN = "half-open"
 
     def __init__(self, *, failure_threshold: int = 3,
-                 reset_after: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic):
+                 reset_after: int = 8):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_after = reset_after
-        self.clock = clock
         self.state = self.CLOSED
         self.consecutive_failures = 0
-        self.opened_at = 0.0
-        self.transitions: List[Tuple[float, str, str]] = []
+        self.calls = 0
+        self.opened_at = 0
+        self.transitions: List[Tuple[int, str, str]] = []
 
     def _move(self, to_state: str) -> None:
         if to_state == self.state:
             return
-        self.transitions.append((self.clock(), self.state, to_state))
+        self.transitions.append((self.calls, self.state, to_state))
         self.state = to_state
 
     def allow(self) -> bool:
-        """May an operation proceed right now?
+        """May an operation proceed right now?  Counts one call.
 
-        While open, returns False until the cooldown elapses, then
-        moves to half-open and admits the single probe.
+        While open, returns False until ``reset_after`` calls have
+        passed since the trip, then moves to half-open and admits the
+        single probe.
         """
+        self.calls += 1
         if self.state == self.OPEN:
-            if self.clock() - self.opened_at >= self.reset_after:
+            if self.calls - self.opened_at >= self.reset_after:
                 self._move(self.HALF_OPEN)
                 return True
             return False
@@ -83,11 +83,11 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN:
             # The probe failed: straight back to open, fresh cooldown.
-            self.opened_at = self.clock()
+            self.opened_at = self.calls
             self._move(self.OPEN)
         elif (self.state == self.CLOSED
               and self.consecutive_failures >= self.failure_threshold):
-            self.opened_at = self.clock()
+            self.opened_at = self.calls
             self._move(self.OPEN)
 
     def reset(self) -> None:

@@ -6,10 +6,10 @@ process scanning for "orphan objects" would see exactly what a live
 writer looks like mid-``put``.  Leases close that hole without locks on
 the read hit path: every writing process registers a small heartbeated
 lease file (pid, host, expiry) under ``leases/`` before its first
-write, and maintenance (``gc`` / ``sweep_tmp`` / ``fsck --repair``)
-treats orphan objects and temp files as **off-limits while any foreign
-live lease exists** — replacing the old "older than 3600 s" mtime
-guess with an explicit liveness protocol.
+write, and maintenance (``gc`` / ``fsck --repair``) treats orphan
+objects and temp files as **off-limits while any foreign live lease
+exists** — replacing the old "older than 3600 s" mtime guess with an
+explicit liveness protocol.
 
 A lease is *stale* — and is broken (deleted) and reported by the next
 maintenance pass — when its holder pid is dead on this host **or** its
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .locks import _pid_alive
 from .transport import _atomic_write_bytes
 
 PathLike = Union[str, Path]
@@ -41,6 +40,21 @@ PathLike = Union[str, Path]
 DEFAULT_LEASE_TTL_S = 60.0
 
 _LEASE_SEQUENCE = itertools.count(1)
+
+
+def _pid_alive(pid: int) -> bool:
+    """True when ``pid`` names a live process on this host."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - other-user process
+        return True
+    except OSError:  # pragma: no cover - defensive
+        return False
+    return True
 
 
 @dataclass(frozen=True)

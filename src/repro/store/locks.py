@@ -1,13 +1,11 @@
-"""Portable advisory file locks for shared artifact stores.
+"""Advisory file locks for shared artifact stores.
 
 :class:`FileLock` gives cross-process mutual exclusion over one lock
-file.  On POSIX it is a thin wrapper over ``fcntl.flock`` — genuinely
+file.  It is a thin wrapper over ``fcntl.flock`` — genuinely
 shared/exclusive, released by the kernel the instant the holder dies
-(including ``kill -9``), and invisible to readers that never lock.
-Where ``fcntl`` is unavailable the lock degrades to an exclusive-only
-*lock-file* protocol (``O_CREAT | O_EXCL`` with the holder's pid inside,
-broken automatically when that pid is dead), which serialises writers
-correctly at the cost of shared acquisitions also excluding each other.
+(including ``kill -9``), and invisible to readers that never lock.  The
+store is POSIX-only: there is no lock-file fallback for hosts without
+``fcntl``.
 
 The store uses two lock levels (always acquired store-before-key):
 
@@ -30,6 +28,7 @@ deadlocking.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import time
 from contextlib import contextmanager
@@ -37,13 +36,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from .retry import backoff_delay_s
-
-try:  # pragma: no cover - platform probe
-    import fcntl
-    HAVE_FCNTL = True
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-    HAVE_FCNTL = False
 
 PathLike = Union[str, Path]
 
@@ -55,45 +47,26 @@ class LockTimeout(TimeoutError):
     """A bounded lock wait expired — the resource stayed busy."""
 
 
-def _pid_alive(pid: int) -> bool:
-    """True when ``pid`` names a live process on this host."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return False
-    return True
-
-
 class FileLock:
     """One advisory lock over one lock file (see module docstring).
 
     Not re-entrant and not thread-safe: one :class:`FileLock` instance
-    per acquisition site.  ``use_fcntl`` exists so the lock-file
-    fallback is testable on POSIX hosts too.
+    per acquisition site.
     """
 
-    def __init__(self, path: PathLike, *,
-                 base_backoff_s: float = 0.002,
-                 use_fcntl: Optional[bool] = None):
+    def __init__(self, path: PathLike):
         self.path = Path(path)
-        self._base_backoff_s = base_backoff_s
-        self._use_fcntl = HAVE_FCNTL if use_fcntl is None else use_fcntl
         self._fd: Optional[int] = None
-        self._held_fallback = False
 
     @property
     def held(self) -> bool:
-        return self._fd is not None or self._held_fallback
+        return self._fd is not None
 
-    # -- non-blocking attempts ----------------------------------------------------
-
-    def _try_fcntl(self, shared: bool) -> bool:
+    def try_acquire(self, shared: bool = False) -> bool:
+        """One non-blocking acquisition attempt."""
+        if self.held:
+            raise RuntimeError(f"lock {self.path} is already held")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         flags = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
         fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
@@ -103,47 +76,6 @@ class FileLock:
             return False
         self._fd = fd
         return True
-
-    def _try_fallback(self) -> bool:
-        """Exclusive-only lock-file protocol (no ``fcntl``).
-
-        The holder's pid is written into the file; a lock whose holder
-        is a dead pid on this host is broken in place, so a
-        ``kill -9``'d writer cannot wedge the store forever.
-        """
-        held_path = self.path.with_name(self.path.name + ".held")
-        try:
-            fd = os.open(held_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                         0o644)
-        except FileExistsError:
-            try:
-                pid = int(held_path.read_text().strip() or "0")
-            except (OSError, ValueError):
-                return False
-            if not _pid_alive(pid):
-                # Stale: the holder died without releasing.  Breaking is
-                # racy between breakers, but os.unlink + O_EXCL retry
-                # converges on exactly one new holder.
-                try:
-                    held_path.unlink()
-                except OSError:
-                    pass
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(str(os.getpid()))
-        self._held_fallback = True
-        return True
-
-    def try_acquire(self, shared: bool = False) -> bool:
-        """One non-blocking acquisition attempt."""
-        if self.held:
-            raise RuntimeError(f"lock {self.path} is already held")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._use_fcntl:
-            return self._try_fcntl(shared)
-        return self._try_fallback()
-
-    # -- bounded blocking ---------------------------------------------------------
 
     def acquire(self, shared: bool = False,
                 timeout_s: float = DEFAULT_LOCK_TIMEOUT_S) -> None:
@@ -165,7 +97,7 @@ class FileLock:
                     f"could not acquire {mode} lock {self.path} within "
                     f"{timeout_s:.1f} s (another process holds it)"
                 )
-            delay = backoff_delay_s(self._base_backoff_s, attempt,
+            delay = backoff_delay_s(0.002, attempt,
                                     token=f"{self.path}:{os.getpid()}",
                                     cap_s=0.1)
             time.sleep(min(delay, remaining))
@@ -177,13 +109,6 @@ class FileLock:
             finally:
                 os.close(self._fd)
                 self._fd = None
-        elif self._held_fallback:
-            held_path = self.path.with_name(self.path.name + ".held")
-            try:
-                held_path.unlink()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            self._held_fallback = False
 
     # -- context managers ---------------------------------------------------------
 

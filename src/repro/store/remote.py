@@ -19,9 +19,9 @@ instead of a local directory.  It adds only what a network demands:
   consecutive failed operations the breaker opens and every call fails
   fast with :class:`~repro.store.breaker.CircuitOpenError` (a
   ``ConnectionError``) until a cooldown elapses and a half-open probe
-  succeeds.  The breaker clock defaults to *operation counting*, not
-  wall time, so breaker behaviour is a pure function of the operation
-  sequence — a requirement of the deterministic chaos tests.
+  succeeds.  The cooldown is a count of store operations, not wall
+  time (the breaker counts its own calls), so breaker behaviour is a
+  pure function of the operation sequence.
 
 Locks, writer leases, the object-presence check and ``fsck``/``gc`` are
 local-directory capabilities a remote does not have: last-writer-wins
@@ -47,30 +47,11 @@ from .retry import RetryPolicy
 from .transport import Transport, build_transport
 
 
-class _OpClock:
-    """A clock that ticks once per store operation.
-
-    Feeding this to the circuit breaker makes "cooldown" mean "N further
-    operations attempted", which is deterministic under test and a
-    reasonable proxy for elapsed time in a busy campaign.
-    """
-
-    def __init__(self) -> None:
-        self.ticks = 0
-
-    def __call__(self) -> float:
-        return float(self.ticks)
-
-    def tick(self) -> None:
-        self.ticks += 1
-
-
 class RemoteStore(ArtifactStore):
     """Content-addressed artifact store over a blob transport."""
 
     def __init__(self, transport: Union[Transport, str, Dict[str, Any]], *,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None):
+                 retry: Optional[RetryPolicy] = None):
         # Deliberately not ArtifactStore.__init__: a remote has no local
         # directory to create, lock or lease.
         self.transport = build_transport(transport)
@@ -81,12 +62,7 @@ class RemoteStore(ArtifactStore):
         self._lease = None
         self.retry = retry if retry is not None else RetryPolicy(
             token="remote-store")
-        self._op_clock: Optional[_OpClock] = None
-        if breaker is None:
-            self._op_clock = _OpClock()
-            breaker = CircuitBreaker(failure_threshold=3, reset_after=8.0,
-                                     clock=self._op_clock)
-        self.breaker = breaker
+        self.breaker = CircuitBreaker()
 
     def _call(self, operation: Callable[..., Any], *args: Any) -> Any:
         """One breaker-guarded, retry-wrapped transport call.
@@ -95,8 +71,6 @@ class RemoteStore(ArtifactStore):
         backend answered); only connection-class failures feed the
         breaker.
         """
-        if self._op_clock is not None:
-            self._op_clock.tick()
         if not self.breaker.allow():
             raise CircuitOpenError(
                 f"remote store circuit is open after "

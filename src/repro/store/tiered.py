@@ -138,29 +138,17 @@ class TieredStore(ArtifactStore):
 
     def __init__(self, local: Union[ArtifactStore, PathLike],
                  remote: Union[RemoteStore, str, Dict[str, Any]]):
-        if isinstance(local, ArtifactStore):
-            super().__init__(local.root, locking=local.locking,
-                             lock_timeout_s=local.lock_timeout_s,
-                             lease_ttl_s=local.lease_ttl_s)
-            self._local: Optional[ArtifactStore] = local
-        else:
-            super().__init__(local)
-            self._local = None
+        if not isinstance(local, ArtifactStore):
+            local = ArtifactStore(local)
+        super().__init__(local.root, locking=local.locking)
+        #: The local tier as a plain store: no backfill, no write-through.
+        self.local = local
         self.remote = (remote if isinstance(remote, RemoteStore)
                        else RemoteStore(remote))
         self.journal = PendingUploadJournal(self.root / JOURNAL_FILENAME)
         self.degraded_writes = 0
         self.remote_hits = 0
         self.backfills = 0
-
-    @property
-    def local(self) -> ArtifactStore:
-        """The local tier as a plain store: no backfill, no write-through."""
-        if self._local is None:
-            self._local = ArtifactStore(self.root, locking=self.locking,
-                                        lock_timeout_s=self.lock_timeout_s,
-                                        lease_ttl_s=self.lease_ttl_s)
-        return self._local
 
     def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
         """Write locally, then replicate; journal when the remote is down."""
@@ -205,17 +193,17 @@ class TieredStore(ArtifactStore):
     def pending_uploads(self) -> List[ManifestEntry]:
         return self.journal.pending()
 
-    def sync(self, *, reset_breaker: bool = True) -> Dict[str, Any]:
+    def sync(self) -> Dict[str, Any]:
         """Drain the pending-upload journal to the remote, idempotently.
 
-        Per journaled key: skip when the remote already holds the same
-        digest (another host drained it, or the pre-partition upload
-        actually landed), upload otherwise, keep in the journal on
-        continued unreachability.  Returns per-category counts; rc-style
-        success is ``remaining == 0``.
+        The remote's breaker is force-closed first.  Per journaled key:
+        skip when the remote already holds the same digest (another
+        host drained it, or the pre-partition upload actually landed),
+        upload otherwise, keep in the journal on continued
+        unreachability.  Returns per-category counts; rc-style success
+        is ``remaining == 0``.
         """
-        if reset_breaker:
-            self.remote.breaker.reset()
+        self.remote.breaker.reset()
         uploaded, skipped, missing, remaining = [], [], [], []
         for entry in self.journal.pending():
             try:

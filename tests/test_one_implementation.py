@@ -131,6 +131,21 @@ ORACLE_ONLY_NAMES = {
     "TransportConnectionError",
     "TransportTimeout",
     "poll_interval_s",
+    # The store's second maintenance path, its lock-file fallback, the
+    # breaker's operation clock and the store knobs no caller set.
+    "sweep_tmp",
+    "_stray_tmp_files",
+    "_remove_orphan",
+    "_fsck_locked",
+    "_maintenance_lock",
+    "_shared_store_lock",
+    "_try_fallback",
+    "HAVE_FCNTL",
+    "_use_fcntl",
+    "_OpClock",
+    "_op_clock",
+    "lock_timeout_s",
+    "lease_ttl_s",
 }
 
 #: Types of the fault-injection kit no module under ``src/`` may name.

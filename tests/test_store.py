@@ -107,7 +107,7 @@ def test_store_json_round_trip(tmp_path):
         store.get_json(key)
     entry = store.put_json(key, {"value": 1.5, "names": ["a", "b"]},
                            kind="summary", meta={"campaign": "x"})
-    assert key in store and store.has(key)
+    assert key in store
     assert store.get_json(key) == {"value": 1.5, "names": ["a", "b"]}
     assert entry.kind == "summary" and entry.meta == {"campaign": "x"}
     assert store.index()[key].filename.endswith(".json")

@@ -283,7 +283,6 @@ def _hold_store_shared(store_root, ready, release):
 
 def test_cli_reports_busy_store_and_lists_leases(tmp_path, capsys):
     from repro.cli import main
-    from repro.store.locks import HAVE_FCNTL
 
     store_root = tmp_path / "store"
     store = ArtifactStore(store_root)
@@ -295,8 +294,6 @@ def test_cli_reports_busy_store_and_lists_leases(tmp_path, capsys):
     assert "live" in out and str(os.getpid()) in out
     store.release_lease()
 
-    if not HAVE_FCNTL:  # pragma: no cover - non-POSIX
-        pytest.skip("busy-store path needs a real shared/exclusive lock")
     ctx = multiprocessing.get_context()
     ready, release = ctx.Event(), ctx.Event()
     holder = ctx.Process(target=_hold_store_shared,
@@ -332,23 +329,27 @@ def _shard_worker(spec_dict, store_root, out_dir, shard_index):
 
 
 def _maintenance_loop(store_root, stop_flag, log_path):
-    """gc + fsck --repair in a tight loop until told to stop."""
+    """gc and fsck --repair, alternating, in a tight loop until told to
+    stop: each pass takes the exclusive store lock once."""
     store = ArtifactStore(store_root)
-    sweeps = 0
+    passes = {"gc": 0, "fsck": 0}
     destroyed = 0
     stop = SyncFlag(stop_flag)
     while not stop.is_set():
         try:
-            removed = store.gc(wait_s=5.0)
-            destroyed += removed["orphan_objects"] + removed["stray_tmp"]
-            report = store.fsck(repair=True, wait_s=5.0)
-            destroyed += len(report.orphan_objects)
-            destroyed += len(report.corrupt)
-            destroyed += len(report.missing_objects)
-            sweeps += 1
+            if passes["gc"] <= passes["fsck"]:
+                removed = store.gc(wait_s=5.0)
+                destroyed += removed["orphan_objects"] + removed["stray_tmp"]
+                passes["gc"] += 1
+            else:
+                report = store.fsck(repair=True, wait_s=5.0)
+                destroyed += len(report.orphan_objects)
+                destroyed += len(report.corrupt)
+                destroyed += len(report.missing_objects)
+                passes["fsck"] += 1
         except TimeoutError:
             continue
-    Path(log_path).write_text(json.dumps({"sweeps": sweeps,
+    Path(log_path).write_text(json.dumps({**passes,
                                           "destroyed": destroyed}))
 
 
@@ -383,7 +384,8 @@ def test_shard_fleet_with_concurrent_maintenance_is_bit_identical(tmp_path):
             maintenance.kill()
     assert maintenance.exitcode == 0
     log = json.loads(log_path.read_text())
-    assert log["sweeps"] >= 1, "maintenance loop never completed a sweep"
+    assert log["gc"] >= 1, "maintenance loop never completed a gc pass"
+    assert log["fsck"] >= 1, "maintenance loop never completed a repair"
     # Zero cells lost: no completed record or in-flight object was
     # destroyed by the concurrent maintenance.
     assert log["destroyed"] == 0

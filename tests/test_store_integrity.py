@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import time
 
 import numpy as np
 import pytest
@@ -157,10 +160,41 @@ def test_fsck_finds_and_repairs_every_failure_mode(store):
 def test_sweep_tmp_age_guard(store):
     stray = store.objects_dir / ".payload.json.xyz.tmp"
     stray.write_text("partial")
-    assert store.sweep_tmp(older_than_s=3600.0) == []
+    assert store.gc(tmp_older_than_s=3600.0)["stray_tmp"] == 0
     assert stray.exists()
-    assert store.sweep_tmp(older_than_s=0.0) == [stray]
+    assert store.gc(tmp_older_than_s=0.0)["stray_tmp"] == 1
     assert not stray.exists()
+
+
+def _foreign_live_lease(store):
+    """Register a lease held by a live process on this host (not us)."""
+    host, pid = socket.gethostname(), os.getppid()
+    store.leases_dir.mkdir(parents=True, exist_ok=True)
+    (store.leases_dir / f"{host}-{pid}-1.json").write_text(json.dumps({
+        "pid": pid, "host": host, "owner": "live writer",
+        "expires_at": time.time() + 3600}))
+
+
+@pytest.mark.parametrize("command", ["gc", "fsck"])
+def test_forced_maintenance_sweeps_temp_files_under_a_live_lease(
+        store, command):
+    _foreign_live_lease(store)
+    stray = store.objects_dir / ".x.json.abc.tmp"
+    stray.write_text("partial")
+    # Unforced, the live lease keeps the temp file off-limits.
+    assert store.gc()["stray_tmp"] == 0
+    unforced = store.fsck(repair=True)
+    assert unforced.stray_tmp == [] and unforced.clean()
+    assert stray.exists()
+    # Forced, either command removes it...
+    if command == "gc":
+        assert store.gc(force=True)["stray_tmp"] == 1
+    else:
+        forced = store.fsck(repair=True, force=True)
+        assert forced.stray_tmp == ["objects/.x.json.abc.tmp"]
+    assert not stray.exists()
+    # ...and a second forced repair finds nothing left.
+    assert store.fsck(repair=True, force=True).clean()
 
 
 def test_gc_sweeps_orphans_tmp_and_quarantine(store):

@@ -22,7 +22,6 @@ from repro.store import (
     list_leases,
     live_foreign_leases,
 )
-from repro.store.locks import HAVE_FCNTL
 
 
 # -- FileLock -----------------------------------------------------------------
@@ -36,7 +35,6 @@ def _hold_exclusive(path, acquired, release):
     lock.release()
 
 
-@pytest.mark.skipif(not HAVE_FCNTL, reason="fcntl locks unavailable")
 def test_exclusive_lock_excludes_other_processes(tmp_path):
     path = tmp_path / "store.lock"
     ctx = multiprocessing.get_context()
@@ -68,7 +66,6 @@ def _hold_shared(path, acquired, release):
     lock.release()
 
 
-@pytest.mark.skipif(not HAVE_FCNTL, reason="fcntl locks unavailable")
 def test_shared_locks_coexist_and_block_exclusive(tmp_path):
     path = tmp_path / "store.lock"
     ctx = multiprocessing.get_context()
@@ -87,7 +84,6 @@ def test_shared_locks_coexist_and_block_exclusive(tmp_path):
         holder.join(10.0)
 
 
-@pytest.mark.skipif(not HAVE_FCNTL, reason="fcntl locks released by kernel")
 def test_kernel_releases_fcntl_lock_when_holder_is_killed(tmp_path):
     path = tmp_path / "store.lock"
     ctx = multiprocessing.get_context()
@@ -101,27 +97,6 @@ def test_kernel_releases_fcntl_lock_when_holder_is_killed(tmp_path):
     mine = FileLock(path)
     mine.acquire(shared=False, timeout_s=5.0)  # kernel dropped the lock
     mine.release()
-
-
-def test_fallback_lock_is_exclusive_and_breaks_dead_holders(tmp_path):
-    path = tmp_path / "store.lock"
-    first = FileLock(path, use_fcntl=False)
-    assert first.try_acquire()
-    second = FileLock(path, use_fcntl=False)
-    assert not second.try_acquire()
-    assert not second.try_acquire(shared=True)  # fallback has no shared side
-    first.release()
-    assert second.try_acquire()
-    second.release()
-
-    # A lock file naming a dead pid is broken and then acquirable.
-    held = path.with_name(path.name + ".held")
-    held.write_text("999999999")
-    third = FileLock(path, use_fcntl=False)
-    third.acquire(timeout_s=5.0)
-    assert third.held
-    third.release()
-    assert not held.exists()
 
 
 def test_lock_is_not_reentrant_and_context_managers_release(tmp_path):

@@ -153,35 +153,38 @@ def test_flaky_transport_replays_identically(tmp_path):
 
 
 def test_breaker_transitions_are_deterministic():
-    ticks = {"t": 0.0}
-    breaker = CircuitBreaker(failure_threshold=3, reset_after=5.0,
-                             clock=lambda: ticks["t"])
+    """The breaker counts its own ``allow()`` calls: the cooldown is
+    ``reset_after`` calls, so the transitions depend only on the call
+    sequence."""
+    breaker = CircuitBreaker(failure_threshold=3, reset_after=5)
     assert breaker.state == "closed"
-    for _ in range(2):
+    for _ in range(2):  # calls 1-2
+        assert breaker.allow()
         breaker.record_failure()
     assert breaker.state == "closed"  # below threshold
+    assert breaker.allow()  # call 3
     breaker.record_success()
     assert breaker.consecutive_failures == 0  # success resets the count
-    for _ in range(3):
+    for _ in range(3):  # calls 4-6: the third failure trips it
+        assert breaker.allow()
         breaker.record_failure()
     assert breaker.state == "open"
-    assert not breaker.allow()  # cooldown not elapsed
-    ticks["t"] = 4.9
-    assert not breaker.allow()
-    ticks["t"] = 5.0
-    assert breaker.allow()  # the half-open probe
+    for _ in range(4):  # calls 7-10: cooldown not elapsed
+        assert not breaker.allow()
+    assert breaker.allow()  # call 11: the half-open probe
     assert breaker.state == "half-open"
     breaker.record_failure()  # probe failed: back to open, new cooldown
     assert breaker.state == "open"
-    ticks["t"] = 9.9
-    assert not breaker.allow()
-    ticks["t"] = 10.0
-    assert breaker.allow()
+    for _ in range(4):  # calls 12-15
+        assert not breaker.allow()
+    assert breaker.allow()  # call 16
     breaker.record_success()  # probe succeeded: closed again
     assert breaker.state == "closed"
-    assert [(frm, to) for _, frm, to in breaker.transitions] == [
-        ("closed", "open"), ("open", "half-open"), ("half-open", "open"),
-        ("open", "half-open"), ("half-open", "closed")]
+    assert breaker.calls == 16
+    assert breaker.transitions == [
+        (6, "closed", "open"), (11, "open", "half-open"),
+        (11, "half-open", "open"), (16, "open", "half-open"),
+        (16, "half-open", "closed")]
 
 
 def test_remote_store_breaker_opens_and_probes(tmp_path):

@@ -218,6 +218,31 @@ def test_merge_truncates_missing_cell_listing():
     assert "11" not in message  # the tail is elided, not enumerated
 
 
+# -- fleet size ---------------------------------------------------------------
+
+
+def test_one_chunk_run_forks_one_worker(tmp_path, one_chunk_rows,
+                                        monkeypatch):
+    """``workers=2`` over a one-chunk grid forks one worker: the second
+    would have nothing to take while the first runs the whole chunk."""
+    from repro.campaigns import supervisor
+
+    forks = []
+    original = supervisor.CampaignSupervisor._spawn_worker
+
+    def spawn_worker(self):
+        forks.append(len(self._workers))
+        return original(self)
+
+    monkeypatch.setattr(supervisor.CampaignSupervisor, "_spawn_worker",
+                        spawn_worker)
+    spec = CampaignSpec(**ONE_CHUNK_KWARGS)
+    result = CampaignEngine(spec, store=tmp_path / "store").run()
+
+    assert [row.to_dict() for row in result.rows()] == one_chunk_rows
+    assert forks == [0]
+
+
 # -- chaos acceptance ---------------------------------------------------------
 
 
