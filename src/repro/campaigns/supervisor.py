@@ -273,13 +273,6 @@ class CampaignSupervisor:
 
     # -- bookkeeping --------------------------------------------------------------
 
-    def _pending_cell_count(self) -> int:
-        queued = sum(len(chunk) for chunk in self._chunk_queue)
-        queued += len(self._retry_heap)
-        queued += sum(len(worker.chunk) for worker in self._workers)
-        queued += sum(1 for worker in self._workers if worker.current)
-        return queued
-
     def _unclaimed_work(self) -> int:
         """Queued chunks and retries beyond what idle workers can take."""
         idle = sum(1 for worker in self._workers
@@ -452,7 +445,7 @@ class CampaignSupervisor:
                                 for worker in self._workers)):
                     break
                 if not self._workers:
-                    if self._draining or not self._pending_cell_count():
+                    if self._draining or not self._unclaimed_work():
                         break
                     self._spawn_worker()
                     continue

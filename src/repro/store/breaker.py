@@ -34,19 +34,19 @@ class CircuitBreaker:
 
     ``calls`` counts :meth:`allow` calls.  ``transitions`` records every
     state change as ``(calls, from_state, to_state)`` tuples — the
-    tests pin this log to prove determinism.
+    tests pin this log to prove determinism.  ``failure_threshold`` and
+    ``reset_after`` are class attributes; set them on an instance to
+    tune one breaker.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(self, *, failure_threshold: int = 3,
-                 reset_after: int = 8):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.reset_after = reset_after
+    failure_threshold = 3
+    reset_after = 8
+
+    def __init__(self):
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.calls = 0

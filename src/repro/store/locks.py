@@ -110,7 +110,7 @@ class FileLock:
                 os.close(self._fd)
                 self._fd = None
 
-    # -- context managers ---------------------------------------------------------
+    # -- context manager ----------------------------------------------------------
 
     @contextmanager
     def holding(self, shared: bool = False,
@@ -120,12 +120,6 @@ class FileLock:
             yield
         finally:
             self.release()
-
-    def shared(self, timeout_s: float = DEFAULT_LOCK_TIMEOUT_S):
-        return self.holding(shared=True, timeout_s=timeout_s)
-
-    def exclusive(self, timeout_s: float = DEFAULT_LOCK_TIMEOUT_S):
-        return self.holding(shared=False, timeout_s=timeout_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         state = "held" if self.held else "free"

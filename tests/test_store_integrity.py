@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-import os
 import socket
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -166,19 +167,26 @@ def test_sweep_tmp_age_guard(store):
     assert not stray.exists()
 
 
-def _foreign_live_lease(store):
-    """Register a lease held by a live process on this host (not us)."""
-    host, pid = socket.gethostname(), os.getppid()
-    store.leases_dir.mkdir(parents=True, exist_ok=True)
-    (store.leases_dir / f"{host}-{pid}-1.json").write_text(json.dumps({
-        "pid": pid, "host": host, "owner": "live writer",
-        "expires_at": time.time() + 3600}))
+@pytest.fixture
+def foreign_live_lease(store):
+    """Register a lease held by a live child process on this host."""
+    child = subprocess.Popen([sys.executable, "-c",
+                              "import time; time.sleep(60)"])
+    try:
+        host, pid = socket.gethostname(), child.pid
+        store.leases_dir.mkdir(parents=True, exist_ok=True)
+        (store.leases_dir / f"{host}-{pid}-1.json").write_text(json.dumps({
+            "pid": pid, "host": host, "owner": "live writer",
+            "expires_at": time.time() + 3600}))
+        yield pid
+    finally:
+        child.kill()
+        child.wait()
 
 
 @pytest.mark.parametrize("command", ["gc", "fsck"])
 def test_forced_maintenance_sweeps_temp_files_under_a_live_lease(
-        store, command):
-    _foreign_live_lease(store)
+        store, foreign_live_lease, command):
     stray = store.objects_dir / ".x.json.abc.tmp"
     stray.write_text("partial")
     # Unforced, the live lease keeps the temp file off-limits.

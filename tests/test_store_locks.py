@@ -101,12 +101,12 @@ def test_kernel_releases_fcntl_lock_when_holder_is_killed(tmp_path):
 
 def test_lock_is_not_reentrant_and_context_managers_release(tmp_path):
     lock = FileLock(tmp_path / "x.lock")
-    with lock.exclusive():
+    with lock.holding():
         assert lock.held
         with pytest.raises(RuntimeError):
             lock.try_acquire()
     assert not lock.held
-    with lock.shared():
+    with lock.holding(shared=True):
         assert lock.held
     assert not lock.held
 

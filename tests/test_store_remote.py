@@ -156,7 +156,9 @@ def test_breaker_transitions_are_deterministic():
     """The breaker counts its own ``allow()`` calls: the cooldown is
     ``reset_after`` calls, so the transitions depend only on the call
     sequence."""
-    breaker = CircuitBreaker(failure_threshold=3, reset_after=5)
+    breaker = CircuitBreaker()
+    breaker.failure_threshold = 3
+    breaker.reset_after = 5
     assert breaker.state == "closed"
     for _ in range(2):  # calls 1-2
         assert breaker.allow()
