@@ -32,9 +32,10 @@ def test_metric_ablation(benchmark, metric_name, population):
     metric = METRICS[metric_name]
 
     def characterise():
-        detector = PopulationEMDetector(metric=metric)
-        detector.fit_reference(population.golden)
-        return detector.characterise(population.infected["HT2"])
+        _, characterisations = PopulationEMDetector(
+            metric=metric).fit_and_characterise(
+                population.golden, {"HT2": population.infected["HT2"]})
+        return characterisations["HT2"]
 
     characterisation = benchmark(characterise)
     effect = (characterisation.mu / characterisation.sigma

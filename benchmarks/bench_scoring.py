@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from repro.analysis.gaussian import fit_gaussian, pooled_std
+from repro.analysis.gaussian import fit_gaussian
 from repro.analysis.traces import stack_traces
 from repro.core.fingerprint import EMReference
 from repro.core.metrics import LocalMaximaSumMetric, false_negative_rate
@@ -45,7 +45,12 @@ from repro.core.em_detector import PopulationEMDetector
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 
 from interleave import SAMPLES, interleaved_medians
-from oracles import acquire_population_traces, scores_serial
+from oracles import (
+    acquire_population_traces,
+    pooled_std,
+    scores_serial,
+    sum_of_local_maxima_serial,
+)
 
 NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
@@ -59,7 +64,7 @@ def _seed_find_local_maxima(signal, min_height=None, min_distance=1):
 
     Kept frozen here so the gate keeps measuring the speedup this
     change delivered on warm studies even though the live scalar
-    reference (:func:`repro.analysis.local_maxima.find_local_maxima`)
+    reference (``find_local_maxima`` in ``tests/oracles/scoring.py``)
     was itself tightened by the same change.
     """
     x = np.asarray(signal, dtype=float)
@@ -219,11 +224,11 @@ def test_batched_scoring_matches_serial_and_is_5x_faster(benchmark):
 def test_scoring_kernel_equivalence_at_campaign_scale():
     """One oversized matrix pass stays pinned to the scalar reference."""
     from repro.analysis.batch import sum_of_local_maxima_batch
-    from repro.analysis.local_maxima import sum_of_local_maxima
 
     rng = np.random.default_rng(7)
     matrix = np.abs(rng.normal(size=(64, 1500))) \
         + np.sin(np.linspace(0, 400, 1500))[None, :] ** 2
     batched = sum_of_local_maxima_batch(matrix, min_distance=5)
     for index, row in enumerate(matrix):
-        assert batched[index] == sum_of_local_maxima(row, min_distance=5)
+        assert batched[index] == sum_of_local_maxima_serial(row,
+                                                            min_distance=5)

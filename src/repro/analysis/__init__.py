@@ -1,8 +1,10 @@
-"""Analysis toolkit: traces, local maxima, Gaussian fits, ROC, DFA, statistics.
+"""Analysis toolkit: traces, local maxima, Gaussian fits, DFA.
 
-The scalar primitives each have a batched, matrix-resident counterpart
-in :mod:`repro.analysis.batch` that is bit-identical per row; the
-scalars stay the serial references the batch kernel is pinned against.
+The scoring primitives are batched and matrix-resident
+(:mod:`repro.analysis.batch`).  The scalar serial references they are
+pinned against bit for bit (``find_local_maxima``,
+``sum_of_local_maxima``, ``pooled_std``, the per-trace metric
+``score``) live in ``tests/oracles/scoring.py``, not in the package.
 """
 
 from .batch import (
@@ -17,14 +19,8 @@ from .gaussian import (
     GaussianFit,
     fit_gaussian,
     overlap_threshold,
-    pooled_std,
-    separation,
 )
-from .local_maxima import (
-    find_local_maxima,
-    local_maxima_values,
-    sum_of_local_maxima,
-)
+from .local_maxima import sum_of_local_maxima
 from .dfa import (
     DFAResult,
     FaultLocalisation,
@@ -33,23 +29,9 @@ from .dfa import (
     localise_faults,
     recover_last_round_key,
 )
-from .roc import ROCCurve, roc_curve
-from .stats import (
-    bootstrap_mean_ci,
-    empirical_rate,
-    mad,
-    normalised_difference,
-    robust_zscore,
-    welch_t_test,
-)
 from .traces import (
     abs_difference,
     as_samples,
-    difference,
-    mean_trace,
-    peak_to_peak,
-    per_sample_std,
-    signal_to_noise_ratio,
     stack_traces,
 )
 
@@ -63,10 +45,6 @@ __all__ = [
     "GaussianFit",
     "fit_gaussian",
     "overlap_threshold",
-    "pooled_std",
-    "separation",
-    "find_local_maxima",
-    "local_maxima_values",
     "sum_of_local_maxima",
     "DFAResult",
     "FaultLocalisation",
@@ -74,20 +52,7 @@ __all__ = [
     "dfa_key_scores",
     "localise_faults",
     "recover_last_round_key",
-    "ROCCurve",
-    "roc_curve",
-    "bootstrap_mean_ci",
-    "empirical_rate",
-    "mad",
-    "normalised_difference",
-    "robust_zscore",
-    "welch_t_test",
     "abs_difference",
     "as_samples",
-    "difference",
-    "mean_trace",
-    "peak_to_peak",
-    "per_sample_std",
-    "signal_to_noise_ratio",
     "stack_traces",
 ]

@@ -14,23 +14,26 @@ whole ``(traces x samples)`` matrix (or a ``(populations x scores)``
 score matrix) in vectorised NumPy passes.
 
 **Serial-reference contract.**  Each function here is a pure performance
-refactor of a scalar reference which stays authoritative:
+refactor of a scalar reference.  The references the package itself
+uses stay in :mod:`repro.analysis`; the ones only the tests need live
+in ``tests/oracles/scoring.py``:
 
 ========================================  =====================================
 batched                                   serial reference
 ========================================  =====================================
-:func:`find_local_maxima_batch`           :func:`~repro.analysis.local_maxima.find_local_maxima`
-:func:`sum_of_local_maxima_batch`         :func:`~repro.analysis.local_maxima.sum_of_local_maxima`
+:func:`find_local_maxima_batch`           ``find_local_maxima`` (oracle)
+:func:`sum_of_local_maxima_batch`         ``sum_of_local_maxima_serial`` (oracle)
 :func:`abs_difference_matrix`             :func:`~repro.analysis.traces.abs_difference`
 :func:`fit_gaussians_batch`               :func:`~repro.analysis.gaussian.fit_gaussian`
-:func:`pooled_std_batch`                  :func:`~repro.analysis.gaussian.pooled_std`
-:func:`false_negative_rates`              :func:`repro.core.metrics.false_negative_rate`
+:func:`pooled_std_batch`                  ``pooled_std`` (oracle)
 ========================================  =====================================
 
 Outputs must be **bit-identical** to looping the reference over the
 rows — including the tie order of equal-height peaks during
 min-distance suppression — which is what the equivalence tests in
-``tests/test_batch_scoring.py`` pin.
+``tests/test_batch_scoring.py`` pin.  :func:`false_negative_rates` is
+the one implementation of Eq. (5);
+:func:`repro.core.metrics.false_negative_rate` is its one-entry view.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ def find_local_maxima_batch(matrix: np.ndarray,
     """Strict local maxima of every row of a ``(traces x samples)`` matrix.
 
     Returns a boolean mask of the same shape; ``mask[i]`` is True exactly
-    at the indices :func:`~repro.analysis.local_maxima.find_local_maxima`
-    (the serial reference) returns for ``matrix[i]`` — bit-identical,
+    at the indices the serial reference ``find_local_maxima``
+    (``tests/oracles/scoring.py``) returns for ``matrix[i]`` — bit-identical,
     including the quicksort tie order of equal-height peaks during the
     greedy min-distance suppression.
 
@@ -287,11 +290,11 @@ def sum_of_local_maxima_batch(matrix: np.ndarray,
                               min_distance: int = 1) -> np.ndarray:
     """Per-row sum of local maxima — the paper's metric over a population.
 
-    Batched :func:`~repro.analysis.local_maxima.sum_of_local_maxima`:
-    one peak-finding pass over the whole matrix, then one compact sum
-    per row.  Each row's sum is computed over the extracted peak values
-    exactly as the serial reference does, so the floats are
-    bit-identical (summation order included).
+    Batched ``sum_of_local_maxima_serial`` (the serial reference in
+    ``tests/oracles/scoring.py``): one peak-finding pass over the whole
+    matrix, then one compact sum per row.  Each row's sum is computed
+    over the extracted peak values exactly as the serial reference
+    does, so the floats are bit-identical (summation order included).
     """
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2:
@@ -340,7 +343,8 @@ def pooled_std_batch(reference_scores: Sequence[float],
                      score_matrix: np.ndarray) -> np.ndarray:
     """Pooled std of one reference population against each matrix row.
 
-    Batched :func:`~repro.analysis.gaussian.pooled_std` for the common
+    Batched ``pooled_std`` (the serial reference in
+    ``tests/oracles/scoring.py``) for the common
     campaign shape: one genuine score vector pooled against every
     trojan's score row at once.
     """
@@ -362,10 +366,11 @@ def false_negative_rates(mu: Union[Sequence[float], np.ndarray],
                          ) -> np.ndarray:
     """Eq. (5) false-negative rates of many (mu, sigma) separations.
 
-    Batched :func:`repro.core.metrics.false_negative_rate`; evaluated
-    with the same scalar ``math.erf`` per entry (the vectors here are
-    one entry per trojan — tiny), so the rates are bit-identical to the
-    serial reference, degenerate ``sigma == 0`` branches included.
+    ``1/2 - 1/2 erf(mu / (2 sigma sqrt(2)))``, evaluated with the scalar
+    ``math.erf`` per entry (the vectors here are one entry per trojan —
+    tiny).  At ``sigma == 0`` the rate is the ``sigma -> 0`` limit: 0
+    for ``mu > 0``, 1/2 for ``mu == 0`` and 1 for ``mu < 0`` (every
+    infected device then falls below the symmetric threshold).
     """
     mu_arr, sigma_arr = np.broadcast_arrays(
         np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
@@ -378,9 +383,9 @@ def false_negative_rates(mu: Union[Sequence[float], np.ndarray],
     flat_rates = rates.ravel()
     for index, (mu_value, sigma_value) in enumerate(zip(flat_mu, flat_sigma)):
         if sigma_value == 0:
-            flat_rates[index] = 0.0 if mu_value > 0 else 0.5
+            flat_rates[index] = (0.0 if mu_value > 0
+                                 else 0.5 if mu_value == 0 else 1.0)
         else:
-            # Plain-float arithmetic, exactly the scalar reference's ops.
             flat_rates[index] = 0.5 - 0.5 * math.erf(
                 mu_value / (2.0 * sigma_value * math.sqrt(2.0))
             )
@@ -411,9 +416,9 @@ def characterise_score_populations(genuine_scores: Sequence[float],
     per trojan.  ``mu`` is each infected mean minus the genuine mean;
     ``sigma`` is the pooled std when both populations hold at least two
     scores, else the larger of the two fitted stds.  Every value is
-    bit-identical to :func:`~repro.analysis.gaussian.fit_gaussian`,
-    :func:`~repro.analysis.gaussian.pooled_std` and
-    :func:`repro.core.metrics.false_negative_rate` applied per row.
+    bit-identical to :func:`~repro.analysis.gaussian.fit_gaussian`, the
+    ``pooled_std`` oracle and :func:`false_negative_rates` applied per
+    row.
     """
     genuine = np.asarray(genuine_scores, dtype=float)
     infected = np.asarray(infected_scores, dtype=float)

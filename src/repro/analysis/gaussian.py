@@ -3,15 +3,16 @@
 Section V-B models the detection metric of genuine and infected
 populations as two Gaussians separated by an offset ``mu`` (Fig. 7); the
 false-negative / false-positive rate follows from the overlap (Eq. 5).
-This module provides the fitting and overlap primitives; the paper's
-formula itself lives in :mod:`repro.core.metrics`.
+This module provides the fitting and overlap primitives; the pooled
+sigma and the paper's formula itself are batched in
+:mod:`repro.analysis.batch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -57,32 +58,6 @@ def fit_gaussian(samples: Sequence[float]) -> GaussianFit:
     if data.size == 1:
         return GaussianFit(mean=float(data[0]), std=0.0)
     return GaussianFit(mean=float(data.mean()), std=float(data.std(ddof=1)))
-
-
-def pooled_std(a: Sequence[float], b: Sequence[float]) -> float:
-    """Pooled standard deviation of two samples (sigma1 ~ sigma2 assumption).
-
-    The paper assumes ``sigma1 ~= sigma2 = sigma`` when applying Eq. (5);
-    the pooled estimate is the natural single sigma to use.
-    """
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.size < 2 or y.size < 2:
-        raise ValueError("both samples need at least two observations")
-    var = ((x.size - 1) * x.var(ddof=1) + (y.size - 1) * y.var(ddof=1)) / (
-        x.size + y.size - 2
-    )
-    return float(np.sqrt(var))
-
-
-def separation(genuine: Sequence[float], infected: Sequence[float]
-               ) -> Tuple[float, float]:
-    """Offset ``mu`` and pooled ``sigma`` between two metric populations."""
-    fit_g = fit_gaussian(genuine)
-    fit_i = fit_gaussian(infected)
-    mu = fit_i.mean - fit_g.mean
-    sigma = pooled_std(genuine, infected)
-    return mu, sigma
 
 
 def overlap_threshold(genuine: GaussianFit, infected: GaussianFit) -> float:

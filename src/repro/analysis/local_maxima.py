@@ -4,82 +4,17 @@ The paper's inter-die detection metric is built on the *local maxima* of
 the absolute difference between a measured EM trace and the mean golden
 trace: the informative samples are the peaks of the round activity, so
 summing the peaks concentrates the trojan's contribution while ignoring
-the flat, noise-dominated regions between rounds (Sec. V-B).
+the flat, noise-dominated regions between rounds (Sec. V-B).  The peak
+finder itself is :func:`repro.analysis.batch.find_local_maxima_batch`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-
-def find_local_maxima(signal: Sequence[float], min_height: Optional[float] = None,
-                      min_distance: int = 1) -> np.ndarray:
-    """Indices of strict local maxima of ``signal``.
-
-    A sample is a local maximum when it is strictly greater than its left
-    neighbour and at least as large as its right neighbour (plateaus keep
-    their first sample).  End points are never maxima.
-
-    This is the **serial reference** of
-    :func:`repro.analysis.batch.find_local_maxima_batch`: the batched
-    kernel must reproduce this function's output bit-for-bit on every
-    row, including the tie order of equal-height peaks during
-    min-distance suppression.
-
-    Parameters
-    ----------
-    min_height:
-        Discard maxima below this value.
-    min_distance:
-        Enforce a minimum index spacing between returned maxima, keeping
-        the highest peak of each cluster.
-    """
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if min_distance < 1:
-        raise ValueError("min_distance must be >= 1")
-    if x.size < 3 or not np.any(x[1:] != x[:-1]):
-        # Too short, or flat (e.g. the all-zero difference trace of a
-        # same-die self-comparison): no interior sample can be a strict
-        # local maximum, so skip the neighbour comparisons entirely.
-        return np.array([], dtype=int)
-
-    left = x[1:-1] > x[:-2]
-    right = x[1:-1] >= x[2:]
-    candidates = np.flatnonzero(left & right) + 1
-
-    if min_height is not None:
-        candidates = candidates[x[candidates] >= min_height]
-    if candidates.size == 0 or min_distance == 1:
-        return candidates
-    if candidates.size == 1 or np.all(np.diff(candidates) >= min_distance):
-        # Already spaced: the greedy suppression would keep every peak.
-        return candidates
-
-    # Greedy keep-highest with spacing constraint.  Visiting candidates
-    # in descending height order (the same ordering the original
-    # quadratic implementation used) and suppressing the ``candidates``
-    # range within ``min_distance`` of every kept peak is equivalent to
-    # re-checking each candidate against all kept peaks, but runs in
-    # O(K log K): ``candidates`` is ascending, so every suppression
-    # window is one precomputed ``searchsorted`` slice — no per-peak
-    # bisect and no list round-trips.
-    order_positions = np.argsort(x[candidates])[::-1].tolist()
-    lows = np.searchsorted(candidates, candidates - (min_distance - 1),
-                           side="left")
-    highs = np.searchsorted(candidates, candidates + (min_distance - 1),
-                            side="right")
-    suppressed = np.zeros(candidates.size, dtype=bool)
-    kept: List[int] = []
-    for position in order_positions:
-        if suppressed[position]:
-            continue
-        kept.append(candidates[position])
-        suppressed[lows[position]:highs[position]] = True
-    return np.array(sorted(kept), dtype=int)
+from .batch import sum_of_local_maxima_batch
 
 
 def sum_of_local_maxima(signal: Sequence[float],
@@ -87,24 +22,12 @@ def sum_of_local_maxima(signal: Sequence[float],
                         min_distance: int = 1) -> float:
     """Sum of the local-maximum values of ``signal`` (the paper's metric core).
 
-    Serial reference of
-    :func:`repro.analysis.batch.sum_of_local_maxima_batch`.
+    A one-row view of :func:`~repro.analysis.batch.sum_of_local_maxima_batch`.
+    Nothing in the package calls it; it stays because the end-to-end
+    benchmark's tracer (``e2e_bench/tracer.py``) probes it by name.
     """
-    x = np.asarray(signal, dtype=float)
-    if x.size < 3:
-        return 0.0
-    indices = find_local_maxima(x, min_height=min_height,
-                                min_distance=min_distance)
-    if indices.size == 0:
-        return 0.0
-    return float(x[indices].sum())
-
-
-def local_maxima_values(signal: Sequence[float],
-                        min_height: Optional[float] = None,
-                        min_distance: int = 1) -> np.ndarray:
-    """Values of the local maxima of ``signal`` (in index order)."""
-    x = np.asarray(signal, dtype=float)
-    indices = find_local_maxima(x, min_height=min_height,
-                                min_distance=min_distance)
-    return x[indices]
+    row = np.asarray(signal, dtype=float)
+    if row.ndim != 1:
+        raise ValueError("signal must be one-dimensional")
+    return float(sum_of_local_maxima_batch(
+        row[None, :], min_height=min_height, min_distance=min_distance)[0])

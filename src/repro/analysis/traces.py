@@ -1,16 +1,15 @@
 """Trace-set manipulation helpers.
 
-Thin numpy-based utilities shared by the EM detector and the experiment
-drivers: stacking acquisitions into a matrix, computing the mean
-(golden) reference, absolute difference traces and summary statistics.
-They operate on plain arrays so they are equally usable on simulated
+Thin numpy-based utilities shared by the EM detectors and the
+experiment drivers: stacking acquisitions into a matrix and absolute
+difference traces.  They operate on plain arrays so they are equally usable on simulated
 traces (:class:`repro.measurement.em_simulator.EMTrace`) and on traces
 loaded from disk (:mod:`repro.io.tracefile`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -51,15 +50,6 @@ def stack_traces(traces: Iterable[TraceLike]) -> np.ndarray:
     return np.vstack(rows)
 
 
-def mean_trace(traces: Iterable[TraceLike]) -> np.ndarray:
-    """Sample-wise mean of a set of traces (the E(G) reference of Sec. V).
-
-    Accepts a pre-stacked ``(num_traces, num_samples)`` ndarray like
-    :func:`stack_traces`.
-    """
-    return stack_traces(traces).mean(axis=0)
-
-
 def abs_difference(trace: TraceLike, reference: TraceLike) -> np.ndarray:
     """Absolute sample-wise difference |trace - reference|."""
     a = as_samples(trace)
@@ -69,47 +59,3 @@ def abs_difference(trace: TraceLike, reference: TraceLike) -> np.ndarray:
             f"trace has {a.size} samples but reference has {b.size}"
         )
     return np.abs(a - b)
-
-
-def difference(trace: TraceLike, reference: TraceLike) -> np.ndarray:
-    """Signed sample-wise difference (trace - reference)."""
-    a = as_samples(trace)
-    b = as_samples(reference)
-    if a.size != b.size:
-        raise ValueError(
-            f"trace has {a.size} samples but reference has {b.size}"
-        )
-    return a - b
-
-
-def per_sample_std(traces: Iterable[TraceLike]) -> np.ndarray:
-    """Sample-wise standard deviation across a set of traces.
-
-    Accepts a pre-stacked ``(num_traces, num_samples)`` ndarray like
-    :func:`stack_traces`.
-    """
-    matrix = stack_traces(traces)
-    if matrix.shape[0] < 2:
-        return np.zeros(matrix.shape[1])
-    return matrix.std(axis=0, ddof=1)
-
-
-def peak_to_peak(trace: TraceLike) -> float:
-    """Peak-to-peak amplitude of one trace."""
-    samples = as_samples(trace)
-    return float(samples.max() - samples.min())
-
-
-def signal_to_noise_ratio(traces: Iterable[TraceLike]) -> float:
-    """Crude SNR estimate of a set of nominally identical traces.
-
-    Ratio of the RMS of the mean trace to the mean per-sample standard
-    deviation; used to check that the simulated averaging reproduces the
-    paper's observation that 1 000-fold averaging yields a clean trace.
-    """
-    matrix = stack_traces(traces)
-    signal_rms = float(np.sqrt(np.mean(matrix.mean(axis=0) ** 2)))
-    noise = float(matrix.std(axis=0, ddof=1).mean()) if matrix.shape[0] > 1 else 0.0
-    if noise == 0.0:
-        return float("inf")
-    return signal_rms / noise

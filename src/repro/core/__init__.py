@@ -7,7 +7,7 @@ Eq. (5) false-negative model — plus the end-to-end platform that wires
 them to the simulated measurement substrate.
 """
 
-from .decision import DetectionOutcome, FixedThresholdPolicy, ThresholdPolicy
+from .decision import DetectionOutcome, ThresholdPolicy
 from .delay_detector import DelayComparisonResult, DelayDetector
 from .delay_model import (
     NetDelayModel,
@@ -17,7 +17,6 @@ from .delay_model import (
 )
 from .em_detector import (
     PopulationCharacterisation,
-    PopulationComparison,
     PopulationEMDetector,
     SameDieComparison,
     SameDieEMDetector,
@@ -41,7 +40,6 @@ from .pipeline import (
 from .report import (
     delay_study_report,
     format_table,
-    headline_summary,
     percentage,
     population_em_report,
     same_die_em_report,
@@ -49,7 +47,6 @@ from .report import (
 
 __all__ = [
     "DetectionOutcome",
-    "FixedThresholdPolicy",
     "ThresholdPolicy",
     "DelayComparisonResult",
     "DelayDetector",
@@ -58,7 +55,6 @@ __all__ = [
     "detectable_trojan_delay_ps",
     "expected_difference_noise_ps",
     "PopulationCharacterisation",
-    "PopulationComparison",
     "PopulationEMDetector",
     "SameDieComparison",
     "SameDieEMDetector",
@@ -77,7 +73,6 @@ __all__ = [
     "SameDieEMStudyResult",
     "delay_study_report",
     "format_table",
-    "headline_summary",
     "percentage",
     "population_em_report",
     "same_die_em_report",

@@ -2,14 +2,13 @@
 
 Both detectors reduce their evidence to a scalar score and compare it
 against a threshold derived from the golden reference.  Keeping the
-policy separate from the detectors makes the threshold choice explicit
-and lets the ablation benchmarks swap policies.
+policy separate from the detectors makes the threshold choice explicit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,26 +79,5 @@ class ThresholdPolicy:
             score=float(score),
             threshold=threshold,
             is_infected=bool(score > threshold),
-            details=details,
-        )
-
-
-@dataclass(frozen=True)
-class FixedThresholdPolicy:
-    """A fixed, externally supplied threshold (for what-if analyses)."""
-
-    value: float
-
-    def threshold(self, reference_scores: Sequence[float]) -> float:
-        return float(self.value)
-
-    def decide(self, label: str, score: float,
-               reference_scores: Sequence[float],
-               details: str = "") -> DetectionOutcome:
-        return DetectionOutcome(
-            label=label,
-            score=float(score),
-            threshold=float(self.value),
-            is_infected=bool(score > self.value),
             details=details,
         )

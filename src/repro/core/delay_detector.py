@@ -11,7 +11,7 @@ and the paper stresses that every wire acts as a trojan sensor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -121,18 +121,9 @@ class DelayDetector:
     def difference_ps(self, measurement: DelayMeasurement) -> np.ndarray:
         """Eq. (4) per-(pair, bit) delay differences against the fingerprint.
 
-        Serial reference of :meth:`difference_ps_batch`.
+        One-device view of :meth:`difference_ps_batch`.
         """
-        if measurement.mean_steps().shape != self.fingerprint.mean_steps.shape:
-            raise ValueError(
-                "measurement and fingerprint cover different campaigns "
-                f"({measurement.mean_steps().shape} vs "
-                f"{self.fingerprint.mean_steps.shape}); use the same pairs "
-                "and glitch sweep"
-            )
-        dut_ps = measurement.mean_delay_ps()
-        gm_ps = self.fingerprint.mean_delay_ps()
-        return np.abs(gm_ps - dut_ps)
+        return self.difference_ps_batch([measurement])[0]
 
     def difference_ps_batch(self, measurements: Sequence[DelayMeasurement]
                             ) -> np.ndarray:
@@ -140,9 +131,8 @@ class DelayDetector:
 
         Stacks the per-device mean delays into a ``(devices, pairs,
         bits)`` tensor and broadcasts the golden fingerprint against it;
-        every ``[d]`` plane is bit-identical to
-        :meth:`difference_ps` on ``measurements[d]`` (the serial
-        reference).
+        plane ``[d]`` is the absolute difference of the golden and
+        device ``d`` mean delays.
         """
         shape = self.fingerprint.mean_steps.shape
         if not measurements:
@@ -180,8 +170,3 @@ class DelayDetector:
             outcome=outcome,
             per_pair_max_ps=differences.max(axis=1),
         )
-
-    def compare_many(self, measurements: Sequence[DelayMeasurement]
-                     ) -> Dict[str, DelayComparisonResult]:
-        """Compare several DUT campaigns; returns results keyed by label."""
-        return {m.label: self.compare(m) for m in measurements}

@@ -20,14 +20,14 @@ the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..analysis.batch import characterise_score_populations
 from ..analysis.gaussian import GaussianFit
 from ..analysis.traces import TraceLike, abs_difference, as_samples, stack_traces
-from .decision import DetectionOutcome, ThresholdPolicy
+from .decision import DetectionOutcome
 from .fingerprint import EMReference
 from .metrics import LocalMaximaSumMetric
 
@@ -120,15 +120,6 @@ class PopulationCharacterisation:
         return 1.0 - self.false_negative_rate
 
 
-@dataclass
-class PopulationComparison:
-    """Decision for one device against the golden population."""
-
-    label: str
-    score: float
-    outcome: DetectionOutcome
-
-
 class PopulationEMDetector:
     """Inter-die EM detection using the local-maxima-sum metric.
 
@@ -136,105 +127,46 @@ class PopulationEMDetector:
     ----------
     metric:
         The trace-to-score metric (defaults to the paper's
-        local-maxima-sum).
-    policy:
-        Decision policy for single-device verdicts, calibrated on the
-        golden population's scores.
+        local-maxima-sum); any object with a
+        ``scores_matrix(matrix, reference)`` method.
     """
 
-    def __init__(self, metric: Optional[LocalMaximaSumMetric] = None,
-                 policy: Optional[ThresholdPolicy] = None):
+    def __init__(self, metric: Optional[LocalMaximaSumMetric] = None):
         self.metric = metric or LocalMaximaSumMetric()
-        self.policy = policy or ThresholdPolicy(num_sigmas=3.0)
-        self.reference: Optional[EMReference] = None
-        self._golden_scores: Optional[np.ndarray] = None
 
-    # -- reference construction ---------------------------------------------------
+    def fit_and_characterise(self, golden_traces: Sequence[TraceLike],
+                             infected_populations: "Dict[str, Sequence[TraceLike]]"
+                             ) -> "tuple[EMReference, Dict[str, PopulationCharacterisation]]":
+        """Fit the mean-golden reference and characterise every trojan.
 
-    def fit_reference(self, golden_traces: Sequence[TraceLike]) -> EMReference:
-        """Build the mean-golden reference and the golden score population.
-
-        ``golden_traces`` may be a trace list or a pre-stacked
-        ``(num_traces, num_samples)`` ndarray; either way the population
-        is stacked once and both the reference statistics and the whole
-        golden score population come out of single batched passes
-        (:meth:`~repro.core.metrics.LocalMaximaSumMetric.scores_matrix`)
-        — bit-identical to the per-trace serial loop.
+        ``golden_traces`` and each of ``infected_populations`` (one per
+        trojan, one trace per die) may be trace lists or pre-stacked
+        ``(num_traces, num_samples)`` ndarrays.  Every population is
+        scored by one batched ``metric.scores_matrix`` call straight on
+        its matrix; one call over the concatenated matrices was slower
+        (the copy and its working set leave the cache: about 20 % at
+        8, 32 and 128 dies).  The two-Gaussian model of Fig. 7 and
+        Eq. (5) are then evaluated for every trojan in one batched
+        pass.
         """
         if len(golden_traces) < 2:
             raise ValueError(
                 "the population detector needs at least two golden traces"
             )
-        matrix = stack_traces(golden_traces)
-        self.reference = EMReference.from_matrix(matrix, label="E(G)")
-        self._golden_scores = self._population_scores(matrix)
-        return self.reference
-
-    def _population_scores(self, matrix: np.ndarray) -> np.ndarray:
-        """Score a stacked population, falling back for custom metrics."""
-        scores_matrix = getattr(self.metric, "scores_matrix", None)
-        if scores_matrix is not None:
-            return scores_matrix(matrix, self.reference.mean)
-        return self.metric.scores(matrix, self.reference.mean)
-
-    def golden_scores(self) -> np.ndarray:
-        """Scores of the golden population against its own mean."""
-        if self._golden_scores is None:
-            raise RuntimeError("call fit_reference() before using the detector")
-        return self._golden_scores
-
-    # -- scoring and decisions ----------------------------------------------------------
-
-    def score(self, trace: TraceLike) -> float:
-        """Metric score of one device against the golden reference."""
-        if self.reference is None:
-            raise RuntimeError("call fit_reference() before using the detector")
-        return self.metric.score(trace, self.reference.mean)
-
-    def scores(self, traces: Sequence[TraceLike]) -> np.ndarray:
-        """Scores of a whole population in one batched call.
-
-        Accepts a trace list or a pre-stacked matrix; bit-identical to
-        calling :meth:`score` per trace.
-        """
-        if self.reference is None:
-            raise RuntimeError("call fit_reference() before using the detector")
-        return self._population_scores(stack_traces(traces))
-
-    def compare(self, trace: TraceLike, label: str = "DUT") -> PopulationComparison:
-        """Accept/reject one device."""
-        score = self.score(trace)
-        outcome = self.policy.decide(
-            label=label,
-            score=score,
-            reference_scores=list(self.golden_scores()),
-            details="sum of local maxima of |trace - E(G)|",
+        sizes = {len(population)
+                 for population in infected_populations.values()}
+        if len(sizes) != 1 or 0 in sizes:
+            raise ValueError("every trojan needs one infected trace per die")
+        golden_matrix = stack_traces(golden_traces)
+        reference = EMReference.from_traces(golden_matrix, label="E(G)")
+        fits = characterise_score_populations(
+            self.metric.scores_matrix(golden_matrix, reference.mean),
+            np.stack([self.metric.scores_matrix(stack_traces(population),
+                                                reference.mean)
+                      for population in infected_populations.values()]),
         )
-        return PopulationComparison(label=label, score=score, outcome=outcome)
-
-    def characterise(self, infected_traces: Sequence[TraceLike]
-                     ) -> PopulationCharacterisation:
-        """Fit the two-Gaussian model of Fig. 7 and evaluate Eq. (5).
-
-        ``infected_traces`` are the traces of the *same* trojan across the
-        die population (a trace list or a pre-stacked matrix); the
-        genuine population is the one the reference was fitted on.  The
-        whole population is scored in one batched call.
-        """
-        if len(infected_traces) == 0:
-            raise ValueError("at least one infected trace is required")
-        infected_scores = self._population_scores(
-            stack_traces(infected_traces)
-        )
-        return self._characterise_rows(infected_scores[None, :])[0]
-
-    def _characterise_rows(self, score_matrix: np.ndarray
-                           ) -> "List[PopulationCharacterisation]":
-        """Two-Gaussian model of each infected score population (one per row)."""
-        fits = characterise_score_populations(self.golden_scores(),
-                                              score_matrix)
-        return [
-            PopulationCharacterisation(
+        return reference, {
+            name: PopulationCharacterisation(
                 genuine=fits.genuine,
                 infected=GaussianFit(mean=float(fits.infected_means[index]),
                                      std=float(fits.infected_stds[index])),
@@ -242,88 +174,5 @@ class PopulationEMDetector:
                 sigma=float(fits.sigmas[index]),
                 false_negative_rate=float(fits.rates[index]),
             )
-            for index in range(score_matrix.shape[0])
-        ]
-
-    def _stack_populations(self, infected_populations: "Dict[str, Sequence[TraceLike]]"
-                           ) -> "tuple[List[str], List[np.ndarray]]":
-        names = list(infected_populations)
-        matrices = []
-        for name in names:
-            population = infected_populations[name]
-            if len(population) == 0:
-                raise ValueError("at least one infected trace is required")
-            matrices.append(stack_traces(population))
-        return names, matrices
-
-    def _infected_scores(self, matrices: "List[np.ndarray]") -> np.ndarray:
-        """Every population's scores, concatenated in ``matrices`` order.
-
-        One batched call per population, straight on its matrix.  A
-        single call over the concatenated matrices was slower: the copy
-        and its working set leave the cache (about 20 % slower at 8, 32
-        and 128 dies).  Scores are per row, so the bytes are the same.
-        """
-        if not matrices:
-            return np.empty(0)
-        return np.concatenate([self._population_scores(matrix)
-                               for matrix in matrices])
-
-    def _characterise_population_scores(self, names: "List[str]",
-                                        matrices: "List[np.ndarray]",
-                                        scores: np.ndarray
-                                        ) -> "Dict[str, PopulationCharacterisation]":
-        """Split one concatenated score vector and characterise per trojan.
-
-        ``scores`` holds the infected populations' scores concatenated
-        in ``names`` order.  In the study shape (every population one
-        score per die) every trojan is characterised by one batched
-        call; populations of unequal size are characterised one by one.
-        Either way each result is bit-identical to :meth:`characterise`
-        on that trojan alone.
-        """
-        sizes = [matrix.shape[0] for matrix in matrices]
-        if len(set(sizes)) == 1:
-            rows = self._characterise_rows(scores.reshape(len(names), -1))
-        else:
-            bounds = np.cumsum([0] + sizes).tolist()
-            rows = [self._characterise_rows(scores[None, begin:end])[0]
-                    for begin, end in zip(bounds[:-1], bounds[1:])]
-        return dict(zip(names, rows))
-
-    def characterise_many(self, infected_populations: "Dict[str, Sequence[TraceLike]]"
-                          ) -> "Dict[str, PopulationCharacterisation]":
-        """Characterise several trojans' populations (trace lists or
-        pre-stacked matrices); each result is bit-identical to
-        :meth:`characterise` on that trojan alone.
-        """
-        if self.reference is None:
-            raise RuntimeError("call fit_reference() before using the detector")
-        names, matrices = self._stack_populations(infected_populations)
-        if not names:
-            return {}
-        return self._characterise_population_scores(
-            names, matrices, self._infected_scores(matrices))
-
-    def fit_and_characterise(self, golden_traces: Sequence[TraceLike],
-                             infected_populations: "Dict[str, Sequence[TraceLike]]"
-                             ) -> "tuple[EMReference, Dict[str, PopulationCharacterisation]]":
-        """Fit the reference and characterise every trojan in one call.
-
-        The golden population and every infected population are each
-        scored by one batched score-matrix call (see
-        :meth:`_infected_scores`).  The golden scores, the reference and
-        every characterisation are bit-identical to the two-step
-        :meth:`fit_reference` + :meth:`characterise` path.
-        """
-        if len(golden_traces) < 2:
-            raise ValueError(
-                "the population detector needs at least two golden traces"
-            )
-        golden_matrix = stack_traces(golden_traces)
-        names, matrices = self._stack_populations(infected_populations)
-        self.reference = EMReference.from_matrix(golden_matrix, label="E(G)")
-        self._golden_scores = self._population_scores(golden_matrix)
-        return self.reference, self._characterise_population_scores(
-            names, matrices, self._infected_scores(matrices)
-        )
+            for index, name in enumerate(infected_populations)
+        }

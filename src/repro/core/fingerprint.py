@@ -13,12 +13,12 @@ built from the golden model (GM):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..analysis.traces import TraceLike, mean_trace, per_sample_std, stack_traces
+from ..analysis.traces import TraceLike, stack_traces
 from ..measurement.delay_meter import DelayMeasurement
 
 
@@ -130,24 +130,12 @@ class EMReference:
                     label: str = "E(G)") -> "EMReference":
         """Build the reference from a set of golden traces.
 
-        A pre-stacked ``(num_traces, num_samples)`` ndarray passes
-        straight through to :meth:`from_matrix` without re-stacking.
+        ``traces`` may be a trace list or a pre-stacked ``(num_traces,
+        num_samples)`` ndarray, which passes through without
+        re-stacking.  The whole golden population is characterised
+        with two axis reductions (mean, per-sample std).
         """
-        return cls.from_matrix(stack_traces(traces), label=label)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray,
-                    label: str = "E(G)") -> "EMReference":
-        """Build the reference from a stacked trace matrix in one pass.
-
-        The whole golden population is characterised with two axis
-        reductions (mean, per-sample std) — no per-trace loop and no
-        intermediate :class:`~repro.measurement.em_simulator.EMTrace`
-        objects.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be (num_traces, num_samples)")
+        matrix = stack_traces(traces)
         return cls(
             mean=matrix.mean(axis=0),
             per_sample_std=(matrix.std(axis=0, ddof=1) if matrix.shape[0] > 1

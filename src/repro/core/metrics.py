@@ -16,17 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..analysis.batch import abs_difference_matrix, sum_of_local_maxima_batch
-from ..analysis.local_maxima import sum_of_local_maxima
-from ..analysis.traces import TraceLike, abs_difference, as_samples, stack_traces
+from ..analysis.batch import (
+    abs_difference_matrix,
+    false_negative_rates,
+    sum_of_local_maxima_batch,
+)
+from ..analysis.traces import TraceLike, as_samples
 
 
 def false_negative_rate(mu: float, sigma: float) -> float:
     """Eq. (5): FN (= FP) rate of the symmetric two-Gaussian decision.
+
+    One-entry view of
+    :func:`~repro.analysis.batch.false_negative_rates`, the one
+    implementation of Eq. (5) and of its ``sigma == 0`` limit.
 
     Parameters
     ----------
@@ -35,11 +42,7 @@ def false_negative_rate(mu: float, sigma: float) -> float:
     sigma:
         Common standard deviation of the two populations.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0:
-        return 0.0 if mu > 0 else 0.5
-    return 0.5 - 0.5 * math.erf(mu / (2.0 * sigma * math.sqrt(2.0)))
+    return float(false_negative_rates(mu, sigma))
 
 
 def detection_probability(mu: float, sigma: float) -> float:
@@ -84,46 +87,20 @@ class LocalMaximaSumMetric:
     min_peak_distance: int = 5
     min_peak_height: Optional[float] = None
 
-    def difference_trace(self, trace: TraceLike, reference: TraceLike
-                         ) -> np.ndarray:
-        """The absolute difference |trace - reference| the metric is built on."""
-        return abs_difference(trace, reference)
-
-    def score(self, trace: TraceLike, reference: TraceLike) -> float:
-        """Sum of the local maxima of the absolute difference trace.
-
-        Serial reference of :meth:`scores_matrix`; the batched path must
-        reproduce this per-trace score bit-for-bit.
-        """
-        return sum_of_local_maxima(
-            self.difference_trace(trace, reference),
-            min_height=self.min_peak_height,
-            min_distance=self.min_peak_distance,
-        )
-
     def scores_matrix(self, matrix: np.ndarray, reference: TraceLike
                       ) -> np.ndarray:
         """Scores of a pre-stacked ``(traces x samples)`` matrix.
 
         One batched abs-difference and one batched local-maxima pass
         over the whole population (:mod:`repro.analysis.batch`);
-        bit-identical to calling :meth:`score` row by row.
+        bit-identical, row by row, to the per-trace serial reference
+        ``score_trace`` in ``tests/oracles/scoring.py``.
         """
         return sum_of_local_maxima_batch(
             abs_difference_matrix(matrix, as_samples(reference)),
             min_height=self.min_peak_height,
             min_distance=self.min_peak_distance,
         )
-
-    def scores(self, traces: Sequence[TraceLike], reference: TraceLike
-               ) -> np.ndarray:
-        """Scores of a whole population of traces against one reference.
-
-        Stacks once (a pre-stacked ndarray passes through) and scores
-        through :meth:`scores_matrix`; equals a :meth:`score` loop
-        bit-for-bit.
-        """
-        return self.scores_matrix(stack_traces(traces), reference)
 
 
 @dataclass(frozen=True)
@@ -135,33 +112,17 @@ class L1TraceMetric:
     regions between peaks only add noise).
     """
 
-    def score(self, trace: TraceLike, reference: TraceLike) -> float:
-        """Serial reference of :meth:`scores_matrix`."""
-        return float(np.mean(abs_difference(trace, reference)))
-
     def scores_matrix(self, matrix: np.ndarray, reference: TraceLike
                       ) -> np.ndarray:
-        """Row-wise mean abs difference; bit-identical to :meth:`score`."""
+        """Row-wise mean abs difference of a ``(traces x samples)`` matrix."""
         return abs_difference_matrix(matrix, as_samples(reference)).mean(axis=1)
-
-    def scores(self, traces: Sequence[TraceLike], reference: TraceLike
-               ) -> np.ndarray:
-        return self.scores_matrix(stack_traces(traces), reference)
 
 
 @dataclass(frozen=True)
 class MaxDifferenceMetric:
     """Baseline metric: maximum absolute difference (single worst sample)."""
 
-    def score(self, trace: TraceLike, reference: TraceLike) -> float:
-        """Serial reference of :meth:`scores_matrix`."""
-        return float(np.max(abs_difference(trace, reference)))
-
     def scores_matrix(self, matrix: np.ndarray, reference: TraceLike
                       ) -> np.ndarray:
-        """Row-wise max abs difference; bit-identical to :meth:`score`."""
+        """Row-wise max abs difference of a ``(traces x samples)`` matrix."""
         return abs_difference_matrix(matrix, as_samples(reference)).max(axis=1)
-
-    def scores(self, traces: Sequence[TraceLike], reference: TraceLike
-               ) -> np.ndarray:
-        return self.scores_matrix(stack_traces(traces), reference)

@@ -7,10 +7,8 @@ stays consistent and testable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Sequence
 
-from .delay_detector import DelayComparisonResult
-from .em_detector import PopulationCharacterisation, SameDieComparison
 from .pipeline import (
     DelayStudyResult,
     PopulationEMStudyResult,
@@ -95,8 +93,3 @@ def population_em_report(result: PopulationEMStudyResult) -> str:
     )
     return ("Inter-die EM detection with process variations (Sec. V)\n"
             + table)
-
-
-def headline_summary(result: PopulationEMStudyResult) -> Dict[str, float]:
-    """The headline numbers as a dictionary (trojan name -> FN rate)."""
-    return result.false_negative_rates()

@@ -10,11 +10,11 @@ peak amplitude, and that ten round bursts can be counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..analysis.local_maxima import find_local_maxima
+from ..analysis.batch import find_local_maxima_batch
 from ..core.pipeline import HTDetectionPlatform
 from ..measurement.em_simulator import EMTrace
 from .config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
@@ -39,9 +39,10 @@ def count_round_bursts(trace: EMTrace, samples_per_cycle: int) -> int:
     """Count distinct activity bursts by finding well-separated envelope peaks."""
     envelope = np.abs(trace.samples)
     threshold = 0.3 * envelope.max()
-    peaks = find_local_maxima(envelope, min_height=threshold,
-                              min_distance=max(2, samples_per_cycle // 2))
-    return int(peaks.size)
+    peaks = find_local_maxima_batch(
+        envelope[None, :], min_height=threshold,
+        min_distance=max(2, samples_per_cycle // 2))
+    return int(np.count_nonzero(peaks))
 
 
 def run(config: Optional[ExperimentConfig] = None,

@@ -46,8 +46,9 @@ bytes; the last ``os.replace`` wins and nothing is torn.
   number of writer processes and one maintenance process can share a
   store directory.  Writers register a heartbeated :mod:`lease
   <repro.store.leases>` and take the *shared* side of the store lock
-  (:mod:`repro.store.locks`) around each file mutation, plus a per-key
-  write lock across the object-then-manifest pair; reads stay lock-free
+  (:mod:`repro.store.locks`, taken through a turnstile so a waiter
+  keeps its place) around each file mutation, plus a per-key write
+  lock across the object-then-manifest pair; reads stay lock-free
   on the hit path (the digest check guarantees integrity, not a lock);
 * an object-presence check in :meth:`ArtifactStore.entry` (a manifest
   entry whose object file is gone is a miss);
@@ -344,14 +345,29 @@ class ArtifactStore:
     def _store_lock(self, shared: bool, wait_s: Optional[float] = None):
         """The store lock: its shared side around one writer's file
         mutation, its exclusive side (bounded by ``wait_s``) around
-        ``gc``/``fsck --repair``."""
+        ``gc``/``fsck --repair``.
+
+        Every acquisition waits holding the turnstile
+        (``locks/store.turnstile``) and lets it go once the store lock
+        is held.  A waiter therefore keeps its place: a process that
+        re-takes the store lock in a loop queues at the turnstile
+        instead of overtaking the waiter between two of its backoff
+        sleeps.
+        """
         if not self.locking:
             yield
             return
         lock = FileLock(self.locks_dir / "store.lock")
+        turnstile = FileLock(self.locks_dir / "store.turnstile")
         timeout = DEFAULT_LOCK_TIMEOUT_S if wait_s is None else float(wait_s)
-        self.retry.call(lambda: lock.acquire(shared=shared,
-                                             timeout_s=timeout))
+
+        def acquire() -> None:
+            deadline = time.monotonic() + timeout
+            with turnstile.holding(timeout_s=timeout):
+                lock.acquire(shared=shared,
+                             timeout_s=deadline - time.monotonic())
+
+        self.retry.call(acquire)
         try:
             yield
         finally:

@@ -21,7 +21,11 @@ The store uses two lock levels (always acquired store-before-key):
 Acquisition is a bounded non-blocking retry loop using the shared
 backoff helper (:func:`repro.store.retry.backoff_delay_s`) with the pid
 folded into the jitter token, so concurrent waiters spread out instead
-of retrying in lockstep.  :class:`LockTimeout` is raised when the
+of retrying in lockstep.  A waiter that sleeps between attempts has no
+place in a queue, so the store lock is always taken through a
+turnstile (``locks/store.turnstile``, see
+:meth:`repro.store.ArtifactStore._store_lock`): held exclusively while
+waiting, released once the store lock is held.  :class:`LockTimeout` is raised when the
 bounded wait expires — callers surface it ("store busy") rather than
 deadlocking.
 """

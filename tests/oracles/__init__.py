@@ -2,7 +2,7 @@
 
 The package in ``src/`` keeps one implementation per operation: the
 compiled netlist and timing kernels, the one EM acquisition core, the
-batched trojan activity, scoring, ROC, DFA and fault kernels, and the
+batched trojan activity, scoring, DFA and fault kernels, and the
 store payload codecs.  The per-element loops, cell-by-cell walks and
 trace-list payload packers they replaced live here, as the executable
 specifications the bit-identity tests (``from oracles import ...``) and
@@ -52,8 +52,11 @@ from .scoring import (
     build_delay_scorer,
     dfa_key_scores_serial,
     faulted_bits_population_serial,
-    roc_curve_serial,
+    find_local_maxima,
+    pooled_std,
+    score_trace,
     scores_serial,
+    sum_of_local_maxima_serial,
 )
 from .timing import TimingEngine, TwoVectorResult, two_vector_result
 
@@ -91,8 +94,11 @@ __all__ = [
     "build_delay_scorer",
     "dfa_key_scores_serial",
     "faulted_bits_population_serial",
-    "roc_curve_serial",
+    "find_local_maxima",
+    "pooled_std",
+    "score_trace",
     "scores_serial",
+    "sum_of_local_maxima_serial",
     "TimingEngine",
     "TwoVectorResult",
     "two_vector_result",

@@ -1,4 +1,4 @@
-"""Serial references of the batched scoring, ROC, DFA and fault kernels.
+"""Serial references of the batched scoring, DFA and fault kernels.
 
 Each function is the per-element loop its vectorised counterpart in
 ``src/`` replaced, kept as the executable specification the
@@ -7,7 +7,7 @@ bit-identity tests and the speed-up benchmarks compare against.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +17,12 @@ from repro.analysis.dfa import (
     PHANTOM_TOGGLE_WEIGHT,
     _normalise_fault_pair,
 )
-from repro.analysis.roc import ROCCurve, _roc_thresholds
+from repro.analysis.traces import abs_difference
+from repro.core.metrics import (
+    L1TraceMetric,
+    LocalMaximaSumMetric,
+    MaxDifferenceMetric,
+)
 from repro.crypto.aes import SHIFT_ROWS_PERM
 from repro.crypto.sbox import INV_SBOX
 from repro.crypto.state import BLOCK_BYTES
@@ -46,38 +51,133 @@ def build_delay_scorer(name: str):
         ) from exc
 
 
-def scores_serial(metric, traces: Sequence, reference) -> np.ndarray:
-    """Per-trace scoring loop — the serial reference of ``metric.scores``.
+def find_local_maxima(signal: Sequence[float],
+                      min_height: Optional[float] = None,
+                      min_distance: int = 1) -> np.ndarray:
+    """Indices of strict local maxima of ``signal``.
 
-    ``metric`` is any of the trace metrics of :mod:`repro.core.metrics`;
-    each score comes from its scalar ``score``.
+    A sample is a local maximum when it is strictly greater than its left
+    neighbour and at least as large as its right neighbour (plateaus keep
+    their first sample).  End points are never maxima.
+
+    Serial reference of
+    :func:`repro.analysis.batch.find_local_maxima_batch`: the batched
+    kernel must reproduce this function's output bit-for-bit on every
+    row, including the tie order of equal-height peaks during
+    min-distance suppression.
+
+    Parameters
+    ----------
+    min_height:
+        Discard maxima below this value.
+    min_distance:
+        Enforce a minimum index spacing between returned maxima, keeping
+        the highest peak of each cluster.
     """
-    return np.array([metric.score(trace, reference) for trace in traces])
+    x = np.asarray(signal, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("signal must be one-dimensional")
+    if min_distance < 1:
+        raise ValueError("min_distance must be >= 1")
+    if x.size < 3 or not np.any(x[1:] != x[:-1]):
+        # Too short, or flat (e.g. the all-zero difference trace of a
+        # same-die self-comparison): no interior sample can be a strict
+        # local maximum, so skip the neighbour comparisons entirely.
+        return np.array([], dtype=int)
+
+    left = x[1:-1] > x[:-2]
+    right = x[1:-1] >= x[2:]
+    candidates = np.flatnonzero(left & right) + 1
+
+    if min_height is not None:
+        candidates = candidates[x[candidates] >= min_height]
+    if candidates.size == 0 or min_distance == 1:
+        return candidates
+    if candidates.size == 1 or np.all(np.diff(candidates) >= min_distance):
+        # Already spaced: the greedy suppression would keep every peak.
+        return candidates
+
+    # Greedy keep-highest with spacing constraint.  Visiting candidates
+    # in descending height order (the same ordering the original
+    # quadratic implementation used) and suppressing the ``candidates``
+    # range within ``min_distance`` of every kept peak is equivalent to
+    # re-checking each candidate against all kept peaks, but runs in
+    # O(K log K): ``candidates`` is ascending, so every suppression
+    # window is one precomputed ``searchsorted`` slice — no per-peak
+    # bisect and no list round-trips.
+    order_positions = np.argsort(x[candidates])[::-1].tolist()
+    lows = np.searchsorted(candidates, candidates - (min_distance - 1),
+                           side="left")
+    highs = np.searchsorted(candidates, candidates + (min_distance - 1),
+                            side="right")
+    suppressed = np.zeros(candidates.size, dtype=bool)
+    kept: List[int] = []
+    for position in order_positions:
+        if suppressed[position]:
+            continue
+        kept.append(candidates[position])
+        suppressed[lows[position]:highs[position]] = True
+    return np.array(sorted(kept), dtype=int)
 
 
-def roc_curve_serial(genuine_scores: Sequence[float],
-                     infected_scores: Sequence[float]) -> ROCCurve:
-    """Serial reference of :func:`repro.analysis.roc.roc_curve`.
+def sum_of_local_maxima_serial(signal: Sequence[float],
+                               min_height: Optional[float] = None,
+                               min_distance: int = 1) -> float:
+    """Serial reference of
+    :func:`repro.analysis.batch.sum_of_local_maxima_batch`: the values
+    at :func:`find_local_maxima`'s indices, summed in index order."""
+    x = np.asarray(signal, dtype=float)
+    if x.size < 3:
+        return 0.0
+    indices = find_local_maxima(x, min_height=min_height,
+                                min_distance=min_distance)
+    if indices.size == 0:
+        return 0.0
+    return float(x[indices].sum())
 
-    The original per-threshold scan — one ``(scores > threshold).mean()``
-    pass per threshold — kept as the pinned reference the equivalence
-    tests compare the sort + ``searchsorted`` curve against.
+
+def pooled_std(a: Sequence[float], b: Sequence[float]) -> float:
+    """Pooled standard deviation of two samples — the serial reference
+    of :func:`repro.analysis.batch.pooled_std_batch`.
+
+    The paper assumes ``sigma1 ~= sigma2 = sigma`` when applying Eq. (5);
+    the pooled estimate is the natural single sigma to use.
     """
-    genuine = np.asarray(genuine_scores, dtype=float)
-    infected = np.asarray(infected_scores, dtype=float)
-    if genuine.size == 0 or infected.size == 0:
-        raise ValueError("both score populations must be non-empty")
-    thresholds = _roc_thresholds(genuine, infected)
-    fprs: List[float] = []
-    tprs: List[float] = []
-    for threshold in thresholds:
-        fprs.append(float((genuine > threshold).mean()))
-        tprs.append(float((infected > threshold).mean()))
-    return ROCCurve(
-        thresholds=thresholds,
-        false_positive_rates=np.array(fprs),
-        true_positive_rates=np.array(tprs),
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
+    if x.size < 2 or y.size < 2:
+        raise ValueError("both samples need at least two observations")
+    var = ((x.size - 1) * x.var(ddof=1) + (y.size - 1) * y.var(ddof=1)) / (
+        x.size + y.size - 2
     )
+    return float(np.sqrt(var))
+
+
+def score_trace(metric, trace, reference) -> float:
+    """Per-trace serial reference of ``metric.scores_matrix``.
+
+    ``metric`` is one of the trace metrics of :mod:`repro.core.metrics`;
+    the score is built on the absolute difference ``|trace -
+    reference|``.
+    """
+    difference = abs_difference(trace, reference)
+    if isinstance(metric, LocalMaximaSumMetric):
+        return sum_of_local_maxima_serial(
+            difference, min_height=metric.min_peak_height,
+            min_distance=metric.min_peak_distance)
+    if isinstance(metric, L1TraceMetric):
+        return float(np.mean(difference))
+    if isinstance(metric, MaxDifferenceMetric):
+        return float(np.max(difference))
+    raise TypeError(f"no serial reference for {type(metric).__name__}")
+
+
+def scores_serial(metric, traces: Sequence, reference) -> np.ndarray:
+    """Per-trace scoring loop — the serial reference of
+    ``metric.scores_matrix`` over a population (one
+    :func:`score_trace` per trace)."""
+    return np.array([score_trace(metric, trace, reference)
+                     for trace in traces])
 
 
 def dfa_key_scores_serial(correct_ciphertexts, faulted_ciphertexts,

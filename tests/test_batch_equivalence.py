@@ -34,6 +34,7 @@ from oracles import (
     measure,
     noiseless_trace,
     pair_transitions,
+    pooled_std,
     scores_serial,
 )
 
@@ -407,7 +408,11 @@ def test_delay_difference_batch_matches_serial(batch_platform):
                                        seeds=list(range(40, 40 + len(duts))))
     batched = detector.difference_ps_batch(measurements)
     assert batched.shape[0] == len(measurements)
+    golden_ps = detector.fingerprint.mean_delay_ps()
     for index, measurement in enumerate(measurements):
+        # Eq. (4) per device, and the one-device view of the batch.
+        assert np.array_equal(batched[index],
+                              np.abs(golden_ps - measurement.mean_delay_ps()))
         assert np.array_equal(batched[index],
                               detector.difference_ps(measurement))
     assert detector.difference_ps_batch([]).shape == (
@@ -416,7 +421,7 @@ def test_delay_difference_batch_matches_serial(batch_platform):
 
 def test_campaign_em_rows_match_serial_scoring(batch_platform):
     """Campaign cell mu/sigma/FN are bit-identical to the serial loops."""
-    from repro.analysis.gaussian import fit_gaussian, pooled_std
+    from repro.analysis.gaussian import fit_gaussian
     from repro.campaigns import CampaignEngine, CampaignSpec
     from repro.campaigns.engine import build_metric
     from repro.core.metrics import false_negative_rate
@@ -449,7 +454,7 @@ def test_campaign_em_rows_match_serial_scoring(batch_platform):
 
 def test_campaign_delay_rows_match_serial_scoring(batch_platform):
     """Delay cells' batched scorers equal the per-die serial scorers."""
-    from repro.analysis.gaussian import fit_gaussian, pooled_std
+    from repro.analysis.gaussian import fit_gaussian
     from repro.campaigns import CampaignEngine, CampaignSpec
     from repro.core.metrics import false_negative_rate
 
@@ -481,7 +486,7 @@ def test_campaign_delay_rows_match_serial_scoring(batch_platform):
 
 def test_population_study_matches_serial_replica(batch_platform):
     """The tensor-resident Sec. V study equals a fully serial replica."""
-    from repro.analysis.gaussian import fit_gaussian, pooled_std
+    from repro.analysis.gaussian import fit_gaussian
     from repro.campaigns import CampaignEngine, CampaignSpec
     from repro.core.metrics import LocalMaximaSumMetric, false_negative_rate
 

@@ -12,6 +12,8 @@ populations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +26,7 @@ from repro.analysis.batch import (
     pooled_std_batch,
     sum_of_local_maxima_batch,
 )
-from repro.analysis.gaussian import fit_gaussian, pooled_std
-from repro.analysis.local_maxima import find_local_maxima, sum_of_local_maxima
+from repro.analysis.gaussian import fit_gaussian
 from repro.analysis.traces import abs_difference, stack_traces
 from repro.core.em_detector import PopulationEMDetector
 from repro.core.fingerprint import EMReference
@@ -36,7 +37,13 @@ from repro.core.metrics import (
     false_negative_rate,
 )
 
-from oracles import acquire_population_traces, scores_serial
+from oracles import (
+    acquire_population_traces,
+    find_local_maxima,
+    pooled_std,
+    scores_serial,
+    sum_of_local_maxima_serial,
+)
 
 # -- hypothesis strategies ----------------------------------------------------
 
@@ -72,8 +79,8 @@ def test_find_local_maxima_batch_pins_scalar_reference(rows, min_distance,
         expected = find_local_maxima(row, min_height=min_height,
                                      min_distance=min_distance)
         assert np.array_equal(np.flatnonzero(mask[index]), expected)
-        expected_sum = sum_of_local_maxima(row, min_height=min_height,
-                                           min_distance=min_distance)
+        expected_sum = sum_of_local_maxima_serial(
+            row, min_height=min_height, min_distance=min_distance)
         assert sums[index] == expected_sum  # bit-identical, not approx
 
 
@@ -171,15 +178,19 @@ def test_false_negative_rates_pin_scalar_reference(mus, sigmas):
     sigma = np.asarray(sigmas[:length])
     rates = false_negative_rates(mu, sigma)
     for index in range(length):
-        assert rates[index] == false_negative_rate(float(mu[index]),
-                                                   float(sigma[index]))
+        mu_value, sigma_value = float(mu[index]), float(sigma[index])
+        assert rates[index] == false_negative_rate(mu_value, sigma_value)
+        if sigma_value > 0:
+            # Eq. (5) in closed form, evaluated with plain floats.
+            assert rates[index] == 0.5 - 0.5 * math.erf(
+                mu_value / (2.0 * sigma_value * math.sqrt(2.0)))
 
 
 def test_false_negative_rates_validation_and_degenerate():
     with pytest.raises(ValueError):
         false_negative_rates([1.0], [-1.0])
     rates = false_negative_rates([1.0, -1.0, 0.0], [0.0, 0.0, 0.0])
-    assert list(rates) == [0.0, 0.5, 0.5]
+    assert list(rates) == [0.0, 1.0, 0.5]
 
 
 # -- trace stacking pass-through ----------------------------------------------
@@ -192,17 +203,15 @@ def test_stack_traces_passes_prestacked_matrix_through():
         stack_traces(np.zeros((0, 4)))
 
 
-def test_em_reference_from_matrix_matches_from_traces():
+def test_em_reference_from_traces_accepts_prestacked_matrix():
     rng = np.random.default_rng(11)
     traces = [rng.normal(size=16) for _ in range(4)]
     from_traces = EMReference.from_traces(traces)
-    from_matrix = EMReference.from_matrix(np.vstack(traces))
+    from_matrix = EMReference.from_traces(np.vstack(traces))
     assert np.array_equal(from_traces.mean, from_matrix.mean)
     assert np.array_equal(from_traces.per_sample_std,
                           from_matrix.per_sample_std)
     assert from_traces.num_traces == from_matrix.num_traces
-    with pytest.raises(ValueError):
-        EMReference.from_matrix(np.zeros(5))
 
 
 # -- metric / detector level ---------------------------------------------------
@@ -225,75 +234,50 @@ def test_metric_scores_equal_serial_loop(small_population, metric):
     population = list(golden) + list(infected["HT1"]) + list(infected["HT3"])
     reference = stack_traces(golden).mean(axis=0)
     serial = scores_serial(metric, population, reference)
-    batched = metric.scores(population, reference)
     matrix_scores = metric.scores_matrix(stack_traces(population), reference)
-    assert np.array_equal(serial, batched)
     assert np.array_equal(serial, matrix_scores)
 
 
-def test_population_detector_batched_paths_equal_serial(small_population):
+@pytest.mark.parametrize("metric", METRICS,
+                         ids=lambda metric: type(metric).__name__ + "-"
+                         + str(getattr(metric, "min_peak_distance", "")))
+def test_population_detector_equals_serial_chain(small_population, metric):
+    """``fit_and_characterise`` against the per-trace score, scalar
+    Gaussian fits, pooled sigma and Eq. (5), trojan by trojan."""
     golden, infected = small_population
-    detector = PopulationEMDetector()
-    reference = detector.fit_reference(golden)
-    metric = detector.metric
+    reference, characterisations = PopulationEMDetector(
+        metric).fit_and_characterise(golden, infected)
+    assert np.array_equal(reference.mean, stack_traces(golden).mean(axis=0))
 
-    serial_golden = np.array([metric.score(trace, reference.mean)
-                              for trace in golden])
-    assert np.array_equal(detector.golden_scores(), serial_golden)
-    assert np.array_equal(detector.scores(golden), serial_golden)
-
-    # characterise / characterise_many against the scalar replica.
+    serial_golden = scores_serial(metric, golden, reference.mean)
+    genuine_fit = fit_gaussian(serial_golden)
+    assert list(characterisations) == list(infected)
     for name, population in infected.items():
-        serial_scores = np.array([metric.score(trace, reference.mean)
-                                  for trace in population])
-        genuine_fit = fit_gaussian(serial_golden)
+        serial_scores = scores_serial(metric, population, reference.mean)
         infected_fit = fit_gaussian(serial_scores)
         mu = infected_fit.mean - genuine_fit.mean
         sigma = pooled_std(serial_golden, serial_scores)
-        char = detector.characterise(population)
+        char = characterisations[name]
+        assert char.genuine == genuine_fit
+        assert char.infected == infected_fit
         assert char.mu == float(mu)
         assert char.sigma == float(sigma)
         assert char.false_negative_rate == false_negative_rate(mu, sigma)
-    many = detector.characterise_many(infected)
-    for name in infected:
-        single = detector.characterise(infected[name])
-        assert many[name].mu == single.mu
-        assert many[name].sigma == single.sigma
-        assert many[name].false_negative_rate == single.false_negative_rate
 
 
 def test_population_detector_accepts_prestacked_matrices(small_population):
     golden, infected = small_population
-    detector_traces = PopulationEMDetector()
-    detector_traces.fit_reference(golden)
-    detector_matrix = PopulationEMDetector()
-    detector_matrix.fit_reference(stack_traces(golden))
-    assert np.array_equal(detector_traces.golden_scores(),
-                          detector_matrix.golden_scores())
-    char_traces = detector_traces.characterise(infected["HT1"])
-    char_matrix = detector_matrix.characterise(stack_traces(infected["HT1"]))
-    assert char_traces.mu == char_matrix.mu
-    assert char_traces.sigma == char_matrix.sigma
+    detector = PopulationEMDetector()
+    _, from_traces = detector.fit_and_characterise(golden, infected)
+    _, from_matrices = detector.fit_and_characterise(
+        stack_traces(golden),
+        {name: stack_traces(population)
+         for name, population in infected.items()})
+    assert from_traces == from_matrices
     with pytest.raises(ValueError):
-        detector_matrix.characterise(np.zeros((0, 4)))
-
-
-def test_custom_metric_without_matrix_path_still_works(small_population):
-    """Metrics lacking scores_matrix fall back to their scores() path."""
-
-    class _CustomMetric:
-        def score(self, trace, reference):
-            return float(np.sum(np.abs(np.asarray(trace, dtype=float)
-                                       - reference)))
-
-        def scores(self, traces, reference):
-            return np.array([self.score(trace, reference)
-                             for trace in stack_traces(traces)])
-
-    golden, _ = small_population
-    detector = PopulationEMDetector(metric=_CustomMetric())
-    detector.fit_reference(golden)
-    expected = np.array([detector.metric.score(trace.samples,
-                                               detector.reference.mean)
-                         for trace in golden])
-    assert np.array_equal(detector.golden_scores(), expected)
+        detector.fit_and_characterise(golden, {"HT1": np.zeros((0, 4))})
+    with pytest.raises(ValueError):
+        detector.fit_and_characterise(golden[:1], infected)
+    with pytest.raises(ValueError):
+        detector.fit_and_characterise(
+            golden, {"HT1": infected["HT1"], "HT3": infected["HT3"][:-1]})

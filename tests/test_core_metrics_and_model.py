@@ -40,6 +40,10 @@ def test_false_negative_rate_known_points():
 def test_false_negative_rate_degenerate_sigma():
     assert false_negative_rate(1.0, 0.0) == 0.0
     assert false_negative_rate(0.0, 0.0) == 0.5
+    # Zero spread, infected mean below the genuine one: every infected
+    # device falls below the symmetric threshold (the sigma -> 0 limit).
+    assert false_negative_rate(-1.0, 0.0) == 1.0
+    assert false_negative_rate(-1.0, 1e-12) == 1.0
     with pytest.raises(ValueError):
         false_negative_rate(1.0, -1.0)
 
@@ -67,13 +71,18 @@ def test_paper_headline_rates_imply_increasing_separation():
     assert separations[0] < separations[1] < separations[2]
 
 
-@given(st.floats(min_value=0.0, max_value=50.0),
-       st.floats(min_value=0.01, max_value=10.0))
+@given(st.floats(min_value=-50.0, max_value=50.0),
+       st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=10.0)))
 @settings(max_examples=60, deadline=None)
 def test_fn_rate_bounds_and_monotonicity(mu, sigma):
     rate = false_negative_rate(mu, sigma)
-    assert 0.0 <= rate <= 0.5
+    assert 0.0 <= rate <= 1.0
+    if mu >= 0:
+        assert rate <= 0.5
     assert false_negative_rate(mu + 1.0, sigma) <= rate + 1e-12
+    if sigma == 0 and abs(mu) >= 0.01:
+        # The degenerate branch is the sigma -> 0 limit of Eq. (5).
+        assert rate == false_negative_rate(mu, 1e-12)
 
 
 # -- trace metrics ---------------------------------------------------------------
@@ -86,24 +95,20 @@ def test_local_maxima_sum_metric_scores_offsets_higher():
     shifted = reference.copy()
     shifted[::10] += 3.0
     metric = LocalMaximaSumMetric(min_peak_distance=2)
-    assert metric.score(shifted, reference) > metric.score(clean, reference)
-    scores = metric.scores([clean, shifted], reference)
+    scores = metric.scores_matrix(np.vstack([clean, shifted]), reference)
     assert scores.shape == (2,)
-
-
-def test_local_maxima_metric_difference_trace():
-    metric = LocalMaximaSumMetric()
-    diff = metric.difference_trace(np.array([1.0, -1.0]), np.zeros(2))
-    assert np.array_equal(diff, np.array([1.0, 1.0]))
+    assert scores[1] > scores[0]
 
 
 def test_baseline_metrics():
     reference = np.zeros(10)
     trace = np.zeros(10)
     trace[3] = 4.0
-    assert L1TraceMetric().score(trace, reference) == pytest.approx(0.4)
-    assert MaxDifferenceMetric().score(trace, reference) == pytest.approx(4.0)
-    assert MaxDifferenceMetric().scores([trace], reference)[0] == pytest.approx(4.0)
+    matrix = trace[None, :]
+    assert L1TraceMetric().scores_matrix(matrix, reference)[0] == \
+        pytest.approx(0.4)
+    assert MaxDifferenceMetric().scores_matrix(matrix, reference)[0] == \
+        pytest.approx(4.0)
 
 
 # -- delay model ------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """No CLI command imports scipy, and ``import repro`` imports nothing.
 
 The paper's statistics reduce to Gaussian fits and the Eq. (5) closed
-form (``math.erf``), so scipy is only needed by ``welch_t_test`` and
-``required_separation``, which import it on call.  Each case below runs
+form (``math.erf``), so scipy is only needed by
+``required_separation``, which imports it on call.  Each case below runs
 in a fresh interpreter and checks the set of loaded modules (never
 wall-clock time), so a top-level ``from scipy import ...`` anywhere on a
-command's import path fails here.  The value pins need scipy itself and
-are skipped where it is not installed.  The package's ``__all__``
+command's import path fails here.  The value pin needs scipy itself and
+is skipped where it is not installed.  The package's ``__all__``
 names resolve lazily (PEP 562), so they are checked against the
 submodules that define them.
 """
@@ -24,7 +24,6 @@ from typing import List, Optional
 import pytest
 
 import repro
-from repro.analysis.stats import welch_t_test
 from repro.campaigns import CampaignResult
 from repro.core.metrics import required_separation
 
@@ -106,14 +105,6 @@ def test_campaign_cold_warm_and_fsck_load_no_scipy(tmp_path):
 def test_quick_paper_suite_loads_no_scipy(tmp_path):
     assert _probe(["experiments", "--quick"], tmp_path) == {
         "exit": 0, "scipy": False}
-
-
-def test_welch_t_test_values_are_pinned():
-    pytest.importorskip("scipy")
-    assert welch_t_test([1, 1.1, 0.9, 1.05], [2, 2.1, 1.9, 2.05]) == (
-        -16.561573424216498, 3.090426110062122e-06)
-    assert welch_t_test([0.3, -1.2, 2.5, 0.7, 1.1], [1.9, 2.4, 0.8, 3.3]) == (
-        -1.7889371886529464, 0.11676027364175033)
 
 
 def test_required_separation_values_are_pinned():

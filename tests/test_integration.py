@@ -45,9 +45,9 @@ def test_local_maxima_metric_beats_plain_l1(population_traces):
     infected = infected_traces["HT3"]
 
     def effect_size(metric):
-        detector = PopulationEMDetector(metric=metric)
-        detector.fit_reference(golden)
-        characterisation = detector.characterise(infected)
+        _, characterisations = PopulationEMDetector(
+            metric=metric).fit_and_characterise(golden, {"HT3": infected})
+        characterisation = characterisations["HT3"]
         if characterisation.sigma == 0:
             return float("inf")
         return characterisation.mu / characterisation.sigma

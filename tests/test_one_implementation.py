@@ -146,7 +146,49 @@ ORACLE_ONLY_NAMES = {
     "_op_clock",
     "lock_timeout_s",
     "lease_ttl_s",
+    # The scalar scoring references (``tests/oracles/scoring.py``): the
+    # greedy peak finder, its per-trace sum, the pooled sigma and the
+    # per-trace metric score.
+    "find_local_maxima",
+    "sum_of_local_maxima_serial",
+    "local_maxima_values",
+    "pooled_std",
+    "score_trace",
+    "difference_trace",
+    # The Sec. V detector's paths besides ``fit_and_characterise``.
+    "fit_reference",
+    "characterise",
+    "characterise_many",
+    "golden_scores",
+    "PopulationComparison",
+    "_stack_populations",
+    "_population_scores",
+    "_infected_scores",
+    "_characterise_rows",
+    "_characterise_population_scores",
+    "from_matrix",
+    "compare_many",
+    # Analysis helpers nothing in the package called.
+    "roc_curve",
+    "ROCCurve",
+    "_roc_thresholds",
+    "separation",
+    "welch_t_test",
+    "normalised_difference",
+    "robust_zscore",
+    "bootstrap_mean_ci",
+    "mad",
+    "empirical_rate",
+    "peak_to_peak",
+    "signal_to_noise_ratio",
+    "mean_trace",
+    "FixedThresholdPolicy",
+    "headline_summary",
 }
+
+#: The trace metrics of ``repro.core.metrics``.
+METRIC_CLASSES = ("LocalMaximaSumMetric", "L1TraceMetric",
+                  "MaxDifferenceMetric")
 
 #: Types of the fault-injection kit no module under ``src/`` may name.
 KIT_NAMES = ("FaultPlan", "ChaosStore", "FlakyTransport", "FaultSchedule",
@@ -402,6 +444,22 @@ def test_sec_v_scoring_runs_only_in_the_population_study_and_fig7():
     scores its own (golden, trojan) population."""
     assert _functions_calling("fit_and_characterise") == {("repro/campaigns/engine.py", "population_study"),
                      ("repro/experiments/fig7_model.py", "run")}
+
+
+def test_the_sec_v_detector_and_metrics_score_one_way():
+    """``PopulationEMDetector`` has one public call and each trace metric
+    one scoring method; the per-trace scores live in the oracles."""
+    from repro.core import metrics
+    from repro.core.em_detector import PopulationEMDetector
+
+    public = {name for name in dir(PopulationEMDetector)
+              if not name.startswith("_")
+              and callable(getattr(PopulationEMDetector, name))}
+    assert public == {"fit_and_characterise"}
+    for class_name in METRIC_CLASSES:
+        own = {name for name, value in vars(getattr(metrics, class_name)).items()
+               if callable(value) and not name.startswith("__")}
+        assert own == {"scores_matrix"}, (class_name, own)
 
 
 def test_src_does_not_import_or_name_the_fault_kit():

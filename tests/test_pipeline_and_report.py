@@ -6,7 +6,6 @@ from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.core.report import (
     delay_study_report,
     format_table,
-    headline_summary,
     percentage,
     population_em_report,
     same_die_em_report,
@@ -88,5 +87,3 @@ def test_reports_render(delay_study, population_study, platform):
     assert "noise floor" in em_text
     population_text = population_em_report(population_study)
     assert "false negative" in population_text
-    summary = headline_summary(population_study)
-    assert set(summary) == {"HT1", "HT3"}

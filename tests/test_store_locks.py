@@ -12,6 +12,7 @@ import pytest
 
 from repro.campaigns.supervisor import SupervisorPolicy
 from repro.store import (
+    ArtifactStore,
     FileLock,
     LockTimeout,
     RetryPolicy,
@@ -109,6 +110,45 @@ def test_lock_is_not_reentrant_and_context_managers_release(tmp_path):
     with lock.holding(shared=True):
         assert lock.held
     assert not lock.held
+
+
+#: Passes the looping maintainer makes before it stops re-taking the lock.
+LOOP_PASSES = 500
+
+
+def _loop_exclusive(store_root, passes, looping, stop):
+    """Take and release the exclusive store lock back to back, as a
+    maintenance loop does, holding it for a short sweep each pass."""
+    store = ArtifactStore(store_root)
+    while passes.value < LOOP_PASSES and not stop.is_set():
+        with store._store_lock(shared=False):
+            time.sleep(0.002)
+        passes.value += 1
+        if passes.value == 5:
+            looping.set()
+
+
+def test_waiting_writer_is_not_starved_by_a_looping_maintainer(tmp_path):
+    """A waiting shared acquirer holds its place: it gets the store lock
+    while the exclusive loop is still running, not once it has ended."""
+    store_root = tmp_path / "store"
+    ctx = multiprocessing.get_context()
+    passes, looping, stop = ctx.Value("i", 0), ctx.Event(), ctx.Event()
+    maintainer = ctx.Process(target=_loop_exclusive,
+                             args=(store_root, passes, looping, stop))
+    maintainer.start()
+    try:
+        assert looping.wait(30.0)
+        writer = ArtifactStore(store_root)
+        with writer._store_lock(shared=True):
+            passes_when_held = passes.value
+        assert passes_when_held < LOOP_PASSES, (
+            "the writer got the store lock only after the exclusive "
+            "loop had ended")
+    finally:
+        stop.set()
+        maintainer.join(30.0)
+    assert maintainer.exitcode == 0
 
 
 # -- retry / backoff ----------------------------------------------------------
