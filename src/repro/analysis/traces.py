@@ -43,6 +43,10 @@ def stack_traces(traces: Iterable[TraceLike]) -> np.ndarray:
         raise ValueError("at least one trace is required")
     length = rows[0].size
     for index, row in enumerate(rows):
+        if row.ndim != 1:
+            raise ValueError(
+                f"trace {index} is not a one-dimensional sample vector"
+            )
         if row.size != length:
             raise ValueError(
                 f"trace {index} has {row.size} samples, expected {length}"

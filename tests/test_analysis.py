@@ -13,7 +13,11 @@ from repro.analysis.gaussian import (
 from repro.analysis.local_maxima import sum_of_local_maxima
 from repro.analysis.traces import abs_difference, stack_traces
 
-from oracles import find_local_maxima, pooled_std
+from oracles import (
+    find_local_maxima,
+    pooled_std,
+    sum_of_local_maxima_serial,
+)
 
 # -- local maxima -------------------------------------------------------------
 
@@ -60,6 +64,22 @@ def test_local_maxima_properties(values):
         assert arr[index] > arr[index - 1]
         assert arr[index] >= arr[index + 1]
     assert sum_of_local_maxima(values) <= max(1e-9, arr[peaks].sum() + 1e-9)
+
+
+@given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),
+                min_size=0, max_size=60),
+       st.one_of(st.none(), st.floats(min_value=-10, max_value=50)),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=50, deadline=None)
+def test_sum_of_local_maxima_is_the_serial_sum(values, min_height,
+                                               min_distance):
+    """The one-row view of the batch kernel equals the scalar oracle."""
+    assert sum_of_local_maxima(values, min_height=min_height,
+                               min_distance=min_distance) == \
+        sum_of_local_maxima_serial(values, min_height=min_height,
+                                   min_distance=min_distance)
+    with pytest.raises(ValueError):
+        sum_of_local_maxima(np.zeros((2, 3)))
 
 
 # -- traces -------------------------------------------------------------------

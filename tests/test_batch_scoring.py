@@ -277,7 +277,38 @@ def test_population_detector_accepts_prestacked_matrices(small_population):
     with pytest.raises(ValueError):
         detector.fit_and_characterise(golden, {"HT1": np.zeros((0, 4))})
     with pytest.raises(ValueError):
-        detector.fit_and_characterise(golden[:1], infected)
+        detector.fit_and_characterise(stack_traces(golden)[:1], infected)
+
+
+class _SquaredDifferenceMetric:
+    """A metric outside :mod:`repro.core.metrics`: only ``scores_matrix``."""
+
+    def scores_matrix(self, matrix, reference):
+        return ((matrix - np.asarray(reference)) ** 2).sum(axis=1)
+
+
+def test_custom_metric_with_only_scores_matrix_drives_the_detector(
+        small_population):
+    golden, infected = small_population
+    metric = _SquaredDifferenceMetric()
+    reference, characterisations = PopulationEMDetector(
+        metric).fit_and_characterise(golden, infected)
+    golden_scores = metric.scores_matrix(stack_traces(golden), reference.mean)
+    for name, population in infected.items():
+        scores = metric.scores_matrix(stack_traces(population),
+                                      reference.mean)
+        char = characterisations[name]
+        assert char.genuine == fit_gaussian(golden_scores)
+        assert char.infected == fit_gaussian(scores)
+        assert char.sigma == pooled_std(golden_scores, scores)
+
+
+def test_stack_traces_rejects_non_vector_traces():
+    """A single sample vector is not a population of traces: it would
+    otherwise stack as one-sample traces and fit a one-sample reference."""
     with pytest.raises(ValueError):
-        detector.fit_and_characterise(
-            golden, {"HT1": infected["HT1"], "HT3": infected["HT3"][:-1]})
+        stack_traces(np.arange(5.0))
+    with pytest.raises(ValueError):
+        stack_traces([np.zeros((2, 3)), np.zeros((2, 3))])
+    with pytest.raises(ValueError):
+        EMReference.from_traces(np.arange(5.0))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.analysis.traces import stack_traces
 from repro.core.decision import DetectionOutcome, ThresholdPolicy
 from repro.core.delay_detector import DelayDetector
 from repro.core.em_detector import PopulationEMDetector, SameDieEMDetector
 from repro.core.fingerprint import DelayFingerprint, EMReference
+from repro.core.metrics import LocalMaximaSumMetric
 
 
 # -- decision policies -----------------------------------------------------------
@@ -100,6 +102,31 @@ def test_delay_detector_rejects_mismatched_campaigns(delay_study, platform):
                                      pair_seed=123)
     with pytest.raises(ValueError):
         detector.compare(other.measurements["Clean1"])
+    with pytest.raises(ValueError):
+        detector.difference_ps_batch([delay_study.measurements["Clean1"],
+                                      other.measurements["Clean1"]])
+
+
+def test_delay_detector_compare_many(delay_study):
+    """Comparing every campaign one by one is the batch, plane by plane,
+    and the device score is the worst shift of its plane."""
+    detector = DelayDetector(delay_study.fingerprint)
+    detector.calibrate_with_clean([delay_study.measurements["Clean1"]])
+    measurements = list(delay_study.measurements.values())
+    batch = detector.difference_ps_batch(measurements)
+    results = {measurement.label: detector.compare(measurement)
+               for measurement in measurements}
+    assert set(results) == set(delay_study.measurements)
+    for plane, measurement in zip(batch, measurements):
+        result = results[measurement.label]
+        assert np.array_equal(result.difference_ps, plane)
+        assert result.max_difference_ps == float(plane.max())
+        assert np.array_equal(result.per_pair_max_ps, plane.max(axis=1))
+
+
+def test_delay_detector_empty_batch(delay_study):
+    detector = DelayDetector(delay_study.fingerprint)
+    assert detector.difference_ps_batch([]).shape == (0, 3, 128)
 
 
 # -- same-die EM detector ----------------------------------------------------------
@@ -149,3 +176,62 @@ def test_population_detector_characterise_requires_traces(population_traces):
     golden, _ = population_traces
     with pytest.raises(ValueError):
         PopulationEMDetector().fit_and_characterise(golden, {"HT1": []})
+
+
+def test_population_detector_requires_fit(population_traces):
+    """The reference is fitted on at least two golden traces, and every
+    trojan brings one infected trace per die."""
+    golden, infected = population_traces
+    detector = PopulationEMDetector()
+    with pytest.raises(ValueError):
+        detector.fit_and_characterise(golden[:1], infected)
+    with pytest.raises(ValueError):
+        detector.fit_and_characterise([], infected)
+    with pytest.raises(ValueError):
+        detector.fit_and_characterise(golden, {})
+    with pytest.raises(ValueError):
+        detector.fit_and_characterise(
+            golden, {"HT1": infected["HT1"], "HT3": infected["HT3"][:-1]})
+
+
+def test_population_detector_flags_large_trojan(population_traces):
+    golden, infected = population_traces
+    metric = LocalMaximaSumMetric()
+    reference, characterisations = PopulationEMDetector(
+        metric).fit_and_characterise(golden, infected)
+    golden_scores = metric.scores_matrix(stack_traces(golden), reference.mean)
+    infected_scores = metric.scores_matrix(stack_traces(infected["HT3"]),
+                                           reference.mean)
+    flagged = sum(
+        ThresholdPolicy().decide("HT3", float(score), golden_scores).is_infected
+        for score in infected_scores)
+    assert flagged >= len(infected["HT3"]) // 2
+    assert characterisations["HT3"].detection_probability > 0.5
+
+
+def test_population_detector_keeps_no_state_between_calls(population_traces):
+    golden, infected = population_traces
+    detector = PopulationEMDetector()
+    detector.fit_and_characterise(golden[:2], infected)
+    reference, characterisations = detector.fit_and_characterise(
+        golden, infected)
+    fresh_reference, fresh = PopulationEMDetector().fit_and_characterise(
+        golden, infected)
+    assert np.array_equal(reference.mean, fresh_reference.mean)
+    assert np.array_equal(reference.per_sample_std,
+                          fresh_reference.per_sample_std)
+    assert characterisations == fresh
+
+
+def test_each_trojan_is_characterised_on_its_own(population_traces):
+    """The batched pass over every trojan gives each the numbers it
+    gets alone, whatever the order of the trojan dict."""
+    golden, infected = population_traces
+    detector = PopulationEMDetector()
+    _, together = detector.fit_and_characterise(golden, infected)
+    _, reversed_order = detector.fit_and_characterise(
+        golden, dict(reversed(list(infected.items()))))
+    assert list(reversed_order) == list(reversed(list(infected)))
+    for name, population in infected.items():
+        _, alone = detector.fit_and_characterise(golden, {name: population})
+        assert alone[name] == together[name] == reversed_order[name]

@@ -111,6 +111,23 @@ def test_baseline_metrics():
         pytest.approx(4.0)
 
 
+def test_local_maxima_metric_difference_trace():
+    """Every metric scores the absolute difference |trace - reference|:
+    a trace and its mirror image about the reference score the same."""
+    rng = np.random.default_rng(5)
+    reference = rng.normal(0, 3, 64)
+    trace = reference + rng.normal(0, 1, 64)
+    mirrored = 2 * reference - trace
+    for metric in (LocalMaximaSumMetric(min_peak_distance=1),
+                   L1TraceMetric(), MaxDifferenceMetric()):
+        scores = metric.scores_matrix(np.vstack([trace, mirrored]),
+                                      reference)
+        assert scores[0] == scores[1]
+    spike = np.array([0.0, 1.0, 0.0, -2.0, 0.0])
+    assert LocalMaximaSumMetric(min_peak_distance=1).scores_matrix(
+        spike[None, :], np.zeros(5))[0] == 3.0
+
+
 # -- delay model ------------------------------------------------------------------
 
 

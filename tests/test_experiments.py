@@ -19,6 +19,8 @@ from repro.experiments import (
 from repro.experiments.config import FIXED_KEY, FIXED_PLAINTEXT
 from repro.experiments.headline import PAPER_FALSE_NEGATIVE_RATES
 
+from oracles import find_local_maxima
+
 
 @pytest.fixture(scope="module")
 def config():
@@ -121,6 +123,17 @@ def test_fig4_em_trace(config, exp_platform):
     assert 2000 <= result.num_samples <= 4000
     assert result.rounds_visible()
     assert result.peak_amplitude > 1000
+
+
+def test_fig4_burst_count_matches_scalar_peak_oracle(config, exp_platform):
+    """Fig. 4 counts bursts with the batch peak finder on its one row;
+    the count is the scalar oracle's peak count on the same envelope."""
+    result = fig4_em_trace.run(config, exp_platform)
+    envelope = np.abs(result.trace.samples)
+    distance = max(2, result.samples_per_cycle // 2)
+    expected = find_local_maxima(envelope, min_height=0.3 * envelope.max(),
+                                 min_distance=distance)
+    assert result.round_burst_count == len(expected)
 
 
 def test_fig5_same_die_comparison(config, exp_platform):

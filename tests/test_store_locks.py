@@ -151,6 +151,49 @@ def test_waiting_writer_is_not_starved_by_a_looping_maintainer(tmp_path):
     assert maintainer.exitcode == 0
 
 
+def test_turnstile_is_released_once_the_store_lock_is_held(tmp_path):
+    """Shared writers still hold the store lock together: each one lets
+    the turnstile go as soon as its own acquisition lands."""
+    holder = ArtifactStore(tmp_path / "store")
+    other = ArtifactStore(tmp_path / "store")
+    with holder._store_lock(shared=True):
+        with other._store_lock(shared=True, wait_s=1.0):
+            pass
+    assert sorted(path.name for path in holder.locks_dir.iterdir()) == [
+        "store.lock", "store.turnstile"]
+
+
+def test_timed_out_waiter_gives_the_turnstile_back(tmp_path):
+    """An exclusive waiter that times out must not keep the turnstile,
+    or every later writer would queue behind a waiter that left."""
+    holder = ArtifactStore(tmp_path / "store")
+    maintainer = ArtifactStore(tmp_path / "store")
+    writer = ArtifactStore(tmp_path / "store")
+    with holder._store_lock(shared=True):
+        with pytest.raises(LockTimeout):
+            with maintainer._store_lock(shared=False, wait_s=0.2):
+                pass
+        with writer._store_lock(shared=True, wait_s=1.0):
+            pass
+    with maintainer._store_lock(shared=False, wait_s=1.0):
+        pass
+
+
+def test_unlocked_store_takes_no_store_lock(tmp_path):
+    """``locking=False`` bypasses the store lock and its turnstile: no
+    lock file is created, and a held exclusive lock does not block it."""
+    locked = ArtifactStore(tmp_path / "store")
+    unlocked = ArtifactStore(tmp_path / "store", locking=False)
+    with locked._store_lock(shared=False):
+        with unlocked._store_lock(shared=False, wait_s=0.0):
+            pass
+    bare = ArtifactStore(tmp_path / "bare", locking=False)
+    with bare._store_lock(shared=False):
+        pass
+    assert not (bare.locks_dir / "store.lock").exists()
+    assert not (bare.locks_dir / "store.turnstile").exists()
+
+
 # -- retry / backoff ----------------------------------------------------------
 
 
