@@ -93,7 +93,7 @@ from ..measurement.em_simulator import EMTrace
 from ..store import (
     ARTIFACT_SCHEMA_VERSION,
     DEFAULT_GOLDEN_SIGNATURE,
-    Store,
+    ArtifactStore,
     build_store,
     golden_signature,
     pack_groups,
@@ -474,7 +474,7 @@ class CampaignEngine:
     def __init__(self, spec: CampaignSpec,
                  device: Optional[FPGADevice] = None,
                  golden: Optional[GoldenDesign] = None,
-                 store: Union[None, Store, PathLike,
+                 store: Union[None, ArtifactStore, PathLike,
                               Mapping[str, Any]] = None):
         self.spec = spec
         self.device = device or virtex5_lx30()
@@ -485,7 +485,7 @@ class CampaignEngine:
             DEFAULT_GOLDEN_SIGNATURE if golden is None
             else golden_signature(golden)
         )
-        self.store: Optional[Store] = build_store(store)
+        self.store: Optional[ArtifactStore] = build_store(store)
         #: Trojan insertion cache shared by every platform of the grid.
         self._infected_cache: Dict[str, InfectedDesign] = {}
         self._platform_cache: Dict[Tuple[int, str], HTDetectionPlatform] = {}
@@ -1142,7 +1142,7 @@ def merge_campaign_results(results: Sequence[CampaignResult]
 
 def run_campaign(spec: CampaignSpec,
                  artifact_dir: Optional[PathLike] = None,
-                 store: Union[None, Store, PathLike] = None
+                 store: Union[None, ArtifactStore, PathLike] = None
                  ) -> CampaignResult:
     """Convenience one-shot: build an engine and run the campaign."""
     return CampaignEngine(spec, store=store).run(artifact_dir=artifact_dir)

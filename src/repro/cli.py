@@ -20,12 +20,8 @@ Sub-commands:
 * ``store``      — artifact-store maintenance: ``store fsck`` verifies
   every stored payload against its recorded SHA-256 digest (and with
   ``--repair`` quarantines what fails), ``store gc`` sweeps orphan
-  objects and stray temp files left by interrupted writes, ``store
-  leases`` lists the writer leases of a shared store, and ``store
-  sync`` drains a tiered store's pending-upload journal to its remote
-  once a partition heals (``campaign run --remote DIR`` mounts the
-  remote tier and degrades to local-only when it is unreachable).
-  Maintenance
+  objects and stray temp files left by interrupted writes, and ``store
+  leases`` lists the writer leases of a shared store.  Maintenance
   takes the exclusive store lock (``--wait`` bounds the wait, exit
   code 3 when writers keep it busy) and never touches objects covered
   by a live writer lease unless ``--force``.
@@ -131,9 +127,14 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments import runner
+    from .store import build_store
 
     config = _experiment_config(args)
-    suite = runner.run_all(config, store=args.store)
+    try:
+        store = build_store(args.store)
+    except ValueError as error:
+        return _fail(error)
+    suite = runner.run_all(config, store=store)
     print(suite.summary_table())
     return 0 if suite.all_shapes_match() else 1
 
@@ -208,33 +209,32 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         return _fail(error)
     if spec.save_traces and args.out is None:
         return _fail("--save-traces needs --out DIR to write the archives to")
-    store = args.store
-    if getattr(args, "remote", None) is not None:
-        if args.store is None:
-            return _fail("--remote needs --store DIR for the local tier")
-        from .store import TieredStore
-
-        store = TieredStore(args.store, args.remote)
-    result = _run_and_report(args, CampaignEngine(spec, store=store))
-    if getattr(args, "remote", None) is not None:
-        pending = store.pending_uploads()
-        if pending:
-            print(f"remote degraded: {len(pending)} upload(s) journaled — "
-                  f"run `repro-ht store sync {args.store} "
-                  f"--remote {args.remote}` once the remote heals")
-        else:
-            print(f"remote store: {args.remote} (in sync)")
+    try:
+        engine = CampaignEngine(spec, store=args.store)
+    except ValueError as error:
+        return _fail(error)
+    result = _run_and_report(args, engine)
     # A degraded (quarantined-cell) run exits non-zero so scripts notice.
     return 1 if result.failed_cells() else 0
 
 
-def cmd_store_fsck(args: argparse.Namespace) -> int:
-    from .store import ArtifactStore, LockTimeout
+def _existing_store(path: str):
+    """The store a maintenance command audits; :class:`ValueError` when
+    ``path`` is missing or not a store directory."""
+    from .store import ArtifactStore
 
-    root = Path(args.store)
-    if not root.exists():
-        return _fail(f"store directory {root} does not exist")
-    store = ArtifactStore(root)
+    if not Path(path).exists():
+        raise ValueError(f"store directory {path} does not exist")
+    return ArtifactStore(path)
+
+
+def cmd_store_fsck(args: argparse.Namespace) -> int:
+    from .store import LockTimeout
+
+    try:
+        store = _existing_store(args.store)
+    except ValueError as error:
+        return _fail(error)
     try:
         report = store.fsck(repair=args.repair, wait_s=args.wait,
                             force=args.force)
@@ -251,12 +251,12 @@ def cmd_store_fsck(args: argparse.Namespace) -> int:
 
 
 def cmd_store_gc(args: argparse.Namespace) -> int:
-    from .store import ArtifactStore, LockTimeout
+    from .store import LockTimeout
 
-    root = Path(args.store)
-    if not root.exists():
-        return _fail(f"store directory {root} does not exist")
-    store = ArtifactStore(root)
+    try:
+        store = _existing_store(args.store)
+    except ValueError as error:
+        return _fail(error)
     try:
         removed = store.gc(tmp_older_than_s=args.tmp_age,
                            purge_quarantine=args.purge_quarantine,
@@ -280,36 +280,11 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store_sync(args: argparse.Namespace) -> int:
-    from .store import TieredStore
-
-    root = Path(args.store)
-    if not root.exists():
-        return _fail(f"store directory {root} does not exist")
-    tiered = TieredStore(root, args.remote)
-    pending_before = len(tiered.pending_uploads())
-    stats = tiered.sync()
-    print(f"pending {pending_before} -> {len(stats['remaining'])}: "
-          f"{len(stats['uploaded'])} uploaded, "
-          f"{len(stats['skipped'])} already in sync, "
-          f"{len(stats['missing_local'])} dropped (gone locally)")
-    if stats["remaining"]:
-        print("remote still unreachable for: "
-              + ", ".join(stats["remaining"][:5])
-              + (" …" if len(stats["remaining"]) > 5 else ""))
-        return 1
-    print("journal drained; local and remote are in sync")
-    return 0
-
-
 def cmd_store_leases(args: argparse.Namespace) -> int:
-    from .store import ArtifactStore
-
-    root = Path(args.store)
-    if not root.exists():
-        return _fail(f"store directory {root} does not exist")
-    store = ArtifactStore(root)
-    leases = store.leases()
+    try:
+        leases = _existing_store(args.store).leases()
+    except ValueError as error:
+        return _fail(error)
     if not leases:
         print("no writer leases registered")
         return 0
@@ -414,9 +389,10 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
         spec = _attack_spec(args, workers=args.workers,
                             max_retries=args.retries,
                             cell_timeout_s=args.cell_timeout)
+        engine = CampaignEngine(spec, store=args.store)
     except ValueError as error:
         return _fail(error)
-    result = _run_and_report(args, CampaignEngine(spec, store=args.store))
+    result = _run_and_report(args, engine)
     return 1 if result.failed_cells() else 0
 
 
@@ -430,9 +406,9 @@ def cmd_attack_recover(args: argparse.Namespace) -> int:
 
     try:
         spec = _attack_spec(args)
+        engine = CampaignEngine(spec, store=args.store)
     except ValueError as error:
         return _fail(error)
-    engine = CampaignEngine(spec, store=args.store)
     cell = next(cell for cell in spec.grid() if cell.is_fault)
     data = engine.fault_sweep_data(cell)
     grid = data.grid
@@ -571,13 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="I/N",
                        help="run only shard I of N (deterministic partition "
                             "of the grid; fuse results with campaign merge)")
-    p_run.add_argument("--remote", default=None, metavar="DIR",
-                       help="remote artifact store (directory/mount used as "
-                            "an object store) tiered behind --store: writes "
-                            "replicate through, reads fall back to it, and "
-                            "a partitioned remote degrades to local-only "
-                            "with a pending-upload journal (drain with "
-                            "`store sync`)")
     p_run.set_defaults(func=cmd_campaign_run)
 
     p_report = campaign_sub.add_parser(
@@ -639,16 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ignore live writer leases (only when the "
                            "fleet is known dead)")
     p_gc.set_defaults(func=cmd_store_gc)
-
-    p_sync = store_sub.add_parser(
-        "sync", help="drain a local store's pending-upload journal to "
-                     "its remote (idempotent: content keys make replays "
-                     "safe)"
-    )
-    p_sync.add_argument("store", help="local artifact store directory")
-    p_sync.add_argument("--remote", required=True, metavar="DIR",
-                        help="remote store location (directory/mount)")
-    p_sync.set_defaults(func=cmd_store_sync)
 
     p_leases = store_sub.add_parser(
         "leases", help="list writer leases registered on a store"

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Union
 
 from ..campaigns.engine import CampaignEngine
 from ..core.report import format_table, percentage
-from ..store import Store
+from ..store import ArtifactStore
 from . import (
     fig1_timing,
     fig2_staircase,
@@ -64,7 +64,7 @@ class SuiteResult:
 
 
 def run_all(config: Optional[ExperimentConfig] = None,
-            store: Union[None, Store, str, Path] = None
+            store: Union[None, ArtifactStore, str, Path] = None
             ) -> SuiteResult:
     """Run every experiment driver and build the summary.
 

@@ -10,15 +10,14 @@ means a clean miss.  Writes are atomic and indexed by a manifest, which
 doubles as the per-cell completion record sharded or interrupted
 campaigns resume from.
 
-There is one store implementation, :class:`ArtifactStore`, written
-against a byte-blob :class:`Transport`; :class:`RemoteStore` and
-:class:`TieredStore` are thin subclasses, and :func:`build_store` turns
-a path, a ``spawn_config()`` dict or a live store into a :class:`Store`.
-Tensor artifacts share one group codec (:func:`pack_groups`), and every
-client goes through one :func:`read_through`.  ``fsck --repair`` and
-``gc`` share one maintenance sweep, processes share a store through
-``fcntl.flock`` locks only (the store is POSIX-only), and the remote
-tier's :class:`CircuitBreaker` counts its own calls.
+A store is a directory, and :class:`ArtifactStore` is its one
+implementation; :func:`build_store` turns a path, a ``spawn_config()``
+dict or a live store into one.  Tensor artifacts share one group codec
+(:func:`pack_groups`), and every client goes through one
+:func:`read_through`.  ``fsck --repair`` and ``gc`` share one
+maintenance sweep, and processes share a store through ``fcntl.flock``
+locks only (the store is POSIX-only).  Hosts share results by copying
+the directory's ``objects/`` and then its ``manifest/``.
 """
 
 from .artifact_store import (
@@ -26,8 +25,8 @@ from .artifact_store import (
     ArtifactStore,
     FsckReport,
     ManifestEntry,
-    Store,
     StoreIntegrityError,
+    build_store,
 )
 from .artifacts import (
     ARTIFACT_SCHEMA_VERSION,
@@ -38,7 +37,6 @@ from .artifacts import (
     spec_content_fragment,
     unpack_groups,
 )
-from .breaker import CircuitBreaker, CircuitOpenError
 from .keys import canonical_json, stable_key
 from .leases import (
     DEFAULT_LEASE_TTL_S,
@@ -49,21 +47,11 @@ from .leases import (
     live_foreign_leases,
 )
 from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock, LockTimeout
-from .remote import RemoteStore
-from .retry import (
-    RetryPolicy,
-    backoff_delay_s,
-    is_retryable_error,
-    is_transient_os_error,
-)
-from .tiered import PendingUploadJournal, TieredStore, build_store
-from .transport import LoopbackTransport, Transport, build_transport
+from .retry import RetryPolicy, backoff_delay_s, is_transient_os_error
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "ArtifactStore",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "DEFAULT_GOLDEN_SIGNATURE",
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_LOCK_TIMEOUT_S",
@@ -71,24 +59,16 @@ __all__ = [
     "FsckReport",
     "LeaseInfo",
     "LockTimeout",
-    "LoopbackTransport",
     "ManifestEntry",
-    "PendingUploadJournal",
-    "RemoteStore",
     "RetryPolicy",
     "STORE_FORMAT_VERSION",
-    "Store",
     "StoreIntegrityError",
-    "TieredStore",
-    "Transport",
     "WriterLease",
     "backoff_delay_s",
     "break_stale_leases",
     "build_store",
-    "build_transport",
     "canonical_json",
     "golden_signature",
-    "is_retryable_error",
     "is_transient_os_error",
     "list_leases",
     "live_foreign_leases",

@@ -1,27 +1,22 @@
-"""The content-addressed artifact store — one implementation, any backend.
+"""The content-addressed artifact store: a directory and one class.
 
-Layout of a store (transport keys; one directory per prefix on a
-:class:`~repro.store.transport.LoopbackTransport`)::
+Layout of a store directory::
 
     objects/     <key>.json | <key>.npz    the payloads
     manifest/    <key>.json                one index entry per key
     quarantine/  <filename>[.n]            corrupt objects, moved aside
+    locks/ leases/                         the concurrency protocol
 
-:class:`ArtifactStore` does all of its IO through a
-:class:`~repro.store.transport.Transport`.  ``ArtifactStore(path)`` is
-the local store over ``LoopbackTransport(path)``;
-:class:`~repro.store.remote.RemoteStore` is the same class over any
-transport, adding only retries-with-breaker and an upload-then-commit
-object write; :class:`~repro.store.tiered.TieredStore` is a local store
-with a remote behind it.  Local and remote stores therefore write
-byte-identical objects and manifest entries under identical keys.
+:class:`ArtifactStore` does its file IO on that directory, and
+:func:`build_store` resolves every store argument (a path, a
+``spawn_config()`` dict or a live store) into one.
 
-Writes are *atomic*: the object is written first (a temp file plus
-:func:`os.replace` on a directory), the manifest entry only after the
-object exists.  A key is a *hit* only when both are present, so a crash
-mid-write (a stray temp file, or an object without its manifest entry)
-can never surface as a corrupt hit — the next producer simply
-recomputes and overwrites.
+Writes are *atomic*: the object is written first (a hidden temp file in
+the same directory plus :func:`os.replace`), the manifest entry only
+after the object exists.  A key is a *hit* only when both are present,
+so a crash mid-write (a stray temp file, or an object without its
+manifest entry) can never surface as a corrupt hit — the next producer
+simply recomputes and overwrites.
 
 Reads are *verified*: every manifest entry records the SHA-256 digest of
 the payload bytes, and :meth:`ArtifactStore.get_json` /
@@ -34,13 +29,18 @@ The :meth:`ArtifactStore.load_json` / :meth:`load_arrays` convenience
 readers fold both "missing" and "corrupt" into ``None`` for callers
 that recompute on a miss.
 
-Because keys are content addresses of the *producing* configuration
-(:mod:`repro.store.keys`) and every producer in this repository is
-seed-deterministic, concurrent writers of the same key write identical
-bytes; the last ``os.replace`` wins and nothing is torn.
+Keys are content addresses of the *producing* configuration
+(:mod:`repro.store.keys`) and every producer is seed-deterministic, so
+equal keys hold equal *results* — not always equal bytes: a finished
+cell's payload also records its wall-clock ``elapsed_s``.  What makes
+two writers of one key, or a mixed or partial copy of a store, safe is
+the manifest digest: each object is installed whole (the last
+``os.replace`` wins), and an object that does not match the manifest
+entry beside it is quarantined on read, never returned.  Hosts share
+results by copying ``objects/`` and then ``manifest/`` into another
+store and running :meth:`ArtifactStore.fsck`.
 
-**Local-directory capabilities** — a store over a directory it owns
-(not a :class:`RemoteStore`) also has:
+Beyond reads and writes, a store has:
 
 * a **concurrency protocol** (``locking=True``, the default): any
   number of writer processes and one maintenance process can share a
@@ -50,8 +50,6 @@ bytes; the last ``os.replace`` wins and nothing is torn.
   keeps its place) around each file mutation, plus a per-key write
   lock across the object-then-manifest pair; reads stay lock-free
   on the hit path (the digest check guarantees integrity, not a lock);
-* an object-presence check in :meth:`ArtifactStore.entry` (a manifest
-  entry whose object file is gone is a miss);
 * **maintenance**: :meth:`ArtifactStore.fsck` audits the whole store
   (digests, parseability, dangling entries, orphan objects, stray temp
   files) and :meth:`ArtifactStore.gc` sweeps the garbage.  Both take
@@ -71,6 +69,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 import time
 import tokenize
 import zipfile
@@ -79,7 +78,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, NoReturn,
-                    Optional, Protocol, Tuple, Union)
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -91,8 +90,7 @@ from .leases import (
     live_foreign_leases,
 )
 from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock
-from .retry import RetryPolicy, is_retryable_error
-from .transport import LoopbackTransport, Transport
+from .retry import RetryPolicy
 
 PathLike = Union[str, Path]
 
@@ -135,8 +133,7 @@ def _sha256(data: bytes) -> str:
 def encode_json_bytes(payload: Any) -> bytes:
     """The canonical JSON payload encoding of the store.
 
-    Identical payloads produce identical bytes, hence identical digests,
-    which is what makes replication and journal drains idempotent.
+    Identical payloads produce identical bytes, hence identical digests.
     """
     from ..io.results import to_jsonable
 
@@ -191,8 +188,47 @@ def _is_tmp(name: str) -> bool:
     return name.startswith(".") and name.endswith(".tmp")
 
 
-def _manifest_key(key: str) -> str:
-    return f"manifest/{key}.json"
+def _atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a same-directory temp file + replace,
+    creating the directory on first use.
+
+    The temp file is hidden and ends in ``.tmp``, the pattern
+    ``fsck``/``gc`` sweep after an interrupted write.
+    """
+    def make_temp() -> Tuple[int, str]:
+        return tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                                dir=path.parent)
+
+    try:
+        handle, temp_name = make_temp()
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle, temp_name = make_temp()
+    try:
+        with os.fdopen(handle, "wb") as temp_file:
+            temp_file.write(data)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+
+
+def _move(source: Path, destination: Path) -> None:
+    """Rename ``source`` to ``destination``, creating its directory."""
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    os.replace(source, destination)
+
+
+def _unlink(path: Path) -> bool:
+    """Remove ``path``; ``False`` (not an error) when already absent."""
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -209,7 +245,7 @@ class ManifestEntry:
 
     @property
     def object_key(self) -> str:
-        """The transport key of the entry's object."""
+        """The entry's object path, relative to the store root."""
         return f"objects/{self.filename}"
 
     def to_dict(self) -> Dict[str, Any]:
@@ -227,23 +263,6 @@ class ManifestEntry:
                    filename=payload["filename"],
                    meta=dict(payload.get("meta", {})),
                    digest=payload.get("digest"))
-
-
-class Store(Protocol):
-    """The store surface the campaign engine, its workers and the suite
-    runner use; :func:`~repro.store.tiered.build_store` builds every
-    flavour.  Declared as attributes: :class:`ArtifactStore` holds the
-    one implementation of each operation."""
-
-    root: Any
-    put_json: Callable[..., ManifestEntry]
-    put_arrays: Callable[..., ManifestEntry]
-    load_json: Callable[[str], Optional[Any]]
-    load_arrays: Callable[[str], Optional[Dict[str, np.ndarray]]]
-    get_arrays: Callable[[str], Dict[str, np.ndarray]]
-    acquire_lease: Callable[..., Optional[WriterLease]]
-    release_lease: Callable[[], None]
-    spawn_config: Callable[[], Dict[str, Any]]
 
 
 @dataclass
@@ -311,35 +330,41 @@ class FsckReport:
 class ArtifactStore:
     """Content-addressed npz/JSON artifact store with a manifest index.
 
-    ``ArtifactStore(path)`` is the local store over
-    ``LoopbackTransport(path)``.  ``locking=False`` restores the
-    single-process store (no locks, no leases) — kept for the
-    concurrency-overhead benchmark baseline and for callers that own
-    the directory exclusively.
+    ``ArtifactStore(path)`` creates the store directory on first use; a
+    path that is not a directory raises :class:`ValueError`.
+    ``locking=False`` restores the single-process store (no locks, no
+    leases) — kept for the concurrency-overhead benchmark baseline and
+    for callers that own the directory exclusively.
     """
 
     def __init__(self, root: PathLike, *, locking: bool = True):
         self.root = Path(root)
-        self.transport: Transport = LoopbackTransport(self.root)
         self.objects_dir = self.root / "objects"
         self.manifest_dir = self.root / "manifest"
         self.quarantine_dir = self.root / "quarantine"
         self.locks_dir = self.root / "locks"
         self.leases_dir = self.root / "leases"
         self.locking = bool(locking)
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.objects_dir.mkdir(parents=True, exist_ok=True)
+            self.manifest_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as error:
+            raise ValueError(f"store path {self.root} is not a store "
+                             f"directory ({error})") from None
         self._lease: Optional[WriterLease] = None
-        #: Retries transient failures (EAGAIN-class blips, connection
-        #: resets) around lock acquisition and every transport call.
+        #: Retries EAGAIN-class OS blips around lock acquisition and
+        #: every file operation.
         self.retry = RetryPolicy(token=f"store:{os.getpid()}")
 
     def _call(self, operation: Callable[..., Any], *args: Any) -> Any:
-        """One transport call, retried per :func:`is_retryable_error`."""
-        return self.retry.call(lambda: operation(*args),
-                               retry_on=is_retryable_error)
+        """One file operation, retried per
+        :func:`~repro.store.retry.is_transient_os_error`."""
+        return self.retry.call(lambda: operation(*args))
 
-    # -- locks & leases (local capability) ----------------------------------------
+    def _manifest_path(self, key: str) -> Path:
+        return self.manifest_dir / f"{key}.json"
+
+    # -- locks & leases -----------------------------------------------------------
 
     @contextmanager
     def _store_lock(self, shared: bool, wait_s: Optional[float] = None):
@@ -386,7 +411,7 @@ class ArtifactStore:
         Campaign engines call this at run start so their whole run —
         including the compute time between store writes — counts as
         live to concurrent maintenance.  ``put_*`` calls it implicitly.
-        A store without locking (every remote) has no leases.
+        A store without locking has no leases.
         """
         if not self.locking:
             return None
@@ -412,25 +437,22 @@ class ArtifactStore:
 
     # -- write --------------------------------------------------------------------
 
-    def _write_object(self, entry: ManifestEntry, data: bytes) -> None:
-        with self._store_lock(shared=True):
-            self._call(self.transport.put, entry.object_key, data)
-
     def _record(self, entry: ManifestEntry) -> ManifestEntry:
+        """Write ``entry``'s manifest file: the second leg of a put."""
         with self._store_lock(shared=True):
-            self._call(self.transport.put, _manifest_key(entry.key),
+            self._call(_atomic_write_bytes, self._manifest_path(entry.key),
                        entry.to_bytes())
         return entry
 
     def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
         """Write one artifact: the object, then its manifest entry.
 
-        ``put_json``/``put_arrays`` and every replication (tiered
-        write-through and backfill, the journal drain) land here.  The
-        payload is checked against ``entry.digest`` before anything is
-        written (a digest-less entry gets one), so corrupt bytes can
-        never be installed as a hit; equal keys hold equal bytes, so a
-        replayed put is idempotent.
+        ``put_json``/``put_arrays`` land here.  The payload is checked
+        against ``entry.digest`` before anything is written (a
+        digest-less entry gets one), so corrupt bytes can never be
+        installed as a hit.  With ``locking``, both files are written
+        under the key's write lock, so the entry names the digest of
+        the object beside it.
         """
         _check_key(entry.key)
         digest = _sha256(data)
@@ -441,7 +463,9 @@ class ArtifactStore:
                 f"refusing to write artifact {entry.key!r}: payload bytes "
                 f"do not match the manifest digest")
         with self._write_guard(entry.key):
-            self._write_object(entry, data)
+            with self._store_lock(shared=True):
+                self._call(_atomic_write_bytes,
+                           self.objects_dir / entry.filename, data)
             return self._record(entry)
 
     def put_json(self, key: str, payload: Any, *, kind: str = "json",
@@ -466,24 +490,21 @@ class ArtifactStore:
 
     # -- read ---------------------------------------------------------------------
 
-    def _has_object(self, entry: ManifestEntry) -> bool:
-        """Whether the entry's object exists (a stat on the directory)."""
-        return (self.objects_dir / entry.filename).exists()
-
     def entry(self, key: str) -> Optional[ManifestEntry]:
         """The manifest entry of ``key`` — ``None`` unless key is a full hit.
 
-        A missing or unparseable manifest (or a concurrent discard) is a
-        miss; connection failures propagate, so "the backend is down"
-        never masquerades as "the key is a miss".
+        A missing or unparseable manifest, a missing object or a
+        concurrent discard is a miss; any other OS error propagates, so
+        an unreadable store never masquerades as a miss.
         """
         _check_key(key)
         try:
-            raw = self._call(self.transport.get, _manifest_key(key))
+            raw = self._call(self._manifest_path(key).read_bytes)
             entry = ManifestEntry.from_dict(json.loads(raw))
-        except (KeyError, ValueError, TypeError):
+        except (FileNotFoundError, KeyError, ValueError, TypeError):
             return None
-        return entry if self._has_object(entry) else None
+        exists = (self.objects_dir / entry.filename).exists()
+        return entry if exists else None
 
     def __contains__(self, key: str) -> bool:
         return self.entry(key) is not None
@@ -497,18 +518,20 @@ class ArtifactStore:
         taken, so a key corrupted more than once keeps every forensic
         payload instead of silently clobbering the previous one.
         """
-        taken = set(self._call(self.transport.list, "quarantine"))
-        destination = f"quarantine/{entry.filename}"
+        taken = {path.name for path in self._call(_list_dir,
+                                                  self.quarantine_dir)}
+        name = entry.filename
         suffix = 0
-        while destination in taken:
+        while name in taken:
             suffix += 1
-            destination = f"quarantine/{entry.filename}.{suffix}"
+            name = f"{entry.filename}.{suffix}"
         try:
-            self._call(self.transport.commit, entry.object_key, destination)
-        except KeyError:
+            self._call(_move, self.objects_dir / entry.filename,
+                       self.quarantine_dir / name)
+        except FileNotFoundError:
             pass
-        self._call(self.transport.delete, _manifest_key(entry.key))
-        return destination
+        self._call(_unlink, self._manifest_path(entry.key))
+        return f"quarantine/{name}"
 
     def _reject(self, entry: ManifestEntry, problem: str,
                 cause: Optional[BaseException] = None) -> NoReturn:
@@ -531,8 +554,8 @@ class ArtifactStore:
         if entry is None:
             raise KeyError(f"artifact {key!r} is not in the store")
         try:
-            data = self._call(self.transport.get, entry.object_key)
-        except KeyError:
+            data = self._call((self.objects_dir / entry.filename).read_bytes)
+        except FileNotFoundError:
             # A concurrent discard/gc between the manifest read and this
             # read: a clean miss, not a raw error escaping the engine.
             raise KeyError(
@@ -553,10 +576,6 @@ class ArtifactStore:
         except _DECODE_ERRORS as error:
             self._reject(entry, f"holds an unparseable payload ({error})",
                          error)
-
-    def object_bytes(self, key: str) -> bytes:
-        """The verified raw payload bytes of ``key`` (for replication)."""
-        return self._verified_bytes(key)[1]
 
     def get_json(self, key: str) -> Any:
         """Load the JSON payload stored under ``key``.
@@ -597,11 +616,10 @@ class ArtifactStore:
     def index(self) -> Dict[str, ManifestEntry]:
         """The manifest: every complete (entry + object) artifact."""
         entries = {}
-        for manifest_key in self._call(self.transport.list, "manifest"):
-            name = manifest_key.split("/", 1)[1]
-            if not name.endswith(".json"):
+        for path in self._call(_list_dir, self.manifest_dir):
+            if path.suffix != ".json":
                 continue
-            entry = self.entry(name[:-len(".json")])
+            entry = self.entry(path.stem)
             if entry is not None:
                 entries[entry.key] = entry
         return entries
@@ -619,12 +637,12 @@ class ArtifactStore:
         """
         _check_key(key)
         entry = self.entry(key)
-        removed = self._call(self.transport.delete, _manifest_key(key))
+        removed = self._call(_unlink, self._manifest_path(key))
         filenames = {f"{key}.json", f"{key}.npz"}
         if entry is not None:
             filenames.add(entry.filename)
         for filename in sorted(filenames):
-            if self._call(self.transport.delete, f"objects/{filename}"):
+            if self._call(_unlink, self.objects_dir / filename):
                 removed = True
         return removed
 
@@ -634,7 +652,7 @@ class ArtifactStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"{type(self).__name__}({str(self.root)!r})"
 
-    # -- integrity (local capability) ---------------------------------------------
+    # -- integrity ----------------------------------------------------------------
 
     def _verify_entry(self, entry: ManifestEntry) -> bool:
         """True when the entry's payload passes digest + parse checks."""
@@ -670,7 +688,7 @@ class ArtifactStore:
                                   filename=object_path.name,
                                   meta={"rebuilt": True},
                                   digest=_sha256(data))
-            self.transport.put(_manifest_key(key), entry.to_bytes())
+            _atomic_write_bytes(self._manifest_path(key), entry.to_bytes())
             return entry
         return None
 
@@ -702,7 +720,7 @@ class ArtifactStore:
                             missing_ok=True)
                 continue
             referenced.add(entry.filename)
-            if not self._has_object(entry):
+            if not (self.objects_dir / entry.filename).exists():
                 report.missing_objects.append(key)
                 if repair:
                     manifest_path.unlink(missing_ok=True)
@@ -852,3 +870,24 @@ class ArtifactStore:
                 path.unlink()
             except OSError:  # pragma: no cover - concurrent sweep
                 pass
+
+
+def build_store(config: Union[None, PathLike, Mapping[str, Any],
+                              ArtifactStore]) -> Optional[ArtifactStore]:
+    """Resolve a store argument; the inverse of
+    :meth:`ArtifactStore.spawn_config`.
+
+    The one place a store argument is resolved: the campaign engine,
+    its supervised workers and the suite runner all call it.
+    Strings/paths name a store directory (a path that is not one raises
+    :class:`ValueError`); ``None`` passes through (store-less engines);
+    live stores pass through unchanged.
+    """
+    if config is None or isinstance(config, ArtifactStore):
+        return config
+    if isinstance(config, (str, Path)):
+        return ArtifactStore(config)
+    if config.get("kind") == "local":
+        return ArtifactStore(str(config["root"]),
+                             locking=bool(config.get("locking", True)))
+    raise ValueError(f"unknown store config {config!r}")

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .transport import _atomic_write_bytes
-
 PathLike = Union[str, Path]
 
 #: Heartbeat validity window.  Writers refresh their lease whenever a
@@ -116,7 +114,9 @@ class WriterLease:
     # -- lifecycle ----------------------------------------------------------------
 
     def _write(self) -> None:
-        self.leases_dir.mkdir(parents=True, exist_ok=True)
+        # Imported here: the store module imports this one.
+        from .artifact_store import _atomic_write_bytes
+
         payload = {
             "pid": self.pid,
             "host": self.host,

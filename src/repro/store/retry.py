@@ -9,8 +9,8 @@ while distinct tokens (different cells, different processes) spread
 their retries apart instead of thundering in lockstep.
 
 :class:`RetryPolicy` wraps the formula into a small "call with
-retries" helper the store uses around lock acquisition and
-manifest/object reads, so an ``EAGAIN``-class operating-system blip
+retries" helper the store uses around lock acquisition and every
+file operation, so an ``EAGAIN``-class operating-system blip
 costs a few milliseconds of backoff instead of a failed campaign cell.
 """
 
@@ -38,35 +38,6 @@ def is_transient_os_error(error: BaseException) -> bool:
     """True for ``EAGAIN``-class OS errors a bounded retry may clear."""
     return (isinstance(error, OSError)
             and error.errno in TRANSIENT_ERRNOS)
-
-
-def is_retryable_error(error: BaseException) -> bool:
-    """The explicit retryable-vs-fatal classification for store IO.
-
-    Retryable — the operation may succeed if simply repeated:
-
-    * connection-class failures (``ConnectionError`` and subclasses
-      such as ``ConnectionResetError``/``BrokenPipeError``);
-    * timeouts (``TimeoutError``, which since Python 3.10 also covers
-      ``socket.timeout``);
-    * ``EAGAIN``-class transient OS errors (:func:`is_transient_os_error`).
-
-    Never retryable — repeating cannot change the outcome and retries
-    would only mask the defect:
-
-    * ``KeyError``/``LookupError`` — a store *miss* is an answer, not a
-      failure;
-    * integrity failures (``repro.store.artifact_store
-      .StoreIntegrityError`` is a ``RuntimeError``, not an OS error) —
-      corrupt bytes stay corrupt however often they are re-read; the
-      quarantine path owns them;
-    * everything else (``ValueError``, permission errors, ...).
-    """
-    if isinstance(error, LookupError):
-        return False
-    if isinstance(error, (ConnectionError, TimeoutError)):
-        return True
-    return is_transient_os_error(error)
 
 
 def backoff_delay_s(base_s: float, attempt: int, token: str,
@@ -108,20 +79,20 @@ class RetryPolicy:
         return backoff_delay_s(self.base_s, attempt, self.token,
                                cap_s=self.cap_s)
 
-    def call(self, operation: Callable[[], Any], *,
-             retry_on: Callable[[BaseException], bool]
-             = is_transient_os_error) -> Any:
+    def call(self, operation: Callable[[], Any]) -> Any:
         """Run ``operation``, retrying transient failures with backoff.
 
-        Non-transient exceptions (per ``retry_on``) propagate
-        immediately; the final attempt's failure propagates whatever it
-        was.
+        Only :func:`is_transient_os_error` failures are retried; every
+        other exception (a miss, corruption, ``ENOENT``, a permission
+        error) propagates at once, and the final attempt's failure
+        propagates whatever it was.
         """
         for attempt in range(1, self.attempts + 1):
             try:
                 return operation()
             except BaseException as error:
-                if attempt >= self.attempts or not retry_on(error):
+                if (attempt >= self.attempts
+                        or not is_transient_os_error(error)):
                     raise
                 delay = self.delay_s(attempt)
                 if delay > 0:

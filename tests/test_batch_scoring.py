@@ -54,10 +54,12 @@ _VALUE_STRATEGIES = st.one_of(
     st.integers(min_value=0, max_value=6).map(float),
 )
 
-_MATRIX_STRATEGY = st.lists(
-    st.lists(_VALUE_STRATEGIES, min_size=0, max_size=48),
-    min_size=1, max_size=5,
-).filter(lambda rows: len({len(row) for row in rows}) == 1)
+#: 1-5 rows of one shared length (0-48): the length is drawn once, so
+#: no draw is rejected for ragged rows.
+_MATRIX_STRATEGY = st.integers(min_value=0, max_value=48).flatmap(
+    lambda length: st.lists(
+        st.lists(_VALUE_STRATEGIES, min_size=length, max_size=length),
+        min_size=1, max_size=5))
 
 
 @given(rows=_MATRIX_STRATEGY,

@@ -220,3 +220,39 @@ def _argv(command, flags):
        | _argv(["attack", "sweep"], _SWEEP_FLAGS))
 def test_fuzzed_argv_errors_on_one_line_or_runs(argv, capsys, stub_run):
     _outcome(argv, capsys, stub_run)
+
+
+# -- store arguments ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "run", "--trojan", "HT1", "--dies", "2", "--store", "{file}"],
+    ["attack", "sweep", "--store", "{file}"],
+    ["attack", "recover", "--store", "{file}"],
+    ["experiments", "--quick", "--store", "{file}"],
+    ["store", "fsck", "{file}"],
+    ["store", "gc", "{file}"],
+    ["store", "leases", "{file}"],
+], ids=["campaign-run", "attack-sweep", "attack-recover", "experiments",
+        "fsck", "gc", "leases"])
+def test_store_path_that_is_a_file_exits_2_on_one_line(argv, tmp_path,
+                                                        capsys, stub_run):
+    regular = tmp_path / "notadir"
+    regular.write_text("")
+    argv = [token.replace("{file}", str(regular)) for token in argv]
+    assert _outcome(argv, capsys, stub_run) == "error"
+    assert stub_run == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "run", "--trojan", "HT1", "--store", "{store}",
+     "--remote", "{remote}"],
+    ["store", "sync", "{store}", "--remote", "{remote}"],
+], ids=["campaign-run-remote", "store-sync"])
+def test_removed_remote_tier_exits_2_on_one_line(argv, tmp_path, capsys,
+                                                 stub_run):
+    argv = [token.format(store=tmp_path / "store",
+                         remote=tmp_path / "remote") for token in argv]
+    assert _outcome(argv, capsys, stub_run) == "error"
+    assert stub_run == []
+    assert not (tmp_path / "remote").exists()

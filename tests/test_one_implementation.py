@@ -12,7 +12,9 @@ no oracle is redefined under ``src/``, nothing there imports the
 removed backend seam, bitslice kernel or interpreted timing engine,
 every acquisition entry point is a view of the one core, the paper's
 delay figures run without a single interpreted netlist evaluation, and
-only the engine keys artifacts and scores the Sec. V population.
+only the engine keys artifacts and scores the Sec. V population.  The
+store is one class over one directory: the remote tier, its circuit
+breaker and its transport seam stay gone.
 
 The fault-injection kit is test tooling too: it lives in
 ``tests/chaos/``, and nothing under ``src/`` imports it or names its
@@ -184,6 +186,17 @@ ORACLE_ONLY_NAMES = {
     "mean_trace",
     "FixedThresholdPolicy",
     "headline_summary",
+    # The remote store tier: a store is a directory.
+    "RemoteStore",
+    "TieredStore",
+    "PendingUploadJournal",
+    "CircuitBreaker",
+    "CircuitOpenError",
+    "Transport",
+    "LoopbackTransport",
+    "build_transport",
+    "is_retryable_error",
+    "cmd_store_sync",
 }
 
 #: The trace metrics of ``repro.core.metrics``.
@@ -201,7 +214,9 @@ KIT_MODULES = ("chaos", "repro.testing")
 ACQUISITION_VIEWS = ("acquire", "acquire_batch_matrix",
                      "acquire_many_batch_tensor")
 
-REMOVED_MODULES = ("repro.backend", "repro.netlist.bitslice")
+REMOVED_MODULES = ("repro.backend", "repro.netlist.bitslice",
+                   "repro.store.remote", "repro.store.tiered",
+                   "repro.store.breaker", "repro.store.transport")
 
 
 def _imported_modules(module: str, path: Path, node: ast.AST):

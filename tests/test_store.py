@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from repro.campaigns.engine import _DelayStudyData
 from repro.core.pipeline import PopulationTraceTensors
 from repro.store import (
     ArtifactStore,
+    build_store,
     canonical_json,
     pack_groups,
     stable_key,
@@ -191,6 +195,66 @@ def test_delay_difference_payload_round_trip():
     assert list(loaded.infected_differences) == ["HT_comb"]
     assert np.array_equal(loaded.infected_differences["HT_comb"],
                           data.infected_differences["HT_comb"])
+
+
+def test_store_writes_pinned_bytes_in_the_directory_layout(tmp_path):
+    """One on-disk format: each put lays down exactly one object under
+    ``objects/`` and one entry under ``manifest/``, and the JSON bytes
+    are pinned."""
+    root = tmp_path / "store"
+    store = ArtifactStore(root)
+    jkey = stable_key({"format": "json"})
+    akey = stable_key({"format": "arrays"})
+    store.put_json(jkey, {"b": [1, 2.5, "x"], "a": {"nested": True}},
+                   kind="probe", meta={"producer": "pin", "n": 3})
+    store.put_arrays(akey, {"x": np.arange(6.0).reshape(2, 3),
+                            "y": np.array([1, 2], dtype=np.int32)},
+                     kind="probe_arrays", meta={"n": 2})
+    layout = [f"objects/{jkey}.json", f"manifest/{jkey}.json",
+              f"objects/{akey}.npz", f"manifest/{akey}.json"]
+    assert sorted(path.relative_to(root).as_posix()
+                  for directory in ("objects", "manifest")
+                  for path in (root / directory).iterdir()) == sorted(layout)
+    digests = {relative: hashlib.sha256(
+        (root / relative).read_bytes()).hexdigest()
+        for relative in layout[:2]}
+    # Changing these changes every content digest a store ever recorded.
+    assert digests == {
+        f"objects/{jkey}.json":
+            "d46e0fc8cbafd01f419583d70214ff9ec5eec291261e66f55f39cb89128fe682",
+        f"manifest/{jkey}.json":
+            "b99aa577ff41ac9f2b5ace0fe1d80d15ab8973b5ed89356888f5a96dc39caf9b",
+    }
+
+
+def test_build_store_round_trips_a_store(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    key = stable_key({"cfg": 1})
+    store.put_json(key, {"v": 1})
+    for locking in (True, False):
+        original = ArtifactStore(store.root, locking=locking)
+        rebuilt = build_store(original.spawn_config())
+        assert type(rebuilt) is ArtifactStore
+        assert rebuilt.locking is locking
+        assert rebuilt.load_json(key) == {"v": 1}
+    assert build_store(None) is None
+    assert build_store(store) is store
+    assert isinstance(build_store(str(tmp_path / "store")), ArtifactStore)
+    with pytest.raises(ValueError):
+        build_store({"kind": "martian"})
+
+
+def test_store_path_that_is_not_a_directory_is_a_value_error(tmp_path):
+    regular = tmp_path / "notadir"
+    regular.write_text("")
+    for path in (regular, regular / "sub"):
+        with pytest.raises(ValueError, match=str(path)):
+            build_store(str(path))
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "objects").write_text("")
+    with pytest.raises(ValueError, match=str(blocked)):
+        ArtifactStore(blocked)
 
 
 def test_store_rejects_unsafe_keys_and_empty_payloads(tmp_path):
@@ -373,3 +437,78 @@ def test_deleting_one_completion_recomputes_only_that_cell(tmp_path,
     assert recomputed == [victim.index]
     assert [row.to_dict() for row in rerun.rows()] == \
         [row.to_dict() for row in baseline.rows()]
+
+
+# -- sharing results between hosts --------------------------------------------
+
+
+SHARE_SPEC = CampaignSpec(name="share", trojans=("HT1",), die_counts=(3,),
+                          num_plaintexts=2, metrics=("local_maxima_sum", "l1"),
+                          seed=4)
+
+
+def _rows(result):
+    return [row.to_dict() for row in result.rows()]
+
+
+def _copy_results(source, destination, directories=("objects", "manifest")):
+    """The README recipe: ``objects/`` first, then ``manifest/``."""
+    for directory in directories:
+        shutil.copytree(source / directory, destination / directory,
+                        dirs_exist_ok=True)
+
+
+@pytest.fixture(scope="module")
+def shared_source(tmp_path_factory):
+    """Store A: one finished run of :data:`SHARE_SPEC`."""
+    root = tmp_path_factory.mktemp("host-a") / "store"
+    return root, CampaignEngine(SHARE_SPEC, store=root).run()
+
+
+def test_copied_results_resume_every_cell_bit_identically(tmp_path,
+                                                          shared_source):
+    """(a) A's ``objects/`` then ``manifest/`` copied into a store C that
+    holds other keys: ``fsck`` is clean and C resumes every cell."""
+    source, cold = shared_source
+    target = tmp_path / "host-c"
+    other = CampaignEngine(dataclasses.replace(SHARE_SPEC, seed=5),
+                           store=target).run()
+    _copy_results(source, target)
+    report = ArtifactStore(target).fsck()
+    assert report.clean(), report.summary()
+    assert set(ArtifactStore(source).keys()) < set(report.ok)
+
+    resumed = CampaignEngine(SHARE_SPEC, store=target).run()
+    assert resumed.resumed == len(SHARE_SPEC.grid())
+    assert _rows(resumed) == _rows(cold)
+    assert _rows(CampaignEngine(dataclasses.replace(SHARE_SPEC, seed=5),
+                                store=target).run()) == _rows(other)
+
+
+def test_partial_copy_over_own_results_quarantines_and_recomputes(
+        tmp_path, shared_source):
+    """(b) Only A's ``objects/`` copied into a store D that finished the
+    same cells itself: a finished cell's payload records its wall-clock
+    time, so D's manifest digests do not match A's objects.  ``fsck``
+    reports those keys corrupt, and a resumed run quarantines and
+    recomputes them into the same rows."""
+    source, cold = shared_source
+    target = tmp_path / "host-d"
+    engine = CampaignEngine(SHARE_SPEC, store=target)
+    engine.run()
+    cell_keys = sorted(engine._cell_key(cell) for cell in SHARE_SPEC.grid())
+    for key in cell_keys:
+        assert (source / "objects" / f"{key}.json").read_bytes() != \
+            (target / "objects" / f"{key}.json").read_bytes()
+    _copy_results(source, target, directories=("objects",))
+
+    report = ArtifactStore(target).fsck()
+    assert sorted(report.corrupt) == cell_keys, report.summary()
+
+    resumed = CampaignEngine(SHARE_SPEC, store=target).run()
+    assert resumed.resumed == 0
+    assert _rows(resumed) == _rows(cold)
+    assert sorted(path.name for path in
+                  (target / "quarantine").iterdir()) == \
+        [f"{key}.json" for key in cell_keys]
+    assert ArtifactStore(target).fsck().clean()

@@ -31,7 +31,7 @@ from repro.campaigns import (
     merge_campaign_results,
 )
 from repro.store import ArtifactStore, stable_key
-from chaos import SyncFlag, WindowFaultStore
+from chaos import OneShotTrigger, SyncFlag, WindowFaultStore
 
 #: Small but multi-chunk campaign grid: 2 die populations x 2 metrics.
 SPEC_KWARGS = dict(
@@ -233,6 +233,14 @@ def test_killed_worker_campaign_resumes_only_missing_cells(tmp_path):
     # before the crash ran again.
     assert set(computed) == missing
     assert len(computed) == len(missing)
+
+
+def test_one_shot_trigger_fires_exactly_once_after_skips():
+    """The trigger that picks :class:`WindowFaultStore`'s one window."""
+    trigger = OneShotTrigger(skip=2)
+    assert [trigger.should_fire() for _ in range(5)] == [
+        False, False, True, False, False]
+    assert trigger.fired
 
 
 # -- lease-holder death -------------------------------------------------------

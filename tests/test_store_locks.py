@@ -313,63 +313,59 @@ def test_broken_lease_resurrects_on_next_heartbeat(tmp_path):
 
 
 def test_retryable_vs_fatal_classification():
-    """Satellite pin: the explicit retryable/fatal split of store IO.
-
-    Connection resets and timeouts retry; misses (KeyError) and
-    corruption (StoreIntegrityError) never do — a miss is an answer and
-    corrupt bytes stay corrupt.
-    """
-    from repro.store import StoreIntegrityError, is_retryable_error
+    """The store's retry classifier: only ``EAGAIN``-class OS blips
+    retry.  Misses (KeyError), corruption (StoreIntegrityError), a
+    missing file and a permission error never do — a miss is an answer
+    and corrupt bytes stay corrupt."""
+    from repro.store import StoreIntegrityError, is_transient_os_error
 
     # Retryable: repeating can change the outcome.
-    assert is_retryable_error(ConnectionResetError("peer reset"))
-    assert is_retryable_error(ConnectionError("refused"))
-    assert is_retryable_error(BrokenPipeError("pipe"))
-    assert is_retryable_error(TimeoutError("budget exceeded"))
-    assert is_retryable_error(OSError(errno.EAGAIN, "busy"))
-    assert is_retryable_error(OSError(errno.EINTR, "interrupted"))
+    assert is_transient_os_error(OSError(errno.EAGAIN, "busy"))
+    assert is_transient_os_error(OSError(errno.EINTR, "interrupted"))
     # Never retryable.
-    assert not is_retryable_error(KeyError("miss"))
-    assert not is_retryable_error(LookupError("miss"))
-    assert not is_retryable_error(StoreIntegrityError("digest mismatch"))
-    assert not is_retryable_error(ValueError("bad payload"))
-    assert not is_retryable_error(FileNotFoundError(errno.ENOENT, "gone"))
-    assert not is_retryable_error(PermissionError(errno.EACCES, "denied"))
+    assert not is_transient_os_error(KeyError("miss"))
+    assert not is_transient_os_error(LookupError("miss"))
+    assert not is_transient_os_error(StoreIntegrityError("digest mismatch"))
+    assert not is_transient_os_error(ValueError("bad payload"))
+    assert not is_transient_os_error(FileNotFoundError(errno.ENOENT, "gone"))
+    assert not is_transient_os_error(
+        PermissionError(errno.EACCES, "denied"))
 
 
 def test_retry_policy_with_classification_bounds_and_fatals():
-    from repro.store import is_retryable_error
+    from repro.store import StoreIntegrityError
 
     policy = RetryPolicy(attempts=4, base_s=0.0, token="classify")
     calls = {"n": 0}
 
-    def miss():
-        calls["n"] += 1
-        raise KeyError("miss")
+    def fails_with(error):
+        def operation():
+            calls["n"] += 1
+            raise error
+        return operation
 
-    with pytest.raises(KeyError):
-        policy.call(miss, retry_on=is_retryable_error)
-    assert calls["n"] == 1  # a miss is never retried
+    for fatal in (KeyError("miss"), StoreIntegrityError("digest mismatch"),
+                  FileNotFoundError(errno.ENOENT, "gone"),
+                  PermissionError(errno.EACCES, "denied")):
+        calls["n"] = 0
+        with pytest.raises(type(fatal)):
+            policy.call(fails_with(fatal))
+        assert calls["n"] == 1, fatal  # never retried
 
     calls["n"] = 0
 
-    def resets_then_ok():
+    def interrupted_then_ok():
         calls["n"] += 1
         if calls["n"] < 3:
-            raise ConnectionResetError("flaky network")
+            raise OSError(errno.EINTR, "interrupted")
         return "ok"
 
-    assert policy.call(resets_then_ok, retry_on=is_retryable_error) == "ok"
+    assert policy.call(interrupted_then_ok) == "ok"
     assert calls["n"] == 3
 
     calls["n"] = 0
-
-    def always_times_out():
-        calls["n"] += 1
-        raise TimeoutError("stuck")
-
-    with pytest.raises(TimeoutError):
-        policy.call(always_times_out, retry_on=is_retryable_error)
+    with pytest.raises(OSError):
+        policy.call(fails_with(OSError(errno.EAGAIN, "busy forever")))
     assert calls["n"] == 4  # bounded, then the last failure propagates
 
 
