@@ -11,7 +11,13 @@ subclass :class:`~repro.store.ArtifactStore`.
 
 from .faults import OneShotTrigger
 from .plan import FaultInjection, FaultKind, FaultPlan, HangClock, supervise
-from .stores import ChaosStore, FaultHookStore, SyncFlag, WindowFaultStore
+from .stores import (
+    ChaosStore,
+    FaultHookStore,
+    SyncFlag,
+    TransientFaultStore,
+    WindowFaultStore,
+)
 
 __all__ = [
     "ChaosStore",
@@ -22,6 +28,7 @@ __all__ = [
     "HangClock",
     "OneShotTrigger",
     "SyncFlag",
+    "TransientFaultStore",
     "WindowFaultStore",
     "supervise",
 ]

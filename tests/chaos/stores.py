@@ -16,7 +16,10 @@
   a proceed flag (letting the test script a concurrent
   ``gc``/``fsck --repair`` into the exact window) or dies with
   ``os._exit`` (a ``kill -9`` mid-``put``, leaving the orphan object
-  plus a lease whose pid is dead).
+  plus a lease whose pid is dead);
+* :class:`TransientFaultStore` — its file operations hit scripted
+  ``EAGAIN`` blips, so the store's own retry policy is what stands
+  between a blip and a failed read or write.
 
 These are the building blocks of the multi-process stress suite
 (``tests/test_store_concurrency.py``) and of the supervised chaos runs
@@ -25,12 +28,13 @@ These are the building blocks of the multi-process stress suite
 
 from __future__ import annotations
 
+import errno
 import os
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Union
 
-from repro.store import ArtifactStore, ManifestEntry
+from repro.store import ArtifactStore, ManifestEntry, RetryPolicy
 
 from .faults import OneShotTrigger
 
@@ -189,3 +193,43 @@ class WindowFaultStore(FaultHookStore):
                 raise TimeoutError(
                     f"window proceed flag {self.proceed_flag.path} was "
                     f"never set within {self.wait_timeout_s} s")
+
+
+class TransientFaultStore(ArtifactStore):
+    """An :class:`ArtifactStore` whose file operations hit scripted
+    ``EAGAIN`` blips.
+
+    ``faults`` maps a file-operation name (``"read_bytes"``,
+    ``"_atomic_write_bytes"``, ``"_list_dir"``, ...) to a period ``n``:
+    attempts 1, 1 + n, 1 + 2n, ... of that operation raise
+    ``OSError(EAGAIN)`` before touching the disk.  ``n = 1`` makes every
+    attempt fail; ``n = 2`` fails each operation's first try and lets
+    its retry through.  ``calls`` counts every attempt per name and
+    ``faulted`` the ones that raised, so a test can check that the
+    faults really fired.  The store's own :class:`RetryPolicy` decides
+    whether an operation recovers; pass ``retry`` to replace it.
+    """
+
+    def __init__(self, root, faults: Optional[Mapping[str, int]] = None,
+                 *, retry: Optional[RetryPolicy] = None, **store_kwargs):
+        super().__init__(root, **store_kwargs)
+        if retry is not None:
+            self.retry = retry
+        self.faults = dict(faults or {})
+        self.calls: Dict[str, int] = {}
+        self.faulted: Dict[str, int] = {}
+
+    def _call(self, operation: Callable[..., Any], *args: Any) -> Any:
+        name = getattr(operation, "__name__", repr(operation))
+
+        def attempt(*call_args: Any) -> Any:
+            ordinal = self.calls.get(name, 0)
+            self.calls[name] = ordinal + 1
+            period = self.faults.get(name)
+            if period is not None and ordinal % period == 0:
+                self.faulted[name] = self.faulted.get(name, 0) + 1
+                raise OSError(errno.EAGAIN,
+                              f"injected transient fault in {name}")
+            return operation(*call_args)
+
+        return super()._call(attempt, *args)

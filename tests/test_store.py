@@ -286,6 +286,27 @@ def test_partial_temp_file_never_surfaces_as_hit(tmp_path):
     assert np.array_equal(store.get_arrays(key)["x"], np.arange(3))
 
 
+def test_store_io_leaves_no_temp_files(tmp_path):
+    """Every write goes temp file then rename: after puts, overwrites
+    and discards, only final names remain under the store root."""
+    store = ArtifactStore(tmp_path / "store")
+    key = stable_key({"layout": "json"})
+    akey = stable_key({"layout": "arrays"})
+    store.put_json(key, {"v": 1}, meta={"m": 2})
+    store.put_json(key, {"v": 1}, meta={"m": 2})
+    store.put_arrays(akey, {"x": np.arange(6.0)})
+    assert store.entry(key).meta == {"m": 2}
+    assert sorted(store.keys()) == sorted([key, akey])
+    assert len(store) == 2
+    assert store.load_json(stable_key({"layout": "missing"})) is None
+    assert store.discard(key)
+    assert store.load_json(key) is None
+    names = [path.name for path in store.root.rglob("*") if path.is_file()
+             and path.parent in (store.objects_dir, store.manifest_dir)]
+    assert sorted(names) == sorted([f"{akey}.npz", f"{akey}.json"])
+    assert not [path for path in store.root.rglob("*.tmp")]
+
+
 def test_object_without_manifest_entry_is_a_miss(tmp_path):
     """Crash between object write and manifest record => recomputed."""
     store = ArtifactStore(tmp_path / "store")

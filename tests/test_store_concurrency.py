@@ -30,8 +30,13 @@ from repro.campaigns import (
     CampaignSpec,
     merge_campaign_results,
 )
-from repro.store import ArtifactStore, stable_key
-from chaos import OneShotTrigger, SyncFlag, WindowFaultStore
+from repro.store import ArtifactStore, RetryPolicy, stable_key
+from chaos import (
+    OneShotTrigger,
+    SyncFlag,
+    TransientFaultStore,
+    WindowFaultStore,
+)
 
 #: Small but multi-chunk campaign grid: 2 die populations x 2 metrics.
 SPEC_KWARGS = dict(
@@ -413,3 +418,61 @@ def test_shard_fleet_with_concurrent_maintenance_is_bit_identical(tmp_path):
     store = ArtifactStore(store_root)
     final = store.fsck(repair=True, wait_s=10.0)
     assert final.clean()
+
+
+# -- one store directory, many clients ----------------------------------------
+
+
+def test_supervised_workers_share_one_store(tmp_path):
+    """The supervisor ships the store to its worker processes by spawn
+    config; what the workers write, a fresh engine on the same
+    directory reads back as complete cells."""
+    root = _stress_root(tmp_path, "workers")
+    store_root = root / "store"
+    result = CampaignEngine(CampaignSpec(workers=2, **SPEC_KWARGS),
+                            store=store_root).run()
+    assert all(row.status == "ok" for row in result.cells)
+
+    serial = CampaignEngine(CampaignSpec(**SPEC_KWARGS)).run()
+    assert [row.to_dict() for row in result.rows()] == \
+        [row.to_dict() for row in serial.rows()]
+    engine = CampaignEngine(CampaignSpec(**SPEC_KWARGS), store=store_root)
+    for cell in engine.spec.grid():
+        assert engine.load_cell_result(cell) is not None, \
+            f"cell {cell.index} written by a worker is missing"
+    assert ArtifactStore(store_root).fsck().clean()
+
+
+def test_sharded_campaign_through_transient_store_faults(tmp_path):
+    """Every shard's store handle hits ``EAGAIN`` blips on a fixed
+    period in its reads, writes and listings; the retries absorb them,
+    so the merged rows are bit-identical to a clean serial run and no
+    cell is lost."""
+    root = _stress_root(tmp_path, "transient")
+    store_root = root / "store"
+    retry = RetryPolicy(attempts=3, base_s=0.0, token="test")
+    faults = {"read_bytes": 3, "_atomic_write_bytes": 3, "_list_dir": 3}
+
+    shard_results = []
+    faulted = 0
+    for shard_index in range(SHARDS):
+        store = TransientFaultStore(store_root, faults, retry=retry)
+        engine = CampaignEngine(CampaignSpec(**SPEC_KWARGS), store=store)
+        result = engine.run(shard=(shard_index, SHARDS))
+        assert all(row.status == "ok" for row in result.cells), \
+            "a transient blip must be retried, never fail a cell"
+        shard_results.append(result)
+        faulted += sum(store.faulted.values())
+    assert faulted > 0, "no blip fired: the fault periods are stale"
+
+    merged = merge_campaign_results(shard_results)
+    serial = CampaignEngine(CampaignSpec(**SPEC_KWARGS),
+                            store=root / "serial-store").run()
+    assert [row.to_dict() for row in merged.rows()] == \
+        [row.to_dict() for row in serial.rows()]
+
+    engine = CampaignEngine(CampaignSpec(**SPEC_KWARGS), store=store_root)
+    for cell in engine.spec.grid():
+        assert engine.load_cell_result(cell) is not None, \
+            f"cell {cell.index} was lost to a transient fault"
+    assert ArtifactStore(store_root).fsck().clean()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import socket
 import subprocess
@@ -15,10 +16,15 @@ from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.cli import main
 from repro.store import (
     ArtifactStore,
+    RetryPolicy,
     STORE_FORMAT_VERSION,
     StoreIntegrityError,
     stable_key,
 )
+from chaos import TransientFaultStore
+
+#: A retry policy with zero sleeps: determinism without test latency.
+FAST_RETRY = RetryPolicy(attempts=3, base_s=0.0, token="test")
 
 
 def _corrupt_object(store: ArtifactStore, key: str,
@@ -99,6 +105,100 @@ def test_load_helpers_fold_miss_and_corruption_into_none(store):
     _corrupt_object(store, key)
     assert store.load_json(key) is None
     assert (store.quarantine_dir / f"{key}.json").exists()
+
+
+def test_truncated_json_object_is_quarantined_and_recomputes(store):
+    key = stable_key({"payload": "torn json"})
+    store.put_json(key, {"value": [1, 2, 3]})
+    full = (store.objects_dir / f"{key}.json").read_bytes()
+    _corrupt_object(store, key, full[:len(full) // 2])
+    with pytest.raises(StoreIntegrityError):
+        store.get_json(key)
+    assert [path.name for path in store.quarantine_dir.iterdir()] == \
+        [f"{key}.json"]
+    assert store.load_json(key) is None
+    # The recompute lands cleanly over the quarantined state.
+    store.put_json(key, {"value": [1, 2, 3]})
+    assert store.get_json(key) == {"value": [1, 2, 3]}
+
+
+def test_corrupt_object_is_read_once_never_retried(tmp_path):
+    """Corrupt bytes stay corrupt: the read quarantines on the first
+    digest mismatch instead of spending retries re-reading them."""
+    store = TransientFaultStore(tmp_path / "store", retry=FAST_RETRY)
+    key = stable_key({"flip": 1})
+    store.put_json(key, {"v": 1})
+    _corrupt_object(store, key)
+    store.calls.clear()
+    with pytest.raises(StoreIntegrityError):
+        store.get_json(key)
+    # One manifest read, one object read, one move aside.
+    assert store.calls["read_bytes"] == 2
+    assert store.calls["_move"] == 1
+    assert key not in store
+
+
+# -- transient IO faults ------------------------------------------------------
+
+
+def test_transient_os_blips_in_store_io_are_retried(tmp_path):
+    """Each file operation's first try fails with ``EAGAIN``; the
+    store's retry policy carries every read and write through."""
+    store = TransientFaultStore(
+        tmp_path / "store",
+        {"read_bytes": 2, "_atomic_write_bytes": 2, "_list_dir": 2},
+        retry=FAST_RETRY)
+    jkey = stable_key({"blip": "json"})
+    akey = stable_key({"blip": "arrays"})
+    store.put_json(jkey, {"v": 1})
+    store.put_arrays(akey, {"x": np.arange(4.0)})
+    assert store.get_json(jkey) == {"v": 1}
+    assert np.array_equal(store.get_arrays(akey)["x"], np.arange(4.0))
+    assert sorted(store.keys()) == sorted([jkey, akey])
+    for name in ("read_bytes", "_atomic_write_bytes", "_list_dir"):
+        assert store.faulted[name] > 0, name
+        assert store.calls[name] == 2 * store.faulted[name], name
+    # The blips left no trace: a fault-free handle reads the same store.
+    plain = ArtifactStore(store.root)
+    assert plain.get_json(jkey) == {"v": 1}
+    assert plain.fsck().clean()
+
+
+def test_persistent_write_error_fails_the_put_and_leaves_a_miss(tmp_path):
+    store = TransientFaultStore(tmp_path / "store",
+                                {"_atomic_write_bytes": 1},
+                                retry=FAST_RETRY)
+    key = stable_key({"stuck": "write"})
+    with pytest.raises(OSError) as excinfo:
+        store.put_json(key, {"v": 1})
+    assert excinfo.value.errno == errno.EAGAIN
+    # Bounded: exactly the policy's attempts, then the error surfaces.
+    assert store.calls["_atomic_write_bytes"] == FAST_RETRY.attempts
+    assert key not in store
+    assert list(store.objects_dir.iterdir()) == []
+    assert list(store.manifest_dir.iterdir()) == []
+    # Once the blips stop, the same put succeeds.
+    store.faults.clear()
+    store.put_json(key, {"v": 1})
+    assert store.get_json(key) == {"v": 1}
+
+
+def test_persistent_read_error_is_not_corruption(tmp_path):
+    """An IO error that outlasts the retries propagates as itself; it
+    never quarantines the (intact) object behind it."""
+    store = TransientFaultStore(tmp_path / "store", retry=FAST_RETRY)
+    key = stable_key({"stuck": "read"})
+    store.put_json(key, {"v": 1})
+    store.faults["read_bytes"] = 1
+    with pytest.raises(OSError) as excinfo:
+        store.get_json(key)
+    assert not isinstance(excinfo.value, StoreIntegrityError)
+    assert excinfo.value.errno == errno.EAGAIN
+    assert not store.quarantine_dir.exists() or \
+        list(store.quarantine_dir.iterdir()) == []
+    store.faults.clear()
+    assert store.get_json(key) == {"v": 1}
+    assert store.fsck().clean()
 
 
 # -- fsck / gc ----------------------------------------------------------------
