@@ -49,11 +49,13 @@ Every stored artifact is keyed in one place, :meth:`CampaignEngine._store_key`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -1013,6 +1015,21 @@ class CampaignEngine:
                   "metric": cell.metric},
         )
 
+    @contextlib.contextmanager
+    def writer_lease_scope(self) -> Iterator[None]:
+        """Release this process's store writer lease when the block exits.
+
+        The first ``put_*`` on the store registers a heartbeated lease
+        (or the caller registers one up front); it must end with the
+        run that wrote, also when the run raises, or the next ``store
+        gc`` breaks it as stale.  Without a store this does nothing.
+        """
+        try:
+            yield
+        finally:
+            if self.store is not None:
+                self.store.release_lease()
+
     def run(self, artifact_dir: Optional[PathLike] = None,
             shard: Optional[Tuple[int, int]] = None) -> CampaignResult:
         """Execute the grid — or one ``(index, count)`` shard of it.
@@ -1046,36 +1063,39 @@ class CampaignEngine:
             shard = (int(shard[0]), int(shard[1]))
             cells = self.spec.shard(*shard)
         try:
-            completed: Dict[int, CampaignCellResult] = {}
-            pending: List[GridCell] = []
-            for cell in cells:
-                loaded = self.load_cell_result(cell)
-                if loaded is not None:
-                    completed[cell.index] = loaded
-                else:
-                    pending.append(cell)
-            if pending and self.store is not None:
-                # The whole computing run counts as "live" to concurrent
-                # maintenance: the lease covers the compute time between
-                # store writes, not just the writes themselves.  A fully
-                # resumed run writes nothing and registers no lease.
-                self.store.acquire_lease(owner=f"campaign:{self.spec.name}")
-            # Trace-archive ownership is decided among the cells that
-            # *execute* this invocation: store-resumed cells never run,
-            # so a full-grid (or even in-shard) owner that resolved from
-            # the manifest must not leave the archive unwritten.
-            self._active_indices = frozenset(cell.index for cell in pending)
-            from .supervisor import CampaignSupervisor, run_cells_serial
+            with self.writer_lease_scope():
+                completed: Dict[int, CampaignCellResult] = {}
+                pending: List[GridCell] = []
+                for cell in cells:
+                    loaded = self.load_cell_result(cell)
+                    if loaded is not None:
+                        completed[cell.index] = loaded
+                    else:
+                        pending.append(cell)
+                if pending and self.store is not None:
+                    # The whole computing run counts as "live" to
+                    # concurrent maintenance: the lease covers the compute
+                    # time between store writes, not just the writes
+                    # themselves.  A fully resumed run writes nothing and
+                    # registers no lease.
+                    self.store.acquire_lease(
+                        owner=f"campaign:{self.spec.name}")
+                # Trace-archive ownership is decided among the cells that
+                # *execute* this invocation: store-resumed cells never
+                # run, so a full-grid (or even in-shard) owner that
+                # resolved from the manifest must not leave the archive
+                # unwritten.
+                self._active_indices = frozenset(cell.index
+                                                 for cell in pending)
+                from .supervisor import CampaignSupervisor, run_cells_serial
 
-            if self.spec.workers <= 1 or len(pending) <= 1:
-                completed.update(run_cells_serial(self, pending))
-            else:
-                completed.update(CampaignSupervisor(self).run(pending))
-            ordered = [completed[cell.index] for cell in cells]
+                if self.spec.workers <= 1 or len(pending) <= 1:
+                    completed.update(run_cells_serial(self, pending))
+                else:
+                    completed.update(CampaignSupervisor(self).run(pending))
+                ordered = [completed[cell.index] for cell in cells]
         finally:
             self._active_indices = None
-            if self.store is not None:
-                self.store.release_lease()
         result = CampaignResult(
             spec=self.spec,
             cells=ordered,

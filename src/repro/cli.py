@@ -410,7 +410,8 @@ def cmd_attack_recover(args: argparse.Namespace) -> int:
     except ValueError as error:
         return _fail(error)
     cell = next(cell for cell in spec.grid() if cell.is_fault)
-    data = engine.fault_sweep_data(cell)
+    with engine.writer_lease_scope():
+        data = engine.fault_sweep_data(cell)
     grid = data.grid
     print(f"glitch grid: {len(grid.periods_ps)} period(s) x "
           f"{len(grid.offsets_ps)} offset(s) x {len(grid.widths_ps)} "

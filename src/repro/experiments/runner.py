@@ -74,6 +74,15 @@ def run_all(config: Optional[ExperimentConfig] = None,
     """
     config = config or ExperimentConfig.fast()
     engine = CampaignEngine(config.campaign_spec(), store=store)
+    # The population study's first store write registers a writer
+    # lease; it ends with the suite, also when a driver raises.
+    with engine.writer_lease_scope():
+        return _run_drivers(config, engine)
+
+
+def _run_drivers(config: ExperimentConfig,
+                 engine: CampaignEngine) -> SuiteResult:
+    """Every figure/table driver on ``engine``'s one platform."""
     (cell,) = engine.spec.grid()
     platform = engine.platform_for(cell)
     summaries: List[ExperimentSummary] = []

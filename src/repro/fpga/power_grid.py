@@ -20,13 +20,27 @@ The model here is deliberately simple but physically motivated:
 The same spatial-aggregation machinery provides the EM probe coupling
 weights (emanations from activity close to the probe are picked up more
 strongly).
+
+A trojan's droop on the golden cells is a pure function of the device,
+the grid parameters and the two placements, and every die of a campaign
+sees the same one, so :meth:`PowerGrid.victim_delay_offsets_ps` is
+memoised per process in a bounded LRU cache keyed by ``(device,
+tile_rows, tile_cols, tile_resistance_ohm, static_current_per_cell_ua,
+delay_sensitivity_ps_per_mv, droop_decay_tiles,
+tuple(victim_positions.items()), tuple(aggressor_positions.items()))``.
+The device is a frozen dataclass, so its name, rows and columns are part
+of the key.  :class:`PowerGrid` itself is mutable, so the key is read at
+call time.  A miss computes the offsets from :meth:`PowerGrid.droop_mv`,
+so a hit returns exactly the floats a recomputation would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from .device import FPGADevice
 from .slices import SliceCoord
@@ -46,6 +60,9 @@ TILE_RESISTANCE_OHM = 2.0
 DELAY_SENSITIVITY_PS_PER_MV = 2.0
 #: Spatial decay length of the droop coupling, in PDN tiles.
 DROOP_DECAY_TILES = 1.5
+#: Distinct (grid, victim placement, aggressor placement) droop offset
+#: maps kept by the per-process memo.
+_DROOP_MEMO_SIZE = 64
 
 
 @dataclass
@@ -130,15 +147,19 @@ class PowerGrid:
     def victim_delay_offsets_ps(self, victim_positions: Mapping[str, SliceCoord],
                                 aggressor_positions: Mapping[str, SliceCoord]
                                 ) -> Dict[str, float]:
-        """Delay increase per victim cell caused by aggressor-induced droop."""
-        droop = self.droop_mv(aggressor_positions)
-        offsets: Dict[str, float] = {}
-        for cell_name, coord in victim_positions.items():
-            tile = self.tile_of(coord)
-            offsets[cell_name] = (
-                droop.get(tile, 0.0) * self.delay_sensitivity_ps_per_mv
-            )
-        return offsets
+        """Delay increase per victim cell caused by aggressor-induced droop.
+
+        Memoised per process on the device, every grid field and both
+        placements (see :func:`_victim_droop_offsets`); the result is a
+        fresh ``dict`` the caller may mutate.
+        """
+        return dict(_victim_droop_offsets(
+            self.device, self.tile_rows, self.tile_cols,
+            self.tile_resistance_ohm, self.static_current_per_cell_ua,
+            self.delay_sensitivity_ps_per_mv, self.droop_decay_tiles,
+            tuple(victim_positions.items()),
+            tuple(aggressor_positions.items()),
+        ))
 
     # -- EM coupling -----------------------------------------------------------
 
@@ -156,3 +177,33 @@ class PowerGrid:
         distance = math.hypot(coord[0] - probe_position[0],
                               coord[1] - probe_position[1])
         return math.exp(-distance / decay_slices)
+
+
+@functools.lru_cache(maxsize=_DROOP_MEMO_SIZE)
+def _victim_droop_offsets(device: FPGADevice, tile_rows: int,
+                          tile_cols: int, tile_resistance_ohm: float,
+                          static_current_per_cell_ua: float,
+                          delay_sensitivity_ps_per_mv: float,
+                          droop_decay_tiles: float,
+                          victims: Tuple[Tuple[str, SliceCoord], ...],
+                          aggressors: Tuple[Tuple[str, SliceCoord], ...]
+                          ) -> Mapping[str, float]:
+    """Read-only droop delay offset of each victim cell (memoised).
+
+    ``victims`` and ``aggressors`` are the ``(cell name, coord)`` items
+    of the two placements, in order.  ``cache_clear()`` empties the
+    memo.
+    """
+    grid = PowerGrid(
+        device, tile_rows=tile_rows, tile_cols=tile_cols,
+        tile_resistance_ohm=tile_resistance_ohm,
+        static_current_per_cell_ua=static_current_per_cell_ua,
+        delay_sensitivity_ps_per_mv=delay_sensitivity_ps_per_mv,
+        droop_decay_tiles=droop_decay_tiles,
+    )
+    droop = grid.droop_mv(dict(aggressors))
+    return MappingProxyType({
+        cell_name: droop.get(grid.tile_of(coord), 0.0)
+        * delay_sensitivity_ps_per_mv
+        for cell_name, coord in victims
+    })

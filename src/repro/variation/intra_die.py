@@ -22,11 +22,20 @@ up in a bounded LRU cache keyed by ``(seed, sigma_spatial_ps,
 sigma_random_ps, die_rows, die_cols, tuple(cell_positions.items()))``.
 Every device of a campaign that sits on the same die (its clean copy
 and each infected copy share the golden placement) then reuses one map.
-A miss computes every entry with :meth:`IntraDieVariation.cell_offset_ps`,
-the single definition of an offset, so a hit returns exactly the floats
-a recomputation would — the memo is bit-identical by construction.
 Forked worker processes start from their parent's memo and fill their
 own.
+
+A cell's random component is one ``normal(0.0, 1.0)`` draw from
+``np.random.default_rng(crc32(f"{seed}:{cell}"))``.  Building one
+generator per cell costs far more than the draw, so a miss seeds every
+cell of the die in one bulk pass (:func:`_pcg64_states`): NumPy's
+documented ``SeedSequence`` hash over ``uint32`` arrays, then the PCG64
+seeding step on Python ints.  Each state is loaded into one reused
+``PCG64`` whose own ``normal`` makes the draw, so every offset equals
+the per-cell ``default_rng`` computation bit for bit (NEP 19 keeps both
+algorithms stable across NumPy releases).  That per-cell definition
+lives in ``tests/oracles/variation.py`` as the serial reference the
+bulk pass is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +57,17 @@ DEFAULT_SIGMA_RANDOM_PS = 4.0
 _NUM_SPATIAL_MODES = 6
 #: Distinct (die, placement) offset maps kept by the per-process memo.
 _OFFSETS_MEMO_SIZE = 256
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+# and the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass
@@ -103,21 +123,6 @@ class IntraDieVariation:
             )
         return total
 
-    def cell_offset_ps(self, cell_name: str, coord: Tuple[int, int]) -> float:
-        """Delay offset of one cell placed at ``coord``.
-
-        The random component is derived from a hash of the cell name and
-        the die seed, so it is stable per (die, cell) pair.
-        """
-        spatial = self.sigma_spatial_ps * self.spatial_field(coord)
-        # zlib.crc32 is stable across processes (unlike hash() on strings),
-        # so a (die, cell) pair always gets the same random offset.
-        cell_seed = zlib.crc32(f"{self.seed}:{cell_name}".encode("utf-8"))
-        random_part = float(
-            np.random.default_rng(cell_seed).normal(0.0, 1.0)
-        ) * self.sigma_random_ps
-        return spatial + random_part
-
     def offsets_for(self, cell_positions: Mapping[str, Tuple[int, int]]
                     ) -> Dict[str, float]:
         """Delay offsets for every placed cell of a design.
@@ -138,6 +143,58 @@ class IntraDieVariation:
         return math.sqrt(self.sigma_spatial_ps ** 2 + self.sigma_random_ps ** 2)
 
 
+def _pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
+    """The ``(state, inc)`` that ``np.random.default_rng(seed)`` starts
+    its PCG64 from, for every ``uint32`` seed at once.
+
+    ``SeedSequence(seed)`` mixes the one-word entropy into a pool of
+    four words and expands it with ``generate_state(4, np.uint64)``;
+    both steps run over ``uint32`` arrays, one lane per seed.  PCG64
+    then takes ``initstate = w0 << 64 | w1`` and ``inc = (w2 << 64 |
+    w3) << 1 | 1`` and advances twice from zero, which leaves
+    ``(inc + initstate) * multiplier + inc`` modulo 2^128.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    entropy = np.asarray(seeds, dtype=np.uint32)
+    zero = np.zeros_like(entropy)
+    pool = [hashmix(entropy)] + [hashmix(zero) for _ in range(_POOL_SIZE - 1)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[i_dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[i_src]))
+                pool[i_dst] = mixed ^ (mixed >> _XSHIFT)
+
+    hash_const = _INIT_B
+    words32 = []
+    for i_dst in range(2 * _POOL_SIZE):
+        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words32.append(value ^ (value >> _XSHIFT))
+    # Little-endian pairs of uint32 words make the four uint64 words.
+    words64 = [
+        (words32[2 * k].astype(np.uint64)
+         | (words32[2 * k + 1].astype(np.uint64) << np.uint64(32))).tolist()
+        for k in range(_POOL_SIZE)
+    ]
+    states = []
+    for w0, w1, w2, w3 in zip(*words64):
+        initstate = w0 << 64 | w1
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append((((inc + initstate) * _PCG64_MULTIPLIER + inc)
+                       & _MASK128, inc))
+    return states
+
+
 @functools.lru_cache(maxsize=_OFFSETS_MEMO_SIZE)
 def die_offsets(seed: int, sigma_spatial_ps: float, sigma_random_ps: float,
                 die_rows: int, die_cols: int,
@@ -146,15 +203,37 @@ def die_offsets(seed: int, sigma_spatial_ps: float, sigma_random_ps: float,
     """Read-only offset map of the cells ``placed`` on one die (memoised).
 
     ``placed`` is the ``(cell name, coord)`` items of a placement, in
-    order.  Every offset comes from
-    :meth:`IntraDieVariation.cell_offset_ps`, so the map equals the
-    per-cell computation bit for bit.  ``die_offsets.cache_clear()``
-    empties the memo.
+    order.  Each offset is ``sigma_spatial_ps * spatial_field(coord) +
+    draw * sigma_random_ps``, where ``draw`` is the first
+    ``normal(0.0, 1.0)`` of ``np.random.default_rng(crc32(
+    f"{seed}:{cell name}"))``; the generators are seeded in one bulk
+    pass (:func:`_pcg64_states`) and bit-identical to that.
+    ``die_offsets.cache_clear()`` empties the memo.
     """
     variation = IntraDieVariation(
         seed=seed, sigma_spatial_ps=sigma_spatial_ps,
         sigma_random_ps=sigma_random_ps, die_rows=die_rows, die_cols=die_cols,
     )
-    return MappingProxyType({
-        name: variation.cell_offset_ps(name, coord) for name, coord in placed
-    })
+    # zlib.crc32 is stable across processes (unlike hash() on strings),
+    # so a (die, cell) pair always gets the same random offset.
+    states = _pcg64_states([zlib.crc32(f"{seed}:{name}".encode("utf-8"))
+                            for name, _ in placed])
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    # Several cells share a slice, so each coordinate's field is
+    # evaluated once.
+    fields: Dict[Tuple[int, int], float] = {}
+    offsets: Dict[str, float] = {}
+    for (name, coord), (state, inc) in zip(placed, states):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        draw = float(generator.normal(0.0, 1.0))
+        if coord not in fields:
+            fields[coord] = variation.spatial_field(coord)
+        offsets[name] = (sigma_spatial_ps * fields[coord]
+                         + draw * sigma_random_ps)
+    return MappingProxyType(offsets)

@@ -2,9 +2,10 @@
 
 The package in ``src/`` keeps one implementation per operation: the
 compiled netlist and timing kernels, the one EM acquisition core, the
-batched trojan activity, scoring, DFA and fault kernels, and the
-store payload codecs.  The per-element loops, cell-by-cell walks and
-trace-list payload packers they replaced live here, as the executable
+batched trojan activity, scoring, DFA and fault kernels, the bulk-seeded
+intra-die offsets, and the store payload codecs.  The per-element
+loops, cell-by-cell walks and trace-list payload packers they replaced
+live here, as the executable
 specifications the bit-identity tests (``from oracles import ...``) and
 the speed-up benchmarks compare against.  Each
 reference of a method takes the instance as its first argument.
@@ -59,6 +60,7 @@ from .scoring import (
     sum_of_local_maxima_serial,
 )
 from .timing import TimingEngine, TwoVectorResult, two_vector_result
+from .variation import cell_offset_ps
 
 __all__ = [
     "acquire_many",
@@ -102,4 +104,5 @@ __all__ = [
     "TimingEngine",
     "TwoVectorResult",
     "two_vector_result",
+    "cell_offset_ps",
 ]

@@ -210,3 +210,17 @@ def test_cli_attack_sweep_then_recover(tmp_path, capsys):
     assert "all recovered bytes match: True" in recover_out
     assert "(correct)" in recover_out
     assert "(WRONG)" not in recover_out
+
+
+def test_cold_recover_releases_its_store_writer_lease(tmp_path, capsys):
+    """A recover on an empty store computes and stores the sweep; the
+    writer lease that write registered ends with the command."""
+    from repro.store import list_leases
+
+    store = tmp_path / "store"
+    argv = ["attack", "recover", "--dies", "3", "--plaintexts", "4",
+            "--store", str(store)]
+    assert main(argv) == 0
+    assert "all recovered bytes match: True" in capsys.readouterr().out
+    assert list((store / "objects").iterdir())
+    assert list_leases(store / "leases") == []

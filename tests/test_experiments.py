@@ -88,6 +88,36 @@ def test_suite_builds_the_golden_design_once(monkeypatch, tmp_path):
         assert len(builds) == 1
 
 
+def _assert_no_lease_left(root):
+    from repro.store import ArtifactStore, list_leases
+
+    assert list_leases(root / "leases") == []
+    swept = ArtifactStore(root).gc()
+    assert (swept["broken_leases"], swept["live_leases"]) == ([], [])
+
+
+def test_suite_releases_its_store_writer_lease(tmp_path):
+    from repro.experiments.runner import run_all
+
+    run_all(ExperimentConfig.fast(), store=tmp_path / "store")
+    _assert_no_lease_left(tmp_path / "store")
+
+
+def test_suite_releases_its_lease_when_a_driver_raises(monkeypatch, tmp_path):
+    """Fig. 6 writes the population through the store; Fig. 7 then
+    fails, and the lease that write registered still ends."""
+    from repro.experiments.runner import run_all
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("fig7 failed")
+
+    monkeypatch.setattr(fig7_model, "run", broken)
+    with pytest.raises(RuntimeError, match="fig7 failed"):
+        run_all(ExperimentConfig.fast(), store=tmp_path / "store")
+    assert list((tmp_path / "store" / "objects").iterdir())
+    _assert_no_lease_left(tmp_path / "store")
+
+
 def test_fig1_timing_constraint(config, exp_platform):
     result = fig1_timing.run(config, exp_platform)
     assert result.critical_path_ps > 0

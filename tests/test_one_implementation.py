@@ -81,6 +81,8 @@ ORACLE_ONLY_NAMES = {
     "trojan_activity_cache_entries",
     "_host_activity_cache",
     "_trojan_activity_cache",
+    # The per-cell intra-die offset the bulk-seeded die map replaced.
+    "cell_offset_ps",
     # Serial delay scorers.
     "DELAY_METRIC_SCORERS",
     "build_delay_scorer",

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import cell_offset_ps
+from repro.fpga.power_grid import _victim_droop_offsets
 from repro.variation.bowman import (
     BowmanParameters,
     die_to_die_dominance,
@@ -11,21 +14,27 @@ from repro.variation.bowman import (
 )
 from repro.variation.inter_die import DiePopulation, DieProfile
 from repro.campaigns import CampaignEngine, CampaignSpec
-from repro.variation.intra_die import IntraDieVariation, die_offsets
+from repro.variation.intra_die import (
+    IntraDieVariation,
+    _pcg64_states,
+    die_offsets,
+)
 
 
 def test_intra_die_variation_is_deterministic():
     a = IntraDieVariation(seed=42)
     b = IntraDieVariation(seed=42)
-    assert a.cell_offset_ps("cell_x", (3, 4)) == b.cell_offset_ps("cell_x", (3, 4))
+    positions = {"cell_x": (3, 4)}
+    first = a.offsets_for(positions)
+    die_offsets.cache_clear()
+    assert b.offsets_for(positions) == first
 
 
 def test_intra_die_variation_differs_across_dies():
     a = IntraDieVariation(seed=1)
     b = IntraDieVariation(seed=2)
-    offsets_a = [a.cell_offset_ps(f"c{k}", (k, k)) for k in range(20)]
-    offsets_b = [b.cell_offset_ps(f"c{k}", (k, k)) for k in range(20)]
-    assert offsets_a != offsets_b
+    positions = {f"c{k}": (k, k) for k in range(20)}
+    assert a.offsets_for(positions) != b.offsets_for(positions)
 
 
 def test_intra_die_spatial_correlation():
@@ -57,7 +66,7 @@ def test_offsets_for_memo_matches_per_cell_oracle(seed):
     die_offsets.cache_clear()
     variation = IntraDieVariation(seed=seed)
     positions = _positions()
-    oracle = {name: variation.cell_offset_ps(name, coord)
+    oracle = {name: cell_offset_ps(variation, name, coord)
               for name, coord in positions.items()}
     first = variation.offsets_for(positions)
     hits_before = die_offsets.cache_info().hits
@@ -89,7 +98,7 @@ def test_offsets_for_memo_key_covers_every_input(change):
     changed = variation.offsets_for(positions)
     assert die_offsets.cache_info().misses == misses_before + 1
     assert changed != base
-    assert changed == {name: variation.cell_offset_ps(name, coord)
+    assert changed == {name: cell_offset_ps(variation, name, coord)
                        for name, coord in positions.items()}
 
 
@@ -103,32 +112,70 @@ def test_offsets_for_returns_an_independent_dict():
     assert variation.offsets_for(positions) == expected
 
 
-def test_campaign_computes_each_die_offset_once(golden_design, monkeypatch):
+_UINT32 = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_UINT32, min_size=1, max_size=8))
+@example([0])
+@example([2 ** 32 - 1])
+@example([0, 1, 2 ** 32 - 1])
+def test_bulk_seeding_equals_default_rng(seeds):
+    """Each bulk PCG64 state is the one ``default_rng(seed)`` starts
+    from, and the draws from it are bit-equal."""
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for seed, (state, inc) in zip(seeds, _pcg64_states(seeds), strict=True):
+        reference = np.random.default_rng(seed)
+        assert reference.bit_generator.state["state"] == {"state": state,
+                                                          "inc": inc}
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        ours = [generator.normal(0.0, 1.0) for _ in range(3)]
+        theirs = [reference.normal(0.0, 1.0) for _ in range(3)]
+        assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2015, 2 ** 31 + 7])
+def test_die_offsets_pin_the_per_cell_oracle_on_the_golden_placement(
+        golden_design, seed):
+    positions = golden_design.placement.cell_positions
+    assert len(positions) == 1152
+    variation = IntraDieVariation(seed=seed)
+    die_offsets.cache_clear()
+    offsets = variation.offsets_for(positions)
+    assert list(offsets) == list(positions)
+    for name, coord in positions.items():
+        expected = cell_offset_ps(variation, name, coord)
+        assert np.float64(offsets[name]).tobytes() == \
+            np.float64(expected).tobytes(), name
+
+
+def test_campaign_computes_each_die_offset_once(golden_design):
     """A delay cell and a fault cell over 8 dies and three trojans
-    annotate 64 devices, but each die's offsets are computed once."""
+    annotate 64 devices, but each die's offsets are computed once and
+    each trojan's droop once."""
     spec = CampaignSpec(
         name="offset-memo", trojans=("HT1", "HT2", "HT3"), die_counts=(8,),
         metrics=("delay_max_difference", "fault_coverage"), seed=11,
         num_pk_pairs=2, delay_repetitions=1, workers=1,
     )
     die_offsets.cache_clear()
-    seeds = []
-    original = IntraDieVariation.cell_offset_ps
-
-    def counting(self, cell_name, coord):
-        seeds.append(self.seed)
-        return original(self, cell_name, coord)
-
-    monkeypatch.setattr(IntraDieVariation, "cell_offset_ps", counting)
+    _victim_droop_offsets.cache_clear()
     engine = CampaignEngine(spec, golden=golden_design)
     result = engine.run()
     assert [cell.status for cell in result.cells] == ["ok", "ok"]
     population = engine.platform_for(spec.grid()[0]).population
     distinct_dies = {die.intra_die_seed for die in population}
     assert len(distinct_dies) == 8
-    placed = len(golden_design.placement.cell_positions)
-    assert set(seeds) == distinct_dies
-    assert len(seeds) == len(distinct_dies) * placed
+    offsets = die_offsets.cache_info()
+    assert offsets.misses == len(distinct_dies)
+    assert offsets.hits > 0
+    droop = _victim_droop_offsets.cache_info()
+    assert droop.misses == len(spec.trojans)
+    assert droop.hits > 0
 
 
 def test_intra_die_validation():
