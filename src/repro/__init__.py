@@ -29,10 +29,41 @@ so ``import repro`` loads no subpackage and a command pays only for the
 modules it uses.
 """
 
+import sys
 from importlib import import_module
-from typing import Any, List
+from typing import Any, Callable, List, Mapping, Tuple
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(package: str, exports: Mapping[str, str]
+                  ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a lazy package.
+
+    ``exports`` maps each public name to the module (relative to
+    ``package``) that defines it; the module is imported on the name's
+    first access and the value is cached in the package namespace, so
+    importing a package that declares its names this way runs none of
+    its submodules.
+    """
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *namespace["__all__"]})
+
+    return __getattr__, __dir__
+
 
 # Public name -> defining submodule (relative to this package).
 _EXPORTS = {
@@ -62,18 +93,4 @@ _EXPORTS = {
 
 __all__ = [*_EXPORTS, "__version__"]
 
-
-def __getattr__(name: str) -> Any:
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -7,52 +7,31 @@ pinned against bit for bit (``find_local_maxima``,
 ``score``) live in ``tests/oracles/scoring.py``, not in the package.
 """
 
-from .batch import (
-    abs_difference_matrix,
-    false_negative_rates,
-    find_local_maxima_batch,
-    fit_gaussians_batch,
-    pooled_std_batch,
-    sum_of_local_maxima_batch,
-)
-from .gaussian import (
-    GaussianFit,
-    fit_gaussian,
-    overlap_threshold,
-)
-from .local_maxima import sum_of_local_maxima
-from .dfa import (
-    DFAResult,
-    FaultLocalisation,
-    RecoveredKeyByte,
-    dfa_key_scores,
-    localise_faults,
-    recover_last_round_key,
-)
-from .traces import (
-    abs_difference,
-    as_samples,
-    stack_traces,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "abs_difference_matrix",
-    "false_negative_rates",
-    "find_local_maxima_batch",
-    "fit_gaussians_batch",
-    "pooled_std_batch",
-    "sum_of_local_maxima_batch",
-    "GaussianFit",
-    "fit_gaussian",
-    "overlap_threshold",
-    "sum_of_local_maxima",
-    "DFAResult",
-    "FaultLocalisation",
-    "RecoveredKeyByte",
-    "dfa_key_scores",
-    "localise_faults",
-    "recover_last_round_key",
-    "abs_difference",
-    "as_samples",
-    "stack_traces",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "abs_difference_matrix": ".batch",
+    "false_negative_rates": ".batch",
+    "find_local_maxima_batch": ".batch",
+    "fit_gaussians_batch": ".batch",
+    "pooled_std_batch": ".batch",
+    "sum_of_local_maxima_batch": ".batch",
+    "GaussianFit": ".gaussian",
+    "fit_gaussian": ".gaussian",
+    "overlap_threshold": ".gaussian",
+    "sum_of_local_maxima": ".local_maxima",
+    "DFAResult": ".dfa",
+    "FaultLocalisation": ".dfa",
+    "RecoveredKeyByte": ".dfa",
+    "dfa_key_scores": ".dfa",
+    "localise_faults": ".dfa",
+    "recover_last_round_key": ".dfa",
+    "abs_difference": ".traces",
+    "as_samples": ".traces",
+    "stack_traces": ".traces",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -8,7 +8,10 @@ grid far faster than naively re-running a population study per cell:
   (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch_tensor`);
 * **memoised designs** — the golden design is built once and trojan
   insertion happens once per trojan name, shared by every grid cell
-  through a common infected-design cache;
+  through a common infected-design cache; likewise each (design, die)
+  delay annotation is built once per engine and shared by the devices
+  of every platform (a smaller population's dies are a prefix of a
+  larger one's, and delay and fault cells probe the same devices);
 * **memoised fingerprints** — acquired trace sets and the fitted golden
   EM references are cached per (die count, acquisition variant), so
   cells that differ only in the detection metric re-score cached traces
@@ -45,6 +48,14 @@ one cell's cached population scored in one
 pass.  EM grid cells build their rows from it, and the experiment suite
 (:mod:`repro.experiments`) reads Fig. 6 and the headline table from it.
 Every stored artifact is keyed in one place, :meth:`CampaignEngine._store_key`.
+
+The module computes lazily.  Its record types, the store keys,
+:meth:`CampaignEngine.load_cell_result` and the run loop need only the
+spec, the store and the device model; NumPy, the detection pipeline,
+the benches, the attacks and the trojan builders are imported inside
+the methods that compute, on the first cell the store does not hold,
+and the supervisor only when cells are pending.  A fully resumed run
+loads none of them (``tests/test_import_graph.py``).
 """
 
 from __future__ import annotations
@@ -52,50 +63,17 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
-import numpy as np
-
-from ..analysis.batch import characterise_score_populations
-from ..analysis.gaussian import GaussianFit
-from ..core.delay_detector import DelayDetector
-from ..core.em_detector import PopulationEMDetector
-from ..core.fingerprint import DelayFingerprint
-from ..core.metrics import (
-    L1TraceMetric,
-    LocalMaximaSumMetric,
-    MaxDifferenceMetric,
-)
-from ..core.pipeline import (
-    HTDetectionPlatform,
-    PlatformConfig,
-    PopulationEMStudyResult,
-    PopulationTraceTensors,
-)
 from ..core.report import format_table
-from ..fpga.design import GoldenDesign
-from ..fpga.device import FPGADevice, virtex5_lx30
+from ..fpga.device import virtex5_lx30
 from ..io.results import save_result, save_summary_csv
-from ..io.tracefile import save_traces
-from ..attacks.glitch_grid import (
-    GlitchGrid,
-    device_fault_coverages,
-    synthesise_faulted_sweep,
-)
-from ..crypto.batch import as_block_matrix, expand_keys, round_states_with_keys
-from ..measurement.delay_meter import (
-    DelayMeasurementConfig,
-    PlaintextKeyPair,
-    generate_pk_pairs,
-)
-from ..measurement.em_simulator import EMTrace
 from ..store import (
     ARTIFACT_SCHEMA_VERSION,
     DEFAULT_GOLDEN_SIGNATURE,
-    ArtifactStore,
     build_store,
     golden_signature,
     pack_groups,
@@ -104,17 +82,33 @@ from ..store import (
     stable_key,
     unpack_groups,
 )
-from ..trojan.insertion import InfectedDesign, insert_trojan
-from ..trojan.library import build_trojan
 from .spec import CampaignSpec, GridCell
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from ..analysis.gaussian import GaussianFit
+    from ..attacks.glitch_grid import GlitchGrid
+    from ..core.pipeline import (
+        HTDetectionPlatform,
+        PopulationEMStudyResult,
+        PopulationTraceTensors,
+    )
+    from ..fpga.design import GoldenDesign
+    from ..fpga.device import FPGADevice
+    from ..measurement.delay_meter import DelayMeasurementConfig
+    from ..measurement.em_simulator import EMTrace
+    from ..store import ArtifactStore
+    from ..trojan.insertion import InfectedDesign
 
 PathLike = Union[str, Path]
 
-#: Metric registry: spec metric name -> factory.
+#: Metric registry: spec metric name -> its class in
+#: :mod:`repro.core.metrics` (imported when a metric is built).
 METRIC_FACTORIES = {
-    "local_maxima_sum": LocalMaximaSumMetric,
-    "l1": L1TraceMetric,
-    "max_difference": MaxDifferenceMetric,
+    "local_maxima_sum": "LocalMaximaSumMetric",
+    "l1": "L1TraceMetric",
+    "max_difference": "MaxDifferenceMetric",
 }
 
 
@@ -137,12 +131,15 @@ DELAY_METRIC_BATCH_SCORERS = {
 def build_metric(name: str):
     """Instantiate an EM detection metric from its campaign-spec name."""
     try:
-        return METRIC_FACTORIES[name]()
+        class_name = METRIC_FACTORIES[name]
     except KeyError as exc:
         raise KeyError(
             f"unknown metric {name!r}; available: "
             + ", ".join(METRIC_FACTORIES)
         ) from exc
+    from ..core import metrics
+
+    return getattr(metrics, class_name)()
 
 
 def build_delay_batch_scorer(name: str):
@@ -208,6 +205,8 @@ class _FaultSweepData:
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """The store payload; the resolved grid axes travel with it, so a
         store hit reproduces the exact grid without re-calibrating."""
+        import numpy as np
+
         axes = {f"axes::{axis}": np.asarray(getattr(self.grid, axis),
                                             dtype=float)
                 for axis in _GRID_AXES}
@@ -220,6 +219,8 @@ class _FaultSweepData:
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]
                     ) -> "_FaultSweepData":
+        from ..attacks.glitch_grid import GlitchGrid
+
         shared, golden, infected = unpack_groups(arrays)
         return cls(
             grid=GlitchGrid(**{axis: tuple(shared[f"axes::{axis}"])
@@ -490,6 +491,11 @@ class CampaignEngine:
         self.store: Optional[ArtifactStore] = build_store(store)
         #: Trojan insertion cache shared by every platform of the grid.
         self._infected_cache: Dict[str, InfectedDesign] = {}
+        #: Delay annotations per (design, die), shared by the DUTs of
+        #: every platform: the dies of a smaller population are a prefix
+        #: of a larger one, and delay and fault cells probe the same
+        #: devices.
+        self._annotation_cache: Dict[Tuple[Any, ...], Any] = {}
         self._platform_cache: Dict[Tuple[int, str], HTDetectionPlatform] = {}
         #: Read-through memo of every store-backed artifact, keyed by
         #: ``(kind, key)``: population tensors per acquisition key, delay
@@ -508,6 +514,8 @@ class CampaignEngine:
     def golden(self) -> GoldenDesign:
         """The golden design (built on first use)."""
         if self._golden is None:
+            from ..fpga.design import GoldenDesign
+
             self._golden = GoldenDesign.build(device=self.device)
         return self._golden
 
@@ -521,6 +529,9 @@ class CampaignEngine:
         the cache dict is shared with every platform of the grid.
         """
         if trojan_name not in self._infected_cache:
+            from ..trojan.insertion import insert_trojan
+            from ..trojan.library import build_trojan
+
             trojan = build_trojan(trojan_name, self.device)
             self._infected_cache[trojan_name] = insert_trojan(self.golden,
                                                               trojan)
@@ -577,6 +588,8 @@ class CampaignEngine:
         """
         cache_key = cell.acquisition_key
         if cache_key not in self._platform_cache:
+            from ..core.pipeline import HTDetectionPlatform, PlatformConfig
+
             config = PlatformConfig(
                 num_dies=cell.num_dies,
                 seed=self.spec.seed,
@@ -588,11 +601,14 @@ class CampaignEngine:
                 config=config,
                 golden=self.golden,
                 infected_cache=self._infected_cache,
+                annotation_cache=self._annotation_cache,
             )
         return self._platform_cache[cache_key]
 
     def _delay_config(self) -> DelayMeasurementConfig:
         """The clock-glitch bench of every platform (and delay key)."""
+        from ..measurement.delay_meter import DelayMeasurementConfig
+
         return DelayMeasurementConfig(
             repetitions=self.spec.delay_repetitions, seed=self.spec.seed)
 
@@ -607,6 +623,8 @@ class CampaignEngine:
         the store payload is written from and read into the matrices,
         and :class:`EMTrace` objects are built only for trace archives.
         """
+        from ..core.pipeline import PopulationTraceTensors
+
         return self._read_through(
             "population_traces", cell.acquisition_key,
             {"em": cell.variant.build_em_config(),
@@ -643,6 +661,9 @@ class CampaignEngine:
         :meth:`PopulationEMDetector.fit_and_characterise` pass, plus each
         trojan's area fraction.  The population stays matrix-resident.
         """
+        from ..core.em_detector import PopulationEMDetector
+        from ..core.pipeline import PopulationEMStudyResult
+
         tensors = self._cell_tensors(cell)
         reference, characterisations = PopulationEMDetector(
             build_metric(cell.metric)
@@ -682,6 +703,10 @@ class CampaignEngine:
         )
 
     def _measure_delay_study(self, cell: GridCell) -> "_DelayStudyData":
+        from ..core.delay_detector import DelayDetector
+        from ..core.fingerprint import DelayFingerprint
+        from ..measurement.delay_meter import generate_pk_pairs
+
         num_dies = cell.num_dies
         spec = self.spec
         platform = self.platform_for(cell)
@@ -722,6 +747,8 @@ class CampaignEngine:
         """The spec's explicit glitch grid, or None for auto-calibration."""
         if not self.spec.glitch_offsets_ps:
             return None
+        from ..attacks.glitch_grid import GlitchGrid
+
         return GlitchGrid(
             offsets_ps=self.spec.glitch_offsets_ps,
             widths_ps=self.spec.glitch_widths_ps,
@@ -764,6 +791,16 @@ class CampaignEngine:
         )
 
     def _synthesise_fault_sweep(self, cell: GridCell) -> "_FaultSweepData":
+        import numpy as np
+
+        from ..attacks.glitch_grid import GlitchGrid, synthesise_faulted_sweep
+        from ..crypto.batch import (
+            as_block_matrix,
+            expand_keys,
+            round_states_with_keys,
+        )
+        from ..measurement.delay_meter import PlaintextKeyPair
+
         num_dies = cell.num_dies
         spec = self.spec
         platform = self.platform_for(cell)
@@ -857,6 +894,11 @@ class CampaignEngine:
         :func:`~repro.attacks.glitch_grid.device_fault_coverages` pass
         per population, then batched fits / Eq. (5) rates.
         """
+        import numpy as np
+
+        from ..analysis.batch import characterise_score_populations
+        from ..attacks.glitch_grid import device_fault_coverages
+
         start = time.perf_counter()
         data = self.fault_sweep_data(cell)
         fits = characterise_score_populations(
@@ -881,6 +923,10 @@ class CampaignEngine:
         matrix (:mod:`repro.analysis.batch`), bit-identical to the
         per-die serial loops.
         """
+        import numpy as np
+
+        from ..analysis.batch import characterise_score_populations
+
         start = time.perf_counter()
         data = self.delay_study_data(cell)
         scorer = build_delay_batch_scorer(cell.metric)
@@ -969,6 +1015,8 @@ class CampaignEngine:
         archive = (self._artifact_dir
                    / f"traces_d{cell.num_dies}_{cell.variant.name}.npz")
         if cell.index == owner and cache_key not in self._saved_archives:
+            from ..io.tracefile import save_traces
+
             golden_traces, infected_traces = self.acquire_cell_traces(cell)
             all_traces = list(golden_traces)
             for name in self.spec.trojans:
@@ -1087,12 +1135,17 @@ class CampaignEngine:
                 # unwritten.
                 self._active_indices = frozenset(cell.index
                                                  for cell in pending)
-                from .supervisor import CampaignSupervisor, run_cells_serial
+                if pending:
+                    from .supervisor import (
+                        CampaignSupervisor,
+                        run_cells_serial,
+                    )
 
-                if self.spec.workers <= 1 or len(pending) <= 1:
-                    completed.update(run_cells_serial(self, pending))
-                else:
-                    completed.update(CampaignSupervisor(self).run(pending))
+                    if self.spec.workers <= 1 or len(pending) <= 1:
+                        completed.update(run_cells_serial(self, pending))
+                    else:
+                        completed.update(
+                            CampaignSupervisor(self).run(pending))
                 ordered = [completed[cell.index] for cell in cells]
         finally:
             self._active_indices = None

@@ -22,6 +22,11 @@ e.g. ``{"noise.sigma_single_shot": 400.0, "oscilloscope.num_averages":
 250}`` — every numeric field of the acquisition config (including the
 nested probe/amplifier/oscilloscope/noise models) can be swept without
 touching code.
+
+The spec imports nothing that computes: a variant builds its
+acquisition config only when it overrides something (an empty override
+set cannot be invalid), so validating a spec, expanding its grid and
+keying its cells load neither NumPy nor the simulation layers.
 """
 
 from __future__ import annotations
@@ -31,11 +36,14 @@ import json
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple,
+                    Union)
 
-from ..measurement.em_simulator import EMAcquisitionConfig
 from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT, campaign_stimuli
 from ..trojan.library import TROJAN_SPECS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..measurement.em_simulator import EMAcquisitionConfig
 
 PathLike = Union[str, Path]
 
@@ -174,7 +182,8 @@ class AcquisitionVariant:
                                  dict(self.em_overrides).items()))
         # Applied once here so a bad path or value fails the spec, not
         # every cell of the run.
-        self.build_em_config()
+        if self.em_overrides:
+            self.build_em_config()
 
     @classmethod
     def make(cls, name: str,
@@ -202,6 +211,8 @@ class AcquisitionVariant:
 
     def build_em_config(self) -> EMAcquisitionConfig:
         """The acquisition configuration of this variant."""
+        from ..measurement.em_simulator import EMAcquisitionConfig
+
         return apply_em_overrides(EMAcquisitionConfig(),
                                   self.overrides_dict())
 

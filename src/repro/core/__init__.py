@@ -7,73 +7,42 @@ Eq. (5) false-negative model — plus the end-to-end platform that wires
 them to the simulated measurement substrate.
 """
 
-from .decision import DetectionOutcome, ThresholdPolicy
-from .delay_detector import DelayComparisonResult, DelayDetector
-from .delay_model import (
-    NetDelayModel,
-    delay_difference,
-    detectable_trojan_delay_ps,
-    expected_difference_noise_ps,
-)
-from .em_detector import (
-    PopulationCharacterisation,
-    PopulationEMDetector,
-    SameDieComparison,
-    SameDieEMDetector,
-)
-from .fingerprint import DelayFingerprint, EMReference
-from .metrics import (
-    L1TraceMetric,
-    LocalMaximaSumMetric,
-    MaxDifferenceMetric,
-    detection_probability,
-    false_negative_rate,
-    required_separation,
-)
-from .pipeline import (
-    DelayStudyResult,
-    HTDetectionPlatform,
-    PlatformConfig,
-    PopulationEMStudyResult,
-    SameDieEMStudyResult,
-)
-from .report import (
-    delay_study_report,
-    format_table,
-    percentage,
-    population_em_report,
-    same_die_em_report,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DetectionOutcome",
-    "ThresholdPolicy",
-    "DelayComparisonResult",
-    "DelayDetector",
-    "NetDelayModel",
-    "delay_difference",
-    "detectable_trojan_delay_ps",
-    "expected_difference_noise_ps",
-    "PopulationCharacterisation",
-    "PopulationEMDetector",
-    "SameDieComparison",
-    "SameDieEMDetector",
-    "DelayFingerprint",
-    "EMReference",
-    "L1TraceMetric",
-    "LocalMaximaSumMetric",
-    "MaxDifferenceMetric",
-    "detection_probability",
-    "false_negative_rate",
-    "required_separation",
-    "DelayStudyResult",
-    "HTDetectionPlatform",
-    "PlatformConfig",
-    "PopulationEMStudyResult",
-    "SameDieEMStudyResult",
-    "delay_study_report",
-    "format_table",
-    "percentage",
-    "population_em_report",
-    "same_die_em_report",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "DetectionOutcome": ".decision",
+    "ThresholdPolicy": ".decision",
+    "DelayComparisonResult": ".delay_detector",
+    "DelayDetector": ".delay_detector",
+    "NetDelayModel": ".delay_model",
+    "delay_difference": ".delay_model",
+    "detectable_trojan_delay_ps": ".delay_model",
+    "expected_difference_noise_ps": ".delay_model",
+    "PopulationCharacterisation": ".em_detector",
+    "PopulationEMDetector": ".em_detector",
+    "SameDieComparison": ".em_detector",
+    "SameDieEMDetector": ".em_detector",
+    "DelayFingerprint": ".fingerprint",
+    "EMReference": ".fingerprint",
+    "L1TraceMetric": ".metrics",
+    "LocalMaximaSumMetric": ".metrics",
+    "MaxDifferenceMetric": ".metrics",
+    "detection_probability": ".metrics",
+    "false_negative_rate": ".metrics",
+    "required_separation": ".metrics",
+    "DelayStudyResult": ".pipeline",
+    "HTDetectionPlatform": ".pipeline",
+    "PlatformConfig": ".pipeline",
+    "PopulationEMStudyResult": ".pipeline",
+    "SameDieEMStudyResult": ".pipeline",
+    "delay_study_report": ".report",
+    "format_table": ".report",
+    "percentage": ".report",
+    "population_em_report": ".report",
+    "same_die_em_report": ".report",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

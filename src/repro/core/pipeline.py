@@ -200,7 +200,8 @@ class HTDetectionPlatform:
     def __init__(self, device: Optional[FPGADevice] = None,
                  config: Optional[PlatformConfig] = None,
                  golden: Optional[GoldenDesign] = None,
-                 infected_cache: Optional[Dict[str, InfectedDesign]] = None):
+                 infected_cache: Optional[Dict[str, InfectedDesign]] = None,
+                 annotation_cache: Optional[Dict] = None):
         self.device = device or virtex5_lx30()
         self.config = config or PlatformConfig()
         self.golden = golden or GoldenDesign.build(device=self.device)
@@ -211,6 +212,11 @@ class HTDetectionPlatform:
         # happens once per trojan across the whole grid).
         self._infected_cache: Dict[str, InfectedDesign] = (
             infected_cache if infected_cache is not None else {}
+        )
+        # Likewise for the DUTs' delay annotations: each (design, die)
+        # annotation is built once per cache (:class:`DeviceUnderTest`).
+        self._annotation_cache: Dict = (
+            annotation_cache if annotation_cache is not None else {}
         )
         self.delay_meter = PathDelayMeter(self.config.delay)
         self.em_simulator = EMSimulator(self.config.em)
@@ -228,7 +234,9 @@ class HTDetectionPlatform:
                    ) -> DeviceUnderTest:
         """A golden design programmed into die ``die_index``."""
         die = self.population[die_index]
-        return DeviceUnderTest(self.golden, die, label=label or f"golden_die{die_index}")
+        return DeviceUnderTest(self.golden, die,
+                               label=label or f"golden_die{die_index}",
+                               annotation_cache=self._annotation_cache)
 
     def infected_dut(self, trojan_name: str, die_index: int = 0,
                      label: Optional[str] = None) -> DeviceUnderTest:
@@ -237,6 +245,7 @@ class HTDetectionPlatform:
         return DeviceUnderTest(
             self.infected_design(trojan_name), die,
             label=label or f"{trojan_name}_die{die_index}",
+            annotation_cache=self._annotation_cache,
         )
 
     # -- Sec. III: delay study ----------------------------------------------------------

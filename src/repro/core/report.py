@@ -2,18 +2,21 @@
 
 The experiment drivers and the CLI print their results through these
 helpers so that the formatting (aligned columns, percentage rendering)
-stays consistent and testable.
+stays consistent and testable.  The module imports nothing that
+computes: a resumed campaign prints its table through
+:func:`format_table` without loading the detection pipeline.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from .pipeline import (
-    DelayStudyResult,
-    PopulationEMStudyResult,
-    SameDieEMStudyResult,
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .pipeline import (
+        DelayStudyResult,
+        PopulationEMStudyResult,
+        SameDieEMStudyResult,
+    )
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

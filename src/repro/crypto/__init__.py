@@ -7,82 +7,51 @@ switching activity for the EM simulator, and as the cipher whose round
 10 is attacked by the clock-glitch delay meter.
 """
 
-from .aes import (
-    AES,
-    EncryptionTrace,
-    RoundRecord,
-    decrypt_block,
-    encrypt_block,
-    inv_mix_columns_block,
-    inv_shift_rows_block,
-    inv_sub_bytes_block,
-    mix_columns_block,
-    shift_rows_block,
-    sub_bytes_block,
-)
-from .batch import (
-    BatchedAES,
-    as_block_matrix,
-    encrypt_round_states,
-    expand_keys,
-    mix_columns_batch,
-    switching_activity_counts,
-)
-from .gf import gf_inv, gf_mul, gf_pow, xtime
-from .keyschedule import expand_key, last_round_key, round_key
-from .sbox import INV_SBOX, SBOX, inv_sub_byte, sub_byte
-from .state import (
-    BLOCK_BITS,
-    BLOCK_BYTES,
-    bit_of_block,
-    bits_to_bytes,
-    bytes_to_bits,
-    differing_bits,
-    hamming_distance,
-    hamming_weight,
-    random_block,
-    random_key,
-    xor_bytes,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AES",
-    "BatchedAES",
-    "EncryptionTrace",
-    "RoundRecord",
-    "as_block_matrix",
-    "encrypt_round_states",
-    "expand_keys",
-    "mix_columns_batch",
-    "switching_activity_counts",
-    "encrypt_block",
-    "decrypt_block",
-    "sub_bytes_block",
-    "inv_sub_bytes_block",
-    "shift_rows_block",
-    "inv_shift_rows_block",
-    "mix_columns_block",
-    "inv_mix_columns_block",
-    "gf_mul",
-    "gf_inv",
-    "gf_pow",
-    "xtime",
-    "expand_key",
-    "last_round_key",
-    "round_key",
-    "SBOX",
-    "INV_SBOX",
-    "sub_byte",
-    "inv_sub_byte",
-    "BLOCK_BITS",
-    "BLOCK_BYTES",
-    "bit_of_block",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "differing_bits",
-    "hamming_distance",
-    "hamming_weight",
-    "random_block",
-    "random_key",
-    "xor_bytes",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "AES": ".aes",
+    "BatchedAES": ".batch",
+    "EncryptionTrace": ".aes",
+    "RoundRecord": ".aes",
+    "as_block_matrix": ".batch",
+    "encrypt_round_states": ".batch",
+    "expand_keys": ".batch",
+    "mix_columns_batch": ".batch",
+    "switching_activity_counts": ".batch",
+    "encrypt_block": ".aes",
+    "decrypt_block": ".aes",
+    "sub_bytes_block": ".aes",
+    "inv_sub_bytes_block": ".aes",
+    "shift_rows_block": ".aes",
+    "inv_shift_rows_block": ".aes",
+    "mix_columns_block": ".aes",
+    "inv_mix_columns_block": ".aes",
+    "gf_mul": ".gf",
+    "gf_inv": ".gf",
+    "gf_pow": ".gf",
+    "xtime": ".gf",
+    "expand_key": ".keyschedule",
+    "last_round_key": ".keyschedule",
+    "round_key": ".keyschedule",
+    "SBOX": ".sbox",
+    "INV_SBOX": ".sbox",
+    "sub_byte": ".sbox",
+    "inv_sub_byte": ".sbox",
+    "BLOCK_BITS": ".state",
+    "BLOCK_BYTES": ".state",
+    "bit_of_block": ".state",
+    "bits_to_bytes": ".state",
+    "bytes_to_bits": ".state",
+    "differing_bits": ".state",
+    "hamming_distance": ".state",
+    "hamming_weight": ".state",
+    "random_block": ".state",
+    "random_key": ".state",
+    "xor_bytes": ".state",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

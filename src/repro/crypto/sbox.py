@@ -5,7 +5,10 @@ GF(2^8) (with 0 mapped to 0) and the fixed affine transformation over
 GF(2).  Generating the table rather than hard-coding it lets the
 test-suite cross-check both this module and the gate-level S-box
 netlists in :mod:`repro.netlist.sbox_circuit` against an independent
-construction.
+construction.  The inverse comes from exp/log tables (one walk of the
+powers of 0x03), which keeps the build well under a millisecond; the
+element-wise ``gf_inv`` plus bit-serial affine map it replaced is the
+reference both tables are pinned against (``tests/oracles/sbox.py``).
 
 Known-answer values (``SBOX[0x00] == 0x63``, ``SBOX[0x53] == 0xED`` ...)
 are asserted in the tests against the FIPS-197 specification.
@@ -15,34 +18,38 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .gf import gf_inv
+from .gf import gf_mul_03
 
 #: Constant added by the affine transformation.
 AFFINE_CONSTANT = 0x63
 
 
-def _affine_transform(byte: int) -> int:
-    """Apply the AES affine transformation to one byte.
-
-    Each output bit i is ``b[i] ^ b[(i+4)%8] ^ b[(i+5)%8] ^ b[(i+6)%8]
-    ^ b[(i+7)%8] ^ c[i]`` where ``c = 0x63``.
-    """
-    result = 0
-    for i in range(8):
-        bit = (
-            (byte >> i)
-            ^ (byte >> ((i + 4) % 8))
-            ^ (byte >> ((i + 5) % 8))
-            ^ (byte >> ((i + 6) % 8))
-            ^ (byte >> ((i + 7) % 8))
-            ^ (AFFINE_CONSTANT >> i)
-        ) & 1
-        result |= bit << i
-    return result
+def _rotl8(byte: int, shift: int) -> int:
+    return ((byte << shift) | (byte >> (8 - shift))) & 0xFF
 
 
 def _build_sbox() -> List[int]:
-    return [_affine_transform(gf_inv(x)) for x in range(256)]
+    """SubBytes from GF(2^8) exp/log tables over the generator 0x03.
+
+    ``exp[i] = 3^i`` walks every non-zero element once, so the inverse
+    of ``exp[i]`` is ``exp[255 - i]`` (and 0 maps to 0).  The affine map
+    ``b[i] ^ b[i+4] ^ b[i+5] ^ b[i+6] ^ b[i+7] ^ c[i]`` (indices mod 8)
+    is ``b`` XOR its left rotations by 1 to 4, XOR ``0x63``.
+    """
+    exp = [0] * 256
+    log = [0] * 256
+    value = 1
+    for power in range(256):
+        exp[power] = value
+        log[value] = power % 255  # 3^255 == 3^0 == 1
+        value = gf_mul_03(value)
+    table = []
+    for byte in range(256):
+        inverse = exp[255 - log[byte]] if byte else 0
+        table.append(inverse ^ _rotl8(inverse, 1) ^ _rotl8(inverse, 2)
+                     ^ _rotl8(inverse, 3) ^ _rotl8(inverse, 4)
+                     ^ AFFINE_CONSTANT)
+    return table
 
 
 def _invert_table(table: Sequence[int]) -> List[int]:

@@ -1,41 +1,33 @@
 """FPGA fabric substrate: devices, floorplan, placement, routing, PDN."""
 
-from .annotation import build_delay_annotation
-from .design import GoldenDesign, build_golden_design_cached
-from .device import (
-    AES_SLICE_UTILISATION,
-    FPGADevice,
-    aes_slice_budget,
-    spartan3an_700,
-    virtex5_lx30,
-)
-from .floorplan import Floorplan, Region, default_floorplan
-from .placement import Placement, Placer, net_endpoints
-from .power_grid import PowerGrid
-from .routing import Router, RoutedNet, added_tap_delay_ps
-from .slices import PlacementError, SliceCoord, SliceMap, manhattan_distance
+from .. import _lazy_exports
 
-__all__ = [
-    "build_delay_annotation",
-    "GoldenDesign",
-    "build_golden_design_cached",
-    "AES_SLICE_UTILISATION",
-    "FPGADevice",
-    "aes_slice_budget",
-    "spartan3an_700",
-    "virtex5_lx30",
-    "Floorplan",
-    "Region",
-    "default_floorplan",
-    "Placement",
-    "Placer",
-    "net_endpoints",
-    "PowerGrid",
-    "Router",
-    "RoutedNet",
-    "added_tap_delay_ps",
-    "PlacementError",
-    "SliceCoord",
-    "SliceMap",
-    "manhattan_distance",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "build_delay_annotation": ".annotation",
+    "GoldenDesign": ".design",
+    "build_golden_design_cached": ".design",
+    "AES_SLICE_UTILISATION": ".device",
+    "FPGADevice": ".device",
+    "aes_slice_budget": ".device",
+    "spartan3an_700": ".device",
+    "virtex5_lx30": ".device",
+    "Floorplan": ".floorplan",
+    "Region": ".floorplan",
+    "default_floorplan": ".floorplan",
+    "Placement": ".placement",
+    "Placer": ".placement",
+    "net_endpoints": ".placement",
+    "PowerGrid": ".power_grid",
+    "Router": ".routing",
+    "RoutedNet": ".routing",
+    "added_tap_delay_ps": ".routing",
+    "PlacementError": ".slices",
+    "SliceCoord": ".slices",
+    "SliceMap": ".slices",
+    "manhattan_distance": ".slices",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

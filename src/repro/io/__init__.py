@@ -1,19 +1,18 @@
 """Persistence helpers for traces and experiment results."""
 
-from .results import load_result, save_result, to_jsonable
-from .tracefile import (
-    load_traces,
-    save_traces,
-    traces_from_arrays,
-    traces_to_arrays,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "load_result",
-    "save_result",
-    "to_jsonable",
-    "load_traces",
-    "save_traces",
-    "traces_from_arrays",
-    "traces_to_arrays",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "load_result": ".results",
+    "save_result": ".results",
+    "to_jsonable": ".results",
+    "load_traces": ".tracefile",
+    "save_traces": ".tracefile",
+    "traces_from_arrays": ".tracefile",
+    "traces_to_arrays": ".tracefile",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

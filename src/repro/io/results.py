@@ -11,16 +11,20 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict, Mapping, Sequence, Union
-
-import numpy as np
 
 PathLike = Union[str, Path]
 
 
 def to_jsonable(value: Any) -> Any:
-    """Convert dataclasses, numpy types and bytes into JSON-friendly values."""
+    """Convert dataclasses, numpy types and bytes into JSON-friendly values.
+
+    NumPy values are looked for only once NumPy is loaded (none can
+    exist before), so the store and the campaign records can key and
+    save JSON without importing it.
+    """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {field.name: to_jsonable(getattr(value, field.name))
                 for field in dataclasses.fields(value)}
@@ -28,14 +32,16 @@ def to_jsonable(value: Any) -> Any:
         return {str(key): to_jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, (np.integer,)):
+            return int(value)
+        if isinstance(value, (np.floating,)):
+            return float(value)
+        if isinstance(value, (np.bool_,)):
+            return bool(value)
     if isinstance(value, bytes):
         return value.hex()
     if isinstance(value, (str, int, float, bool)) or value is None:

@@ -17,7 +17,7 @@ see a consistent physical model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..fpga.annotation import build_delay_annotation
 from ..fpga.design import GoldenDesign
@@ -49,6 +49,12 @@ class DeviceUnderTest:
         Human-readable identifier used in reports ("Clean1", "HTcomb"...).
     enable_intra_die_variation:
         Whether to include the intra-die variation field of the die.
+    annotation_cache:
+        A dict shared by DUTs on the default power grid of their device
+        (a platform passes one to every DUT it makes): the delay
+        annotation of a (design, die) is built by the first of them to
+        need it and reused by the rest.  Only the annotation is shared,
+        never measurement state.
     """
 
     design: Design
@@ -56,6 +62,8 @@ class DeviceUnderTest:
     label: str = ""
     enable_intra_die_variation: bool = True
     power_grid: Optional[PowerGrid] = None
+    annotation_cache: Optional[Dict[Tuple[Any, ...], DelayAnnotation]] = \
+        field(default=None, repr=False, compare=False)
     _annotation: Optional[DelayAnnotation] = field(default=None, init=False,
                                                    repr=False)
 
@@ -124,6 +132,8 @@ class DeviceUnderTest:
 
     def delay_annotation(self) -> DelayAnnotation:
         """Timing annotation of this (design, die) combination (cached)."""
+        if self._annotation is None and self.annotation_cache is not None:
+            self._annotation = self.annotation_cache.get(self._cache_key())
         if self._annotation is None:
             extra_net_delays = None
             aggressors = None
@@ -138,7 +148,13 @@ class DeviceUnderTest:
                 aggressor_positions=aggressors,
                 power_grid=self.power_grid,
             )
+            if self.annotation_cache is not None:
+                self.annotation_cache[self._cache_key()] = self._annotation
         return self._annotation
+
+    def _cache_key(self) -> Tuple[Any, ...]:
+        # The cache's owner keeps every design alive, so ids are unique.
+        return (id(self.design), self.die, self.enable_intra_die_variation)
 
     def em_gain(self) -> float:
         """Die-dependent EM emission gain."""

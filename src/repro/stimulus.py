@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 DEFAULT_PLAINTEXT = bytes(range(16))
 DEFAULT_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -36,6 +34,8 @@ def random_plaintexts(count: int, seed: int = 0,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    import numpy as np
+
     plaintexts: List[bytes] = [DEFAULT_PLAINTEXT] if include_default else []
     rng = np.random.default_rng(seed)
     while len(plaintexts) < count:

@@ -18,63 +18,48 @@ dict or a live store into one.  Tensor artifacts share one group codec
 maintenance sweep, and processes share a store through ``fcntl.flock``
 locks only (the store is POSIX-only).  Hosts share results by copying
 the directory's ``objects/`` and then its ``manifest/``.
+
+The store imports nothing that computes.  NumPy loads only where an
+array payload is encoded or decoded (and in :func:`pack_groups`), and
+content keys go through :func:`repro.io.results.to_jsonable`, which
+looks for NumPy values only once NumPy is loaded; so a resumed campaign
+reads its completion records without NumPy.  Every name below resolves
+on first access.
 """
 
-from .artifact_store import (
-    STORE_FORMAT_VERSION,
-    ArtifactStore,
-    FsckReport,
-    ManifestEntry,
-    StoreIntegrityError,
-    build_store,
-)
-from .artifacts import (
-    ARTIFACT_SCHEMA_VERSION,
-    DEFAULT_GOLDEN_SIGNATURE,
-    golden_signature,
-    pack_groups,
-    read_through,
-    spec_content_fragment,
-    unpack_groups,
-)
-from .keys import canonical_json, stable_key
-from .leases import (
-    DEFAULT_LEASE_TTL_S,
-    LeaseInfo,
-    WriterLease,
-    break_stale_leases,
-    list_leases,
-    live_foreign_leases,
-)
-from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock, LockTimeout
-from .retry import RetryPolicy, backoff_delay_s, is_transient_os_error
+from .. import _lazy_exports
 
-__all__ = [
-    "ARTIFACT_SCHEMA_VERSION",
-    "ArtifactStore",
-    "DEFAULT_GOLDEN_SIGNATURE",
-    "DEFAULT_LEASE_TTL_S",
-    "DEFAULT_LOCK_TIMEOUT_S",
-    "FileLock",
-    "FsckReport",
-    "LeaseInfo",
-    "LockTimeout",
-    "ManifestEntry",
-    "RetryPolicy",
-    "STORE_FORMAT_VERSION",
-    "StoreIntegrityError",
-    "WriterLease",
-    "backoff_delay_s",
-    "break_stale_leases",
-    "build_store",
-    "canonical_json",
-    "golden_signature",
-    "is_transient_os_error",
-    "list_leases",
-    "live_foreign_leases",
-    "pack_groups",
-    "read_through",
-    "spec_content_fragment",
-    "stable_key",
-    "unpack_groups",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "ARTIFACT_SCHEMA_VERSION": ".artifacts",
+    "ArtifactStore": ".artifact_store",
+    "DEFAULT_GOLDEN_SIGNATURE": ".artifacts",
+    "DEFAULT_LEASE_TTL_S": ".leases",
+    "DEFAULT_LOCK_TIMEOUT_S": ".locks",
+    "FileLock": ".locks",
+    "FsckReport": ".artifact_store",
+    "LeaseInfo": ".leases",
+    "LockTimeout": ".locks",
+    "ManifestEntry": ".artifact_store",
+    "RetryPolicy": ".retry",
+    "STORE_FORMAT_VERSION": ".artifact_store",
+    "StoreIntegrityError": ".artifact_store",
+    "WriterLease": ".leases",
+    "backoff_delay_s": ".retry",
+    "break_stale_leases": ".leases",
+    "build_store": ".artifact_store",
+    "canonical_json": ".keys",
+    "golden_signature": ".artifacts",
+    "is_transient_os_error": ".retry",
+    "list_leases": ".leases",
+    "live_foreign_leases": ".leases",
+    "pack_groups": ".artifacts",
+    "read_through": ".artifacts",
+    "spec_content_fragment": ".artifacts",
+    "stable_key": ".keys",
+    "unpack_groups": ".artifacts",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

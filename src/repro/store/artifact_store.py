@@ -77,10 +77,8 @@ import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, NoReturn,
-                    Optional, Tuple, Union)
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Mapping, NoReturn, Optional, Tuple, Union)
 
 from .leases import (
     LeaseInfo,
@@ -91,6 +89,9 @@ from .leases import (
 )
 from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock
 from .retry import RetryPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 PathLike = Union[str, Path]
 
@@ -146,6 +147,8 @@ def encode_array_bytes(arrays: Mapping[str, "np.ndarray"]) -> bytes:
     stored, not deflated (:func:`decode_array_bytes` reads both)."""
     if not arrays:
         raise ValueError("cannot store an empty array payload")
+    import numpy as np
+
     buffer = io.BytesIO()
     np.savez(buffer, **{str(name): np.asarray(value)
                         for name, value in arrays.items()})
@@ -159,6 +162,8 @@ def decode_json_bytes(data: bytes) -> Any:
 
 def decode_array_bytes(data: bytes) -> Dict[str, "np.ndarray"]:
     """Parse an npz object payload (raises on a torn/corrupt archive)."""
+    import numpy as np
+
     with np.load(io.BytesIO(data), allow_pickle=False) as archive:
         return {name: archive[name] for name in archive.files}
 

@@ -27,11 +27,13 @@ load-or-compute-and-put path of every store client.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
+                    Tuple)
 
 from .keys import stable_key
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Bump when the meaning of a stored artifact changes; old keys then
 #: simply miss instead of being misread.
@@ -86,6 +88,8 @@ def pack_groups(shared: Mapping[str, np.ndarray],
     then the trojan names), the ``shared`` members, ``golden::<field>``,
     then ``trojan::<name>::<field>`` per trojan.
     """
+    import numpy as np
+
     arrays = {"groups": np.array(["golden"] + list(infected)), **shared}
     groups = [("golden", golden)] + [(f"trojan::{name}", fields)
                                      for name, fields in infected.items()]

@@ -1,38 +1,28 @@
 """Hardware trojan models, catalog and layout-preserving insertion."""
 
-from .base import HardwareTrojan, TrojanKind
-from .combinational import (
-    CombinationalTrojan,
-    build_combinational_trojan,
-    default_scanned_bits,
-)
-from .insertion import InfectedDesign, InsertionError, insert_trojan
-from .library import (
-    TROJAN_SPECS,
-    TrojanSpec,
-    available_trojans,
-    build_size_sweep,
-    build_trojan,
-)
-from .payload import add_dos_payload, payload_luts_for_target_area
-from .sequential import SequentialTrojan, build_sequential_trojan
+from .. import _lazy_exports
 
-__all__ = [
-    "HardwareTrojan",
-    "TrojanKind",
-    "CombinationalTrojan",
-    "build_combinational_trojan",
-    "default_scanned_bits",
-    "InfectedDesign",
-    "InsertionError",
-    "insert_trojan",
-    "TROJAN_SPECS",
-    "TrojanSpec",
-    "available_trojans",
-    "build_size_sweep",
-    "build_trojan",
-    "add_dos_payload",
-    "payload_luts_for_target_area",
-    "SequentialTrojan",
-    "build_sequential_trojan",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "HardwareTrojan": ".base",
+    "TrojanKind": ".base",
+    "CombinationalTrojan": ".combinational",
+    "build_combinational_trojan": ".combinational",
+    "default_scanned_bits": ".combinational",
+    "InfectedDesign": ".insertion",
+    "InsertionError": ".insertion",
+    "insert_trojan": ".insertion",
+    "TROJAN_SPECS": ".library",
+    "TrojanSpec": ".library",
+    "available_trojans": ".library",
+    "build_size_sweep": ".library",
+    "build_trojan": ".library",
+    "add_dos_payload": ".payload",
+    "payload_luts_for_target_area": ".payload",
+    "SequentialTrojan": ".sequential",
+    "build_sequential_trojan": ".sequential",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

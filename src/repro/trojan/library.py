@@ -21,13 +21,12 @@ false-negative-rate headline is parameterised by).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..fpga.device import FPGADevice, aes_slice_budget, virtex5_lx30
-from .base import HardwareTrojan
-from .combinational import build_combinational_trojan
-from .payload import payload_luts_for_target_area
-from .sequential import build_sequential_trojan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .base import HardwareTrojan
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,10 @@ def build_trojan(name: str, device: Optional[FPGADevice] = None) -> HardwareTroj
     The trojan's payload is padded so its total LUT count matches the
     area fraction the paper reports for it.
     """
+    from .combinational import build_combinational_trojan
+    from .payload import payload_luts_for_target_area
+    from .sequential import build_sequential_trojan
+
     device = device or virtex5_lx30()
     try:
         spec = TROJAN_SPECS[name]

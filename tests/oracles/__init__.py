@@ -3,7 +3,7 @@
 The package in ``src/`` keeps one implementation per operation: the
 compiled netlist and timing kernels, the one EM acquisition core, the
 batched trojan activity, scoring, DFA and fault kernels, the bulk-seeded
-intra-die offsets, and the store payload codecs.  The per-element
+intra-die offsets, the store payload codecs and the table-built S-box.  The per-element
 loops, cell-by-cell walks and trace-list payload packers they replaced
 live here, as the executable
 specifications the bit-identity tests (``from oracles import ...``) and
@@ -59,6 +59,7 @@ from .scoring import (
     scores_serial,
     sum_of_local_maxima_serial,
 )
+from .sbox import affine_transform, reference_inv_sbox, reference_sbox
 from .timing import TimingEngine, TwoVectorResult, two_vector_result
 from .variation import cell_offset_ps
 
@@ -101,6 +102,9 @@ __all__ = [
     "score_trace",
     "scores_serial",
     "sum_of_local_maxima_serial",
+    "affine_transform",
+    "reference_inv_sbox",
+    "reference_sbox",
     "TimingEngine",
     "TwoVectorResult",
     "two_vector_result",

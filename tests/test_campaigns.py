@@ -317,6 +317,44 @@ def test_delay_cells_share_one_measurement(monkeypatch, golden_design):
     assert set(data.infected_differences) == {"HT_comb", "HT_seq"}
 
 
+def test_engine_builds_each_delay_annotation_once(monkeypatch, golden_design,
+                                                  tmp_path):
+    """An 8+16-die, three-trojan delay/fault campaign probes 16 dies x 4
+    designs, so it builds 64 delay annotations, although the delay and
+    fault cells and both die counts make their own devices (194 builds,
+    one per device, when no DUT shares).  Sharing the annotations leaves
+    the summary byte-identical."""
+    from repro.measurement import dut
+
+    def unshared(self):
+        post_init(self)
+        self.annotation_cache = None
+
+    post_init = dut.DeviceUnderTest.__post_init__
+
+    spec = CampaignSpec(
+        name="annotations", trojans=("HT1", "HT2", "HT3"),
+        die_counts=(8, 16), metrics=("delay_max_difference",
+                                     "fault_coverage"),
+        seed=0, num_pk_pairs=2, delay_repetitions=1, num_plaintexts=2,
+    )
+
+    def builds(directory, shared):
+        calls = _count_calls(monkeypatch, dut, "build_delay_annotation")
+        if not shared:
+            monkeypatch.setattr(dut.DeviceUnderTest, "__post_init__",
+                                unshared)
+        CampaignEngine(spec, golden=golden_design).run(
+            artifact_dir=directory)
+        monkeypatch.undo()
+        return len(calls)
+
+    assert builds(tmp_path / "per-device", shared=False) == 194
+    assert builds(tmp_path / "shared", shared=True) == 64
+    assert ((tmp_path / "shared" / "annotations.csv").read_bytes()
+            == (tmp_path / "per-device" / "annotations.csv").read_bytes())
+
+
 def test_delay_cell_detects_the_tapping_trojan(delay_campaign):
     """The datapath-tapping trojan must shift delays well past the clean
     noise floor (the paper's Sec. III headline)."""

@@ -1,4 +1,5 @@
-"""No CLI command imports scipy, and ``import repro`` imports nothing.
+"""No CLI command imports scipy, ``import repro`` imports nothing, and a
+resumed campaign imports nothing that computes.
 
 The paper's statistics reduce to Gaussian fits and the Eq. (5) closed
 form (``math.erf``), so scipy is only needed by
@@ -6,20 +7,23 @@ form (``math.erf``), so scipy is only needed by
 in a fresh interpreter and checks the set of loaded modules (never
 wall-clock time), so a top-level ``from scipy import ...`` anywhere on a
 command's import path fails here.  The value pin needs scipy itself and
-is skipped where it is not installed.  The package's ``__all__``
+is skipped where it is not installed.  Every package's ``__all__``
 names resolve lazily (PEP 562), so they are checked against the
-submodules that define them.
+submodules that define them.  A fully resumed ``campaign run`` and
+``--help`` must load neither NumPy nor any layer that computes; the
+store audit may decode npz (NumPy) but loads no computing layer either.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -57,6 +61,55 @@ def _probe(argv: Optional[List[str]], cwd: Path) -> dict:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
+# Runs ``repro.cli.main(argv)`` (``--help`` exits through SystemExit)
+# and reports the exit code and every loaded ``repro`` module and numpy.
+_MODULES_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+import repro.cli
+try:
+    code = repro.cli.main(argv)
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps({"exit": code, "modules": sorted(
+    m for m in sys.modules if m.startswith("repro") or m == "numpy")}))
+"""
+
+#: Packages whose public names resolve lazily.
+LAZY_PACKAGES = ("repro", "repro.analysis", "repro.campaigns", "repro.core",
+                 "repro.crypto", "repro.fpga", "repro.io",
+                 "repro.measurement", "repro.store", "repro.trojan")
+
+#: Layers that compute (every module of each), and single modules that
+#: do; a resumed campaign needs none of them.
+COMPUTING_LAYERS = ("repro.netlist", "repro.measurement", "repro.variation",
+                    "repro.crypto", "repro.attacks", "repro.analysis",
+                    "repro.experiments")
+COMPUTING_MODULES = ("repro.fpga.design", "repro.trojan.insertion")
+
+
+def _loaded_modules(argv: List[str], cwd: Path) -> Tuple[str, List[str]]:
+    """The output of a successful command and the modules it loaded."""
+    completed = _run(_MODULES_PROBE, json.dumps(argv), cwd=cwd)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert report["exit"] == 0, completed.stdout[-2000:]
+    return completed.stdout, report["modules"]
+
+
+def _computing(modules: List[str]) -> List[str]:
+    return [module for module in modules
+            if module in COMPUTING_MODULES
+            or any(module == layer or module.startswith(layer + ".")
+                   for layer in COMPUTING_LAYERS)]
+
+
+def _assert_imports_nothing_that_computes(modules: List[str]) -> None:
+    assert "numpy" not in modules
+    assert _computing(modules) == []
+    assert "repro.campaigns.supervisor" not in modules
+
+
 def _campaign(store: Path, out: Path) -> List[str]:
     return ["campaign", "run", "--name", "imports", "--trojan", "HT1",
             "--dies", "3", "--plaintexts", "2", "--metric",
@@ -75,19 +128,51 @@ def test_importing_the_package_loads_no_subpackage():
     assert completed.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("name", [n for n in repro.__all__
-                                  if n != "__version__"])
-def test_package_exports_resolve_to_their_defining_submodule(name):
-    submodule = importlib.import_module(repro._EXPORTS[name], "repro")
-    value = getattr(repro, name)
+def test_importing_a_package_runs_none_of_its_submodules():
+    completed = _run("import json, sys\n"
+                     f"for name in {list(LAZY_PACKAGES)!r}:\n"
+                     "    __import__(name)\n"
+                     "print(json.dumps(sorted(m for m in sys.modules if "
+                     "m.startswith('repro') or m == 'numpy')))")
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert json.loads(completed.stdout) == sorted(LAZY_PACKAGES)
+
+
+def _exports():
+    for package_name in LAZY_PACKAGES:
+        package = importlib.import_module(package_name)
+        for name in package._EXPORTS:
+            # The top-level package keeps its historical test ids.
+            yield pytest.param(
+                package_name, name,
+                id=name if package_name == "repro"
+                else f"{package_name}.{name}")
+
+
+@pytest.mark.parametrize("package_name, name", _exports())
+def test_package_exports_resolve_to_their_defining_submodule(package_name,
+                                                             name):
+    package = importlib.import_module(package_name)
+    submodule = importlib.import_module(package._EXPORTS[name], package_name)
+    value = getattr(package, name)
     assert value is getattr(submodule, name)
-    assert value.__module__.startswith(submodule.__name__ + ".")
-    assert name in dir(repro)
+    if inspect.isclass(value) or inspect.isfunction(value):
+        assert value.__module__ == submodule.__name__ \
+            or value.__module__.startswith(submodule.__name__ + ".")
+    assert name in dir(package)
+    assert name in package.__all__
 
 
 def test_unknown_package_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES[1:])
+def test_unknown_subpackage_attribute_raises_attribute_error(package_name):
+    package = importlib.import_module(package_name)
+    with pytest.raises(AttributeError, match=f"{package_name}.*no_such_name"):
+        getattr(package, "no_such_name")
 
 
 def test_campaign_cold_warm_and_fsck_load_no_scipy(tmp_path):
@@ -100,6 +185,38 @@ def test_campaign_cold_warm_and_fsck_load_no_scipy(tmp_path):
         (tmp_path / run / "imports.json").read_text())).rows()
         for run in ("cold", "warm")]
     assert rows[0] == rows[1]
+
+
+def test_help_imports_nothing_that_computes(tmp_path):
+    _assert_imports_nothing_that_computes(
+        _loaded_modules(["--help"], tmp_path)[1])
+
+
+@pytest.mark.parametrize("metrics", [
+    ("local_maxima_sum", "l1"),
+    ("delay_max_difference", "fault_coverage"),
+], ids=["em", "delay_fault"])
+def test_resumed_campaign_imports_nothing_that_computes(tmp_path, metrics):
+    """A rerun that finds every cell in the store loads the CLI, the
+    spec, the store and the engine's records; never NumPy, a computing
+    layer or the supervisor.  The audit of that store decodes npz, so
+    it may load NumPy, but no computing layer."""
+    store = tmp_path / "store"
+    argv = ["campaign", "run", "--trojan", "HT1", "--trojan", "HT2",
+            "--dies", "3", "--plaintexts", "2", "--pk-pairs", "2",
+            "--delay-repetitions", "1", "--workers", "2", "--seed", "4",
+            "--store", str(store)]
+    for metric in metrics:
+        argv += ["--metric", metric]
+    _loaded_modules(argv + ["--out", str(tmp_path / "cold")], tmp_path)
+    output, modules = _loaded_modules(
+        argv + ["--out", str(tmp_path / "warm")], tmp_path)
+    assert "(2 cell(s) resumed)" in output
+    _assert_imports_nothing_that_computes(modules)
+    assert ((tmp_path / "cold" / "campaign.csv").read_bytes()
+            == (tmp_path / "warm" / "campaign.csv").read_bytes())
+    _, fsck_modules = _loaded_modules(["store", "fsck", str(store)], tmp_path)
+    assert _computing(fsck_modules) == []
 
 
 def test_quick_paper_suite_loads_no_scipy(tmp_path):
