@@ -13,9 +13,12 @@ def test_fig3_per_bit_delay_differences(benchmark, config, platform):
     benchmark.extra_info["clean_max_ps"] = round(result.clean_max_ps(), 1)
     benchmark.extra_info["infected_max_ps"] = round(result.infected_max_ps(), 1)
     benchmark.extra_info["separation_ratio"] = round(result.separation_ratio(), 2)
-    for label in ("Clean1", "HT_comb", "HT_seq"):
-        series = result.series_for(label, result.representative_pairs[0])
-        benchmark.extra_info[f"max_ps[{label}]"] = round(series.max_ps(), 1)
+    pair = result.representative_pairs[0]
+    for series in result.series:
+        if series.pair_index == pair and series.label in (
+                "Clean1", "HT_comb", "HT_seq"):
+            benchmark.extra_info[f"max_ps[{series.label}]"] = round(
+                series.max_ps(), 1)
     assert result.separation_ratio() > 1.5
     assert result.study.comparisons["HT_comb"].outcome.is_infected
     assert result.study.comparisons["HT_seq"].outcome.is_infected

@@ -3,7 +3,7 @@ Electromagnetic Measurements" (Ngo et al., DATE 2015).
 
 The package is organised as:
 
-* :mod:`repro.crypto` — AES-128 target cipher with round tracing,
+* :mod:`repro.crypto` — the batched AES-128 target cipher,
 * :mod:`repro.netlist` — LUT-mapped structural netlists and timing,
 * :mod:`repro.fpga` — device, placement, routing and power-grid models,
 * :mod:`repro.trojan` — hardware trojan catalog and insertion,
@@ -67,7 +67,6 @@ def _lazy_exports(package: str, exports: Mapping[str, str]
 
 # Public name -> defining submodule (relative to this package).
 _EXPORTS = {
-    "AES": ".crypto",
     "DelayDetector": ".core",
     "DelayFingerprint": ".core",
     "DeviceUnderTest": ".measurement",
@@ -81,13 +80,11 @@ _EXPORTS = {
     "PlatformConfig": ".core",
     "PopulationEMDetector": ".core",
     "SameDieEMDetector": ".core",
-    "available_trojans": ".trojan",
     "build_trojan": ".trojan",
     "detection_probability": ".core",
     "false_negative_rate": ".core",
     "generate_pk_pairs": ".measurement",
     "insert_trojan": ".trojan",
-    "spartan3an_700": ".fpga",
     "virtex5_lx30": ".fpga",
 }
 

@@ -53,10 +53,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..crypto.aes import INV_SHIFT_ROWS_PERM, SHIFT_ROWS_PERM
 from ..crypto.batch import POPCOUNT_TABLE, as_block_matrix
 from ..crypto.sbox import INV_SBOX
-from ..crypto.state import BLOCK_BYTES
+from ..crypto.state import BLOCK_BYTES, INV_SHIFT_ROWS_PERM, SHIFT_ROWS_PERM
 
 #: Inverse S-box as a gatherable uint8 LUT.
 INV_SBOX_TABLE = np.array(INV_SBOX, dtype=np.uint8)
@@ -185,11 +184,6 @@ class RecoveredKeyByte:
     #: Gap to the runner-up guess (~0 means a tie — not recoverable).
     margin: float
 
-    @property
-    def recovered(self) -> bool:
-        return self.value is not None
-
-
 @dataclass
 class DFAResult:
     """Last-round key recovery from one faulted-ciphertext population."""
@@ -211,10 +205,6 @@ class DFAResult:
     @property
     def num_recovered(self) -> int:
         return len(self.recovered_bytes())
-
-    def key_byte_coverage(self) -> float:
-        """Fraction of the 16 last-round key bytes recovered."""
-        return self.num_recovered / BLOCK_BYTES
 
     def matches(self, last_round_key: Sequence[int]) -> bool:
         """True if every recovered byte agrees with ``last_round_key``."""

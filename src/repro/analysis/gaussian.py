@@ -10,13 +10,10 @@ sigma and the paper's formula itself are batched in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -29,21 +26,6 @@ class GaussianFit:
     def __post_init__(self) -> None:
         if self.std < 0:
             raise ValueError("std must be non-negative")
-
-    def pdf(self, x: Sequence[float]) -> np.ndarray:
-        """Probability density at ``x``."""
-        if self.std == 0:
-            raise ValueError("pdf undefined for a degenerate (std=0) fit")
-        z = (np.asarray(x, dtype=float) - self.mean) / self.std
-        return np.exp(-0.5 * z * z) / (self.std * _SQRT_2PI)
-
-    def cdf(self, x: float) -> float:
-        """Cumulative probability below ``x``."""
-        if self.std == 0:
-            return float(x >= self.mean)
-        # erfc keeps the lower tail accurate where 0.5 * (1 + erf) cancels.
-        z = (x - self.mean) / self.std
-        return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw samples from the fitted distribution."""

@@ -11,7 +11,6 @@ from .glitch_grid import (
     GlitchGrid,
     GlitchGridPoint,
     device_fault_coverages,
-    fault_coverage,
     recover_from_sweep,
     synthesise_faulted_sweep,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "GlitchGrid",
     "GlitchGridPoint",
     "device_fault_coverages",
-    "fault_coverage",
     "recover_from_sweep",
     "synthesise_faulted_sweep",
 ]

@@ -196,21 +196,14 @@ def synthesise_faulted_sweep(fault_model: SetupViolationFaultModel,
     )
 
 
-def fault_coverage(correct_ciphertexts: np.ndarray,
-                   faulted_ciphertexts: np.ndarray) -> float:
-    """Fraction of (grid point, stimulus) captures with >= 1 faulted byte."""
-    correct = np.asarray(correct_ciphertexts, dtype=np.uint8)
-    faulted = np.asarray(faulted_ciphertexts, dtype=np.uint8)
-    return float(np.mean(np.any(faulted != correct, axis=-1)))
-
-
 def device_fault_coverages(correct_ciphertexts: np.ndarray,
                            faulted_ciphertexts: np.ndarray) -> np.ndarray:
     """Per-device fault coverage of a ``(D, G, N, 16)`` sweep tensor.
 
-    One array pass over the whole population; entry ``d`` equals
-    :func:`fault_coverage` of device ``d``'s ``(G, N, 16)`` plane — the
-    campaign engine's genuine/infected score populations.
+    One array pass over the whole population; entry ``d`` is the
+    fraction of (grid point, stimulus) captures of device ``d``'s
+    ``(G, N, 16)`` plane with at least one faulted byte — the campaign
+    engine's genuine/infected score populations.
     """
     correct = np.asarray(correct_ciphertexts, dtype=np.uint8)
     faulted = np.asarray(faulted_ciphertexts, dtype=np.uint8)

@@ -35,7 +35,6 @@ _EXPORTS = {
     "build_metric": ".engine",
     "format_campaign_rows": ".engine",
     "merge_campaign_results": ".engine",
-    "run_campaign": ".engine",
 }
 
 __all__ = list(_EXPORTS)

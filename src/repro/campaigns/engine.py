@@ -550,6 +550,64 @@ class CampaignEngine:
                            "device": self.device,
                            "golden": self._golden_signature, **fields})
 
+    def _artifact_inputs(self, cell: GridCell
+                         ) -> Tuple[str, Any, Dict[str, Any]]:
+        """``(kind, memo key, inputs)`` of the stored artifact one cell
+        scores: ``population_traces``, ``delay_differences`` or
+        ``fault_sweep``, and the spec values that determine it.
+
+        The inputs are plain spec data, so building them imports
+        nothing that computes.  They feed both keys that depend on the
+        artifact: its own (:meth:`_artifact_key_fields` resolves them
+        into the configs and stimuli they build) and the cell's
+        completion record (:meth:`_cell_key`), so a record is found
+        again whatever else the spec grows or reorders.
+        """
+        spec = self.spec
+        inputs: Dict[str, Any] = {"seed": int(spec.seed),
+                                  "num_dies": cell.num_dies,
+                                  "trojans": spec.trojans}
+        if cell.is_delay:
+            inputs.update(delay_repetitions=spec.delay_repetitions,
+                          num_pk_pairs=int(spec.num_pk_pairs))
+            return "delay_differences", cell.num_dies, inputs
+        inputs.update(key=spec.key, plaintext=spec.plaintext,
+                      num_plaintexts=spec.num_plaintexts)
+        if cell.is_fault:
+            inputs.update(delay_repetitions=spec.delay_repetitions,
+                          offsets_ps=spec.glitch_offsets_ps,
+                          widths_ps=spec.glitch_widths_ps,
+                          periods_ps=spec.glitch_periods_ps)
+            return "fault_sweep", cell.num_dies, inputs
+        inputs["em_overrides"] = cell.variant.em_overrides
+        return "population_traces", cell.acquisition_key, inputs
+
+    def _artifact_key_fields(self, cell: GridCell,
+                             inputs: Mapping[str, Any]) -> Dict[str, Any]:
+        """The key fields of the artifact of :meth:`_artifact_inputs`:
+        the delay bench config for ``delay_repetitions``, the EM config
+        for ``em_overrides`` and the stimulus list for the plaintext
+        fields."""
+        fields = dict(inputs)
+        if "delay_repetitions" in fields:
+            del fields["delay_repetitions"]
+            fields["delay"] = self._delay_config()
+        if "em_overrides" in fields:
+            del fields["em_overrides"]
+            fields["em"] = cell.variant.build_em_config()
+        if "num_plaintexts" in fields:
+            del fields["plaintext"], fields["num_plaintexts"]
+            fields["plaintexts"] = self.spec.stimulus_plaintexts()
+        return fields
+
+    def _read_cell_artifact(self, cell: GridCell, compute, pack, unpack,
+                            meta) -> Any:
+        """Read through the store the artifact one cell scores."""
+        kind, memo_key, inputs = self._artifact_inputs(cell)
+        return self._read_through(
+            kind, memo_key, self._artifact_key_fields(cell, inputs),
+            compute, pack, unpack, meta)
+
     def _read_through(self, kind: str, memo_key: Any,
                       key_fields: Mapping[str, Any], compute, pack, unpack,
                       meta) -> Any:
@@ -625,12 +683,8 @@ class CampaignEngine:
         """
         from ..core.pipeline import PopulationTraceTensors
 
-        return self._read_through(
-            "population_traces", cell.acquisition_key,
-            {"em": cell.variant.build_em_config(),
-             "seed": int(self.spec.seed), "num_dies": cell.num_dies,
-             "trojans": self.spec.trojans, "key": self.spec.key,
-             "plaintexts": self.spec.stimulus_plaintexts()},
+        return self._read_cell_artifact(
+            cell,
             compute=lambda: self.platform_for(cell).acquire_population_tensors(
                 self.spec.trojans, self.spec.stimulus_plaintexts(),
                 self.spec.key),
@@ -690,11 +744,8 @@ class CampaignEngine:
         only in the metric (or the EM variant) re-score the cached
         Eq. (4) difference matrices.
         """
-        return self._read_through(
-            "delay_differences", cell.num_dies,
-            {"delay": self._delay_config(), "seed": int(self.spec.seed),
-             "num_dies": cell.num_dies, "trojans": self.spec.trojans,
-             "num_pk_pairs": int(self.spec.num_pk_pairs)},
+        return self._read_cell_artifact(
+            cell,
             compute=lambda: self._measure_delay_study(cell),
             pack=_DelayStudyData.to_arrays,
             unpack=_DelayStudyData.from_arrays,
@@ -773,15 +824,8 @@ class CampaignEngine:
         of an auto-calibrated sweep hits without the golden build the
         calibration would need.
         """
-        spec = self.spec
-        return self._read_through(
-            "fault_sweep", cell.num_dies,
-            {"delay": self._delay_config(), "seed": int(spec.seed),
-             "num_dies": cell.num_dies, "trojans": spec.trojans,
-             "key": spec.key, "plaintexts": spec.stimulus_plaintexts(),
-             "offsets_ps": spec.glitch_offsets_ps,
-             "widths_ps": spec.glitch_widths_ps,
-             "periods_ps": spec.glitch_periods_ps},
+        return self._read_cell_artifact(
+            cell,
             compute=lambda: self._synthesise_fault_sweep(cell),
             pack=_FaultSweepData.to_arrays,
             unpack=_FaultSweepData.from_arrays,
@@ -1028,16 +1072,21 @@ class CampaignEngine:
     # -- per-cell completion records ----------------------------------------------
 
     def _cell_key(self, cell: GridCell) -> Optional[str]:
-        """Key of the cell's completion record.  Execution-only spec
-        fields stay out of it (:func:`~repro.store.spec_content_fragment`),
-        so a rename or a new worker count resumes instead of recomputing."""
-        return self._store_key(
-            "campaign_cell", spec=spec_content_fragment(self.spec.to_dict()),
-            cell_index=cell.index)
+        """Key of the cell's completion record: the inputs of the
+        artifact it scores (:meth:`_artifact_inputs`) and its metric.
+
+        Nothing else computes the cell, so adding a metric or a die
+        count, reordering them, renaming a variant or changing a spec
+        field the cell never reads resumes the cells already stored."""
+        kind, _, inputs = self._artifact_inputs(cell)
+        return self._store_key("campaign_cell", artifact=kind,
+                               metric=cell.metric, **inputs)
 
     def load_cell_result(self, cell: GridCell) -> Optional[CampaignCellResult]:
         """The cell's completion record, if a previous run stored one.
 
+        A record may come from a grid that placed the cell elsewhere, so
+        its grid index and variant name are re-stamped to ``cell``.
         Failed (quarantined) records and corrupt payloads both count as
         *no record*: the resuming run retries exactly those cells.
         """
@@ -1048,7 +1097,14 @@ class CampaignEngine:
         if payload is None:
             return None
         result = CampaignCellResult.from_dict(payload)
-        return result if result.status == "ok" else None
+        if result.status != "ok":
+            return None
+        result.index = cell.index
+        result.variant = cell.variant.name
+        for row in result.rows:
+            row.cell_index = cell.index
+            row.variant = cell.variant.name
+        return result
 
     def record_cell_result(self, cell: GridCell,
                            result: CampaignCellResult) -> None:
@@ -1144,6 +1200,12 @@ class CampaignEngine:
                     if self.spec.workers <= 1 or len(pending) <= 1:
                         completed.update(run_cells_serial(self, pending))
                     else:
+                        # Forked workers inherit the parent's modules:
+                        # import NumPy once here, not once per worker.
+                        # Nothing else, since a worker that rescores
+                        # stored tensors needs no simulation layer.
+                        import numpy  # noqa: F401
+
                         completed.update(
                             CampaignSupervisor(self).run(pending))
                 ordered = [completed[cell.index] for cell in cells]
@@ -1211,11 +1273,3 @@ def merge_campaign_results(results: Sequence[CampaignResult]
         cells=[merged_cells[cell.index] for cell in grid],
         elapsed_s=max(result.elapsed_s for result in results),
     )
-
-
-def run_campaign(spec: CampaignSpec,
-                 artifact_dir: Optional[PathLike] = None,
-                 store: Union[None, ArtifactStore, PathLike] = None
-                 ) -> CampaignResult:
-    """Convenience one-shot: build an engine and run the campaign."""
-    return CampaignEngine(spec, store=store).run(artifact_dir=artifact_dir)

@@ -61,10 +61,6 @@ class DelayFingerprint:
     def num_pairs(self) -> int:
         return int(self.mean_steps.shape[0])
 
-    @property
-    def num_bits(self) -> int:
-        return int(self.mean_steps.shape[1])
-
     def mean_delay_ps(self) -> np.ndarray:
         """Mean steps converted to picoseconds."""
         return self.mean_steps * self.glitch_step_ps

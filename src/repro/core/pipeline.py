@@ -40,7 +40,7 @@ from ..measurement.em_simulator import EMAcquisitionConfig, EMSimulator, EMTrace
 from ..store.artifacts import pack_groups, unpack_groups
 from ..trojan.insertion import InfectedDesign, insert_trojan
 from ..trojan.library import build_trojan
-from ..variation.inter_die import DiePopulation, DieProfile
+from ..variation.inter_die import DiePopulation
 from .delay_detector import DelayComparisonResult, DelayDetector
 from .em_detector import (
     PopulationCharacterisation,

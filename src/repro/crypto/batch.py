@@ -1,14 +1,13 @@
 """Vectorised AES kernel: whole stimulus batches in NumPy array passes.
 
-The scalar :class:`~repro.crypto.aes.AES` walks one block at a time over
-``bytes`` objects — perfect as an executable specification, far too slow
-for campaigns that sweep hundreds of random plaintexts underneath every
-(die, trojan, metric) cell.  This module encrypts an ``(N, 16)`` uint8
-matrix of plaintexts in **one NumPy pass per round**:
+Campaigns sweep hundreds of random plaintexts underneath every (die,
+trojan, metric) cell, so the package's one AES implementation encrypts
+an ``(N, 16)`` uint8 matrix of plaintexts in **one NumPy pass per
+round**:
 
 * SubBytes is a single S-box LUT gather over the whole state matrix;
-* ShiftRows is a column permutation (fancy index with the same
-  ``SHIFT_ROWS_PERM`` the scalar cipher uses);
+* ShiftRows is a column permutation (fancy index with
+  :data:`~repro.crypto.state.SHIFT_ROWS_PERM`);
 * MixColumns works on the ``(N, 4, 4)`` column-major view through the
   GF(2^8) multiplication tables ``{02, 03}`` (XOR of LUT gathers);
 * the key schedule is expanded once per key (optionally once per *row*,
@@ -19,10 +18,10 @@ on: the full register-state tensor ``(N, Nr + 2, 16)`` — plaintext,
 state after the initial AddRoundKey, then one row per round — and the
 per-round switching activities via a packed popcount LUT.
 
-Everything here is **bit-identical** to the scalar cipher (the LUTs are
-generated from the same first-principles GF arithmetic, and XOR/gather
-have no rounding), which stays the serial reference the equivalence
-tests compare against — the same contract as
+Everything here is **bit-identical** to the block-at-a-time FIPS-197
+cipher with per-round tracing in ``tests/oracles/aes.py`` (XOR and
+gather have no rounding), the serial reference the equivalence tests
+compare against — the same contract as
 :meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch_tensor` and
 the compiled netlist kernel.
 """
@@ -33,11 +32,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .aes import SHIFT_ROWS_PERM
 from .gf import gf_mul_02, gf_mul_03
 from .keyschedule import expand_key, key_length_to_rounds
 from .sbox import SBOX
-from .state import BLOCK_BYTES, validate_key
+from .state import BLOCK_BYTES, SHIFT_ROWS_PERM, validate_key
 
 #: Forward S-box as a gatherable uint8 LUT.
 SBOX_TABLE = np.array(SBOX, dtype=np.uint8)
@@ -117,34 +115,11 @@ def mix_columns_batch(states: np.ndarray) -> np.ndarray:
     return out.reshape(states.shape)
 
 
-def encrypt_round_states(plaintexts: BlockBatch,
-                         keys: Union[Sequence[int], Sequence[Sequence[int]]]
-                         ) -> np.ndarray:
-    """Register-state tensor of a whole encryption batch.
-
-    Parameters
-    ----------
-    plaintexts:
-        ``(N, 16)`` matrix (or sequence of 16-byte blocks).
-    keys:
-        One key shared by every row, or one key per row (all of one
-        length; a per-row batch must have exactly ``N`` keys).
-
-    Returns
-    -------
-    ``(N, Nr + 2, 16)`` uint8 tensor: row 0 is the plaintext (the
-    register content at load), row 1 the state after the initial
-    AddRoundKey, row ``r + 1`` the register content latched at the end
-    of round ``r``.  The ciphertext is the last row.
-    """
-    plaintexts = as_block_matrix(plaintexts, "plaintexts")
-    round_keys = expand_keys(keys)
-    return round_states_with_keys(plaintexts, round_keys)
-
-
 def round_states_with_keys(plaintexts: np.ndarray, round_keys: np.ndarray
                            ) -> np.ndarray:
-    """Core round loop over pre-expanded ``(M, Nr + 1, 16)`` round keys."""
+    """Core round loop over pre-expanded ``(M, Nr + 1, 16)`` round keys
+    (one key for every row, or one per row); see
+    :meth:`BatchedAES.round_states` for the layout."""
     num_blocks = plaintexts.shape[0]
     if round_keys.shape[0] not in (1, num_blocks):
         raise ValueError(
@@ -169,11 +144,10 @@ def switching_activity_counts(round_states: np.ndarray) -> np.ndarray:
     """Per-round register switching activity of a round-state tensor.
 
     ``round_states`` is the ``(N, C + 1, 16)`` tensor of
-    :func:`encrypt_round_states`; the result is the ``(N, C)`` int64
+    :meth:`BatchedAES.round_states`; the result is the ``(N, C)`` int64
     matrix of Hamming distances between consecutive register states —
     column 0 is the load transition (plaintext to initial state), column
-    ``r`` the activity of round ``r``, matching
-    :meth:`~repro.crypto.aes.EncryptionTrace.switching_activities`.
+    ``r`` the activity of round ``r``.
     """
     if round_states.ndim != 3 or round_states.shape[2] != BLOCK_BYTES:
         raise ValueError(
@@ -185,13 +159,12 @@ def switching_activity_counts(round_states: np.ndarray) -> np.ndarray:
 
 
 class BatchedAES:
-    """AES over plaintext batches, sharing the scalar cipher's key schedule.
+    """AES over plaintext batches with one expanded key.
 
     Parameters
     ----------
     key:
-        The cipher key (16, 24 or 32 bytes), as for
-        :class:`~repro.crypto.aes.AES`.
+        The cipher key (16, 24 or 32 bytes).
     """
 
     def __init__(self, key: Sequence[int]):
@@ -200,16 +173,13 @@ class BatchedAES:
         self.round_keys = expand_keys(self.key)
 
     def round_states(self, plaintexts: BlockBatch) -> np.ndarray:
-        """``(N, Nr + 2, 16)`` register-state tensor (see
-        :func:`encrypt_round_states`)."""
+        """Register-state tensor of a whole encryption batch.
+
+        ``(N, Nr + 2, 16)`` uint8: row 0 is the plaintext (the register
+        content at load), row 1 the state after the initial
+        AddRoundKey, row ``r + 1`` the register content latched at the
+        end of round ``r``.  The ciphertext is the last row.
+        """
         return round_states_with_keys(
             as_block_matrix(plaintexts, "plaintexts"), self.round_keys
         )
-
-    def encrypt(self, plaintexts: BlockBatch) -> np.ndarray:
-        """Ciphertexts of the batch, shape ``(N, 16)``."""
-        return self.round_states(plaintexts)[:, -1]
-
-    def switching_activities(self, plaintexts: BlockBatch) -> np.ndarray:
-        """``(N, Nr + 1)`` per-round switching activities of the batch."""
-        return switching_activity_counts(self.round_states(plaintexts))

@@ -1,19 +1,16 @@
 """Arithmetic in GF(2^8) as used by the AES block cipher.
 
 AES works in the finite field GF(2^8) with the reduction polynomial
-``x^8 + x^4 + x^3 + x + 1`` (0x11B).  This module provides the small set
-of field operations the cipher, the key schedule and the S-box
-construction need: multiplication, exponentiation, multiplicative
-inverse and the ``xtime`` doubling primitive used by MixColumns.
-
-Everything here is pure Python on ``int`` values in ``range(256)``;
-no table is assumed, so the S-box in :mod:`repro.crypto.sbox` can be
-generated (and therefore cross-checked) from first principles.
+``x^8 + x^4 + x^3 + x + 1`` (0x11B).  The cipher needs only the
+``xtime`` doubling primitive and the MixColumns multiplications by 0x02
+and 0x03 built on it: the key schedule's round constants, the S-box's
+walk of the powers of 0x03 and the batched MixColumns tables all come
+from these.  The general multiplication, power and inverse the
+element-wise S-box construction used are test references
+(``tests/oracles/sbox.py``).
 """
 
 from __future__ import annotations
-
-from typing import List
 
 #: The AES reduction polynomial x^8 + x^4 + x^3 + x + 1.
 AES_POLY = 0x11B
@@ -44,51 +41,6 @@ def xtime(value: int) -> int:
     return value & 0xFF
 
 
-def gf_mul(a: int, b: int) -> int:
-    """Multiply two elements of GF(2^8) (carry-less, reduced mod 0x11B)."""
-    _check_byte(a, "a")
-    _check_byte(b, "b")
-    result = 0
-    x = a
-    y = b
-    while y:
-        if y & 1:
-            result ^= x
-        x = xtime(x)
-        y >>= 1
-    return result
-
-
-def gf_pow(a: int, exponent: int) -> int:
-    """Raise ``a`` to ``exponent`` in GF(2^8) by square-and-multiply."""
-    _check_byte(a, "a")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    result = 1
-    base = a
-    e = exponent
-    while e:
-        if e & 1:
-            result = gf_mul(result, base)
-        base = gf_mul(base, base)
-        e >>= 1
-    return result
-
-
-def gf_inv(a: int) -> int:
-    """Multiplicative inverse in GF(2^8); by convention ``gf_inv(0) == 0``.
-
-    AES defines the S-box on the *extended* inverse where 0 maps to 0, so
-    that convention is used here as well.  For non-zero ``a`` the inverse
-    is ``a^(2^8 - 2) = a^254`` by Fermat's little theorem for finite
-    fields.
-    """
-    _check_byte(a, "a")
-    if a == 0:
-        return 0
-    return gf_pow(a, 254)
-
-
 def gf_mul_02(a: int) -> int:
     """Multiplication by 0x02 (alias of :func:`xtime`), used by MixColumns."""
     return xtime(a)
@@ -97,51 +49,3 @@ def gf_mul_02(a: int) -> int:
 def gf_mul_03(a: int) -> int:
     """Multiplication by 0x03 = 0x02 + 0x01, used by MixColumns."""
     return xtime(a) ^ a
-
-
-def gf_mul_09(a: int) -> int:
-    """Multiplication by 0x09, used by InvMixColumns."""
-    return gf_mul(a, 0x09)
-
-
-def gf_mul_0b(a: int) -> int:
-    """Multiplication by 0x0B, used by InvMixColumns."""
-    return gf_mul(a, 0x0B)
-
-
-def gf_mul_0d(a: int) -> int:
-    """Multiplication by 0x0D, used by InvMixColumns."""
-    return gf_mul(a, 0x0D)
-
-
-def gf_mul_0e(a: int) -> int:
-    """Multiplication by 0x0E, used by InvMixColumns."""
-    return gf_mul(a, 0x0E)
-
-
-def build_log_tables() -> "tuple[List[int], List[int]]":
-    """Build (log, antilog) tables over the generator 0x03.
-
-    0x03 is a generator of the multiplicative group of GF(2^8); the
-    tables are occasionally handy for fast multiplication in analysis
-    code and serve as an independent cross-check of :func:`gf_mul` in the
-    test-suite.
-
-    Returns
-    -------
-    (log, alog)
-        ``alog[i] = 3^i`` for ``i in range(255)`` (extended to 510 entries
-        for convenience) and ``log[alog[i]] = i``.  ``log[0]`` is set to 0
-        and must not be used.
-    """
-    alog = [1] * 510
-    log = [0] * 256
-    value = 1
-    for i in range(255):
-        alog[i] = value
-        log[value] = i
-        value = gf_mul(value, 0x03)
-    for i in range(255, 510):
-        alog[i] = alog[i - 255]
-    log[1] = 0
-    return log, alog

@@ -2,7 +2,7 @@
 
 The key schedule is needed in three places:
 
-* the behavioural AES cipher (:mod:`repro.crypto.aes`),
+* the batched AES kernel (:mod:`repro.crypto.batch`),
 * the last-round gate-level circuit, which consumes the round-10 key,
 * differential analysis in the delay meter, which needs to know the
   round-10 key to map faulted ciphertext bits back to round-10 inputs.

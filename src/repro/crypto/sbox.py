@@ -3,12 +3,12 @@
 The forward S-box is the composition of the multiplicative inverse in
 GF(2^8) (with 0 mapped to 0) and the fixed affine transformation over
 GF(2).  Generating the table rather than hard-coding it lets the
-test-suite cross-check both this module and the gate-level S-box
-netlists in :mod:`repro.netlist.sbox_circuit` against an independent
-construction.  The inverse comes from exp/log tables (one walk of the
-powers of 0x03), which keeps the build well under a millisecond; the
-element-wise ``gf_inv`` plus bit-serial affine map it replaced is the
-reference both tables are pinned against (``tests/oracles/sbox.py``).
+test-suite cross-check it, and the gate-level S-boxes of the last-round
+circuit built from it, against an independent construction.  The
+inverse comes from exp/log tables (one walk of the powers of 0x03),
+which keeps the build well under a millisecond; the element-wise
+``gf_inv`` plus bit-serial affine map it replaced is the reference both
+tables are pinned against (``tests/oracles/sbox.py``).
 
 Known-answer values (``SBOX[0x00] == 0x63``, ``SBOX[0x53] == 0xED`` ...)
 are asserted in the tests against the FIPS-197 specification.
@@ -64,32 +64,3 @@ SBOX: List[int] = _build_sbox()
 
 #: Inverse S-box (InvSubBytes).
 INV_SBOX: List[int] = _invert_table(SBOX)
-
-
-def sub_byte(byte: int) -> int:
-    """Forward S-box lookup for a single byte."""
-    if not 0 <= byte < 256:
-        raise ValueError(f"byte must be in range(256), got {byte}")
-    return SBOX[byte]
-
-
-def inv_sub_byte(byte: int) -> int:
-    """Inverse S-box lookup for a single byte."""
-    if not 0 <= byte < 256:
-        raise ValueError(f"byte must be in range(256), got {byte}")
-    return INV_SBOX[byte]
-
-
-def sub_bytes(data: Sequence[int]) -> List[int]:
-    """Apply the forward S-box to every byte of ``data``."""
-    return [sub_byte(b) for b in data]
-
-
-def sbox_output_bit(input_byte: int, bit: int) -> int:
-    """Return output bit ``bit`` (0 = LSB) of ``SBOX[input_byte]``.
-
-    Used by the truth-table driven LUT synthesis of the S-box circuit.
-    """
-    if not 0 <= bit < 8:
-        raise ValueError(f"bit index must be in range(8), got {bit}")
-    return (sub_byte(input_byte) >> bit) & 1

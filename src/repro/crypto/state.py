@@ -17,10 +17,25 @@ the bit numbering is consistent everywhere:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 BLOCK_BYTES = 16
 BLOCK_BITS = 128
+
+# Byte index permutation implementing ShiftRows on the flat (column-major)
+# 16-byte block: output[i] = input[SHIFT_ROWS_PERM[i]].
+SHIFT_ROWS_PERM = (0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
+
+
+def _invert_permutation(perm: Sequence[int]) -> "tuple[int, ...]":
+    """Invert a permutation in one linear scan (no quadratic ``.index``)."""
+    inverse = [0] * len(perm)
+    for position, value in enumerate(perm):
+        inverse[value] = position
+    return tuple(inverse)
+
+
+INV_SHIFT_ROWS_PERM = _invert_permutation(SHIFT_ROWS_PERM)
 
 
 def validate_block(data: Sequence[int], name: str = "block") -> bytes:
@@ -63,81 +78,3 @@ def bits_to_bytes(bits: Sequence[int]) -> bytes:
             byte = (byte << 1) | bit
         out.append(byte)
     return bytes(out)
-
-
-def bit_of_block(block: Sequence[int], bit_index: int) -> int:
-    """Return bit ``bit_index`` (0-based, MSB-first) of a 16-byte block."""
-    data = validate_block(block)
-    if not 0 <= bit_index < BLOCK_BITS:
-        raise ValueError(f"bit_index must be in range(128), got {bit_index}")
-    byte = data[bit_index // 8]
-    return (byte >> (7 - (bit_index % 8))) & 1
-
-
-def xor_bytes(a: Sequence[int], b: Sequence[int]) -> bytes:
-    """XOR two equal-length byte strings."""
-    aa, bb = bytes(a), bytes(b)
-    if len(aa) != len(bb):
-        raise ValueError(f"length mismatch: {len(aa)} vs {len(bb)}")
-    return bytes(x ^ y for x, y in zip(aa, bb))
-
-
-def hamming_weight(data: Sequence[int]) -> int:
-    """Number of set bits across all bytes of ``data``."""
-    return sum(bin(b).count("1") for b in bytes(data))
-
-
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of differing bits between two equal-length byte strings."""
-    return hamming_weight(xor_bytes(a, b))
-
-
-def differing_bits(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Indices (0-based, MSB-first) of bits that differ between ``a`` and ``b``."""
-    aa, bb = bytes(a), bytes(b)
-    if len(aa) != len(bb):
-        raise ValueError(f"length mismatch: {len(aa)} vs {len(bb)}")
-    bits_a = bytes_to_bits(aa)
-    bits_b = bytes_to_bits(bb)
-    return [i for i, (x, y) in enumerate(zip(bits_a, bits_b)) if x != y]
-
-
-def bytes_to_state(block: Sequence[int]) -> List[List[int]]:
-    """Convert a 16-byte block into the 4x4 column-major AES state matrix.
-
-    ``state[row][col] = block[row + 4*col]`` per FIPS-197.
-    """
-    data = validate_block(block)
-    return [[data[row + 4 * col] for col in range(4)] for row in range(4)]
-
-
-def state_to_bytes(state: Sequence[Sequence[int]]) -> bytes:
-    """Convert a 4x4 state matrix back into a 16-byte block."""
-    if len(state) != 4 or any(len(row) != 4 for row in state):
-        raise ValueError("state must be a 4x4 matrix")
-    out = bytearray(BLOCK_BYTES)
-    for row in range(4):
-        for col in range(4):
-            out[row + 4 * col] = state[row][col]
-    return bytes(out)
-
-
-def random_block(rng) -> bytes:
-    """Draw a uniformly random 16-byte block from a numpy Generator."""
-    return bytes(int(x) for x in rng.integers(0, 256, size=BLOCK_BYTES))
-
-
-def random_key(rng, length: int = 16) -> bytes:
-    """Draw a uniformly random AES key of ``length`` bytes."""
-    if length not in (16, 24, 32):
-        raise ValueError(f"key length must be 16, 24 or 32, got {length}")
-    return bytes(int(x) for x in rng.integers(0, 256, size=length))
-
-
-def chunked(data: Sequence[int], size: int) -> Iterable[bytes]:
-    """Yield consecutive ``size``-byte chunks of ``data``."""
-    data = bytes(data)
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    for offset in range(0, len(data), size):
-        yield data[offset : offset + size]

@@ -11,7 +11,7 @@ on an infected design, showing the trojan-induced shift of the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.pipeline import HTDetectionPlatform
 from ..measurement.delay_meter import generate_pk_pairs

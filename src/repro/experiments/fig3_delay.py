@@ -14,8 +14,8 @@ plot would show.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,12 +34,6 @@ class Fig3Series:
     def max_ps(self) -> float:
         return float(self.delay_difference_ps.max())
 
-    def affected_bits(self, threshold_ps: float) -> List[int]:
-        """Bit numbers (0-based) whose shift exceeds ``threshold_ps``."""
-        return [int(b) for b in
-                np.flatnonzero(self.delay_difference_ps > threshold_ps)]
-
-
 @dataclass
 class Fig3Result:
     """All curves of Fig. 3 plus the campaign-level comparison."""
@@ -47,12 +41,6 @@ class Fig3Result:
     series: List[Fig3Series]
     study: DelayStudyResult
     representative_pairs: Sequence[int]
-
-    def series_for(self, label: str, pair_index: int) -> Fig3Series:
-        for candidate in self.series:
-            if candidate.label == label and candidate.pair_index == pair_index:
-                return candidate
-        raise KeyError(f"no series for {label!r} pair {pair_index}")
 
     def labels(self) -> List[str]:
         return sorted({s.label for s in self.series})

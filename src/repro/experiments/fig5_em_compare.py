@@ -16,9 +16,8 @@ averaging noise) and the genuine-vs-infected difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
-import numpy as np
 
 from ..analysis.traces import abs_difference
 from ..core.pipeline import HTDetectionPlatform, SameDieEMStudyResult

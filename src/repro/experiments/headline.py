@@ -14,7 +14,7 @@ judged on (who wins, by how much, where the 95 % threshold falls).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..campaigns.engine import CampaignEngine
@@ -27,14 +27,6 @@ PAPER_FALSE_NEGATIVE_RATES: Dict[str, float] = {
     "HT2": 0.17,
     "HT3": 0.05,
 }
-
-#: The paper's reported trojan sizes as a fraction of the AES area.
-PAPER_AREA_FRACTIONS: Dict[str, float] = {
-    "HT1": 0.005,
-    "HT2": 0.010,
-    "HT3": 0.017,
-}
-
 
 @dataclass
 class HeadlineRow:
@@ -70,14 +62,6 @@ class HeadlineResult:
         """Detection probability of the largest trojan (paper: > 95 %)."""
         largest = max(self.rows, key=lambda r: r.area_fraction)
         return largest.detection_probability
-
-    def crossover_area_fraction(self, target_detection: float = 0.95
-                                ) -> Optional[float]:
-        """Smallest measured trojan size achieving the target detection rate."""
-        eligible = [row.area_fraction for row in self.rows
-                    if row.detection_probability >= target_detection]
-        return min(eligible) if eligible else None
-
 
 def run(config: Optional[ExperimentConfig] = None,
         engine: Optional[CampaignEngine] = None) -> HeadlineResult:

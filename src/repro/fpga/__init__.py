@@ -6,11 +6,9 @@ from .. import _lazy_exports
 _EXPORTS = {
     "build_delay_annotation": ".annotation",
     "GoldenDesign": ".design",
-    "build_golden_design_cached": ".design",
     "AES_SLICE_UTILISATION": ".device",
     "FPGADevice": ".device",
     "aes_slice_budget": ".device",
-    "spartan3an_700": ".device",
     "virtex5_lx30": ".device",
     "Floorplan": ".floorplan",
     "Region": ".floorplan",

@@ -14,7 +14,7 @@ makes the individual contributions easy to test in isolation.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..netlist.timing import DelayAnnotation
 from ..variation.inter_die import DieProfile

@@ -17,8 +17,7 @@ on tapped nets are added, mirroring the paper's FPGA-Editor methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..netlist.aes_round_circuit import AESLastRoundCircuit
 from ..netlist.netlist import Netlist
@@ -93,19 +92,3 @@ class GoldenDesign:
         """Express a slice count as a fraction of the full AES area."""
         return slice_count / float(self.aes_total_slices())
 
-
-_GOLDEN_CACHE: Dict[Tuple[str, float], GoldenDesign] = {}
-
-
-def build_golden_design_cached(device: Optional[FPGADevice] = None) -> GoldenDesign:
-    """Build (or reuse) the golden design for ``device``.
-
-    Building the LUT-mapped last round and placing it takes a noticeable
-    fraction of a second; experiments that loop over dies and trojans
-    reuse a single golden design since its construction is deterministic.
-    """
-    device = device or virtex5_lx30()
-    key = (device.name, device.nominal_clock_period_ns)
-    if key not in _GOLDEN_CACHE:
-        _GOLDEN_CACHE[key] = GoldenDesign.build(device=device)
-    return _GOLDEN_CACHE[key]

@@ -1,11 +1,10 @@
 """FPGA device models.
 
-The paper uses two boards:
-
-* a **Xilinx Spartan-3AN** board for the clock-glitch delay platform
-  (10 ns nominal clock period, 1.2 V core), and
-* **Xilinx Virtex-5 LX30** devices (65 nm) on an FF324 test board with a
-  ZIF socket for the EM campaign across 8 dies.
+The paper uses two boards: a **Xilinx Spartan-3AN** board for the
+clock-glitch delay platform (10 ns nominal clock period, 1.2 V core)
+and **Xilinx Virtex-5 LX30** devices (65 nm) on an FF324 test board with
+a ZIF socket for the EM campaign across 8 dies.  The reproduction runs
+both studies on the Virtex-5 model (:func:`virtex5_lx30`).
 
 An :class:`FPGADevice` describes the logic fabric at the granularity the
 reproduction needs: a rectangular grid of slices, each with a number of
@@ -94,25 +93,6 @@ def virtex5_lx30() -> FPGADevice:
         ffs_per_slice=4,
         core_voltage_v=1.0,
         nominal_clock_period_ns=1000.0 / 24.0,
-    )
-
-
-def spartan3an_700() -> FPGADevice:
-    """The Spartan-3AN class device used for the delay (clock-glitch) platform.
-
-    The paper specifies a 10 ns nominal clock period and a 1.2 V core on
-    this board.  Spartan-3 slices hold two 4-input LUTs; the grid below
-    approximates the XC3S700AN (5 888 slices).
-    """
-    return FPGADevice(
-        name="xc3s700an",
-        technology_nm=90,
-        rows=92,
-        columns=64,
-        luts_per_slice=2,
-        ffs_per_slice=2,
-        core_voltage_v=1.2,
-        nominal_clock_period_ns=10.0,
     )
 
 

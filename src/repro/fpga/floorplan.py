@@ -89,10 +89,6 @@ class Floorplan:
                     f"free region {region.name!r} overlaps the AES region"
                 )
 
-    def free_slice_count(self) -> int:
-        return sum(region.slice_count for region in self.free_regions)
-
-
 def default_floorplan(device: FPGADevice,
                       aes_utilisation: float = 0.3826) -> Floorplan:
     """Build the default floorplan: AES block in the lower-left corner.

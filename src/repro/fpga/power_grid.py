@@ -163,22 +163,6 @@ class PowerGrid:
 
     # -- EM coupling -----------------------------------------------------------
 
-    def probe_coupling(self, coord: SliceCoord, probe_position: Tuple[float, float],
-                       decay_slices: float = 40.0) -> float:
-        """Coupling weight between activity at ``coord`` and a global EM probe.
-
-        The Langer RFU-5-2 probe used in the paper captures the *global*
-        EM activity of the chip; the coupling therefore decays only
-        slowly with distance.  A normalised exponential in slice units is
-        used; ``decay_slices`` controls the spatial selectivity.
-        """
-        if decay_slices <= 0:
-            raise ValueError("decay_slices must be positive")
-        distance = math.hypot(coord[0] - probe_position[0],
-                              coord[1] - probe_position[1])
-        return math.exp(-distance / decay_slices)
-
-
 @functools.lru_cache(maxsize=_DROOP_MEMO_SIZE)
 def _victim_droop_offsets(device: FPGADevice, tile_rows: int,
                           tile_cols: int, tile_resistance_ohm: float,

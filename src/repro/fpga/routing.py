@@ -16,7 +16,7 @@ algorithms); what matters is that every net gets a routing delay that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..netlist.netlist import Netlist
 from .placement import Placement, net_endpoints

@@ -8,9 +8,8 @@ are occupied by which netlist cells, enforces capacity, and answers the
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .device import FPGADevice
 
@@ -68,53 +67,12 @@ class SliceMap:
         self._cell_slice[cell_name] = coord
         return coord
 
-    def slice_of(self, cell_name: str) -> SliceCoord:
-        """Coordinate of the slice hosting ``cell_name``."""
-        try:
-            return self._cell_slice[cell_name]
-        except KeyError as exc:
-            raise PlacementError(f"cell {cell_name!r} is not placed") from exc
-
-    def is_placed(self, cell_name: str) -> bool:
-        return cell_name in self._cell_slice
-
-    def cells_in_slice(self, coord: SliceCoord) -> List[str]:
-        return list(self._usage.get(coord, SliteSiteUsage()).cells)
-
     def occupied_slices(self) -> Set[SliceCoord]:
         """Slices hosting at least one cell."""
         return {coord for coord, usage in self._usage.items() if usage.cells}
 
     def used_slice_count(self) -> int:
         return len(self.occupied_slices())
-
-    def free_slices(self, candidates: Optional[Iterable[SliceCoord]] = None
-                    ) -> List[SliceCoord]:
-        """Slices with no placed cell, restricted to ``candidates`` if given."""
-        occupied = self.occupied_slices()
-        pool = candidates if candidates is not None else self.device.iter_slices()
-        return [coord for coord in pool if coord not in occupied]
-
-    def placed_cells(self) -> Dict[str, SliceCoord]:
-        """Mapping cell name -> slice coordinate for every placed cell."""
-        return dict(self._cell_slice)
-
-    def utilisation(self) -> float:
-        """Fraction of device slices hosting at least one cell."""
-        return self.used_slice_count() / self.device.total_slices
-
-    def merge(self, other: "SliceMap") -> None:
-        """Fold another slice map (e.g. a trojan's) into this one."""
-        if other.device.name != self.device.name:
-            raise PlacementError("cannot merge slice maps of different devices")
-        for cell_name, coord in other.placed_cells().items():
-            usage = other._usage[coord]
-            uses_lut = True
-            uses_ff = False
-            # Heuristic: re-derive site type from the original record size;
-            # callers that need exact site bookkeeping should re-place cells.
-            self.place_cell(cell_name, coord, uses_lut=uses_lut, uses_ff=uses_ff)
-
 
 def manhattan_distance(a: SliceCoord, b: SliceCoord) -> int:
     """Manhattan distance between two slice coordinates."""

@@ -66,12 +66,6 @@ class TimingBudget:
         """True if the stage violates its setup condition at that period."""
         return self.setup_slack_ps(clock_period_ps, propagation_ps) < 0.0
 
-    def max_propagation_ps(self, clock_period_ps: float) -> float:
-        """Largest path delay that still meets setup at ``clock_period_ps``."""
-        return (clock_period_ps - self.clk2q_ps - self.setup_ps
-                + self.skew_ps - self.jitter_ps)
-
-
 #: Pulses narrower than this are absorbed by the clock distribution
 #: network and never reach the registers (no premature capture edge).
 DEFAULT_MIN_PULSE_WIDTH_PS = 500.0
@@ -189,21 +183,6 @@ class ClockGlitchGenerator:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.periods())
-
-    def steps_to_violate(self, required_period_ps: float) -> int:
-        """First decrement step at which ``required_period_ps`` is violated.
-
-        Returns the smallest step ``s`` such that
-        ``period_at_step(s) < required_period_ps``, or ``num_steps + 1``
-        if the sweep never violates the requirement (the bit is never
-        faulted — reported as "beyond the sweep" by the delay meter).
-        """
-        if required_period_ps <= 0:
-            raise ValueError("required_period_ps must be positive")
-        for step in range(self.num_steps + 1):
-            if self.period_at_step(step) < required_period_ps:
-                return step
-        return self.num_steps + 1
 
     @classmethod
     def calibrated(cls, worst_path_ps: float, budget: TimingBudget,

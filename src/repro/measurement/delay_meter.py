@@ -156,11 +156,6 @@ class DelayMeasurement:
         """Mean steps converted to picoseconds (steps x glitch step)."""
         return self.mean_steps() * self.config.glitch_step_ps
 
-    def repetition_std_ps(self) -> np.ndarray:
-        """Per-(pair, bit) standard deviation across repetitions, in ps."""
-        return self.steps_matrix().std(axis=1, ddof=0) * self.config.glitch_step_ps
-
-
 class PathDelayMeter:
     """The clock-glitch delay measurement instrument."""
 

@@ -43,15 +43,14 @@ class DeviceUnderTest:
     design:
         :class:`GoldenDesign` or :class:`InfectedDesign`.
     die:
-        The physical die profile (inter-die variation).  ``None`` means a
-        nominal die with no process variation at all (useful in tests).
+        The physical die profile (inter- and intra-die variation).
+        ``None`` means a nominal die with no process variation at all
+        (useful in tests).
     label:
         Human-readable identifier used in reports ("Clean1", "HTcomb"...).
-    enable_intra_die_variation:
-        Whether to include the intra-die variation field of the die.
     annotation_cache:
-        A dict shared by DUTs on the default power grid of their device
-        (a platform passes one to every DUT it makes): the delay
+        A dict shared by DUTs (a platform passes one to every DUT it
+        makes): the delay
         annotation of a (design, die) is built by the first of them to
         need it and reused by the rest.  Only the annotation is shared,
         never measurement state.
@@ -60,8 +59,6 @@ class DeviceUnderTest:
     design: Design
     die: Optional[DieProfile] = None
     label: str = ""
-    enable_intra_die_variation: bool = True
-    power_grid: Optional[PowerGrid] = None
     annotation_cache: Optional[Dict[Tuple[Any, ...], DelayAnnotation]] = \
         field(default=None, repr=False, compare=False)
     _annotation: Optional[DelayAnnotation] = field(default=None, init=False,
@@ -70,8 +67,6 @@ class DeviceUnderTest:
     def __post_init__(self) -> None:
         if not self.label:
             self.label = self._default_label()
-        if self.power_grid is None:
-            self.power_grid = PowerGrid(self.golden.device)
 
     def _default_label(self) -> str:
         if self.is_infected:
@@ -121,7 +116,7 @@ class DeviceUnderTest:
 
     def intra_die_variation(self) -> Optional[IntraDieVariation]:
         """The intra-die variation field of this DUT's die."""
-        if self.die is None or not self.enable_intra_die_variation:
+        if self.die is None:
             return None
         device = self.golden.device
         return IntraDieVariation(
@@ -146,7 +141,7 @@ class DeviceUnderTest:
                 intra_die=self.intra_die_variation(),
                 extra_net_delays_ps=extra_net_delays,
                 aggressor_positions=aggressors,
-                power_grid=self.power_grid,
+                power_grid=PowerGrid(self.golden.device),
             )
             if self.annotation_cache is not None:
                 self.annotation_cache[self._cache_key()] = self._annotation
@@ -154,7 +149,7 @@ class DeviceUnderTest:
 
     def _cache_key(self) -> Tuple[Any, ...]:
         # The cache's owner keeps every design alive, so ids are unique.
-        return (id(self.design), self.die, self.enable_intra_die_variation)
+        return (id(self.design), self.die)
 
     def em_gain(self) -> float:
         """Die-dependent EM emission gain."""

@@ -389,22 +389,6 @@ class EMSimulator:
         columns *= self.config.amplifier.linear_gain
         columns += plan.offsets[None, lo:hi, None]
 
-    def batch_noiseless_traces_many(self, duts: Sequence[DeviceUnderTest],
-                                    plaintexts: Sequence[bytes], key: bytes
-                                    ) -> "Tuple[np.ndarray, List[int]]":
-        """Deterministic emissions of a whole (plaintext x DUT) grid.
-
-        The prologue of :meth:`_grid_plan`, then one
-        :meth:`_fill_noiseless` over every column of a
-        ``(plaintexts, duts, samples)`` tensor.
-
-        Returns ``(signal, cycle_sample_offsets)``.
-        """
-        plan = self._grid_plan(duts, plaintexts, key)
-        signal = np.zeros(plan.shape)
-        self._fill_noiseless(plan, signal, 0, plan.shape[1])
-        return signal, plan.cycle_offsets
-
     def _acquire_grid(self, duts: Sequence[DeviceUnderTest],
                       plaintexts: Sequence[bytes], key: bytes,
                       rngs: Union[np.random.Generator,

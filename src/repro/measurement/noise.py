@@ -74,12 +74,6 @@ class EMNoiseModel:
         if self.setup_gain_sigma < 0 or self.setup_offset_sigma < 0:
             raise ValueError("setup noise sigmas must be non-negative")
 
-    def averaged_sigma(self, num_averages: int) -> float:
-        """Residual amplitude noise after averaging ``num_averages`` traces."""
-        if num_averages <= 0:
-            raise ValueError("num_averages must be positive")
-        return self.sigma_single_shot / np.sqrt(num_averages)
-
     def sample_acquisitions(self, rng: np.random.Generator,
                             num_traces: int, num_samples: int,
                             noise_sigma: float, new_setup_installation: bool

@@ -31,9 +31,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..crypto.aes import SHIFT_ROWS_PERM
 from ..crypto.sbox import SBOX
-from ..crypto.state import BLOCK_BITS, BLOCK_BYTES, validate_block
+from ..crypto.state import (
+    BLOCK_BITS,
+    BLOCK_BYTES,
+    SHIFT_ROWS_PERM,
+    validate_block,
+)
 from .cells import make_dff, make_lut
 from .netlist import Netlist
 from .synth import synthesize_function
@@ -47,15 +51,6 @@ def paper_bit_to_byte_bit(bit_index: int) -> Tuple[int, int]:
     if not 0 <= bit_index < BLOCK_BITS:
         raise ValueError(f"bit_index must be in range(128), got {bit_index}")
     return bit_index // 8, 7 - (bit_index % 8)
-
-
-def byte_bit_to_paper_bit(byte: int, bit: int) -> int:
-    """Inverse of :func:`paper_bit_to_byte_bit`."""
-    if not 0 <= byte < BLOCK_BYTES:
-        raise ValueError(f"byte must be in range(16), got {byte}")
-    if not 0 <= bit < 8:
-        raise ValueError(f"bit must be in range(8), got {bit}")
-    return byte * 8 + (7 - bit)
 
 
 def state_input_net(byte: int, bit: int) -> str:
@@ -208,21 +203,6 @@ class AESLastRoundCircuit:
         """D-input net of the ciphertext DFF for a paper-style bit index."""
         byte, bit = paper_bit_to_byte_bit(paper_bit)
         return ciphertext_d_net(byte, bit)
-
-    def output_q_net(self, paper_bit: int) -> str:
-        """Q-output net of the ciphertext DFF for a paper-style bit index."""
-        byte, bit = paper_bit_to_byte_bit(paper_bit)
-        return ciphertext_q_net(byte, bit)
-
-    def state_net(self, paper_bit: int) -> str:
-        """State-register input net for a paper-style bit index."""
-        byte, bit = paper_bit_to_byte_bit(paper_bit)
-        return state_input_net(byte, bit)
-
-    def key_net(self, paper_bit: int) -> str:
-        """Round-key input net for a paper-style bit index."""
-        byte, bit = paper_bit_to_byte_bit(paper_bit)
-        return key_input_net(byte, bit)
 
     def output_d_nets(self) -> List[str]:
         """D-input nets of all 128 ciphertext DFFs, in paper-bit order."""

@@ -21,9 +21,9 @@ two-vector timing simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 class CellType(str, Enum):
@@ -214,16 +214,6 @@ def make_lut(name: str, inputs: Sequence[str], output: str,
         output=output,
         truth_table=tuple(int(b) for b in truth_table),
     )
-
-
-def make_xor(name: str, a: str, b: str, output: str) -> Cell:
-    """Convenience constructor for a 2-input XOR cell."""
-    return Cell(name=name, cell_type=CellType.XOR2, inputs=(a, b), output=output)
-
-
-def make_and(name: str, a: str, b: str, output: str) -> Cell:
-    """Convenience constructor for a 2-input AND cell."""
-    return Cell(name=name, cell_type=CellType.AND2, inputs=(a, b), output=output)
 
 
 def make_mux2(name: str, select: str, in0: str, in1: str, output: str) -> Cell:

@@ -232,10 +232,6 @@ class CompiledNetlist:
     def num_nets(self) -> int:
         return len(self.net_names)
 
-    @property
-    def num_comb_cells(self) -> int:
-        return len(self.comb_cell_names)
-
     def columns_for(self, nets: Sequence[str]) -> np.ndarray:
         """Value-matrix columns of ``nets`` (raises on unknown nets)."""
         try:

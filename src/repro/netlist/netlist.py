@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set
 
 from .cells import Cell, CellType
 
@@ -82,39 +82,6 @@ class Netlist:
         self._invalidate_structure_caches()
         return cell
 
-    def merge(self, other: "Netlist", prefix: str = "",
-              port_map: Optional[Mapping[str, str]] = None) -> Dict[str, str]:
-        """Instantiate ``other`` inside this netlist.
-
-        Nets and cells of ``other`` are renamed with ``prefix``; nets
-        listed in ``port_map`` (keys are ``other``'s net names) are
-        connected to existing nets of ``self`` instead of being renamed.
-
-        Returns the mapping from ``other``'s net names to the names used
-        inside ``self``.
-        """
-        port_map = dict(port_map or {})
-        net_map: Dict[str, str] = {}
-
-        def translate(net: str) -> str:
-            if net in net_map:
-                return net_map[net]
-            target = port_map.get(net, prefix + net)
-            net_map[net] = target
-            return target
-
-        for cell in other.cells.values():
-            new_cell = Cell(
-                name=prefix + cell.name,
-                cell_type=cell.cell_type,
-                inputs=tuple(translate(n) for n in cell.inputs),
-                output=translate(cell.output),
-                truth_table=cell.truth_table,
-                init=cell.init,
-            )
-            self.add_cell(new_cell)
-        return net_map
-
     # -- structural queries ----------------------------------------------
 
     def _invalidate_structure_caches(self) -> None:
@@ -171,13 +138,6 @@ class Netlist:
             key=lambda c: c.name,
         )
 
-    def combinational_cells(self) -> List[Cell]:
-        """All combinational (non-DFF, non-constant) cells, in name order."""
-        return sorted(
-            (c for c in self.cells.values() if c.is_combinational),
-            key=lambda c: c.name,
-        )
-
     def lut_equivalent_area(self) -> float:
         """Total area of the netlist in LUT equivalents.
 
@@ -185,15 +145,6 @@ class Netlist:
         this is the quantity those percentages are computed from.
         """
         return sum(cell.lut_equivalents() for cell in self.cells.values())
-
-    def stats(self) -> Dict[str, int]:
-        """Cell-count statistics keyed by cell type name."""
-        counts: Dict[str, int] = defaultdict(int)
-        for cell in self.cells.values():
-            counts[cell.cell_type.value] += 1
-        counts["nets"] = len(self.nets())
-        counts["cells"] = len(self.cells)
-        return dict(counts)
 
     # -- validation and ordering ------------------------------------------
 
@@ -328,48 +279,4 @@ class Netlist:
             values[cell.output] = cell.evaluate(operands)
         return values
 
-    def evaluate_outputs(self, input_values: Mapping[str, int],
-                         register_values: Optional[Mapping[str, int]] = None
-                         ) -> Dict[str, int]:
-        """Evaluate and return only the primary output values."""
-        values = self.evaluate(input_values, register_values)
-        return {net: values[net] for net in self.outputs}
-
-    def next_register_values(self, input_values: Mapping[str, int],
-                             register_values: Optional[Mapping[str, int]] = None
-                             ) -> Dict[str, int]:
-        """Values latched by every DFF on the next clock edge."""
-        values = self.evaluate(input_values, register_values)
-        return {cell.output: values[cell.inputs[0]]
-                for cell in self.register_cells()}
-
     # -- cones --------------------------------------------------------------
-
-    def fanin_cone(self, net: str) -> Set[str]:
-        """Names of all cells in the transitive fan-in of ``net``."""
-        drivers = self._drivers
-        seen: Set[str] = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            driver = drivers.get(current)
-            if driver is None or driver.name in seen:
-                continue
-            seen.add(driver.name)
-            if driver.is_combinational:
-                stack.extend(driver.inputs)
-        return seen
-
-    def fanout_cone(self, net: str) -> Set[str]:
-        """Names of all cells in the transitive fan-out of ``net``."""
-        seen: Set[str] = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            for load in self._loads.get(current, []):
-                if load.name in seen:
-                    continue
-                seen.add(load.name)
-                if load.is_combinational:
-                    stack.append(load.output)
-        return seen

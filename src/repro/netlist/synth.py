@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from .cells import MAX_LUT_INPUTS, Cell, make_lut, make_mux2
-from .netlist import Netlist, NetlistError
+from .netlist import Netlist
 
 
 class SynthesisError(Exception):
@@ -228,11 +228,3 @@ def synthesize_reduction_tree(netlist: Netlist, prefix: str,
         netlist.add_cell(cell)
         created.append(cell)
     return created
-
-
-def synthesize_xor2(netlist: Netlist, prefix: str, a: str, b: str,
-                    output_net: str) -> Cell:
-    """Create a 2-input XOR realised as a LUT (as an FPGA mapper would)."""
-    cell = make_lut(prefix + "xor", [a, b], output_net, (0, 1, 1, 0))
-    netlist.add_cell(cell)
-    return cell

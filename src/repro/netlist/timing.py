@@ -46,22 +46,12 @@ class DelayAnnotation:
     cell_scale: float = 1.0
     default_net_delay_ps: float = DEFAULT_NET_DELAY_PS
 
-    def cell_delay_ps(self, cell: Cell) -> float:
-        """Total propagation delay of ``cell``."""
-        base = cell.intrinsic_delay_ps() * self.cell_scale
-        return max(0.0, base + self.cell_offsets_ps.get(cell.name, 0.0))
-
-    def net_delay_ps(self, net: str) -> float:
-        """Routing delay of ``net``."""
-        return max(0.0, self.net_delays_ps.get(net, self.default_net_delay_ps))
-
     def cell_delay_vector(self, cells: Sequence[Cell]) -> np.ndarray:
-        """:meth:`cell_delay_ps` for many cells as one float64 vector.
+        """Total propagation delay of many cells as one float64 vector.
 
-        Element ``i`` is bit-identical to ``cell_delay_ps(cells[i])``
-        (the same multiply/add/clamp applied elementwise); the compiled
-        timing engine gathers from this vector instead of calling the
-        scalar accessor per cell per stimulus.
+        Element ``i`` is ``max(0, intrinsic * cell_scale + offset)`` of
+        ``cells[i]``; the compiled timing engine gathers from this
+        vector per stimulus.
         """
         intrinsic = np.array([cell.intrinsic_delay_ps() for cell in cells])
         offsets = np.array([self.cell_offsets_ps.get(cell.name, 0.0)
@@ -69,7 +59,8 @@ class DelayAnnotation:
         return np.maximum(0.0, intrinsic * self.cell_scale + offsets)
 
     def net_delay_vector(self, nets: Sequence[str]) -> np.ndarray:
-        """:meth:`net_delay_ps` for many nets as one float64 vector."""
+        """Routing delay of many nets as one float64 vector (the default
+        for nets without an entry, clamped at 0)."""
         default = self.default_net_delay_ps
         return np.maximum(0.0, np.array(
             [self.net_delays_ps.get(net, default) for net in nets]
@@ -83,14 +74,3 @@ class DelayAnnotation:
             cell_scale=self.cell_scale,
             default_net_delay_ps=self.default_net_delay_ps,
         )
-
-    def add_cell_offset(self, cell_name: str, offset_ps: float) -> None:
-        """Accumulate an extra delay on one cell instance."""
-        self.cell_offsets_ps[cell_name] = (
-            self.cell_offsets_ps.get(cell_name, 0.0) + offset_ps
-        )
-
-    def add_net_delay(self, net: str, extra_ps: float) -> None:
-        """Accumulate extra routing delay on one net."""
-        current = self.net_delays_ps.get(net, self.default_net_delay_ps)
-        self.net_delays_ps[net] = current + extra_ps

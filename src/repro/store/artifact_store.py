@@ -633,24 +633,6 @@ class ArtifactStore:
         """Iterate over the keys with a valid manifest entry *and* object."""
         return iter(self.index())
 
-    def discard(self, key: str) -> bool:
-        """Remove ``key`` (manifest entry first, then the object).
-
-        The object is removed under both candidate names, not only the
-        one the manifest entry names: an unreadable entry (e.g. a torn
-        manifest write) must not leak the object file forever.
-        """
-        _check_key(key)
-        entry = self.entry(key)
-        removed = self._call(_unlink, self._manifest_path(key))
-        filenames = {f"{key}.json", f"{key}.npz"}
-        if entry is not None:
-            filenames.add(entry.filename)
-        for filename in sorted(filenames):
-            if self._call(_unlink, self.objects_dir / filename):
-                removed = True
-        return removed
-
     def __len__(self) -> int:
         return len(self.index())
 

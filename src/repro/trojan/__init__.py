@@ -14,8 +14,6 @@ _EXPORTS = {
     "insert_trojan": ".insertion",
     "TROJAN_SPECS": ".library",
     "TrojanSpec": ".library",
-    "available_trojans": ".library",
-    "build_size_sweep": ".library",
     "build_trojan": ".library",
     "add_dos_payload": ".payload",
     "payload_luts_for_target_area": ".payload",

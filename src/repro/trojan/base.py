@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..netlist.netlist import Netlist
 
@@ -89,15 +89,6 @@ class HardwareTrojan:
 
     # -- activity ---------------------------------------------------------------
 
-    def tap_values(self, host_state: Sequence[int]) -> Dict[str, int]:
-        """Trojan input-net values derived from a host state block.
-
-        The default implementation assumes tapped host nets are state
-        register bits named by the last-round circuit convention; concrete
-        trojans override :meth:`host_bit_for_tap` when needed.
-        """
-        raise NotImplementedError
-
     def encryption_activity_counts(self, round_states: "object",
                                    encryption_indices: Optional[Sequence[int]]
                                    = None
@@ -106,7 +97,7 @@ class HardwareTrojan:
 
         ``round_states`` is the ``(num_encryptions, num_cycles + 1, 16)``
         uint8 register-state tensor of
-        :func:`repro.crypto.batch.encrypt_round_states` (row 0 the
+        :meth:`repro.crypto.batch.BatchedAES.round_states` (row 0 the
         register load); ``encryption_indices`` gives each row's position
         in the acquisition campaign (defaults to ``0..N-1``).  Returns
         ``(output_toggles, input_pin_toggles)`` int64 matrices of shape

@@ -19,12 +19,11 @@ switching every round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..crypto.state import BLOCK_BITS, bytes_to_bits, validate_block
+from ..crypto.state import BLOCK_BITS
 from ..netlist.aes_round_circuit import paper_bit_to_byte_bit, state_input_net
 from ..netlist.netlist import Netlist
 from ..netlist.synth import synthesize_reduction_tree
@@ -89,25 +88,6 @@ class CombinationalTrojan(HardwareTrojan):
         self.scanned_bits = scanned_bits
 
     # -- activity ----------------------------------------------------------------
-
-    def tap_values(self, host_state: Sequence[int]) -> Dict[str, int]:
-        """Trojan input values for one host state-register content."""
-        state = validate_block(host_state)
-        bits = bytes_to_bits(state)
-        return {
-            tap_net: bits[bit]
-            for tap_net, bit in zip(self.tap_input_nets, self.scanned_bits)
-        }
-
-    def is_triggered(self, host_state: Sequence[int]) -> bool:
-        """Whether the trigger condition holds for ``host_state``.
-
-        The experiments never trigger the trojan (the probability for a
-        random state is 2^-N); this predicate is used by tests and by the
-        payload-safety checks.
-        """
-        values = self.netlist.evaluate(self.tap_values(host_state))
-        return bool(values[TRIGGER_NET])
 
     def encryption_activity_counts(self, round_states, encryption_indices=None):
         """Whole stimulus batches in one compiled-kernel evaluation.

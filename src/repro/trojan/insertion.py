@@ -21,7 +21,7 @@ positions for the power-grid coupling, and the trojan's activity model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..fpga.design import GoldenDesign
 from ..fpga.floorplan import Region

@@ -21,7 +21,7 @@ false-negative-rate headline is parameterised by).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..fpga.device import FPGADevice, aes_slice_budget, virtex5_lx30
 
@@ -53,11 +53,6 @@ TROJAN_SPECS: Dict[str, TrojanSpec] = {
     "HT2": TrojanSpec("HT2", "combinational", 64, 0.010, "Sec. V-A"),
     "HT3": TrojanSpec("HT3", "combinational", 128, 0.017, "Sec. V-A"),
 }
-
-
-def available_trojans() -> List[str]:
-    """Names of the trojans in the catalog."""
-    return list(TROJAN_SPECS)
 
 
 def build_trojan(name: str, device: Optional[FPGADevice] = None) -> HardwareTrojan:
@@ -92,9 +87,3 @@ def build_trojan(name: str, device: Optional[FPGADevice] = None) -> HardwareTroj
         return build_sequential_trojan(spec.name, counter_width=spec.trigger_width,
                                        payload_luts=padding)
     raise ValueError(f"unsupported trojan kind {spec.kind!r}")  # pragma: no cover
-
-
-def build_size_sweep(device: Optional[FPGADevice] = None) -> List[HardwareTrojan]:
-    """The HT1/HT2/HT3 size sweep used by the inter-die study (Sec. V)."""
-    device = device or virtex5_lx30()
-    return [build_trojan(name, device) for name in ("HT1", "HT2", "HT3")]

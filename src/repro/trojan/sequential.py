@@ -17,7 +17,7 @@ observable effects while dormant are
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -121,25 +121,7 @@ class SequentialTrojan(HardwareTrojan):
 
     # -- counter state helpers ---------------------------------------------
 
-    def counter_register_values(self, value: int) -> Dict[str, int]:
-        """Register (Q net) values for a given counter value."""
-        mask = (1 << self.counter_width) - 1
-        value &= mask
-        return {f"cnt_q{bit}": (value >> bit) & 1
-                for bit in range(self.counter_width)}
-
-    def is_triggered_at(self, counter_value: int) -> bool:
-        """Whether the comparator fires for ``counter_value``."""
-        values = self.netlist.evaluate(
-            {"inc": 0}, self.counter_register_values(counter_value)
-        )
-        return bool(values[TRIGGER_NET])
-
     # -- HardwareTrojan interface ---------------------------------------------
-
-    def tap_values(self, host_state: Sequence[int]) -> Dict[str, int]:
-        """The sequential trojan does not observe the host datapath."""
-        return {}
 
     def encryption_activity_counts(self, round_states, encryption_indices=None):
         """Counter toggles for a whole batch of encryptions at once.

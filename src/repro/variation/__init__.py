@@ -1,19 +1,9 @@
-"""Process-variation models: intra-die, inter-die and Bowman FMAX."""
+"""Process-variation models: intra-die and inter-die."""
 
-from .bowman import (
-    BowmanParameters,
-    die_to_die_dominance,
-    fmax_statistics,
-    sample_die_critical_delays,
-)
 from .inter_die import DieProfile, DiePopulation
 from .intra_die import IntraDieVariation
 
 __all__ = [
-    "BowmanParameters",
-    "die_to_die_dominance",
-    "fmax_statistics",
-    "sample_die_critical_delays",
     "DieProfile",
     "DiePopulation",
     "IntraDieVariation",

@@ -15,7 +15,7 @@ reproducible set of dies from a master seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List
 
 import numpy as np
 
@@ -109,11 +109,3 @@ class DiePopulation:
 
     def __getitem__(self, index: int) -> DieProfile:
         return self.dies[index]
-
-    def delay_scales(self) -> List[float]:
-        """Delay scale factors of every die."""
-        return [die.delay_scale for die in self.dies]
-
-    def em_gains(self) -> List[float]:
-        """EM gains of every die."""
-        return [die.em_gain for die in self.dies]

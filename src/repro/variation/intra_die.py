@@ -138,11 +138,6 @@ class IntraDieVariation:
             self.die_rows, self.die_cols, tuple(cell_positions.items()),
         ))
 
-    def total_sigma_ps(self) -> float:
-        """Combined standard deviation of the per-cell offset."""
-        return math.sqrt(self.sigma_spatial_ps ** 2 + self.sigma_random_ps ** 2)
-
-
 def _pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
     """The ``(state, inc)`` that ``np.random.default_rng(seed)`` starts
     its PCG64 from, for every ``uint32`` seed at once.

@@ -9,7 +9,7 @@ the shipped package: ``src/`` offers one seam, the supervisor's
 subclass :class:`~repro.store.ArtifactStore`.
 """
 
-from .faults import OneShotTrigger
+from .faults import OneShotTrigger, lose_object
 from .plan import FaultInjection, FaultKind, FaultPlan, HangClock, supervise
 from .stores import (
     ChaosStore,
@@ -30,5 +30,6 @@ __all__ = [
     "SyncFlag",
     "TransientFaultStore",
     "WindowFaultStore",
+    "lose_object",
     "supervise",
 ]

@@ -1,9 +1,10 @@
-"""Deterministic fault-schedule primitive.
+"""Deterministic fault-schedule primitive and a lost-object fault.
 
 :class:`OneShotTrigger` decides *when* a scripted store fault fires:
 exactly once, after N earlier operations completed normally
 (:class:`~chaos.stores.WindowFaultStore`).  It counts operations,
-never wall-clock time.
+never wall-clock time.  :func:`lose_object` deletes one stored key's
+files, the loss an interrupted run or an operator leaves behind.
 """
 
 from __future__ import annotations
@@ -34,3 +35,18 @@ class OneShotTrigger:
             return False
         self._fired = True
         return True
+
+
+def lose_object(store, key: str) -> bool:
+    """Delete ``key``'s manifest entry and object file from ``store``;
+    True if anything was removed."""
+    removed = False
+    for path in (store.manifest_dir / f"{key}.json",
+                 store.objects_dir / f"{key}.json",
+                 store.objects_dir / f"{key}.npz"):
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            continue
+        removed = True
+    return removed

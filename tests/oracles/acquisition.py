@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.pipeline import HTDetectionPlatform
-from repro.crypto.aes import AES
 from repro.measurement.dut import DeviceUnderTest
 from repro.measurement.em_probe import Amplifier
 from repro.measurement.em_simulator import EMSimulator, EMTrace
@@ -28,10 +27,24 @@ from repro.measurement.noise import EMNoiseModel
 from repro.measurement.oscilloscope import Oscilloscope
 from repro.stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
 
+from .aes import AES
+
 
 def amplify(amplifier: Amplifier, signal: np.ndarray) -> np.ndarray:
     """Apply the amplifier gain to a signal."""
     return np.asarray(signal, dtype=float) * amplifier.linear_gain
+
+
+def batch_noiseless_traces_many(simulator: EMSimulator,
+                                duts: Sequence[DeviceUnderTest],
+                                plaintexts: Sequence[bytes], key: bytes):
+    """Deterministic emissions of a whole (plaintext x DUT) grid: the
+    acquisition core's plan and noiseless fill without the oscilloscope
+    pass.  Returns ``(signal, cycle_sample_offsets)``."""
+    plan = simulator._grid_plan(duts, plaintexts, key)
+    signal = np.zeros(plan.shape)
+    simulator._fill_noiseless(plan, signal, 0, plan.shape[1])
+    return signal, plan.cycle_offsets
 
 
 def sample_setup_perturbation(noise: EMNoiseModel, rng: np.random.Generator

@@ -1,18 +1,11 @@
-"""Behavioural AES implementation with per-round state tracing.
+"""Scalar AES encryption with per-round state tracing.
 
-The paper's target circuit is an AES-128 block cipher; its measurement
-procedures need more than plain ``encrypt``:
-
-* the clock-glitch delay measurement faults the **10th round**, so the
-  fault-injection model needs the state *entering* round 10 and the
-  round-10 key (see :mod:`repro.measurement.fault_injection`);
-* the EM simulator converts the **per-round switching activity**
-  (Hamming distance between consecutive round states) into emanation
-  amplitude, so it needs the full sequence of round states.
-
-:class:`AES` therefore exposes ``encrypt``, ``decrypt`` and
-``encrypt_trace`` which returns an :class:`EncryptionTrace` with every
-intermediate state.
+``repro.crypto.batch.BatchedAES`` encrypts whole ``(N, 16)`` stimulus
+matrices in one NumPy pass per round; this is the block-at-a-time
+cipher it replaced, walking ``bytes`` objects through SubBytes,
+ShiftRows, MixColumns and AddRoundKey.  ``encrypt_trace`` records every
+intermediate state, the per-round register transfers the batched round
+states, the EM activity and the delay references are pinned against.
 """
 
 from __future__ import annotations
@@ -20,31 +13,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from .gf import gf_mul_02, gf_mul_03, gf_mul_09, gf_mul_0b, gf_mul_0d, gf_mul_0e
-from .keyschedule import expand_key, key_length_to_rounds
-from .sbox import INV_SBOX, SBOX
-from .state import (
+from repro.crypto.gf import gf_mul_02, gf_mul_03
+from repro.crypto.keyschedule import expand_key, key_length_to_rounds
+from repro.crypto.sbox import SBOX
+from repro.crypto.state import (
     BLOCK_BYTES,
-    hamming_distance,
+    SHIFT_ROWS_PERM,
     validate_block,
     validate_key,
-    xor_bytes,
 )
 
-# Byte index permutation implementing ShiftRows on the flat (column-major)
-# 16-byte block: output[i] = input[SHIFT_ROWS_PERM[i]].
-SHIFT_ROWS_PERM = (0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
+
+def xor_bytes(a: Sequence[int], b: Sequence[int]) -> bytes:
+    """XOR two equal-length byte strings."""
+    aa, bb = bytes(a), bytes(b)
+    if len(aa) != len(bb):
+        raise ValueError(f"length mismatch: {len(aa)} vs {len(bb)}")
+    return bytes(x ^ y for x, y in zip(aa, bb))
 
 
-def _invert_permutation(perm: Sequence[int]) -> "tuple[int, ...]":
-    """Invert a permutation in one linear scan (no quadratic ``.index``)."""
-    inverse = [0] * len(perm)
-    for position, value in enumerate(perm):
-        inverse[value] = position
-    return tuple(inverse)
-
-
-INV_SHIFT_ROWS_PERM = _invert_permutation(SHIFT_ROWS_PERM)
+def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
+    """Number of differing bits between two equal-length byte strings."""
+    return sum(bin(byte).count("1") for byte in xor_bytes(a, b))
 
 
 def sub_bytes_block(block: Sequence[int]) -> bytes:
@@ -52,21 +42,10 @@ def sub_bytes_block(block: Sequence[int]) -> bytes:
     return bytes(SBOX[b] for b in bytes(block))
 
 
-def inv_sub_bytes_block(block: Sequence[int]) -> bytes:
-    """InvSubBytes on a flat 16-byte block."""
-    return bytes(INV_SBOX[b] for b in bytes(block))
-
-
 def shift_rows_block(block: Sequence[int]) -> bytes:
     """ShiftRows on a flat 16-byte block (pure byte permutation)."""
     data = bytes(block)
     return bytes(data[SHIFT_ROWS_PERM[i]] for i in range(BLOCK_BYTES))
-
-
-def inv_shift_rows_block(block: Sequence[int]) -> bytes:
-    """InvShiftRows on a flat 16-byte block."""
-    data = bytes(block)
-    return bytes(data[INV_SHIFT_ROWS_PERM[i]] for i in range(BLOCK_BYTES))
 
 
 def mix_columns_block(block: Sequence[int]) -> bytes:
@@ -79,19 +58,6 @@ def mix_columns_block(block: Sequence[int]) -> bytes:
         out[4 * col + 1] = a0 ^ gf_mul_02(a1) ^ gf_mul_03(a2) ^ a3
         out[4 * col + 2] = a0 ^ a1 ^ gf_mul_02(a2) ^ gf_mul_03(a3)
         out[4 * col + 3] = gf_mul_03(a0) ^ a1 ^ a2 ^ gf_mul_02(a3)
-    return bytes(out)
-
-
-def inv_mix_columns_block(block: Sequence[int]) -> bytes:
-    """InvMixColumns on a flat 16-byte block."""
-    data = bytes(block)
-    out = bytearray(BLOCK_BYTES)
-    for col in range(4):
-        a0, a1, a2, a3 = data[4 * col : 4 * col + 4]
-        out[4 * col + 0] = gf_mul_0e(a0) ^ gf_mul_0b(a1) ^ gf_mul_0d(a2) ^ gf_mul_09(a3)
-        out[4 * col + 1] = gf_mul_09(a0) ^ gf_mul_0e(a1) ^ gf_mul_0b(a2) ^ gf_mul_0d(a3)
-        out[4 * col + 2] = gf_mul_0d(a0) ^ gf_mul_09(a1) ^ gf_mul_0e(a2) ^ gf_mul_0b(a3)
-        out[4 * col + 3] = gf_mul_0b(a0) ^ gf_mul_0d(a1) ^ gf_mul_09(a2) ^ gf_mul_0e(a3)
     return bytes(out)
 
 
@@ -115,28 +81,14 @@ class RoundRecord:
 
     @property
     def switching_activity(self) -> int:
-        """Hamming distance between the round's input and output registers.
-
-        This is the classic register-transfer switching-activity proxy
-        used by the EM simulator: every register bit that toggles draws
-        current on the clock edge.
-        """
+        """Hamming distance between the round's input and output registers."""
         return hamming_distance(self.state_in, self.state_out)
 
 
 @dataclass
 class EncryptionTrace:
-    """Full record of one AES encryption.
-
-    Attributes
-    ----------
-    plaintext, key, ciphertext:
-        The obvious values.
-    initial_state:
-        State after the initial AddRoundKey (round 0).
-    rounds:
-        One :class:`RoundRecord` per round 1..Nr.
-    """
+    """Full record of one AES encryption: the initial AddRoundKey state
+    (round 0) and one :class:`RoundRecord` per round 1..Nr."""
 
     plaintext: bytes
     key: bytes
@@ -173,28 +125,15 @@ class EncryptionTrace:
 
 
 class AES:
-    """AES block cipher (128/192/256-bit keys) with tracing support.
-
-    Parameters
-    ----------
-    key:
-        The cipher key (16, 24 or 32 bytes).
-    """
+    """AES block cipher (128/192/256-bit keys) with tracing support."""
 
     def __init__(self, key: Sequence[int]):
         self.key = validate_key(key)
         self.num_rounds = key_length_to_rounds(len(self.key))
         self.round_keys = expand_key(self.key)
 
-    # -- public API -----------------------------------------------------
-
     def encrypt(self, plaintext: Sequence[int]) -> bytes:
-        """Encrypt one 16-byte block.
-
-        Fast path: runs the round loop directly, without allocating the
-        per-round :class:`RoundRecord` objects of :meth:`encrypt_trace`
-        (callers that need the intermediate states use the trace API).
-        """
+        """Encrypt one 16-byte block, without the per-round records."""
         state = validate_block(plaintext, "plaintext")
         state = xor_bytes(state, self.round_keys[0])
         for round_index in range(1, self.num_rounds + 1):
@@ -202,20 +141,6 @@ class AES:
             if round_index < self.num_rounds:
                 state = mix_columns_block(state)
             state = xor_bytes(state, self.round_keys[round_index])
-        return state
-
-    def decrypt(self, ciphertext: Sequence[int]) -> bytes:
-        """Decrypt one 16-byte block."""
-        state = validate_block(ciphertext, "ciphertext")
-        state = xor_bytes(state, self.round_keys[self.num_rounds])
-        for round_index in range(self.num_rounds - 1, 0, -1):
-            state = inv_shift_rows_block(state)
-            state = inv_sub_bytes_block(state)
-            state = xor_bytes(state, self.round_keys[round_index])
-            state = inv_mix_columns_block(state)
-        state = inv_shift_rows_block(state)
-        state = inv_sub_bytes_block(state)
-        state = xor_bytes(state, self.round_keys[0])
         return state
 
     def encrypt_trace(self, plaintext: Sequence[int]) -> EncryptionTrace:
@@ -251,12 +176,6 @@ class AES:
         trace.ciphertext = state
         return trace
 
-    # -- helpers used by the measurement substrate -----------------------
-
-    def last_round_input(self, plaintext: Sequence[int]) -> bytes:
-        """Register content entering the final round for ``plaintext``."""
-        return self.encrypt_trace(plaintext).last_round.state_in
-
     def last_round_key(self) -> bytes:
         """The final round key."""
         return self.round_keys[self.num_rounds]
@@ -265,8 +184,3 @@ class AES:
 def encrypt_block(key: Sequence[int], plaintext: Sequence[int]) -> bytes:
     """One-shot AES encryption of a single block."""
     return AES(key).encrypt(plaintext)
-
-
-def decrypt_block(key: Sequence[int], ciphertext: Sequence[int]) -> bytes:
-    """One-shot AES decryption of a single block."""
-    return AES(key).decrypt(ciphertext)

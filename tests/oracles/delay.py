@@ -16,7 +16,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.crypto.aes import AES
 from repro.crypto.state import BLOCK_BITS
 from repro.measurement.clock import ClockGlitchGenerator
 from repro.measurement.delay_meter import (
@@ -27,6 +26,7 @@ from repro.measurement.delay_meter import (
 )
 from repro.measurement.dut import DeviceUnderTest
 
+from .aes import AES
 from .timing import TimingEngine
 
 

@@ -8,17 +8,80 @@ the reference stands for.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.crypto.state import BLOCK_BYTES
+from repro.crypto.state import BLOCK_BYTES, bytes_to_bits, validate_block
 from repro.netlist.aes_round_circuit import (
     AESLastRoundCircuit,
     ciphertext_d_net,
 )
+from repro.netlist.cells import Cell, CellType
+from repro.netlist.netlist import Netlist
 from repro.trojan.base import HardwareTrojan, TrojanKind
+
+#: Output net of every catalog trojan's trigger.
+TRIGGER_NET = "trigger"
+
+
+def make_xor(name: str, a: str, b: str, output: str) -> Cell:
+    """A 2-input XOR cell (test netlists; the package maps XORs to LUTs)."""
+    return Cell(name=name, cell_type=CellType.XOR2, inputs=(a, b),
+                output=output)
+
+
+def netlist_stats(netlist: Netlist) -> Dict[str, int]:
+    """Cell counts keyed by cell type name, plus ``nets`` and ``cells``."""
+    counts = dict(Counter(cell.cell_type.value
+                          for cell in netlist.cells.values()))
+    counts["nets"] = len(netlist.nets())
+    counts["cells"] = len(netlist.cells)
+    return counts
+
+
+def next_register_values(netlist: Netlist, input_values: Mapping[str, int],
+                         register_values: Optional[Mapping[str, int]] = None
+                         ) -> Dict[str, int]:
+    """Values every DFF latches on the next clock edge."""
+    values = netlist.evaluate(input_values, register_values)
+    return {cell.output: values[cell.inputs[0]]
+            for cell in netlist.register_cells()}
+
+
+def tap_values(trojan: HardwareTrojan, host_state: Sequence[int]
+               ) -> Dict[str, int]:
+    """Trojan input-net values for one host state-register content (a
+    sequential trojan observes none)."""
+    if trojan.kind is not TrojanKind.COMBINATIONAL:
+        return {}
+    bits = bytes_to_bits(validate_block(host_state))
+    return {tap_net: bits[bit]
+            for tap_net, bit in zip(trojan.tap_input_nets,
+                                    trojan.scanned_bits)}
+
+
+def is_triggered(trojan: HardwareTrojan, host_state: Sequence[int]) -> bool:
+    """Whether a combinational trigger fires for ``host_state``."""
+    values = trojan.netlist.evaluate(tap_values(trojan, host_state))
+    return bool(values[TRIGGER_NET])
+
+
+def counter_register_values(trojan: HardwareTrojan, value: int
+                            ) -> Dict[str, int]:
+    """A sequential trojan's counter register (Q net) values."""
+    value &= (1 << trojan.counter_width) - 1
+    return {f"cnt_q{bit}": (value >> bit) & 1
+            for bit in range(trojan.counter_width)}
+
+
+def is_triggered_at(trojan: HardwareTrojan, counter_value: int) -> bool:
+    """Whether a sequential trojan's comparator fires at ``counter_value``."""
+    values = trojan.netlist.evaluate(
+        {"inc": 0}, counter_register_values(trojan, counter_value))
+    return bool(values[TRIGGER_NET])
 
 
 @dataclass(frozen=True)
@@ -75,14 +138,15 @@ def round_activity(trojan: HardwareTrojan, state_before: Sequence[int],
     round, from ``encryption_index`` to ``encryption_index + 1``.
     """
     if trojan.kind is TrojanKind.COMBINATIONAL:
-        return netlist_toggle_counts(trojan, trojan.tap_values(state_before),
-                                     trojan.tap_values(state_after))
+        return netlist_toggle_counts(trojan, tap_values(trojan, state_before),
+                                     tap_values(trojan, state_after))
     if round_index != trojan.increment_round:
         return NO_ACTIVITY
     return netlist_toggle_counts(
         trojan, {"inc": 0}, {"inc": 0},
-        registers_before=trojan.counter_register_values(encryption_index),
-        registers_after=trojan.counter_register_values(encryption_index + 1),
+        registers_before=counter_register_values(trojan, encryption_index),
+        registers_after=counter_register_values(trojan,
+                                                encryption_index + 1),
     )
 
 

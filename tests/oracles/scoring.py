@@ -23,9 +23,8 @@ from repro.core.metrics import (
     LocalMaximaSumMetric,
     MaxDifferenceMetric,
 )
-from repro.crypto.aes import SHIFT_ROWS_PERM
 from repro.crypto.sbox import INV_SBOX
-from repro.crypto.state import BLOCK_BYTES
+from repro.crypto.state import BLOCK_BYTES, SHIFT_ROWS_PERM
 from repro.measurement.fault_injection import SetupViolationFaultModel
 
 

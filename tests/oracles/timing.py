@@ -29,8 +29,23 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.netlist.compiled import CompiledTimingEngine
+from repro.netlist.cells import Cell
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.netlist.timing import DelayAnnotation
+
+
+def cell_delay_ps(annotation: DelayAnnotation, cell: Cell) -> float:
+    """Total propagation delay of one cell (one element of
+    :meth:`~repro.netlist.timing.DelayAnnotation.cell_delay_vector`)."""
+    base = cell.intrinsic_delay_ps() * annotation.cell_scale
+    return max(0.0, base + annotation.cell_offsets_ps.get(cell.name, 0.0))
+
+
+def net_delay_ps(annotation: DelayAnnotation, net: str) -> float:
+    """Routing delay of one net (one element of
+    :meth:`~repro.netlist.timing.DelayAnnotation.net_delay_vector`)."""
+    return max(0.0, annotation.net_delays_ps.get(
+        net, annotation.default_net_delay_ps))
 
 
 @dataclass
@@ -103,11 +118,11 @@ class TimingEngine:
         for cell in self._topo:
             input_arrivals = [
                 arrivals.get(net, self.input_arrival_ps)
-                + self.annotation.net_delay_ps(net)
+                + net_delay_ps(self.annotation, net)
                 for net in cell.inputs
             ]
             arrivals[cell.output] = (
-                max(input_arrivals) + self.annotation.cell_delay_ps(cell)
+                max(input_arrivals) + cell_delay_ps(self.annotation, cell)
             )
         return arrivals
 
@@ -121,7 +136,7 @@ class TimingEngine:
             else:
                 nets = list(self.netlist.outputs)
         candidates = [
-            arrivals[n] + self.annotation.net_delay_ps(n) for n in nets if n in arrivals
+            arrivals[n] + net_delay_ps(self.annotation, n) for n in nets if n in arrivals
         ]
         if not candidates:
             raise NetlistError("no observable nets for critical path computation")
@@ -173,10 +188,10 @@ class TimingEngine:
                 launch = self.input_arrival_ps
             else:
                 launch = max(
-                    arrival + self.annotation.net_delay_ps(net)
+                    arrival + net_delay_ps(self.annotation, net)
                     for net, arrival in toggling_inputs
                 )
-            arrivals[out_net] = launch + self.annotation.cell_delay_ps(cell)
+            arrivals[out_net] = launch + cell_delay_ps(self.annotation, cell)
 
         return TwoVectorResult(
             values_before=values_before,
@@ -198,7 +213,7 @@ class TimingEngine:
             if arrival is None:
                 delays[net] = None
             else:
-                delays[net] = arrival + self.annotation.net_delay_ps(net)
+                delays[net] = arrival + net_delay_ps(self.annotation, net)
         return delays
 
 

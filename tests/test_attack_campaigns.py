@@ -8,7 +8,6 @@ import pytest
 from repro.attacks import (
     GlitchGrid,
     device_fault_coverages,
-    fault_coverage,
     recover_from_sweep,
 )
 from repro.campaigns import (
@@ -87,9 +86,9 @@ def test_fault_coverage_counts_faulted_captures():
     faulted[0, 0, 3] = 1
     faulted[1, 2, 7] = 9
     faulted[1, 3, 7] = 9
-    assert fault_coverage(correct, faulted) == pytest.approx(3 / 8)
     per_device = device_fault_coverages(correct, faulted)
     assert per_device.tolist() == pytest.approx([1 / 4, 2 / 4])
+    assert per_device.mean() == pytest.approx(3 / 8)
     with pytest.raises(ValueError):
         device_fault_coverages(correct, correct)
 

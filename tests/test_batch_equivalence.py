@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
-from repro.crypto.batch import encrypt_round_states
+from repro.crypto.batch import BatchedAES
 from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
 from repro.stimulus import DEFAULT_PLAINTEXT, random_plaintexts
-from repro.trojan.library import available_trojans, build_trojan
+from repro.trojan.library import TROJAN_SPECS, build_trojan
 
 from oracles import (
     acquire_many,
@@ -27,6 +27,7 @@ from oracles import (
     acquire_serial,
     arrival_times_ps,
     average_stimulus_traces,
+    batch_noiseless_traces_many,
     build_delay_scorer,
     calibrate_glitch,
     calibrate_glitches,
@@ -62,20 +63,20 @@ def _duts(platform, trojan_name):
             for die in range(NUM_DIES)]
 
 
-@pytest.mark.parametrize("trojan_name", [None] + available_trojans())
+@pytest.mark.parametrize("trojan_name", [None] + list(TROJAN_SPECS))
 def test_noiseless_batch_matches_per_die_loop(batch_platform, trojan_name):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
     serial = [noiseless_trace(simulator, dut, PLAINTEXT, KEY) for dut in duts]
-    batch, offsets = simulator.batch_noiseless_traces_many(duts, [PLAINTEXT],
-                                                           KEY)
+    batch, offsets = batch_noiseless_traces_many(simulator, duts,
+                                                 [PLAINTEXT], KEY)
     for row, serial_trace in enumerate(serial):
         assert serial_trace.cycle_sample_offsets == offsets
         np.testing.assert_allclose(batch[0, row], serial_trace.samples,
                                    rtol=1e-12, atol=1e-9)
 
 
-@pytest.mark.parametrize("trojan_name", [None] + available_trojans())
+@pytest.mark.parametrize("trojan_name", [None] + list(TROJAN_SPECS))
 def test_acquire_batch_matches_per_die_loop(batch_platform, trojan_name):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
@@ -131,7 +132,7 @@ def test_population_acquisition_matches_serial_reference(batch_platform):
             assert np.array_equal(serial_trace.samples, batch_trace.samples)
 
 
-@pytest.mark.parametrize("trojan_name", [None] + available_trojans())
+@pytest.mark.parametrize("trojan_name", [None] + list(TROJAN_SPECS))
 def test_acquire_many_batch_matches_serial_acquire_many(batch_platform,
                                                         trojan_name):
     """The whole-stimulus tensor path equals the per-plaintext loop."""
@@ -188,12 +189,12 @@ def test_population_stimuli_acquisition_matches_serial(batch_platform):
                                   trace.samples)
 
 
-@pytest.mark.parametrize("trojan_name", available_trojans())
+@pytest.mark.parametrize("trojan_name", list(TROJAN_SPECS))
 def test_encryption_activity_counts_match_reference_loop(device,
                                                          trojan_name):
     """Vectorised per-trojan overrides equal the per-encryption walk."""
     trojan = build_trojan(trojan_name, device)
-    states = encrypt_round_states(STIMULI, KEY)
+    states = BatchedAES(KEY).round_states(STIMULI)
     indices = [0, 3, 1, 255]
     reference = encryption_activity_counts_loop(
         trojan, states, indices

@@ -13,7 +13,6 @@ from repro.campaigns import (
     CampaignSpec,
     apply_em_overrides,
     build_metric,
-    run_campaign,
 )
 from repro.core.metrics import L1TraceMetric, LocalMaximaSumMetric
 from repro.io.results import load_result

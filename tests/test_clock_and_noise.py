@@ -17,7 +17,6 @@ def test_timing_budget_equation_one():
     assert budget.setup_slack_ps(required + 1, 1000.0) == pytest.approx(1.0)
     assert budget.violates_setup(required - 1, 1000.0)
     assert not budget.violates_setup(required + 1, 1000.0)
-    assert budget.max_propagation_ps(required) == pytest.approx(1000.0)
 
 
 def test_timing_budget_validation():
@@ -46,17 +45,6 @@ def test_glitch_generator_validation():
         ClockGlitchGenerator(start_period_ps=4000, step_ps=0)
 
 
-def test_steps_to_violate_monotone_in_requirement():
-    glitch = ClockGlitchGenerator(start_period_ps=4000, step_ps=35, num_steps=51)
-    early = glitch.steps_to_violate(3990)
-    late = glitch.steps_to_violate(2500)
-    assert early < late
-    assert glitch.steps_to_violate(5000) == 0
-    assert glitch.steps_to_violate(10.0) == glitch.num_steps + 1
-    with pytest.raises(ValueError):
-        glitch.steps_to_violate(0)
-
-
 def test_calibrated_glitch_covers_worst_path():
     budget = TimingBudget()
     glitch = ClockGlitchGenerator.calibrated(worst_path_ps=3000, budget=budget,
@@ -64,8 +52,9 @@ def test_calibrated_glitch_covers_worst_path():
     required = budget.required_period_ps(3000)
     assert glitch.start_period_ps == pytest.approx(required + 5 * glitch.step_ps)
     # The worst path violates within the sweep but not at step 0.
-    step = glitch.steps_to_violate(required)
-    assert 0 < step <= glitch.num_steps
+    violating = [step for step, period in enumerate(glitch.periods())
+                 if period < required]
+    assert violating and 0 < violating[0] <= glitch.num_steps
 
 
 def test_delay_noise_model(rng):
@@ -80,15 +69,13 @@ def test_delay_noise_model(rng):
 
 def test_em_noise_model_averaging(rng):
     model = EMNoiseModel(sigma_single_shot=1000.0)
-    assert model.averaged_sigma(100) == pytest.approx(100.0)
+    # 1000 / sqrt(100): the residual after 100-fold averaging.
     gains, offsets, noise = model.sample_acquisitions(
-        rng, 4, 500, model.averaged_sigma(100), new_setup_installation=True)
+        rng, 4, 500, 100.0, new_setup_installation=True)
     assert noise.shape == (4, 500)
     assert 50 < noise.std() < 200
     assert np.all((0.9 < gains) & (gains < 1.1))
     assert np.all(np.abs(offsets) < 200)
-    with pytest.raises(ValueError):
-        model.averaged_sigma(0)
     gain, offset = sample_setup_perturbation(model, rng)
     assert 0.9 < gain < 1.1
     assert abs(offset) < 200

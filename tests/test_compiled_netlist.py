@@ -15,14 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist.aes_round_circuit import AESLastRoundCircuit
-from repro.netlist.cells import make_dff, make_lut, make_mux2, make_xor, Cell, CellType
-from repro.netlist.compiled import CompiledNetlist, CompiledTimingEngine
+from repro.netlist.cells import make_dff, make_lut, make_mux2, Cell, CellType
+from repro.netlist.compiled import CompiledTimingEngine
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.netlist.sbox_circuit import build_sbox_netlist
 from repro.netlist.timing import DelayAnnotation
-from repro.trojan.library import available_trojans, build_trojan
+from repro.trojan.library import TROJAN_SPECS, build_trojan
 
 from oracles import (
+    build_sbox_netlist,
+    make_xor,
     TimingEngine,
     encryption_activity_interpreted,
     evaluate_interpreted,
@@ -39,7 +40,7 @@ def circuit():
 
 @pytest.fixture(scope="module")
 def trojans():
-    return {name: build_trojan(name) for name in available_trojans()}
+    return {name: build_trojan(name) for name in list(TROJAN_SPECS)}
 
 
 def _random_annotation(netlist: Netlist, seed: int,
@@ -48,10 +49,11 @@ def _random_annotation(netlist: Netlist, seed: int,
     annotation = DelayAnnotation(cell_scale=scale)
     cell_names = list(netlist.cells)
     for name in cell_names[:: max(1, len(cell_names) // 40)]:
-        annotation.add_cell_offset(name, float(rng.normal(0.0, 8.0)))
+        annotation.cell_offsets_ps[name] = float(rng.normal(0.0, 8.0))
     nets = sorted(netlist.nets())
     for net in nets[:: max(1, len(nets) // 40)]:
-        annotation.add_net_delay(net, float(abs(rng.normal(0.0, 30.0))))
+        annotation.net_delays_ps[net] = (annotation.default_net_delay_ps
+                                         + float(abs(rng.normal(0.0, 30.0))))
     return annotation
 
 
@@ -62,7 +64,7 @@ def _random_inputs(netlist: Netlist, rng) -> dict:
 # -- value equivalence ----------------------------------------------------
 
 
-@pytest.mark.parametrize("trojan_name", available_trojans())
+@pytest.mark.parametrize("trojan_name", list(TROJAN_SPECS))
 def test_trojan_values_match_interpreted(trojans, trojan_name):
     netlist = trojans[trojan_name].netlist
     compiled = netlist.compiled()
@@ -132,7 +134,7 @@ def test_missing_primary_input_raises(circuit):
 # -- two-vector timing equivalence ------------------------------------------
 
 
-@pytest.mark.parametrize("trojan_name", available_trojans())
+@pytest.mark.parametrize("trojan_name", list(TROJAN_SPECS))
 def test_trojan_two_vector_timing_matches_interpreted(trojans, trojan_name):
     netlist = trojans[trojan_name].netlist
     annotation = _random_annotation(netlist, seed=3, scale=1.07)
@@ -202,7 +204,7 @@ def test_stable_transition_is_all_nan(circuit):
 # -- trojan activity equivalence -------------------------------------------
 
 
-@pytest.mark.parametrize("trojan_name", available_trojans())
+@pytest.mark.parametrize("trojan_name", list(TROJAN_SPECS))
 def test_encryption_activity_matches_interpreted(trojans, trojan_name):
     trojan = trojans[trojan_name]
     rng = np.random.default_rng(29)
@@ -256,12 +258,12 @@ def test_structural_edit_invalidates_compiled_cache():
 
 def test_compiled_netlist_shape(circuit):
     compiled = circuit.netlist.compiled()
-    assert compiled.num_comb_cells == \
-        len(circuit.netlist.topological_order())
+    num_comb_cells = len(compiled.comb_cell_names)
+    assert num_comb_cells == len(circuit.netlist.topological_order())
     assert compiled.num_nets == len(circuit.netlist.nets())
     # Levels partition the combinational cells.
     covered = sum(end - start for start, end in compiled.level_slices)
-    assert covered == compiled.num_comb_cells
+    assert covered == num_comb_cells
 
 
 # -- static critical path ------------------------------------------------------
@@ -285,7 +287,7 @@ def test_circuit_critical_path_matches_interpreted_per_die(circuit):
             assert paths[die] == reference.critical_path_ps(nets)
 
 
-@pytest.mark.parametrize("trojan_name", available_trojans())
+@pytest.mark.parametrize("trojan_name", list(TROJAN_SPECS))
 def test_trojan_critical_path_matches_interpreted(trojans, trojan_name):
     netlist = trojans[trojan_name].netlist
     annotation = _random_annotation(netlist, seed=5, scale=0.97)

@@ -1,4 +1,4 @@
-"""Tests for the delay model (Eqs. 2-4) and the detection metrics (Eq. 5)."""
+"""Tests for the detection metrics and the Eq. (5) false-negative model."""
 
 import math
 
@@ -6,12 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.delay_model import (
-    NetDelayModel,
-    delay_difference,
-    detectable_trojan_delay_ps,
-    expected_difference_noise_ps,
-)
 from repro.core.metrics import (
     L1TraceMetric,
     LocalMaximaSumMetric,
@@ -126,52 +120,3 @@ def test_local_maxima_metric_difference_trace():
     spike = np.array([0.0, 1.0, 0.0, -2.0, 0.0])
     assert LocalMaximaSumMetric(min_peak_distance=1).scores_matrix(
         spike[None, :], np.zeros(5))[0] == 3.0
-
-
-# -- delay model ------------------------------------------------------------------
-
-
-def test_net_delay_model_composition(rng):
-    clean = NetDelayModel("n", static_ps=1000.0, process_variation_ps=50.0)
-    infected = NetDelayModel("n", static_ps=1000.0, process_variation_ps=50.0,
-                             trojan_extra_ps=300.0)
-    assert not clean.is_infected
-    assert infected.is_infected
-    assert clean.nominal_delay_ps() == pytest.approx(1050.0)
-    assert infected.nominal_delay_ps() == pytest.approx(1350.0)
-    measured = clean.measure(rng, noise_sigma_ps=0.0)
-    assert measured == pytest.approx(1050.0)
-    with pytest.raises(ValueError):
-        NetDelayModel("n", static_ps=-1.0)
-    with pytest.raises(ValueError):
-        clean.measure(rng, noise_sigma_ps=-1.0)
-    with pytest.raises(ValueError):
-        clean.measure_mean(rng, repetitions=0)
-
-
-def test_delay_difference_observable(rng):
-    clean = NetDelayModel("n", static_ps=1000.0)
-    infected = NetDelayModel("n", static_ps=1000.0, trojan_extra_ps=400.0)
-    golden_mean = clean.measure_mean(rng, repetitions=10, noise_sigma_ps=20.0)
-    clean_diff = delay_difference(golden_mean, clean.measure(rng, 20.0))
-    infected_diff = delay_difference(golden_mean, infected.measure(rng, 20.0))
-    assert infected_diff > clean_diff
-    assert infected_diff == pytest.approx(400.0, abs=150.0)
-
-
-def test_expected_noise_and_detectability_threshold():
-    noise = expected_difference_noise_ps(20.0, golden_repetitions=10)
-    assert noise == pytest.approx(20.0 * math.sqrt(1.1))
-    threshold = detectable_trojan_delay_ps(20.0, 10, confidence_sigmas=3.0)
-    assert threshold == pytest.approx(3.0 * noise)
-    with pytest.raises(ValueError):
-        expected_difference_noise_ps(-1.0)
-    with pytest.raises(ValueError):
-        detectable_trojan_delay_ps(10.0, 10, confidence_sigmas=0.0)
-
-
-def test_mean_of_repetitions_reduces_noise(rng):
-    model = NetDelayModel("n", static_ps=1000.0)
-    singles = [model.measure(rng, 30.0) for _ in range(200)]
-    means = [model.measure_mean(rng, 10, 30.0) for _ in range(200)]
-    assert np.std(means) < np.std(singles)

@@ -10,7 +10,6 @@ from repro.measurement.delay_meter import (
     generate_pk_pairs,
 )
 from repro.measurement.dut import DeviceUnderTest
-from repro.measurement.noise import DelayNoiseModel
 
 from oracles import measure_pair
 
@@ -110,7 +109,6 @@ def test_measure_full_campaign(meter, clean_dut, pk_pairs):
     assert measurement.num_pairs == len(pk_pairs)
     assert measurement.steps_matrix().shape == (len(pk_pairs), 3, 128)
     assert measurement.mean_delay_ps().shape == (len(pk_pairs), 128)
-    assert np.all(measurement.repetition_std_ps() >= 0)
     with pytest.raises(ValueError):
         meter.measure(clean_dut, [])
 

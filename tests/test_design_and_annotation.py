@@ -3,13 +3,12 @@
 import pytest
 
 from repro.fpga.annotation import build_delay_annotation
-from repro.fpga.design import GoldenDesign, build_golden_design_cached
-from repro.fpga.device import virtex5_lx30
+from repro.fpga.design import GoldenDesign
 from repro.fpga.power_grid import PowerGrid
 from repro.variation.inter_die import DiePopulation
 from repro.variation.intra_die import IntraDieVariation
 
-from oracles import TimingEngine
+from oracles import TimingEngine, net_delay_ps
 
 
 def test_golden_design_build_is_deterministic(golden_design):
@@ -35,18 +34,12 @@ def test_golden_design_placement_within_aes_region(golden_design):
         assert region.contains(*coord)
 
 
-def test_build_golden_design_cached_reuses_instance():
-    first = build_golden_design_cached(virtex5_lx30())
-    second = build_golden_design_cached(virtex5_lx30())
-    assert first is second
-
-
 def test_annotation_without_variation_uses_routed_delays(golden_design):
     annotation = build_delay_annotation(golden_design)
     assert annotation.cell_scale == 1.0
     assert annotation.cell_offsets_ps == {}
     some_net = next(iter(golden_design.net_delays_ps))
-    assert annotation.net_delay_ps(some_net) == pytest.approx(
+    assert net_delay_ps(annotation, some_net) == pytest.approx(
         golden_design.net_delays_ps[some_net]
     )
 
@@ -71,7 +64,7 @@ def test_annotation_adds_tap_delays_and_droop(golden_design, infected_design):
         power_grid=grid,
     )
     tapped_net = next(iter(infected_design.tap_extra_delay_ps))
-    assert annotation.net_delay_ps(tapped_net) > golden_design.net_delays_ps[tapped_net]
+    assert net_delay_ps(annotation, tapped_net) > golden_design.net_delays_ps[tapped_net]
     assert any(offset > 0 for offset in annotation.cell_offsets_ps.values())
 
 

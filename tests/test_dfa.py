@@ -9,9 +9,9 @@ from repro.analysis.dfa import (
     localise_faults,
     recover_last_round_key,
 )
-from repro.crypto.aes import INV_SHIFT_ROWS_PERM, SHIFT_ROWS_PERM
 from repro.crypto.batch import BatchedAES
 from repro.crypto.keyschedule import last_round_key
+from repro.crypto.state import INV_SHIFT_ROWS_PERM, SHIFT_ROWS_PERM
 
 from oracles import dfa_key_scores_serial
 

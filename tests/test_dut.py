@@ -1,6 +1,7 @@
 """Tests for the device-under-test abstraction."""
 
 import pytest
+from oracles import net_delay_ps
 
 from repro.measurement.dut import DeviceUnderTest
 
@@ -46,16 +47,7 @@ def test_infected_annotation_includes_taps(infected_design, die_population):
     annotation = dut.delay_annotation()
     tapped = next(iter(infected_design.tap_extra_delay_ps))
     golden_delay = infected_design.golden.net_delays_ps[tapped]
-    assert annotation.net_delay_ps(tapped) > golden_delay
-
-
-def test_intra_die_variation_can_be_disabled(golden_design, die_population):
-    with_variation = DeviceUnderTest(golden_design, die_population[0])
-    without = DeviceUnderTest(golden_design, die_population[0],
-                              enable_intra_die_variation=False)
-    assert with_variation.intra_die_variation() is not None
-    assert without.intra_die_variation() is None
-    assert without.delay_annotation().cell_offsets_ps == {}
+    assert net_delay_ps(annotation, tapped) > golden_delay
 
 
 def test_same_die_same_design_same_annotation(golden_design, die_population):
@@ -65,3 +57,33 @@ def test_same_die_same_design_same_annotation(golden_design, die_population):
     ann_b = b.delay_annotation()
     assert ann_a.cell_offsets_ps == ann_b.cell_offsets_ps
     assert ann_a.cell_scale == ann_b.cell_scale
+
+
+def test_a_die_always_applies_its_intra_die_offsets(golden_design,
+                                                    die_population):
+    dut = DeviceUnderTest(golden_design, die_population[0])
+    assert dut.intra_die_variation() is not None
+    offsets = dut.delay_annotation().cell_offsets_ps
+    assert offsets and any(value != 0.0 for value in offsets.values())
+    assert DeviceUnderTest(golden_design).delay_annotation() \
+        .cell_offsets_ps == {}
+
+
+def test_annotation_cache_is_keyed_by_design_and_die(golden_design,
+                                                     infected_design,
+                                                     die_population):
+    cache = {}
+    first = DeviceUnderTest(golden_design, die_population[0],
+                            annotation_cache=cache)
+    again = DeviceUnderTest(golden_design, die_population[0], label="again",
+                            annotation_cache=cache)
+    other_die = DeviceUnderTest(golden_design, die_population[1],
+                                annotation_cache=cache)
+    infected = DeviceUnderTest(infected_design, die_population[0],
+                               annotation_cache=cache)
+    assert again.delay_annotation() is first.delay_annotation()
+    assert other_die.delay_annotation() is not first.delay_annotation()
+    assert infected.delay_annotation() is not first.delay_annotation()
+    assert set(cache) == {(id(golden_design), die_population[0]),
+                          (id(golden_design), die_population[1]),
+                          (id(infected_design), die_population[0])}

@@ -6,10 +6,9 @@ import pytest
 from repro.measurement.dut import DeviceUnderTest
 from repro.measurement.em_probe import Amplifier, EMProbe, probe_impulse_response
 from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
-from repro.measurement.noise import EMNoiseModel
 from repro.measurement.oscilloscope import Oscilloscope
 
-from oracles import (amplify, host_cycle_activities, noiseless_trace,
+from oracles import (AES, amplify, host_cycle_activities, noiseless_trace,
                      trojan_cycle_activities)
 
 PLAINTEXT = bytes(range(16))
@@ -96,23 +95,17 @@ def test_acquisition_config_geometry():
 
 
 def test_host_activities_track_register_switching(simulator, golden_dut):
-    from repro.crypto.aes import AES
-
     activities = host_cycle_activities(simulator, AES(KEY), PLAINTEXT)
     assert len(activities) == 11
     assert all(a >= simulator.config.baseline_activity for a in activities)
 
 
 def test_trojan_activities_zero_for_clean_design(simulator, golden_dut):
-    from repro.crypto.aes import AES
-
     activities = trojan_cycle_activities(simulator, golden_dut, AES(KEY), PLAINTEXT)
     assert activities == [0.0] * 11
 
 
 def test_trojan_activities_positive_for_infected(simulator, infected_dut):
-    from repro.crypto.aes import AES
-
     activities = trojan_cycle_activities(simulator, infected_dut, AES(KEY), PLAINTEXT)
     assert len(activities) == 11
     assert all(a > 0 for a in activities)
@@ -169,8 +162,8 @@ def test_acquire_adds_bounded_noise(simulator, golden_dut, rng):
     noiseless = noiseless_trace(simulator, golden_dut, PLAINTEXT, KEY)
     acquired = simulator.acquire(golden_dut, PLAINTEXT, KEY, rng)
     residual = acquired.samples - noiseless.samples
-    sigma = simulator.config.noise.averaged_sigma(
-        simulator.config.oscilloscope.num_averages
+    sigma = simulator.config.oscilloscope.effective_noise_sigma(
+        simulator.config.noise.sigma_single_shot
     )
     assert residual.std() < 5 * sigma + simulator.config.oscilloscope.effective_lsb()
 

@@ -6,7 +6,6 @@ from repro.fpga.device import (
     AES_SLICE_UTILISATION,
     FPGADevice,
     aes_slice_budget,
-    spartan3an_700,
     virtex5_lx30,
 )
 from repro.fpga.floorplan import Floorplan, Region, default_floorplan
@@ -19,13 +18,6 @@ def test_virtex5_lx30_parameters():
     assert device.luts_per_slice == 4
     assert device.nominal_clock_period_ns == pytest.approx(1000.0 / 24.0)
     assert device.nominal_clock_period_ps == pytest.approx(1e6 / 24.0)
-
-
-def test_spartan3_parameters():
-    device = spartan3an_700()
-    assert device.nominal_clock_period_ns == 10.0
-    assert device.core_voltage_v == 1.2
-    assert device.total_slices == device.rows * device.columns
 
 
 def test_device_validation():
@@ -86,7 +78,7 @@ def test_default_floorplan_structure():
     plan = default_floorplan(device)
     plan.validate()
     assert plan.aes_region.slice_count >= aes_slice_budget(device) * 0.9
-    assert plan.free_slice_count() > 0
+    assert sum(region.slice_count for region in plan.free_regions) > 0
     for region in plan.free_regions:
         assert not region.overlaps(plan.aes_region)
 

@@ -1,13 +1,14 @@
 """Unit tests for slice maps, placement and routing."""
 
 import pytest
+from oracles import make_xor
 
 from repro.fpga.device import virtex5_lx30
 from repro.fpga.floorplan import Region
 from repro.fpga.placement import Placer, net_endpoints
 from repro.fpga.routing import Router, added_tap_delay_ps
 from repro.fpga.slices import PlacementError, SliceMap, manhattan_distance
-from repro.netlist.cells import make_dff, make_lut, make_xor
+from repro.netlist.cells import make_dff, make_lut
 from repro.netlist.netlist import Netlist
 
 
@@ -47,22 +48,17 @@ def test_slice_map_rejects_duplicates_and_out_of_bounds(device):
         slice_map.place_cell("c0", (0, 1))
     with pytest.raises(PlacementError):
         slice_map.place_cell("c1", (device.rows, 0))
-    with pytest.raises(PlacementError):
-        slice_map.slice_of("unknown")
 
 
 def test_slice_map_queries(device):
     slice_map = SliceMap(device)
     slice_map.place_cell("c0", (0, 0))
     slice_map.place_cell("c1", (0, 1), uses_lut=False, uses_ff=True)
-    assert slice_map.slice_of("c0") == (0, 0)
-    assert slice_map.is_placed("c1")
     assert slice_map.used_slice_count() == 2
-    assert (0, 0) in slice_map.occupied_slices()
-    assert slice_map.cells_in_slice((0, 1)) == ["c1"]
-    free = slice_map.free_slices([(0, 0), (0, 1), (0, 2)])
-    assert free == [(0, 2)]
-    assert 0 < slice_map.utilisation() < 1
+    assert slice_map.occupied_slices() == {(0, 0), (0, 1)}
+    assert slice_map.usage((0, 1)).cells == ["c1"]
+    assert (slice_map.usage((0, 1)).luts_used,
+            slice_map.usage((0, 1)).ffs_used) == (0, 1)
 
 
 def test_placer_places_all_cells_inside_region(device):

@@ -230,3 +230,28 @@ def test_required_separation_values_are_pinned():
             for rate in (0.26, 0.17, 0.05, 0.001)] == [
         2.187374378335918, 3.2441618606970604, 5.592502331635008,
         10.506789840970564]
+
+
+def test_forked_workers_share_one_numpy_import(tmp_path):
+    """A cold two-worker run imports NumPy once, in the parent before it
+    forks, not once per worker: ``-X importtime`` reports every
+    process's imports on the shared stderr, one line per top-level
+    ``numpy`` import."""
+    argv = ["campaign", "run", "--trojan", "HT1", "--dies", "3",
+            "--dies", "4", "--metric", "delay_max_difference",
+            "--metric", "fault_coverage", "--pk-pairs", "2",
+            "--delay-repetitions", "1", "--plaintexts", "2",
+            "--workers", "2", "--seed", "4",
+            "--store", str(tmp_path / "store"),
+            "--out", str(tmp_path / "out")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    completed = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    numpy_imports = [line for line in completed.stderr.splitlines()
+                     if line.startswith("import time:")
+                     and line.rsplit("|", 1)[-1] == " numpy"]
+    assert len(numpy_imports) == 1, numpy_imports

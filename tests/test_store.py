@@ -9,8 +9,14 @@ import shutil
 
 import numpy as np
 import pytest
+from chaos import lose_object
 
-from repro.campaigns import CampaignEngine, CampaignSpec
+from repro.campaigns import (
+    AcquisitionVariant,
+    CampaignEngine,
+    CampaignResult,
+    CampaignSpec,
+)
 from repro.campaigns.engine import _DelayStudyData
 from repro.core.pipeline import PopulationTraceTensors
 from repro.store import (
@@ -98,6 +104,108 @@ def test_cell_result_key_ignores_execution_only_fields(tmp_path):
     reseeded = CampaignSpec(name="a", trojans=("HT1",), die_counts=(2,),
                             seed=1)
     assert cell_key(spec) != cell_key(reseeded)
+
+
+#: A spec with one cell of each kind on 8 dies; its glitch axes are set
+#: so each axis can change on its own.
+_KEYED_SPEC = dict(
+    trojans=("HT1",), die_counts=(8,),
+    variants=(AcquisitionVariant.make(
+        "paper", {"oscilloscope.num_averages": 200}),),
+    metrics=("local_maxima_sum", "delay_max_difference", "fault_coverage"),
+    glitch_offsets_ps=(200.0,), glitch_widths_ps=(300.0,),
+    glitch_periods_ps=(4000.0,))
+
+#: One spec change per entry, and whether it changes the artifact an
+#: EM, a delay and a fault cell scores.
+_SPEC_CHANGES = {
+    "seed": ({"seed": 7}, (True, True, True)),
+    "trojans": ({"trojans": ("HT1", "HT2")}, (True, True, True)),
+    "key": ({"key": bytes(16)}, (True, False, True)),
+    "plaintext": ({"plaintext": bytes(range(1, 17))}, (True, False, True)),
+    "num_plaintexts": ({"num_plaintexts": 3}, (True, False, True)),
+    "num_pk_pairs": ({"num_pk_pairs": 5}, (False, True, False)),
+    "delay_repetitions": ({"delay_repetitions": 2}, (False, True, True)),
+    "glitch_offsets_ps": ({"glitch_offsets_ps": (250.0,)},
+                          (False, False, True)),
+    "glitch_widths_ps": ({"glitch_widths_ps": (350.0,)},
+                         (False, False, True)),
+    "glitch_periods_ps": ({"glitch_periods_ps": (3900.0,)},
+                          (False, False, True)),
+    "em_overrides": ({"variants": (AcquisitionVariant.make(
+        "paper", {"oscilloscope.num_averages": 300}),)},
+        (True, False, False)),
+    "variant_name": ({"variants": (AcquisitionVariant.make(
+        "renamed", {"oscilloscope.num_averages": 200}),)},
+        (False, False, False)),
+    "added_variant": ({"variants": (
+        AcquisitionVariant.make("paper", {"oscilloscope.num_averages": 200}),
+        AcquisitionVariant.make("quiet",
+                                {"noise.sigma_single_shot": 100.0}))},
+        (False, False, False)),
+    "name": ({"name": "renamed"}, (False, False, False)),
+    "added_die_count": ({"die_counts": (8, 16)}, (False, False, False)),
+    "reordered_die_counts": ({"die_counts": (16, 8)}, (False, False, False)),
+    "added_metrics": ({"metrics": ("local_maxima_sum", "l1",
+                                   "delay_max_difference",
+                                   "delay_mean_pair_max", "fault_coverage")},
+                      (False, False, False)),
+    "reordered_metrics": ({"metrics": ("fault_coverage",
+                                       "delay_max_difference",
+                                       "local_maxima_sum")},
+                          (False, False, False)),
+    "execution_settings": ({"workers": 2, "save_traces": True,
+                            "max_retries": 5, "cell_timeout_s": 9.0,
+                            "retry_backoff_s": 0.1}, (False, False, False)),
+}
+
+_CELL_KINDS = {"em": "local_maxima_sum", "delay": "delay_max_difference",
+               "fault": "fault_coverage"}
+
+
+def _cell_and_artifact_keys(store_dir, metric, **changes):
+    """The completion-record key of the 8-die, ``paper``-variant cell of
+    ``metric`` and the store key of the artifact it scores."""
+    spec = CampaignSpec(**dict(_KEYED_SPEC, **changes))
+    engine = CampaignEngine(spec, store=store_dir)
+    cell = next(cell for cell in spec.grid()
+                if cell.num_dies == 8 and cell.metric == metric
+                and cell.variant == spec.variants[0])
+    kind, _, inputs = engine._artifact_inputs(cell)
+    artifact_key = engine._store_key(
+        kind, **engine._artifact_key_fields(cell, inputs))
+    return engine._cell_key(cell), artifact_key
+
+
+@pytest.mark.parametrize("kind", list(_CELL_KINDS))
+@pytest.mark.parametrize("change", list(_SPEC_CHANGES))
+def test_cell_key_follows_exactly_the_artifact_it_scores(tmp_path, change,
+                                                         kind):
+    """A completion record is keyed by what computes its cell: a spec
+    change moves the record key exactly when it moves the key of the
+    stored artifact the cell scores, so growing, reordering or renaming
+    the grid, or changing a field the cell never reads, resumes it."""
+    changes, moves = _SPEC_CHANGES[change]
+    metric = _CELL_KINDS[kind]
+    base_cell, base_artifact = _cell_and_artifact_keys(tmp_path, metric)
+    cell, artifact = _cell_and_artifact_keys(tmp_path, metric, **changes)
+    expected = moves[list(_CELL_KINDS).index(kind)]
+    assert (artifact != base_artifact) is expected
+    assert (cell != base_cell) is expected
+
+
+@pytest.mark.parametrize("metrics", [
+    ("local_maxima_sum", "l1"),
+    ("local_maxima_sum", "max_difference"),
+    ("delay_max_difference", "delay_mean_pair_max"),
+], ids=["em-l1", "em-max_difference", "delay-delay_mean_pair_max"])
+def test_cell_key_tells_the_metrics_of_one_artifact_apart(tmp_path, metrics):
+    """Two metrics scoring one artifact share its key, not their record."""
+    first, second = (_cell_and_artifact_keys(tmp_path, metric,
+                                             metrics=metrics)
+                     for metric in metrics)
+    assert first[1] == second[1]
+    assert first[0] != second[0]
 
 
 # -- round trips --------------------------------------------------------------
@@ -288,7 +396,7 @@ def test_partial_temp_file_never_surfaces_as_hit(tmp_path):
 
 def test_store_io_leaves_no_temp_files(tmp_path):
     """Every write goes temp file then rename: after puts, overwrites
-    and discards, only final names remain under the store root."""
+    and a lost object, only final names remain under the store root."""
     store = ArtifactStore(tmp_path / "store")
     key = stable_key({"layout": "json"})
     akey = stable_key({"layout": "arrays"})
@@ -299,7 +407,7 @@ def test_store_io_leaves_no_temp_files(tmp_path):
     assert sorted(store.keys()) == sorted([key, akey])
     assert len(store) == 2
     assert store.load_json(stable_key({"layout": "missing"})) is None
-    assert store.discard(key)
+    assert lose_object(store, key)
     assert store.load_json(key) is None
     names = [path.name for path in store.root.rglob("*") if path.is_file()
              and path.parent in (store.objects_dir, store.manifest_dir)]
@@ -327,16 +435,6 @@ def test_corrupt_manifest_entry_is_a_miss(tmp_path):
     store.put_json(key, {"v": 1})
     (store.manifest_dir / f"{key}.json").write_text("{not json")
     assert key not in store
-
-
-def test_discard_removes_entry_and_object(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    key = stable_key({"gone": True})
-    store.put_json(key, {"v": 1})
-    assert store.discard(key)
-    assert key not in store
-    assert not store.discard(key)
-    assert len(store) == 0
 
 
 # -- manifest-driven resume ---------------------------------------------------
@@ -409,6 +507,62 @@ def test_cli_rerun_reports_every_cell_resumed(tmp_path, capsys):
     assert "(2 cell(s) resumed)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("metrics, added", [
+    (("local_maxima_sum", "l1"), "max_difference"),
+    (("delay_max_difference", "fault_coverage"), "delay_mean_pair_max"),
+], ids=["em", "delay_fault"])
+def test_adding_a_metric_resumes_every_stored_cell(tmp_path, capsys,
+                                                   metrics, added):
+    """A completion record is keyed by what computes its cell (the
+    artifact it scores and its metric), not by the whole spec and the
+    grid index: adding a metric to a stored 8 + 16-die campaign resumes
+    its four cells, and the result equals a cold run of the wider spec
+    row for row."""
+    from repro.cli import main
+
+    def run(metric_names, store, out):
+        argv = ["campaign", "run", "--trojan", "HT1", "--dies", "8",
+                "--dies", "16", "--plaintexts", "2", "--pk-pairs", "2",
+                "--delay-repetitions", "1", "--seed", "4",
+                "--store", str(store), "--out", str(out)]
+        for metric in metric_names:
+            argv += ["--metric", metric]
+        assert main(argv) == 0
+        (summary,) = out.glob("*.json")
+        rows = CampaignResult.from_dict(json.loads(summary.read_text())).rows()
+        return capsys.readouterr().out, [row.to_dict() for row in rows]
+
+    store = tmp_path / "store"
+    output, _ = run(metrics, store, tmp_path / "cold")
+    assert "(0 cell(s) resumed)" in output
+    wider = (*metrics, added)
+    output, resumed_rows = run(wider, store, tmp_path / "warm")
+    assert "(4 cell(s) resumed)" in output
+    _, cold_rows = run(wider, tmp_path / "fresh", tmp_path / "reference")
+    assert len(cold_rows) == 6
+    assert resumed_rows == cold_rows
+
+
+
+def test_a_resumed_record_is_restamped_to_the_current_grid(tmp_path):
+    """A record written at grid index 0 under variant ``paper`` resumes
+    at index 1 under the renamed variant of a wider grid."""
+    store = tmp_path / "store"
+    spec = CampaignSpec(trojans=("HT1",), die_counts=(2,), metrics=("l1",),
+                        seed=4)
+    CampaignEngine(spec, store=store).run()
+    wider = CampaignSpec(trojans=("HT1",), die_counts=(2,),
+                         variants=(AcquisitionVariant.make("renamed"),),
+                         metrics=("local_maxima_sum", "l1"), seed=4)
+    engine = CampaignEngine(wider, store=store)
+    first, second = wider.grid()
+    assert engine.load_cell_result(first) is None
+    resumed = engine.load_cell_result(second)
+    assert (resumed.index, resumed.variant) == (1, "renamed")
+    assert resumed.rows
+    assert {(row.cell_index, row.variant) for row in resumed.rows} == \
+        {(1, "renamed")}
+
 def test_resumed_run_still_writes_trace_archives(tmp_path):
     """Archive ownership falls to a cell that actually executes.
 
@@ -429,7 +583,7 @@ def test_resumed_run_still_writes_trace_archives(tmp_path):
     # Interrupted-run shape: the owner cell (index 0) completed, the
     # other metric cell did not.
     owner, follower = spec.grid()
-    assert engine.store.discard(engine._cell_key(follower))
+    assert lose_object(engine.store, engine._cell_key(follower))
 
     resumed = CampaignEngine(spec, store=store_dir).run(
         artifact_dir=tmp_path / "out2"
@@ -451,7 +605,7 @@ def test_deleting_one_completion_recomputes_only_that_cell(tmp_path,
 
     victim = resume_spec.grid()[1]
     store_key = engine._cell_key(victim)
-    assert engine.store.discard(store_key)
+    assert lose_object(engine.store, store_key)
 
     recomputed = []
     rerun = _counting_engine(resume_spec, store_dir, recomputed).run()

@@ -391,29 +391,6 @@ def test_manifest_entry_tolerates_unknown_extra_fields():
     assert entry.meta == {"a": 1} and entry.digest == "0" * 64
 
 
-# -- discard ------------------------------------------------------------------
-
-
-def test_discard_removes_object_despite_unreadable_manifest(store):
-    """Regression: a torn manifest entry must not leak the object forever."""
-    key = stable_key({"discard": "me"})
-    store.put_arrays(key, {"x": np.arange(3.0)})
-    (store.manifest_dir / f"{key}.json").write_text("{torn")
-    assert store.entry(key) is None
-    assert store.discard(key)
-    assert not (store.objects_dir / f"{key}.npz").exists()
-    assert not (store.manifest_dir / f"{key}.json").exists()
-    assert store.fsck().clean()
-
-
-def test_discard_removes_entry_and_both_candidate_objects(store):
-    key = stable_key({"discard": "both"})
-    store.put_json(key, {"v": 1})
-    assert store.discard(key)
-    assert key not in store
-    assert not store.discard(key)
-
-
 # -- engine read-through ------------------------------------------------------
 
 

@@ -62,7 +62,7 @@ PINNED = {
     "infected_summary":
         "5418b4f2169d264b9e5521cf98fb641caf32351016a02859fb2b9b2d07e7a379",
     "campaign_cell":
-        "fce7762f7fc56676614ae1432c2bcc8371f79af7bc3a08f823927a7075ecc99a",
+        "295a59b7e2a344a52a92abcaee0f03801b0b1282c95e0273e495f303b711714c",
 }
 
 #: The paper geometry of ``campaign run --dies 4 --seed 2015`` and of

@@ -21,6 +21,7 @@ from repro.measurement.delay_meter import PathDelayMeter
 from repro.measurement.em_simulator import EMSimulator
 from repro.store.artifact_store import encode_array_bytes
 
+from chaos import lose_object
 from oracles import (
     pack_delay_differences,
     pack_fault_sweep,
@@ -117,10 +118,13 @@ def test_store_written_by_the_oracles_resumes_warm(monkeypatch, tmp_path,
     assert rerun.resumed == len(spec.grid())
     assert [row.to_dict() for row in rerun.rows()] == \
         [row.to_dict() for row in cold.rows()]
-    # Reordered metrics give new cell keys but the same intermediates:
-    # every cell is scored from the oracle-written tensors.
+    # With the completion records lost (reordered metrics find the same
+    # ones), every cell is scored from the oracle-written tensors.
     reordered = dataclasses.replace(spec, metrics=spec.metrics[::-1])
-    warm = CampaignEngine(reordered, golden=golden_design, store=store).run()
+    warm_engine = CampaignEngine(reordered, golden=golden_design, store=store)
+    for cell in reordered.grid():
+        assert lose_object(warm_engine.store, warm_engine._cell_key(cell))
+    warm = warm_engine.run()
     assert warm.resumed == 0
     assert acquisitions == [] and measurements == [] and sweeps == []
     monkeypatch.undo()

@@ -5,14 +5,22 @@ import pytest
 from repro.trojan.base import TrojanKind
 from repro.trojan.sequential import SequentialTrojan, build_sequential_trojan
 
-from oracles import NO_ACTIVITY, round_activity
+from oracles import (
+    NO_ACTIVITY,
+    counter_register_values,
+    is_triggered_at,
+    netlist_stats,
+    next_register_values,
+    round_activity,
+    tap_values,
+)
 
 
 def test_kind_and_structure(sequential_trojan):
     assert sequential_trojan.kind == TrojanKind.SEQUENTIAL
     assert sequential_trojan.tapped_host_nets == []
     assert sequential_trojan.counter_width == 8
-    stats = sequential_trojan.netlist.stats()
+    stats = netlist_stats(sequential_trojan.netlist)
     assert stats["DFF"] >= 8
 
 
@@ -26,44 +34,44 @@ def test_constructor_validation():
 
 
 def test_counter_register_values_encoding(sequential_trojan):
-    values = sequential_trojan.counter_register_values(0b1011)
+    values = counter_register_values(sequential_trojan, 0b1011)
     assert values["cnt_q0"] == 1
     assert values["cnt_q1"] == 1
     assert values["cnt_q2"] == 0
     assert values["cnt_q3"] == 1
     # Values wrap at the counter width.
-    wrapped = sequential_trojan.counter_register_values(1 << 8)
+    wrapped = counter_register_values(sequential_trojan, 1 << 8)
     assert all(bit == 0 for bit in wrapped.values())
 
 
 def test_comparator_fires_only_at_compare_value():
     trojan = SequentialTrojan("t", counter_width=8, compare_value=0x5A)
-    assert trojan.is_triggered_at(0x5A)
-    assert not trojan.is_triggered_at(0x59)
-    assert not trojan.is_triggered_at(0)
+    assert is_triggered_at(trojan, 0x5A)
+    assert not is_triggered_at(trojan, 0x59)
+    assert not is_triggered_at(trojan, 0)
 
 
 def test_default_compare_value_unreachable(sequential_trojan):
     assert sequential_trojan.compare_value == (1 << 8) - 1
     for value in range(0, 200, 13):
         if value != sequential_trojan.compare_value:
-            assert not sequential_trojan.is_triggered_at(value)
+            assert not is_triggered_at(sequential_trojan, value)
 
 
 def test_counter_increment_logic(sequential_trojan):
     """The ripple-carry increment produces value + 1 at the D inputs."""
     netlist = sequential_trojan.netlist
     for value in (0, 1, 7, 127, 254):
-        regs = sequential_trojan.counter_register_values(value)
-        next_regs = netlist.next_register_values({"inc": 1}, regs)
+        regs = counter_register_values(sequential_trojan, value)
+        next_regs = next_register_values(netlist, {"inc": 1}, regs)
         observed = sum(next_regs[f"cnt_q{bit}"] << bit for bit in range(8))
         assert observed == (value + 1) % 256
 
 
 def test_counter_holds_without_increment(sequential_trojan):
     netlist = sequential_trojan.netlist
-    regs = sequential_trojan.counter_register_values(37)
-    next_regs = netlist.next_register_values({"inc": 0}, regs)
+    regs = counter_register_values(sequential_trojan, 37)
+    next_regs = next_register_values(netlist, {"inc": 0}, regs)
     observed = sum(next_regs[f"cnt_q{bit}"] << bit for bit in range(8))
     assert observed == 37
 
@@ -87,7 +95,7 @@ def test_activity_larger_on_carry_chains(sequential_trojan):
 
 
 def test_tap_values_empty(sequential_trojan):
-    assert sequential_trojan.tap_values(bytes(16)) == {}
+    assert tap_values(sequential_trojan, bytes(16)) == {}
 
 
 def test_build_helper_with_payload():

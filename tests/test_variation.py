@@ -6,12 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import cell_offset_ps
 from repro.fpga.power_grid import _victim_droop_offsets
-from repro.variation.bowman import (
-    BowmanParameters,
-    die_to_die_dominance,
-    fmax_statistics,
-    sample_die_critical_delays,
-)
 from repro.variation.inter_die import DiePopulation, DieProfile
 from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.variation.intra_die import (
@@ -52,9 +46,6 @@ def test_intra_die_offsets_for_positions():
     positions = {f"c{k}": (k, 2 * k) for k in range(10)}
     offsets = variation.offsets_for(positions)
     assert set(offsets) == set(positions)
-    assert variation.total_sigma_ps() == pytest.approx(
-        np.hypot(variation.sigma_spatial_ps, variation.sigma_random_ps)
-    )
 
 
 def _positions(count=40):
@@ -205,10 +196,10 @@ def test_die_population_reproducible_and_prefix_stable():
 
 def test_die_population_spread_parameters():
     population = DiePopulation(size=50, seed=1, sigma_delay_scale=0.05)
-    scales = np.array(population.delay_scales())
+    scales = np.array([die.delay_scale for die in population])
     assert 0.9 < scales.mean() < 1.1
     assert scales.std() > 0.01
-    assert len(population.em_gains()) == 50
+    assert len([die.em_gain for die in population]) == 50
 
 
 def test_die_population_validation():
@@ -216,41 +207,3 @@ def test_die_population_validation():
         DiePopulation(size=0)
     with pytest.raises(ValueError):
         DiePopulation(size=2, sigma_em_gain=-0.1)
-
-
-def test_bowman_parameters_validation():
-    with pytest.raises(ValueError):
-        BowmanParameters(nominal_delay_ps=0, sigma_within_die_ps=1,
-                         sigma_die_to_die_ps=1)
-    with pytest.raises(ValueError):
-        BowmanParameters(nominal_delay_ps=100, sigma_within_die_ps=-1,
-                         sigma_die_to_die_ps=1)
-
-
-def test_bowman_critical_delay_exceeds_nominal():
-    params = BowmanParameters(nominal_delay_ps=1000, sigma_within_die_ps=20,
-                              sigma_die_to_die_ps=30, num_critical_paths=64)
-    delays = sample_die_critical_delays(params, num_dies=200, seed=3)
-    assert delays.shape == (200,)
-    # Taking a max over many paths biases the critical delay above nominal.
-    assert delays.mean() > params.nominal_delay_ps
-
-
-def test_bowman_statistics_and_dominance():
-    params = BowmanParameters(nominal_delay_ps=1000, sigma_within_die_ps=20,
-                              sigma_die_to_die_ps=30)
-    stats = fmax_statistics(params, num_dies=500, seed=1)
-    assert stats["mean_delay_ps"] > 1000
-    assert stats["std_delay_ps"] > 0
-    assert 0 < stats["mean_fmax_ghz"] < 1.1
-    dominance = die_to_die_dominance(params)
-    assert 0.5 < dominance < 1.0
-    assert die_to_die_dominance(
-        BowmanParameters(1000, 0.0, 0.0)
-    ) == 0.0
-
-
-def test_bowman_rejects_bad_die_count():
-    params = BowmanParameters(1000, 10, 10)
-    with pytest.raises(ValueError):
-        sample_die_critical_delays(params, num_dies=0)
