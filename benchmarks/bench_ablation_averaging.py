@@ -5,23 +5,21 @@ the residual noise (and therefore the same-die detection margin)
 degrade with fewer averages?
 """
 
-import numpy as np
 import pytest
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
-from repro.measurement.em_simulator import EMAcquisitionConfig
+from repro.campaigns import CampaignSpec
+from repro.core.pipeline import HTDetectionPlatform
+from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
 from repro.measurement.oscilloscope import Oscilloscope
 
 
 @pytest.mark.parametrize("num_averages", [10, 100, 1000])
 def test_averaging_ablation(benchmark, platform, num_averages):
-    em_config = EMAcquisitionConfig(
-        oscilloscope=Oscilloscope(num_averages=num_averages)
-    )
-    ablated = HTDetectionPlatform(
-        config=PlatformConfig(num_dies=2, em=em_config),
-        golden=platform.golden,
-    )
+    ablated = HTDetectionPlatform(CampaignSpec(die_counts=(2,)),
+                                  golden=platform.golden)
+    # The ablation varies the Sec. IV bench, so it brings its own.
+    ablated.em_simulator = EMSimulator(EMAcquisitionConfig(
+        oscilloscope=Oscilloscope(num_averages=num_averages)))
 
     def run_study():
         return ablated.run_same_die_em_study(("HT_comb",))

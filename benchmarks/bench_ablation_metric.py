@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.em_detector import PopulationEMDetector
 from repro.core.metrics import L1TraceMetric, LocalMaximaSumMetric, MaxDifferenceMetric
-from repro.experiments.config import FIXED_KEY, FIXED_PLAINTEXT
 
 METRICS = {
     "local_maxima_sum": LocalMaximaSumMetric(),
@@ -23,8 +22,7 @@ METRICS = {
 
 @pytest.fixture(scope="module")
 def population(platform):
-    return platform.acquire_population_tensors(("HT2",), [FIXED_PLAINTEXT],
-                                               FIXED_KEY)
+    return platform.acquire_population_tensors(("HT2",))
 
 
 @pytest.mark.parametrize("metric_name", sorted(METRICS))

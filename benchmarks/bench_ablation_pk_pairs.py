@@ -7,7 +7,6 @@ of bits ever observed and the worst trojan-induced shift grow with the
 number of pairs.
 """
 
-import numpy as np
 import pytest
 
 

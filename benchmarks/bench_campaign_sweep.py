@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.core.em_detector import PopulationEMDetector
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.core.pipeline import HTDetectionPlatform
 
 from oracles import (
     acquire_population_traces,
@@ -35,9 +35,8 @@ SEED = 2015
 
 
 def _build_platform() -> HTDetectionPlatform:
-    return HTDetectionPlatform(
-        config=PlatformConfig(num_dies=NUM_DIES, seed=SEED)
-    )
+    return HTDetectionPlatform(CampaignSpec(die_counts=(NUM_DIES,),
+                                            seed=SEED))
 
 
 def _serial_study(platform: HTDetectionPlatform):
@@ -67,7 +66,7 @@ def test_batched_campaign_matches_serial_and_is_2x_faster(benchmark):
     engine = CampaignEngine(spec)
     cell_spec = engine.spec.grid()[0]
     for name in TROJANS:
-        engine.platform_for(cell_spec).infected_design(name)
+        engine.platform.infected_design(name)
     start = time.perf_counter()
     cell = engine.run_cell(cell_spec)
     engine_seconds = time.perf_counter() - start

@@ -16,11 +16,9 @@ import time
 
 import numpy as np
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
-from repro.measurement.delay_meter import (
-    DelayMeasurementConfig,
-    generate_pk_pairs,
-)
+from repro.campaigns import CampaignSpec
+from repro.core.pipeline import HTDetectionPlatform
+from repro.measurement.delay_meter import generate_pk_pairs
 
 from oracles import (
     TimingEngine,
@@ -37,12 +35,8 @@ MIN_SPEEDUP = 5.0
 
 
 def _build_bench() -> tuple:
-    platform = HTDetectionPlatform(
-        config=PlatformConfig(
-            num_dies=2, seed=SEED,
-            delay=DelayMeasurementConfig(repetitions=3, seed=SEED),
-        )
-    )
+    platform = HTDetectionPlatform(CampaignSpec(
+        die_counts=(2,), seed=SEED, delay_repetitions=3))
     meter = platform.delay_meter
     pairs = generate_pk_pairs(NUM_PAIRS, seed=SEED + 7)
     # The Fig. 3 device set: two clean controls and the two Sec. III

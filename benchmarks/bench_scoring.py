@@ -42,7 +42,8 @@ from repro.analysis.traces import stack_traces
 from repro.core.fingerprint import EMReference
 from repro.core.metrics import LocalMaximaSumMetric, false_negative_rate
 from repro.core.em_detector import PopulationEMDetector
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.campaigns import CampaignSpec
+from repro.core.pipeline import HTDetectionPlatform
 
 from interleave import SAMPLES, interleaved_medians
 from oracles import (
@@ -105,9 +106,8 @@ def _seed_score(trace, reference):
 
 
 def _acquire_population():
-    platform = HTDetectionPlatform(
-        config=PlatformConfig(num_dies=NUM_DIES, seed=SEED)
-    )
+    platform = HTDetectionPlatform(CampaignSpec(die_counts=(NUM_DIES,),
+                                                seed=SEED))
     return acquire_population_traces(platform, TROJANS)
 
 

@@ -18,7 +18,8 @@ import time
 
 import numpy as np
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.campaigns import CampaignSpec
+from repro.core.pipeline import HTDetectionPlatform
 from repro.stimulus import DEFAULT_KEY, random_plaintexts
 
 from oracles import acquire_many
@@ -30,9 +31,8 @@ SEED = 2015
 
 
 def _build_population():
-    platform = HTDetectionPlatform(
-        config=PlatformConfig(num_dies=NUM_DIES, seed=SEED)
-    )
+    platform = HTDetectionPlatform(CampaignSpec(die_counts=(NUM_DIES,),
+                                                seed=SEED))
     duts = [platform.infected_dut(TROJAN, die) for die in range(NUM_DIES)]
     return platform, duts
 

@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one paper artefact (figure, table or
-headline number) on the *fast* experiment profile — identical code
-paths, reduced campaign sizes — and attaches the regenerated numbers to
-the benchmark record through ``benchmark.extra_info`` so that the
-paper-vs-measured comparison is part of the benchmark output.
+The benchmarks are the ablations of the paper's design choices (on the
+quick suite campaign: identical code paths, reduced sizes) and the
+speed-up gates of the batched kernels.  Each attaches its measured
+numbers to the benchmark record through ``benchmark.extra_info``.
+The figure drivers are checked by ``tests/test_experiments.py`` and
+timed end to end by ``e2e_bench``.
 
 The harness is self-contained: it runs headless from a clean checkout
 (``pytest benchmarks/``) with no install step — ``src/`` is put on
@@ -39,8 +40,8 @@ for _path in (_ROOT / "tests", _ROOT / "src"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-from repro.campaigns import CampaignEngine  # noqa: E402
-from repro.experiments.config import ExperimentConfig  # noqa: E402
+from repro.core.pipeline import HTDetectionPlatform  # noqa: E402
+from repro.experiments import suite_spec  # noqa: E402
 
 try:
     import pytest_benchmark  # noqa: F401
@@ -127,21 +128,6 @@ def pytest_runtest_teardown(item):
 
 
 @pytest.fixture(scope="session")
-def config():
-    """Fast experiment profile shared by all benchmarks."""
-    return ExperimentConfig.fast()
-
-
-@pytest.fixture(scope="session")
-def platform(config):
-    """One detection platform shared by all benchmarks."""
-    return config.build_platform()
-
-
-@pytest.fixture
-def suite_engine(config, platform):
-    """``suite_engine()``: a fresh engine over the suite's campaign on
-    the shared golden design, so a timed round re-acquires the Sec. V
-    population the way one suite run does."""
-    return lambda: CampaignEngine(config.campaign_spec(),
-                                  golden=platform.golden)
+def platform():
+    """The quick suite campaign's platform, shared by the ablations."""
+    return HTDetectionPlatform(suite_spec(quick=True))

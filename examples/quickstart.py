@@ -3,9 +3,10 @@
 
 This example walks the shortest path through the library:
 
-1. describe the paper's Sec. V campaign (HT1/HT2/HT3 over a die
-   population) and take its detection platform (golden AES design, die
-   population, simulated measurement benches) from a campaign engine,
+1. describe the paper's suite as one campaign (HT1/HT2/HT3 over a die
+   population, with its (P, K) pairs and delay repetitions) and take
+   its detection platform (golden AES design, die population, simulated
+   measurement benches) from a campaign engine,
 2. run the delay-based detection of Sec. III on one die,
 3. run the inter-die EM detection of Sec. V on the HT1/HT2/HT3 size
    sweep and print the false-negative rates the paper's headline result
@@ -29,7 +30,7 @@ from repro.core.report import (
     population_em_report,
     same_die_em_report,
 )
-from repro.experiments import ExperimentConfig
+from repro.experiments import suite_spec
 
 
 def main() -> None:
@@ -38,17 +39,15 @@ def main() -> None:
                         help="use the paper's full campaign sizes")
     args = parser.parse_args()
 
-    config = ExperimentConfig.paper() if args.paper else ExperimentConfig.fast()
-    engine = CampaignEngine(config.campaign_spec())
-    (cell,) = engine.spec.grid()
-    platform = engine.platform_for(cell)
+    engine = CampaignEngine(suite_spec(quick=not args.paper))
+    platform = engine.platform
 
     print("=" * 72)
     print("Delay-based detection (Sec. III): clock-glitch path-delay comparison")
     print("=" * 72)
     delay_study = platform.run_delay_study(
         trojan_names=("HT_comb", "HT_seq"),
-        num_pairs=min(config.num_pk_pairs, 10),
+        num_pairs=min(engine.spec.num_pk_pairs, 10),
     )
     print(delay_study_report(delay_study))
     print()
@@ -63,6 +62,7 @@ def main() -> None:
     print("=" * 72)
     print("Inter-die EM detection (Sec. V): HT size sweep across the die population")
     print("=" * 72)
+    (cell,) = engine.spec.grid()
     population = engine.population_study(cell)
     print(population_em_report(population))
     print()

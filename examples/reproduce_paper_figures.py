@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.experiments import ExperimentConfig, run_all
+from repro.experiments import run_all, suite_spec
 from repro.io import save_result, save_traces
 
 
@@ -31,8 +31,7 @@ def main() -> None:
                         help="output directory for archived results")
     args = parser.parse_args()
 
-    config = ExperimentConfig.paper() if args.paper else ExperimentConfig.fast()
-    suite = run_all(config)
+    suite = run_all(suite_spec(quick=not args.paper))
 
     print(suite.summary_table())
     print()

@@ -24,6 +24,11 @@ Quick start (the paper's Sec. V study, one cell of a campaign)::
     (cell,) = engine.spec.grid()
     print(engine.population_study(cell).false_negative_rates())
 
+The whole paper suite is one campaign too,
+:func:`repro.experiments.suite_spec`: every figure driver is
+``run(engine, ...)`` on one engine over it, and
+``repro.experiments.run_all(suite_spec())`` runs all of them.
+
 Every name in ``__all__`` is resolved lazily on first access (PEP 562),
 so ``import repro`` loads no subpackage and a command pays only for the
 modules it uses.
@@ -77,7 +82,6 @@ _EXPORTS = {
     "HTDetectionPlatform": ".core",
     "LocalMaximaSumMetric": ".core",
     "PathDelayMeter": ".measurement",
-    "PlatformConfig": ".core",
     "PopulationEMDetector": ".core",
     "SameDieEMDetector": ".core",
     "build_trojan": ".trojan",

@@ -6,12 +6,12 @@ grid far faster than naively re-running a population study per cell:
 * **batched acquisition** — every (design, die-population) trace set is
   synthesised in one vectorised NumPy pass
   (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch_tensor`);
-* **memoised designs** — the golden design is built once and trojan
-  insertion happens once per trojan name, shared by every grid cell
-  through a common infected-design cache; likewise each (design, die)
-  delay annotation is built once per engine and shared by the devices
-  of every platform (a smaller population's dies are a prefix of a
-  larger one's, and delay and fault cells probe the same devices);
+* **one platform** — every cell runs on the engine's one
+  :class:`~repro.core.pipeline.HTDetectionPlatform`, whose population
+  holds the grid's largest die count (a smaller population's dies are
+  its prefix): the golden design is built once, trojan insertion
+  happens once per trojan name and each (design, die) delay annotation
+  once per engine, since delay and fault cells probe the same devices;
 * **memoised fingerprints** — acquired trace sets and the fitted golden
   EM references are cached per (die count, acquisition variant), so
   cells that differ only in the detection metric re-score cached traces
@@ -96,10 +96,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
     from ..fpga.design import GoldenDesign
     from ..fpga.device import FPGADevice
-    from ..measurement.delay_meter import DelayMeasurementConfig
     from ..measurement.em_simulator import EMTrace
     from ..store import ArtifactStore
-    from ..trojan.insertion import InfectedDesign
 
 PathLike = Union[str, Path]
 
@@ -481,22 +479,15 @@ class CampaignEngine:
                               Mapping[str, Any]] = None):
         self.spec = spec
         self.device = device or virtex5_lx30()
-        # The golden design is built lazily: a fully warm store-backed
-        # run needs no design at all, so it must not pay for synthesis.
+        #: The golden design given to the engine (``None``: the platform
+        #: builds the default one).
         self._golden: Optional[GoldenDesign] = golden
         self._golden_signature: Any = (
             DEFAULT_GOLDEN_SIGNATURE if golden is None
             else golden_signature(golden)
         )
         self.store: Optional[ArtifactStore] = build_store(store)
-        #: Trojan insertion cache shared by every platform of the grid.
-        self._infected_cache: Dict[str, InfectedDesign] = {}
-        #: Delay annotations per (design, die), shared by the DUTs of
-        #: every platform: the dies of a smaller population are a prefix
-        #: of a larger one, and delay and fault cells probe the same
-        #: devices.
-        self._annotation_cache: Dict[Tuple[Any, ...], Any] = {}
-        self._platform_cache: Dict[Tuple[int, str], HTDetectionPlatform] = {}
+        self._platform: Optional[HTDetectionPlatform] = None
         #: Read-through memo of every store-backed artifact, keyed by
         #: ``(kind, key)``: population tensors per acquisition key, delay
         #: and fault-sweep data per die count (both independent of the EM
@@ -511,31 +502,22 @@ class CampaignEngine:
         self._active_indices: Optional[frozenset] = None
 
     @property
-    def golden(self) -> GoldenDesign:
-        """The golden design (built on first use)."""
-        if self._golden is None:
-            from ..fpga.design import GoldenDesign
+    def platform(self) -> HTDetectionPlatform:
+        """The detection platform every cell runs on (built on first use).
 
-            self._golden = GoldenDesign.build(device=self.device)
-        return self._golden
+        Built lazily: a fully warm store-backed run needs no design at
+        all, so it must not pay for synthesis.  Its population holds
+        ``max(spec.die_counts)`` dies and its delay bench is the spec's
+        (:meth:`CampaignSpec.build_delay_config`).
+        """
+        if self._platform is None:
+            from ..core.pipeline import HTDetectionPlatform
+
+            self._platform = HTDetectionPlatform(
+                self.spec, device=self.device, golden=self._golden)
+        return self._platform
 
     # -- caches -------------------------------------------------------------------
-
-    def infected_design(self, trojan_name: str) -> InfectedDesign:
-        """Build (and cache) the infected design for a catalog trojan.
-
-        Same contract as
-        :meth:`~repro.core.pipeline.HTDetectionPlatform.infected_design`;
-        the cache dict is shared with every platform of the grid.
-        """
-        if trojan_name not in self._infected_cache:
-            from ..trojan.insertion import insert_trojan
-            from ..trojan.library import build_trojan
-
-            trojan = build_trojan(trojan_name, self.device)
-            self._infected_cache[trojan_name] = insert_trojan(self.golden,
-                                                              trojan)
-        return self._infected_cache[trojan_name]
 
     def _store_key(self, kind: str, **fields: Any) -> Optional[str]:
         """The content key of one stored artifact (``None`` without a store).
@@ -591,7 +573,7 @@ class CampaignEngine:
         fields = dict(inputs)
         if "delay_repetitions" in fields:
             del fields["delay_repetitions"]
-            fields["delay"] = self._delay_config()
+            fields["delay"] = self.spec.build_delay_config()
         if "em_overrides" in fields:
             del fields["em_overrides"]
             fields["em"] = cell.variant.build_em_config()
@@ -629,46 +611,13 @@ class CampaignEngine:
         """
         return self._read_through(
             "infected_summary", trojan_name, {"trojan": str(trojan_name)},
-            compute=lambda: float(self.infected_design(trojan_name)
+            compute=lambda: float(self.platform.infected_design(trojan_name)
                                   .area_fraction_of_aes()),
             pack=lambda fraction: {"trojan": trojan_name,
                                    "area_fraction_of_aes": fraction},
             unpack=lambda payload: float(payload["area_fraction_of_aes"]),
             meta=lambda fraction: {"trojan": trojan_name},
         )
-
-    def platform_for(self, cell: GridCell) -> HTDetectionPlatform:
-        """The (cached) detection platform of one grid cell.
-
-        Platforms are cached per (die count, variant): they share the
-        golden design and the infected-design cache, so the expensive
-        synthesis/insertion work happens once for the whole campaign.
-        """
-        cache_key = cell.acquisition_key
-        if cache_key not in self._platform_cache:
-            from ..core.pipeline import HTDetectionPlatform, PlatformConfig
-
-            config = PlatformConfig(
-                num_dies=cell.num_dies,
-                seed=self.spec.seed,
-                delay=self._delay_config(),
-                em=cell.variant.build_em_config(),
-            )
-            self._platform_cache[cache_key] = HTDetectionPlatform(
-                device=self.device,
-                config=config,
-                golden=self.golden,
-                infected_cache=self._infected_cache,
-                annotation_cache=self._annotation_cache,
-            )
-        return self._platform_cache[cache_key]
-
-    def _delay_config(self) -> DelayMeasurementConfig:
-        """The clock-glitch bench of every platform (and delay key)."""
-        from ..measurement.delay_meter import DelayMeasurementConfig
-
-        return DelayMeasurementConfig(
-            repetitions=self.spec.delay_repetitions, seed=self.spec.seed)
 
     def _cell_tensors(self, cell: GridCell) -> PopulationTraceTensors:
         """Acquire (or reuse) the population of one grid cell.
@@ -685,9 +634,10 @@ class CampaignEngine:
 
         return self._read_cell_artifact(
             cell,
-            compute=lambda: self.platform_for(cell).acquire_population_tensors(
+            compute=lambda: self.platform.acquire_population_tensors(
                 self.spec.trojans, self.spec.stimulus_plaintexts(),
-                self.spec.key),
+                self.spec.key, num_dies=cell.num_dies,
+                em=cell.variant.build_em_config()),
             pack=PopulationTraceTensors.to_arrays,
             unpack=PopulationTraceTensors.from_arrays,
             meta=lambda tensors: {
@@ -760,7 +710,7 @@ class CampaignEngine:
 
         num_dies = cell.num_dies
         spec = self.spec
-        platform = self.platform_for(cell)
+        platform = self.platform
         meter = platform.delay_meter
         pairs = generate_pk_pairs(spec.num_pk_pairs, seed=spec.seed + 7)
 
@@ -779,7 +729,7 @@ class CampaignEngine:
             DelayFingerprint.from_measurement(fingerprint_measurement)
         )
 
-        duts = self._population_duts(platform, num_dies)
+        duts = self._population_duts(num_dies)
         # One seed per device position: injective for any population
         # size, so no two devices ever share a noise stream.
         seeds = [spec.seed + 100 + position
@@ -847,14 +797,13 @@ class CampaignEngine:
 
         num_dies = cell.num_dies
         spec = self.spec
-        platform = self.platform_for(cell)
-        meter = platform.delay_meter
+        meter = self.platform.delay_meter
         plaintexts = spec.stimulus_plaintexts()
         pairs = [PlaintextKeyPair(index=index, plaintext=plaintext,
                                   key=spec.key)
                  for index, plaintext in enumerate(plaintexts)]
 
-        duts = self._population_duts(platform, num_dies)
+        duts = self._population_duts(num_dies)
         arrivals = meter.batch_arrival_times(duts, pairs)
 
         # Correct/stale capture values of the attacked round, straight
@@ -898,9 +847,10 @@ class CampaignEngine:
             infected_faulted=infected,
         )
 
-    def _population_duts(self, platform: HTDetectionPlatform,
-                         num_dies: int) -> list:
-        """Clean devices on every die, then each trojan on every die."""
+    def _population_duts(self, num_dies: int) -> list:
+        """Clean devices on the first ``num_dies`` dies, then each trojan
+        on them."""
+        platform = self.platform
         duts = [platform.golden_dut(die_index, label=f"Clean_die{die_index}")
                 for die_index in range(num_dies)]
         for name in self.spec.trojans:
@@ -1048,9 +998,8 @@ class CampaignEngine:
         cache_key = cell.acquisition_key
         # Delay and fault-sweep cells acquire no EM traces, so ownership
         # is decided among the EM cells of the acquisition key only —
-        # and, in a sharded run, among the cells this invocation
-        # actually covers (the full-grid owner may live in another
-        # shard).
+        # and among the cells that own an archive in this invocation
+        # (the full-grid owner may live in another shard or resume).
         owner = min(other.index for other in self.spec.grid()
                     if other.acquisition_key == cache_key
                     and not other.is_delay and not other.is_fault
@@ -1068,6 +1017,30 @@ class CampaignEngine:
             save_traces(archive, all_traces)
             self._saved_archives[cache_key] = str(archive)
         return str(archive)
+
+    def _archive_resumed_cells(self, cells: Sequence[GridCell],
+                               pending: Sequence[GridCell],
+                               completed: Dict[int, CampaignCellResult]
+                               ) -> None:
+        """Write and name this run's trace archives for resumed EM cells.
+
+        A resumed record names the archive of the run that computed it,
+        but every ``save_traces`` run writes its own.  Keys with an
+        executing EM cell were archived by it; for the other keys the
+        lowest-index resumed cell writes the archive from the population
+        the store holds (a read, not a recompute).
+        """
+        executing = {cell.index for cell in pending}
+        resumed = [cell for cell in cells if cell.index not in executing
+                   and not cell.is_delay and not cell.is_fault]
+        archived = {cell.acquisition_key for cell in pending
+                    if not cell.is_delay and not cell.is_fault}
+        self._active_indices = frozenset(executing) | {
+            cell.index for cell in resumed
+            if cell.acquisition_key not in archived}
+        for cell in resumed:
+            completed[cell.index].trace_archive = self._maybe_save_traces(
+                cell)
 
     # -- per-cell completion records ----------------------------------------------
 
@@ -1208,6 +1181,8 @@ class CampaignEngine:
 
                         completed.update(
                             CampaignSupervisor(self).run(pending))
+                if self.spec.save_traces:
+                    self._archive_resumed_cells(cells, pending, completed)
                 ordered = [completed[cell.index] for cell in cells]
         finally:
             self._active_indices = None

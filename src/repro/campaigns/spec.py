@@ -39,10 +39,11 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple,
                     Union)
 
-from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT, campaign_stimuli
+from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT, random_plaintexts
 from ..trojan.library import TROJAN_SPECS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..measurement.delay_meter import DelayMeasurementConfig
     from ..measurement.em_simulator import EMAcquisitionConfig
 
 PathLike = Union[str, Path]
@@ -247,10 +248,6 @@ class GridCell:
         """True if this cell runs a glitch-grid fault-injection sweep."""
         return self.metric in KNOWN_FAULT_METRICS
 
-    def describe(self) -> str:
-        return (f"cell {self.index}: {self.num_dies} dies, "
-                f"variant {self.variant.name!r}, metric {self.metric!r}")
-
 
 @dataclass
 class CampaignSpec:
@@ -384,8 +381,19 @@ class CampaignSpec:
         seed (growing ``num_plaintexts`` extends the set without
         reshuffling it).
         """
-        return campaign_stimuli(self.num_plaintexts, self.seed,
-                                first=self.plaintext)
+        if self.num_plaintexts == 1:
+            return [self.plaintext]
+        return [self.plaintext] + random_plaintexts(
+            self.num_plaintexts - 1, seed=self.seed + 23,
+            include_default=False)
+
+    def build_delay_config(self) -> DelayMeasurementConfig:
+        """The clock-glitch bench of this campaign's delay and fault
+        studies: ``delay_repetitions`` repetitions seeded by ``seed``."""
+        from ..measurement.delay_meter import DelayMeasurementConfig
+
+        return DelayMeasurementConfig(repetitions=self.delay_repetitions,
+                                      seed=self.seed)
 
     # -- grid expansion ----------------------------------------------------------
 

@@ -57,17 +57,17 @@ from .core.report import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .experiments import ExperimentConfig
+    from .campaigns import CampaignEngine
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+def _suite_engine(args: argparse.Namespace) -> CampaignEngine:
+    """An engine over the paper suite's campaign: ``--quick`` and
+    ``--seed`` select its :func:`~repro.experiments.suite_spec`."""
     # The figure drivers load only for the study commands that use them.
-    from .experiments import ExperimentConfig
+    from .campaigns import CampaignEngine
+    from .experiments import suite_spec
 
-    config = ExperimentConfig.fast() if args.quick else ExperimentConfig.paper()
-    if args.seed is not None:
-        config.seed = args.seed
-    return config
+    return CampaignEngine(suite_spec(quick=args.quick, seed=args.seed))
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -80,8 +80,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 def cmd_trojans(args: argparse.Namespace) -> int:
     from .experiments import table_ht_sizes
 
-    config = _experiment_config(args)
-    table = table_ht_sizes.run(config)
+    table = table_ht_sizes.run(_suite_engine(args))
     rows = [[row.trojan_name, str(row.trigger_width), f"{row.lut_count:.0f}",
              str(row.slice_count), percentage(row.fraction_of_aes),
              percentage(row.fraction_of_device)]
@@ -96,20 +95,18 @@ def cmd_trojans(args: argparse.Namespace) -> int:
 
 
 def cmd_delay(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    platform = config.build_platform()
-    study = platform.run_delay_study(
+    engine = _suite_engine(args)
+    study = engine.platform.run_delay_study(
         trojan_names=tuple(args.trojan),
-        num_pairs=config.num_pk_pairs,
+        num_pairs=engine.spec.num_pk_pairs,
     )
     print(delay_study_report(study))
     return 0
 
 
 def cmd_em(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    platform = config.build_platform()
-    study = platform.run_same_die_em_study(trojan_names=tuple(args.trojan))
+    study = _suite_engine(args).platform.run_same_die_em_study(
+        trojan_names=tuple(args.trojan))
     print(same_die_em_report(study))
     return 0
 
@@ -117,7 +114,7 @@ def cmd_em(args: argparse.Namespace) -> int:
 def cmd_headline(args: argparse.Namespace) -> int:
     from .experiments import headline
 
-    result = headline.run(_experiment_config(args))
+    result = headline.run(_suite_engine(args))
     print(population_em_report(result.study))
     detection = result.largest_trojan_detection()
     print(f"\nLargest trojan detection probability: {percentage(detection)} "
@@ -126,15 +123,14 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments import runner
+    from .experiments import run_all, suite_spec
     from .store import build_store
 
-    config = _experiment_config(args)
     try:
         store = build_store(args.store)
     except ValueError as error:
         return _fail(error)
-    suite = runner.run_all(config, store=store)
+    suite = run_all(suite_spec(quick=args.quick, seed=args.seed), store=store)
     print(suite.summary_table())
     return 0 if suite.all_shapes_match() else 1
 

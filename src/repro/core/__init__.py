@@ -5,7 +5,10 @@ golden-model fingerprints, the delay detector and its Eq. (4) delay
 differences, the same-die and inter-die EM detectors, the
 local-maxima-sum metric and the Eq. (5) false-negative model — plus the
 end-to-end platform that wires them to the simulated measurement
-substrate.  The Eq. (2)-(3) terms of a net's delay are realised by the
+substrate.  A platform is sized by one
+:class:`~repro.campaigns.spec.CampaignSpec` (its largest die count, its
+delay bench), and a campaign engine builds exactly one
+(``engine.platform``).  The Eq. (2)-(3) terms of a net's delay are realised by the
 measurement substrate itself (routing, intra-die variation, bench noise
 and the trojan's loading), not by a separate model.
 """
@@ -32,7 +35,6 @@ _EXPORTS = {
     "required_separation": ".metrics",
     "DelayStudyResult": ".pipeline",
     "HTDetectionPlatform": ".pipeline",
-    "PlatformConfig": ".pipeline",
     "PopulationEMStudyResult": ".pipeline",
     "SameDieEMStudyResult": ".pipeline",
     "delay_study_report": ".report",

@@ -57,10 +57,6 @@ class DelayFingerprint:
         if self.num_repetitions <= 0:
             raise ValueError("num_repetitions must be positive")
 
-    @property
-    def num_pairs(self) -> int:
-        return int(self.mean_steps.shape[0])
-
     def mean_delay_ps(self) -> np.ndarray:
         """Mean steps converted to picoseconds."""
         return self.mean_steps * self.glitch_step_ps

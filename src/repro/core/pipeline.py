@@ -20,17 +20,17 @@ this class and that engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..campaigns.spec import CampaignSpec
 from ..fpga.design import GoldenDesign
 from ..fpga.device import FPGADevice, virtex5_lx30
 from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
 from ..measurement.delay_meter import (
     DelayMeasurement,
-    DelayMeasurementConfig,
     PathDelayMeter,
     PlaintextKeyPair,
     generate_pk_pairs,
@@ -51,20 +51,6 @@ from .fingerprint import DelayFingerprint, EMReference
 
 
 @dataclass
-class PlatformConfig:
-    """Configuration of the whole detection platform."""
-
-    num_dies: int = 8
-    seed: int = 2015
-    delay: DelayMeasurementConfig = field(default_factory=DelayMeasurementConfig)
-    em: EMAcquisitionConfig = field(default_factory=EMAcquisitionConfig)
-
-    def __post_init__(self) -> None:
-        if self.num_dies <= 0:
-            raise ValueError("num_dies must be positive")
-
-
-@dataclass
 class DelayStudyResult:
     """Output of the Sec. III delay campaign."""
 
@@ -72,9 +58,6 @@ class DelayStudyResult:
     measurements: Dict[str, DelayMeasurement]
     comparisons: Dict[str, DelayComparisonResult]
     pairs: List[PlaintextKeyPair]
-
-    def labels(self) -> List[str]:
-        return list(self.comparisons)
 
 
 @dataclass
@@ -195,40 +178,42 @@ class PopulationTraceTensors:
 
 
 class HTDetectionPlatform:
-    """The full reproduction platform (design + trojans + dies + benches)."""
+    """The full reproduction platform (design + trojans + dies + benches).
 
-    def __init__(self, device: Optional[FPGADevice] = None,
-                 config: Optional[PlatformConfig] = None,
-                 golden: Optional[GoldenDesign] = None,
-                 infected_cache: Optional[Dict[str, InfectedDesign]] = None,
-                 annotation_cache: Optional[Dict] = None):
+    Every size comes from one :class:`~repro.campaigns.spec.CampaignSpec`
+    (the default spec without one): the die population holds
+    ``max(spec.die_counts)`` dies — dies are prefix-stable, so a study of
+    N dies uses the first N — and the clock-glitch bench is
+    :meth:`CampaignSpec.build_delay_config`.  The EM bench is the
+    paper's; a population acquisition takes its die count and
+    acquisition config as arguments.  The golden design, each infected
+    design and each (design, die) delay annotation are built once per
+    platform.
+    """
+
+    def __init__(self, spec: Optional[CampaignSpec] = None,
+                 device: Optional[FPGADevice] = None,
+                 golden: Optional[GoldenDesign] = None):
+        spec = spec or CampaignSpec()
+        self.seed = spec.seed
         self.device = device or virtex5_lx30()
-        self.config = config or PlatformConfig()
         self.golden = golden or GoldenDesign.build(device=self.device)
-        self.population = DiePopulation(size=self.config.num_dies,
-                                        seed=self.config.seed)
-        # ``infected_cache`` may be a dict shared between several
-        # platforms (the campaign engine passes one so trojan insertion
-        # happens once per trojan across the whole grid).
-        self._infected_cache: Dict[str, InfectedDesign] = (
-            infected_cache if infected_cache is not None else {}
-        )
-        # Likewise for the DUTs' delay annotations: each (design, die)
-        # annotation is built once per cache (:class:`DeviceUnderTest`).
-        self._annotation_cache: Dict = (
-            annotation_cache if annotation_cache is not None else {}
-        )
-        self.delay_meter = PathDelayMeter(self.config.delay)
-        self.em_simulator = EMSimulator(self.config.em)
+        self.population = DiePopulation(size=max(spec.die_counts),
+                                        seed=spec.seed)
+        self.delay_meter = PathDelayMeter(spec.build_delay_config())
+        self.em_simulator = EMSimulator()
+        self._infected: Dict[str, InfectedDesign] = {}
+        # Shared by every DUT of the platform (:class:`DeviceUnderTest`).
+        self._annotations: Dict = {}
 
     # -- design / DUT helpers ----------------------------------------------------
 
     def infected_design(self, trojan_name: str) -> InfectedDesign:
         """Build (and cache) the infected design for a catalog trojan."""
-        if trojan_name not in self._infected_cache:
+        if trojan_name not in self._infected:
             trojan = build_trojan(trojan_name, self.device)
-            self._infected_cache[trojan_name] = insert_trojan(self.golden, trojan)
-        return self._infected_cache[trojan_name]
+            self._infected[trojan_name] = insert_trojan(self.golden, trojan)
+        return self._infected[trojan_name]
 
     def golden_dut(self, die_index: int = 0, label: Optional[str] = None
                    ) -> DeviceUnderTest:
@@ -236,7 +221,7 @@ class HTDetectionPlatform:
         die = self.population[die_index]
         return DeviceUnderTest(self.golden, die,
                                label=label or f"golden_die{die_index}",
-                               annotation_cache=self._annotation_cache)
+                               annotation_cache=self._annotations)
 
     def infected_dut(self, trojan_name: str, die_index: int = 0,
                      label: Optional[str] = None) -> DeviceUnderTest:
@@ -245,7 +230,7 @@ class HTDetectionPlatform:
         return DeviceUnderTest(
             self.infected_design(trojan_name), die,
             label=label or f"{trojan_name}_die{die_index}",
-            annotation_cache=self._annotation_cache,
+            annotation_cache=self._annotations,
         )
 
     # -- Sec. III: delay study ----------------------------------------------------------
@@ -261,7 +246,7 @@ class HTDetectionPlatform:
         they are the paper's control showing the noise floor.
         """
         pairs = generate_pk_pairs(num_pairs, seed=pair_seed)
-        seed = self.config.seed
+        seed = self.seed
         labels = ["GM", "Clean1", "Clean2"]
         duts = [self.golden_dut(die_index, label=label) for label in labels]
         duts += [self.infected_dut(name, die_index, label=name)
@@ -300,11 +285,9 @@ class HTDetectionPlatform:
                               num_golden_acquisitions: int = 2
                               ) -> SameDieEMStudyResult:
         """Averaged-trace comparison of genuine and infected designs, one die."""
-        plaintext = plaintext if plaintext is not None else bytes(range(16))
-        key = key if key is not None else bytes.fromhex(
-            "000102030405060708090a0b0c0d0e0f"
-        )
-        rng = np.random.default_rng(self.config.seed + 40 + die_index)
+        plaintext = plaintext if plaintext is not None else DEFAULT_PLAINTEXT
+        key = key if key is not None else DEFAULT_KEY
+        rng = np.random.default_rng(self.seed + 40 + die_index)
 
         golden_traces: List[EMTrace] = []
         for acquisition in range(max(2, num_golden_acquisitions)):
@@ -334,19 +317,23 @@ class HTDetectionPlatform:
 
     # -- Sec. V: population EM study -------------------------------------------------------------
 
-    def _die_rngs(self) -> List[np.random.Generator]:
+    def _die_rngs(self, num_dies: int) -> List[np.random.Generator]:
         """One noise stream per die, seeded as the Sec. V campaign does."""
-        return [np.random.default_rng(self.config.seed + 1000 + die_index)
-                for die_index in range(len(self.population))]
+        return [np.random.default_rng(self.seed + 1000 + die_index)
+                for die_index in range(num_dies)]
 
     def acquire_population_tensors(self, trojan_names: Sequence[str],
                                    plaintexts: Optional[Sequence[bytes]] = None,
-                                   key: Optional[bytes] = None
+                                   key: Optional[bytes] = None,
+                                   num_dies: Optional[int] = None,
+                                   em: Optional[EMAcquisitionConfig] = None
                                    ) -> "PopulationTraceTensors":
         """The Sec. V-A population as matrix-resident sample tensors.
 
-        Every design's (plaintext x die) grid is synthesised as one
-        ``(plaintexts, dies, samples)`` tensor
+        The population is the first ``num_dies`` dies (all of them by
+        default), acquired on a bench of config ``em`` (the paper's by
+        default).  Every design's (plaintext x die) grid is synthesised
+        as one ``(plaintexts, dies, samples)`` tensor
         (:meth:`EMSimulator.acquire_many_batch_tensor`) and each die is
         represented by its stimulus-averaged trace
         (:func:`average_stimulus_tensor`); ``plaintexts=None`` is the
@@ -356,13 +343,18 @@ class HTDetectionPlatform:
         stream, consumed in the order of a serial per-(design, die)
         acquisition loop, so every row is bit-identical to it.
         """
+        num_dies = len(self.population) if num_dies is None else num_dies
+        if not 1 <= num_dies <= len(self.population):
+            raise ValueError(f"num_dies must be in 1..{len(self.population)}"
+                             f", got {num_dies}")
+        simulator = self.em_simulator if em is None else EMSimulator(em)
         plaintexts = ([DEFAULT_PLAINTEXT] if plaintexts is None
                       else [bytes(plaintext) for plaintext in plaintexts])
         key = key if key is not None else DEFAULT_KEY
-        rngs = self._die_rngs()
+        rngs = self._die_rngs(num_dies)
 
         def acquire(duts: List[DeviceUnderTest]):
-            grid, cycle_offsets = self.em_simulator.acquire_many_batch_tensor(
+            grid, cycle_offsets = simulator.acquire_many_batch_tensor(
                 duts, plaintexts, key, rngs, new_setup_installation=True,
             )
             # One stimulus: take the plane itself.  mean(axis=0) would
@@ -372,7 +364,7 @@ class HTDetectionPlatform:
                 return grid[0], cycle_offsets
             return average_stimulus_tensor(grid), cycle_offsets
 
-        die_indices = range(len(self.population))
+        die_indices = range(num_dies)
         golden_duts = [self.golden_dut(die_index) for die_index in die_indices]
         golden, cycle_offsets = acquire(golden_duts)
         infected: Dict[str, np.ndarray] = {}
@@ -389,7 +381,7 @@ class HTDetectionPlatform:
             infected_labels=infected_labels,
             plaintext=plaintexts[0],
             sample_period_ns=1.0
-            / self.config.em.oscilloscope.sample_rate_gsps,
+            / simulator.config.oscilloscope.sample_rate_gsps,
             cycle_sample_offsets=list(cycle_offsets),
         )
 

@@ -12,8 +12,15 @@ Module              Paper artefact
 ``fig7_model``      Fig. 7 / Eq. (5): two-Gaussian false-negative model
 ``table_ht_sizes``  Sec. II-B / V-A: trojan resource footprints
 ``headline``        Abstract / Sec. V-B: FN rate vs trojan size
-``runner``          Runs the full suite and summarises paper-vs-measured
+``runner``          The suite's campaign (``suite_spec``); runs the full
+                    suite and summarises paper-vs-measured
 ==================  ==========================================================
+
+Every driver is ``run(engine, ...)``: it reads the campaign's sizes,
+seed and stimulus from ``engine.spec`` and runs on ``engine.platform``
+(or, for Fig. 6 and the headline, the engine's Sec. V population
+study), so the whole suite is one :class:`~repro.campaigns.spec.CampaignSpec`
+and one platform.
 """
 
 from . import (
@@ -27,8 +34,7 @@ from . import (
     headline,
     table_ht_sizes,
 )
-from .config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
-from .runner import ExperimentSummary, SuiteResult, run_all
+from .runner import ExperimentSummary, SuiteResult, run_all, suite_spec
 
 __all__ = [
     "fig1_timing",
@@ -40,10 +46,8 @@ __all__ = [
     "fig7_model",
     "headline",
     "table_ht_sizes",
-    "ExperimentConfig",
-    "FIXED_KEY",
-    "FIXED_PLAINTEXT",
     "ExperimentSummary",
     "SuiteResult",
     "run_all",
+    "suite_spec",
 ]

@@ -16,10 +16,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.pipeline import HTDetectionPlatform
+from ..campaigns.engine import CampaignEngine
 from ..measurement.clock import TimingBudget
 from ..netlist.compiled import CompiledTimingEngine
-from .config import ExperimentConfig
 
 
 @dataclass
@@ -47,12 +46,9 @@ class Fig1Result:
         return max(violating) if violating else None
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
-        num_sweep_points: int = 40) -> Fig1Result:
+def run(engine: CampaignEngine, num_sweep_points: int = 40) -> Fig1Result:
     """Evaluate Eq. (1) on the golden design and sweep the clock period."""
-    config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
+    platform = engine.platform
     budget = TimingBudget()
 
     dut = platform.golden_dut(0, label="GM")

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.pipeline import HTDetectionPlatform
+from ..campaigns.engine import CampaignEngine
 from ..measurement.delay_meter import generate_pk_pairs
-from .config import ExperimentConfig
 
 
 @dataclass
@@ -42,14 +41,12 @@ class Fig2Result:
         return self.first_fault_step(self.infected_staircase)
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
-        trojan_name: str = "HT_comb", pair_index: int = 0) -> Fig2Result:
-    """Build the Fig. 2 staircase for one (P, K) pair."""
-    config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
-    pairs = generate_pk_pairs(max(1, pair_index + 1), seed=config.seed + 7)
-    pair = pairs[pair_index]
+def run(engine: CampaignEngine, trojan_name: str = "HT_comb",
+        pair_index: int = 0) -> Fig2Result:
+    """Build the Fig. 2 staircase for (P, K) pair ``pair_index`` of the
+    campaign's ``num_pk_pairs`` pairs, on the spec's delay bench."""
+    spec, platform = engine.spec, engine.platform
+    pair = generate_pk_pairs(spec.num_pk_pairs, seed=spec.seed + 7)[pair_index]
 
     meter = platform.delay_meter
     golden_dut = platform.golden_dut(0, label="GM")
@@ -57,9 +54,9 @@ def run(config: Optional[ExperimentConfig] = None,
     glitch = meter.calibrate_glitch(golden_dut, [pair])
 
     golden_staircase = meter.fault_staircase(golden_dut, pair, glitch,
-                                             seed=config.seed)
+                                             seed=spec.seed)
     infected_staircase = meter.fault_staircase(infected_dut, pair, glitch,
-                                               seed=config.seed)
+                                               seed=spec.seed)
     return Fig2Result(
         glitch_start_ps=glitch.start_period_ps,
         glitch_step_ps=glitch.step_ps,

@@ -15,12 +15,15 @@ plot would show.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..core.pipeline import DelayStudyResult, HTDetectionPlatform
-from .config import ExperimentConfig
+from ..campaigns.engine import CampaignEngine
+from ..core.pipeline import DelayStudyResult
+
+#: The (P, K) pairs the paper plots (no. 13 and no. 47).
+PAPER_PAIRS = (13, 47)
 
 
 @dataclass
@@ -42,9 +45,6 @@ class Fig3Result:
     study: DelayStudyResult
     representative_pairs: Sequence[int]
 
-    def labels(self) -> List[str]:
-        return sorted({s.label for s in self.series})
-
     def clean_max_ps(self) -> float:
         """Largest delay difference seen on the clean control curves."""
         return max(s.max_ps() for s in self.series
@@ -63,21 +63,23 @@ class Fig3Result:
         return self.infected_max_ps() / clean
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
+def run(engine: CampaignEngine,
         trojan_names: Sequence[str] = ("HT_comb", "HT_seq")) -> Fig3Result:
-    """Run the Sec. III campaign and extract the Fig. 3 per-bit series."""
-    config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
+    """Run the Sec. III campaign and extract the Fig. 3 per-bit series.
 
-    study = platform.run_delay_study(
+    The campaign measures the spec's ``num_pk_pairs`` pairs; the curves
+    are those of the paper's pairs 13 and 47 when the campaign has
+    them, otherwise of its first and last pair.
+    """
+    spec = engine.spec
+    study = engine.platform.run_delay_study(
         trojan_names=trojan_names,
-        num_pairs=config.num_pk_pairs,
+        num_pairs=spec.num_pk_pairs,
         die_index=0,
-        pair_seed=config.seed + 7,
+        pair_seed=spec.seed + 7,
     )
-    pair_indices = [index for index in config.representative_pairs
-                    if index < config.num_pk_pairs]
+    pair_indices = (list(PAPER_PAIRS) if spec.num_pk_pairs > max(PAPER_PAIRS)
+                    else sorted({0, spec.num_pk_pairs - 1}))
     series: List[Fig3Series] = []
     for label, comparison in study.comparisons.items():
         for pair_index in pair_indices:

@@ -10,14 +10,11 @@ peak amplitude, and that ten round bursts can be counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..analysis.batch import find_local_maxima_batch
-from ..core.pipeline import HTDetectionPlatform
+from ..campaigns.engine import CampaignEngine
 from ..measurement.em_simulator import EMTrace
-from .config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
 
 
 @dataclass
@@ -45,14 +42,12 @@ def count_round_bursts(trace: EMTrace, samples_per_cycle: int) -> int:
     return int(np.count_nonzero(peaks))
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None) -> Fig4Result:
+def run(engine: CampaignEngine) -> Fig4Result:
     """Acquire the Fig. 4 trace on the golden design."""
-    config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
-    rng = np.random.default_rng(config.seed)
+    spec, platform = engine.spec, engine.platform
+    rng = np.random.default_rng(spec.seed)
     dut = platform.golden_dut(0, label="Genuine AES")
-    trace = platform.em_simulator.acquire(dut, FIXED_PLAINTEXT, FIXED_KEY, rng)
+    trace = platform.em_simulator.acquire(dut, spec.plaintext, spec.key, rng)
     samples_per_cycle = platform.em_simulator.config.samples_per_cycle
     return Fig4Result(
         trace=trace,

@@ -16,12 +16,10 @@ averaging noise) and the genuine-vs-infected difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 
 from ..analysis.traces import abs_difference
-from ..core.pipeline import HTDetectionPlatform, SameDieEMStudyResult
-from .config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
+from ..campaigns.engine import CampaignEngine
+from ..core.pipeline import SameDieEMStudyResult
 
 
 @dataclass
@@ -41,17 +39,14 @@ class Fig5Result:
         return self.genuine_vs_infected_max / self.genuine_vs_genuine_max
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
-        trojan_name: str = "HT_comb") -> Fig5Result:
+def run(engine: CampaignEngine, trojan_name: str = "HT_comb") -> Fig5Result:
     """Run the same-die EM comparison of Fig. 5."""
-    config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
-    study = platform.run_same_die_em_study(
+    spec = engine.spec
+    study = engine.platform.run_same_die_em_study(
         trojan_names=(trojan_name,),
         die_index=0,
-        plaintext=FIXED_PLAINTEXT,
-        key=FIXED_KEY,
+        plaintext=spec.plaintext,
+        key=spec.key,
         num_golden_acquisitions=2,
     )
     genuine_1 = study.golden_traces[0].samples

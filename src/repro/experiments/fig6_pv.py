@@ -6,8 +6,8 @@ process-variation floor) and ``Dt_{s,j} = |T_{s,j} - E_8(G)|`` for every
 infected die — showing that an HT of 1 % of the AES already rises above
 the process-variation fluctuation at specific samples.
 
-The driver reads the Sec. V population of the config's campaign (one
-trace per (design, die), averaged over the config's stimulus set, one
+The driver reads the Sec. V population of the engine's campaign (one
+trace per (design, die), averaged over the spec's stimulus set, one
 fixed plaintext by default) from a
 :class:`~repro.campaigns.engine.CampaignEngine` as matrices, builds the
 mean golden reference and reports the per-die difference traces and
@@ -17,13 +17,12 @@ their peak statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..analysis.batch import abs_difference_matrix
 from ..campaigns.engine import CampaignEngine
-from .config import ExperimentConfig
 
 
 @dataclass
@@ -55,16 +54,12 @@ class Fig6Result:
                        for peak in self.infected_peak_per_die(trojan_name)))
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        engine: Optional[CampaignEngine] = None) -> Fig6Result:
+def run(engine: CampaignEngine) -> Fig6Result:
     """Build the Fig. 6 differences of the 4-design x N-die population.
 
-    ``engine`` is the suite's campaign engine (a fresh one over
-    ``config.campaign_spec()`` by default); its population is shared
-    with the headline study, so the suite acquires it only once.
+    The population is that of the engine's one cell; it is shared with
+    the headline study, so the suite acquires it only once.
     """
-    config = config or ExperimentConfig.fast()
-    engine = engine or CampaignEngine(config.campaign_spec())
     (cell,) = engine.spec.grid()
     golden_matrix, infected_matrices = engine.cell_trace_matrices(cell)
     # Matrix-resident difference build: the |G_j - E(G)| planes come

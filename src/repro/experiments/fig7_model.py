@@ -21,15 +21,12 @@ numbers are those of the latter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..analysis.gaussian import GaussianFit, overlap_threshold
+from ..campaigns.engine import CampaignEngine
 from ..core.em_detector import PopulationCharacterisation, PopulationEMDetector
 from ..core.metrics import false_negative_rate
-from ..core.pipeline import HTDetectionPlatform
-from .config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
 
 
 @dataclass
@@ -64,15 +61,11 @@ def empirical_rates(genuine: GaussianFit, infected: GaussianFit,
     return false_negative, false_positive
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
-        trojan_name: str = "HT2") -> Fig7Result:
+def run(engine: CampaignEngine, trojan_name: str = "HT2") -> Fig7Result:
     """Fit the Fig. 7 model for ``trojan_name`` and evaluate Eq. (5)."""
-    config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
-
-    tensors = platform.acquire_population_tensors(
-        (trojan_name,), [FIXED_PLAINTEXT], FIXED_KEY)
+    spec = engine.spec
+    tensors = engine.platform.acquire_population_tensors(
+        (trojan_name,), [spec.plaintext], spec.key)
     _, characterisations = PopulationEMDetector().fit_and_characterise(
         tensors.golden, tensors.infected)
     characterisation = characterisations[trojan_name]
@@ -87,7 +80,7 @@ def run(config: Optional[ExperimentConfig] = None,
     symmetric_infected = GaussianFit(characterisation.infected.mean,
                                      characterisation.sigma)
     empirical_fn, empirical_fp = empirical_rates(
-        symmetric_genuine, symmetric_infected, threshold, seed=config.seed
+        symmetric_genuine, symmetric_infected, threshold, seed=spec.seed
     )
     return Fig7Result(
         trojan_name=trojan_name,

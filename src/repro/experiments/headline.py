@@ -6,7 +6,7 @@ maxima metric and 8 dies, the false-negative rates of HTs occupying
 detection probability exceeds 95 % for trojans larger than 1.7 % of the
 original circuit.
 
-The driver reads the Sec. V study of the config's campaign from a
+The driver reads the Sec. V study of the engine's campaign from a
 :class:`~repro.campaigns.engine.CampaignEngine` and produces that table,
 together with the monotonicity and crossover checks the reproduction is
 judged on (who wins, by how much, where the 95 % threshold falls).
@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 
 from ..campaigns.engine import CampaignEngine
 from ..core.pipeline import PopulationEMStudyResult
-from .config import ExperimentConfig
 
 #: The paper's reported false-negative rates, keyed by trojan name.
 PAPER_FALSE_NEGATIVE_RATES: Dict[str, float] = {
@@ -63,16 +62,10 @@ class HeadlineResult:
         largest = max(self.rows, key=lambda r: r.area_fraction)
         return largest.detection_probability
 
-def run(config: Optional[ExperimentConfig] = None,
-        engine: Optional[CampaignEngine] = None) -> HeadlineResult:
-    """Produce the headline false-negative-rate table.
-
-    ``engine`` is the suite's campaign engine (a fresh one over
-    ``config.campaign_spec()`` by default); the table is its one cell's
-    :meth:`~repro.campaigns.engine.CampaignEngine.population_study`.
+def run(engine: CampaignEngine) -> HeadlineResult:
+    """Produce the headline false-negative-rate table: the engine's one
+    cell's :meth:`~repro.campaigns.engine.CampaignEngine.population_study`.
     """
-    config = config or ExperimentConfig.fast()
-    engine = engine or CampaignEngine(config.campaign_spec())
     (cell,) = engine.spec.grid()
     study = engine.population_study(cell)
     rows: List[HeadlineRow] = []

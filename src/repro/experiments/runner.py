@@ -1,13 +1,14 @@
 """Run the complete experiment suite and summarise paper-vs-measured.
 
-``run_all`` is a campaign client: one
-:class:`~repro.campaigns.engine.CampaignEngine` over the config's
-:meth:`~repro.experiments.config.ExperimentConfig.campaign_spec` keys,
-reads through and scores the Sec. V population that Fig. 6 and the
-headline share, and its platform runs every other figure/table driver
-(so the golden design and the trojan insertions are built once).  It
-returns a dictionary of summary rows — the same content EXPERIMENTS.md
-records and the CLI prints.
+The suite is one campaign, :func:`suite_spec`: its sizes are the
+paper's (8 dies, 50 (P, K) pairs, 10 delay repetitions) or, with
+``quick``, a reduced campaign on the same code paths.  ``run_all`` runs
+every driver on one :class:`~repro.campaigns.engine.CampaignEngine`
+over it: the engine keys, reads through and scores the Sec. V
+population that Fig. 6 and the headline share, and its one platform
+runs every other figure/table driver (so the golden design and the
+trojan insertions are built once).  It returns a dictionary of summary
+rows — the same content EXPERIMENTS.md records and the CLI prints.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..campaigns.engine import CampaignEngine
+from ..campaigns.spec import CampaignSpec
 from ..core.report import format_table, percentage
 from ..store import ArtifactStore
 from . import (
@@ -30,7 +32,6 @@ from . import (
     headline,
     table_ht_sizes,
 )
-from .config import ExperimentConfig
 
 
 @dataclass
@@ -63,33 +64,53 @@ class SuiteResult:
         return all(s.matches_shape for s in self.summaries)
 
 
-def run_all(config: Optional[ExperimentConfig] = None,
+def suite_spec(quick: bool = False, seed: Optional[int] = None
+               ) -> CampaignSpec:
+    """The paper suite's campaign: HT1-HT3 scored with the
+    local-maxima-sum metric on one die population, with the paper's
+    fixed plaintext and key.
+
+    The paper's sizes are 8 dies, 50 (P, K) pairs and 10 delay
+    repetitions; ``quick`` keeps every code path and shrinks them to
+    4 dies, 4 pairs and 3 repetitions.  ``seed`` (default 2015) seeds
+    every die, noise stream and pair.
+    """
+    dies, pairs, repetitions = (4, 4, 3) if quick else (8, 50, 10)
+    return CampaignSpec(
+        name="experiments",
+        trojans=("HT1", "HT2", "HT3"),
+        die_counts=(dies,),
+        metrics=("local_maxima_sum",),
+        num_pk_pairs=pairs,
+        delay_repetitions=repetitions,
+        **({} if seed is None else {"seed": seed}),
+    )
+
+
+def run_all(spec: Optional[CampaignSpec] = None,
             store: Union[None, ArtifactStore, str, Path] = None
             ) -> SuiteResult:
-    """Run every experiment driver and build the summary.
+    """Run every experiment driver on one engine over ``spec`` (the
+    quick :func:`suite_spec` by default) and build the summary.
 
     ``store`` attaches a content-addressed artifact store: the
     expensive shared population study then reads through it, under the
     same key a ``campaign run`` of that geometry uses.
     """
-    config = config or ExperimentConfig.fast()
-    engine = CampaignEngine(config.campaign_spec(), store=store)
+    engine = CampaignEngine(spec or suite_spec(quick=True), store=store)
     # The population study's first store write registers a writer
     # lease; it ends with the suite, also when a driver raises.
     with engine.writer_lease_scope():
-        return _run_drivers(config, engine)
+        return _run_drivers(engine)
 
 
-def _run_drivers(config: ExperimentConfig,
-                 engine: CampaignEngine) -> SuiteResult:
-    """Every figure/table driver on ``engine``'s one platform."""
-    (cell,) = engine.spec.grid()
-    platform = engine.platform_for(cell)
+def _run_drivers(engine: CampaignEngine) -> SuiteResult:
+    """Every figure/table driver on ``engine`` and its one platform."""
     summaries: List[ExperimentSummary] = []
     results: Dict[str, object] = {}
 
     # FIG1 / EQ1 ------------------------------------------------------------
-    r1 = fig1_timing.run(config, platform)
+    r1 = fig1_timing.run(engine)
     results["fig1"] = r1
     summaries.append(ExperimentSummary(
         experiment="Fig.1/Eq.1 timing constraint",
@@ -102,7 +123,7 @@ def _run_drivers(config: ExperimentConfig,
     ))
 
     # FIG2 -------------------------------------------------------------------
-    r2 = fig2_staircase.run(config, platform)
+    r2 = fig2_staircase.run(engine)
     results["fig2"] = r2
     golden_first = r2.golden_first_fault_step()
     infected_first = r2.infected_first_fault_step()
@@ -117,7 +138,7 @@ def _run_drivers(config: ExperimentConfig,
     ))
 
     # FIG3 -------------------------------------------------------------------
-    r3 = fig3_delay.run(config, platform)
+    r3 = fig3_delay.run(engine)
     results["fig3"] = r3
     summaries.append(ExperimentSummary(
         experiment="Fig.3 per-bit delay differences",
@@ -130,7 +151,7 @@ def _run_drivers(config: ExperimentConfig,
     ))
 
     # FIG4 -------------------------------------------------------------------
-    r4 = fig4_em_trace.run(config, platform)
+    r4 = fig4_em_trace.run(engine)
     results["fig4"] = r4
     summaries.append(ExperimentSummary(
         experiment="Fig.4 averaged EM trace",
@@ -141,7 +162,7 @@ def _run_drivers(config: ExperimentConfig,
     ))
 
     # FIG5 -------------------------------------------------------------------
-    r5 = fig5_em_compare.run(config, platform)
+    r5 = fig5_em_compare.run(engine)
     results["fig5"] = r5
     summaries.append(ExperimentSummary(
         experiment="Fig.5 same-die trace comparison",
@@ -156,7 +177,7 @@ def _run_drivers(config: ExperimentConfig,
     # FIG6 -------------------------------------------------------------------
     # Fig. 6 and the headline share the engine's one Sec. V population,
     # acquired once and read through the store when one is attached.
-    r6 = fig6_pv.run(config, engine)
+    r6 = fig6_pv.run(engine)
     results["fig6"] = r6
     above = {name: r6.exceeds_pv_envelope(name) for name in r6.trojan_names}
     summaries.append(ExperimentSummary(
@@ -170,7 +191,7 @@ def _run_drivers(config: ExperimentConfig,
     ))
 
     # FIG7 -------------------------------------------------------------------
-    r7 = fig7_model.run(config, platform)
+    r7 = fig7_model.run(engine)
     results["fig7"] = r7
     summaries.append(ExperimentSummary(
         experiment="Fig.7/Eq.5 Gaussian model",
@@ -183,7 +204,7 @@ def _run_drivers(config: ExperimentConfig,
     ))
 
     # TAB-HT ------------------------------------------------------------------
-    rt = table_ht_sizes.run(config, platform)
+    rt = table_ht_sizes.run(engine)
     results["table_ht_sizes"] = rt
     summaries.append(ExperimentSummary(
         experiment="Trojan resource table",
@@ -197,7 +218,7 @@ def _run_drivers(config: ExperimentConfig,
     ))
 
     # HEADLINE ---------------------------------------------------------------
-    rh = headline.run(config, engine)
+    rh = headline.run(engine)
     results["headline"] = rh
     summaries.append(ExperimentSummary(
         experiment="Headline FN vs HT size",

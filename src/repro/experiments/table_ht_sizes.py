@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.pipeline import HTDetectionPlatform
+from ..campaigns.engine import CampaignEngine
 from ..fpga.device import AES_SLICE_UTILISATION
-from .config import ExperimentConfig
 
 #: Paper-reported sizes: fraction of the FPGA for the Sec. II trojans,
 #: fraction of the AES for the Sec. V trojans.
@@ -74,13 +73,11 @@ class TrojanSizeTable:
         return sizes[0] < sizes[1] < sizes[2]
 
 
-def run(config: Optional[ExperimentConfig] = None,
-        platform: Optional[HTDetectionPlatform] = None,
+def run(engine: CampaignEngine,
         trojan_names: Sequence[str] = ("HT_comb", "HT_seq", "HT1", "HT2", "HT3")
         ) -> TrojanSizeTable:
     """Measure the footprint of every catalog trojan on the modelled device."""
-    config = config or ExperimentConfig.fast()
-    platform = platform or config.build_platform()
+    platform = engine.platform
     golden = platform.golden
 
     rows: List[TrojanSizeRow] = []

@@ -15,7 +15,6 @@ by the measurement models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,6 @@ class FPGADevice:
     def nominal_clock_period_ps(self) -> float:
         """Nominal clock period in picoseconds."""
         return self.nominal_clock_period_ns * 1000.0
-
-    def iter_slices(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over all slice coordinates, row-major."""
-        for row in range(self.rows):
-            for col in range(self.columns):
-                yield (row, col)
 
     def contains(self, row: int, col: int) -> bool:
         """True if ``(row, col)`` is a valid slice coordinate."""

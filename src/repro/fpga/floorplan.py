@@ -47,10 +47,6 @@ class Region:
         return ((self.row_min + self.row_max) / 2.0,
                 (self.col_min + self.col_max) / 2.0)
 
-    def contains(self, row: int, col: int) -> bool:
-        return (self.row_min <= row <= self.row_max
-                and self.col_min <= col <= self.col_max)
-
     def iter_slices(self) -> Iterator[Tuple[int, int]]:
         for row in range(self.row_min, self.row_max + 1):
             for col in range(self.col_min, self.col_max + 1):

@@ -36,9 +36,6 @@ class Placement:
     def used_slice_count(self) -> int:
         return self.slice_map.used_slice_count()
 
-    def cell_count(self) -> int:
-        return len(self.cell_positions)
-
 
 class Placer:
     """Greedy column-major packer.

@@ -140,10 +140,6 @@ class DelayMeasurement:
     config: DelayMeasurementConfig
     pairs: List[PairMeasurement] = field(default_factory=list)
 
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
-
     def steps_matrix(self) -> np.ndarray:
         """Steps-to-fault, shape ``(num_pairs, repetitions, 128)``."""
         return np.stack([p.steps_to_fault for p in self.pairs], axis=0)

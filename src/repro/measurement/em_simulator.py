@@ -139,15 +139,6 @@ class EMTrace:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    def copy(self) -> "EMTrace":
-        return EMTrace(
-            samples=self.samples.copy(),
-            label=self.label,
-            plaintext=self.plaintext,
-            sample_period_ns=self.sample_period_ns,
-            cycle_sample_offsets=list(self.cycle_sample_offsets),
-        )
-
 
 class _GridPlan(NamedTuple):
     """What every column fill of one grid shares (see ``_grid_plan``)."""

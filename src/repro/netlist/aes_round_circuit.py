@@ -157,13 +157,6 @@ class AESLastRoundCircuit:
         values.update(block_to_net_values(round_key, key_input_net))
         return values
 
-    def evaluate(self, state_in: Sequence[int], round_key: Sequence[int]) -> bytes:
-        """Compute the round output (ciphertext) for ``state_in`` and ``round_key``.
-
-        Runs on the compiled kernel.
-        """
-        return self.evaluate_batch([state_in], [round_key])[0]
-
     def evaluate_batch(self, states_in: Sequence[Sequence[int]],
                        round_keys: Sequence[Sequence[int]]) -> List[bytes]:
         """Round outputs for many (state, key) stimuli in one array pass.
@@ -207,7 +200,3 @@ class AESLastRoundCircuit:
     def output_d_nets(self) -> List[str]:
         """D-input nets of all 128 ciphertext DFFs, in paper-bit order."""
         return [self.output_d_net(i) for i in range(BLOCK_BITS)]
-
-    def lut_equivalent_area(self) -> float:
-        """Area of the last-round circuit in LUT equivalents."""
-        return self.netlist.lut_equivalent_area()

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -399,34 +399,6 @@ class CompiledNetlist:
             np.add(level_address, self.table_offset[start:end][None, :],
                    out=level_address)
             state[:, self.output_idx[start:end]] = self.tables[level_address]
-
-    def evaluate(self, input_values: Mapping[str, int],
-                 register_values: Optional[Mapping[str, int]] = None
-                 ) -> Dict[str, int]:
-        """Single-vector convenience mirroring :meth:`Netlist.evaluate`.
-
-        Returns the same net -> 0/1 dict as the interpreted walk,
-        including stray stimulus nets passed through unchanged.
-        """
-        input_nets = list(input_values)
-        rows = np.array([[int(input_values[n]) & 1 for n in input_nets]],
-                        dtype=np.uint8)
-        register_rows = None
-        register_nets: Optional[List[str]] = None
-        if register_values is not None:
-            register_nets = list(register_values)
-            register_rows = np.array(
-                [[int(register_values[n]) & 1 for n in register_nets]],
-                dtype=np.uint8,
-            )
-        values = self.evaluate_batch(rows, input_nets, register_rows,
-                                     register_nets)
-        result = {net: int(values[0, col])
-                  for net, col in self.net_index.items()}
-        for net in input_nets:  # stray nets the netlist does not know
-            if net not in result:
-                result[net] = int(input_values[net]) & 1
-        return result
 
     # -- switching activity ---------------------------------------------------
 

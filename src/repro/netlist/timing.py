@@ -65,12 +65,3 @@ class DelayAnnotation:
         return np.maximum(0.0, np.array(
             [self.net_delays_ps.get(net, default) for net in nets]
         ))
-
-    def copy(self) -> "DelayAnnotation":
-        """Deep-enough copy (dictionaries are copied)."""
-        return DelayAnnotation(
-            cell_offsets_ps=dict(self.cell_offsets_ps),
-            net_delays_ps=dict(self.net_delays_ps),
-            cell_scale=self.cell_scale,
-            default_net_delay_ps=self.default_net_delay_ps,
-        )

@@ -2,15 +2,15 @@
 
 The paper fixes one plaintext (and key) for every EM acquisition but
 does not disclose it; any fixed value plays that role.  These constants
-are the single definition shared by the detection platform, the
-experiment drivers and the campaign engine — they must stay equal across
-those paths for their traces to be interchangeable, so do not duplicate
-them.
+are the defaults of :class:`~repro.campaigns.spec.CampaignSpec`, whose
+``plaintext`` and ``key`` the detection platform, the experiment
+drivers and the campaign engine all read, so their traces are
+interchangeable.
 
 Random-plaintext campaigns extend the fixed stimulus with
-:func:`random_plaintexts`: a deterministic, seed-addressed plaintext
-set whose first entry is (by default) the canonical plaintext, so a
-multi-stimulus sweep is always a superset of the paper's scenario.
+:func:`random_plaintexts` (:meth:`CampaignSpec.stimulus_plaintexts`): a
+deterministic, seed-addressed plaintext set, so a multi-stimulus sweep
+is always a superset of the paper's scenario.
 """
 
 from __future__ import annotations
@@ -42,20 +42,3 @@ def random_plaintexts(count: int, seed: int = 0,
         plaintexts.append(bytes(int(x) for x in rng.integers(0, 256, size=16)))
     return plaintexts
 
-
-def campaign_stimuli(count: int, seed: int,
-                     first: bytes = DEFAULT_PLAINTEXT) -> List[bytes]:
-    """The EM stimulus set of a campaign with ``count`` plaintexts.
-
-    ``[first]`` for the paper's fixed-stimulus scenario; otherwise
-    ``first`` followed by ``count - 1`` random plaintexts derived
-    deterministically from the campaign ``seed``.  This is the single
-    derivation shared by :class:`~repro.campaigns.spec.CampaignSpec`
-    and :class:`~repro.experiments.config.ExperimentConfig` — the two
-    must stay equal for their traces to be comparable, so do not
-    duplicate it.
-    """
-    if count == 1:
-        return [first]
-    return [first] + random_plaintexts(count - 1, seed=seed + 23,
-                                       include_default=False)

@@ -46,11 +46,6 @@ class DieProfile:
         if self.em_gain <= 0:
             raise ValueError("em_gain must be positive")
 
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        return (f"die {self.die_id}: delay x{self.delay_scale:.4f}, "
-                f"EM gain x{self.em_gain:.4f}, EM offset {self.em_offset:+.1f}")
-
 
 @dataclass
 class DiePopulation:

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from repro.campaigns import CampaignEngine, CampaignSpec
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
-from repro.experiments.config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig
+from repro.core.pipeline import HTDetectionPlatform
 from repro.fpga.design import GoldenDesign
 from repro.fpga.device import virtex5_lx30
-from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
+from repro.measurement.delay_meter import generate_pk_pairs
+from repro.stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
 from repro.trojan.combinational import build_combinational_trojan
 from repro.trojan.insertion import insert_trojan
 from repro.trojan.library import build_trojan
@@ -61,19 +61,10 @@ def die_population():
 
 
 @pytest.fixture(scope="session")
-def fast_config():
-    return ExperimentConfig.fast()
-
-
-@pytest.fixture(scope="session")
 def platform(golden_design):
     """A reduced but fully functional detection platform."""
-    config = PlatformConfig(
-        num_dies=4,
-        seed=2015,
-        delay=DelayMeasurementConfig(repetitions=5, seed=2015),
-    )
-    return HTDetectionPlatform(config=config, golden=golden_design)
+    spec = CampaignSpec(die_counts=(4,), seed=2015, delay_repetitions=5)
+    return HTDetectionPlatform(spec, golden=golden_design)
 
 
 @pytest.fixture(scope="session")
@@ -107,7 +98,7 @@ def population_study(engine_study):
     """A small Sec. V campaign shared by the EM-detection tests: the
     population of the ``platform`` fixture's dies and seed."""
     return engine_study(trojans=("HT1", "HT3"), die_counts=(4,), seed=2015,
-                        plaintext=FIXED_PLAINTEXT, key=FIXED_KEY)
+                        plaintext=DEFAULT_PLAINTEXT, key=DEFAULT_KEY)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ reproduces.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -181,14 +182,12 @@ def acquire_serial(simulator: EMSimulator, dut: DeviceUnderTest,
     if new_setup_installation:
         gain, offset = sample_setup_perturbation(config.noise, rng)
         signal = signal * gain + offset
-    acquired = trace.copy()
-    acquired.samples = oscilloscope_acquire(
+    return dataclasses.replace(trace, samples=oscilloscope_acquire(
         config.oscilloscope, signal,
         noise_sigma_single_shot=config.noise.sigma_single_shot,
         rng=rng,
         quantise=config.quantise,
-    )
-    return acquired
+    ))
 
 
 def acquire_many(simulator: EMSimulator, dut: DeviceUnderTest,
@@ -218,7 +217,7 @@ def acquire_population_traces_serial(platform: HTDetectionPlatform,
     key = key if key is not None else DEFAULT_KEY
     golden_traces: List[EMTrace] = []
     infected_traces: Dict[str, List[EMTrace]] = {name: [] for name in trojan_names}
-    for die_index, rng in enumerate(platform._die_rngs()):
+    for die_index, rng in enumerate(platform._die_rngs(len(platform.population))):
         golden_traces.append(
             acquire_serial(
                 platform.em_simulator, platform.golden_dut(die_index),
@@ -268,7 +267,7 @@ def acquire_population_traces_stimuli_serial(
     infected_traces: Dict[str, List[List[EMTrace]]] = {
         name: [] for name in trojan_names
     }
-    rngs = platform._die_rngs()
+    rngs = platform._die_rngs(len(platform.population))
     for die_index, rng in enumerate(rngs):
         golden_traces.append(
             acquire_many(

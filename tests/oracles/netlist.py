@@ -42,6 +42,31 @@ def netlist_stats(netlist: Netlist) -> Dict[str, int]:
     return counts
 
 
+def compiled_evaluate(compiled, input_values: Mapping[str, int],
+                      register_values: Optional[Mapping[str, int]] = None
+                      ) -> Dict[str, int]:
+    """One vector through :meth:`CompiledNetlist.evaluate_batch`, as the
+    net -> 0/1 dict :meth:`Netlist.evaluate` returns (stray stimulus
+    nets passed through unchanged)."""
+    input_nets = list(input_values)
+    rows = np.array([[int(input_values[net]) & 1 for net in input_nets]],
+                    dtype=np.uint8)
+    register_rows = register_nets = None
+    if register_values is not None:
+        register_nets = list(register_values)
+        register_rows = np.array(
+            [[int(register_values[net]) & 1 for net in register_nets]],
+            dtype=np.uint8)
+    values = compiled.evaluate_batch(rows, input_nets, register_rows,
+                                     register_nets)
+    result = {net: int(values[0, col])
+              for net, col in compiled.net_index.items()}
+    for net in input_nets:
+        if net not in result:
+            result[net] = int(input_values[net]) & 1
+    return result
+
+
 def next_register_values(netlist: Netlist, input_values: Mapping[str, int],
                          register_values: Optional[Mapping[str, int]] = None
                          ) -> Dict[str, int]:

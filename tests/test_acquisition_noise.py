@@ -22,7 +22,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.campaigns import CampaignSpec
+from repro.core.pipeline import HTDetectionPlatform
 from repro.measurement import em_simulator
 from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
 from repro.measurement.noise import EMNoiseModel
@@ -63,7 +64,7 @@ FILL_PATHS = pytest.mark.parametrize("fill_path", ["serial", "threaded"],
 
 @pytest.fixture(scope="module")
 def grid_platform(golden_design):
-    return HTDetectionPlatform(config=PlatformConfig(num_dies=3, seed=41),
+    return HTDetectionPlatform(CampaignSpec(die_counts=(3,), seed=41),
                                golden=golden_design)
 
 
@@ -116,7 +117,7 @@ def test_acquisition_peak_allocation_is_bounded(golden_design, fill_path):
     output tensor: no full-size temporaries in the noise or quantise
     pass.  ``tracemalloc`` sees every thread's allocations, so the
     threaded fill is held to the same bound."""
-    platform = HTDetectionPlatform(config=PlatformConfig(num_dies=16, seed=7),
+    platform = HTDetectionPlatform(CampaignSpec(die_counts=(16,), seed=7),
                                    golden=golden_design)
     duts = [platform.infected_dut("HT1", die) for die in range(16)]
     stimuli = random_plaintexts(8, seed=3)
@@ -199,7 +200,7 @@ def test_many_threads_with_fast_switching_match_serial(golden_design,
                                                        monkeypatch):
     """More helper threads than cores, switching every microsecond,
     still write every column exactly as the serial fill does."""
-    platform = HTDetectionPlatform(config=PlatformConfig(num_dies=16, seed=7),
+    platform = HTDetectionPlatform(CampaignSpec(die_counts=(16,), seed=7),
                                    golden=golden_design)
     duts = [platform.infected_dut("HT1", die) for die in range(16)]
     stimuli = random_plaintexts(4, seed=3)

@@ -47,7 +47,8 @@ def test_circuit_matches_behavioural_last_round(circuit, rng):
         plaintext = _random_bytes(rng)
         aes = AES(key)
         trace = aes.encrypt_trace(plaintext)
-        observed = circuit.evaluate(trace.last_round.state_in, aes.last_round_key())
+        (observed,) = circuit.evaluate_batch([trace.last_round.state_in],
+                                             [aes.last_round_key()])
         assert observed == trace.ciphertext
 
 
@@ -58,7 +59,8 @@ def test_circuit_differs_when_key_bit_flipped(circuit, rng):
     trace = aes.encrypt_trace(plaintext)
     round_key = bytearray(aes.last_round_key())
     round_key[0] ^= 0x80
-    observed = circuit.evaluate(trace.last_round.state_in, bytes(round_key))
+    (observed,) = circuit.evaluate_batch([trace.last_round.state_in],
+                                         [bytes(round_key)])
     # Exactly paper bit 0, the MSB of byte 0, differs.
     assert xor_bytes(observed, trace.ciphertext) == b"\x80" + bytes(15)
 
@@ -78,4 +80,4 @@ def test_input_values_cover_all_inputs(circuit):
 
 
 def test_lut_equivalent_area_positive(circuit):
-    assert circuit.lut_equivalent_area() > 500
+    assert circuit.netlist.lut_equivalent_area() > 500

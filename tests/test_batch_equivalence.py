@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.campaigns import CampaignSpec
+from repro.core.pipeline import HTDetectionPlatform
 from repro.crypto.batch import BatchedAES
-from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
+from repro.measurement.delay_meter import generate_pk_pairs
 from repro.stimulus import DEFAULT_PLAINTEXT, random_plaintexts
 from repro.trojan.library import TROJAN_SPECS, build_trojan
 
@@ -48,10 +49,7 @@ STIMULI = random_plaintexts(4, seed=91)
 @pytest.fixture(scope="module")
 def batch_platform(golden_design):
     return HTDetectionPlatform(
-        config=PlatformConfig(
-            num_dies=NUM_DIES, seed=31,
-            delay=DelayMeasurementConfig(repetitions=3, seed=31),
-        ),
+        CampaignSpec(die_counts=(NUM_DIES,), seed=31, delay_repetitions=3),
         golden=golden_design,
     )
 
@@ -350,7 +348,7 @@ def test_stimulus_tensors_match_averaged_traces(batch_platform):
     trojans = ("HT1",)
     tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
     simulator = batch_platform.em_simulator
-    rngs = batch_platform._die_rngs()
+    rngs = batch_platform._die_rngs(NUM_DIES)
     golden_grid = [acquire_many(simulator, dut, STIMULI, KEY, rng,
                                 new_setup_installation=True)
                    for dut, rng in zip(_duts(batch_platform, None), rngs)]

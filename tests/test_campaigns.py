@@ -128,12 +128,30 @@ def test_engine_runs_every_cell(small_campaign):
             )
 
 
-def test_engine_shares_infected_designs_and_acquisitions(small_campaign):
+def test_engine_runs_every_cell_on_one_platform(small_campaign,
+                                                golden_design):
     engine, _ = small_campaign
+    platform = engine.platform
+    assert engine.platform is platform
+    assert platform.golden is golden_design
+    assert len(platform.population) == max(engine.spec.die_counts)
     # one insertion per trojan for the whole grid
-    assert set(engine._infected_cache) == {"HT1", "HT3"}
-    for cell in engine._platform_cache.values():
-        assert cell.golden is engine.golden
+    assert set(platform._infected) == {"HT1", "HT3"}
+
+
+def test_a_cell_uses_the_first_dies_of_the_platform(golden_design):
+    """A cell of N dies in a grid with a larger die count scores the
+    same population, row for row, as a grid of N dies alone."""
+    def rows(die_counts, metrics):
+        spec = CampaignSpec(name="prefix", trojans=("HT1",),
+                            die_counts=die_counts, metrics=metrics,
+                            seed=6, num_pk_pairs=2, delay_repetitions=1)
+        result = CampaignEngine(spec, golden=golden_design).run()
+        return [row.to_dict() for row in result.rows()
+                if row.num_dies == 2]
+
+    metrics = ("l1", "delay_max_difference")
+    assert rows((2, 3), metrics) == rows((2,), metrics)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -213,12 +231,11 @@ def test_engine_matches_platform_study(small_campaign, golden_design):
     """Acceptance: the engine cell equals a standalone platform's
     population scored by the Sec. V detector."""
     from repro.core.em_detector import PopulationEMDetector
-    from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+    from repro.core.pipeline import HTDetectionPlatform
 
     engine, result = small_campaign
-    platform = HTDetectionPlatform(
-        config=PlatformConfig(num_dies=3, seed=55), golden=golden_design
-    )
+    platform = HTDetectionPlatform(CampaignSpec(die_counts=(3,), seed=55),
+                                   golden=golden_design)
     tensors = platform.acquire_population_tensors(("HT1", "HT3"))
     _, characterisations = PopulationEMDetector().fit_and_characterise(
         tensors.golden, tensors.infected)

@@ -23,6 +23,7 @@ from repro.trojan.library import TROJAN_SPECS, build_trojan
 
 from oracles import (
     build_sbox_netlist,
+    compiled_evaluate,
     make_xor,
     TimingEngine,
     encryption_activity_interpreted,
@@ -72,7 +73,7 @@ def test_trojan_values_match_interpreted(trojans, trojan_name):
     for _ in range(5):
         stimulus = _random_inputs(netlist, rng)
         reference = netlist.evaluate(stimulus)
-        result = compiled.evaluate(stimulus)
+        result = compiled_evaluate(compiled, stimulus)
         assert result == reference
 
 
@@ -81,7 +82,7 @@ def test_circuit_values_match_interpreted(circuit):
     compiled = netlist.compiled()
     rng = np.random.default_rng(11)
     stimulus = _random_inputs(netlist, rng)
-    assert compiled.evaluate(stimulus) == netlist.evaluate(stimulus)
+    assert compiled_evaluate(compiled, stimulus) == netlist.evaluate(stimulus)
 
 
 def test_circuit_evaluate_batch_matches_interpreted(circuit):
@@ -93,7 +94,6 @@ def test_circuit_evaluate_batch_matches_interpreted(circuit):
     batch = circuit.evaluate_batch(states, keys)
     for state, key, result in zip(states, keys, batch):
         assert result == evaluate_interpreted(circuit, state, key)
-        assert result == circuit.evaluate(state, key)
 
 
 def test_register_values_match_interpreted():
@@ -106,7 +106,7 @@ def test_register_values_match_interpreted():
     for registers in (None, {"q": 0}, {"q": 1}, {"q": 1, "stray": 1}):
         for a in (0, 1):
             reference = netlist.evaluate({"a": a}, registers)
-            assert compiled.evaluate({"a": a}, registers) == reference
+            assert compiled_evaluate(compiled, {"a": a}, registers) == reference
 
 
 def test_constants_and_mux_match_interpreted():
@@ -122,13 +122,13 @@ def test_constants_and_mux_match_interpreted():
     for s in (0, 1):
         for b in (0, 1):
             stimulus = {"s": s, "b": b}
-            assert compiled.evaluate(stimulus) == netlist.evaluate(stimulus)
+            assert compiled_evaluate(compiled, stimulus) == netlist.evaluate(stimulus)
 
 
 def test_missing_primary_input_raises(circuit):
     compiled = circuit.netlist.compiled()
     with pytest.raises(NetlistError):
-        compiled.evaluate({"st_b0_0": 1})
+        compiled_evaluate(compiled, {"st_b0_0": 1})
 
 
 # -- two-vector timing equivalence ------------------------------------------
@@ -252,7 +252,7 @@ def test_structural_edit_invalidates_compiled_cache():
     netlist.add_cell(make_xor("x1", "a", "n0", "n1"))
     second = netlist.compiled()
     assert second is not first
-    assert second.evaluate({"a": 1})["n1"] == \
+    assert compiled_evaluate(second, {"a": 1})["n1"] == \
         netlist.evaluate({"a": 1})["n1"]
 
 

@@ -40,12 +40,12 @@ def test_detection_outcome_fields():
 
 def test_delay_fingerprint_from_measurement(delay_study):
     fingerprint = delay_study.fingerprint
-    assert fingerprint.num_pairs == 3
+    assert fingerprint.mean_steps.shape[0] == 3
     assert fingerprint.mean_steps.shape[1] == 128
     assert fingerprint.mean_delay_ps().shape == (3, 128)
     assert fingerprint.noise_floor_ps() >= 0
     clone = DelayFingerprint.from_measurement(delay_study.measurements["Clean1"])
-    assert clone.num_pairs == 3
+    assert clone.mean_steps.shape[0] == 3
 
 
 def test_delay_fingerprint_validation():

@@ -106,7 +106,7 @@ def test_longer_paths_fault_earlier(meter, clean_dut, pk_pairs, rng):
 
 def test_measure_full_campaign(meter, clean_dut, pk_pairs):
     measurement = meter.measure(clean_dut, pk_pairs, seed=5)
-    assert measurement.num_pairs == len(pk_pairs)
+    assert len(measurement.pairs) == len(pk_pairs)
     assert measurement.steps_matrix().shape == (len(pk_pairs), 3, 128)
     assert measurement.mean_delay_ps().shape == (len(pk_pairs), 128)
     with pytest.raises(ValueError):

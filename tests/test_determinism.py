@@ -1,7 +1,7 @@
 """Determinism: same seed => byte-identical traces and campaign results.
 
 The whole reproduction is seeded — two fresh platforms with the same
-``PlatformConfig.seed`` must produce *bit-identical* traces and
+``CampaignSpec.seed`` must produce *bit-identical* traces and
 measurements, including through the batched acquisition paths and the
 campaign engine's process pool.
 """
@@ -12,20 +12,16 @@ import numpy as np
 import pytest
 
 from repro.campaigns import AcquisitionVariant, CampaignEngine, CampaignSpec
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.core.pipeline import HTDetectionPlatform
 from repro.measurement import em_simulator
-from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
+from repro.measurement.delay_meter import generate_pk_pairs
 
 TROJANS = ("HT1", "HT3")
 
 
 def _fresh_platform(num_dies: int = 4, seed: int = 77) -> HTDetectionPlatform:
-    return HTDetectionPlatform(
-        config=PlatformConfig(
-            num_dies=num_dies, seed=seed,
-            delay=DelayMeasurementConfig(repetitions=3, seed=seed),
-        )
-    )
+    return HTDetectionPlatform(CampaignSpec(
+        die_counts=(num_dies,), seed=seed, delay_repetitions=3))
 
 
 def test_same_seed_byte_identical_population_traces():

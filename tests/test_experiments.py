@@ -1,11 +1,10 @@
-"""Integration tests for the experiment drivers (fast profile)."""
+"""Integration tests for the experiment drivers (quick suite spec)."""
 
 import numpy as np
 import pytest
 
 from repro.campaigns import CampaignEngine
 from repro.experiments import (
-    ExperimentConfig,
     fig1_timing,
     fig2_staircase,
     fig3_delay,
@@ -14,64 +13,64 @@ from repro.experiments import (
     fig6_pv,
     fig7_model,
     headline,
+    run_all,
+    suite_spec,
     table_ht_sizes,
 )
-from repro.experiments.config import FIXED_KEY, FIXED_PLAINTEXT
 from repro.experiments.headline import PAPER_FALSE_NEGATIVE_RATES
+from repro.stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
 
 from oracles import find_local_maxima
 
 
 @pytest.fixture(scope="module")
-def config():
-    return ExperimentConfig.fast()
+def exp_engine():
+    return CampaignEngine(suite_spec(quick=True))
 
 
-@pytest.fixture(scope="module")
-def exp_engine(config):
-    return CampaignEngine(config.campaign_spec())
+def test_suite_spec_profiles():
+    """The paper profile is the paper's campaign; quick shrinks every
+    size and keeps the rest."""
+    paper, quick = suite_spec(), suite_spec(quick=True)
+    for spec in (paper, quick):
+        (cell,) = spec.grid()
+        assert spec.name == "experiments"
+        assert spec.trojans == ("HT1", "HT2", "HT3")
+        assert cell.metric == "local_maxima_sum"
+        assert (spec.seed, spec.num_plaintexts) == (2015, 1)
+        assert (spec.plaintext, spec.key) == (DEFAULT_PLAINTEXT, DEFAULT_KEY)
+    assert (paper.die_counts, paper.num_pk_pairs,
+            paper.delay_repetitions) == ((8,), 50, 10)
+    assert (quick.die_counts, quick.num_pk_pairs,
+            quick.delay_repetitions) == ((4,), 4, 3)
+    assert suite_spec(quick=True, seed=9).seed == 9
 
 
-@pytest.fixture(scope="module")
-def exp_platform(exp_engine):
-    (cell,) = exp_engine.spec.grid()
-    return exp_engine.platform_for(cell)
+@pytest.mark.parametrize("quick", [False, True])
+def test_fig2_and_fig3_measure_the_suite_spec_sizes(quick):
+    """Fig. 3 measures the spec's ``num_pk_pairs`` pairs with its
+    ``delay_repetitions`` on the engine's platform, and Fig. 2 draws its
+    pair from the same pairs: the sizes the suite's spec records are
+    the sizes the figures measure."""
+    spec = suite_spec(quick=quick)
+    engine = CampaignEngine(spec)
+    assert len(engine.platform.population) == max(spec.die_counts)
 
+    study = fig3_delay.run(engine).study
+    assert len(study.pairs) == spec.num_pk_pairs
+    for measurement in study.measurements.values():
+        assert len(measurement.pairs) == spec.num_pk_pairs
+        assert {pair.steps_to_fault.shape for pair in measurement.pairs} \
+            == {(spec.delay_repetitions, 128)}
 
-def test_experiment_config_profiles():
-    paper = ExperimentConfig.paper()
-    fast = ExperimentConfig.fast()
-    assert paper.num_dies == 8
-    assert paper.num_pk_pairs == 50
-    assert fast.num_pk_pairs < paper.num_pk_pairs
-    assert (fast.num_dies, fast.num_pk_pairs, fast.repetitions,
-            fast.representative_pairs) == (4, 4, 3, (0, 3))
-    with pytest.raises(ValueError):
-        ExperimentConfig(num_dies=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(num_pk_pairs=2, representative_pairs=(5, 6))
-
-
-def test_campaign_spec_derives_the_suite_cell():
-    config = ExperimentConfig(num_dies=5, repetitions=4, seed=9,
-                              num_plaintexts=2)
-    spec = config.campaign_spec()
-    (cell,) = spec.grid()
-    assert spec.trojans == ("HT1", "HT2", "HT3")
-    assert (cell.num_dies, cell.metric) == (5, "local_maxima_sum")
-    assert (spec.seed, spec.delay_repetitions) == (9, 4)
-    assert (spec.plaintext, spec.key) == (FIXED_PLAINTEXT, FIXED_KEY)
-    assert spec.stimulus_plaintexts() == config.stimulus_plaintexts()
-    platform = config.build_platform()
-    assert (platform.config.num_dies, platform.config.seed) == (5, 9)
-    assert (platform.config.delay.repetitions,
-            platform.config.delay.seed) == (4, 9)
+    fig2_staircase.run(engine, pair_index=spec.num_pk_pairs - 1)
+    with pytest.raises(IndexError):
+        fig2_staircase.run(engine, pair_index=spec.num_pk_pairs)
 
 
 def test_suite_builds_the_golden_design_once(monkeypatch, tmp_path):
     """The suite's engine and every figure share one golden design,
     cold and warm."""
-    from repro.experiments.runner import run_all
     from repro.fpga.design import GoldenDesign
 
     builds = []
@@ -84,7 +83,7 @@ def test_suite_builds_the_golden_design_once(monkeypatch, tmp_path):
     monkeypatch.setattr(GoldenDesign, "build", classmethod(counting_build))
     for _ in ("cold", "warm"):
         del builds[:]
-        run_all(ExperimentConfig.fast(), store=tmp_path / "store")
+        run_all(store=tmp_path / "store")
         assert len(builds) == 1
 
 
@@ -97,29 +96,25 @@ def _assert_no_lease_left(root):
 
 
 def test_suite_releases_its_store_writer_lease(tmp_path):
-    from repro.experiments.runner import run_all
-
-    run_all(ExperimentConfig.fast(), store=tmp_path / "store")
+    run_all(store=tmp_path / "store")
     _assert_no_lease_left(tmp_path / "store")
 
 
 def test_suite_releases_its_lease_when_a_driver_raises(monkeypatch, tmp_path):
     """Fig. 6 writes the population through the store; Fig. 7 then
     fails, and the lease that write registered still ends."""
-    from repro.experiments.runner import run_all
-
     def broken(*args, **kwargs):
         raise RuntimeError("fig7 failed")
 
     monkeypatch.setattr(fig7_model, "run", broken)
     with pytest.raises(RuntimeError, match="fig7 failed"):
-        run_all(ExperimentConfig.fast(), store=tmp_path / "store")
+        run_all(store=tmp_path / "store")
     assert list((tmp_path / "store" / "objects").iterdir())
     _assert_no_lease_left(tmp_path / "store")
 
 
-def test_fig1_timing_constraint(config, exp_platform):
-    result = fig1_timing.run(config, exp_platform)
+def test_fig1_timing_constraint(exp_engine):
+    result = fig1_timing.run(exp_engine)
     assert result.critical_path_ps > 0
     assert result.required_period_ps > result.critical_path_ps
     assert result.nominal_slack_ps > 0
@@ -127,8 +122,8 @@ def test_fig1_timing_constraint(config, exp_platform):
     assert result.first_violating_period_ps() < result.required_period_ps
 
 
-def test_fig2_staircase(config, exp_platform):
-    result = fig2_staircase.run(config, exp_platform)
+def test_fig2_staircase(exp_engine):
+    result = fig2_staircase.run(exp_engine)
     assert result.glitch_step_ps == pytest.approx(35.0)
     assert max(result.golden_staircase.values()) > 0
     assert result.golden_first_fault_step() is not None
@@ -136,9 +131,15 @@ def test_fig2_staircase(config, exp_platform):
     assert result.infected_first_fault_step() <= result.golden_first_fault_step()
 
 
-def test_fig3_delay_differences(config, exp_platform):
-    result = fig3_delay.run(config, exp_platform)
-    assert set(result.labels()) == {"Clean1", "Clean2", "HT_comb", "HT_seq"}
+def test_fig3_delay_differences(exp_engine):
+    result = fig3_delay.run(exp_engine)
+    assert {s.label for s in result.series} == {"Clean1", "Clean2",
+                                                "HT_comb", "HT_seq"}
+    # The quick campaign plots its first and last of 4 pairs.
+    assert result.representative_pairs == [0, 3]
+    assert result.study.comparisons["HT_comb"].outcome.is_infected
+    assert result.study.comparisons["HT_seq"].outcome.is_infected
+    assert not result.study.comparisons["Clean1"].outcome.is_infected
     assert result.infected_max_ps() > result.clean_max_ps()
     assert result.separation_ratio() > 1.5
     pair = result.representative_pairs[0]
@@ -148,17 +149,17 @@ def test_fig3_delay_differences(config, exp_platform):
     assert (series.delay_difference_ps > result.clean_max_ps()).any()
 
 
-def test_fig4_em_trace(config, exp_platform):
-    result = fig4_em_trace.run(config, exp_platform)
+def test_fig4_em_trace(exp_engine):
+    result = fig4_em_trace.run(exp_engine)
     assert 2000 <= result.num_samples <= 4000
     assert result.rounds_visible()
     assert result.peak_amplitude > 1000
 
 
-def test_fig4_burst_count_matches_scalar_peak_oracle(config, exp_platform):
+def test_fig4_burst_count_matches_scalar_peak_oracle(exp_engine):
     """Fig. 4 counts bursts with the batch peak finder on its one row;
     the count is the scalar oracle's peak count on the same envelope."""
-    result = fig4_em_trace.run(config, exp_platform)
+    result = fig4_em_trace.run(exp_engine)
     envelope = np.abs(result.trace.samples)
     distance = max(2, result.samples_per_cycle // 2)
     expected = find_local_maxima(envelope, min_height=0.3 * envelope.max(),
@@ -166,24 +167,25 @@ def test_fig4_burst_count_matches_scalar_peak_oracle(config, exp_platform):
     assert result.round_burst_count == len(expected)
 
 
-def test_fig5_same_die_comparison(config, exp_platform):
-    result = fig5_em_compare.run(config, exp_platform)
+def test_fig5_same_die_comparison(exp_engine):
+    result = fig5_em_compare.run(exp_engine)
     assert result.detected
     assert result.genuine_vs_infected_max > result.genuine_vs_genuine_max
     assert result.contrast() > 1.5
 
 
-def test_fig6_process_variation_envelope(config, exp_engine):
-    result = fig6_pv.run(config, exp_engine)
-    assert len(result.golden_differences) == config.num_dies
+def test_fig6_process_variation_envelope(exp_engine):
+    result = fig6_pv.run(exp_engine)
+    assert len(result.golden_differences) == exp_engine.spec.die_counts[0]
     assert result.golden_envelope() > 0
     assert result.exceeds_pv_envelope("HT3") >= result.exceeds_pv_envelope("HT1")
     assert all(diff.shape == result.reference_mean.shape
                for diff in result.golden_differences)
 
 
-def test_fig7_gaussian_model(config, exp_platform):
-    result = fig7_model.run(config, exp_platform, trojan_name="HT3")
+@pytest.mark.parametrize("trojan_name", ["HT2", "HT3"])
+def test_fig7_gaussian_model(exp_engine, trojan_name):
+    result = fig7_model.run(exp_engine, trojan_name=trojan_name)
     assert result.mu > 0
     assert result.sigma > 0
     assert 0 <= result.analytic_false_negative <= 0.5
@@ -196,8 +198,8 @@ def test_fig7_gaussian_model(config, exp_platform):
     )
 
 
-def test_table_ht_sizes(config, exp_platform):
-    table = table_ht_sizes.run(config, exp_platform)
+def test_table_ht_sizes(exp_engine):
+    table = table_ht_sizes.run(exp_engine)
     assert table.aes_slice_count == 1836
     assert table.ordering_matches_paper()
     ht3 = table.row("HT3")
@@ -207,8 +209,8 @@ def test_table_ht_sizes(config, exp_platform):
         table.row("unknown")
 
 
-def test_headline_result(config, exp_engine):
-    result = headline.run(config, exp_engine)
+def test_headline_result(exp_engine):
+    result = headline.run(exp_engine)
     assert result.is_monotone_decreasing()
     assert result.largest_trojan_detection() > 0.9
     rates = result.false_negative_rates()

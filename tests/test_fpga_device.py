@@ -27,15 +27,12 @@ def test_device_validation():
         FPGADevice("bad", 65, 10, 10, 0, 4, 1.0, 10.0)
 
 
-def test_device_contains_and_iteration():
+def test_device_contains():
     device = virtex5_lx30()
     assert device.contains(0, 0)
     assert device.contains(device.rows - 1, device.columns - 1)
     assert not device.contains(device.rows, 0)
     assert not device.contains(0, -1)
-    coords = list(device.iter_slices())
-    assert len(coords) == device.total_slices
-    assert coords[0] == (0, 0)
 
 
 def test_aes_slice_budget_matches_paper_utilisation():
@@ -51,10 +48,10 @@ def test_region_geometry():
     assert region.rows == 4
     assert region.columns == 5
     assert region.slice_count == 20
-    assert region.contains(2, 3)
-    assert not region.contains(6, 3)
     assert region.center == (3.5, 5.0)
-    assert len(list(region.iter_slices())) == 20
+    slices = list(region.iter_slices())
+    assert len(slices) == 20
+    assert (2, 3) in slices and (6, 3) not in slices
 
 
 def test_region_validation():

@@ -65,9 +65,9 @@ def test_placer_places_all_cells_inside_region(device):
     netlist = small_netlist()
     region = Region("r", 0, 0, 3, 3)
     placement = Placer(device).place(netlist, region)
-    assert placement.cell_count() == len(netlist.cells)
+    assert len(placement.cell_positions) == len(netlist.cells)
     for coord in placement.cell_positions.values():
-        assert region.contains(*coord)
+        assert coord in set(region.iter_slices())
 
 
 def test_placer_is_deterministic(device):

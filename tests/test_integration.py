@@ -10,13 +10,13 @@ measurement conditions.
 import numpy as np
 import pytest
 
-from repro.campaigns import AcquisitionVariant
+from repro.campaigns import AcquisitionVariant, CampaignSpec
 from repro.core.delay_detector import DelayDetector
 from repro.core.em_detector import PopulationEMDetector, SameDieEMDetector
 from repro.core.fingerprint import DelayFingerprint, EMReference
 from repro.core.metrics import L1TraceMetric, LocalMaximaSumMetric
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
-from repro.measurement.delay_meter import DelayMeasurementConfig
+from repro.core.pipeline import HTDetectionPlatform
+from repro.measurement.delay_meter import DelayMeasurementConfig, PathDelayMeter
 from repro.measurement.noise import DelayNoiseModel
 
 
@@ -65,13 +65,11 @@ def test_noise_free_campaign_has_zero_clean_difference(golden_design):
     deterministic_faults = SetupViolationFaultModel(
         metastability_window_ps=0.0, stale_capture_probability=1.0
     )
-    config = PlatformConfig(
-        num_dies=2,
-        delay=DelayMeasurementConfig(repetitions=2,
-                                     noise=DelayNoiseModel(sigma_ps=0.0),
-                                     fault_model=deterministic_faults),
-    )
-    platform = HTDetectionPlatform(config=config, golden=golden_design)
+    platform = HTDetectionPlatform(CampaignSpec(die_counts=(2,)),
+                                   golden=golden_design)
+    platform.delay_meter = PathDelayMeter(DelayMeasurementConfig(
+        repetitions=2, noise=DelayNoiseModel(sigma_ps=0.0),
+        fault_model=deterministic_faults))
     study = platform.run_delay_study(trojan_names=(), num_pairs=2)
     difference = np.abs(study.measurements["Clean1"].mean_delay_ps()
                         - study.measurements["Clean2"].mean_delay_ps())

@@ -28,6 +28,7 @@ import ast
 import functools
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,36 @@ ORACLE_ONLY_NAMES = {
     "available_trojans",
     "build_size_sweep",
     "run_campaign",
+    # The suite's second description of its sizes, the platform's
+    # config and the engine's per-cell platforms and shared caches: a
+    # study is one CampaignSpec, and an engine builds one platform,
+    # which owns the golden design and both caches.
+    "ExperimentConfig",
+    "PlatformConfig",
+    "FIXED_PLAINTEXT",
+    "FIXED_KEY",
+    "build_platform",
+    "platform_for",
+    "_platform_cache",
+    "_infected_cache",
+    "_annotation_cache",
+    "CampaignEngine.infected_design",
+    # Accessors no command called; each looked reached only because a
+    # definition elsewhere shares its name.
+    "Fig3Result.labels",
+    "DelayStudyResult.labels",
+    "DelayFingerprint.num_pairs",
+    "DelayMeasurement.num_pairs",
+    "GridCell.describe",
+    "DieProfile.describe",
+    "EMTrace.copy",
+    "DelayAnnotation.copy",
+    "Placement.cell_count",
+    "FPGADevice.iter_slices",
+    "Region.contains",
+    "AESLastRoundCircuit.evaluate",
+    "AESLastRoundCircuit.lut_equivalent_area",
+    "CompiledNetlist.evaluate",
 }
 
 #: The trace metrics of ``repro.core.metrics``.
@@ -342,6 +373,15 @@ def _defined_names(node: ast.AST):
 
 
 def test_no_oracle_is_defined_under_src():
+    """A bare name is defined nowhere under ``src/``; a ``Class.member``
+    name is not defined in the body of any class of that name (methods
+    and attributes its methods assign), so another class may keep a
+    member of the same name."""
+    members = {}
+    for qualified in ORACLE_ONLY_NAMES:
+        owner, _, member = qualified.rpartition(".")
+        if owner:
+            members.setdefault(owner, set()).add(member)
     defined = []
     for path, _, tree in _modules():
         for node in ast.walk(tree):
@@ -349,7 +389,53 @@ def test_no_oracle_is_defined_under_src():
                 if name in ORACLE_ONLY_NAMES:
                     defined.append(f"{path.relative_to(SRC)}:{node.lineno} "
                                    f"{name}")
+            if isinstance(node, ast.ClassDef) and node.name in members:
+                for statement in node.body:
+                    for inner in ast.walk(statement):
+                        for name in _defined_names(inner):
+                            if name in members[node.name]:
+                                defined.append(
+                                    f"{path.relative_to(SRC)}:{inner.lineno}"
+                                    f" {node.name}.{name}")
     assert not defined, defined
+
+
+def test_the_guard_sees_a_qualified_oracle_name(monkeypatch):
+    """A ``Class.member`` entry catches that member, and only in that
+    class."""
+    injected = ast.parse("class GridCell:\n"
+                         "    def describe(self):\n        return ''\n"
+                         "class Lease:\n"
+                         "    def describe(self):\n        return ''\n")
+    path = SRC / "repro" / "_guard_probe.py"
+    monkeypatch.setattr(sys.modules[__name__], "_modules",
+                        lambda: ((path, "repro._guard_probe", injected),))
+    with pytest.raises(AssertionError, match=r"GridCell\.describe") as failure:
+        test_no_oracle_is_defined_under_src()
+    assert "Lease" not in str(failure.value)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro.experiments", "ExperimentConfig"),
+    ("repro.experiments", "FIXED_PLAINTEXT"),
+    ("repro.experiments", "FIXED_KEY"),
+    ("repro", "PlatformConfig"),
+    ("repro.core", "PlatformConfig"),
+    ("repro.core.pipeline", "PlatformConfig"),
+    ("repro.campaigns.engine", "CampaignEngine.platform_for"),
+    ("repro.campaigns.engine", "CampaignEngine.infected_design"),
+    ("repro.campaigns.engine", "CampaignEngine.golden"),
+])
+def test_the_suite_has_one_description_and_one_platform(module, name):
+    """The suite's sizes live in its CampaignSpec alone, and an engine
+    reaches its one platform as ``engine.platform``."""
+    import importlib
+
+    target = importlib.import_module(module)
+    with pytest.raises(AttributeError):
+        for part in name.split("."):
+            target = getattr(target, part)
+    assert importlib.util.find_spec("repro.experiments.config") is None
 
 
 def _em_simulator_methods():
@@ -433,7 +519,8 @@ def test_src_imports_no_removed_kernel():
 def test_delay_figures_make_no_interpreted_evaluation(monkeypatch, driver):
     import importlib
 
-    from repro.experiments.config import ExperimentConfig
+    from repro.campaigns import CampaignEngine
+    from repro.experiments import suite_spec
     from repro.netlist.netlist import Netlist
 
     calls = []
@@ -445,7 +532,7 @@ def test_delay_figures_make_no_interpreted_evaluation(monkeypatch, driver):
 
     monkeypatch.setattr(Netlist, "evaluate", counting)
     module = importlib.import_module(f"repro.experiments.{driver}")
-    module.run(ExperimentConfig.fast())
+    module.run(CampaignEngine(suite_spec(quick=True)))
     assert calls == []
 
 
@@ -471,7 +558,7 @@ def test_payloads_go_through_the_one_codec_and_read_through():
                                       "trojan_area_fractions"]
     for driver in (fig6_pv, headline):
         assert list(inspect.signature(driver.run).parameters) == \
-            ["config", "engine"], driver
+            ["engine"], driver
     for name in ("_run_parallel", "_run_cells_in_subprocess"):
         assert not hasattr(CampaignEngine, name), name
     # Array payloads are loaded and put only by the one read-through.

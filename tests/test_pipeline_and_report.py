@@ -1,8 +1,8 @@
 """Integration tests for the end-to-end platform and its reports."""
 
+import numpy as np
 import pytest
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.core.report import (
     delay_study_report,
     format_table,
@@ -12,9 +12,26 @@ from repro.core.report import (
 )
 
 
-def test_platform_config_validation():
-    with pytest.raises(ValueError):
-        PlatformConfig(num_dies=0)
+def test_platform_is_sized_by_its_spec(platform):
+    """The ``platform`` fixture's spec: 4 dies, seed 2015, 5 delay
+    repetitions; the EM bench is the paper's."""
+    assert len(platform.population) == 4
+    assert (platform.delay_meter.config.repetitions,
+            platform.delay_meter.config.seed) == (5, 2015)
+    assert platform.em_simulator.config.oscilloscope.num_averages == 1000
+
+
+def test_population_acquisition_takes_a_die_prefix(platform):
+    """A population of N dies is the first N rows of the whole one."""
+    whole = platform.acquire_population_tensors(("HT1",))
+    prefix = platform.acquire_population_tensors(("HT1",), num_dies=2)
+    assert whole.golden_labels[:2] == prefix.golden_labels
+    np.testing.assert_array_equal(whole.golden[:2], prefix.golden)
+    np.testing.assert_array_equal(whole.infected["HT1"][:2],
+                                  prefix.infected["HT1"])
+    for num_dies in (0, 5):
+        with pytest.raises(ValueError, match="num_dies"):
+            platform.acquire_population_tensors(("HT1",), num_dies=num_dies)
 
 
 def test_platform_builds_and_caches_infected_designs(platform):
@@ -36,8 +53,8 @@ def test_platform_dut_factories(platform):
 def test_delay_study_structure(delay_study):
     assert set(delay_study.comparisons) == {"Clean1", "Clean2", "HT_comb", "HT_seq"}
     assert set(delay_study.measurements) == set(delay_study.comparisons)
-    assert delay_study.fingerprint.num_pairs == len(delay_study.pairs)
-    assert delay_study.labels() == list(delay_study.comparisons)
+    assert delay_study.fingerprint.mean_steps.shape[0] == \
+        len(delay_study.pairs)
 
 
 def test_delay_study_detects_both_trojans(delay_study):

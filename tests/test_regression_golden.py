@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
+from repro.campaigns import CampaignSpec
+from repro.core.pipeline import HTDetectionPlatform
 
 #: Campaign geometry the golden numbers were captured on.
 NUM_DIES = 8
@@ -38,7 +39,7 @@ GOLDEN_MU = {
 
 #: Seed-captured delay-study device scores (max |Delta D| in ps) and
 #: verdicts for the two clean controls and the two Sec. III trojans
-#: (num_pairs=3, default measurement config).
+#: (num_pairs=3, 10 repetitions).
 GOLDEN_DELAY_SCORES_PS = {
     "Clean1": (28.0, False),
     "Clean2": (24.5, False),
@@ -50,9 +51,8 @@ GOLDEN_DELAY_THRESHOLD_PS = 65.86845977753815
 
 @pytest.fixture(scope="module")
 def golden_platform():
-    return HTDetectionPlatform(
-        config=PlatformConfig(num_dies=NUM_DIES, seed=SEED)
-    )
+    return HTDetectionPlatform(CampaignSpec(
+        die_counts=(NUM_DIES,), seed=SEED, delay_repetitions=10))
 
 
 @pytest.fixture(scope="module")

@@ -597,6 +597,31 @@ def test_resumed_run_still_writes_trace_archives(tmp_path):
         [row.to_dict() for row in cold.rows()]
 
 
+def test_a_fully_resumed_save_traces_run_writes_its_own_archive(
+        tmp_path, capsys):
+    """Every ``--save-traces`` run archives the populations it covers in
+    its own ``--out``, also when every cell resumes: the archive is
+    read back through the store, byte-identical to the cold run's, and
+    ``trace_archive`` names it."""
+    from repro.cli import main
+
+    def run(out):
+        assert main(["campaign", "run", "--trojan", "HT1", "--dies", "3",
+                     "--plaintexts", "2", "--metric", "l1", "--save-traces",
+                     "--store", str(tmp_path / "store"),
+                     "--out", str(out)]) == 0
+        return capsys.readouterr().out
+
+    run(tmp_path / "A")
+    assert "(1 cell(s) resumed)" in run(tmp_path / "B")
+    archive = tmp_path / "B" / "traces_d3_paper.npz"
+    assert archive.read_bytes() == \
+        (tmp_path / "A" / "traces_d3_paper.npz").read_bytes()
+    summary = json.loads((tmp_path / "B" / "campaign.json").read_text())
+    assert [cell["trace_archive"] for cell in summary["cells"]] == \
+        [str(archive)]
+
+
 def test_deleting_one_completion_recomputes_only_that_cell(tmp_path,
                                                            resume_spec):
     store_dir = tmp_path / "store"

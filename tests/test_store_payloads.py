@@ -16,7 +16,7 @@ import pytest
 from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.campaigns.engine import _DelayStudyData, _FaultSweepData
 from repro.core.pipeline import PopulationTraceTensors
-from repro.experiments import ExperimentConfig, fig6_pv, headline, run_all
+from repro.experiments import fig6_pv, headline, run_all, suite_spec
 from repro.measurement.delay_meter import PathDelayMeter
 from repro.measurement.em_simulator import EMSimulator
 from repro.store.artifact_store import encode_array_bytes
@@ -134,14 +134,14 @@ def test_store_written_by_the_oracles_resumes_warm(monkeypatch, tmp_path,
 
 
 def test_suite_population_follows_num_plaintexts():
-    config = dataclasses.replace(ExperimentConfig.fast(), num_plaintexts=3)
-    suite = run_all(config)
-    alone_headline = headline.run(config)
+    spec = dataclasses.replace(suite_spec(quick=True), num_plaintexts=3)
+    suite = run_all(spec)
+    alone_headline = headline.run(CampaignEngine(spec))
     assert [dataclasses.astuple(row)
             for row in suite.results["headline"].rows] == \
         [dataclasses.astuple(row) for row in alone_headline.rows]
     suite_fig6 = suite.results["fig6"]
-    alone_fig6 = fig6_pv.run(config)
+    alone_fig6 = fig6_pv.run(CampaignEngine(spec))
     assert suite_fig6.reference_mean.tobytes() == \
         alone_fig6.reference_mean.tobytes()
     assert suite_fig6.golden_peak_per_die() == alone_fig6.golden_peak_per_die()

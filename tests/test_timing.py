@@ -44,13 +44,6 @@ def test_annotation_scale_and_clamping():
     assert cell_delay_ps(negative, cell) == 0.0
 
 
-def test_annotation_copy_is_independent():
-    annotation = DelayAnnotation()
-    clone = annotation.copy()
-    clone.cell_offsets_ps["x"] = 5.0
-    assert "x" not in annotation.cell_offsets_ps
-
-
 def test_static_arrival_times_accumulate_along_path():
     netlist = build_chain()
     annotation = DelayAnnotation(net_delays_ps={}, default_net_delay_ps=10.0)

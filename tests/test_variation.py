@@ -158,7 +158,7 @@ def test_campaign_computes_each_die_offset_once(golden_design):
     engine = CampaignEngine(spec, golden=golden_design)
     result = engine.run()
     assert [cell.status for cell in result.cells] == ["ok", "ok"]
-    population = engine.platform_for(spec.grid()[0]).population
+    population = engine.platform.population
     distinct_dies = {die.intra_die_seed for die in population}
     assert len(distinct_dies) == 8
     offsets = die_offsets.cache_info()
@@ -181,8 +181,6 @@ def test_die_profile_validation():
         DieProfile(0, delay_scale=0.0, em_gain=1.0, em_offset=0.0, intra_die_seed=0)
     with pytest.raises(ValueError):
         DieProfile(0, delay_scale=1.0, em_gain=0.0, em_offset=0.0, intra_die_seed=0)
-    profile = DieProfile(3, 1.02, 0.98, 1.0, 17)
-    assert "die 3" in profile.describe()
 
 
 def test_die_population_reproducible_and_prefix_stable():
