@@ -629,15 +629,25 @@ class CampaignEngine:
         stimulus-averaged trace.  The population stays tensor-resident:
         the store payload is written from and read into the matrices,
         and :class:`EMTrace` objects are built only for trace archives.
+        A population of fewer dies is the first rows of a larger one of
+        the same variant, so one the memo already holds is sliced.
         """
         from ..core.pipeline import PopulationTraceTensors
 
-        return self._read_cell_artifact(
-            cell,
-            compute=lambda: self.platform.acquire_population_tensors(
+        def compute() -> PopulationTraceTensors:
+            for (kind, key), tensors in self._memo.items():
+                if (kind == "population_traces"
+                        and key[1] == cell.variant.name
+                        and key[0] > cell.num_dies):
+                    return tensors.first_dies(cell.num_dies)
+            return self.platform.acquire_population_tensors(
                 self.spec.trojans, self.spec.stimulus_plaintexts(),
                 self.spec.key, num_dies=cell.num_dies,
-                em=cell.variant.build_em_config()),
+                em=cell.variant.build_em_config())
+
+        return self._read_cell_artifact(
+            cell,
+            compute=compute,
             pack=PopulationTraceTensors.to_arrays,
             unpack=PopulationTraceTensors.from_arrays,
             meta=lambda tensors: {
@@ -712,7 +722,7 @@ class CampaignEngine:
         spec = self.spec
         platform = self.platform
         meter = platform.delay_meter
-        pairs = generate_pk_pairs(spec.num_pk_pairs, seed=spec.seed + 7)
+        pairs = generate_pk_pairs(spec.num_pk_pairs, seed=spec.pk_pair_seed())
 
         golden_dut = platform.golden_dut(0, label="GM")
         fingerprint_measurement = meter.measure_batch(
@@ -1164,6 +1174,9 @@ class CampaignEngine:
                 # unwritten.
                 self._active_indices = frozenset(cell.index
                                                  for cell in pending)
+                # Largest populations first (stable): a smaller one is
+                # then sliced from it (:meth:`_cell_tensors`).
+                pending.sort(key=lambda cell: -cell.num_dies)
                 if pending:
                     from .supervisor import (
                         CampaignSupervisor,

@@ -387,6 +387,11 @@ class CampaignSpec:
             self.num_plaintexts - 1, seed=self.seed + 23,
             include_default=False)
 
+    def pk_pair_seed(self) -> int:
+        """Seed of the (P, K) pairs every delay study of this campaign
+        measures (delay cells, Figs. 2 and 3, ``repro-ht delay``)."""
+        return self.seed + 7
+
     def build_delay_config(self) -> DelayMeasurementConfig:
         """The clock-glitch bench of this campaign's delay and fault
         studies: ``delay_repetitions`` repetitions seeded by ``seed``."""

@@ -403,9 +403,10 @@ class CampaignSupervisor:
         """Run ``cells`` to completion (or graceful drain).
 
         Cells are chunked by acquisition key — exactly the old pool's
-        chunking, for the same cache-affinity reason — then supervised
-        per cell.  Raises ``KeyboardInterrupt`` after a graceful drain;
-        any other return covers every requested cell.
+        chunking, for the same cache-affinity reason — queued in the
+        order of their first cell, then supervised per cell.  Raises
+        ``KeyboardInterrupt`` after a graceful drain; any other return
+        covers every requested cell.
         """
         if not cells:
             return {}

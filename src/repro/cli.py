@@ -99,6 +99,7 @@ def cmd_delay(args: argparse.Namespace) -> int:
     study = engine.platform.run_delay_study(
         trojan_names=tuple(args.trojan),
         num_pairs=engine.spec.num_pk_pairs,
+        pair_seed=engine.spec.pk_pair_seed(),
     )
     print(delay_study_report(study))
     return 0

@@ -20,7 +20,7 @@ this class and that engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -123,6 +123,16 @@ class PopulationTraceTensors:
             )
             for row in range(matrix.shape[0])
         ]
+
+    def first_dies(self, num_dies: int) -> "PopulationTraceTensors":
+        """The population of the first ``num_dies`` dies (row views)."""
+        return replace(
+            self, golden=self.golden[:num_dies],
+            golden_labels=self.golden_labels[:num_dies],
+            infected={name: rows[:num_dies]
+                      for name, rows in self.infected.items()},
+            infected_labels={name: labels[:num_dies]
+                             for name, labels in self.infected_labels.items()})
 
     def to_traces(self) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
         """Wrap the tensors into per-die :class:`EMTrace` lists."""
@@ -341,7 +351,8 @@ class HTDetectionPlatform:
         — :meth:`PopulationTraceTensors.to_traces` wraps the rows at the
         persistence/report boundary.  Each die keeps its own noise
         stream, consumed in the order of a serial per-(design, die)
-        acquisition loop, so every row is bit-identical to it.
+        acquisition loop, so every row is bit-identical to it, and a
+        population of N dies is the first N rows of a larger one.
         """
         num_dies = len(self.population) if num_dies is None else num_dies
         if not 1 <= num_dies <= len(self.population):

@@ -46,7 +46,8 @@ def run(engine: CampaignEngine, trojan_name: str = "HT_comb",
     """Build the Fig. 2 staircase for (P, K) pair ``pair_index`` of the
     campaign's ``num_pk_pairs`` pairs, on the spec's delay bench."""
     spec, platform = engine.spec, engine.platform
-    pair = generate_pk_pairs(spec.num_pk_pairs, seed=spec.seed + 7)[pair_index]
+    pair = generate_pk_pairs(spec.num_pk_pairs,
+                             seed=spec.pk_pair_seed())[pair_index]
 
     meter = platform.delay_meter
     golden_dut = platform.golden_dut(0, label="GM")

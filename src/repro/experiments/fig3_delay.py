@@ -76,7 +76,7 @@ def run(engine: CampaignEngine,
         trojan_names=trojan_names,
         num_pairs=spec.num_pk_pairs,
         die_index=0,
-        pair_seed=spec.seed + 7,
+        pair_seed=spec.pk_pair_seed(),
     )
     pair_indices = (list(PAPER_PAIRS) if spec.num_pk_pairs > max(PAPER_PAIRS)
                     else sorted({0, spec.num_pk_pairs - 1}))

@@ -2,21 +2,22 @@
 
 This module is the bridge between the physical models (placement,
 routing, process variation, power grid, trojan loading) and the netlist
-timing engine: it assembles a
-:class:`~repro.netlist.timing.DelayAnnotation` describing how fast every
-cell and net of a design is *on one particular die*, optionally
-including the parasitic effects of an inserted trojan.
-
-Keeping this as a free function over plain mappings (rather than a
-method of the design or trojan classes) avoids circular dependencies and
-makes the individual contributions easy to test in isolation.
+timing engine: it builds the
+:class:`~repro.netlist.compiled.DelayVectors` describing how fast every
+combinational cell and net of a design is *on one particular die*,
+optionally including the parasitic effects of an inserted trojan.  Both
+vectors start from per-design constants in compiled order
+(:attr:`~repro.fpga.design.GoldenDesign.host_delays`), so the timing
+engine stacks them as they are and no name is looked up per die.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
-from ..netlist.timing import DelayAnnotation
+import numpy as np
+
+from ..netlist.compiled import DelayVectors
 from ..variation.inter_die import DieProfile
 from ..variation.intra_die import IntraDieVariation
 from .design import GoldenDesign
@@ -30,7 +31,7 @@ def build_delay_annotation(design: GoldenDesign,
                            extra_net_delays_ps: Optional[Mapping[str, float]] = None,
                            aggressor_positions: Optional[Mapping[str, SliceCoord]] = None,
                            power_grid: Optional[PowerGrid] = None
-                           ) -> DelayAnnotation:
+                           ) -> DelayVectors:
     """Build the delay annotation of ``design`` on one die.
 
     Parameters
@@ -45,7 +46,8 @@ def build_delay_annotation(design: GoldenDesign,
         ``None`` disables intra-die variation.
     extra_net_delays_ps:
         Additional routing delay per net, e.g. the capacitive loading a
-        trojan adds to tapped nets.  Applied on top of the routed delays.
+        trojan adds to tapped nets.  Added to the routed delay (to 0 for
+        a net without one); nets outside the host netlist are ignored.
     aggressor_positions:
         Cell positions of an inserted trojan.  When given together with
         ``power_grid``, the IR-drop they cause adds a delay offset to the
@@ -55,28 +57,28 @@ def build_delay_annotation(design: GoldenDesign,
 
     Returns
     -------
-    A fresh :class:`DelayAnnotation`; the inputs are not modified.
+    Read-only vectors: a cell's delay is ``max(0, intrinsic * die scale
+    + (intra-die offset + droop))`` and a net's ``max(0, routed + tap
+    loading)``.  The inputs are not modified.
     """
-    net_delays: Dict[str, float] = dict(design.net_delays_ps)
-    if extra_net_delays_ps:
-        for net, extra in extra_net_delays_ps.items():
-            net_delays[net] = net_delays.get(net, 0.0) + float(extra)
-
-    cell_offsets: Dict[str, float] = {}
-    positions = design.placement.cell_positions
-    if intra_die is not None:
-        cell_offsets.update(intra_die.offsets_for(positions))
-
+    host = design.host_delays
+    offsets = (intra_die.offsets_for(host.comb_positions)
+               if intra_die is not None else 0.0)
     if aggressor_positions and power_grid is not None:
-        droop_offsets = power_grid.victim_delay_offsets_ps(
-            victim_positions=positions,
-            aggressor_positions=aggressor_positions,
-        )
-        for cell_name, offset in droop_offsets.items():
-            cell_offsets[cell_name] = cell_offsets.get(cell_name, 0.0) + offset
+        offsets = offsets + power_grid.victim_delay_offsets_ps(
+            host.comb_positions, aggressor_positions)
+    scale = die.delay_scale if die is not None else 1.0
+    cell_delays = np.maximum(0.0, host.intrinsic_ps * scale + offsets)
+    cell_delays.flags.writeable = False
 
-    return DelayAnnotation(
-        cell_offsets_ps=cell_offsets,
-        net_delays_ps=net_delays,
-        cell_scale=die.delay_scale if die is not None else 1.0,
-    )
+    net_delays = host.routed_ps
+    net_index = design.netlist.compiled().net_index
+    taps = [(net_index[net], design.net_delays_ps.get(net, 0.0), float(extra))
+            for net, extra in (extra_net_delays_ps or {}).items()
+            if net in net_index]
+    if taps:
+        columns, routed, extras = zip(*taps)
+        net_delays = net_delays.copy()
+        net_delays[list(columns)] = np.maximum(0.0, np.add(routed, extras))
+        net_delays.flags.writeable = False
+    return DelayVectors(cell_delays, net_delays)

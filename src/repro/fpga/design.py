@@ -17,14 +17,30 @@ on tapped nets are added, mirroring the paper's FPGA-Editor methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional
+
+import numpy as np
 
 from ..netlist.aes_round_circuit import AESLastRoundCircuit
+from ..netlist.compiled import DEFAULT_NET_DELAY_PS
 from ..netlist.netlist import Netlist
 from .device import FPGADevice, aes_slice_budget, virtex5_lx30
 from .floorplan import Floorplan, default_floorplan
 from .placement import Placement, Placer
 from .routing import Router
+from .slices import SliceCoord
+
+
+class HostDelays(NamedTuple):
+    """What every delay annotation of a design starts from, in compiled
+    order: each combinational cell's placement and intrinsic delay (the
+    cells a timing engine reads) and each net's routed delay (the
+    default without one), clamped at 0."""
+
+    comb_positions: Dict[str, SliceCoord]
+    intrinsic_ps: np.ndarray
+    routed_ps: np.ndarray
 
 
 @dataclass
@@ -42,6 +58,22 @@ class GoldenDesign:
     def netlist(self) -> Netlist:
         """The structural netlist of the modelled (last-round) logic."""
         return self.circuit.netlist
+
+    @cached_property
+    def host_delays(self) -> HostDelays:
+        """Computed once: a design is not edited after its build."""
+        compiled = self.netlist.compiled()
+        comb = compiled.comb_cell_names
+        positions = self.placement.cell_positions
+        routed = np.maximum(0.0, np.array(
+            [self.net_delays_ps.get(net, DEFAULT_NET_DELAY_PS)
+             for net in compiled.net_names]))
+        routed.flags.writeable = False
+        return HostDelays(
+            {name: positions[name] for name in comb},
+            np.array([self.netlist.cells[name].intrinsic_delay_ps()
+                      for name in comb]),
+            routed)
 
     @classmethod
     def build(cls, device: Optional[FPGADevice] = None,

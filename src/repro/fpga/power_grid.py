@@ -27,11 +27,12 @@ sees the same one, so :meth:`PowerGrid.victim_delay_offsets_ps` is
 memoised per process in a bounded LRU cache keyed by ``(device,
 tile_rows, tile_cols, tile_resistance_ohm, static_current_per_cell_ua,
 delay_sensitivity_ps_per_mv, droop_decay_tiles,
-tuple(victim_positions.items()), tuple(aggressor_positions.items()))``.
-The device is a frozen dataclass, so its name, rows and columns are part
-of the key.  :class:`PowerGrid` itself is mutable, so the key is read at
-call time.  A miss computes the offsets from :meth:`PowerGrid.droop_mv`,
-so a hit returns exactly the floats a recomputation would.
+tuple(victim_positions.items()), tuple(aggressor_positions.items()))``
+and returns a read-only vector in victim order.  The device is a frozen
+dataclass, so its name, rows and columns are part of the key.
+:class:`PowerGrid` itself is mutable, so the key is read at call time.
+A miss computes the offsets from :meth:`PowerGrid.droop_mv`, so a hit
+returns exactly the floats a recomputation would.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 from .device import FPGADevice
 from .slices import SliceCoord
@@ -146,22 +148,16 @@ class PowerGrid:
 
     def victim_delay_offsets_ps(self, victim_positions: Mapping[str, SliceCoord],
                                 aggressor_positions: Mapping[str, SliceCoord]
-                                ) -> Dict[str, float]:
-        """Delay increase per victim cell caused by aggressor-induced droop.
-
-        Memoised per process on the device, every grid field and both
-        placements (see :func:`_victim_droop_offsets`); the result is a
-        fresh ``dict`` the caller may mutate.
-        """
-        return dict(_victim_droop_offsets(
+                                ) -> np.ndarray:
+        """Delay increase of each victim cell, in order, caused by
+        aggressor-induced droop (the memo :func:`_victim_droop_offsets`)."""
+        return _victim_droop_offsets(
             self.device, self.tile_rows, self.tile_cols,
             self.tile_resistance_ohm, self.static_current_per_cell_ua,
             self.delay_sensitivity_ps_per_mv, self.droop_decay_tiles,
             tuple(victim_positions.items()),
             tuple(aggressor_positions.items()),
-        ))
-
-    # -- EM coupling -----------------------------------------------------------
+        )
 
 @functools.lru_cache(maxsize=_DROOP_MEMO_SIZE)
 def _victim_droop_offsets(device: FPGADevice, tile_rows: int,
@@ -171,7 +167,7 @@ def _victim_droop_offsets(device: FPGADevice, tile_rows: int,
                           droop_decay_tiles: float,
                           victims: Tuple[Tuple[str, SliceCoord], ...],
                           aggressors: Tuple[Tuple[str, SliceCoord], ...]
-                          ) -> Mapping[str, float]:
+                          ) -> np.ndarray:
     """Read-only droop delay offset of each victim cell (memoised).
 
     ``victims`` and ``aggressors`` are the ``(cell name, coord)`` items
@@ -186,8 +182,8 @@ def _victim_droop_offsets(device: FPGADevice, tile_rows: int,
         droop_decay_tiles=droop_decay_tiles,
     )
     droop = grid.droop_mv(dict(aggressors))
-    return MappingProxyType({
-        cell_name: droop.get(grid.tile_of(coord), 0.0)
-        * delay_sensitivity_ps_per_mv
-        for cell_name, coord in victims
-    })
+    offsets = np.array([droop.get(grid.tile_of(coord), 0.0)
+                        * delay_sensitivity_ps_per_mv
+                        for _, coord in victims])
+    offsets.flags.writeable = False
+    return offsets

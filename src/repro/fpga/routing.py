@@ -9,8 +9,9 @@ algorithms); what matters is that every net gets a routing delay that
   of the genuine circuit (the paper's frozen-placement-and-routing
   constraint), except for the extra load a trojan adds to tapped nets.
 
-:class:`Router` computes a per-net delay map that is fed into the
-:class:`~repro.netlist.timing.DelayAnnotation`.
+:class:`Router` computes the per-net delay map a design keeps
+(``GoldenDesign.net_delays_ps``), from which every die's
+:class:`~repro.netlist.compiled.DelayVectors` starts.
 """
 
 from __future__ import annotations

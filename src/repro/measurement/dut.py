@@ -23,8 +23,8 @@ from ..fpga.annotation import build_delay_annotation
 from ..fpga.design import GoldenDesign
 from ..fpga.power_grid import PowerGrid
 from ..netlist.aes_round_circuit import AESLastRoundCircuit
+from ..netlist.compiled import DelayVectors
 from ..netlist.netlist import Netlist
-from ..netlist.timing import DelayAnnotation
 from ..trojan.base import HardwareTrojan
 from ..trojan.insertion import InfectedDesign
 from ..variation.inter_die import DieProfile
@@ -50,19 +50,18 @@ class DeviceUnderTest:
         Human-readable identifier used in reports ("Clean1", "HTcomb"...).
     annotation_cache:
         A dict shared by DUTs (a platform passes one to every DUT it
-        makes): the delay
-        annotation of a (design, die) is built by the first of them to
-        need it and reused by the rest.  Only the annotation is shared,
-        never measurement state.
+        makes): the delay annotation (read-only vectors) of a (design,
+        die) is built by the first of them to need it and reused by the
+        rest.  Only the annotation is shared, never measurement state.
     """
 
     design: Design
     die: Optional[DieProfile] = None
     label: str = ""
-    annotation_cache: Optional[Dict[Tuple[Any, ...], DelayAnnotation]] = \
+    annotation_cache: Optional[Dict[Tuple[Any, ...], DelayVectors]] = \
         field(default=None, repr=False, compare=False)
-    _annotation: Optional[DelayAnnotation] = field(default=None, init=False,
-                                                   repr=False)
+    _annotation: Optional[DelayVectors] = field(default=None, init=False,
+                                                repr=False)
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -125,31 +124,26 @@ class DeviceUnderTest:
             die_cols=device.columns,
         )
 
-    def delay_annotation(self) -> DelayAnnotation:
+    def delay_annotation(self) -> DelayVectors:
         """Timing annotation of this (design, die) combination (cached)."""
-        if self._annotation is None and self.annotation_cache is not None:
-            self._annotation = self.annotation_cache.get(self._cache_key())
+        # The cache's owner keeps every design alive, so ids are unique.
+        key, cache = (id(self.design), self.die), self.annotation_cache
+        if self._annotation is None and cache is not None:
+            self._annotation = cache.get(key)
         if self._annotation is None:
-            extra_net_delays = None
-            aggressors = None
-            if isinstance(self.design, InfectedDesign):
-                extra_net_delays = self.design.tap_extra_delay_ps
-                aggressors = self.design.aggressor_positions()
+            infected = self.infected
             self._annotation = build_delay_annotation(
                 self.golden,
                 die=self.die,
                 intra_die=self.intra_die_variation(),
-                extra_net_delays_ps=extra_net_delays,
-                aggressor_positions=aggressors,
+                extra_net_delays_ps=infected and infected.tap_extra_delay_ps,
+                aggressor_positions=(infected
+                                     and infected.aggressor_positions()),
                 power_grid=PowerGrid(self.golden.device),
             )
-            if self.annotation_cache is not None:
-                self.annotation_cache[self._cache_key()] = self._annotation
+            if cache is not None:
+                cache[key] = self._annotation
         return self._annotation
-
-    def _cache_key(self) -> Tuple[Any, ...]:
-        # The cache's owner keeps every design alive, so ids are unique.
-        return (id(self.design), self.die)
 
     def em_gain(self) -> float:
         """Die-dependent EM emission gain."""

@@ -22,7 +22,8 @@ from .cells import (
     make_lut,
     make_mux2,
 )
-from .compiled import CompiledNetlist, CompiledTimingEngine
+from .compiled import (DEFAULT_NET_DELAY_PS, CompiledNetlist,
+                       CompiledTimingEngine, DelayVectors)
 from .netlist import Netlist, NetlistError
 from .synth import (
     SynthesisError,
@@ -31,7 +32,6 @@ from .synth import (
     synthesize_reduction_tree,
     truth_table_from_function,
 )
-from .timing import DEFAULT_NET_DELAY_PS, DelayAnnotation
 
 __all__ = [
     "AESLastRoundCircuit",
@@ -53,5 +53,5 @@ __all__ = [
     "synthesize_reduction_tree",
     "truth_table_from_function",
     "DEFAULT_NET_DELAY_PS",
-    "DelayAnnotation",
+    "DelayVectors",
 ]

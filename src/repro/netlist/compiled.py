@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from .cells import Cell, CellType
 from .netlist import Netlist, NetlistError
-from .timing import DelayAnnotation
 
 #: Upper bound on the boolean toggle-chunk size (elements) the
 #: switching-activity kernel materialises at once; bounds peak RSS at
@@ -477,6 +477,20 @@ class CompiledNetlist:
         return output_toggles, pin_toggles
 
 
+#: Default routing delay per net, in picoseconds (a short intra-slice route).
+DEFAULT_NET_DELAY_PS = 120.0
+
+
+class DelayVectors(NamedTuple):
+    """One die's delay annotation of a netlist: the total delay of each
+    of its ``comb_cell_names`` and the routing delay of each of its
+    ``net_names``, in that order (built by
+    :func:`repro.fpga.annotation.build_delay_annotation`)."""
+
+    cell_delays_ps: np.ndarray
+    net_delays_ps: np.ndarray
+
+
 class CompiledTimingEngine:
     """Array-based two-vector timing over one compiled netlist.
 
@@ -495,47 +509,40 @@ class CompiledTimingEngine:
         A :class:`CompiledNetlist` (or a :class:`Netlist`, lowered via
         its cache).
     annotations:
-        One :class:`DelayAnnotation` per die (or a single annotation).
+        One :class:`DelayVectors` per die (or a single one), in this
+        netlist's compiled order; the engine stacks them as they are.
     input_arrival_ps:
         Launch time of toggling primary inputs.
     """
 
     def __init__(self, compiled: Union[CompiledNetlist, Netlist],
-                 annotations: Union[DelayAnnotation,
-                                    Sequence[DelayAnnotation], None] = None,
+                 annotations: Union[DelayVectors, Sequence[DelayVectors]],
                  input_arrival_ps: float = 0.0):
         if isinstance(compiled, Netlist):
             compiled = compiled.compiled()
         self.compiled = compiled
-        if annotations is None:
-            annotations = DelayAnnotation()
-        if isinstance(annotations, DelayAnnotation):
+        if isinstance(annotations, DelayVectors):
             annotations = [annotations]
-        self.annotations: List[DelayAnnotation] = list(annotations)
-        if not self.annotations:
+        if not annotations:
             raise ValueError("at least one delay annotation is required")
         self.input_arrival_ps = float(input_arrival_ps)
-
-        netlist = compiled.netlist
-        comb_cells = [netlist.cells[name] for name in compiled.comb_cell_names]
         # (num_dies, num_comb) cell delays and (num_dies, num_nets + 1)
         # net delays; the padding column keeps gathers in-bounds (it is
         # masked out by the never-toggling padded inputs).
-        self.cell_delays = np.stack([
-            annotation.cell_delay_vector(comb_cells)
-            for annotation in self.annotations
-        ])
-        net_delays = np.stack([
-            annotation.net_delay_vector(compiled.net_names)
-            for annotation in self.annotations
-        ])
+        self.cell_delays = np.stack([annotation.cell_delays_ps
+                                     for annotation in annotations])
+        net_delays = np.stack([annotation.net_delays_ps
+                               for annotation in annotations])
+        if (self.cell_delays.shape[1], net_delays.shape[1]) != \
+                (len(compiled.comb_cell_names), compiled.num_nets):
+            raise ValueError("delay vectors do not fit the combinational "
+                             "cells and nets of this netlist")
         self.net_delays = np.concatenate(
-            [net_delays, np.zeros((len(self.annotations), 1))], axis=1
-        )
+            [net_delays, np.zeros((len(annotations), 1))], axis=1)
 
     @property
     def num_dies(self) -> int:
-        return len(self.annotations)
+        return self.cell_delays.shape[0]
 
     # -- batched two-vector timing -----------------------------------------------
 

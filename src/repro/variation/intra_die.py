@@ -16,14 +16,16 @@ fingerprint, which is exactly what makes the golden-model comparison of
 the paper meaningful.
 
 Because an offset is a pure function of the die seed, the two sigmas,
-the die extent and the cell's name and position, the per-die offset map
-is memoised per process: :meth:`IntraDieVariation.offsets_for` looks it
-up in a bounded LRU cache keyed by ``(seed, sigma_spatial_ps,
-sigma_random_ps, die_rows, die_cols, tuple(cell_positions.items()))``.
-Every device of a campaign that sits on the same die (its clean copy
-and each infected copy share the golden placement) then reuses one map.
-Forked worker processes start from their parent's memo and fill their
-own.
+the die extent and the cell's name and position, the per-die offsets
+are memoised per process: :meth:`IntraDieVariation.offsets_for` returns
+the read-only vector (in ``cell_positions`` order) of a bounded LRU
+cache keyed by ``(seed, sigma_spatial_ps, sigma_random_ps, die_rows,
+die_cols, tuple(cell_positions.items()))``.  The delay annotation asks
+for the host's combinational cells in compiled order, the only cells a
+timing engine reads.  Every device of a campaign that sits on the same
+die (its clean copy and each infected copy share the golden placement)
+then reuses one vector.  Forked worker processes start from their
+parent's memo and fill their own.
 
 A cell's random component is one ``normal(0.0, 1.0)`` draw from
 ``np.random.default_rng(crc32(f"{seed}:{cell}"))``.  Building one
@@ -44,7 +46,6 @@ import functools
 import math
 import zlib
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -124,19 +125,13 @@ class IntraDieVariation:
         return total
 
     def offsets_for(self, cell_positions: Mapping[str, Tuple[int, int]]
-                    ) -> Dict[str, float]:
-        """Delay offsets for every placed cell of a design.
-
-        The map is memoised per process on ``(seed, sigma_spatial_ps,
-        sigma_random_ps, die_rows, die_cols,
-        tuple(cell_positions.items()))`` (see :func:`die_offsets`), so
-        each distinct die is computed once however many devices sit on
-        it.  The result is a fresh ``dict`` the caller may mutate.
-        """
-        return dict(die_offsets(
+                    ) -> np.ndarray:
+        """Read-only delay offsets of the given placed cells, in their
+        order, memoised per die and placement (:func:`die_offsets`)."""
+        return die_offsets(
             self.seed, self.sigma_spatial_ps, self.sigma_random_ps,
             self.die_rows, self.die_cols, tuple(cell_positions.items()),
-        ))
+        )
 
 def _pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
     """The ``(state, inc)`` that ``np.random.default_rng(seed)`` starts
@@ -194,8 +189,8 @@ def _pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
 def die_offsets(seed: int, sigma_spatial_ps: float, sigma_random_ps: float,
                 die_rows: int, die_cols: int,
                 placed: Tuple[Tuple[str, Tuple[int, int]], ...]
-                ) -> Mapping[str, float]:
-    """Read-only offset map of the cells ``placed`` on one die (memoised).
+                ) -> np.ndarray:
+    """Read-only offset vector of the cells ``placed`` on one die (memoised).
 
     ``placed`` is the ``(cell name, coord)`` items of a placement, in
     order.  Each offset is ``sigma_spatial_ps * spatial_field(coord) +
@@ -218,8 +213,8 @@ def die_offsets(seed: int, sigma_spatial_ps: float, sigma_random_ps: float,
     # Several cells share a slice, so each coordinate's field is
     # evaluated once.
     fields: Dict[Tuple[int, int], float] = {}
-    offsets: Dict[str, float] = {}
-    for (name, coord), (state, inc) in zip(placed, states):
+    offsets = np.empty(len(placed))
+    for index, ((_, coord), (state, inc)) in enumerate(zip(placed, states)):
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -229,6 +224,7 @@ def die_offsets(seed: int, sigma_spatial_ps: float, sigma_random_ps: float,
         draw = float(generator.normal(0.0, 1.0))
         if coord not in fields:
             fields[coord] = variation.spatial_field(coord)
-        offsets[name] = (sigma_spatial_ps * fields[coord]
-                         + draw * sigma_random_ps)
-    return MappingProxyType(offsets)
+        offsets[index] = (sigma_spatial_ps * fields[coord]
+                          + draw * sigma_random_ps)
+    offsets.flags.writeable = False
+    return offsets

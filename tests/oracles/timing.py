@@ -1,5 +1,13 @@
 """Interpreted timing reference: one Python walk per cell.
 
+The name-keyed :class:`DelayAnnotation` is the dict form of a die's
+delays that :class:`~repro.netlist.compiled.DelayVectors` replaced:
+:func:`dict_delay_annotation` builds it the way the package once did
+(per-cell intra-die offsets, per-victim droop, tap loading merged name
+by name) and :func:`delay_vectors` lowers it by per-name lookups, so
+the vectors ``build_delay_annotation`` now builds directly can be
+pinned to it bit for bit.
+
 The executable specification of the two timing models the compiled
 engine (:class:`repro.netlist.compiled.CompiledTimingEngine`) runs as
 array sweeps:
@@ -23,27 +31,129 @@ be compared net by net.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.netlist.compiled import CompiledTimingEngine
+from repro.fpga.design import GoldenDesign
+from repro.fpga.power_grid import PowerGrid
+from repro.fpga.slices import SliceCoord
 from repro.netlist.cells import Cell
+from repro.netlist.compiled import (
+    DEFAULT_NET_DELAY_PS,
+    CompiledNetlist,
+    CompiledTimingEngine,
+    DelayVectors,
+)
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.netlist.timing import DelayAnnotation
+from repro.variation.inter_die import DieProfile
+from repro.variation.intra_die import IntraDieVariation
+
+from .variation import cell_offset_ps
+
+
+@dataclass
+class DelayAnnotation:
+    """Per-instance delay annotation for a netlist, keyed by name.
+
+    Attributes
+    ----------
+    cell_offsets_ps:
+        Additional delay per cell instance name (process variation,
+        voltage droop, temperature...).  Missing cells get 0.
+    net_delays_ps:
+        Routing delay per net name.  Missing nets get ``default_net_delay_ps``.
+    cell_scale:
+        Global multiplicative factor on intrinsic cell delays (inter-die
+        process corner; 1.0 = typical).
+    default_net_delay_ps:
+        Routing delay used for nets without an explicit entry.
+    """
+
+    cell_offsets_ps: Dict[str, float] = field(default_factory=dict)
+    net_delays_ps: Dict[str, float] = field(default_factory=dict)
+    cell_scale: float = 1.0
+    default_net_delay_ps: float = DEFAULT_NET_DELAY_PS
+
+    def cell_delay_vector(self, cells: Sequence[Cell]) -> np.ndarray:
+        """Total propagation delay of many cells as one float64 vector:
+        element ``i`` is ``max(0, intrinsic * cell_scale + offset)`` of
+        ``cells[i]``."""
+        intrinsic = np.array([cell.intrinsic_delay_ps() for cell in cells])
+        offsets = np.array([self.cell_offsets_ps.get(cell.name, 0.0)
+                            for cell in cells])
+        return np.maximum(0.0, intrinsic * self.cell_scale + offsets)
+
+    def net_delay_vector(self, nets: Sequence[str]) -> np.ndarray:
+        """Routing delay of many nets as one float64 vector (the default
+        for nets without an entry, clamped at 0)."""
+        default = self.default_net_delay_ps
+        return np.maximum(0.0, np.array(
+            [self.net_delays_ps.get(net, default) for net in nets]
+        ))
+
+
+def delay_vectors(annotation: DelayAnnotation,
+                  compiled: Union[CompiledNetlist, Netlist]) -> DelayVectors:
+    """Lower a dict annotation into the compiled order of ``compiled``."""
+    if isinstance(compiled, Netlist):
+        compiled = compiled.compiled()
+    cells = [compiled.netlist.cells[name] for name in compiled.comb_cell_names]
+    return DelayVectors(annotation.cell_delay_vector(cells),
+                        annotation.net_delay_vector(compiled.net_names))
+
+
+def dict_delay_annotation(design: GoldenDesign,
+                          die: Optional[DieProfile] = None,
+                          intra_die: Optional[IntraDieVariation] = None,
+                          extra_net_delays_ps: Optional[
+                              Mapping[str, float]] = None,
+                          aggressor_positions: Optional[
+                              Mapping[str, SliceCoord]] = None,
+                          power_grid: Optional[PowerGrid] = None
+                          ) -> DelayAnnotation:
+    """The dict annotation of ``design`` on one die, merged name by name.
+
+    Same arguments as :func:`repro.fpga.annotation.build_delay_annotation`.
+    Every placed cell gets its per-cell intra-die offset
+    (:func:`cell_offset_ps`), then the droop of its PDN tile is added
+    (from :meth:`PowerGrid.droop_mv`, unmemoised); each tapped net gets
+    its routed delay (0 without one) plus the tap loading.
+    """
+    net_delays: Dict[str, float] = dict(design.net_delays_ps)
+    for net, extra in (extra_net_delays_ps or {}).items():
+        net_delays[net] = net_delays.get(net, 0.0) + float(extra)
+
+    cell_offsets: Dict[str, float] = {}
+    positions = design.placement.cell_positions
+    if intra_die is not None:
+        cell_offsets.update(
+            (name, cell_offset_ps(intra_die, name, coord))
+            for name, coord in positions.items())
+    if aggressor_positions and power_grid is not None:
+        droop = power_grid.droop_mv(aggressor_positions)
+        for name, coord in positions.items():
+            offset = (droop.get(power_grid.tile_of(coord), 0.0)
+                      * power_grid.delay_sensitivity_ps_per_mv)
+            cell_offsets[name] = cell_offsets.get(name, 0.0) + offset
+    return DelayAnnotation(
+        cell_offsets_ps=cell_offsets,
+        net_delays_ps=net_delays,
+        cell_scale=die.delay_scale if die is not None else 1.0,
+    )
 
 
 def cell_delay_ps(annotation: DelayAnnotation, cell: Cell) -> float:
     """Total propagation delay of one cell (one element of
-    :meth:`~repro.netlist.timing.DelayAnnotation.cell_delay_vector`)."""
+    :meth:`DelayAnnotation.cell_delay_vector`)."""
     base = cell.intrinsic_delay_ps() * annotation.cell_scale
     return max(0.0, base + annotation.cell_offsets_ps.get(cell.name, 0.0))
 
 
 def net_delay_ps(annotation: DelayAnnotation, net: str) -> float:
     """Routing delay of one net (one element of
-    :meth:`~repro.netlist.timing.DelayAnnotation.net_delay_vector`)."""
+    :meth:`DelayAnnotation.net_delay_vector`)."""
     return max(0.0, annotation.net_delays_ps.get(
         net, annotation.default_net_delay_ps))
 
@@ -88,19 +198,33 @@ class TimingEngine:
     netlist:
         The netlist to analyse; it must validate.
     annotation:
-        Delay annotation; defaults to intrinsic cell delays and a uniform
-        routing delay.
+        Delay annotation: a dict :class:`DelayAnnotation` (defaults to
+        intrinsic cell delays and a uniform routing delay), or a DUT's
+        :class:`DelayVectors`, read per name through the compiled order.
     input_arrival_ps:
         Arrival time of the primary inputs and register outputs (models
         the clock-to-Q delay of the launching registers).
     """
 
     def __init__(self, netlist: Netlist,
-                 annotation: Optional[DelayAnnotation] = None,
+                 annotation: Union[DelayAnnotation, DelayVectors,
+                                   None] = None,
                  input_arrival_ps: float = 0.0):
         netlist.validate()
         self.netlist = netlist
-        self.annotation = annotation or DelayAnnotation()
+        if isinstance(annotation, DelayVectors):
+            compiled = netlist.compiled()
+            cell_delays = dict(zip(compiled.comb_cell_names,
+                                   annotation.cell_delays_ps.tolist()))
+            net_delays = dict(zip(compiled.net_names,
+                                  annotation.net_delays_ps.tolist()))
+            self._cell_delay = lambda cell: cell_delays[cell.name]
+            self._net_delay = net_delays.__getitem__
+        else:
+            dict_annotation = annotation or DelayAnnotation()
+            self._cell_delay = lambda cell: cell_delay_ps(dict_annotation,
+                                                          cell)
+            self._net_delay = lambda net: net_delay_ps(dict_annotation, net)
         self.input_arrival_ps = float(input_arrival_ps)
         self._topo = netlist.topological_order()
 
@@ -118,11 +242,11 @@ class TimingEngine:
         for cell in self._topo:
             input_arrivals = [
                 arrivals.get(net, self.input_arrival_ps)
-                + net_delay_ps(self.annotation, net)
+                + self._net_delay(net)
                 for net in cell.inputs
             ]
             arrivals[cell.output] = (
-                max(input_arrivals) + cell_delay_ps(self.annotation, cell)
+                max(input_arrivals) + self._cell_delay(cell)
             )
         return arrivals
 
@@ -136,7 +260,7 @@ class TimingEngine:
             else:
                 nets = list(self.netlist.outputs)
         candidates = [
-            arrivals[n] + net_delay_ps(self.annotation, n) for n in nets if n in arrivals
+            arrivals[n] + self._net_delay(n) for n in nets if n in arrivals
         ]
         if not candidates:
             raise NetlistError("no observable nets for critical path computation")
@@ -188,10 +312,10 @@ class TimingEngine:
                 launch = self.input_arrival_ps
             else:
                 launch = max(
-                    arrival + net_delay_ps(self.annotation, net)
+                    arrival + self._net_delay(net)
                     for net, arrival in toggling_inputs
                 )
-            arrivals[out_net] = launch + cell_delay_ps(self.annotation, cell)
+            arrivals[out_net] = launch + self._cell_delay(cell)
 
         return TwoVectorResult(
             values_before=values_before,
@@ -213,7 +337,7 @@ class TimingEngine:
             if arrival is None:
                 delays[net] = None
             else:
-                delays[net] = arrival + net_delay_ps(self.annotation, net)
+                delays[net] = arrival + self._net_delay(net)
         return delays
 
 

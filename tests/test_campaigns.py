@@ -190,6 +190,79 @@ def test_engine_acquires_each_population_once(monkeypatch, golden_design):
     assert wraps == []
 
 
+@pytest.mark.parametrize("num_plaintexts", [1, 2])
+def test_smaller_population_is_the_prefix_of_a_larger_one(golden_design,
+                                                          num_plaintexts):
+    """Each die has its own noise stream and every acquisition step works
+    per die, so N dies are exactly the first N rows of a larger
+    population, bit for bit."""
+    from repro.core.pipeline import HTDetectionPlatform
+
+    spec = CampaignSpec(die_counts=(5,), seed=31,
+                        num_plaintexts=num_plaintexts)
+    platform = HTDetectionPlatform(spec, golden=golden_design)
+    plaintexts = spec.stimulus_plaintexts()
+    large = platform.acquire_population_tensors(("HT1",), plaintexts,
+                                                num_dies=5)
+    small = platform.acquire_population_tensors(("HT1",), plaintexts,
+                                                num_dies=3)
+    prefix = large.first_dies(3)
+    assert small.golden.tobytes() == prefix.golden.tobytes()
+    assert small.infected["HT1"].tobytes() == \
+        prefix.infected["HT1"].tobytes()
+    assert small.golden_labels == prefix.golden_labels
+    assert small.infected_labels == prefix.infected_labels
+    assert small.cycle_sample_offsets == prefix.cycle_sample_offsets
+
+
+def test_engine_slices_smaller_die_counts_from_the_largest(monkeypatch,
+                                                          tmp_path,
+                                                          golden_design):
+    """Cells run largest die count first, the smaller population is
+    sliced from the larger one, and what is stored for it is the same
+    object a run of the smaller die count alone stores."""
+    import dataclasses
+
+    from repro.measurement.em_simulator import EMSimulator
+
+    acquisitions = _count_calls(monkeypatch, EMSimulator,
+                                "acquire_many_batch_tensor")
+    executed = []
+    original_run_cell = CampaignEngine.run_cell
+
+    def run_cell(engine, cell):
+        executed.append((cell.num_dies, cell.metric))
+        return original_run_cell(engine, cell)
+
+    monkeypatch.setattr(CampaignEngine, "run_cell", run_cell)
+    spec = CampaignSpec(name="prefix", trojans=("HT1",), die_counts=(3, 5),
+                        metrics=("l1", "max_difference"), num_plaintexts=2,
+                        seed=13)
+    both = CampaignEngine(spec, golden=golden_design,
+                          store=tmp_path / "both").run()
+    assert executed == [(5, "l1"), (5, "max_difference"),
+                        (3, "l1"), (3, "max_difference")]
+    # One population of 5 dies: golden + HT1, acquired once each.
+    assert [len(args[1]) for args in acquisitions] == [5, 5]
+    assert [cell.num_dies for cell in both.cells] == [3, 3, 5, 5]
+
+    alone_engine = CampaignEngine(
+        dataclasses.replace(spec, die_counts=(3,)), golden=golden_design,
+        store=tmp_path / "alone")
+    alone = alone_engine.run()
+    assert [(cell.golden_score_mean, cell.golden_score_std, cell.to_dict()
+             ["rows"]) for cell in alone.cells] == \
+        [(cell.golden_score_mean, cell.golden_score_std, cell.to_dict()
+          ["rows"]) for cell in both.cells[:2]]
+    stored = {key: entry for key, entry
+              in alone_engine.store.index().items()
+              if entry.kind == "population_traces"}
+    assert len(stored) == 1
+    both_index = CampaignEngine(spec, store=tmp_path / "both").store.index()
+    for key, entry in stored.items():
+        assert both_index[key].digest == entry.digest
+
+
 def test_engine_builds_no_traces_for_the_store_write(monkeypatch, tmp_path,
                                                      golden_design):
     """The population store payload is written from, and read into, the
@@ -324,9 +397,9 @@ def test_delay_cells_share_one_measurement(monkeypatch, golden_design):
     engine = CampaignEngine(spec, golden=golden_design)
     result = engine.run()
     assert len(result.cells) == 4
-    # Per die count: the golden fingerprint, then every (clean,
-    # infected) device in one batch.
-    assert [len(args[1]) for args in batches] == [1, 2 * 3, 1, 3 * 3]
+    # Per die count, largest first: the golden fingerprint, then every
+    # (clean, infected) device in one batch.
+    assert [len(args[1]) for args in batches] == [1, 3 * 3, 1, 2 * 3]
     data = engine.delay_study_data(spec.grid()[-1])
     assert len(batches) == 4
     assert len(data.golden_differences) == 3

@@ -18,11 +18,12 @@ from repro.netlist.aes_round_circuit import AESLastRoundCircuit
 from repro.netlist.cells import make_dff, make_lut, make_mux2, Cell, CellType
 from repro.netlist.compiled import CompiledTimingEngine
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.netlist.timing import DelayAnnotation
 from repro.trojan.library import TROJAN_SPECS, build_trojan
 
 from oracles import (
+    DelayAnnotation,
     build_sbox_netlist,
+    delay_vectors,
     compiled_evaluate,
     make_xor,
     TimingEngine,
@@ -139,7 +140,8 @@ def test_trojan_two_vector_timing_matches_interpreted(trojans, trojan_name):
     netlist = trojans[trojan_name].netlist
     annotation = _random_annotation(netlist, seed=3, scale=1.07)
     interpreted = TimingEngine(netlist, annotation, input_arrival_ps=25.0)
-    compiled = CompiledTimingEngine(netlist.compiled(), annotation,
+    compiled = CompiledTimingEngine(netlist.compiled(),
+                                    delay_vectors(annotation, netlist),
                                     input_arrival_ps=25.0)
     rng = np.random.default_rng(17)
     for _ in range(3):
@@ -158,7 +160,9 @@ def test_circuit_timing_broadcast_over_dies(circuit):
     netlist = circuit.netlist
     annotations = [_random_annotation(netlist, seed=die, scale=1.0 + 0.04 * die)
                    for die in range(3)]
-    engine = CompiledTimingEngine(netlist.compiled(), annotations)
+    engine = CompiledTimingEngine(
+        netlist.compiled(),
+        [delay_vectors(annotation, netlist) for annotation in annotations])
     rng = np.random.default_rng(23)
     pairs = []
     for _ in range(4):
@@ -194,7 +198,8 @@ def test_circuit_timing_broadcast_over_dies(circuit):
 def test_stable_transition_is_all_nan(circuit):
     """Identical before/after vectors leave every net stable (all NaN)."""
     netlist = circuit.netlist
-    engine = CompiledTimingEngine(netlist.compiled(), DelayAnnotation())
+    engine = CompiledTimingEngine(netlist.compiled(),
+                                  delay_vectors(DelayAnnotation(), netlist))
     vector = circuit.input_values(bytes(16), bytes(16))
     rows = np.array([[vector[net] for net in netlist.inputs]], dtype=np.uint8)
     _, _, arrivals = engine.two_vector_arrivals(rows, rows)
@@ -276,7 +281,9 @@ def test_circuit_critical_path_matches_interpreted_per_die(circuit):
     annotations = [_random_annotation(netlist, seed=40 + die,
                                       scale=1.0 + 0.03 * die)
                    for die in range(3)]
-    engine = CompiledTimingEngine(netlist, annotations, input_arrival_ps=12.5)
+    engine = CompiledTimingEngine(
+        netlist, [delay_vectors(annotation, netlist)
+                  for annotation in annotations], input_arrival_ps=12.5)
     some_nets = circuit.output_d_nets()[:5] + ["not_a_net"]
     for nets in (None, some_nets):
         paths = engine.critical_path_ps(nets)
@@ -291,13 +298,14 @@ def test_circuit_critical_path_matches_interpreted_per_die(circuit):
 def test_trojan_critical_path_matches_interpreted(trojans, trojan_name):
     netlist = trojans[trojan_name].netlist
     annotation = _random_annotation(netlist, seed=5, scale=0.97)
-    engine = CompiledTimingEngine(netlist, annotation)
+    engine = CompiledTimingEngine(netlist, delay_vectors(annotation, netlist))
     assert engine.critical_path_ps()[0] == \
         TimingEngine(netlist, annotation).critical_path_ps()
 
 
 def test_critical_path_without_observable_nets_raises(circuit):
-    engine = CompiledTimingEngine(circuit.netlist)
+    engine = CompiledTimingEngine(
+        circuit.netlist, delay_vectors(DelayAnnotation(), circuit.netlist))
     with pytest.raises(NetlistError, match="no observable nets"):
         engine.critical_path_ps(["not_a_net"])
 

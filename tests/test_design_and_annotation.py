@@ -1,5 +1,6 @@
 """Tests for the golden design and the delay-annotation builder."""
 
+import numpy as np
 import pytest
 
 from repro.fpga.annotation import build_delay_annotation
@@ -8,7 +9,7 @@ from repro.fpga.power_grid import PowerGrid
 from repro.variation.inter_die import DiePopulation
 from repro.variation.intra_die import IntraDieVariation
 
-from oracles import TimingEngine, net_delay_ps
+from oracles import TimingEngine, delay_vectors, dict_delay_annotation
 
 
 def test_golden_design_build_is_deterministic(golden_design):
@@ -36,12 +37,14 @@ def test_golden_design_placement_within_aes_region(golden_design):
 
 def test_annotation_without_variation_uses_routed_delays(golden_design):
     annotation = build_delay_annotation(golden_design)
-    assert annotation.cell_scale == 1.0
-    assert annotation.cell_offsets_ps == {}
+    compiled = golden_design.netlist.compiled()
+    cells = golden_design.netlist.cells
+    intrinsic = [cells[name].intrinsic_delay_ps()
+                 for name in compiled.comb_cell_names]
+    assert annotation.cell_delays_ps.tolist() == intrinsic
     some_net = next(iter(golden_design.net_delays_ps))
-    assert net_delay_ps(annotation, some_net) == pytest.approx(
-        golden_design.net_delays_ps[some_net]
-    )
+    assert annotation.net_delays_ps[compiled.net_index[some_net]] == \
+        pytest.approx(golden_design.net_delays_ps[some_net])
 
 
 def test_annotation_applies_die_scale_and_intra_die_offsets(golden_design):
@@ -49,10 +52,17 @@ def test_annotation_applies_die_scale_and_intra_die_offsets(golden_design):
     die = population[0]
     intra = IntraDieVariation(seed=die.intra_die_seed)
     annotation = build_delay_annotation(golden_design, die=die, intra_die=intra)
-    assert annotation.cell_scale == pytest.approx(die.delay_scale)
-    assert len(annotation.cell_offsets_ps) == len(
-        golden_design.placement.cell_positions
-    )
+    netlist = golden_design.netlist
+    assert annotation.cell_delays_ps.shape == \
+        (len(netlist.compiled().comb_cell_names),)
+    oracle = delay_vectors(
+        dict_delay_annotation(golden_design, die=die, intra_die=intra),
+        netlist)
+    assert np.array_equal(annotation.cell_delays_ps, oracle.cell_delays_ps)
+    scaled_only = delay_vectors(dict_delay_annotation(golden_design, die=die),
+                                netlist)
+    assert not np.array_equal(annotation.cell_delays_ps,
+                              scaled_only.cell_delays_ps)
 
 
 def test_annotation_adds_tap_delays_and_droop(golden_design, infected_design):
@@ -64,8 +74,11 @@ def test_annotation_adds_tap_delays_and_droop(golden_design, infected_design):
         power_grid=grid,
     )
     tapped_net = next(iter(infected_design.tap_extra_delay_ps))
-    assert net_delay_ps(annotation, tapped_net) > golden_design.net_delays_ps[tapped_net]
-    assert any(offset > 0 for offset in annotation.cell_offsets_ps.values())
+    column = golden_design.netlist.compiled().net_index[tapped_net]
+    assert annotation.net_delays_ps[column] > \
+        golden_design.net_delays_ps[tapped_net]
+    clean = build_delay_annotation(golden_design)
+    assert (annotation.cell_delays_ps > clean.cell_delays_ps).any()
 
 
 def test_annotation_changes_critical_path(golden_design, infected_design):

@@ -1,7 +1,8 @@
 """Tests for the device-under-test abstraction."""
 
+import numpy as np
 import pytest
-from oracles import net_delay_ps
+from oracles import delay_vectors, dict_delay_annotation
 
 from repro.measurement.dut import DeviceUnderTest
 
@@ -34,7 +35,10 @@ def test_nominal_die_defaults(golden_design):
     assert dut.em_offset() == 0.0
     assert dut.intra_die_variation() is None
     annotation = dut.delay_annotation()
-    assert annotation.cell_scale == 1.0
+    expected = delay_vectors(dict_delay_annotation(golden_design),
+                             golden_design.netlist)
+    assert np.array_equal(annotation.cell_delays_ps, expected.cell_delays_ps)
+    assert np.array_equal(annotation.net_delays_ps, expected.net_delays_ps)
 
 
 def test_annotation_cached_per_dut(golden_design, die_population):
@@ -47,7 +51,8 @@ def test_infected_annotation_includes_taps(infected_design, die_population):
     annotation = dut.delay_annotation()
     tapped = next(iter(infected_design.tap_extra_delay_ps))
     golden_delay = infected_design.golden.net_delays_ps[tapped]
-    assert net_delay_ps(annotation, tapped) > golden_delay
+    column = infected_design.golden.netlist.compiled().net_index[tapped]
+    assert annotation.net_delays_ps[column] > golden_delay
 
 
 def test_same_die_same_design_same_annotation(golden_design, die_population):
@@ -55,18 +60,25 @@ def test_same_die_same_design_same_annotation(golden_design, die_population):
     b = DeviceUnderTest(golden_design, die_population[2])
     ann_a = a.delay_annotation()
     ann_b = b.delay_annotation()
-    assert ann_a.cell_offsets_ps == ann_b.cell_offsets_ps
-    assert ann_a.cell_scale == ann_b.cell_scale
+    assert np.array_equal(ann_a.cell_delays_ps, ann_b.cell_delays_ps)
+    assert np.array_equal(ann_a.net_delays_ps, ann_b.net_delays_ps)
 
 
 def test_a_die_always_applies_its_intra_die_offsets(golden_design,
                                                     die_population):
     dut = DeviceUnderTest(golden_design, die_population[0])
     assert dut.intra_die_variation() is not None
-    offsets = dut.delay_annotation().cell_offsets_ps
-    assert offsets and any(value != 0.0 for value in offsets.values())
-    assert DeviceUnderTest(golden_design).delay_annotation() \
-        .cell_offsets_ps == {}
+    die = die_population[0]
+    # The die's scale alone, without its intra-die offsets.
+    scaled = delay_vectors(dict_delay_annotation(golden_design, die=die),
+                           golden_design.netlist)
+    assert not np.array_equal(dut.delay_annotation().cell_delays_ps,
+                              scaled.cell_delays_ps)
+    nominal = delay_vectors(dict_delay_annotation(golden_design),
+                            golden_design.netlist)
+    assert np.array_equal(
+        DeviceUnderTest(golden_design).delay_annotation().cell_delays_ps,
+        nominal.cell_delays_ps)
 
 
 def test_annotation_cache_is_keyed_by_design_and_die(golden_design,

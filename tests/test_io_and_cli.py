@@ -209,6 +209,34 @@ def test_cli_delay_command(capsys):
     assert "HT_comb" in output
 
 
+def _delay_maxima(output: str) -> dict:
+    """``design -> max |Delta D|`` cell of a ``delay`` report."""
+    rows = [line.split() for line in output.splitlines()
+            if line.split()[:1] and line.split()[0].startswith(
+                ("Clean", "HT"))]
+    return {row[0]: f"{row[1]} {row[2]}" for row in rows}
+
+
+def test_cli_delay_measures_the_pairs_fig3_measures(capsys):
+    """``delay`` draws its (P, K) pairs from the spec as Fig. 3 does, so
+    both report the same per-device maxima, and ``--seed`` moves them."""
+    from repro.campaigns import CampaignEngine
+    from repro.experiments import fig3_delay, suite_spec
+
+    assert main(["delay", "--quick"]) == 0
+    printed = _delay_maxima(capsys.readouterr().out)
+    fig3 = fig3_delay.run(CampaignEngine(suite_spec(quick=True)))
+    expected = {label: f"{comparison.max_difference_ps:.0f} ps"
+                for label, comparison in fig3.study.comparisons.items()}
+    assert set(expected) == {"Clean1", "Clean2", "HT_comb", "HT_seq"}
+    assert printed == expected
+
+    assert main(["delay", "--quick", "--seed", "5"]) == 0
+    reseeded = _delay_maxima(capsys.readouterr().out)
+    assert set(reseeded) == set(printed)
+    assert reseeded != printed
+
+
 def test_cli_em_command(capsys):
     exit_code = main(["em", "--quick"])
     assert exit_code == 0

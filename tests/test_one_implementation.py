@@ -251,6 +251,12 @@ ORACLE_ONLY_NAMES = {
     "counter_register_values",
     "cell_delay_ps",
     "net_delay_ps",
+    # The name-keyed delay annotation and its per-name lowerings; a
+    # die's annotation is two compiled-order vectors (DelayVectors).
+    "DelayAnnotation",
+    "cell_delay_vector",
+    "net_delay_vector",
+    "dict_delay_annotation",
     "batch_noiseless_traces_many",
     # Models and helpers no command reached.
     "NetDelayModel",

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.netlist.cells import make_dff, make_lut
+from repro.netlist.compiled import DEFAULT_NET_DELAY_PS
 from repro.netlist.netlist import Netlist
-from repro.netlist.timing import DEFAULT_NET_DELAY_PS, DelayAnnotation
 
-from oracles import TimingEngine, cell_delay_ps, make_xor
+from oracles import DelayAnnotation, TimingEngine, cell_delay_ps, make_xor
 
 
 def build_chain() -> Netlist:

@@ -21,14 +21,15 @@ def test_intra_die_variation_is_deterministic():
     positions = {"cell_x": (3, 4)}
     first = a.offsets_for(positions)
     die_offsets.cache_clear()
-    assert b.offsets_for(positions) == first
+    assert np.array_equal(b.offsets_for(positions), first)
 
 
 def test_intra_die_variation_differs_across_dies():
     a = IntraDieVariation(seed=1)
     b = IntraDieVariation(seed=2)
     positions = {f"c{k}": (k, k) for k in range(20)}
-    assert a.offsets_for(positions) != b.offsets_for(positions)
+    assert not np.array_equal(a.offsets_for(positions),
+                              b.offsets_for(positions))
 
 
 def test_intra_die_spatial_correlation():
@@ -45,7 +46,8 @@ def test_intra_die_offsets_for_positions():
     variation = IntraDieVariation(seed=3)
     positions = {f"c{k}": (k, 2 * k) for k in range(10)}
     offsets = variation.offsets_for(positions)
-    assert set(offsets) == set(positions)
+    assert offsets.shape == (len(positions),)
+    assert offsets.dtype == np.float64
 
 
 def _positions(count=40):
@@ -64,8 +66,7 @@ def test_offsets_for_memo_matches_per_cell_oracle(seed):
     second = IntraDieVariation(seed=seed).offsets_for(positions)
     assert die_offsets.cache_info().hits == hits_before + 1
     for offsets in (first, second):
-        assert list(offsets) == list(oracle)
-        assert all(offsets[name] == oracle[name] for name in oracle)
+        assert offsets.tobytes() == np.array(list(oracle.values())).tobytes()
 
 
 @pytest.mark.parametrize("change", [
@@ -88,19 +89,19 @@ def test_offsets_for_memo_key_covers_every_input(change):
     misses_before = die_offsets.cache_info().misses
     changed = variation.offsets_for(positions)
     assert die_offsets.cache_info().misses == misses_before + 1
-    assert changed != base
-    assert changed == {name: cell_offset_ps(variation, name, coord)
-                       for name, coord in positions.items()}
+    assert not np.array_equal(changed, base)
+    assert changed.tolist() == [cell_offset_ps(variation, name, coord)
+                                for name, coord in positions.items()]
 
 
-def test_offsets_for_returns_an_independent_dict():
+def test_offsets_for_returns_a_read_only_vector():
     variation = IntraDieVariation(seed=8)
     positions = _positions()
     first = variation.offsets_for(positions)
-    expected = dict(first)
-    first["c0"] += 1000.0
-    first["intruder"] = 1.0
-    assert variation.offsets_for(positions) == expected
+    expected = first.copy()
+    with pytest.raises(ValueError):
+        first[0] += 1000.0
+    assert np.array_equal(variation.offsets_for(positions), expected)
 
 
 _UINT32 = st.integers(0, 2 ** 32 - 1)
@@ -132,15 +133,22 @@ def test_bulk_seeding_equals_default_rng(seeds):
 @pytest.mark.parametrize("seed", [0, 1, 2015, 2 ** 31 + 7])
 def test_die_offsets_pin_the_per_cell_oracle_on_the_golden_placement(
         golden_design, seed):
-    positions = golden_design.placement.cell_positions
-    assert len(positions) == 1152
+    """The annotation's offset vector covers the golden placement's
+    combinational cells in compiled order, each equal to the per-cell
+    oracle."""
+    placement = golden_design.placement.cell_positions
+    positions = {name: placement[name] for name
+                 in golden_design.netlist.compiled().comb_cell_names}
+    assert len(positions) == 1024
+    assert list(golden_design.host_delays.comb_positions.items()) == \
+        list(positions.items())
     variation = IntraDieVariation(seed=seed)
     die_offsets.cache_clear()
     offsets = variation.offsets_for(positions)
-    assert list(offsets) == list(positions)
-    for name, coord in positions.items():
+    assert offsets.shape == (1024,)
+    for index, (name, coord) in enumerate(positions.items()):
         expected = cell_offset_ps(variation, name, coord)
-        assert np.float64(offsets[name]).tobytes() == \
+        assert offsets[index:index + 1].tobytes() == \
             np.float64(expected).tobytes(), name
 
 
