@@ -7,7 +7,8 @@ Sub-commands:
 * ``em``         — run the Sec. IV same-die EM study,
 * ``headline``   — run the Sec. V inter-die study and print FN rates,
 * ``experiments``— run the whole figure/table suite and print the
-  paper-vs-measured summary,
+  paper-vs-measured summary (with ``--store DIR`` the summary rows are
+  one stored record, which a rerun prints without recomputing),
 * ``campaign``   — batched scenario sweeps: ``campaign run`` executes a
   (trojans x dies x acquisition variants x metrics) grid through the
   :mod:`repro.campaigns` engine (EM metrics acquire traces; ``delay_*``
@@ -124,14 +125,15 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments import run_all, suite_spec
+    from .experiments import suite_spec, summarise_suite
     from .store import build_store
 
     try:
         store = build_store(args.store)
     except ValueError as error:
         return _fail(error)
-    suite = run_all(suite_spec(quick=args.quick, seed=args.seed), store=store)
+    suite = summarise_suite(suite_spec(quick=args.quick, seed=args.seed),
+                            store=store)
     print(suite.summary_table())
     return 0 if suite.all_shapes_match() else 1
 
@@ -486,8 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(p_exp)
     p_exp.add_argument("--store", default=None,
-                       help="content-addressed artifact store directory; the "
-                            "shared population study reads through it")
+                       help="content-addressed artifact store directory; "
+                            "the summary rows are one stored record (a "
+                            "rerun prints them without recomputing) and "
+                            "the shared population study reads through it")
     p_exp.set_defaults(func=cmd_experiments)
 
     p_campaign = subparsers.add_parser(

@@ -21,33 +21,29 @@ seed and stimulus from ``engine.spec`` and runs on ``engine.platform``
 (or, for Fig. 6 and the headline, the engine's Sec. V population
 study), so the whole suite is one :class:`~repro.campaigns.spec.CampaignSpec`
 and one platform.
+
+Names resolve on first access and no driver is imported with the
+package: :func:`~repro.experiments.runner.summarise_suite` reads the
+suite's summary rows through the engine's store as one
+``experiment_suite`` record, so a warm ``experiments --store`` prints
+them without NumPy or any driver.
 """
 
-from . import (
-    fig1_timing,
-    fig2_staircase,
-    fig3_delay,
-    fig4_em_trace,
-    fig5_em_compare,
-    fig6_pv,
-    fig7_model,
-    headline,
-    table_ht_sizes,
-)
-from .runner import ExperimentSummary, SuiteResult, run_all, suite_spec
+from .. import _lazy_exports
 
-__all__ = [
-    "fig1_timing",
-    "fig2_staircase",
-    "fig3_delay",
-    "fig4_em_trace",
-    "fig5_em_compare",
-    "fig6_pv",
-    "fig7_model",
-    "headline",
-    "table_ht_sizes",
-    "ExperimentSummary",
-    "SuiteResult",
-    "run_all",
-    "suite_spec",
-]
+# Public name -> defining submodule (relative to this package).
+_EXPORTS = {
+    "ExperimentSummary": ".runner",
+    "SuiteResult": ".runner",
+    "run_all": ".runner",
+    "suite_spec": ".runner",
+    "summarise_suite": ".runner",
+}
+
+# The driver modules load as submodules on first import
+# (``from repro.experiments import fig3_delay``).
+__all__ = ["fig1_timing", "fig2_staircase", "fig3_delay", "fig4_em_trace",
+           "fig5_em_compare", "fig6_pv", "fig7_model", "headline",
+           "table_ht_sizes", *_EXPORTS]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,6 +9,9 @@ population that Fig. 6 and the headline share, and its one platform
 runs every other figure/table driver (so the golden design and the
 trojan insertions are built once).  It returns a dictionary of summary
 rows — the same content EXPERIMENTS.md records and the CLI prints.
+:func:`summarise_suite` returns only those rows, read through the
+store as one ``experiment_suite`` record, so a warm ``experiments
+--store`` runs (and imports) no driver.
 """
 
 from __future__ import annotations
@@ -20,18 +23,14 @@ from typing import Dict, List, Optional, Union
 from ..campaigns.engine import CampaignEngine
 from ..campaigns.spec import CampaignSpec
 from ..core.report import format_table, percentage
-from ..store import ArtifactStore
-from . import (
-    fig1_timing,
-    fig2_staircase,
-    fig3_delay,
-    fig4_em_trace,
-    fig5_em_compare,
-    fig6_pv,
-    fig7_model,
-    headline,
-    table_ht_sizes,
-)
+from ..store import ArtifactStore, spec_content_fragment
+
+#: Version of the rows an ``experiment_suite`` record holds; its key
+#: includes it.  Bump it with any change to a driver or to the row
+#: format that changes a printed row, so a store written before the
+#: change reruns the suite instead of printing stale numbers
+#: (``tests/test_experiments.py`` pins the quick record's digest).
+SUITE_ROWS_VERSION = 1
 
 
 @dataclass
@@ -104,8 +103,47 @@ def run_all(spec: Optional[CampaignSpec] = None,
         return _run_drivers(engine)
 
 
+def summarise_suite(spec: CampaignSpec,
+                    store: Union[None, ArtifactStore, str, Path] = None
+                    ) -> SuiteResult:
+    """The summary rows of the suite over ``spec``, without the
+    per-figure results.
+
+    With a store they are one ``experiment_suite`` record: a hit
+    returns the rows as stored, and a miss runs every driver
+    (:func:`run_all`'s work) and stores them.
+    """
+    engine = CampaignEngine(spec, store=store)
+    with engine.writer_lease_scope():
+        summaries = engine._read_through(
+            "experiment_suite", SUITE_ROWS_VERSION,
+            {"rows_version": SUITE_ROWS_VERSION,
+             "spec": spec_content_fragment(spec.to_dict())},
+            compute=lambda: _run_drivers(engine).summaries,
+            pack=lambda rows: rows,
+            unpack=lambda payload: [ExperimentSummary(**row)
+                                    for row in payload],
+            meta=lambda rows: {"campaign": spec.name, "rows": len(rows)},
+        )
+    return SuiteResult(summaries=summaries)
+
+
 def _run_drivers(engine: CampaignEngine) -> SuiteResult:
     """Every figure/table driver on ``engine`` and its one platform."""
+    # The drivers load NumPy and the simulation layers; a stored suite
+    # record is printed without them.
+    from . import (
+        fig1_timing,
+        fig2_staircase,
+        fig3_delay,
+        fig4_em_trace,
+        fig5_em_compare,
+        fig6_pv,
+        fig7_model,
+        headline,
+        table_ht_sizes,
+    )
+
     summaries: List[ExperimentSummary] = []
     results: Dict[str, object] = {}
 

@@ -162,19 +162,24 @@ class PathDelayMeter:
 
     def pair_transitions_batch(self, dut: DeviceUnderTest,
                                pairs: Sequence[PlaintextKeyPair]
-                               ) -> "List[Tuple[Dict[str, int], Dict[str, int]]]":
-        """Attacked-round input vectors of *all* pairs in one cipher pass.
+                               ) -> "Tuple[np.ndarray, np.ndarray]":
+        """Attacked-round input rows of *all* pairs in one cipher pass.
 
+        Returns ``(before_rows, after_rows)``: one ``(pairs, 256)``
+        uint8 row per pair, in the circuit's ``netlist.inputs`` order
+        (:meth:`~repro.netlist.aes_round_circuit.AESLastRoundCircuit.input_rows`).
         The stimulus only depends on the pair and the host circuit — not
         on the die or the inserted trojan — so campaigns compute it once
         and share it across every device under test.  The register
         states of every (P, K) stimulus come from the batched AES kernel
         (:mod:`repro.crypto.batch`, one array pass per round with
-        per-pair round keys); each entry is bit-identical to the scalar
+        per-pair round keys); each row is bit-identical to the scalar
         ``encrypt_trace`` walk of the serial reference.
         """
+        circuit = dut.circuit
         if not pairs:
-            return []
+            empty = np.zeros((0, len(circuit.netlist.inputs)), dtype=np.uint8)
+            return empty, empty
         attacked = self.config.attacked_round
         round_keys = expand_keys([pair.key for pair in pairs])
         states = round_states_with_keys(
@@ -185,18 +190,12 @@ class PathDelayMeter:
             raise ValueError(
                 f"attacked_round must be in 2..{num_rounds}, got {attacked}"
             )
-        circuit = dut.circuit
         # Row r of the state tensor is the register content *entering*
         # round r (row 0 = plaintext, row 1 = state after AddRoundKey 0).
-        return [
-            (
-                circuit.input_values(bytes(states[row, attacked - 1]),
-                                     bytes(round_keys[row, attacked - 1])),
-                circuit.input_values(bytes(states[row, attacked]),
-                                     bytes(round_keys[row, attacked])),
-            )
-            for row in range(len(pairs))
-        ]
+        return (circuit.input_rows(states[:, attacked - 1],
+                                   round_keys[:, attacked - 1]),
+                circuit.input_rows(states[:, attacked],
+                                   round_keys[:, attacked]))
 
     def arrival_times_ps(self, dut: DeviceUnderTest,
                          pair: PlaintextKeyPair) -> np.ndarray:
@@ -345,17 +344,10 @@ class PathDelayMeter:
         for dut_indices in groups.values():
             circuit = duts[dut_indices[0]].circuit
             netlist = circuit.netlist
-            input_nets = list(netlist.inputs)
-            before_rows = np.empty((len(pairs), len(input_nets)),
-                                   dtype=np.uint8)
-            after_rows = np.empty_like(before_rows)
             # All pairs' attacked-round stimuli from one batched-cipher
-            # pass rather than one scalar encrypt_trace per pair.
-            transitions = self.pair_transitions_batch(duts[dut_indices[0]],
-                                                      pairs)
-            for row, (before, after) in enumerate(transitions):
-                before_rows[row] = [before[net] for net in input_nets]
-                after_rows[row] = [after[net] for net in input_nets]
+            # pass, as input rows in the netlist's declared input order.
+            before_rows, after_rows = self.pair_transitions_batch(
+                duts[dut_indices[0]], pairs)
             engine = CompiledTimingEngine(
                 netlist.compiled(),
                 [duts[dut_index].delay_annotation()
@@ -372,9 +364,7 @@ class PathDelayMeter:
             for begin in range(0, len(pairs), chunk):
                 stop = begin + chunk
                 _, _, net_arrivals = engine.two_vector_arrivals(
-                    before_rows[begin:stop], after_rows[begin:stop],
-                    input_nets,
-                )
+                    before_rows[begin:stop], after_rows[begin:stop])
                 endpoint = engine.endpoint_arrivals(net_arrivals,
                                                     circuit.output_d_nets())
                 arrivals[dut_indices, begin:stop] = endpoint.transpose(1, 0, 2)

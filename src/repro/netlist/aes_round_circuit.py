@@ -27,7 +27,7 @@ byte; the "paper bit number" used on Fig. 3's X-axis is mapped through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,14 +78,15 @@ def ciphertext_q_net(byte: int, bit: int) -> str:
     return f"ct_b{byte}_{bit}"
 
 
-def block_to_net_values(block: Sequence[int], net_namer) -> Dict[str, int]:
-    """Expand a 16-byte block into per-bit net values using ``net_namer``."""
-    data = validate_block(block)
-    values: Dict[str, int] = {}
-    for byte in range(BLOCK_BYTES):
-        for bit in range(8):
-            values[net_namer(byte, bit)] = (data[byte] >> bit) & 1
-    return values
+#: The circuit's primary inputs in declaration (``netlist.inputs``)
+#: order: the state bits, then the round-key bits, each ``(byte, bit)``
+#: with bit 0 = LSB, which is exactly little-endian unpacking of the
+#: two blocks (:meth:`AESLastRoundCircuit.input_rows`).
+INPUT_NETS: Tuple[str, ...] = tuple(
+    [state_input_net(byte, bit)
+     for byte in range(BLOCK_BYTES) for bit in range(8)]
+    + [key_input_net(byte, bit)
+       for byte in range(BLOCK_BYTES) for bit in range(8)])
 
 
 @dataclass
@@ -101,15 +102,9 @@ class AESLastRoundCircuit:
     def build(cls, name: str = "aes_last_round") -> "AESLastRoundCircuit":
         """Construct the last-round netlist."""
         netlist = Netlist(name=name)
-        subbytes_inputs: List[str] = []
-
-        for byte in range(BLOCK_BYTES):
-            for bit in range(8):
-                net = netlist.add_input(state_input_net(byte, bit))
-                subbytes_inputs.append(net)
-        for byte in range(BLOCK_BYTES):
-            for bit in range(8):
-                netlist.add_input(key_input_net(byte, bit))
+        for net in INPUT_NETS:
+            netlist.add_input(net)
+        subbytes_inputs = list(INPUT_NETS[:BLOCK_BITS])
 
         # SubBytes: one LUT/MUX tree per output bit per byte.
         for byte in range(BLOCK_BYTES):
@@ -150,12 +145,21 @@ class AESLastRoundCircuit:
 
     # -- evaluation helpers ------------------------------------------------
 
-    def input_values(self, state_in: Sequence[int], round_key: Sequence[int]
-                     ) -> Dict[str, int]:
-        """Primary-input net values for a round input state and round key."""
-        values = block_to_net_values(state_in, state_input_net)
-        values.update(block_to_net_values(round_key, key_input_net))
-        return values
+    def input_rows(self, states_in: np.ndarray, round_keys: np.ndarray
+                   ) -> np.ndarray:
+        """Primary-input rows of many (state, key) stimuli.
+
+        ``states_in`` and ``round_keys`` are ``(N, 16)`` uint8 byte
+        matrices; the result is the ``(N, 256)`` uint8 0/1 matrix in
+        ``netlist.inputs`` order (:data:`INPUT_NETS`).
+        """
+        assert tuple(self.netlist.inputs) == INPUT_NETS, \
+            "primary inputs are not in the state-then-key bit layout"
+        return np.concatenate(
+            [np.unpackbits(states_in, axis=1, bitorder="little"),
+             np.unpackbits(round_keys, axis=1, bitorder="little")],
+            axis=1,
+        )
 
     def evaluate_batch(self, states_in: Sequence[Sequence[int]],
                        round_keys: Sequence[Sequence[int]]) -> List[bytes]:
@@ -174,15 +178,9 @@ class AESLastRoundCircuit:
                                dtype=np.uint8)
         key_bytes = np.array([list(validate_block(k)) for k in round_keys],
                              dtype=np.uint8)
-        # Primary-input order is st_b{byte}_{bit} then key_b{byte}_{bit}
-        # with bit 0 = LSB, which is exactly little-endian unpacking.
-        rows = np.concatenate(
-            [np.unpackbits(state_bytes, axis=1, bitorder="little"),
-             np.unpackbits(key_bytes, axis=1, bitorder="little")],
-            axis=1,
-        )
         compiled = self.netlist.compiled()
-        values = compiled.evaluate_batch(rows)
+        values = compiled.evaluate_batch(self.input_rows(state_bytes,
+                                                         key_bytes))
         d_columns = compiled.columns_for(
             [ciphertext_d_net(byte, bit)
              for byte in range(BLOCK_BYTES) for bit in range(8)]

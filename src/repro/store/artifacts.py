@@ -1,8 +1,8 @@
 """Campaign artifact schemas: content keys, the group codec, the read-through.
 
-The campaign engine caches five kinds of artifact, all of which are
+The campaign engine caches six kinds of artifact, all of which are
 pure functions of a spec fragment and therefore content-addressable
-(:mod:`repro.store.keys`; the engine's ``_store_key`` keys all five):
+(:mod:`repro.store.keys`; the engine's ``_store_key`` keys all six):
 
 * **population traces** — the per-(design, die) averaged EM traces of
   one acquisition point (die count x acquisition variant x stimulus
@@ -16,7 +16,10 @@ pure functions of a spec fragment and therefore content-addressable
   to print ``% of AES``);
 * **cell results** — one executed grid cell's summary rows; their
   presence in the manifest is the per-cell completion record that
-  interrupted or sharded runs resume from.
+  interrupted or sharded runs resume from;
+* **experiment suites** — the paper suite's printed summary rows (one
+  record per suite spec and row-format version), so a warm
+  ``experiments --store`` runs no figure driver.
 
 Summaries and rows are JSON; the three tensor artifacts are npz laid
 out by one group codec (:func:`pack_groups` / :func:`unpack_groups`),
@@ -119,7 +122,8 @@ def unpack_groups(arrays: Mapping[str, np.ndarray]
 
 
 #: Artifact kinds stored as JSON documents; every other kind is arrays.
-_JSON_ARTIFACT_KINDS = frozenset({"infected_summary"})
+_JSON_ARTIFACT_KINDS = frozenset({"infected_summary",
+                                  "experiment_suite"})
 
 
 def read_through(store: Optional[Any], kind: str, key: Optional[str],
@@ -129,8 +133,8 @@ def read_through(store: Optional[Any], kind: str, key: Optional[str],
     """Load and unpack ``key``, or compute, pack and put it.
 
     The one path by which a store client reuses an artifact.  ``kind``
-    picks the payload form (JSON for the infected-design summaries, npz
-    arrays otherwise) and ``meta(value)`` gives the manifest metadata of
+    picks the payload form (JSON for the infected-design summaries and
+    the suite rows, npz arrays otherwise) and ``meta(value)`` gives the manifest metadata of
     a stored value.  Without a store (``store is None``) this is just
     ``compute()``.  The store's ``load_*`` folds a corrupt (quarantined)
     object into a miss, so a torn write costs a recompute, not a crash.

@@ -27,6 +27,7 @@ from repro.measurement.delay_meter import (
 from repro.measurement.dut import DeviceUnderTest
 
 from .aes import AES
+from .netlist import input_values
 from .timing import TimingEngine
 
 
@@ -42,10 +43,10 @@ def pair_transitions(meter: PathDelayMeter, dut: DeviceUnderTest,
             f"attacked_round must be in 2..{trace.num_rounds}, got {attacked}"
         )
     circuit = dut.circuit
-    before = circuit.input_values(trace.round(attacked - 1).state_in,
-                                  aes.round_keys[attacked - 1])
-    after = circuit.input_values(trace.round(attacked).state_in,
-                                 aes.round_keys[attacked])
+    before = input_values(circuit, trace.round(attacked - 1).state_in,
+                          aes.round_keys[attacked - 1])
+    after = input_values(circuit, trace.round(attacked).state_in,
+                         aes.round_keys[attacked])
     return before, after
 
 

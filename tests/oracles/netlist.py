@@ -18,6 +18,8 @@ from repro.crypto.state import BLOCK_BYTES, bytes_to_bits, validate_block
 from repro.netlist.aes_round_circuit import (
     AESLastRoundCircuit,
     ciphertext_d_net,
+    key_input_net,
+    state_input_net,
 )
 from repro.netlist.cells import Cell, CellType
 from repro.netlist.netlist import Netlist
@@ -40,6 +42,25 @@ def netlist_stats(netlist: Netlist) -> Dict[str, int]:
     counts["nets"] = len(netlist.nets())
     counts["cells"] = len(netlist.cells)
     return counts
+
+
+def block_to_net_values(block: Sequence[int], net_namer) -> Dict[str, int]:
+    """Expand a 16-byte block into per-bit net values using ``net_namer``."""
+    data = validate_block(block)
+    values: Dict[str, int] = {}
+    for byte in range(BLOCK_BYTES):
+        for bit in range(8):
+            values[net_namer(byte, bit)] = (data[byte] >> bit) & 1
+    return values
+
+
+def input_values(circuit: AESLastRoundCircuit, state_in: Sequence[int],
+                 round_key: Sequence[int]) -> Dict[str, int]:
+    """Primary-input net values for a round input state and round key:
+    the name-keyed form of one ``AESLastRoundCircuit.input_rows`` row."""
+    values = block_to_net_values(state_in, state_input_net)
+    values.update(block_to_net_values(round_key, key_input_net))
+    return values
 
 
 def compiled_evaluate(compiled, input_values: Mapping[str, int],
@@ -190,8 +211,8 @@ def evaluate_interpreted(circuit: AESLastRoundCircuit,
                          state_in: Sequence[int],
                          round_key: Sequence[int]) -> bytes:
     """Round output of ``circuit`` through the interpreted netlist walk."""
-    values = circuit.netlist.evaluate(circuit.input_values(state_in,
-                                                           round_key))
+    values = circuit.netlist.evaluate(input_values(circuit, state_in,
+                                                   round_key))
     return net_values_to_block(values, ciphertext_d_net)
 
 

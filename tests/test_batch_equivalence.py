@@ -247,14 +247,26 @@ def test_compiled_arrivals_and_calibration_match_interpreted(batch_platform):
 
 
 def test_pair_transitions_batch_matches_serial(batch_platform):
-    """Batched-cipher attacked-round stimuli equal the scalar walk."""
+    """Batched-cipher attacked-round input rows equal the scalar walk's
+    name-keyed vectors lowered into ``netlist.inputs`` order, bit for
+    bit, on the golden DUT and on every library trojan's."""
     meter = batch_platform.delay_meter
-    dut = batch_platform.golden_dut(0)
-    for pairs in (generate_pk_pairs(4, seed=21),
-                  generate_pk_pairs(3, seed=22, fixed_key=KEY)):
-        serial = [pair_transitions(meter, dut, pair) for pair in pairs]
-        assert meter.pair_transitions_batch(dut, pairs) == serial
-    assert meter.pair_transitions_batch(dut, []) == []
+    duts = [batch_platform.golden_dut(0)] + [
+        batch_platform.infected_dut(name, 0) for name in TROJAN_SPECS]
+    for dut in duts:
+        input_nets = list(dut.circuit.netlist.inputs)
+        for pairs in (generate_pk_pairs(4, seed=21),
+                      generate_pk_pairs(3, seed=22, fixed_key=KEY)):
+            serial = [pair_transitions(meter, dut, pair) for pair in pairs]
+            batch = meter.pair_transitions_batch(dut, pairs)
+            for side, rows in enumerate(batch):
+                expected = np.array(
+                    [[vectors[side][net] for net in input_nets]
+                     for vectors in serial], dtype=np.uint8)
+                assert rows.dtype == np.uint8
+                assert np.array_equal(rows, expected)
+    before, after = meter.pair_transitions_batch(duts[0], [])
+    assert before.shape == after.shape == (0, len(input_nets))
 
 
 def test_delay_measure_batch_self_calibration_matches(batch_platform):

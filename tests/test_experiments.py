@@ -1,9 +1,12 @@
 """Integration tests for the experiment drivers (quick suite spec)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.campaigns import CampaignEngine
+from repro.cli import main
 from repro.experiments import (
     fig1_timing,
     fig2_staircase,
@@ -17,8 +20,16 @@ from repro.experiments import (
     suite_spec,
     table_ht_sizes,
 )
+from repro.experiments import runner
 from repro.experiments.headline import PAPER_FALSE_NEGATIVE_RATES
+from repro.experiments.runner import (
+    SUITE_ROWS_VERSION,
+    ExperimentSummary,
+    SuiteResult,
+)
 from repro.stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
+from repro.store import ArtifactStore
+from repro.store.artifact_store import encode_json_bytes
 
 from oracles import find_local_maxima
 
@@ -111,6 +122,98 @@ def test_suite_releases_its_lease_when_a_driver_raises(monkeypatch, tmp_path):
         run_all(store=tmp_path / "store")
     assert list((tmp_path / "store" / "objects").iterdir())
     _assert_no_lease_left(tmp_path / "store")
+
+
+# -- the stored suite record ----------------------------------------------------
+
+#: SHA-256 of the quick suite's ``experiment_suite`` payload, pinned with
+#: the row-format version its key holds: a change to any printed row
+#: fails here, and re-pinning it means bumping ``SUITE_ROWS_VERSION``
+#: (so stores written before the change miss instead of printing stale
+#: rows).
+QUICK_SUITE_RECORD = (
+    1, "e9fe11738c42af1172c317128495cccec169b94ad742eb8f87766747d737bdc9")
+
+
+def test_quick_suite_record_is_pinned_with_its_version(exp_engine):
+    rows = runner._run_drivers(exp_engine).summaries
+    digest = hashlib.sha256(encode_json_bytes(rows)).hexdigest()
+    assert (SUITE_ROWS_VERSION, digest) == QUICK_SUITE_RECORD
+
+
+def _experiments(capsys, store, *flags):
+    code = main(["experiments", *flags, "--store", str(store)])
+    return code, capsys.readouterr().out
+
+
+def _suite_records(store):
+    return [entry for entry in ArtifactStore(store).index().values()
+            if entry.kind == "experiment_suite"]
+
+
+def _drivers_must_not_run(monkeypatch):
+    def fail(engine):
+        raise AssertionError("the suite ran although its record is stored")
+
+    monkeypatch.setattr(runner, "_run_drivers", fail)
+
+
+def _fake_drivers(monkeypatch, shape_ok=True):
+    """Stand-in drivers: one summary row; returns the list of runs."""
+    runs = []
+
+    def fake(engine):
+        runs.append(engine.spec)
+        return SuiteResult([ExperimentSummary(
+            "fake", "claim", f"seed {engine.spec.seed}", shape_ok)])
+
+    monkeypatch.setattr(runner, "_run_drivers", fake)
+    return runs
+
+
+def test_warm_suite_prints_its_one_stored_record(monkeypatch, capsys,
+                                                 tmp_path):
+    """A rerun prints the cold run's table byte for byte, with its exit
+    code, from the one ``experiment_suite`` record and runs no driver;
+    another seed or the paper sizes miss."""
+    store = tmp_path / "store"
+    cold = _experiments(capsys, store, "--quick")
+    assert cold[0] == 0
+    assert len(_suite_records(store)) == 1
+    _drivers_must_not_run(monkeypatch)
+    assert _experiments(capsys, store, "--quick") == cold
+    assert len(_suite_records(store)) == 1
+
+    runs = _fake_drivers(monkeypatch)
+    for flags in (("--quick", "--seed", "9"), ()):
+        assert _experiments(capsys, store, *flags)[0] == 0
+    assert [(spec.seed, spec.die_counts) for spec in runs] == [
+        (9, (4,)), (2015, (8,))]
+    assert len(_suite_records(store)) == 3
+
+
+def test_corrupt_suite_record_is_quarantined_and_recomputed(monkeypatch,
+                                                            capsys, tmp_path):
+    store = tmp_path / "store"
+    runs = _fake_drivers(monkeypatch)
+    cold = _experiments(capsys, store, "--quick")
+    (entry,) = _suite_records(store)
+    (store / "objects" / entry.filename).write_bytes(b"{torn")
+    assert _experiments(capsys, store, "--quick") == cold
+    assert len(runs) == 2
+    assert [path.name for path in (store / "quarantine").iterdir()] == [
+        entry.filename]
+    _drivers_must_not_run(monkeypatch)
+    assert _experiments(capsys, store, "--quick") == cold
+
+
+def test_stored_failing_shape_still_exits_1(monkeypatch, capsys, tmp_path):
+    store = tmp_path / "store"
+    _fake_drivers(monkeypatch, shape_ok=False)
+    cold = _experiments(capsys, store, "--quick")
+    assert cold[0] == 1 and "NO" in cold[1]
+    _drivers_must_not_run(monkeypatch)
+    assert _experiments(capsys, store, "--quick") == cold
 
 
 def test_fig1_timing_constraint(exp_engine):

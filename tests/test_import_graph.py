@@ -9,9 +9,10 @@ wall-clock time), so a top-level ``from scipy import ...`` anywhere on a
 command's import path fails here.  The value pin needs scipy itself and
 is skipped where it is not installed.  Every package's ``__all__``
 names resolve lazily (PEP 562), so they are checked against the
-submodules that define them.  A fully resumed ``campaign run`` and
-``--help`` must load neither NumPy nor any layer that computes; the
-store audit may decode npz (NumPy) but loads no computing layer either.
+submodules that define them.  A fully resumed ``campaign run``, a warm
+``experiments --store`` and ``--help`` must load neither NumPy nor any
+layer that computes; the store audit may decode npz (NumPy) but loads
+no computing layer either.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import List, Optional, Tuple
 import pytest
 
 import repro
+import repro.cli
 from repro.campaigns import CampaignResult
 from repro.core.metrics import required_separation
 
@@ -77,8 +79,9 @@ print(json.dumps({"exit": code, "modules": sorted(
 
 #: Packages whose public names resolve lazily.
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.campaigns", "repro.core",
-                 "repro.crypto", "repro.fpga", "repro.io",
-                 "repro.measurement", "repro.store", "repro.trojan")
+                 "repro.crypto", "repro.experiments", "repro.fpga",
+                 "repro.io", "repro.measurement", "repro.store",
+                 "repro.trojan")
 
 #: Layers that compute (every module of each), and single modules that
 #: do; a resumed campaign needs none of them.
@@ -219,9 +222,44 @@ def test_resumed_campaign_imports_nothing_that_computes(tmp_path, metrics):
     assert _computing(fsck_modules) == []
 
 
-def test_quick_paper_suite_loads_no_scipy(tmp_path):
-    assert _probe(["experiments", "--quick"], tmp_path) == {
-        "exit": 0, "scipy": False}
+# Runs ``repro.cli.main`` on each argv in turn, in one interpreter, and
+# reports each command's exit code, stdout and the ``repro`` modules,
+# numpy and scipy loaded by then.
+_STEPS_PROBE = """
+import contextlib, io, json, sys
+import repro.cli
+steps = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = repro.cli.main(argv)
+    steps.append({"exit": code, "stdout": out.getvalue(), "modules": sorted(
+        m for m in sys.modules
+        if m.startswith("repro") or m in ("numpy", "scipy"))})
+print(json.dumps(steps))
+"""
+
+
+def test_quick_paper_suite_loads_no_scipy(tmp_path, capsys):
+    """A cold quick suite loads no scipy.  Its warm rerun, the first
+    command of the same fresh interpreter, prints the stored table byte
+    for byte and loads no NumPy, no figure driver and no other layer
+    that computes: only the suite's runner of ``repro.experiments``."""
+    store = ["--store", str(tmp_path / "store")]
+    assert repro.cli.main(["experiments", "--quick", *store]) == 0
+    cold_table = capsys.readouterr().out
+    completed = _run(_STEPS_PROBE, json.dumps(
+        [["experiments", "--quick", *store], ["experiments", "--quick"]]),
+        cwd=tmp_path)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    warm, cold = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert (warm["exit"], warm["stdout"]) == (0, cold_table)
+    _assert_imports_nothing_that_computes(
+        [module for module in warm["modules"] if module not in
+         ("repro.experiments", "repro.experiments.runner")])
+    assert "scipy" not in warm["modules"]
+    assert (cold["exit"], cold["stdout"]) == (0, cold_table)
+    assert "scipy" not in cold["modules"]
 
 
 def test_required_separation_values_are_pinned():

@@ -89,6 +89,10 @@ ORACLE_ONLY_NAMES = {
     "_trojan_activity_cache",
     # The per-cell intra-die offset the bulk-seeded die map replaced.
     "cell_offset_ps",
+    # The name-keyed attacked-round stimulus the little-endian input
+    # rows (``AESLastRoundCircuit.input_rows``) replaced.
+    "AESLastRoundCircuit.input_values",
+    "block_to_net_values",
     # Serial delay scorers.
     "DELAY_METRIC_SCORERS",
     "build_delay_scorer",

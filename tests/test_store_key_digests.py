@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaigns import AcquisitionVariant, CampaignEngine, CampaignSpec
+from repro.experiments import summarise_suite
 from repro.store import ArtifactStore
 
 
@@ -63,6 +64,9 @@ PINNED = {
         "5418b4f2169d264b9e5521cf98fb641caf32351016a02859fb2b9b2d07e7a379",
     "campaign_cell":
         "295a59b7e2a344a52a92abcaee0f03801b0b1282c95e0273e495f303b711714c",
+    # Holds ``SUITE_ROWS_VERSION``: a version bump re-pins this one.
+    "experiment_suite":
+        "392f9b4e878fa68489a506ffb8f0a42eeb0789bb54b33f855bb941834954f474",
 }
 
 #: The paper geometry of ``campaign run --dies 4 --seed 2015`` and of
@@ -83,6 +87,8 @@ def _keys(spec: CampaignSpec, tmp_path):
         "infected_summary": _requested_key(
             lambda: engine.trojan_area_fraction("HT3")),
         "campaign_cell": _requested_key(lambda: engine.load_cell_result(em)),
+        "experiment_suite": _requested_key(
+            lambda: summarise_suite(spec, store=engine.store)),
     }
 
 
