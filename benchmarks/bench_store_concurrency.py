@@ -1,8 +1,8 @@
-"""STORE — locking + lease overhead on the warm store-resume path.
+"""STORE — locking overhead on the warm store-resume path.
 
-The concurrency layer (shared/exclusive store locks around each file
-mutation, per-key write locks, heartbeated writer leases) must be close
-to free on the path users actually feel: a warm store-backed rerun that
+The concurrency layer (the shared store lock and a per-key write lock
+around each put, the exclusive store lock around maintenance) must be
+close to free on the path users actually feel: a warm store-backed rerun that
 resolves every cell from the manifest.  The gate: the median locked
 warm rerun takes at most **10%** longer than the median rerun against a
 ``locking=False`` store.  There is no absolute slack: each timed sample
@@ -100,7 +100,7 @@ def test_locking_overhead_on_warm_resume_is_within_10_percent(benchmark):
         benchmark.extra_info["samples"] = SAMPLES
         benchmark.extra_info["cells"] = spec.num_cells()
         assert overhead <= OVERHEAD_GATE, (
-            f"locking+leases cost {overhead:.2f}x on the warm resume path "
+            f"locking costs {overhead:.2f}x on the warm resume path "
             f"(median locked {locked_seconds * 1e3:.3f} ms vs unlocked "
             f"{unlocked_seconds * 1e3:.3f} ms per rerun; gate "
             f"{OVERHEAD_GATE:.2f}x)"

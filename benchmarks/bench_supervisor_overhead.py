@@ -74,18 +74,12 @@ def _run_cells_in_subprocess(payload) -> List[CampaignCellResult]:
     engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
                             device=device, golden=golden, store=store_config)
     engine._golden_signature = golden_sig
-    if engine.store is not None:
-        engine.store.acquire_lease(owner=f"chunk:{engine.spec.name}")
     grid = engine.spec.grid()
     chunk_results: List[CampaignCellResult] = []
-    try:
-        for index in indices:
-            cell_result = engine.run_cell(grid[index])
-            engine.record_cell_result(grid[index], cell_result)
-            chunk_results.append(cell_result)
-    finally:
-        if engine.store is not None:
-            engine.store.release_lease()
+    for index in indices:
+        cell_result = engine.run_cell(grid[index])
+        engine.record_cell_result(grid[index], cell_result)
+        chunk_results.append(cell_result)
     return chunk_results
 
 

@@ -60,13 +60,12 @@ loads none of them (``tests/test_import_graph.py``).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..core.report import format_table
 from ..fpga.device import virtex5_lx30
@@ -1068,54 +1067,57 @@ class CampaignEngine:
     def load_cell_result(self, cell: GridCell) -> Optional[CampaignCellResult]:
         """The cell's completion record, if a previous run stored one.
 
-        A record may come from a grid that placed the cell elsewhere, so
-        its grid index and variant name are re-stamped to ``cell``.
-        Failed (quarantined) records and corrupt payloads both count as
-        *no record*: the resuming run retries exactly those cells.
+        A record holds no grid position (it may come from a grid that
+        placed the cell elsewhere), so the index and variant name are
+        stamped from ``cell``; this run spent no time on it.  Failed
+        records (only older stores hold them) and corrupt payloads both
+        count as *no record*: the resuming run retries exactly those
+        cells.
         """
         store_key = self._cell_key(cell)
         if store_key is None:
             return None
         payload = self.store.load_json(store_key)
-        if payload is None:
+        if payload is None or payload.get("status", "ok") != "ok":
             return None
-        result = CampaignCellResult.from_dict(payload)
-        if result.status != "ok":
-            return None
-        result.index = cell.index
-        result.variant = cell.variant.name
-        for row in result.rows:
-            row.cell_index = cell.index
-            row.variant = cell.variant.name
-        return result
+        position = {"cell_index": cell.index, "variant": cell.variant.name}
+        return CampaignCellResult(
+            index=cell.index,
+            num_dies=cell.num_dies,
+            variant=cell.variant.name,
+            metric=cell.metric,
+            rows=[CampaignRow.from_dict({**row, **position})
+                  for row in payload["rows"]],
+            golden_score_mean=payload["golden_score_mean"],
+            golden_score_std=payload["golden_score_std"],
+            elapsed_s=0.0,
+        )
 
     def record_cell_result(self, cell: GridCell,
                            result: CampaignCellResult) -> None:
-        """Record the cell as complete in the store manifest."""
+        """Record the computed cell as complete in the store manifest.
+
+        The record holds only what its key determines: the grid position
+        is stamped back by :meth:`load_cell_result`, and the execution
+        facts (``elapsed_s``, ``attempts``, ``trace_archive``) stay in
+        ``campaign.json``, so two runs of one command store equal bytes.
+        """
         store_key = self._cell_key(cell)
         if store_key is None:
             return
+        record = {
+            "golden_score_mean": result.golden_score_mean,
+            "golden_score_std": result.golden_score_std,
+            "rows": [{name: value for name, value in row.to_dict().items()
+                      if name not in ("cell_index", "variant")}
+                     for row in result.rows],
+        }
         self.store.put_json(
-            store_key, result.to_dict(), kind="campaign_cell",
+            store_key, record, kind="campaign_cell",
             meta={"campaign": self.spec.name, "cell_index": cell.index,
                   "num_dies": cell.num_dies, "variant": cell.variant.name,
                   "metric": cell.metric},
         )
-
-    @contextlib.contextmanager
-    def writer_lease_scope(self) -> Iterator[None]:
-        """Release this process's store writer lease when the block exits.
-
-        The first ``put_*`` on the store registers a heartbeated lease
-        (or the caller registers one up front); it must end with the
-        run that wrote, also when the run raises, or the next ``store
-        gc`` breaks it as stale.  Without a store this does nothing.
-        """
-        try:
-            yield
-        finally:
-            if self.store is not None:
-                self.store.release_lease()
 
     def run(self, artifact_dir: Optional[PathLike] = None,
             shard: Optional[Tuple[int, int]] = None) -> CampaignResult:
@@ -1150,53 +1152,38 @@ class CampaignEngine:
             shard = (int(shard[0]), int(shard[1]))
             cells = self.spec.shard(*shard)
         try:
-            with self.writer_lease_scope():
-                completed: Dict[int, CampaignCellResult] = {}
-                pending: List[GridCell] = []
-                for cell in cells:
-                    loaded = self.load_cell_result(cell)
-                    if loaded is not None:
-                        completed[cell.index] = loaded
-                    else:
-                        pending.append(cell)
-                if pending and self.store is not None:
-                    # The whole computing run counts as "live" to
-                    # concurrent maintenance: the lease covers the compute
-                    # time between store writes, not just the writes
-                    # themselves.  A fully resumed run writes nothing and
-                    # registers no lease.
-                    self.store.acquire_lease(
-                        owner=f"campaign:{self.spec.name}")
-                # Trace-archive ownership is decided among the cells that
-                # *execute* this invocation: store-resumed cells never
-                # run, so a full-grid (or even in-shard) owner that
-                # resolved from the manifest must not leave the archive
-                # unwritten.
-                self._active_indices = frozenset(cell.index
-                                                 for cell in pending)
-                # Largest populations first (stable): a smaller one is
-                # then sliced from it (:meth:`_cell_tensors`).
-                pending.sort(key=lambda cell: -cell.num_dies)
-                if pending:
-                    from .supervisor import (
-                        CampaignSupervisor,
-                        run_cells_serial,
-                    )
+            completed: Dict[int, CampaignCellResult] = {}
+            pending: List[GridCell] = []
+            for cell in cells:
+                loaded = self.load_cell_result(cell)
+                if loaded is not None:
+                    completed[cell.index] = loaded
+                else:
+                    pending.append(cell)
+            # Trace-archive ownership is decided among the cells that
+            # *execute* this invocation: store-resumed cells never run,
+            # so a full-grid (or even in-shard) owner that resolved from
+            # the manifest must not leave the archive unwritten.
+            self._active_indices = frozenset(cell.index for cell in pending)
+            # Largest populations first (stable): a smaller one is
+            # then sliced from it (:meth:`_cell_tensors`).
+            pending.sort(key=lambda cell: -cell.num_dies)
+            if pending:
+                from .supervisor import CampaignSupervisor, run_cells_serial
 
-                    if self.spec.workers <= 1 or len(pending) <= 1:
-                        completed.update(run_cells_serial(self, pending))
-                    else:
-                        # Forked workers inherit the parent's modules:
-                        # import NumPy once here, not once per worker.
-                        # Nothing else, since a worker that rescores
-                        # stored tensors needs no simulation layer.
-                        import numpy  # noqa: F401
+                if self.spec.workers <= 1 or len(pending) <= 1:
+                    completed.update(run_cells_serial(self, pending))
+                else:
+                    # Forked workers inherit the parent's modules: import
+                    # NumPy once here, not once per worker.  Nothing
+                    # else, since a worker that rescores stored tensors
+                    # needs no simulation layer.
+                    import numpy  # noqa: F401
 
-                        completed.update(
-                            CampaignSupervisor(self).run(pending))
-                if self.spec.save_traces:
-                    self._archive_resumed_cells(cells, pending, completed)
-                ordered = [completed[cell.index] for cell in cells]
+                    completed.update(CampaignSupervisor(self).run(pending))
+            if self.spec.save_traces:
+                self._archive_resumed_cells(cells, pending, completed)
+            ordered = [completed[cell.index] for cell in cells]
         finally:
             self._active_indices = None
         result = CampaignResult(

@@ -20,9 +20,9 @@ a time** over per-worker pipes:
   jitter before the cell is quarantined.
 * **poison-cell quarantine** — a cell that fails every attempt becomes
   an explicit ``failed`` :class:`~repro.campaigns.engine.CampaignCellResult`
-  row (recorded to the store, carried through save/merge/CSV) instead of
-  aborting the campaign: the grid completes degraded, and the resume
-  path treats failed cells as pending so a rerun retries only them.
+  row (carried through save/merge/CSV, never recorded to the store)
+  instead of aborting the campaign: the grid completes degraded, and a
+  rerun with the same store retries only the failed cells.
 * **per-cell timeout** — ``spec.cell_timeout_s`` bounds one attempt; a
   hung worker is SIGKILLed (workers ignore SIGINT/SIGTERM, so only an
   unignorable signal reliably ends a deadlocked kernel call) and the
@@ -163,32 +163,23 @@ def _worker_main(payload: Tuple[Any, ...],
         engine._artifact_dir = Path(artifact_dir)
     if active is not None:
         engine._active_indices = frozenset(active)
-    if engine.store is not None:
-        # Register this worker's writer lease up front so concurrent
-        # maintenance treats its in-flight writes as off-limits for the
-        # whole worker lifetime, not just between put_* calls.
-        engine.store.acquire_lease(owner=f"worker:{engine.spec.name}")
     grid = engine.spec.grid()
-    try:
-        while True:
-            message = task_conn.recv()
-            if message[0] != "cell":
-                break
-            _, index, attempt = message
-            if before_attempt is not None:
-                before_attempt(engine, index, attempt)
-            try:
-                cell_result = engine.run_cell(grid[index])
-                cell_result.attempts = attempt
-                engine.record_cell_result(grid[index], cell_result)
-            except Exception as error:
-                result_conn.send(("error", index, attempt,
-                                  f"{type(error).__name__}: {error}"))
-            else:
-                result_conn.send(("done", index, attempt, cell_result))
-    finally:
-        if engine.store is not None:
-            engine.store.release_lease()
+    while True:
+        message = task_conn.recv()
+        if message[0] != "cell":
+            break
+        _, index, attempt = message
+        if before_attempt is not None:
+            before_attempt(engine, index, attempt)
+        try:
+            cell_result = engine.run_cell(grid[index])
+            cell_result.attempts = attempt
+            engine.record_cell_result(grid[index], cell_result)
+        except Exception as error:
+            result_conn.send(("error", index, attempt,
+                              f"{type(error).__name__}: {error}"))
+        else:
+            result_conn.send(("done", index, attempt, cell_result))
     result_conn.send(("bye",))
 
 
@@ -298,16 +289,12 @@ class CampaignSupervisor:
         if attempt >= self.policy.max_retries + 1:
             from .engine import CampaignCellResult
 
-            cell = self._grid[index]
-            result = CampaignCellResult.failed(
-                cell, error=" | ".join(self._failures[index]),
+            # Not recorded to the store: the saved result carries the
+            # explicit failed row, and a resuming run retries the cell.
+            self._results[index] = CampaignCellResult.failed(
+                self._grid[index], error=" | ".join(self._failures[index]),
                 attempts=attempt,
             )
-            # Recorded to the store too: a merged/saved result carries
-            # the explicit failed row, while the resume path treats it
-            # as pending (load_cell_result skips non-ok records).
-            self.engine.record_cell_result(cell, result)
-            self._results[index] = result
         elif not self._draining:
             due = self.clock() + self.policy.backoff_s(index, attempt)
             heapq.heappush(self._retry_heap, (due, index))
@@ -521,10 +508,8 @@ def run_cells_serial(engine: "CampaignEngine", cells: List["GridCell"],
             results[cell.index] = cell_result
             break
         else:
-            cell_result = CampaignCellResult.failed(
+            results[cell.index] = CampaignCellResult.failed(
                 cell, error=" | ".join(failures),
                 attempts=policy.max_retries + 1,
             )
-            engine.record_cell_result(cell, cell_result)
-            results[cell.index] = cell_result
     return results

@@ -21,11 +21,11 @@ Sub-commands:
 * ``store``      — artifact-store maintenance: ``store fsck`` verifies
   every stored payload against its recorded SHA-256 digest (and with
   ``--repair`` quarantines what fails), ``store gc`` sweeps orphan
-  objects and stray temp files left by interrupted writes, and ``store
-  leases`` lists the writer leases of a shared store.  Maintenance
-  takes the exclusive store lock (``--wait`` bounds the wait, exit
-  code 3 when writers keep it busy) and never touches objects covered
-  by a live writer lease unless ``--force``.
+  objects and stray temp files left by interrupted writes.  Both take
+  the exclusive store lock, which every put holds the shared side of
+  until its object and manifest entry are written, so neither sees a
+  put half done (``--wait`` bounds the wait, exit code 3 when writers
+  keep the store busy).
 * ``attack``     — fault-injection attack campaigns: ``attack sweep``
   drives a (clock period x glitch offset x pulse width) grid over the
   die population as a ``fault_coverage`` campaign cell (shardable and
@@ -235,8 +235,7 @@ def cmd_store_fsck(args: argparse.Namespace) -> int:
     except ValueError as error:
         return _fail(error)
     try:
-        report = store.fsck(repair=args.repair, wait_s=args.wait,
-                            force=args.force)
+        report = store.fsck(repair=args.repair, wait_s=args.wait)
     except LockTimeout as error:
         print(f"store busy: {error}", file=sys.stderr)
         print("(writers hold the store lock; retry with a longer --wait)",
@@ -257,9 +256,8 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
     except ValueError as error:
         return _fail(error)
     try:
-        removed = store.gc(tmp_older_than_s=args.tmp_age,
-                           purge_quarantine=args.purge_quarantine,
-                           wait_s=args.wait, force=args.force)
+        removed = store.gc(purge_quarantine=args.purge_quarantine,
+                           wait_s=args.wait)
     except LockTimeout as error:
         print(f"store busy: {error}", file=sys.stderr)
         print("(writers hold the store lock; retry with a longer --wait)",
@@ -269,28 +267,6 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
           f"{removed['stray_tmp']} stray temp file(s), "
           f"{removed['quarantined']} quarantined object(s); "
           f"{len(store)} artifact(s) remain")
-    if removed["broken_leases"]:
-        print(f"broke {len(removed['broken_leases'])} stale lease(s): "
-              + ", ".join(removed["broken_leases"]))
-    if removed["live_leases"]:
-        print(f"{len(removed['live_leases'])} live writer lease(s) — "
-              f"{removed['skipped_leased']} candidate object(s) left "
-              f"untouched (use --force only if the fleet is dead)")
-    return 0
-
-
-def cmd_store_leases(args: argparse.Namespace) -> int:
-    try:
-        leases = _existing_store(args.store).leases()
-    except ValueError as error:
-        return _fail(error)
-    if not leases:
-        print("no writer leases registered")
-        return 0
-    for lease in leases:
-        print(lease.describe())
-    live = sum(1 for lease in leases if lease.is_live())
-    print(f"{live} live / {len(leases)} total")
     return 0
 
 
@@ -409,8 +385,7 @@ def cmd_attack_recover(args: argparse.Namespace) -> int:
     except ValueError as error:
         return _fail(error)
     cell = next(cell for cell in spec.grid() if cell.is_fault)
-    with engine.writer_lease_scope():
-        data = engine.fault_sweep_data(cell)
+    data = engine.fault_sweep_data(cell)
     grid = data.grid
     print(f"glitch grid: {len(grid.periods_ps)} period(s) x "
           f"{len(grid.offsets_ps)} offset(s) x {len(grid.widths_ps)} "
@@ -578,44 +553,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsck.add_argument("store", help="artifact store directory")
     p_fsck.add_argument("--repair", action="store_true",
                         help="quarantine corrupt objects, rebuild/drop "
-                             "broken manifest entries, remove unleased "
-                             "orphans and sweep stray temp files (takes "
-                             "the exclusive store lock)")
+                             "broken manifest entries, remove orphan "
+                             "objects and sweep stray temp files")
     p_fsck.add_argument("--wait", type=float, default=None, metavar="S",
                         help="bounded wait for the exclusive store lock "
-                             "with --repair (default 30 s; exit code 3 "
-                             "when the store stays busy)")
-    p_fsck.add_argument("--force", action="store_true",
-                        help="ignore live writer leases (only when the "
-                             "fleet is known dead)")
+                             "(default 30 s; exit code 3 when the store "
+                             "stays busy)")
     p_fsck.set_defaults(func=cmd_store_fsck)
 
     p_gc = store_sub.add_parser(
         "gc", help="sweep orphan objects, stray temp files and quarantine"
     )
     p_gc.add_argument("store", help="artifact store directory")
-    p_gc.add_argument("--tmp-age", type=float, default=None,
-                      dest="tmp_age", metavar="S",
-                      help="only sweep temp files older than S seconds "
-                           "(default: immediate with lease accounting — "
-                           "liveness is explicit — and 3600 on stores "
-                           "without it)")
     p_gc.add_argument("--purge-quarantine", action="store_true",
                       help="also delete previously quarantined objects")
     p_gc.add_argument("--wait", type=float, default=None, metavar="S",
                       help="bounded wait for the exclusive store lock "
                            "(default 30 s; exit code 3 when the store "
                            "stays busy)")
-    p_gc.add_argument("--force", action="store_true",
-                      help="ignore live writer leases (only when the "
-                           "fleet is known dead)")
     p_gc.set_defaults(func=cmd_store_gc)
-
-    p_leases = store_sub.add_parser(
-        "leases", help="list writer leases registered on a store"
-    )
-    p_leases.add_argument("store", help="artifact store directory")
-    p_leases.set_defaults(func=cmd_store_leases)
 
     p_attack = subparsers.add_parser(
         "attack", help="fault-injection attacks: glitch-grid sweeps + DFA"

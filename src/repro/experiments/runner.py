@@ -97,10 +97,7 @@ def run_all(spec: Optional[CampaignSpec] = None,
     same key a ``campaign run`` of that geometry uses.
     """
     engine = CampaignEngine(spec or suite_spec(quick=True), store=store)
-    # The population study's first store write registers a writer
-    # lease; it ends with the suite, also when a driver raises.
-    with engine.writer_lease_scope():
-        return _run_drivers(engine)
+    return _run_drivers(engine)
 
 
 def summarise_suite(spec: CampaignSpec,
@@ -114,17 +111,16 @@ def summarise_suite(spec: CampaignSpec,
     (:func:`run_all`'s work) and stores them.
     """
     engine = CampaignEngine(spec, store=store)
-    with engine.writer_lease_scope():
-        summaries = engine._read_through(
-            "experiment_suite", SUITE_ROWS_VERSION,
-            {"rows_version": SUITE_ROWS_VERSION,
-             "spec": spec_content_fragment(spec.to_dict())},
-            compute=lambda: _run_drivers(engine).summaries,
-            pack=lambda rows: rows,
-            unpack=lambda payload: [ExperimentSummary(**row)
-                                    for row in payload],
-            meta=lambda rows: {"campaign": spec.name, "rows": len(rows)},
-        )
+    summaries = engine._read_through(
+        "experiment_suite", SUITE_ROWS_VERSION,
+        {"rows_version": SUITE_ROWS_VERSION,
+         "spec": spec_content_fragment(spec.to_dict())},
+        compute=lambda: _run_drivers(engine).summaries,
+        pack=lambda rows: rows,
+        unpack=lambda payload: [ExperimentSummary(**row)
+                                for row in payload],
+        meta=lambda rows: {"campaign": spec.name, "rows": len(rows)},
+    )
     return SuiteResult(summaries=summaries)
 
 

@@ -14,9 +14,11 @@ A store is a directory, and :class:`ArtifactStore` is its one
 implementation; :func:`build_store` turns a path, a ``spawn_config()``
 dict or a live store into one.  Tensor artifacts share one group codec
 (:func:`pack_groups`), and every client goes through one
-:func:`read_through`.  ``fsck --repair`` and ``gc`` share one
-maintenance sweep, and processes share a store through ``fcntl.flock``
-locks only (the store is POSIX-only).  Hosts share results by copying
+:func:`read_through`.  ``fsck`` and ``gc`` share one maintenance
+sweep, and processes share a store through one ``fcntl.flock``
+protocol (the store is POSIX-only): each put holds the shared store
+lock, then its key's lock, across its object and manifest entry;
+maintenance holds the exclusive store lock; reads take no lock.  Hosts share results by copying
 the directory's ``objects/`` and then its ``manifest/``.
 
 The store imports nothing that computes.  NumPy loads only where an
@@ -34,25 +36,19 @@ _EXPORTS = {
     "ARTIFACT_SCHEMA_VERSION": ".artifacts",
     "ArtifactStore": ".artifact_store",
     "DEFAULT_GOLDEN_SIGNATURE": ".artifacts",
-    "DEFAULT_LEASE_TTL_S": ".leases",
     "DEFAULT_LOCK_TIMEOUT_S": ".locks",
     "FileLock": ".locks",
     "FsckReport": ".artifact_store",
-    "LeaseInfo": ".leases",
     "LockTimeout": ".locks",
     "ManifestEntry": ".artifact_store",
     "RetryPolicy": ".retry",
     "STORE_FORMAT_VERSION": ".artifact_store",
     "StoreIntegrityError": ".artifact_store",
-    "WriterLease": ".leases",
     "backoff_delay_s": ".retry",
-    "break_stale_leases": ".leases",
     "build_store": ".artifact_store",
     "canonical_json": ".keys",
     "golden_signature": ".artifacts",
     "is_transient_os_error": ".retry",
-    "list_leases": ".leases",
-    "live_foreign_leases": ".leases",
     "pack_groups": ".artifacts",
     "read_through": ".artifacts",
     "spec_content_fragment": ".artifacts",

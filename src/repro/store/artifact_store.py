@@ -5,7 +5,7 @@ Layout of a store directory::
     objects/     <key>.json | <key>.npz    the payloads
     manifest/    <key>.json                one index entry per key
     quarantine/  <filename>[.n]            corrupt objects, moved aside
-    locks/ leases/                         the concurrency protocol
+    locks/       store.lock, key.<key>.lock    the concurrency protocol
 
 :class:`ArtifactStore` does its file IO on that directory, and
 :func:`build_store` resolves every store argument (a path, a
@@ -30,36 +30,30 @@ readers fold both "missing" and "corrupt" into ``None`` for callers
 that recompute on a miss.
 
 Keys are content addresses of the *producing* configuration
-(:mod:`repro.store.keys`) and every producer is seed-deterministic, so
-equal keys hold equal *results* — not always equal bytes: a finished
-cell's payload also records its wall-clock ``elapsed_s``.  What makes
-two writers of one key, or a mixed or partial copy of a store, safe is
-the manifest digest: each object is installed whole (the last
-``os.replace`` wins), and an object that does not match the manifest
-entry beside it is quarantined on read, never returned.  Hosts share
-results by copying ``objects/`` and then ``manifest/`` into another
-store and running :meth:`ArtifactStore.fsck`.
+(:mod:`repro.store.keys`), every producer is seed-deterministic and no
+payload records how or when it was computed, so equal keys hold equal
+bytes.  What makes two writers of one key, or a mixed or partial copy
+of a store, safe is the manifest digest: each object is installed whole
+(the last ``os.replace`` wins), and an object that does not match the
+manifest entry beside it is quarantined on read, never returned.  Hosts
+share results by copying ``objects/`` and then ``manifest/`` into
+another store and running :meth:`ArtifactStore.fsck`.
 
 Beyond reads and writes, a store has:
 
 * a **concurrency protocol** (``locking=True``, the default): any
   number of writer processes and one maintenance process can share a
-  store directory.  Writers register a heartbeated :mod:`lease
-  <repro.store.leases>` and take the *shared* side of the store lock
+  store directory.  Each put takes the *shared* side of the store lock
   (:mod:`repro.store.locks`, taken through a turnstile so a waiter
-  keeps its place) around each file mutation, plus a per-key write
-  lock across the object-then-manifest pair; reads stay lock-free
+  keeps its place), then the key's write lock inside it, and holds
+  both across the object and its manifest entry; reads stay lock-free
   on the hit path (the digest check guarantees integrity, not a lock);
 * **maintenance**: :meth:`ArtifactStore.fsck` audits the whole store
   (digests, parseability, dangling entries, orphan objects, stray temp
   files) and :meth:`ArtifactStore.gc` sweeps the garbage.  Both take
-  the *exclusive* side of the store lock with a bounded wait and run
-  one shared sweep: it breaks stale leases (dead pid or expired
-  heartbeat), treats orphan objects and temp files as off-limits while
-  a live foreign lease exists (a live writer mid-``put`` looks exactly
-  like an orphan) unless forced, and re-verifies each candidate against
-  the manifest immediately before any destructive action — so
-  maintenance is safe to loop against a live campaign fleet.
+  the *exclusive* side of the store lock with a bounded wait, so they
+  never see a put half done: every orphan object and temp file they
+  find is a dead writer's leftover.
 """
 
 from __future__ import annotations
@@ -74,19 +68,12 @@ import time
 import tokenize
 import zipfile
 import zlib
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
                     Mapping, NoReturn, Optional, Tuple, Union)
 
-from .leases import (
-    LeaseInfo,
-    WriterLease,
-    break_stale_leases,
-    list_leases,
-    live_foreign_leases,
-)
 from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock
 from .retry import RetryPolicy
 
@@ -284,25 +271,15 @@ class FsckReport:
     #: Keys whose corrupt manifest was rebuilt from the intact object
     #: (``repair=True`` only) — the work was kept, not discarded.
     rebuilt_manifests: List[str] = field(default_factory=list)
-    #: Object files no manifest entry references.
+    #: Object files whose key has no manifest file.
     orphan_objects: List[str] = field(default_factory=list)
-    #: Orphan objects covered by a live writer lease — a concurrent
-    #: ``put`` between its object and manifest writes, left untouched.
-    leased_orphans: List[str] = field(default_factory=list)
     #: Leftover ``*.tmp`` files from interrupted writes.
     stray_tmp: List[str] = field(default_factory=list)
-    #: Stale writer leases (dead pid / expired heartbeat) broken by a
-    #: ``repair=True`` pass.
-    broken_leases: List[str] = field(default_factory=list)
     #: True when the audit also repaired what it found.
     repaired: bool = False
 
     def clean(self) -> bool:
-        """True when the audit found nothing wrong.
-
-        Leased orphans do not count: an orphan covered by a live lease
-        is a concurrent writer mid-``put``, i.e. normal operation.
-        """
+        """True when the audit found nothing wrong."""
         return not (self.corrupt or self.missing_objects
                     or self.unreadable_manifests or self.rebuilt_manifests
                     or self.orphan_objects or self.stray_tmp)
@@ -318,10 +295,7 @@ class FsckReport:
                  self.rebuilt_manifests),
                 ("orphan objects (removed)" if self.repaired
                  else "orphan objects", self.orphan_objects),
-                ("orphan(s) covered by a live writer lease (kept)",
-                 self.leased_orphans),
-                ("stray temp files", self.stray_tmp),
-                ("stale lease(s) broken", self.broken_leases)):
+                ("stray temp files", self.stray_tmp)):
             if items:
                 shown = ", ".join(items[:5])
                 suffix = f" … and {len(items) - 5} more" if len(items) > 5 \
@@ -337,8 +311,8 @@ class ArtifactStore:
 
     ``ArtifactStore(path)`` creates the store directory on first use; a
     path that is not a directory raises :class:`ValueError`.
-    ``locking=False`` restores the single-process store (no locks, no
-    leases) — kept for the concurrency-overhead benchmark baseline and
+    ``locking=False`` restores the single-process store (no locks) —
+    kept for the concurrency-overhead benchmark baseline and
     for callers that own the directory exclusively.
     """
 
@@ -348,7 +322,6 @@ class ArtifactStore:
         self.manifest_dir = self.root / "manifest"
         self.quarantine_dir = self.root / "quarantine"
         self.locks_dir = self.root / "locks"
-        self.leases_dir = self.root / "leases"
         self.locking = bool(locking)
         try:
             self.objects_dir.mkdir(parents=True, exist_ok=True)
@@ -356,7 +329,6 @@ class ArtifactStore:
         except (FileExistsError, NotADirectoryError) as error:
             raise ValueError(f"store path {self.root} is not a store "
                              f"directory ({error})") from None
-        self._lease: Optional[WriterLease] = None
         #: Retries EAGAIN-class OS blips around lock acquisition and
         #: every file operation.
         self.retry = RetryPolicy(token=f"store:{os.getpid()}")
@@ -369,13 +341,12 @@ class ArtifactStore:
     def _manifest_path(self, key: str) -> Path:
         return self.manifest_dir / f"{key}.json"
 
-    # -- locks & leases -----------------------------------------------------------
+    # -- locks --------------------------------------------------------------------
 
     @contextmanager
     def _store_lock(self, shared: bool, wait_s: Optional[float] = None):
-        """The store lock: its shared side around one writer's file
-        mutation, its exclusive side (bounded by ``wait_s``) around
-        ``gc``/``fsck --repair``.
+        """The store lock: its shared side around one put, its exclusive
+        side (bounded by ``wait_s``) around ``gc`` and ``fsck``.
 
         Every acquisition waits holding the turnstile
         (``locks/store.turnstile``) and lets it go once the store lock
@@ -401,52 +372,31 @@ class ArtifactStore:
         try:
             yield
         finally:
-            lock.release()
+            lock.unlock()
 
-    def _write_guard(self, key: str):
-        """Per-key writer mutual exclusion (plus lease upkeep)."""
-        if not self.locking:
-            return nullcontext()
-        self._ensure_lease()
-        return FileLock(self.locks_dir / f"key.{key}.lock").holding()
+    @contextmanager
+    def _write_guard(self, key: str) -> Iterator[None]:
+        """One put's locks: the shared store lock, then ``key``'s write
+        lock inside it, both held until the put has written its object
+        and its manifest entry.
 
-    def acquire_lease(self, owner: str = "") -> Optional[WriterLease]:
-        """Register (or refresh) this process's writer lease.
-
-        Campaign engines call this at run start so their whole run —
-        including the compute time between store writes — counts as
-        live to concurrent maintenance.  ``put_*`` calls it implicitly.
-        A store without locking has no leases.
+        Taken once per put and never nested: a second shared
+        acquisition would queue at the turnstile behind a maintenance
+        waiter that is itself waiting for this writer.
         """
         if not self.locking:
-            return None
-        if self._lease is None:
-            self._lease = WriterLease(self.leases_dir, owner=owner)
-        self._lease.acquire()
-        return self._lease
-
-    def _ensure_lease(self) -> None:
-        if self._lease is None or self._lease._released:
-            self.acquire_lease()
-        else:
-            self._lease.heartbeat()
-
-    def release_lease(self) -> None:
-        """Drop this process's writer lease (idempotent)."""
-        if self._lease is not None:
-            self._lease.release()
-
-    def leases(self) -> List[LeaseInfo]:
-        """Every parseable lease currently registered on this store."""
-        return list_leases(self.leases_dir)
+            yield
+            return
+        with self._store_lock(shared=True):
+            with FileLock(self.locks_dir / f"key.{key}.lock").holding():
+                yield
 
     # -- write --------------------------------------------------------------------
 
     def _record(self, entry: ManifestEntry) -> ManifestEntry:
         """Write ``entry``'s manifest file: the second leg of a put."""
-        with self._store_lock(shared=True):
-            self._call(_atomic_write_bytes, self._manifest_path(entry.key),
-                       entry.to_bytes())
+        self._call(_atomic_write_bytes, self._manifest_path(entry.key),
+                   entry.to_bytes())
         return entry
 
     def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
@@ -456,8 +406,9 @@ class ArtifactStore:
         against ``entry.digest`` before anything is written (a
         digest-less entry gets one), so corrupt bytes can never be
         installed as a hit.  With ``locking``, both files are written
-        under the key's write lock, so the entry names the digest of
-        the object beside it.
+        under :meth:`_write_guard`, so the entry names the digest of
+        the object beside it and maintenance never sees the object
+        without its entry.
         """
         _check_key(entry.key)
         digest = _sha256(data)
@@ -468,9 +419,8 @@ class ArtifactStore:
                 f"refusing to write artifact {entry.key!r}: payload bytes "
                 f"do not match the manifest digest")
         with self._write_guard(entry.key):
-            with self._store_lock(shared=True):
-                self._call(_atomic_write_bytes,
-                           self.objects_dir / entry.filename, data)
+            self._call(_atomic_write_bytes,
+                       self.objects_dir / entry.filename, data)
             return self._record(entry)
 
     def put_json(self, key: str, payload: Any, *, kind: str = "json",
@@ -667,32 +617,25 @@ class ArtifactStore:
                 continue
             if not _parses(object_path.name, data):
                 continue
-            # Written directly, NOT via _record: the caller (fsck
-            # --repair) already holds the exclusive store lock, and a
-            # same-process shared acquisition on a second fd would
-            # self-conflict under flock semantics.
-            entry = ManifestEntry(key=key, kind=kind,
-                                  filename=object_path.name,
-                                  meta={"rebuilt": True},
-                                  digest=_sha256(data))
-            _atomic_write_bytes(self._manifest_path(key), entry.to_bytes())
-            return entry
+            # Not via put_object: the caller (fsck --repair) already
+            # holds the exclusive store lock, and a same-process shared
+            # acquisition on a second fd would self-conflict under flock
+            # semantics.
+            return self._record(ManifestEntry(
+                key=key, kind=kind, filename=object_path.name,
+                meta={"rebuilt": True}, digest=_sha256(data)))
         return None
 
-    def _check_manifests(self, report: FsckReport) -> set:
+    def _check_manifests(self, report: FsckReport) -> None:
         """Audit every manifest entry into ``report`` (repairing when
-        ``report.repaired``); returns the object filenames they claim."""
+        ``report.repaired``)."""
         repair = report.repaired
-        referenced: set = set()
         for manifest_path in sorted(self.manifest_dir.glob("*.json")):
             key = manifest_path.stem
             try:
                 entry = ManifestEntry.from_dict(
                     json.loads(manifest_path.read_text()))
             except (ValueError, KeyError):
-                # The entry's objects are claimed by this (broken) key,
-                # not orphans — rebuilt or removed with it on repair.
-                referenced.update({f"{key}.json", f"{key}.npz"})
                 if not repair:
                     report.unreadable_manifests.append(key)
                     continue
@@ -706,7 +649,6 @@ class ArtifactStore:
                         (self.objects_dir / f"{key}{suffix}").unlink(
                             missing_ok=True)
                 continue
-            referenced.add(entry.filename)
             if not (self.objects_dir / entry.filename).exists():
                 report.missing_objects.append(key)
                 if repair:
@@ -718,114 +660,63 @@ class ArtifactStore:
                 report.corrupt.append(key)
                 if repair:
                     self._quarantine_object(entry)
-        return referenced
 
-    def _sweep(self, report: FsckReport, referenced: set, *, force: bool,
-               tmp_older_than_s: float = 0.0) -> List[LeaseInfo]:
-        """The one lease/orphan/temp-file pass of ``fsck`` and ``gc``.
+    def _sweep(self, report: FsckReport) -> None:
+        """The one orphan/temp-file pass of ``fsck`` and ``gc``.
 
-        Fills ``report``'s lease, orphan and temp-file fields and
-        returns the live foreign leases it honoured.  A repairing pass
-        (``report.repaired``) first breaks stale leases.  While a live
-        foreign lease exists, orphan objects (listed as leased) and
-        temp files are off-limits — a live writer mid-``put`` looks
-        exactly like them — unless ``force``.  Otherwise a repair
-        removes every object file ``referenced`` does not name, each
-        re-verified against the manifest just before (with ``force`` a
-        writer may have recorded it since the scan), and every temp
-        file at least ``tmp_older_than_s`` old; an audit lists them.
+        Runs under the exclusive store lock, so no put is in flight:
+        every object whose key has no manifest file and every temp file
+        is a dead writer's leftover.  A repair removes them; an audit
+        lists them.  An unreadable manifest still claims its object,
+        which ``fsck --repair`` rebuilds the entry from.
         """
         repair = report.repaired
-        if repair and self.locking:
-            report.broken_leases = [
-                lease.path.name
-                for lease in break_stale_leases(self.leases_dir)]
-        live = (live_foreign_leases(self.leases_dir)
-                if self.locking and not force else [])
-        orphans = [path for path in _list_dir(self.objects_dir)
-                   if not _is_tmp(path.name) and path.name not in referenced]
-        if live:
-            report.leased_orphans = [path.name for path in orphans]
-            return live
-        for path in orphans:
+        for path in _list_dir(self.objects_dir):
+            if _is_tmp(path.name) or self._manifest_path(path.stem).exists():
+                continue
             if repair:
-                if (self.manifest_dir / f"{path.stem}.json").exists():
-                    continue
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - lost a delete race
-                    pass
+                _unlink(path)
             report.orphan_objects.append(path.name)
-        now = time.time()
         for directory in (self.objects_dir, self.manifest_dir):
             for path in _list_dir(directory):
-                if not _is_tmp(path.name):
-                    continue
-                try:
-                    if now - path.stat().st_mtime < tmp_older_than_s:
-                        continue
+                if _is_tmp(path.name):
                     if repair:
-                        path.unlink()
-                except OSError:
-                    continue
-                report.stray_tmp.append(str(path.relative_to(self.root)))
-        return live
+                        _unlink(path)
+                    report.stray_tmp.append(str(path.relative_to(self.root)))
 
     def fsck(self, repair: bool = False,
-             wait_s: Optional[float] = None,
-             force: bool = False) -> FsckReport:
+             wait_s: Optional[float] = None) -> FsckReport:
         """Audit every artifact: digests, parseability, dangling state.
 
-        ``repair=False`` is a lock-free read-only audit.  With
-        ``repair=True`` the audit runs under the **exclusive** store
-        lock (bounded ``wait_s``; raises :class:`LockTimeout` when
-        writers keep it busy) and quarantines corrupt objects, drops
+        Runs under the **exclusive** store lock (bounded ``wait_s``;
+        raises :class:`LockTimeout` when writers keep it busy), so an
+        audit never mistakes a writer's in-flight object for an orphan.
+        With ``repair=True`` it also quarantines corrupt objects, drops
         dangling manifest entries and **rebuilds** a corrupt manifest
         from its intact object (digest recomputed) instead of
-        discarding the work; then the maintenance sweep shared with
-        :meth:`gc` breaks stale writer leases and removes orphan
-        objects and stray temp files.  Orphans and temp files are
-        off-limits while a live foreign lease exists — they may be a
-        concurrent writer between its object and manifest writes —
-        unless ``force=True``.  A second ``repair`` pass over an idle
-        store reports clean.
+        discarding the work; then the sweep shared with :meth:`gc`
+        removes orphan objects and stray temp files.  A second
+        ``repair`` pass over an idle store reports clean.
         """
-        guard = (self._store_lock(shared=False, wait_s=wait_s) if repair
-                 else nullcontext())
-        with guard:
+        with self._store_lock(shared=False, wait_s=wait_s):
             report = FsckReport(repaired=repair)
-            self._sweep(report, self._check_manifests(report), force=force)
+            self._check_manifests(report)
+            self._sweep(report)
             return report
 
-    def gc(self, tmp_older_than_s: Optional[float] = None,
-           purge_quarantine: bool = False,
-           wait_s: Optional[float] = None,
-           force: bool = False) -> Dict[str, Any]:
-        """Sweep garbage: orphan objects, stray temp files, quarantine.
+    def gc(self, purge_quarantine: bool = False,
+           wait_s: Optional[float] = None) -> Dict[str, int]:
+        """Sweep garbage: orphan objects, stray temp files, key-lock
+        files and (with ``purge_quarantine``) quarantined objects.
 
         Runs under the **exclusive** store lock with a bounded wait
         (raises :class:`LockTimeout` if writers keep the shared side
-        busy past ``wait_s``) the maintenance sweep shared with
-        :meth:`fsck`: stale writer leases (dead pid or expired
-        heartbeat) are broken and logged in the returned summary, and
-        orphan objects and stray temp files are deleted **only when no
-        live foreign lease exists** — a live lease means a writer may
-        be between its object and manifest writes, and its orphan is
-        its in-flight work.  ``force=True`` overrides the lease
-        protection (for operators who know the fleet is dead).
-
-        ``tmp_older_than_s`` defaults to 0 with lease accounting active
-        (liveness is explicit, no mtime guess needed) and to the legacy
-        3600 s guard on a ``locking=False`` store.  Returns removal
-        counts per category plus the broken/live lease names.
+        busy past ``wait_s``) the sweep shared with :meth:`fsck`.
+        Returns the removal count per category.
         """
-        if tmp_older_than_s is None:
-            tmp_older_than_s = 0.0 if self.locking else 3600.0
         with self._store_lock(shared=False, wait_s=wait_s):
             report = FsckReport(repaired=True)
-            live = self._sweep(
-                report, {entry.filename for entry in self.index().values()},
-                force=force, tmp_older_than_s=tmp_older_than_s)
+            self._sweep(report)
             quarantined = 0
             if purge_quarantine:
                 for path in _list_dir(self.quarantine_dir):
@@ -834,23 +725,19 @@ class ArtifactStore:
                         quarantined += 1
                     except OSError:
                         pass
-            if not live and self.locking:
+            if self.locking:
                 self._sweep_key_locks()
             return {"orphan_objects": len(report.orphan_objects),
                     "stray_tmp": len(report.stray_tmp),
-                    "quarantined": quarantined,
-                    "skipped_leased": len(report.leased_orphans),
-                    "broken_leases": report.broken_leases,
-                    "live_leases": [lease.path.name for lease in live]}
+                    "quarantined": quarantined}
 
     def _sweep_key_locks(self) -> None:
         """Remove per-key lock files (safe: we hold the exclusive lock).
 
-        Writers acquire the store's shared side around every file
-        mutation *after* taking their per-key lock, so while the
-        exclusive lock is held no writer is inside a per-key critical
-        section; deleting the lock files cannot split a mutex.  The
-        store-level lock file itself is kept (we are holding it).
+        A writer takes its key lock only while it holds the shared
+        store lock, so while the exclusive lock is held no key lock is
+        held or awaited; deleting the lock files cannot split a mutex.
+        The store-level lock file itself is kept (we are holding it).
         """
         for path in self.locks_dir.glob("key.*.lock"):
             try:

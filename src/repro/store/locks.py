@@ -2,21 +2,22 @@
 
 :class:`FileLock` gives cross-process mutual exclusion over one lock
 file.  It is a thin wrapper over ``fcntl.flock`` — genuinely
-shared/exclusive, released by the kernel the instant the holder dies
+shared/exclusive, dropped by the kernel the instant the holder dies
 (including ``kill -9``), and invisible to readers that never lock.  The
 store is POSIX-only: there is no lock-file fallback for hosts without
 ``fcntl``.
 
-The store uses two lock levels (always acquired store-before-key):
+The store uses two lock levels, always acquired store-before-key:
 
-* the **store lock** (``locks/store.lock``) — writers take the *shared*
-  side around each file mutation; ``gc``/``fsck --repair`` take the
-  *exclusive* side with a bounded wait, so destructive maintenance
-  never overlaps an in-flight write.  Reads stay lock-free on the hit
-  path: the digest check, not a lock, guarantees read integrity.
+* the **store lock** (``locks/store.lock``) — each put takes the
+  *shared* side once and holds it until its object and manifest entry
+  are both written; ``gc`` and ``fsck`` take the *exclusive* side with
+  a bounded wait, so maintenance never sees a put half done.  Reads
+  stay lock-free on the hit path: the digest check, not a lock,
+  guarantees read integrity.
 * a **per-key write lock** (``locks/key.<key>.lock``) — mutual
-  exclusion between writers of one key, held across the whole
-  object-then-manifest write pair.
+  exclusion between writers of one key, taken inside the shared store
+  lock and held across the object-then-manifest write pair.
 
 Acquisition is a bounded non-blocking retry loop using the shared
 backoff helper (:func:`repro.store.retry.backoff_delay_s`) with the pid
@@ -25,8 +26,8 @@ of retrying in lockstep.  A waiter that sleeps between attempts has no
 place in a queue, so the store lock is always taken through a
 turnstile (``locks/store.turnstile``, see
 :meth:`repro.store.ArtifactStore._store_lock`): held exclusively while
-waiting, released once the store lock is held.  :class:`LockTimeout` is raised when the
-bounded wait expires — callers surface it ("store busy") rather than
+waiting, let go once the store lock is held.  :class:`LockTimeout` is
+raised when the bounded wait expires — callers surface it ("store busy") rather than
 deadlocking.
 """
 
@@ -106,7 +107,7 @@ class FileLock:
                                     cap_s=0.1)
             time.sleep(min(delay, remaining))
 
-    def release(self) -> None:
+    def unlock(self) -> None:
         if self._fd is not None:
             try:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
@@ -123,7 +124,7 @@ class FileLock:
         try:
             yield
         finally:
-            self.release()
+            self.unlock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         state = "held" if self.held else "free"

@@ -35,7 +35,7 @@ documented ``SeedSequence`` hash over ``uint32`` arrays, then the PCG64
 seeding step on Python ints.  Each state is loaded into one reused
 ``PCG64`` whose own ``normal`` makes the draw, so every offset equals
 the per-cell ``default_rng`` computation bit for bit (NEP 19 keeps both
-algorithms stable across NumPy releases).  That per-cell definition
+algorithms stable across NumPy versions).  That per-cell definition
 lives in ``tests/oracles/variation.py`` as the serial reference the
 bulk pass is tested against.
 """

@@ -112,11 +112,8 @@ class FaultPlan:
     def __call__(self, engine, cell_index: int, attempt: int) -> None:
         """The supervisor's ``before_attempt`` hook (runs in the worker)."""
         if type(engine.store) is ArtifactStore:
-            # Torn writes target the plain local store; the swap keeps
-            # the writer lease the worker registered on start-up.
-            chaos_store = ChaosStore(engine.store.root, self)
-            chaos_store._lease = engine.store._lease
-            engine.store = chaos_store
+            # Torn writes target the plain local store.
+            engine.store = ChaosStore(engine.store.root, self)
         if isinstance(engine.store, ChaosStore):
             engine.store.arm(cell_index, attempt)
         injection = self.lookup(cell_index, attempt)

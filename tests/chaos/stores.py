@@ -15,8 +15,7 @@
   object file exists without its manifest entry, then either waits for
   a proceed flag (letting the test script a concurrent
   ``gc``/``fsck --repair`` into the exact window) or dies with
-  ``os._exit`` (a ``kill -9`` mid-``put``, leaving the orphan object
-  plus a lease whose pid is dead);
+  ``os._exit`` (a ``kill -9`` mid-``put``, leaving an orphan object);
 * :class:`TransientFaultStore` — its file operations hit scripted
   ``EAGAIN`` blips, so the store's own retry policy is what stands
   between a blip and a failed read or write.
@@ -155,7 +154,7 @@ class WindowFaultStore(FaultHookStore):
       writer, which must still complete into a verified hit;
     * with ``kill_in_window=True``, the process instead dies on the spot
       with ``os._exit`` — a ``kill -9`` mid-``put``, leaving the orphan
-      object and a lease whose pid is dead for the stale-lease path.
+      object for the next ``fsck --repair`` or ``gc``.
 
     Only one window fires: the first write after ``skip_writes`` earlier
     writes have completed normally (so a multi-cell campaign can target
@@ -185,8 +184,8 @@ class WindowFaultStore(FaultHookStore):
             return
         self.window_flag.set()
         if self.kill_in_window:
-            # Skips atexit/finally — the lease file stays behind
-            # with a dead pid, exactly like SIGKILL.
+            # Skips atexit/finally, exactly like SIGKILL: the kernel
+            # drops the locks and the orphan object stays behind.
             os._exit(self.exit_code)
         if self.proceed_flag is not None:
             if not self.proceed_flag.wait(self.wait_timeout_s):

@@ -211,10 +211,10 @@ def test_cli_attack_sweep_then_recover(tmp_path, capsys):
     assert "(WRONG)" not in recover_out
 
 
-def test_cold_recover_releases_its_store_writer_lease(tmp_path, capsys):
-    """A recover on an empty store computes and stores the sweep; the
-    writer lease that write registered ends with the command."""
-    from repro.store import list_leases
+def test_cold_recover_leaves_its_store_clean(tmp_path, capsys):
+    """A recover on an empty store computes and stores the sweep, and
+    the store audits clean after the command."""
+    from repro.store import ArtifactStore
 
     store = tmp_path / "store"
     argv = ["attack", "recover", "--dies", "3", "--plaintexts", "4",
@@ -222,4 +222,4 @@ def test_cold_recover_releases_its_store_writer_lease(tmp_path, capsys):
     assert main(argv) == 0
     assert "all recovered bytes match: True" in capsys.readouterr().out
     assert list((store / "objects").iterdir())
-    assert list_leases(store / "leases") == []
+    assert ArtifactStore(store).fsck(wait_s=1.0).clean()

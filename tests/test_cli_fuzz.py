@@ -232,9 +232,8 @@ def test_fuzzed_argv_errors_on_one_line_or_runs(argv, capsys, stub_run):
     ["experiments", "--quick", "--store", "{file}"],
     ["store", "fsck", "{file}"],
     ["store", "gc", "{file}"],
-    ["store", "leases", "{file}"],
 ], ids=["campaign-run", "attack-sweep", "attack-recover", "experiments",
-        "fsck", "gc", "leases"])
+        "fsck", "gc"])
 def test_store_path_that_is_a_file_exits_2_on_one_line(argv, tmp_path,
                                                         capsys, stub_run):
     regular = tmp_path / "notadir"
@@ -256,3 +255,18 @@ def test_removed_remote_tier_exits_2_on_one_line(argv, tmp_path, capsys,
     assert _outcome(argv, capsys, stub_run) == "error"
     assert stub_run == []
     assert not (tmp_path / "remote").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["store", "leases", "{store}"],
+    ["store", "fsck", "{store}", "--force"],
+    ["store", "gc", "{store}", "--force"],
+    ["store", "gc", "{store}", "--tmp-age", "0"],
+], ids=["leases", "fsck-force", "gc-force", "gc-tmp-age"])
+def test_removed_lease_options_exit_2_on_one_line(argv, tmp_path, capsys,
+                                                  stub_run):
+    store = tmp_path / "store"
+    store.mkdir()
+    argv = [token.format(store=store) for token in argv]
+    assert _outcome(argv, capsys, stub_run) == "error"
+    assert stub_run == []

@@ -98,22 +98,21 @@ def test_suite_builds_the_golden_design_once(monkeypatch, tmp_path):
         assert len(builds) == 1
 
 
-def _assert_no_lease_left(root):
-    from repro.store import ArtifactStore, list_leases
+def _assert_audits_clean(root):
+    from repro.store import ArtifactStore
 
-    assert list_leases(root / "leases") == []
-    swept = ArtifactStore(root).gc()
-    assert (swept["broken_leases"], swept["live_leases"]) == ([], [])
+    assert ArtifactStore(root).fsck(wait_s=1.0).clean()
 
 
-def test_suite_releases_its_store_writer_lease(tmp_path):
+def test_suite_leaves_its_store_clean(tmp_path):
     run_all(store=tmp_path / "store")
-    _assert_no_lease_left(tmp_path / "store")
+    _assert_audits_clean(tmp_path / "store")
 
 
-def test_suite_releases_its_lease_when_a_driver_raises(monkeypatch, tmp_path):
+def test_suite_leaves_its_store_clean_when_a_driver_raises(monkeypatch,
+                                                           tmp_path):
     """Fig. 6 writes the population through the store; Fig. 7 then
-    fails, and the lease that write registered still ends."""
+    fails, and what was written is whole, with no lock left held."""
     def broken(*args, **kwargs):
         raise RuntimeError("fig7 failed")
 
@@ -121,7 +120,7 @@ def test_suite_releases_its_lease_when_a_driver_raises(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="fig7 failed"):
         run_all(store=tmp_path / "store")
     assert list((tmp_path / "store" / "objects").iterdir())
-    _assert_no_lease_left(tmp_path / "store")
+    _assert_audits_clean(tmp_path / "store")
 
 
 # -- the stored suite record ----------------------------------------------------

@@ -13,8 +13,9 @@ removed backend seam, bitslice kernel or interpreted timing engine,
 every acquisition entry point is a view of the one core, the paper's
 delay figures run without a single interpreted netlist evaluation, and
 only the engine keys artifacts and scores the Sec. V population.  The
-store is one class over one directory: the remote tier, its circuit
-breaker and its transport seam stay gone.
+store is one class over one directory with one lock protocol: the
+remote tier, its circuit breaker, its transport seam and the writer
+leases stay gone.
 
 The fault-injection kit is test tooling too: it lives in
 ``tests/chaos/``, and nothing under ``src/`` imports it or names its
@@ -160,6 +161,19 @@ ORACLE_ONLY_NAMES = {
     "_op_clock",
     "lock_timeout_s",
     "lease_ttl_s",
+    # The writer leases: a put holds the shared store lock across its
+    # object and manifest entry, so maintenance needs no second
+    # liveness protocol.
+    "WriterLease",
+    "LeaseInfo",
+    "list_leases",
+    "live_foreign_leases",
+    "break_stale_leases",
+    "DEFAULT_LEASE_TTL_S",
+    "acquire_lease",
+    "release_lease",
+    "writer_lease_scope",
+    "cmd_store_leases",
     # The scalar scoring references (``tests/oracles/scoring.py``): the
     # greedy peak finder, its per-trace sum, the pooled sigma and the
     # per-trace metric score.

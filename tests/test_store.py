@@ -563,6 +563,90 @@ def test_a_resumed_record_is_restamped_to_the_current_grid(tmp_path):
     assert {(row.cell_index, row.variant) for row in resumed.rows} == \
         {(1, "renamed")}
 
+def test_completion_records_hold_no_execution_facts(tmp_path):
+    """A stored cell record holds what its key determines: the golden
+    score moments and the rows without their grid position."""
+    store = tmp_path / "store"
+    spec = CampaignSpec(trojans=("HT1",), die_counts=(2,), metrics=("l1",),
+                        seed=4)
+    engine = CampaignEngine(spec, store=store)
+    engine.run()
+    (cell,) = spec.grid()
+    record = ArtifactStore(store).get_json(engine._cell_key(cell))
+    assert sorted(record) == ["golden_score_mean", "golden_score_std",
+                              "rows"]
+    assert record["rows"] and all(
+        "cell_index" not in row and "variant" not in row
+        for row in record["rows"])
+
+
+def test_records_written_with_execution_facts_still_load(tmp_path):
+    """Older stores kept a cell's whole ``campaign.json`` entry under its
+    key, failed cells included: an ok record resumes, re-stamped to the
+    current grid and without the old run's wall-clock time; a failed
+    one is no record."""
+    store = tmp_path / "store"
+    spec = CampaignSpec(trojans=("HT1",), die_counts=(2,), metrics=("l1",),
+                        seed=4)
+    computed = CampaignEngine(spec).run().cells[0]
+    engine = CampaignEngine(spec, store=store)
+    (cell,) = spec.grid()
+    legacy = dict(computed.to_dict(), index=7, variant="old",
+                  elapsed_s=3.5, attempts=2, trace_archive="gone.npz")
+    legacy["rows"] = [dict(row, cell_index=7, variant="old")
+                      for row in legacy["rows"]]
+    ArtifactStore(store).put_json(engine._cell_key(cell), legacy)
+    resumed = engine.load_cell_result(cell)
+    assert resumed.to_dict() == dict(computed.to_dict(), elapsed_s=0.0)
+
+    failed = dict(legacy, status="failed", error="boom", rows=[])
+    ArtifactStore(store).put_json(engine._cell_key(cell), failed)
+    assert engine.load_cell_result(cell) is None
+
+
+def test_campaign_json_keeps_the_execution_facts(tmp_path):
+    """What the store record leaves out stays in the run's own summary:
+    each ``campaign.json`` cell has its grid position, wall-clock time
+    and attempt count."""
+    spec = CampaignSpec(name="facts", trojans=("HT1",), die_counts=(2,),
+                        metrics=("l1", "local_maxima_sum"), seed=4)
+    engine = CampaignEngine(spec, store=tmp_path / "store")
+    engine.run(artifact_dir=tmp_path / "out")
+    summary = json.loads((tmp_path / "out" / "facts.json").read_text())
+    cells = summary["cells"]
+    assert [cell["index"] for cell in cells] == [
+        cell.index for cell in spec.grid()]
+    assert all(cell["variant"] and cell["attempts"] == 1
+               and cell["elapsed_s"] > 0 for cell in cells)
+    assert all(row["cell_index"] == cell["index"]
+               for cell in cells for row in cell["rows"])
+    store = ArtifactStore(tmp_path / "store")
+    for cell in spec.grid():
+        record = store.get_json(engine._cell_key(cell))
+        assert not {"index", "variant", "elapsed_s", "attempts"} & set(record)
+
+
+def test_worker_count_does_not_change_stored_bytes(tmp_path):
+    """A two-worker run stores the same bytes as a serial one: what a
+    record holds does not depend on which process computed it."""
+    def tree(root):
+        return {path.relative_to(root).as_posix(): path.read_bytes()
+                for directory in ("objects", "manifest")
+                for path in sorted((root / directory).rglob("*"))
+                if path.is_file()}
+
+    spec = CampaignSpec(name="workers", trojans=("HT1",), die_counts=(2, 3),
+                        num_plaintexts=2, metrics=("l1",), seed=4)
+    trees = []
+    for workers in (1, 2):
+        root = tmp_path / f"store-{workers}"
+        CampaignEngine(dataclasses.replace(spec, workers=workers),
+                       store=root).run()
+        trees.append(tree(root))
+    assert trees[0] == trees[1]
+    assert sum(name.startswith("manifest/") for name in trees[0]) >= 2
+
+
 def test_resumed_run_still_writes_trace_archives(tmp_path):
     """Archive ownership falls to a cell that actually executes.
 
@@ -665,6 +749,35 @@ def shared_source(tmp_path_factory):
     return root, CampaignEngine(SHARE_SPEC, store=root).run()
 
 
+def test_one_command_writes_equal_bytes_into_two_stores(tmp_path, capsys):
+    """Equal keys hold equal bytes: one mixed EM/delay/fault run into two
+    fresh stores, with different ``--out``, writes byte-identical
+    ``objects/`` and ``manifest/`` trees."""
+    from repro.cli import main
+
+    def tree(root):
+        return {path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    trees = []
+    for name in ("a", "b"):
+        store = tmp_path / f"store-{name}"
+        assert main(["campaign", "run", "--trojan", "HT1", "--dies", "3",
+                     "--plaintexts", "2", "--pk-pairs", "2",
+                     "--delay-repetitions", "1", "--metric", "l1",
+                     "--metric", "delay_max_difference",
+                     "--metric", "fault_coverage", "--seed", "4",
+                     "--store", str(store),
+                     "--out", str(tmp_path / f"out-{name}")]) == 0
+        trees.append({directory: tree(store / directory)
+                      for directory in ("objects", "manifest")})
+    capsys.readouterr()
+    assert trees[0] == trees[1]
+    kinds = {json.loads(entry)["kind"]
+             for entry in trees[0]["manifest"].values()}
+    assert "campaign_cell" in kinds and len(trees[0]["objects"]) > 3
+
+
 def test_copied_results_resume_every_cell_bit_identically(tmp_path,
                                                           shared_source):
     """(a) A's ``objects/`` then ``manifest/`` copied into a store C that
@@ -687,16 +800,20 @@ def test_copied_results_resume_every_cell_bit_identically(tmp_path,
 
 def test_partial_copy_over_own_results_quarantines_and_recomputes(
         tmp_path, shared_source):
-    """(b) Only A's ``objects/`` copied into a store D that finished the
-    same cells itself: a finished cell's payload records its wall-clock
-    time, so D's manifest digests do not match A's objects.  ``fsck``
-    reports those keys corrupt, and a resumed run quarantines and
-    recomputes them into the same rows."""
+    """(b) Only A's ``objects/`` copied into a store D whose completion
+    records an older writer stored with its wall-clock time, so D's
+    manifest digests do not match A's objects.  ``fsck`` reports those
+    keys corrupt, and a resumed run quarantines and recomputes them
+    into the same rows."""
     source, cold = shared_source
     target = tmp_path / "host-d"
     engine = CampaignEngine(SHARE_SPEC, store=target)
     engine.run()
     cell_keys = sorted(engine._cell_key(cell) for cell in SHARE_SPEC.grid())
+    store = ArtifactStore(target)
+    for key in cell_keys:
+        store.put_json(key, {**store.get_json(key), "elapsed_s": 0.25},
+                       kind="campaign_cell")
     for key in cell_keys:
         assert (source / "objects" / f"{key}.json").read_bytes() != \
             (target / "objects" / f"{key}.json").read_bytes()

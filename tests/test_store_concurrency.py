@@ -1,4 +1,4 @@
-"""Multi-process store concurrency: races, maintenance, kill -9, leases.
+"""Multi-process store concurrency: races, maintenance, kill -9.
 
 The acceptance test of this suite runs real shard worker *processes*
 sharing one store directory against a concurrent gc/fsck maintenance
@@ -7,8 +7,8 @@ clean serial run with zero cells lost to maintenance races.  The
 narrower tests script each race individually with the
 :class:`~chaos.stores.WindowFaultStore` /
 :class:`~chaos.stores.SyncFlag` primitives: two writers racing
-one key, ``gc`` inside a writer's object→manifest window, kill -9
-mid-``put``, and a dead lease holder.
+one key, ``gc`` and ``fsck`` inside a writer's object→manifest window
+and kill -9 mid-``put``.
 
 When ``REPRO_STRESS_DIR`` is set (the CI stress job sets it), every
 store directory is created under it so a failing run's store state is
@@ -30,7 +30,7 @@ from repro.campaigns import (
     CampaignSpec,
     merge_campaign_results,
 )
-from repro.store import ArtifactStore, RetryPolicy, stable_key
+from repro.store import ArtifactStore, LockTimeout, RetryPolicy, stable_key
 from chaos import (
     OneShotTrigger,
     SyncFlag,
@@ -69,7 +69,6 @@ def _racing_writer(store_root, key, ready, go, done):
     # Identical payload from both writers: content-addressed producers
     # are deterministic, so a same-key race writes the same bytes.
     store.put_json(key, {"value": [1, 2, 3], "who": "deterministic"})
-    store.release_lease()
     done.set()
 
 
@@ -108,13 +107,13 @@ def _window_writer(store_root, key, window_flag, proceed_flag):
     store = WindowFaultStore(store_root, window_flag=window_flag,
                              proceed_flag=proceed_flag)
     store.put_json(key, {"v": "windowed"})
-    store.release_lease()
 
 
-def test_gc_inside_write_window_keeps_leased_orphan(tmp_path):
+def test_maintenance_waits_out_a_writer_inside_its_write_window(tmp_path):
     """The exact interleaving that loses work on an unprotected store:
-    gc runs while a live writer has its object on disk but no manifest
-    entry yet.  The lease must keep the orphan alive."""
+    maintenance runs while a live writer has its object on disk but no
+    manifest entry yet.  The writer holds the shared store lock across
+    the window, so gc and fsck time out and remove nothing."""
     root = _stress_root(tmp_path, "window")
     store_root = root / "store"
     key = stable_key({"window": "gc"})
@@ -131,22 +130,21 @@ def test_gc_inside_write_window_keeps_leased_orphan(tmp_path):
         assert (store.objects_dir / f"{key}.json").exists()
         assert not (store.manifest_dir / f"{key}.json").exists()
 
-        removed = store.gc(wait_s=10.0)
-        assert removed["orphan_objects"] == 0
-        assert removed["skipped_leased"] >= 1
-        assert len(removed["live_leases"]) == 1
+        with pytest.raises(LockTimeout):
+            store.gc(wait_s=0.2)
+        with pytest.raises(LockTimeout):
+            store.fsck(wait_s=0.2)
+        with pytest.raises(LockTimeout):
+            store.fsck(repair=True, wait_s=0.2)
         assert (store.objects_dir / f"{key}.json").exists()
-
-        report = store.fsck()
-        assert f"{key}.json" in report.leased_orphans
-        assert report.orphan_objects == []
+        assert not (store.manifest_dir / f"{key}.json").exists()
     finally:
         proceed.set()
         writer.join(30.0)
     assert writer.exitcode == 0
     store = ArtifactStore(store_root)
     assert store.get_json(key) == {"v": "windowed"}
-    assert store.fsck().clean()
+    assert store.fsck(wait_s=10.0).clean()
 
 
 # -- kill -9 mid-put ----------------------------------------------------------
@@ -158,7 +156,7 @@ def _doomed_writer(store_root, key, window_flag):
     store.put_json(key, {"v": "never recorded"})  # dies inside
 
 
-def test_kill9_mid_put_recovers_via_stale_lease_and_fsck(tmp_path):
+def test_kill9_mid_put_recovers_via_fsck(tmp_path):
     root = _stress_root(tmp_path, "kill9")
     store_root = root / "store"
     key = stable_key({"kill9": "mid-put"})
@@ -172,13 +170,12 @@ def test_kill9_mid_put_recovers_via_stale_lease_and_fsck(tmp_path):
     assert window.is_set()
 
     store = ArtifactStore(store_root)
-    # The dead writer left an orphan object and a lease with a dead pid.
+    # The dead writer left an orphan object; the kernel dropped its
+    # locks, so maintenance gets the store at once.
     assert (store.objects_dir / f"{key}.json").exists()
     assert not (store.manifest_dir / f"{key}.json").exists()
-    assert len(store.leases()) == 1
 
     report = store.fsck(repair=True, wait_s=10.0)
-    assert len(report.broken_leases) == 1  # dead pid = stale, broken
     assert report.orphan_objects == [f"{key}.json"]
     assert not (store.objects_dir / f"{key}.json").exists()
     assert store.fsck(repair=True).clean()  # idempotent second pass
@@ -197,8 +194,8 @@ def _killed_campaign_worker(spec_dict, store_root, window_flag):
 
 
 def test_killed_worker_campaign_resumes_only_missing_cells(tmp_path):
-    """kill -9 during a campaign's store write: after lease breaking and
-    fsck --repair, a resumed run computes only the missing cells."""
+    """kill -9 during a campaign's store write: after fsck --repair, a
+    resumed run computes only the missing cells."""
     root = _stress_root(tmp_path, "resume")
     store_root = root / "store"
     spec = CampaignSpec(**SPEC_KWARGS)
@@ -214,7 +211,6 @@ def test_killed_worker_campaign_resumes_only_missing_cells(tmp_path):
 
     store = ArtifactStore(store_root)
     report = store.fsck(repair=True, wait_s=10.0)
-    assert len(report.broken_leases) == 1
     assert len(report.orphan_objects) >= 1  # the torn-off mid-put object
     assert store.fsck().clean()
 
@@ -248,39 +244,6 @@ def test_one_shot_trigger_fires_exactly_once_after_skips():
     assert trigger.fired
 
 
-# -- lease-holder death -------------------------------------------------------
-
-
-def _dying_lease_holder(store_root, ready):
-    store = ArtifactStore(store_root)
-    store.acquire_lease(owner="doomed")
-    ready.set()
-    os._exit(0)  # exits without releasing: the lease file stays behind
-
-
-def test_dead_lease_holders_are_broken_by_gc(tmp_path):
-    store_root = _stress_root(tmp_path, "deadlease") / "store"
-    store = ArtifactStore(store_root)
-    store.put_json(stable_key({"keep": 1}), {"v": 1})
-    store.release_lease()
-    (store.objects_dir / "orphan.json").write_text("{}")
-
-    ctx = multiprocessing.get_context()
-    ready = ctx.Event()
-    holder = ctx.Process(target=_dying_lease_holder,
-                         args=(store_root, ready))
-    holder.start()
-    assert ready.wait(10.0)
-    holder.join(10.0)
-
-    # The dead holder's lease is broken, so the orphan is sweepable.
-    removed = store.gc(wait_s=10.0)
-    assert len(removed["broken_leases"]) == 1
-    assert removed["live_leases"] == []
-    assert removed["orphan_objects"] == 1
-    assert not (store.objects_dir / "orphan.json").exists()
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -291,21 +254,15 @@ def _hold_store_shared(store_root, ready, release):
     lock.acquire(shared=True, timeout_s=10.0)
     ready.set()
     release.wait(30.0)
-    lock.release()
+    lock.unlock()
 
 
-def test_cli_reports_busy_store_and_lists_leases(tmp_path, capsys):
+def test_cli_reports_busy_store(tmp_path, capsys):
     from repro.cli import main
 
     store_root = tmp_path / "store"
     store = ArtifactStore(store_root)
     store.put_json(stable_key({"cli": 1}), {"v": 1})
-
-    out = capsys.readouterr()
-    assert main(["store", "leases", str(store_root)]) == 0
-    out = capsys.readouterr().out
-    assert "live" in out and str(os.getpid()) in out
-    store.release_lease()
 
     ctx = multiprocessing.get_context()
     ready, release = ctx.Event(), ctx.Event()
@@ -320,8 +277,11 @@ def test_cli_reports_busy_store_and_lists_leases(tmp_path, capsys):
         assert main(["store", "fsck", str(store_root), "--repair",
                      "--wait", "0.2"]) == 3
         assert "store busy" in capsys.readouterr().err
-        # The lock-free audit still works while the store is busy.
-        assert main(["store", "fsck", str(store_root)]) == 0
+        # The audit takes the exclusive lock too: it reports a busy
+        # store rather than a writer's in-flight object as an orphan.
+        assert main(["store", "fsck", str(store_root), "--wait",
+                     "0.2"]) == 3
+        assert "store busy" in capsys.readouterr().err
     finally:
         release.set()
         holder.join(10.0)

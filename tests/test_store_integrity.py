@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import errno
 import json
-import socket
-import subprocess
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -245,9 +241,12 @@ def test_fsck_finds_and_repairs_every_failure_mode(store):
     # from it instead of the work being discarded.
     assert repaired.rebuilt_manifests == [unreadable_key]
     assert repaired.unreadable_manifests == []
-    # The orphan has no live lease covering it: removed, not deferred.
+    # No put is in flight under the exclusive lock: the orphan and the
+    # temp file are a dead writer's leftovers, removed at once.
     assert repaired.orphan_objects == ["orphan.json"]
     assert not (store.objects_dir / "orphan.json").exists()
+    assert repaired.stray_tmp == ["objects/.stray.json.abc.tmp"]
+    assert not (store.objects_dir / ".stray.json.abc.tmp").exists()
     after = store.fsck()
     assert after.clean()
     assert after.corrupt == [] and after.missing_objects == []
@@ -256,53 +255,6 @@ def test_fsck_finds_and_repairs_every_failure_mode(store):
     assert store.get_json(ok_key) == {"v": 1}
     assert store.get_json(unreadable_key) == {"v": 4}
     assert store.entry(unreadable_key).meta.get("rebuilt") is True
-
-
-def test_sweep_tmp_age_guard(store):
-    stray = store.objects_dir / ".payload.json.xyz.tmp"
-    stray.write_text("partial")
-    assert store.gc(tmp_older_than_s=3600.0)["stray_tmp"] == 0
-    assert stray.exists()
-    assert store.gc(tmp_older_than_s=0.0)["stray_tmp"] == 1
-    assert not stray.exists()
-
-
-@pytest.fixture
-def foreign_live_lease(store):
-    """Register a lease held by a live child process on this host."""
-    child = subprocess.Popen([sys.executable, "-c",
-                              "import time; time.sleep(60)"])
-    try:
-        host, pid = socket.gethostname(), child.pid
-        store.leases_dir.mkdir(parents=True, exist_ok=True)
-        (store.leases_dir / f"{host}-{pid}-1.json").write_text(json.dumps({
-            "pid": pid, "host": host, "owner": "live writer",
-            "expires_at": time.time() + 3600}))
-        yield pid
-    finally:
-        child.kill()
-        child.wait()
-
-
-@pytest.mark.parametrize("command", ["gc", "fsck"])
-def test_forced_maintenance_sweeps_temp_files_under_a_live_lease(
-        store, foreign_live_lease, command):
-    stray = store.objects_dir / ".x.json.abc.tmp"
-    stray.write_text("partial")
-    # Unforced, the live lease keeps the temp file off-limits.
-    assert store.gc()["stray_tmp"] == 0
-    unforced = store.fsck(repair=True)
-    assert unforced.stray_tmp == [] and unforced.clean()
-    assert stray.exists()
-    # Forced, either command removes it...
-    if command == "gc":
-        assert store.gc(force=True)["stray_tmp"] == 1
-    else:
-        forced = store.fsck(repair=True, force=True)
-        assert forced.stray_tmp == ["objects/.x.json.abc.tmp"]
-    assert not stray.exists()
-    # ...and a second forced repair finds nothing left.
-    assert store.fsck(repair=True, force=True).clean()
 
 
 def test_gc_sweeps_orphans_tmp_and_quarantine(store):
@@ -315,14 +267,42 @@ def test_gc_sweeps_orphans_tmp_and_quarantine(store):
     _corrupt_object(store, corrupt)
     assert store.load_json(corrupt) is None  # quarantines
 
-    removed = store.gc(tmp_older_than_s=0.0, purge_quarantine=True)
-    assert removed["orphan_objects"] == 1
-    assert removed["stray_tmp"] == 1
-    assert removed["quarantined"] == 1
-    assert removed["live_leases"] == []
+    removed = store.gc(purge_quarantine=True)
+    assert removed == {"orphan_objects": 1, "stray_tmp": 1,
+                       "quarantined": 1}
     assert store.get_json(kept) == {"v": 1}
     assert not (store.objects_dir / "orphan.npz").exists()
     assert not any(store.quarantine_dir.iterdir())
+
+
+def test_gc_keeps_the_object_of_a_torn_manifest(store):
+    """An unreadable manifest still claims its object: gc leaves both,
+    and ``fsck --repair`` rebuilds the entry from the intact object."""
+    key = stable_key({"torn": "manifest"})
+    store.put_json(key, {"v": 5})
+    (store.manifest_dir / f"{key}.json").write_text("{torn")
+    assert store.gc()["orphan_objects"] == 0
+    assert (store.objects_dir / f"{key}.json").exists()
+    assert store.fsck(repair=True).rebuilt_manifests == [key]
+    assert store.get_json(key) == {"v": 5}
+
+
+def test_gc_removes_key_lock_files_and_keeps_the_store_lock(store):
+    """Key-lock files are swept under the exclusive lock; the store lock
+    file stays, and later puts recreate the key locks they need."""
+    keys = [stable_key({"key_lock": n}) for n in range(3)]
+    for n, key in enumerate(keys):
+        store.put_json(key, {"v": n})
+    assert len(list(store.locks_dir.glob("key.*.lock"))) == 3
+    store.gc()
+    assert not list(store.locks_dir.glob("key.*.lock"))
+    assert (store.locks_dir / "store.lock").exists()
+    later = stable_key({"key_lock": "later"})
+    store.put_json(later, {"v": 9})
+    assert [store.get_json(key) for key in keys] == [{"v": n}
+                                                     for n in range(3)]
+    assert store.get_json(later) == {"v": 9}
+    assert store.fsck().clean()
 
 
 def test_fsck_repair_is_idempotent(store):
@@ -432,14 +412,37 @@ def test_cli_store_fsck_and_gc(tmp_path, capsys):
     assert main(["store", "fsck", str(store.root), "--repair"]) == 1
     capsys.readouterr()
     assert (store.quarantine_dir / f"{bad}.json").exists()
-    # Repair also removed the unleased orphan.
+    # Repair also removed the orphan.
     assert not (store.objects_dir / "orphan.json").exists()
 
-    assert main(["store", "gc", str(store.root), "--tmp-age", "0",
-                 "--purge-quarantine"]) == 0
+    assert main(["store", "gc", str(store.root), "--purge-quarantine"]) == 0
     out = capsys.readouterr().out
     assert "0 orphan object(s)" in out and "1 quarantined" in out
 
+    assert main(["store", "fsck", str(store.root)]) == 0
+    assert "store is clean" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [("gc",), ("fsck", "--repair")],
+                         ids=["gc", "fsck-repair"])
+def test_cli_maintenance_sweeps_a_dead_writers_leftovers(tmp_path, capsys,
+                                                         command):
+    """A writer killed mid-put leaves a temp file and an object without
+    its manifest entry.  Maintenance removes both with no extra option,
+    keeps every recorded artifact, and the audit after it is clean."""
+    store = ArtifactStore(tmp_path / "store")
+    kept = stable_key({"dead": "writer", "kept": True})
+    store.put_json(kept, {"v": 1})
+    orphan = store.objects_dir / f"{stable_key({'dead': 'orphan'})}.json"
+    orphan.write_text('{"v": 2}')
+    stray = store.objects_dir / f".{orphan.name}.abc.tmp"
+    stray.write_text("partial")
+
+    verb, *options = command
+    assert main(["store", verb, str(store.root), *options]) in (0, 1)
+    capsys.readouterr()
+    assert not orphan.exists() and not stray.exists()
+    assert store.get_json(kept) == {"v": 1}
     assert main(["store", "fsck", str(store.root)]) == 0
     assert "store is clean" in capsys.readouterr().out
 

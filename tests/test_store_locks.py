@@ -1,11 +1,9 @@
-"""Locks, leases and the shared retry/backoff policy."""
+"""Locks, the put lock order and the shared retry/backoff policy."""
 
 from __future__ import annotations
 
 import errno
-import json
 import multiprocessing
-import os
 import time
 
 import pytest
@@ -16,12 +14,9 @@ from repro.store import (
     FileLock,
     LockTimeout,
     RetryPolicy,
-    WriterLease,
     backoff_delay_s,
-    break_stale_leases,
     is_transient_os_error,
-    list_leases,
-    live_foreign_leases,
+    stable_key,
 )
 
 
@@ -33,7 +28,7 @@ def _hold_exclusive(path, acquired, release):
     lock.acquire(shared=False, timeout_s=10.0)
     acquired.set()
     release.wait(30.0)
-    lock.release()
+    lock.unlock()
 
 
 def test_exclusive_lock_excludes_other_processes(tmp_path):
@@ -56,7 +51,7 @@ def test_exclusive_lock_excludes_other_processes(tmp_path):
     # Released by the holder: now acquirable.
     mine = FileLock(path)
     assert mine.try_acquire(shared=False)
-    mine.release()
+    mine.unlock()
 
 
 def _hold_shared(path, acquired, release):
@@ -64,7 +59,7 @@ def _hold_shared(path, acquired, release):
     lock.acquire(shared=True, timeout_s=10.0)
     acquired.set()
     release.wait(30.0)
-    lock.release()
+    lock.unlock()
 
 
 def test_shared_locks_coexist_and_block_exclusive(tmp_path):
@@ -77,7 +72,7 @@ def test_shared_locks_coexist_and_block_exclusive(tmp_path):
         assert acquired.wait(10.0)
         reader = FileLock(path)
         assert reader.try_acquire(shared=True)  # shared + shared: fine
-        reader.release()
+        reader.unlock()
         writer = FileLock(path)
         assert not writer.try_acquire(shared=False)  # shared blocks excl
     finally:
@@ -93,11 +88,11 @@ def test_kernel_releases_fcntl_lock_when_holder_is_killed(tmp_path):
                          args=(path, acquired, release))
     holder.start()
     assert acquired.wait(10.0)
-    holder.kill()  # SIGKILL: no release() ever runs
+    holder.kill()  # SIGKILL: no unlock() ever runs
     holder.join(10.0)
     mine = FileLock(path)
     mine.acquire(shared=False, timeout_s=5.0)  # kernel dropped the lock
-    mine.release()
+    mine.unlock()
 
 
 def test_lock_is_not_reentrant_and_context_managers_release(tmp_path):
@@ -194,6 +189,92 @@ def test_unlocked_store_takes_no_store_lock(tmp_path):
     assert not (bare.locks_dir / "store.turnstile").exists()
 
 
+def _put_after_key_lock(store_root, key):
+    ArtifactStore(store_root).put_json(key, {"v": "waited"})
+
+
+def test_writer_waiting_for_a_key_lock_holds_the_shared_store_lock(
+        tmp_path):
+    """A put takes the shared store lock before its key lock, so a
+    writer queued on a busy key already keeps maintenance out: while it
+    waits, the exclusive store lock cannot be had, and gc may delete
+    key-lock files without checking for waiters."""
+    store_root = tmp_path / "store"
+    maintainer = ArtifactStore(store_root)
+    key = stable_key({"queued": "writer"})
+    key_lock = FileLock(maintainer.locks_dir / f"key.{key}.lock")
+    key_lock.acquire()
+    ctx = multiprocessing.get_context()
+    writer = ctx.Process(target=_put_after_key_lock, args=(store_root, key))
+    writer.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            try:
+                with maintainer._store_lock(shared=False, wait_s=0.05):
+                    pass
+            except LockTimeout:
+                break  # the queued writer holds the shared side
+            time.sleep(0.01)
+        else:
+            pytest.fail("the writer never took the shared store lock")
+        assert writer.is_alive() and key not in maintainer
+        with pytest.raises(LockTimeout):
+            with maintainer._store_lock(shared=False, wait_s=0.2):
+                pass
+    finally:
+        key_lock.unlock()
+        writer.join(30.0)
+    assert writer.exitcode == 0
+    with maintainer._store_lock(shared=False, wait_s=1.0):
+        pass
+    assert maintainer.get_json(key) == {"v": "waited"}
+
+
+def test_a_put_takes_the_store_lock_once_then_its_key_lock(tmp_path,
+                                                          monkeypatch):
+    """One put, one shared store acquisition: the key lock is taken
+    inside it, the manifest entry is written while both are held, and
+    the key lock is let go first."""
+    events = []
+    try_acquire, unlock = FileLock.try_acquire, FileLock.unlock
+
+    def logged_try_acquire(self, shared=False):
+        acquired = try_acquire(self, shared=shared)
+        if acquired:
+            events.append(("lock", self.path.name, shared))
+        return acquired
+
+    def logged_unlock(self):
+        if self.held:
+            events.append(("unlock", self.path.name))
+        unlock(self)
+
+    monkeypatch.setattr(FileLock, "try_acquire", logged_try_acquire)
+    monkeypatch.setattr(FileLock, "unlock", logged_unlock)
+    store = ArtifactStore(tmp_path / "store")
+    record = store._record
+
+    def logged_record(entry):
+        events.append(("manifest", entry.key))
+        return record(entry)
+
+    monkeypatch.setattr(store, "_record", logged_record)
+    key = stable_key({"put": "lock order"})
+    store.put_json(key, {"v": 1})
+    key_lock = f"key.{key}.lock"
+    assert events == [
+        ("lock", "store.turnstile", False),
+        ("lock", "store.lock", True),
+        ("unlock", "store.turnstile"),
+        ("lock", key_lock, False),
+        ("manifest", key),
+        ("unlock", key_lock),
+        ("unlock", "store.lock"),
+    ]
+    assert store.get_json(key) == {"v": 1}
+
+
 # -- retry / backoff ----------------------------------------------------------
 
 
@@ -246,70 +327,6 @@ def test_retry_policy_retries_transient_errors_only():
     assert is_transient_os_error(OSError(errno.EBUSY, "x"))
     assert not is_transient_os_error(ValueError("x"))
     assert not is_transient_os_error(OSError(errno.EACCES, "x"))
-
-
-# -- leases -------------------------------------------------------------------
-
-
-def test_lease_lifecycle(tmp_path):
-    leases_dir = tmp_path / "leases"
-    with WriterLease(leases_dir, owner="test", ttl_s=60.0) as lease:
-        infos = list_leases(leases_dir)
-        assert len(infos) == 1
-        assert infos[0].pid == os.getpid()
-        assert infos[0].owner == "test"
-        assert infos[0].is_live()
-        # Own leases are excluded from the foreign-live view.
-        assert live_foreign_leases(leases_dir) == []
-        assert live_foreign_leases(leases_dir, ignore_pid=-1) == infos
-        # A fresh heartbeat is a no-op write-wise (cheap), force rewrites.
-        before = lease.path.read_bytes()
-        lease.heartbeat()
-        assert lease.path.read_bytes() == before
-        lease.heartbeat(force=True)
-    assert list_leases(leases_dir) == []
-
-
-def test_stale_leases_are_broken(tmp_path):
-    leases_dir = tmp_path / "leases"
-    leases_dir.mkdir()
-    # Expired heartbeat (live pid): stale.
-    expired = WriterLease(leases_dir, owner="expired", ttl_s=-1.0).acquire()
-    # Dead pid (unexpired): stale.
-    dead = leases_dir / "host-999999999-1.json"
-    dead.write_text(json.dumps({"pid": 999999999, "host": "nowhere... no",
-                                "owner": "dead",
-                                "expires_at": time.time() + 3600}))
-    # But same-host dead pid:
-    import socket
-    dead_local = leases_dir / f"{socket.gethostname()}-999999998-2.json"
-    dead_local.write_text(json.dumps({
-        "pid": 999999998, "host": socket.gethostname(), "owner": "deadpid",
-        "expires_at": time.time() + 3600}))
-    # Torn lease file: swept too.
-    torn = leases_dir / "torn.json"
-    torn.write_text("{not json")
-    # Live lease: kept.
-    live = WriterLease(leases_dir, owner="live", ttl_s=3600.0).acquire()
-
-    broken = break_stale_leases(leases_dir)
-    names = {info.owner for info in broken}
-    assert names == {"expired", "deadpid"}
-    assert not expired.path.exists()
-    assert not dead_local.exists()
-    assert not torn.exists()
-    assert dead.exists()  # off-host + unexpired: not provably stale
-    assert live.path.exists()
-    live.release()
-
-
-def test_broken_lease_resurrects_on_next_heartbeat(tmp_path):
-    leases_dir = tmp_path / "leases"
-    lease = WriterLease(leases_dir, ttl_s=60.0).acquire()
-    lease.path.unlink()  # a maintenance pass broke it
-    lease.heartbeat(force=True)
-    assert lease.path.exists()
-    lease.release()
 
 
 def test_retryable_vs_fatal_classification():
@@ -367,57 +384,3 @@ def test_retry_policy_with_classification_bounds_and_fatals():
     with pytest.raises(OSError):
         policy.call(fails_with(OSError(errno.EAGAIN, "busy forever")))
     assert calls["n"] == 4  # bounded, then the last failure propagates
-
-
-# -- stale-lease breaking races -----------------------------------------------
-
-
-def _race_breaker(leases_dir, start, results):
-    start.wait(10.0)
-    broken = break_stale_leases(leases_dir)
-    results.put(sorted(info.owner for info in broken))
-
-
-def test_stale_lease_breaking_race_exactly_one_winner(tmp_path):
-    """Two maintenance processes contend for one dead writer's lease
-    while a live writer keeps heartbeating: exactly one breaker wins
-    the dead lease (the unlink race is the arbiter) and the live lease
-    survives untouched."""
-    import socket
-
-    leases_dir = tmp_path / "leases"
-    leases_dir.mkdir()
-    # A dead writer: this host, a pid that cannot exist, unexpired —
-    # provably stale by pid-liveness, not by clock.
-    dead = leases_dir / f"{socket.gethostname()}-999999997-1.json"
-    dead.write_text(json.dumps({
-        "pid": 999999997, "host": socket.gethostname(),
-        "owner": "deadwriter", "expires_at": time.time() + 3600}))
-    live = WriterLease(leases_dir, owner="live", ttl_s=3600.0).acquire()
-
-    ctx = multiprocessing.get_context()
-    start, results = ctx.Event(), ctx.Queue()
-    breakers = [ctx.Process(target=_race_breaker,
-                            args=(leases_dir, start, results))
-                for _ in range(2)]
-    for proc in breakers:
-        proc.start()
-    start.set()
-    # The racing heartbeat: the live writer refreshes its lease while
-    # both breakers sweep the directory.
-    deadline = time.monotonic() + 2.0
-    while any(proc.is_alive() for proc in breakers) \
-            and time.monotonic() < deadline:
-        live.heartbeat(force=True)
-        time.sleep(0.001)
-    reported = [results.get(timeout=10.0) for _ in breakers]
-    for proc in breakers:
-        proc.join(10.0)
-
-    wins = [owners for owners in reported if "deadwriter" in owners]
-    assert len(wins) == 1, f"expected exactly one winner, got {reported}"
-    assert not dead.exists()
-    # The live, heartbeating lease was never broken.
-    assert live.path.exists()
-    assert {info.owner for info in list_leases(leases_dir)} == {"live"}
-    live.release()

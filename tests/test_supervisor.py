@@ -183,6 +183,26 @@ def test_serial_poison_cell_yields_failed_row_and_recovers_on_resume(
     assert set(computed) == {1}
 
 
+def test_failed_cell_leaves_no_record_in_the_store(tmp_path):
+    """Only computed cells are recorded: a cell that failed every retry
+    has no completion record, and ``campaign.json`` alone names it."""
+    spec = CampaignSpec(**SPEC_KWARGS)
+    store_root = tmp_path / "store"
+    engine = CampaignEngine(spec, store=store_root)
+    _flaky_run_cell(engine, {(1, attempt) for attempt in range(1, 10)})
+    engine.run(artifact_dir=tmp_path / "out")
+
+    store = ArtifactStore(store_root)
+    recorded = {cell.index for cell in spec.grid()
+                if engine._cell_key(cell) in store}
+    assert recorded == {cell.index for cell in spec.grid()} - {1}
+    summary = json.loads(
+        (tmp_path / "out" / f"{spec.name}.json").read_text())
+    assert {cell["index"]: cell["status"] for cell in summary["cells"]}[1] \
+        == "failed"
+    assert store.fsck().clean()
+
+
 # -- merge semantics ----------------------------------------------------------
 
 
