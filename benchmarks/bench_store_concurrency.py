@@ -1,25 +1,16 @@
-"""STORE — locking overhead on the warm store-resume path.
+"""STORE — maintenance between warm store-resumes.
 
 The concurrency layer (the shared store lock and a per-key write lock
-around each put, the exclusive store lock around maintenance) must be
-close to free on the path users actually feel: a warm store-backed rerun that
-resolves every cell from the manifest.  The gate: the median locked
-warm rerun takes at most **10%** longer than the median rerun against a
-``locking=False`` store.  There is no absolute slack: each timed sample
-is ``REPEATS`` reruns long (>= 0.2 s on a 2-core VM, where one warm
-rerun of this grid takes about 1 ms) and the medians of ``SAMPLES``
-interleaved unlocked/locked samples are compared.
-
-The warm rows must also stay bit-identical between the two modes —
-locking is a concurrency-safety feature, never a behaviour change.
+around each put, the exclusive store lock around maintenance) must
+never cost a rerun its stored work: ``gc`` and ``fsck --repair`` run
+between two store-backed runs of one grid, and the second run must
+resume every cell, with rows bit-identical to the first.
 """
 
 from __future__ import annotations
 
 import shutil
-import statistics
 import tempfile
-import time
 from pathlib import Path
 
 from repro.campaigns import CampaignEngine, CampaignSpec
@@ -29,15 +20,6 @@ NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
 SEED = 2015
 
-#: Median locked warm rerun may cost at most 10% over the unlocked one.
-OVERHEAD_GATE = 1.10
-
-#: Warm reruns per timed sample (sized so that one sample takes >= 0.2 s).
-REPEATS = 500
-
-#: Interleaved unlocked/locked sample pairs; the gate compares medians.
-SAMPLES = 5
-
 
 def _spec() -> CampaignSpec:
     return CampaignSpec(
@@ -45,72 +27,6 @@ def _spec() -> CampaignSpec:
         metrics=("local_maxima_sum", "delay_max_difference"),
         num_pk_pairs=8, delay_repetitions=5, seed=SEED,
     )
-
-
-def _interleaved_medians(baseline, candidate) -> tuple:
-    """Median seconds per call of two workloads, timed in alternation.
-
-    Each sample alternates single calls of the two workloads ``REPEATS``
-    times and sums each side's time, so a slow phase of a shared host
-    hits both sides alike instead of biasing one whole sample.
-    """
-    samples = ([], [])
-    for _ in range(SAMPLES):
-        totals = [0.0, 0.0]
-        for _ in range(REPEATS):
-            for side, work in enumerate((baseline, candidate)):
-                start = time.perf_counter()
-                work()
-                totals[side] += time.perf_counter() - start
-        for series, total in zip(samples, totals):
-            series.append(total / REPEATS)
-    return statistics.median(samples[0]), statistics.median(samples[1])
-
-
-def test_locking_overhead_on_warm_resume_is_within_10_percent(benchmark):
-    spec = _spec()
-    root = Path(tempfile.mkdtemp(prefix="bench_store_conc_"))
-    try:
-        store_dir = root / "store"
-        CampaignEngine(spec, store=store_dir).run()  # populate (locked)
-
-        # Both modes run fully warm against the same store directory.
-        def unlocked_rerun():
-            return CampaignEngine(
-                spec, store=ArtifactStore(store_dir, locking=False)).run()
-
-        def locked_rerun():
-            return CampaignEngine(spec, store=store_dir).run()
-
-        assert [row.to_dict() for row in locked_rerun().rows()] == \
-            [row.to_dict() for row in unlocked_rerun().rows()], (
-            "locking must never change campaign rows"
-        )
-
-        unlocked_seconds, locked_seconds = _interleaved_medians(
-            unlocked_rerun, locked_rerun)
-        overhead = locked_seconds / unlocked_seconds
-        benchmark.extra_info["unlocked_seconds"] = round(unlocked_seconds, 6)
-        benchmark.extra_info["locked_seconds"] = round(locked_seconds, 6)
-        benchmark.extra_info["unlocked_sample_seconds"] = round(
-            unlocked_seconds * REPEATS, 3)
-        benchmark.extra_info["overhead_factor"] = round(overhead, 3)
-        benchmark.extra_info["gate_factor"] = OVERHEAD_GATE
-        benchmark.extra_info["repeats"] = REPEATS
-        benchmark.extra_info["samples"] = SAMPLES
-        benchmark.extra_info["cells"] = spec.num_cells()
-        assert overhead <= OVERHEAD_GATE, (
-            f"locking costs {overhead:.2f}x on the warm resume path "
-            f"(median locked {locked_seconds * 1e3:.3f} ms vs unlocked "
-            f"{unlocked_seconds * 1e3:.3f} ms per rerun; gate "
-            f"{OVERHEAD_GATE:.2f}x)"
-        )
-
-        # The recorded benchmark is the steady-state locked warm rerun —
-        # the configuration every campaign now runs with.
-        benchmark(locked_rerun)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
 def test_maintenance_during_warm_resume_changes_nothing():

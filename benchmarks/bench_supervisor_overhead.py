@@ -21,8 +21,9 @@ import itertools
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.campaigns.engine import CampaignCellResult
@@ -32,6 +33,10 @@ from repro.campaigns.supervisor import CampaignSupervisor
 from interleave import SAMPLES, interleaved_medians
 
 OVERHEAD_GATE = 1.10
+
+#: The engine the bare pool's forked workers inherit (set before the
+#: pool forks them).
+_POOL_ENGINE: Optional[CampaignEngine] = None
 
 
 def _run_parallel(engine: CampaignEngine,
@@ -44,36 +49,33 @@ def _run_parallel(engine: CampaignEngine,
     against (one crashed worker here still aborts everything with
     ``BrokenProcessPool``).  Cells are chunked by acquisition key so a
     worker reuses its acquired population across the metrics of one
-    (die count, variant) point, and workers share the engine's store.
+    (die count, variant) point.  Like the supervisor's, the pool's
+    workers are forks that inherit ``engine`` and write through its
+    store.
     """
+    global _POOL_ENGINE
     chunks: Dict[tuple, List[int]] = {}
     for cell in cells:
         chunks.setdefault(cell.acquisition_key, []).append(cell.index)
-    spec_dict = engine.spec.to_dict()
-    store_config = (engine.store.spawn_config()
-                    if engine.store is not None else None)
     results: Dict[int, CampaignCellResult] = {}
-    with ProcessPoolExecutor(
-            max_workers=min(engine.spec.workers, len(chunks))) as pool:
-        # The engine's device, golden design (None when unbuilt) and
-        # golden signature travel with the payload, so worker-written
-        # artifacts carry this engine's content keys.
-        for chunk_results in pool.map(
-                _run_cells_in_subprocess,
-                [(spec_dict, indices, engine.device, engine._golden,
-                  store_config, engine._golden_signature)
-                 for indices in chunks.values()]):
-            for cell_result in chunk_results:
-                results[cell_result.index] = cell_result
+    _POOL_ENGINE = engine
+    try:
+        with ProcessPoolExecutor(
+                max_workers=min(engine.spec.workers, len(chunks)),
+                mp_context=get_context("fork")) as pool:
+            for chunk_results in pool.map(_run_cells_in_subprocess,
+                                          chunks.values()):
+                for cell_result in chunk_results:
+                    results[cell_result.index] = cell_result
+    finally:
+        _POOL_ENGINE = None
     return [results[cell.index] for cell in cells]
 
 
-def _run_cells_in_subprocess(payload) -> List[CampaignCellResult]:
-    """Worker entry point: rebuild the engine and run a chunk of cells."""
-    spec_dict, indices, device, golden, store_config, golden_sig = payload
-    engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
-                            device=device, golden=golden, store=store_config)
-    engine._golden_signature = golden_sig
+def _run_cells_in_subprocess(indices: List[int]
+                             ) -> List[CampaignCellResult]:
+    """Worker entry point: run a chunk of cells on the inherited engine."""
+    engine = _POOL_ENGINE
     grid = engine.spec.grid()
     chunk_results: List[CampaignCellResult] = []
     for index in indices:

@@ -17,7 +17,8 @@ grid far faster than naively re-running a population study per cell:
   cells that differ only in the detection metric re-score cached traces
   instead of re-acquiring;
 * **supervised parallelism** — independent grid cells can be spread
-  over a fleet of supervised worker processes (``spec.workers > 1``,
+  over a fleet of supervised worker processes, each a fork of the
+  engine (``spec.workers > 1``,
   :class:`~repro.campaigns.supervisor.CampaignSupervisor`); results are
   identical to the serial order, and worker crashes, hung cells and
   raising cells are retried with backoff then quarantined as explicit
@@ -464,20 +465,20 @@ def format_campaign_rows(rows: Sequence[Mapping[str, Any]]) -> str:
 class CampaignEngine:
     """Executes a campaign grid with shared caches and batched acquisition.
 
-    ``store`` (anything :func:`~repro.store.build_store` accepts: a
-    directory path, a store's ``spawn_config()`` dict or a live store)
-    makes every cache *read through* content-addressed on-disk
-    artifacts and records per-cell completion, enabling warm reruns,
-    resume after interruption, and sharded multi-process/host campaigns.
+    ``store`` (a directory path or a live store,
+    :func:`~repro.store.build_store`) makes every cache *read through*
+    content-addressed on-disk artifacts and records per-cell completion,
+    enabling warm reruns, resume after interruption, and sharded
+    multi-process/host campaigns.  The device is the golden design's,
+    or the paper's Virtex-5 without one; it enters every store key.
     """
 
     def __init__(self, spec: CampaignSpec,
-                 device: Optional[FPGADevice] = None,
                  golden: Optional[GoldenDesign] = None,
-                 store: Union[None, ArtifactStore, PathLike,
-                              Mapping[str, Any]] = None):
+                 store: Union[None, ArtifactStore, PathLike] = None):
         self.spec = spec
-        self.device = device or virtex5_lx30()
+        self.device: FPGADevice = (virtex5_lx30() if golden is None
+                                   else golden.device)
         #: The golden design given to the engine (``None``: the platform
         #: builds the default one).
         self._golden: Optional[GoldenDesign] = golden
@@ -493,12 +494,10 @@ class CampaignEngine:
         #: variant) and area fractions per trojan (:meth:`_read_through`).
         self._memo: Dict[Tuple[str, Any], Any] = {}
         self._artifact_dir: Optional[Path] = None
-        self._saved_archives: Dict[Tuple[int, str], str] = {}
-        #: Grid indices of the cells the current ``run`` invocation
-        #: covers (``None`` outside ``run`` = the whole grid); sharded
-        #: runs use it to decide trace-archive ownership among the
-        #: cells actually present.
-        self._active_indices: Optional[frozenset] = None
+        #: Acquisition key -> index of the pending EM cell that writes
+        #: its trace archive, decided once per :meth:`run` (forked
+        #: workers inherit it).
+        self._archive_owners: Dict[Tuple[int, str], int] = {}
 
     @property
     def platform(self) -> HTDetectionPlatform:
@@ -797,11 +796,7 @@ class CampaignEngine:
         import numpy as np
 
         from ..attacks.glitch_grid import GlitchGrid, synthesise_faulted_sweep
-        from ..crypto.batch import (
-            as_block_matrix,
-            expand_keys,
-            round_states_with_keys,
-        )
+        from ..crypto.batch import as_block_matrix
         from ..measurement.delay_meter import PlaintextKeyPair
 
         num_dies = cell.num_dies
@@ -819,14 +814,7 @@ class CampaignEngine:
         # from the batched cipher (row r = register content entering
         # round r, exactly as in the fault staircase).
         attacked = meter.config.attacked_round
-        round_keys = expand_keys(spec.key)
-        states = round_states_with_keys(as_block_matrix(plaintexts),
-                                        round_keys)
-        num_rounds = states.shape[1] - 2
-        if not 2 <= attacked <= num_rounds:
-            raise ValueError(
-                f"attacked_round must be in 2..{num_rounds}, got {attacked}"
-            )
+        states, _ = meter.attacked_round_states(plaintexts, spec.key)
         correct = states[:, attacked + 1]
         stale = states[:, attacked]
 
@@ -951,19 +939,18 @@ class CampaignEngine:
         study = self.population_study(cell)
         characterisations = [study.characterisations[name]
                              for name in self.spec.trojans]
-        trace_archive = self._maybe_save_traces(cell)
+        if self._archive_owners.get(cell.acquisition_key) == cell.index:
+            self._save_archive(cell)
         return self._cell_result(
             cell, start, characterisations[0].genuine,
             [char.mu for char in characterisations],
             [char.sigma for char in characterisations],
             [char.false_negative_rate for char in characterisations],
-            trace_archive=trace_archive,
         )
 
     def _cell_result(self, cell: GridCell, start: float,
                      genuine: GaussianFit, mus: Sequence[float],
-                     sigmas: Sequence[float], rates: Sequence[float],
-                     trace_archive: Optional[str] = None
+                     sigmas: Sequence[float], rates: Sequence[float]
                      ) -> CampaignCellResult:
         """One row per trojan (in spec order) plus the cell's summary."""
         rows = []
@@ -990,66 +977,26 @@ class CampaignEngine:
             golden_score_mean=float(genuine.mean),
             golden_score_std=float(genuine.std),
             elapsed_s=time.perf_counter() - start,
-            trace_archive=trace_archive,
         )
 
-    def _maybe_save_traces(self, cell: GridCell) -> Optional[str]:
-        """Persist the cell's trace artifact (once per acquisition key).
+    def _archive_path(self, cell: GridCell) -> Path:
+        return (self._artifact_dir
+                / f"traces_d{cell.num_dies}_{cell.variant.name}.npz")
 
-        Ownership is deterministic — the lowest-index cell of each
-        acquisition key writes the archive — so parallel workers never
-        race on the same file.  The :class:`EMTrace` objects are wrapped
-        from the cell's population tensors only here (the scorers run on
-        the stacked matrices).
+    def _save_archive(self, cell: GridCell) -> None:
+        """Write the trace archive of the cell's acquisition key.
+
+        The :class:`EMTrace` objects are wrapped from the cell's
+        population tensors only here (the scorers run on the stacked
+        matrices).
         """
-        if self._artifact_dir is None or not self.spec.save_traces:
-            return None
-        cache_key = cell.acquisition_key
-        # Delay and fault-sweep cells acquire no EM traces, so ownership
-        # is decided among the EM cells of the acquisition key only —
-        # and among the cells that own an archive in this invocation
-        # (the full-grid owner may live in another shard or resume).
-        owner = min(other.index for other in self.spec.grid()
-                    if other.acquisition_key == cache_key
-                    and not other.is_delay and not other.is_fault
-                    and (self._active_indices is None
-                         or other.index in self._active_indices))
-        archive = (self._artifact_dir
-                   / f"traces_d{cell.num_dies}_{cell.variant.name}.npz")
-        if cell.index == owner and cache_key not in self._saved_archives:
-            from ..io.tracefile import save_traces
+        from ..io.tracefile import save_traces
 
-            golden_traces, infected_traces = self.acquire_cell_traces(cell)
-            all_traces = list(golden_traces)
-            for name in self.spec.trojans:
-                all_traces.extend(infected_traces[name])
-            save_traces(archive, all_traces)
-            self._saved_archives[cache_key] = str(archive)
-        return str(archive)
-
-    def _archive_resumed_cells(self, cells: Sequence[GridCell],
-                               pending: Sequence[GridCell],
-                               completed: Dict[int, CampaignCellResult]
-                               ) -> None:
-        """Write and name this run's trace archives for resumed EM cells.
-
-        A resumed record names the archive of the run that computed it,
-        but every ``save_traces`` run writes its own.  Keys with an
-        executing EM cell were archived by it; for the other keys the
-        lowest-index resumed cell writes the archive from the population
-        the store holds (a read, not a recompute).
-        """
-        executing = {cell.index for cell in pending}
-        resumed = [cell for cell in cells if cell.index not in executing
-                   and not cell.is_delay and not cell.is_fault]
-        archived = {cell.acquisition_key for cell in pending
-                    if not cell.is_delay and not cell.is_fault}
-        self._active_indices = frozenset(executing) | {
-            cell.index for cell in resumed
-            if cell.acquisition_key not in archived}
-        for cell in resumed:
-            completed[cell.index].trace_archive = self._maybe_save_traces(
-                cell)
+        golden_traces, infected_traces = self.acquire_cell_traces(cell)
+        all_traces = list(golden_traces)
+        for name in self.spec.trojans:
+            all_traces.extend(infected_traces[name])
+        save_traces(self._archive_path(cell), all_traces)
 
     # -- per-cell completion records ----------------------------------------------
 
@@ -1138,7 +1085,6 @@ class CampaignEngine:
         """
         start = time.perf_counter()
         self._artifact_dir = None if artifact_dir is None else Path(artifact_dir)
-        self._saved_archives.clear()
         if self._artifact_dir is not None:
             self._artifact_dir.mkdir(parents=True, exist_ok=True)
         if self.spec.save_traces and self._artifact_dir is None:
@@ -1151,41 +1097,52 @@ class CampaignEngine:
         else:
             shard = (int(shard[0]), int(shard[1]))
             cells = self.spec.shard(*shard)
-        try:
-            completed: Dict[int, CampaignCellResult] = {}
-            pending: List[GridCell] = []
-            for cell in cells:
-                loaded = self.load_cell_result(cell)
-                if loaded is not None:
-                    completed[cell.index] = loaded
-                else:
-                    pending.append(cell)
-            # Trace-archive ownership is decided among the cells that
-            # *execute* this invocation: store-resumed cells never run,
-            # so a full-grid (or even in-shard) owner that resolved from
-            # the manifest must not leave the archive unwritten.
-            self._active_indices = frozenset(cell.index for cell in pending)
-            # Largest populations first (stable): a smaller one is
-            # then sliced from it (:meth:`_cell_tensors`).
-            pending.sort(key=lambda cell: -cell.num_dies)
-            if pending:
-                from .supervisor import CampaignSupervisor, run_cells_serial
+        completed: Dict[int, CampaignCellResult] = {}
+        pending: List[GridCell] = []
+        for cell in cells:
+            loaded = self.load_cell_result(cell)
+            if loaded is not None:
+                completed[cell.index] = loaded
+            else:
+                pending.append(cell)
+        # The EM cells of a save_traces run name a trace archive.  The
+        # lowest-index pending one of each acquisition key writes it
+        # (reversed: the lowest index is set last); resumed cells never
+        # run.
+        archived = [cell for cell in cells if self.spec.save_traces
+                    and not cell.is_delay and not cell.is_fault]
+        executing = {cell.index for cell in pending}
+        self._archive_owners = {cell.acquisition_key: cell.index
+                                for cell in reversed(archived)
+                                if cell.index in executing}
+        # Largest populations first (stable): a smaller one is then
+        # sliced from it (:meth:`_cell_tensors`).
+        pending.sort(key=lambda cell: -cell.num_dies)
+        if pending:
+            from .supervisor import CampaignSupervisor, run_cells_serial
 
-                if self.spec.workers <= 1 or len(pending) <= 1:
-                    completed.update(run_cells_serial(self, pending))
-                else:
-                    # Forked workers inherit the parent's modules: import
-                    # NumPy once here, not once per worker.  Nothing
-                    # else, since a worker that rescores stored tensors
-                    # needs no simulation layer.
-                    import numpy  # noqa: F401
+            if self.spec.workers <= 1 or len(pending) <= 1:
+                completed.update(run_cells_serial(self, pending))
+            else:
+                # Forked workers inherit the parent's modules: import
+                # NumPy once here, not once per worker.  Nothing else,
+                # since a worker that rescores stored tensors needs no
+                # simulation layer.
+                import numpy  # noqa: F401
 
-                    completed.update(CampaignSupervisor(self).run(pending))
-            if self.spec.save_traces:
-                self._archive_resumed_cells(cells, pending, completed)
-            ordered = [completed[cell.index] for cell in cells]
-        finally:
-            self._active_indices = None
+                completed.update(CampaignSupervisor(self).run(pending))
+        # Every save_traces run writes its own archives: a key that only
+        # resumed cells cover is written here, from the stored population
+        # (a read, not a recompute).
+        written = set(self._archive_owners)
+        for cell in archived:
+            if cell.acquisition_key not in written:
+                written.add(cell.acquisition_key)
+                self._save_archive(cell)
+            if completed[cell.index].status == "ok":
+                completed[cell.index].trace_archive = str(
+                    self._archive_path(cell))
+        ordered = [completed[cell.index] for cell in cells]
         result = CampaignResult(
             spec=self.spec,
             cells=ordered,

@@ -5,7 +5,10 @@
 crashed worker raises ``BrokenProcessPool`` and discards every other
 chunk's in-flight work, the supervisor owns a small fleet of directly
 managed ``multiprocessing.Process`` workers and feeds them **one cell at
-a time** over per-worker pipes:
+a time** over per-worker pipes.  Each worker is a ``fork`` of the
+parent: it runs its cells on the run's own engine (its store and
+trace-archive owners included) and rebuilds nothing.  On top of
+that fleet the supervisor gives:
 
 * **chunk affinity, per-cell dispatch** — cells are still grouped by
   acquisition key (so a worker's caches are reused across the metrics of
@@ -57,7 +60,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
-from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
@@ -73,11 +75,8 @@ POLL_INTERVAL_S = 0.05
 
 @dataclass
 class SupervisorPolicy:
-    """Fault-tolerance knobs of one supervised run.
-
-    Built from the campaign spec by default
-    (:meth:`from_spec`); tests override individual knobs directly.
-    """
+    """Fault-tolerance knobs of one supervised run, read from the
+    campaign spec (:meth:`from_spec`)."""
 
     workers: int = 2
     #: Retries *after* the first attempt; a cell gets
@@ -135,34 +134,24 @@ def _ignore_interrupts() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
 
-def _worker_main(payload: Tuple[Any, ...],
+def _worker_main(engine: "CampaignEngine",
                  before_attempt: Optional[Callable[..., None]],
                  task_conn: Any,
                  result_conn: Any) -> None:
-    """Worker entry point: rebuild the engine, run cells on demand.
+    """Worker entry point: run cells on demand on the forked engine.
 
-    Protocol: the parent sends ``("cell", index, attempt)`` messages and
-    finally ``("bye",)``; the worker answers each cell with ``("done",
-    index, attempt, CampaignCellResult)`` or ``("error", index, attempt,
-    message)``.  Completion records are written by the worker itself
-    (store writes are atomic and content-addressed, so a concurrent
-    duplicate write is byte-identical), which keeps every finished cell
-    resumable even if the parent dies right after.  ``before_attempt``
-    runs before each cell.
+    ``engine`` is the parent's own, inherited across ``fork`` with what
+    its ``run`` set up (store, artifact directory, trace-archive
+    owners).  Protocol: the parent sends ``("cell", index, attempt)``
+    messages and finally ``("bye",)``; the worker answers each cell with
+    ``("done", index, attempt, CampaignCellResult)`` or ``("error",
+    index, attempt, message)``.  Completion records are written by the
+    worker itself (store writes are atomic and content-addressed, so a
+    concurrent duplicate write is byte-identical), which keeps every
+    finished cell resumable even if the parent dies right after.
+    ``before_attempt`` runs before each cell.
     """
-    from .engine import CampaignEngine
-    from .spec import CampaignSpec
-
     _ignore_interrupts()
-    (spec_dict, artifact_dir, device, golden, store_config, golden_sig,
-     active) = payload
-    engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
-                            device=device, golden=golden, store=store_config)
-    engine._golden_signature = golden_sig
-    if artifact_dir is not None:
-        engine._artifact_dir = Path(artifact_dir)
-    if active is not None:
-        engine._active_indices = frozenset(active)
     grid = engine.spec.grid()
     while True:
         message = task_conn.recv()
@@ -193,16 +182,16 @@ class CampaignSupervisor:
     before each cell.
     """
 
-    def __init__(self, engine: "CampaignEngine",
-                 policy: Optional[SupervisorPolicy] = None, *,
+    def __init__(self, engine: "CampaignEngine", *,
                  clock: Callable[[], float] = time.monotonic,
                  before_attempt: Optional[Callable[..., None]] = None):
         self.engine = engine
-        self.policy = policy or SupervisorPolicy.from_spec(engine.spec)
+        self.policy = SupervisorPolicy.from_spec(engine.spec)
         self.clock = clock
         self.before_attempt = before_attempt
         self._grid = {cell.index: cell for cell in engine.spec.grid()}
-        self._mp = get_context()
+        # Workers are forks of the parent: they inherit the engine.
+        self._mp = get_context("fork")
         # Run state (reset per run()).
         self._results: Dict[int, "CampaignCellResult"] = {}
         self._attempts: Dict[int, int] = {}
@@ -215,26 +204,12 @@ class CampaignSupervisor:
 
     # -- worker lifecycle ---------------------------------------------------------
 
-    def _worker_payload(self) -> Tuple[Any, ...]:
-        engine = self.engine
-        return (
-            engine.spec.to_dict(),
-            str(engine._artifact_dir) if engine._artifact_dir else None,
-            engine.device,
-            engine._golden,
-            engine.store.spawn_config() if engine.store is not None else None,
-            engine._golden_signature,
-            (sorted(engine._active_indices)
-             if engine._active_indices is not None else None),
-        )
-
     def _spawn_worker(self) -> _Worker:
         task_recv, task_send = self._mp.Pipe(duplex=False)
         result_recv, result_send = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=_worker_main,
-            args=(self._worker_payload(), self.before_attempt, task_recv,
-                  result_send),
+            args=(self.engine, self.before_attempt, task_recv, result_send),
             daemon=True,
         )
         process.start()
@@ -475,8 +450,7 @@ class CampaignSupervisor:
         return self._results
 
 
-def run_cells_serial(engine: "CampaignEngine", cells: List["GridCell"],
-                     policy: Optional[SupervisorPolicy] = None
+def run_cells_serial(engine: "CampaignEngine", cells: List["GridCell"]
                      ) -> Dict[int, "CampaignCellResult"]:
     """The supervisor's retry/quarantine semantics, in-process.
 
@@ -488,7 +462,7 @@ def run_cells_serial(engine: "CampaignEngine", cells: List["GridCell"],
     """
     from .engine import CampaignCellResult
 
-    policy = policy or SupervisorPolicy.from_spec(engine.spec)
+    policy = SupervisorPolicy.from_spec(engine.spec)
     results: Dict[int, CampaignCellResult] = {}
     for cell in cells:
         failures: List[str] = []

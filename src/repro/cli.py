@@ -243,8 +243,9 @@ def cmd_store_fsck(args: argparse.Namespace) -> int:
         return 3
     print(report.summary())
     if args.repair and not report.clean():
-        print("repairs applied; corrupt objects moved to "
-              f"{store.quarantine_dir}")
+        moved = (f"; corrupt objects moved to {store.quarantine_dir}"
+                 if report.corrupt else "")
+        print(f"repairs applied{moved}")
     return 0 if report.clean() else 1
 
 

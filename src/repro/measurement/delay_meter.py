@@ -19,7 +19,7 @@ Fig. 3 are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -181,21 +181,35 @@ class PathDelayMeter:
             empty = np.zeros((0, len(circuit.netlist.inputs)), dtype=np.uint8)
             return empty, empty
         attacked = self.config.attacked_round
-        round_keys = expand_keys([pair.key for pair in pairs])
-        states = round_states_with_keys(
-            as_block_matrix([pair.plaintext for pair in pairs]), round_keys
-        )
-        num_rounds = states.shape[1] - 2
-        if not 2 <= attacked <= num_rounds:
-            raise ValueError(
-                f"attacked_round must be in 2..{num_rounds}, got {attacked}"
-            )
-        # Row r of the state tensor is the register content *entering*
-        # round r (row 0 = plaintext, row 1 = state after AddRoundKey 0).
+        states, round_keys = self.attacked_round_states(
+            [pair.plaintext for pair in pairs], [pair.key for pair in pairs])
         return (circuit.input_rows(states[:, attacked - 1],
                                    round_keys[:, attacked - 1]),
                 circuit.input_rows(states[:, attacked],
                                    round_keys[:, attacked]))
+
+    def attacked_round_states(self, plaintexts: Sequence[bytes],
+                              keys: Union[bytes, Sequence[bytes]]
+                              ) -> "Tuple[np.ndarray, np.ndarray]":
+        """Register states and round keys of the batched cipher.
+
+        ``keys`` is one key or one per plaintext
+        (:func:`~repro.crypto.batch.expand_keys`).  Returns ``(states,
+        round_keys)``: row r of ``states`` is the register content
+        *entering* round r (row 0 = plaintext, row 1 = state after
+        AddRoundKey 0).  Raises ``ValueError`` unless the configured
+        ``attacked_round`` is in ``2..N`` for the cipher's N rounds.
+        """
+        round_keys = expand_keys(keys)
+        states = round_states_with_keys(as_block_matrix(plaintexts),
+                                        round_keys)
+        num_rounds = states.shape[1] - 2
+        attacked = self.config.attacked_round
+        if not 2 <= attacked <= num_rounds:
+            raise ValueError(
+                f"attacked_round must be in 2..{num_rounds}, got {attacked}"
+            )
+        return states, round_keys
 
     def arrival_times_ps(self, dut: DeviceUnderTest,
                          pair: PlaintextKeyPair) -> np.ndarray:
@@ -445,15 +459,7 @@ class PathDelayMeter:
         """
         rng = np.random.default_rng(seed)
         attacked = self.config.attacked_round
-        round_keys = expand_keys(pair.key)
-        states = round_states_with_keys(
-            as_block_matrix([pair.plaintext]), round_keys
-        )
-        num_rounds = states.shape[1] - 2
-        if not 2 <= attacked <= num_rounds:
-            raise ValueError(
-                f"attacked_round must be in 2..{num_rounds}, got {attacked}"
-            )
+        states, _ = self.attacked_round_states([pair.plaintext], pair.key)
         # NaN marks a stable bit, which the fault model never faults.
         arrivals = self.arrival_times_ps(dut, pair).tolist()
 

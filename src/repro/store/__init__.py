@@ -11,8 +11,8 @@ doubles as the per-cell completion record sharded or interrupted
 campaigns resume from.
 
 A store is a directory, and :class:`ArtifactStore` is its one
-implementation; :func:`build_store` turns a path, a ``spawn_config()``
-dict or a live store into one.  Tensor artifacts share one group codec
+implementation; :func:`build_store` turns a path or a live store into
+one.  Tensor artifacts share one group codec
 (:func:`pack_groups`), and every client goes through one
 :func:`read_through`.  ``fsck`` and ``gc`` share one maintenance
 sweep, and processes share a store through one ``fcntl.flock``

@@ -8,8 +8,8 @@ Layout of a store directory::
     locks/       store.lock, key.<key>.lock    the concurrency protocol
 
 :class:`ArtifactStore` does its file IO on that directory, and
-:func:`build_store` resolves every store argument (a path, a
-``spawn_config()`` dict or a live store) into one.
+:func:`build_store` resolves every store argument (a path or a live
+store) into one.
 
 Writes are *atomic*: the object is written first (a hidden temp file in
 the same directory plus :func:`os.replace`), the manifest entry only
@@ -41,12 +41,12 @@ another store and running :meth:`ArtifactStore.fsck`.
 
 Beyond reads and writes, a store has:
 
-* a **concurrency protocol** (``locking=True``, the default): any
-  number of writer processes and one maintenance process can share a
-  store directory.  Each put takes the *shared* side of the store lock
-  (:mod:`repro.store.locks`, taken through a turnstile so a waiter
-  keeps its place), then the key's write lock inside it, and holds
-  both across the object and its manifest entry; reads stay lock-free
+* a **concurrency protocol**: any number of writer processes and one
+  maintenance process can share a store directory.  Each put takes the
+  *shared* side of the store lock (:mod:`repro.store.locks`, taken
+  through a turnstile so a waiter keeps its place), then the key's
+  write lock inside it, and holds both across the object and its
+  manifest entry; reads stay lock-free
   on the hit path (the digest check guarantees integrity, not a lock);
 * **maintenance**: :meth:`ArtifactStore.fsck` audits the whole store
   (digests, parseability, dangling entries, orphan objects, stray temp
@@ -295,7 +295,8 @@ class FsckReport:
                  self.rebuilt_manifests),
                 ("orphan objects (removed)" if self.repaired
                  else "orphan objects", self.orphan_objects),
-                ("stray temp files", self.stray_tmp)):
+                ("stray temp files (removed)" if self.repaired
+                 else "stray temp files", self.stray_tmp)):
             if items:
                 shown = ", ".join(items[:5])
                 suffix = f" … and {len(items) - 5} more" if len(items) > 5 \
@@ -311,18 +312,14 @@ class ArtifactStore:
 
     ``ArtifactStore(path)`` creates the store directory on first use; a
     path that is not a directory raises :class:`ValueError`.
-    ``locking=False`` restores the single-process store (no locks) —
-    kept for the concurrency-overhead benchmark baseline and
-    for callers that own the directory exclusively.
     """
 
-    def __init__(self, root: PathLike, *, locking: bool = True):
+    def __init__(self, root: PathLike):
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.manifest_dir = self.root / "manifest"
         self.quarantine_dir = self.root / "quarantine"
         self.locks_dir = self.root / "locks"
-        self.locking = bool(locking)
         try:
             self.objects_dir.mkdir(parents=True, exist_ok=True)
             self.manifest_dir.mkdir(parents=True, exist_ok=True)
@@ -330,8 +327,10 @@ class ArtifactStore:
             raise ValueError(f"store path {self.root} is not a store "
                              f"directory ({error})") from None
         #: Retries EAGAIN-class OS blips around lock acquisition and
-        #: every file operation.
-        self.retry = RetryPolicy(token=f"store:{os.getpid()}")
+        #: every file operation.  Its jitter token is the pid of the
+        #: process that retries, so forked workers sharing this store
+        #: spread their retries apart.
+        self.retry = RetryPolicy()
 
     def _call(self, operation: Callable[..., Any], *args: Any) -> Any:
         """One file operation, retried per
@@ -355,9 +354,6 @@ class ArtifactStore:
         instead of overtaking the waiter between two of its backoff
         sleeps.
         """
-        if not self.locking:
-            yield
-            return
         lock = FileLock(self.locks_dir / "store.lock")
         turnstile = FileLock(self.locks_dir / "store.turnstile")
         timeout = DEFAULT_LOCK_TIMEOUT_S if wait_s is None else float(wait_s)
@@ -384,9 +380,6 @@ class ArtifactStore:
         acquisition would queue at the turnstile behind a maintenance
         waiter that is itself waiting for this writer.
         """
-        if not self.locking:
-            yield
-            return
         with self._store_lock(shared=True):
             with FileLock(self.locks_dir / f"key.{key}.lock").holding():
                 yield
@@ -405,8 +398,8 @@ class ArtifactStore:
         ``put_json``/``put_arrays`` land here.  The payload is checked
         against ``entry.digest`` before anything is written (a
         digest-less entry gets one), so corrupt bytes can never be
-        installed as a hit.  With ``locking``, both files are written
-        under :meth:`_write_guard`, so the entry names the digest of
+        installed as a hit.  Both files are written under
+        :meth:`_write_guard`, so the entry names the digest of
         the object beside it and maintenance never sees the object
         without its entry.
         """
@@ -437,11 +430,6 @@ class ArtifactStore:
         entry = ManifestEntry(key=_check_key(key), kind=kind,
                               filename=f"{key}.npz", meta=dict(meta or {}))
         return self.put_object(entry, encode_array_bytes(arrays))
-
-    def spawn_config(self) -> Dict[str, Any]:
-        """A picklable description a worker process can rebuild from."""
-        return {"kind": "local", "root": str(self.root),
-                "locking": self.locking}
 
     # -- read ---------------------------------------------------------------------
 
@@ -725,43 +713,30 @@ class ArtifactStore:
                         quarantined += 1
                     except OSError:
                         pass
-            if self.locking:
-                self._sweep_key_locks()
+            # A writer takes its key lock only inside the shared store
+            # lock, so under the exclusive side no key lock is held or
+            # awaited: deleting the key-lock files cannot split a mutex.
+            for path in self.locks_dir.glob("key.*.lock"):
+                try:
+                    path.unlink()
+                except OSError:  # pragma: no cover - concurrent sweep
+                    pass
             return {"orphan_objects": len(report.orphan_objects),
                     "stray_tmp": len(report.stray_tmp),
                     "quarantined": quarantined}
 
-    def _sweep_key_locks(self) -> None:
-        """Remove per-key lock files (safe: we hold the exclusive lock).
 
-        A writer takes its key lock only while it holds the shared
-        store lock, so while the exclusive lock is held no key lock is
-        held or awaited; deleting the lock files cannot split a mutex.
-        The store-level lock file itself is kept (we are holding it).
-        """
-        for path in self.locks_dir.glob("key.*.lock"):
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent sweep
-                pass
+def build_store(config: Union[None, PathLike, ArtifactStore]
+                ) -> Optional[ArtifactStore]:
+    """Resolve a store argument.
 
-
-def build_store(config: Union[None, PathLike, Mapping[str, Any],
-                              ArtifactStore]) -> Optional[ArtifactStore]:
-    """Resolve a store argument; the inverse of
-    :meth:`ArtifactStore.spawn_config`.
-
-    The one place a store argument is resolved: the campaign engine,
-    its supervised workers and the suite runner all call it.
-    Strings/paths name a store directory (a path that is not one raises
-    :class:`ValueError`); ``None`` passes through (store-less engines);
-    live stores pass through unchanged.
+    The one place a store argument is resolved: the campaign engine and
+    the suite runner call it.  Strings/paths name a store directory (a
+    path that is not one raises :class:`ValueError`); ``None`` passes
+    through (store-less engines); live stores pass through unchanged.
     """
     if config is None or isinstance(config, ArtifactStore):
         return config
     if isinstance(config, (str, Path)):
         return ArtifactStore(config)
-    if config.get("kind") == "local":
-        return ArtifactStore(str(config["root"]),
-                             locking=bool(config.get("locking", True)))
     raise ValueError(f"unknown store config {config!r}")

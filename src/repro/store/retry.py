@@ -17,6 +17,7 @@ costs a few milliseconds of backoff instead of a failed campaign cell.
 from __future__ import annotations
 
 import errno
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -64,19 +65,18 @@ class RetryPolicy:
     """Bounded transient-failure retries with deterministic jitter.
 
     ``attempts`` counts total tries (so ``attempts=1`` disables
-    retrying); ``token`` seeds the jitter stream — give concurrent
-    retriers distinct tokens (e.g. include the pid) so their backoff
-    schedules interleave instead of colliding.
+    retrying).  The jitter token is the pid of the process that retries,
+    taken when the retry runs: concurrent processes, forks of one holder
+    included, interleave their backoff schedules instead of colliding.
     """
 
     attempts: int = 4
     base_s: float = 0.005
     cap_s: float = 0.25
-    token: str = ""
 
     def delay_s(self, attempt: int) -> float:
         """The wait after failed attempt ``attempt`` (1-based)."""
-        return backoff_delay_s(self.base_s, attempt, self.token,
+        return backoff_delay_s(self.base_s, attempt, f"pid:{os.getpid()}",
                                cap_s=self.cap_s)
 
     def call(self, operation: Callable[[], Any]) -> Any:

@@ -147,3 +147,21 @@ def test_fault_staircase_monotone_trend(meter, clean_dut, pk_pairs):
     assert counts[0] <= counts[-1]
     assert max(counts) > 0
     assert max(counts) <= 128
+
+
+@pytest.mark.parametrize("attacked_round", [1, 11])
+def test_attacked_round_is_checked_in_one_place(clean_dut, pk_pairs, meter,
+                                                attacked_round):
+    """The stimulus rows and the Fig. 2 staircase reject an attacked
+    round outside ``2..10`` through :meth:`attacked_round_states`."""
+    bad = PathDelayMeter(DelayMeasurementConfig(
+        repetitions=3, seed=0, attacked_round=attacked_round))
+    glitch = meter.calibrate_glitch(clean_dut, [pk_pairs[0]])
+    message = f"attacked_round must be in 2..10, got {attacked_round}"
+    for call in (
+            lambda: bad.attacked_round_states(
+                [pk_pairs[0].plaintext], pk_pairs[0].key),
+            lambda: bad.pair_transitions_batch(clean_dut, pk_pairs),
+            lambda: bad.fault_staircase(clean_dut, pk_pairs[0], glitch)):
+        with pytest.raises(ValueError, match=message):
+            call()

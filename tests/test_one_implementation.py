@@ -174,6 +174,13 @@ ORACLE_ONLY_NAMES = {
     "release_lease",
     "writer_lease_scope",
     "cmd_store_leases",
+    # The worker rebuild: a supervised worker is a fork of the run's
+    # engine, so no store description or payload travels to it, and
+    # trace-archive owners are decided once per run.
+    "spawn_config",
+    "_worker_payload",
+    "_maybe_save_traces",
+    "_archive_resumed_cells",
     # The scalar scoring references (``tests/oracles/scoring.py``): the
     # greedy peak finder, its per-trace sum, the pooled sigma and the
     # per-trace metric score.

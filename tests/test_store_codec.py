@@ -71,7 +71,7 @@ def test_corrupt_legacy_npz_object_never_leaks_a_parser_error(tmp_path,
     """Every single-byte flip and every 7-byte truncation of an npz
     object behind a digest-less entry either decodes to the original
     arrays or is quarantined as a :class:`StoreIntegrityError`."""
-    store = ArtifactStore(tmp_path / "store", locking=False)
+    store = ArtifactStore(tmp_path / "store")
     key = stable_key({"payload": "legacy-npz"})
     data = _npz_bytes(save, ARRAYS)
     entry = store.put_object(ManifestEntry(key=key, kind="arrays",

@@ -384,9 +384,9 @@ def test_shard_fleet_with_concurrent_maintenance_is_bit_identical(tmp_path):
 
 
 def test_supervised_workers_share_one_store(tmp_path):
-    """The supervisor ships the store to its worker processes by spawn
-    config; what the workers write, a fresh engine on the same
-    directory reads back as complete cells."""
+    """Supervised workers are forks of the engine and write through its
+    store; what they write, a fresh engine on the same directory reads
+    back as complete cells."""
     root = _stress_root(tmp_path, "workers")
     store_root = root / "store"
     result = CampaignEngine(CampaignSpec(workers=2, **SPEC_KWARGS),
@@ -410,7 +410,7 @@ def test_sharded_campaign_through_transient_store_faults(tmp_path):
     cell is lost."""
     root = _stress_root(tmp_path, "transient")
     store_root = root / "store"
-    retry = RetryPolicy(attempts=3, base_s=0.0, token="test")
+    retry = RetryPolicy(attempts=3, base_s=0.0)
     faults = {"read_bytes": 3, "_atomic_write_bytes": 3, "_list_dir": 3}
 
     shard_results = []

@@ -20,7 +20,7 @@ from repro.store import (
 from chaos import TransientFaultStore
 
 #: A retry policy with zero sleeps: determinism without test latency.
-FAST_RETRY = RetryPolicy(attempts=3, base_s=0.0, token="test")
+FAST_RETRY = RetryPolicy(attempts=3, base_s=0.0)
 
 
 def _corrupt_object(store: ArtifactStore, key: str,
@@ -445,6 +445,32 @@ def test_cli_maintenance_sweeps_a_dead_writers_leftovers(tmp_path, capsys,
     assert store.get_json(kept) == {"v": 1}
     assert main(["store", "fsck", str(store.root)]) == 0
     assert "store is clean" in capsys.readouterr().out
+
+
+def test_cli_fsck_repair_names_the_quarantine_only_for_corrupt_objects(
+        tmp_path, capsys):
+    """Repairing an orphan object and a temp file moves nothing to the
+    quarantine, so the report lists both as removed and names no
+    quarantine; a repaired corrupt object is named with it."""
+    store = ArtifactStore(tmp_path / "store")
+    orphan = store.objects_dir / f"{stable_key({'fsck': 'orphan'})}.json"
+    orphan.write_text('{"v": 2}')
+    stray = store.objects_dir / f".{orphan.name}.abc.tmp"
+    stray.write_text("partial")
+
+    assert main(["store", "fsck", str(store.root), "--repair"]) == 1
+    out = capsys.readouterr().out
+    assert "quarantine" not in out
+    assert f"1 orphan objects (removed): {orphan.name}" in out
+    assert "1 stray temp files (removed): objects/" in out
+
+    corrupt = stable_key({"fsck": "corrupt"})
+    store.put_json(corrupt, {"v": 3})
+    (store.objects_dir / f"{corrupt}.json").write_text('{"v": 4}')
+    assert main(["store", "fsck", str(store.root), "--repair"]) == 1
+    out = capsys.readouterr().out
+    assert f"1 corrupt (quarantined): {corrupt}" in out
+    assert f"corrupt objects moved to {store.quarantine_dir}" in out
 
 
 def test_cli_store_fsck_missing_directory(tmp_path, capsys):

@@ -174,21 +174,6 @@ def test_timed_out_waiter_gives_the_turnstile_back(tmp_path):
         pass
 
 
-def test_unlocked_store_takes_no_store_lock(tmp_path):
-    """``locking=False`` bypasses the store lock and its turnstile: no
-    lock file is created, and a held exclusive lock does not block it."""
-    locked = ArtifactStore(tmp_path / "store")
-    unlocked = ArtifactStore(tmp_path / "store", locking=False)
-    with locked._store_lock(shared=False):
-        with unlocked._store_lock(shared=False, wait_s=0.0):
-            pass
-    bare = ArtifactStore(tmp_path / "bare", locking=False)
-    with bare._store_lock(shared=False):
-        pass
-    assert not (bare.locks_dir / "store.lock").exists()
-    assert not (bare.locks_dir / "store.turnstile").exists()
-
-
 def _put_after_key_lock(store_root, key):
     ArtifactStore(store_root).put_json(key, {"v": "waited"})
 
@@ -304,7 +289,7 @@ def test_retry_policy_retries_transient_errors_only():
             raise OSError(errno.EAGAIN, "try again")
         return "ok"
 
-    policy = RetryPolicy(attempts=4, base_s=0.0, token="test")
+    policy = RetryPolicy(attempts=4, base_s=0.0)
     assert policy.call(flaky) == "ok"
     assert calls["n"] == 3
 
@@ -327,6 +312,30 @@ def test_retry_policy_retries_transient_errors_only():
     assert is_transient_os_error(OSError(errno.EBUSY, "x"))
     assert not is_transient_os_error(ValueError("x"))
     assert not is_transient_os_error(OSError(errno.EACCES, "x"))
+
+
+def _report_retry_delay(store, conn):
+    conn.send(store.retry.delay_s(1))
+    conn.close()
+
+
+def test_forked_processes_sharing_a_store_retry_apart(tmp_path):
+    """The store's jitter token is the pid of the process that retries:
+    two forks that inherited one store back off by different delays
+    after a transient blip, and neither by the parent's."""
+    store = ArtifactStore(tmp_path / "store")
+    ctx = multiprocessing.get_context("fork")
+    delays = []
+    for _ in range(2):
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_report_retry_delay, args=(store, send))
+        child.start()
+        send.close()
+        delays.append(receive.recv())
+        child.join(timeout=30.0)
+        assert child.exitcode == 0
+    own = store.retry.delay_s(1)
+    assert len({*delays, own}) == 3, (delays, own)
 
 
 def test_retryable_vs_fatal_classification():
@@ -352,7 +361,7 @@ def test_retryable_vs_fatal_classification():
 def test_retry_policy_with_classification_bounds_and_fatals():
     from repro.store import StoreIntegrityError
 
-    policy = RetryPolicy(attempts=4, base_s=0.0, token="classify")
+    policy = RetryPolicy(attempts=4, base_s=0.0)
     calls = {"n": 0}
 
     def fails_with(error):

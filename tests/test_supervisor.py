@@ -14,6 +14,7 @@ real cell timeout.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -261,6 +262,35 @@ def test_one_chunk_run_forks_one_worker(tmp_path, one_chunk_rows,
 
     assert [row.to_dict() for row in result.rows()] == one_chunk_rows
     assert forks == [0]
+
+
+class _PidRecordingStore(ArtifactStore):
+    """A store whose puts append the writing process's pid to a file."""
+
+    def __init__(self, root, pid_log):
+        super().__init__(root)
+        self.pid_log = pid_log
+
+    def put_object(self, entry, data):
+        with open(self.pid_log, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return super().put_object(entry, data)
+
+
+def test_workers_run_cells_on_the_parents_engine(tmp_path, serial_rows):
+    """A worker is a fork of the run's engine: the parent's own store
+    object (a subclass here) writes every cell's artifacts, from the
+    worker processes, and the rows match a serial run."""
+    pid_log = tmp_path / "pids.txt"
+    pid_log.write_text("")
+    store = _PidRecordingStore(tmp_path / "store", pid_log)
+    spec = CampaignSpec(**{**SPEC_KWARGS, "workers": 2})
+    result = CampaignEngine(spec, store=store).run()
+
+    assert [row.to_dict() for row in result.rows()] == serial_rows
+    writers = {int(pid) for pid in pid_log.read_text().split()}
+    assert writers, "the inherited store never wrote"
+    assert os.getpid() not in writers, "the parent ran a cell itself"
 
 
 # -- chaos acceptance ---------------------------------------------------------
