@@ -4,8 +4,8 @@ The detection decision of the paper (Sec. V / Eq. (5)) is the sum of
 local maxima of ``|trace - golden mean|`` scored per die, fed into
 Gaussian fits for the false-negative rate.  After the acquisition side
 went tensor-resident (``EMSimulator.acquire_many_batch_tensor``
-synthesises the whole ``(plaintexts x dies x samples)`` tensor in one
-pass), scoring was the last scalar stage: every campaign cell exploded
+returns every die's stimulus-averaged trace as one ``(dies x
+samples)`` matrix), scoring was the last scalar stage: every campaign cell exploded
 the tensor into per-die traces and pushed them one at a time through
 pure-Python loops.
 

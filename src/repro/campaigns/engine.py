@@ -4,7 +4,7 @@
 grid far faster than naively re-running a population study per cell:
 
 * **batched acquisition** — every (design, die-population) trace set is
-  synthesised in one vectorised NumPy pass
+  synthesised in vectorised NumPy passes over blocks of dies
   (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch_tensor`);
 * **one platform** — every cell runs on the engine's one
   :class:`~repro.core.pipeline.HTDetectionPlatform`, whose population
@@ -581,16 +581,16 @@ class CampaignEngine:
         return fields
 
     def _read_cell_artifact(self, cell: GridCell, compute, pack, unpack,
-                            meta) -> Any:
+                            meta, held: Any = None) -> Any:
         """Read through the store the artifact one cell scores."""
         kind, memo_key, inputs = self._artifact_inputs(cell)
         return self._read_through(
             kind, memo_key, self._artifact_key_fields(cell, inputs),
-            compute, pack, unpack, meta)
+            compute, pack, unpack, meta, held)
 
     def _read_through(self, kind: str, memo_key: Any,
                       key_fields: Mapping[str, Any], compute, pack, unpack,
-                      meta) -> Any:
+                      meta, held: Any = None) -> Any:
         """The memo in front of :func:`repro.store.read_through`, the one
         path by which the engine reuses an artifact, stored under
         :meth:`_store_key` of ``kind`` and ``key_fields``."""
@@ -598,7 +598,7 @@ class CampaignEngine:
         if memo_key not in self._memo:
             self._memo[memo_key] = read_through(
                 self.store, kind, self._store_key(kind, **key_fields),
-                compute, pack, unpack, meta)
+                compute, pack, unpack, meta, held)
         return self._memo[memo_key]
 
     def trojan_area_fraction(self, trojan_name: str) -> float:
@@ -628,16 +628,21 @@ class CampaignEngine:
         the store payload is written from and read into the matrices,
         and :class:`EMTrace` objects are built only for trace archives.
         A population of fewer dies is the first rows of a larger one of
-        the same variant, so one the memo already holds is sliced.
+        the same variant, so one the memo already holds is sliced
+        without reading the store (and put only where the store lacks
+        it).
         """
         from ..core.pipeline import PopulationTraceTensors
 
+        held = None
+        if ("population_traces", cell.acquisition_key) not in self._memo:
+            held = next((tensors.first_dies(cell.num_dies)
+                         for (kind, key), tensors in self._memo.items()
+                         if kind == "population_traces"
+                         and key[1] == cell.variant.name
+                         and key[0] > cell.num_dies), None)
+
         def compute() -> PopulationTraceTensors:
-            for (kind, key), tensors in self._memo.items():
-                if (kind == "population_traces"
-                        and key[1] == cell.variant.name
-                        and key[0] > cell.num_dies):
-                    return tensors.first_dies(cell.num_dies)
             return self.platform.acquire_population_tensors(
                 self.spec.trojans, self.spec.stimulus_plaintexts(),
                 self.spec.key, num_dies=cell.num_dies,
@@ -651,6 +656,7 @@ class CampaignEngine:
             meta=lambda tensors: {
                 "num_dies": cell.num_dies, "variant": cell.variant.name,
                 "num_plaintexts": len(self.spec.stimulus_plaintexts())},
+            held=held,
         )
 
     def acquire_cell_traces(self, cell: GridCell
@@ -1131,17 +1137,20 @@ class CampaignEngine:
                 import numpy  # noqa: F401
 
                 completed.update(CampaignSupervisor(self).run(pending))
-        # Every save_traces run writes its own archives: a key that only
-        # resumed cells cover is written here, from the stored population
-        # (a read, not a recompute).
-        written = set(self._archive_owners)
+        # Every save_traces run writes its own archives: a key whose ok
+        # cells all resumed, or whose owner failed every attempt, is
+        # written here, from the stored population (a read, not a
+        # recompute).
+        written = {key for key, index in self._archive_owners.items()
+                   if completed[index].status == "ok"}
         for cell in archived:
+            if completed[cell.index].status != "ok":
+                continue
             if cell.acquisition_key not in written:
                 written.add(cell.acquisition_key)
                 self._save_archive(cell)
-            if completed[cell.index].status == "ok":
-                completed[cell.index].trace_archive = str(
-                    self._archive_path(cell))
+            completed[cell.index].trace_archive = str(
+                self._archive_path(cell))
         ordered = [completed[cell.index] for cell in cells]
         result = CampaignResult(
             spec=self.spec,

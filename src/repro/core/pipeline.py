@@ -342,13 +342,12 @@ class HTDetectionPlatform:
 
         The population is the first ``num_dies`` dies (all of them by
         default), acquired on a bench of config ``em`` (the paper's by
-        default).  Every design's (plaintext x die) grid is synthesised
-        as one ``(plaintexts, dies, samples)`` tensor
-        (:meth:`EMSimulator.acquire_many_batch_tensor`) and each die is
-        represented by its stimulus-averaged trace
-        (:func:`average_stimulus_tensor`); ``plaintexts=None`` is the
-        paper's single stimulus.  No :class:`EMTrace` objects are built
-        — :meth:`PopulationTraceTensors.to_traces` wraps the rows at the
+        default).  Each die is represented by its stimulus-averaged
+        trace, one ``(dies, samples)`` matrix per design
+        (:meth:`EMSimulator.acquire_many_batch_tensor`);
+        ``plaintexts=None`` is the paper's single stimulus.  No
+        :class:`EMTrace` objects are built —
+        :meth:`PopulationTraceTensors.to_traces` wraps the rows at the
         persistence/report boundary.  Each die keeps its own noise
         stream, consumed in the order of a serial per-(design, die)
         acquisition loop, so every row is bit-identical to it, and a
@@ -365,15 +364,9 @@ class HTDetectionPlatform:
         rngs = self._die_rngs(num_dies)
 
         def acquire(duts: List[DeviceUnderTest]):
-            grid, cycle_offsets = simulator.acquire_many_batch_tensor(
+            return simulator.acquire_many_batch_tensor(
                 duts, plaintexts, key, rngs, new_setup_installation=True,
             )
-            # One stimulus: take the plane itself.  mean(axis=0) would
-            # turn every -0.0 sample into +0.0, so the rows would no
-            # longer be byte-identical to the serial acquisition.
-            if grid.shape[0] == 1:
-                return grid[0], cycle_offsets
-            return average_stimulus_tensor(grid), cycle_offsets
 
         die_indices = range(num_dies)
         golden_duts = [self.golden_dut(die_index) for die_index in die_indices]
@@ -396,19 +389,3 @@ class HTDetectionPlatform:
             cycle_sample_offsets=list(cycle_offsets),
         )
 
-
-def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
-    """Collapse a ``(plaintexts, dies, samples)`` tensor to per-die means.
-
-    One axis reduction, bit-identical to averaging the per-stimulus
-    :class:`EMTrace` samples die by die: a random-plaintext campaign
-    characterises each die by the mean of its per-stimulus averaged
-    traces, and golden and infected devices are averaged over the
-    *same* stimulus set, so the Sec. V comparison stays like-for-like.
-    """
-    tensor = np.asarray(grid, dtype=float)
-    if tensor.ndim != 3:
-        raise ValueError("grid must be (plaintexts, dies, samples)")
-    if tensor.shape[0] == 0:
-        raise ValueError("every die needs at least one stimulus trace")
-    return tensor.mean(axis=0)

@@ -18,7 +18,14 @@ trace of one AES encryption as follows:
    amplifier impulse response) scaled by its activity and by the die's
    EM gain (inter-die process variation);
 4. the oscilloscope adds the residual averaged noise, a per-installation
-   setup perturbation, and quantises.
+   setup perturbation, and quantises;
+5. a DUT measured under several plaintexts is represented by the mean
+   of its stored traces (one plaintext: that trace).
+
+The one core, :meth:`EMSimulator._acquire_grid`, runs steps 3-5 one
+cache-sized block of DUT columns at a time, so the (plaintexts x DUTs
+x samples) grid of every trace is never built: an acquisition needs
+O(DUTs x samples) memory plus one block per core.
 
 The absolute units are arbitrary (calibrated so the trace spans roughly
 the +/- 2e4 units of the paper's figures); every comparison the
@@ -72,6 +79,12 @@ DIE_CYCLE_GAIN_JITTER = 0.03
 #: most 8 dies x 1 plaintext x 2,912 samples, about 23 k values) spent
 #: about 48 ms in acquisition on threads against 38 ms serially.
 _THREADED_GRID_FLOOR = 1 << 20
+#: Values (plaintexts x DUT columns x samples) of the block one thread
+#: fills, noises, quantises and stimulus-averages at a time, at least one
+#: DUT column.  2 MiB of float64, one core's L2 cache: on a 2-core Xeon
+#: with 2 MiB of L2 per core, a 128-die x 16-plaintext population took
+#: about 250 ms with blocks of 2^18 or 2^19 values and 340 ms with 2^15.
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass
@@ -351,19 +364,18 @@ class EMSimulator:
                    config.total_samples(num_cycles - 1)),
         )
 
-    def _fill_noiseless(self, plan: "_GridPlan", signal: np.ndarray,
+    def _fill_noiseless(self, plan: "_GridPlan", columns: np.ndarray,
                         lo: int, hi: int) -> None:
-        """Synthesise the emissions of DUT columns ``lo:hi`` into ``signal``.
+        """Synthesise the emissions of DUT columns ``lo:hi`` into ``columns``.
 
+        ``columns`` is a zeroed ``(plaintexts, hi - lo, samples)`` array.
         Every cycle's damped pulse, the idle cycles' baseline, the
-        amplifier gain and the DUT's offset, each one broadcast
-        operation over the ``(plaintexts, hi - lo, samples)`` view of a
-        zeroed ``signal``.  Every operation is element-wise, so a column
+        amplifier gain and the DUT's offset are each one broadcast
+        operation over it.  Every operation is element-wise, so a column
         gets the same bytes whatever range it is filled in.
         """
         kernel = self._kernel
         total_samples = plan.shape[2]
-        columns = signal[:, lo:hi]
         amplitudes = plan.amplitudes[:, lo:hi]
         pulse = np.empty(columns.shape[:2] + (kernel.size,))
         for cycle, offset in enumerate(plan.cycle_offsets):
@@ -386,57 +398,77 @@ class EMSimulator:
                                   Sequence[np.random.Generator]],
                       new_setup_installation: bool
                       ) -> "Tuple[np.ndarray, List[int]]":
-        """Noiseless grid plus the oscilloscope pass: the one acquisition core.
+        """Every DUT's stimulus-averaged trace: the one acquisition core.
+
+        Returns ``(averaged, cycle_sample_offsets)`` with ``averaged``
+        of shape ``(D, S)``: row ``d`` is the mean over the plaintexts
+        of DUT ``d``'s stored traces (with one plaintext, that trace
+        itself, so a ``-0.0`` sample survives).  The ``(P, D, S)`` grid
+        of every trace is never built: the DUT columns are synthesised,
+        noised, quantised and averaged one block of at most
+        ``_BLOCK_VALUES`` values (and at least one column) at a time,
+        so an acquisition needs O(D x S) memory plus one block per
+        thread.  NumPy's axis-0 mean adds the P planes to each element
+        in order, so the rows do not depend on the block size.
 
         Setup perturbation and averaged noise are drawn DUT-major /
         plaintext-minor (one generator per DUT, or one shared generator
-        consumed in that order) as one block per DUT, and the noise and
-        the quantisation are applied in place on the ``(P, D, S)``
-        tensor.  Every public entry point calls this and none calls
+        consumed in that order) as one draw per DUT, and applied in
+        place.  Every public entry point calls this and none calls
         another, so a wrapper around any of them sees each acquisition
         exactly once.
 
         **Threads.** When every DUT has its own generator (distinct
         objects) and the grid holds at least ``_THREADED_GRID_FLOOR``
         values, the DUT columns are split into one contiguous chunk per
-        available core (at most one per DUT); each chunk is synthesised,
-        noised and quantised on its own thread, the calling thread
+        available core (at most one per DUT); each chunk is worked
+        through block by block on its own thread, the calling thread
         running the first, and every helper is joined before this
         returns.  A column's draws still come from its own generator in
         plaintext order and every other operation is element-wise, so
-        the tensor is byte-identical to the serial pass.  A shared or
+        the result is byte-identical to the serial pass.  A shared or
         repeated generator, or a smaller grid, runs serially in
         DUT-major order.
         """
         rng_list = self._normalised_rngs(duts, rngs)
         config = self.config
         plan = self._grid_plan(duts, plaintexts, key)
-        signal = np.zeros(plan.shape)
+        num_plaintexts, num_duts, num_samples = plan.shape
         sigma = config.oscilloscope.effective_noise_sigma(
             config.noise.sigma_single_shot
         )
-        num_plaintexts, _, num_samples = plan.shape
+        averaged = np.empty((num_duts, num_samples))
+        width = max(1, _BLOCK_VALUES // (num_plaintexts * num_samples))
 
         def acquire_columns(lo: int, hi: int) -> None:
-            self._fill_noiseless(plan, signal, lo, hi)
-            for column in range(lo, hi):
-                gains, offsets, noise = config.noise.sample_acquisitions(
-                    rng_list[column], num_plaintexts, num_samples, sigma,
-                    new_setup_installation)
-                traces = signal[:, column]
-                if gains is not None:
-                    traces *= gains[:, None]
-                    traces += offsets[:, None]
-                if noise is not None:
-                    traces += noise
-            if config.quantise:
-                config.oscilloscope.quantise_in_place(
-                    signal[:, lo:hi], lsb=config.oscilloscope.effective_lsb()
-                )
+            block = np.empty((num_plaintexts, min(width, hi - lo),
+                              num_samples))
+            for start in range(lo, hi, width):
+                stop = min(hi, start + width)
+                signal = block[:, : stop - start]
+                signal.fill(0.0)
+                self._fill_noiseless(plan, signal, start, stop)
+                for column in range(start, stop):
+                    gains, offsets, noise = config.noise.sample_acquisitions(
+                        rng_list[column], num_plaintexts, num_samples, sigma,
+                        new_setup_installation)
+                    traces = signal[:, column - start]
+                    if gains is not None:
+                        traces *= gains[:, None]
+                        traces += offsets[:, None]
+                    if noise is not None:
+                        traces += noise
+                if config.quantise:
+                    config.oscilloscope.quantise_in_place(
+                        signal, lsb=config.oscilloscope.effective_lsb())
+                if num_plaintexts == 1:
+                    averaged[start:stop] = signal[0]
+                else:
+                    signal.mean(axis=0, out=averaged[start:stop])
 
-        _run_column_chunks(acquire_columns,
-                           _column_chunks(rng_list, signal.size))
-        return signal, plan.cycle_offsets
+        _run_column_chunks(acquire_columns, _column_chunks(
+            rng_list, num_plaintexts * num_duts * num_samples))
+        return averaged, plan.cycle_offsets
 
     def _normalised_rngs(self, duts: Sequence[DeviceUnderTest],
                          rngs: Union[np.random.Generator,
@@ -457,10 +489,14 @@ class EMSimulator:
                                               Sequence[np.random.Generator]],
                                   new_setup_installation: bool = False
                                   ) -> "Tuple[np.ndarray, List[int]]":
-        """Acquire the (plaintext x DUT) grid as one ``(P, D, S)`` tensor.
+        """Acquire every DUT's stimulus-averaged trace as a ``(D, S)`` matrix.
 
         The entry point of every population acquisition; no
-        :class:`EMTrace` objects are built.
+        :class:`EMTrace` objects are built.  Row ``d`` is the mean over
+        ``plaintexts`` (plaintext ``p`` is encryption ``p``) of DUT
+        ``d``'s stored traces, and with one plaintext that trace itself.
+        The per-plaintext ``(P, D, S)`` grid is never built: memory is
+        O(D x S) plus one ``_BLOCK_VALUES`` block per core.
 
         Parameters
         ----------
@@ -478,7 +514,7 @@ class EMSimulator:
             Applied to every acquisition of the grid (the population
             campaigns re-install the setup for every trace).
 
-        Returns ``(signal, cycle_sample_offsets)``.
+        Returns ``(averaged, cycle_sample_offsets)``.
         """
         return self._acquire_grid(duts, plaintexts, key, rngs,
                                   new_setup_installation)
@@ -495,10 +531,8 @@ class EMSimulator:
         one generator per DUT or one shared generator consumed in DUT
         order.  Returns ``(signal, cycle_sample_offsets)``.
         """
-        signal, cycle_offsets = self._acquire_grid(
-            duts, [plaintext], key, rngs, new_setup_installation
-        )
-        return signal[0], cycle_offsets
+        return self._acquire_grid(duts, [plaintext], key, rngs,
+                                  new_setup_installation)
 
     def acquire(self, dut: DeviceUnderTest, plaintext: bytes, key: bytes,
                 rng: np.random.Generator,
@@ -520,7 +554,7 @@ class EMSimulator:
             [dut], [plaintext], key, rng, new_setup_installation
         )
         return EMTrace(
-            samples=signal[0, 0],
+            samples=signal[0],
             label=dut.label,
             plaintext=bytes(plaintext),
             sample_period_ns=1.0 / self.config.oscilloscope.sample_rate_gsps,

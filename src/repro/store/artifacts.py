@@ -129,7 +129,8 @@ _JSON_ARTIFACT_KINDS = frozenset({"infected_summary",
 def read_through(store: Optional[Any], kind: str, key: Optional[str],
                  compute: Callable[[], Any],
                  pack: Callable[[Any], Any], unpack: Callable[[Any], Any],
-                 meta: Callable[[Any], Dict[str, Any]]) -> Any:
+                 meta: Callable[[Any], Dict[str, Any]],
+                 held: Optional[Any] = None) -> Any:
     """Load and unpack ``key``, or compute, pack and put it.
 
     The one path by which a store client reuses an artifact.  ``kind``
@@ -138,14 +139,21 @@ def read_through(store: Optional[Any], kind: str, key: Optional[str],
     a stored value.  Without a store (``store is None``) this is just
     ``compute()``.  The store's ``load_*`` folds a corrupt (quarantined)
     object into a miss, so a torn write costs a recompute, not a crash.
+    ``held`` is the value if the caller already has it in memory (a
+    slice of a larger artifact): it is returned without a read, and put
+    only where the store lacks ``key``.
     """
     if store is None:
-        return compute()
+        return compute() if held is None else held
     is_json = kind in _JSON_ARTIFACT_KINDS
+    put = store.put_json if is_json else store.put_arrays
+    if held is not None:
+        if key not in store:
+            put(key, pack(held), kind=kind, meta=meta(held))
+        return held
     stored = (store.load_json if is_json else store.load_arrays)(key)
     if stored is not None:
         return unpack(stored)
     value = compute()
-    put = store.put_json if is_json else store.put_arrays
     put(key, pack(value), kind=kind, meta=meta(value))
     return value

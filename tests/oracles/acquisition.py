@@ -48,6 +48,55 @@ def batch_noiseless_traces_many(simulator: EMSimulator,
     return signal, plan.cycle_offsets
 
 
+def acquire_trace_grid(simulator: EMSimulator,
+                       duts: Sequence[DeviceUnderTest],
+                       plaintexts: Sequence[bytes], key: bytes, rngs,
+                       new_setup_installation: bool = False):
+    """Every stored trace of a (plaintext x DUT) grid, as one
+    ``(P, D, S)`` tensor: the whole noiseless grid, then the
+    oscilloscope pass column by column and one quantisation.
+
+    The acquisition core before it averaged block by block; its
+    :func:`average_stimulus_tensor` is what
+    ``EMSimulator.acquire_many_batch_tensor`` returns, byte for byte.
+    ``rngs`` is one generator per DUT or one shared generator consumed
+    DUT-major.  Returns ``(signal, cycle_sample_offsets)``.
+    """
+    config = simulator.config
+    signal, cycle_offsets = batch_noiseless_traces_many(simulator, duts,
+                                                        plaintexts, key)
+    rngs = simulator._normalised_rngs(duts, rngs)
+    sigma = config.oscilloscope.effective_noise_sigma(
+        config.noise.sigma_single_shot)
+    num_plaintexts, _, num_samples = signal.shape
+    for column, rng in enumerate(rngs):
+        gains, offsets, noise = config.noise.sample_acquisitions(
+            rng, num_plaintexts, num_samples, sigma, new_setup_installation)
+        traces = signal[:, column]
+        if gains is not None:
+            traces *= gains[:, None]
+            traces += offsets[:, None]
+        if noise is not None:
+            traces += noise
+    if config.quantise:
+        config.oscilloscope.quantise_in_place(
+            signal, lsb=config.oscilloscope.effective_lsb())
+    return signal, cycle_offsets
+
+
+def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
+    """Collapse a ``(plaintexts, dies, samples)`` tensor to per-die means.
+
+    One axis reduction, bit-identical to averaging the per-stimulus
+    :class:`EMTrace` samples die by die (:func:`average_stimulus_traces`);
+    with one stimulus, the plane itself (``mean(axis=0)`` would turn a
+    ``-0.0`` sample into ``+0.0``).
+    """
+    if grid.shape[0] == 1:
+        return grid[0]
+    return grid.mean(axis=0)
+
+
 def sample_setup_perturbation(noise: EMNoiseModel, rng: np.random.Generator
                               ) -> "tuple[float, float]":
     """Draw a (gain, offset) perturbation for one setup installation."""
@@ -297,7 +346,7 @@ def average_stimulus_traces(per_die_traces: Sequence[Sequence[EMTrace]]
     reference and every infected device are averaged over the *same*
     stimulus set, so the Sec. V comparison stays like-for-like.
     Serial (:class:`EMTrace`-level) reference of
-    :func:`repro.core.pipeline.average_stimulus_tensor`.
+    :func:`average_stimulus_tensor`.
     """
     averaged: List[EMTrace] = []
     for die_traces in per_die_traces:

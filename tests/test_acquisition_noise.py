@@ -2,11 +2,14 @@
 
 ``EMSimulator._acquire_grid`` draws every acquisition's setup
 perturbation and residual noise as one standard-normal block per
-generator and applies them in place.  The grid below pins it byte for
-byte (``tobytes()``, so signed zeros count) against the per-trace
-serial chain in ``tests/oracles/`` over every noise configuration the
-block layout depends on: which setup sigmas are non-zero, whether the
-residual noise is drawn at all, and whether the trace is quantised.
+generator, applies them in place and averages each DUT's traces over
+the stimuli, one block of DUT columns at a time.  The grid below pins
+its rows byte for byte (``tobytes()``, so signed zeros count) to the
+stimulus average of the per-trace serial chain in ``tests/oracles/``,
+and the oracle's per-plaintext grid to every trace of that chain, over
+every noise configuration the draw layout depends on: which setup
+sigmas are non-zero, whether the residual noise is drawn at all, and
+whether the trace is quantised.
 
 Every grid test runs on both fill paths: ``serial`` (the grids here
 are far below the thread floor) and ``threaded`` (the floor patched to
@@ -29,7 +32,7 @@ from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
 from repro.measurement.noise import EMNoiseModel
 from repro.stimulus import random_plaintexts
 
-from oracles import acquire_many
+from oracles import acquire_many, acquire_trace_grid, average_stimulus_traces
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 STIMULI = random_plaintexts(3, seed=5)
@@ -99,6 +102,8 @@ def test_grid_matches_serial_chain_byte_for_byte(grid_platform, config_name,
 
     batch, offsets = simulator.acquire_many_batch_tensor(
         duts, STIMULI, KEY, generators(), new_setup_installation=new_setup)
+    grid, _ = acquire_trace_grid(simulator, duts, STIMULI, KEY, generators(),
+                                 new_setup_installation=new_setup)
     serial_rngs = generators()
     if shared:
         serial_rngs = [serial_rngs] * len(duts)
@@ -107,36 +112,53 @@ def test_grid_matches_serial_chain_byte_for_byte(grid_platform, config_name,
                               new_setup_installation=new_setup)
         for row, trace in enumerate(traces):
             assert trace.cycle_sample_offsets == offsets
-            assert trace.samples.tobytes() == batch[row, column].tobytes(), (
+            assert trace.samples.tobytes() == grid[row, column].tobytes(), (
                 f"plaintext {row}, DUT {column}")
+        averaged = average_stimulus_traces([traces])[0]
+        assert averaged.samples.tobytes() == batch[column].tobytes(), (
+            f"DUT {column}")
 
 
-@FILL_PATHS
-def test_acquisition_peak_allocation_is_bounded(golden_design, fill_path):
-    """One 16-die x 8-plaintext acquisition allocates little beyond its
-    output tensor: no full-size temporaries in the noise or quantise
-    pass.  ``tracemalloc`` sees every thread's allocations, so the
-    threaded fill is held to the same bound."""
-    platform = HTDetectionPlatform(CampaignSpec(die_counts=(16,), seed=7),
+@pytest.mark.parametrize("cores", [1, 2])
+def test_acquisition_peak_allocation_is_one_block_per_core(golden_design,
+                                                           monkeypatch,
+                                                           cores):
+    """One 64-die x 32-plaintext acquisition allocates its ``(dies,
+    samples)`` result plus about one block per core: the per-plaintext
+    grid (47.7 MB here) is never built.  ``tracemalloc`` sees NumPy's
+    buffers on every thread, so the threaded fill is held to the same
+    bound."""
+    monkeypatch.setattr(em_simulator, "_available_cores", lambda: cores)
+    platform = HTDetectionPlatform(CampaignSpec(die_counts=(64,), seed=7),
                                    golden=golden_design)
-    duts = [platform.infected_dut("HT1", die) for die in range(16)]
-    stimuli = random_plaintexts(8, seed=3)
+    duts = [platform.infected_dut("HT1", die) for die in range(64)]
+    stimuli = random_plaintexts(32, seed=3)
     simulator = platform.em_simulator
-    rngs = [np.random.default_rng(die) for die in range(16)]
+
+    def generators():
+        return [np.random.default_rng(die) for die in range(64)]
+
     # Warm every per-design cache so only the acquisition itself counts.
-    simulator.acquire_many_batch_tensor(duts, stimuli, KEY, rngs,
+    simulator.acquire_many_batch_tensor(duts, stimuli, KEY, generators(),
                                         new_setup_installation=True)
-    rngs = [np.random.default_rng(die) for die in range(16)]
     tracemalloc.start()
     try:
         signal, _ = simulator.acquire_many_batch_tensor(
-            duts, stimuli, KEY, rngs, new_setup_installation=True)
+            duts, stimuli, KEY, generators(), new_setup_installation=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert signal.shape[:2] == (8, 16)
-    assert peak <= 2.5 * signal.nbytes, (
-        f"peak {peak / signal.nbytes:.2f}x the output tensor")
+    result = 64 * simulator.config.total_samples(10) * 8
+    column = len(stimuli) * result // 64
+    block = max(1, em_simulator._BLOCK_VALUES * 8 // column) * column
+    # Per core: its block and two columns' noise draws (a column's are
+    # freed when the next column's are drawn); once: the plan's
+    # per-cycle amplitudes and the cipher's states, under one column.
+    bound = result + cores * (block + 2 * column) + column
+    assert bound < 64 * column / 4
+    assert peak <= bound, (
+        f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB")
+    assert signal.nbytes == result
 
 
 @pytest.mark.parametrize("layout", ["repeated", "interleaved"])
@@ -164,9 +186,9 @@ def test_repeated_generators_stay_serial_in_dut_major_order(
     for column, (dut, rng) in enumerate(zip(duts, generators())):
         traces = acquire_many(simulator, dut, STIMULI, KEY, rng,
                               new_setup_installation=True)
-        for row, trace in enumerate(traces):
-            assert trace.samples.tobytes() == batch[row, column].tobytes(), (
-                f"plaintext {row}, DUT {column}")
+        averaged = average_stimulus_traces([traces])[0]
+        assert averaged.samples.tobytes() == batch[column].tobytes(), (
+            f"DUT {column}")
 
 
 def test_helper_thread_error_reaches_the_caller(grid_platform, monkeypatch):

@@ -16,6 +16,7 @@ import pytest
 from repro.campaigns import CampaignSpec
 from repro.core.pipeline import HTDetectionPlatform
 from repro.crypto.batch import BatchedAES
+from repro.measurement import em_simulator
 from repro.measurement.delay_meter import generate_pk_pairs
 from repro.stimulus import DEFAULT_PLAINTEXT, random_plaintexts
 from repro.trojan.library import TROJAN_SPECS, build_trojan
@@ -26,7 +27,9 @@ from oracles import (
     acquire_population_traces_serial,
     acquire_population_traces_stimuli_serial,
     acquire_serial,
+    acquire_trace_grid,
     arrival_times_ps,
+    average_stimulus_tensor,
     average_stimulus_traces,
     batch_noiseless_traces_many,
     build_delay_scorer,
@@ -133,7 +136,8 @@ def test_population_acquisition_matches_serial_reference(batch_platform):
 @pytest.mark.parametrize("trojan_name", [None] + list(TROJAN_SPECS))
 def test_acquire_many_batch_matches_serial_acquire_many(batch_platform,
                                                         trojan_name):
-    """The whole-stimulus tensor path equals the per-plaintext loop."""
+    """The whole-stimulus path equals the per-plaintext loop averaged
+    per die."""
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
     serial = [
@@ -147,12 +151,12 @@ def test_acquire_many_batch_matches_serial_acquire_many(batch_platform,
         [np.random.default_rng(300 + die) for die in range(len(duts))],
         new_setup_installation=True,
     )
-    assert batch.shape[:2] == (len(STIMULI), len(duts))
+    assert batch.shape[0] == len(duts)
     for column, serial_list in enumerate(serial):
         assert len(serial_list) == len(STIMULI)
-        for row, serial_trace in enumerate(serial_list):
-            assert serial_trace.cycle_sample_offsets == offsets
-            assert np.array_equal(serial_trace.samples, batch[row, column])
+        assert serial_list[0].cycle_sample_offsets == offsets
+        averaged = average_stimulus_traces([serial_list])[0]
+        assert averaged.samples.tobytes() == batch[column].tobytes()
 
 
 def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
@@ -164,9 +168,8 @@ def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
               for dut in duts]
     batch, _ = simulator.acquire_many_batch_tensor(
         duts, STIMULI, KEY, np.random.default_rng(17))
-    for column, serial_list in enumerate(serial):
-        for row, serial_trace in enumerate(serial_list):
-            assert np.array_equal(serial_trace.samples, batch[row, column])
+    for column, averaged in enumerate(average_stimulus_traces(serial)):
+        assert averaged.samples.tobytes() == batch[column].tobytes()
 
 
 def test_population_stimuli_acquisition_matches_serial(batch_platform):
@@ -336,22 +339,36 @@ def test_population_tensors_match_trace_acquisition(batch_platform):
             assert np.array_equal(wrapped.samples, trace.samples)
 
 
-def test_average_stimulus_tensor_matches_trace_average(batch_platform):
-    from repro.core.pipeline import average_stimulus_tensor
-
+@pytest.mark.parametrize("cores", [1, 3], ids=["one_core", "three_cores"])
+@pytest.mark.parametrize("block_columns", [1, 3, 100],
+                         ids=["one_column", "odd", "larger_than_grid"])
+def test_average_stimulus_tensor_matches_trace_average(batch_platform,
+                                                       monkeypatch,
+                                                       block_columns, cores):
+    """The block-by-block acquisition equals the per-plaintext grid
+    averaged per DUT, and the serial traces averaged per DUT, byte for
+    byte, whatever the block size and the number of threads."""
     simulator = batch_platform.em_simulator
-    duts = _duts(batch_platform, "HT3")
-    tensor, _ = simulator.acquire_many_batch_tensor(
-        duts, STIMULI, KEY,
-        [np.random.default_rng(800 + die) for die in range(len(duts))],
-    )
-    grid = [acquire_many(simulator, dut, STIMULI, KEY,
-                         np.random.default_rng(800 + die))
-            for die, dut in enumerate(duts)]
-    averaged_matrix = average_stimulus_tensor(tensor)
-    averaged_traces = average_stimulus_traces(grid)
-    for row, trace in enumerate(averaged_traces):
-        assert np.array_equal(averaged_matrix[row], trace.samples)
+    duts = (_duts(batch_platform, None) + _duts(batch_platform, "HT3")
+            + _duts(batch_platform, "HT1")[:1])
+
+    def generators():
+        return [np.random.default_rng(800 + die) for die in range(len(duts))]
+
+    samples = simulator.config.total_samples(10)
+    monkeypatch.setattr(em_simulator, "_BLOCK_VALUES",
+                        block_columns * len(STIMULI) * samples)
+    monkeypatch.setattr(em_simulator, "_THREADED_GRID_FLOOR", 0)
+    monkeypatch.setattr(em_simulator, "_available_cores", lambda: cores)
+    assert len(em_simulator._column_chunks(generators(), 1)) == cores
+    averaged_matrix, _ = simulator.acquire_many_batch_tensor(
+        duts, STIMULI, KEY, generators())
+    grid, _ = acquire_trace_grid(simulator, duts, STIMULI, KEY, generators())
+    assert averaged_matrix.tobytes() == average_stimulus_tensor(grid).tobytes()
+    serial = [acquire_many(simulator, dut, STIMULI, KEY, rng)
+              for dut, rng in zip(duts, generators())]
+    for row, trace in enumerate(average_stimulus_traces(serial)):
+        assert averaged_matrix[row].tobytes() == trace.samples.tobytes()
 
 
 def test_stimulus_tensors_match_averaged_traces(batch_platform):

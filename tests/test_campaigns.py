@@ -263,6 +263,29 @@ def test_engine_slices_smaller_die_counts_from_the_largest(monkeypatch,
         assert both_index[key].digest == entry.digest
 
 
+def test_warm_rescore_reads_only_the_largest_population(monkeypatch,
+                                                        tmp_path,
+                                                        golden_design):
+    """A rescore with one more metric reads the largest population from
+    the store once and slices the smaller one from it in memory."""
+    import dataclasses
+
+    from repro.store import ArtifactStore
+
+    spec = CampaignSpec(name="rescore", trojans=("HT1",), die_counts=(3, 5),
+                        metrics=("l1",), num_plaintexts=2, seed=13)
+    CampaignEngine(spec, golden=golden_design, store=tmp_path / "s").run()
+    wider = dataclasses.replace(spec, metrics=("l1", "max_difference"))
+    reads = _count_calls(monkeypatch, ArtifactStore, "get_arrays")
+    rescored = CampaignEngine(wider, golden=golden_design,
+                              store=tmp_path / "s").run()
+    assert rescored.resumed == 2
+    assert len(reads) == 1
+    fresh = CampaignEngine(wider, golden=golden_design).run()
+    assert [row.to_dict() for row in rescored.rows()] == \
+        [row.to_dict() for row in fresh.rows()]
+
+
 def test_engine_builds_no_traces_for_the_store_write(monkeypatch, tmp_path,
                                                      golden_design):
     """The population store payload is written from, and read into, the
@@ -352,6 +375,40 @@ def test_run_campaign_persists_summary_and_traces(tmp_path, golden_design):
     # 2 golden + 2 infected traces
     assert len(traces) == 4
     assert all(np.isfinite(trace.samples).all() for trace in traces)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_archive_owner_still_leaves_the_archive(monkeypatch, tmp_path,
+                                                       golden_design,
+                                                       workers):
+    """Cell 0 owns its acquisition key's trace archive and fails every
+    attempt; cell 1 of the same key succeeds, so the run writes the
+    archive cell 1 names, from the stored population."""
+    from chaos import FaultInjection, FaultKind, FaultPlan, supervise
+
+    spec = CampaignSpec(name="owner-fails", trojans=("HT1",), die_counts=(2,),
+                        metrics=("l1", "local_maxima_sum"), seed=9,
+                        save_traces=True, max_retries=0, workers=workers)
+    if workers == 1:
+        original_run_cell = CampaignEngine.run_cell
+
+        def run_cell(engine, cell):
+            if cell.index == 0:
+                raise RuntimeError("cell 0 failed")
+            return original_run_cell(engine, cell)
+
+        monkeypatch.setattr(CampaignEngine, "run_cell", run_cell)
+    else:
+        supervise(monkeypatch, FaultPlan([FaultInjection(0, 1,
+                                                         FaultKind.CRASH)]))
+    result = CampaignEngine(spec, golden=golden_design,
+                            store=tmp_path / "store").run(
+        artifact_dir=tmp_path / "out")
+    failed, scored = result.cells
+    assert failed.status == "failed" and failed.trace_archive is None
+    assert scored.status == "ok"
+    traces = load_traces(scored.trace_archive)
+    assert len(traces) == 4
 
 
 # -- delay-study cells ---------------------------------------------------------

@@ -171,7 +171,7 @@ def test_acquire_adds_bounded_noise(simulator, golden_dut, rng):
 def test_acquire_many_counts(simulator, golden_dut, rng):
     traces, offsets = simulator.acquire_many_batch_tensor(
         [golden_dut], [PLAINTEXT, bytes(16)], KEY, rng)
-    assert traces.shape == (2, 1, simulator.config.total_samples(10))
+    assert traces.shape == (1, simulator.config.total_samples(10))
     assert len(offsets) == 11
 
 

@@ -54,6 +54,8 @@ ORACLE_ONLY_NAMES = {
     "acquire_population_traces_serial",
     "acquire_population_traces_stimuli_serial",
     "average_stimulus_traces",
+    "average_stimulus_tensor",
+    "acquire_trace_grid",
     "evaluate_interpreted",
     "encryption_activity_interpreted",
     "BitslicedNetlist",
