@@ -31,6 +31,12 @@ from .decision import DetectionOutcome
 from .fingerprint import EMReference
 from .metrics import LocalMaximaSumMetric
 
+#: Values per scoring block: the population detector scores this many
+#: values' worth of rows (at least one) per ``scores_matrix`` call, so
+#: the difference matrix and the peak finder's temporaries are one block
+#: in size, not one population.
+_SCORE_BLOCK_VALUES = 1 << 16
+
 
 @dataclass
 class SameDieComparison:
@@ -142,12 +148,13 @@ class PopulationEMDetector:
         ``golden_traces`` and each of ``infected_populations`` (one per
         trojan, one trace per die) may be trace lists or pre-stacked
         ``(num_traces, num_samples)`` ndarrays.  Every population is
-        scored by one batched ``metric.scores_matrix`` call straight on
-        its matrix; one call over the concatenated matrices was slower
-        (the copy and its working set leave the cache: about 20 % at
-        8, 32 and 128 dies).  The two-Gaussian model of Fig. 7 and
-        Eq. (5) are then evaluated for every trojan in one batched
-        pass.
+        scored straight on its matrix, by batched
+        ``metric.scores_matrix`` calls on blocks of
+        ``_SCORE_BLOCK_VALUES`` values' worth of rows, whose scores are
+        concatenated: every score is a function of its own row, so the
+        blocks give the whole-matrix scores bit for bit.  The
+        two-Gaussian model of Fig. 7 and Eq. (5) are then evaluated for
+        every trojan in one batched pass.
         """
         if len(golden_traces) < 2:
             raise ValueError(
@@ -159,10 +166,17 @@ class PopulationEMDetector:
             raise ValueError("every trojan needs one infected trace per die")
         golden_matrix = stack_traces(golden_traces)
         reference = EMReference.from_traces(golden_matrix, label="E(G)")
+
+        def scores(matrix: np.ndarray) -> np.ndarray:
+            rows = max(1, _SCORE_BLOCK_VALUES // matrix.shape[1])
+            return np.concatenate([
+                self.metric.scores_matrix(matrix[start:start + rows],
+                                          reference.mean)
+                for start in range(0, matrix.shape[0], rows)])
+
         fits = characterise_score_populations(
-            self.metric.scores_matrix(golden_matrix, reference.mean),
-            np.stack([self.metric.scores_matrix(stack_traces(population),
-                                                reference.mean)
+            scores(golden_matrix),
+            np.stack([scores(stack_traces(population))
                       for population in infected_populations.values()]),
         )
         return reference, {

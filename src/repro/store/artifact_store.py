@@ -16,11 +16,20 @@ the same directory plus :func:`os.replace`), the manifest entry only
 after the object exists.  A key is a *hit* only when both are present,
 so a crash mid-write (a stray temp file, or an object without its
 manifest entry) can never surface as a corrupt hit — the next producer
-simply recomputes and overwrites.
+simply recomputes and overwrites.  Every put goes through
+:meth:`ArtifactStore.put_object`.  An array payload is *streamed*: its
+npz members are written straight into the temp file, the data in
+1 MiB slices of each array's memory, so no copy of the payload bytes
+is ever built.  The digest the manifest entry records is taken by
+reading the temp file back in 1 MiB chunks before it is installed.
 
 Reads are *verified*: every manifest entry records the SHA-256 digest of
 the payload bytes, and :meth:`ArtifactStore.get_json` /
 :meth:`ArtifactStore.get_arrays` re-hash the object before parsing it.
+One read serves both: the object is opened once, hashed in 1 MiB
+chunks, rewound and decoded from the same handle, so arrays are copied
+from the file into their buffers, never out of a bytes copy of it
+(``fsck`` verifies objects the same way).
 A torn or truncated object (digest mismatch, unparseable JSON, a bad
 zip) is **never returned**: the object is moved to ``quarantine/``, the
 manifest entry is dropped — so the key becomes a clean miss — and the
@@ -59,6 +68,7 @@ Beyond reads and writes, a store has:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -71,16 +81,19 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Mapping, NoReturn, Optional, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, BinaryIO, Callable, Dict, Iterator,
+                    List, Mapping, NoReturn, Optional, Tuple, Union)
 
 from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock
-from .retry import RetryPolicy
+from .retry import RetryPolicy, is_transient_os_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
 PathLike = Union[str, Path]
+
+#: An object's bytes, or a function that writes them into a binary file.
+Payload = Union[bytes, Callable[[BinaryIO], Any]]
 
 #: On-disk layout version, stored in every manifest entry.  Version 2
 #: added the payload ``digest``; version-1 entries (no digest) still
@@ -114,10 +127,6 @@ def _check_key(key: str) -> str:
     return key
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def encode_json_bytes(payload: Any) -> bytes:
     """The canonical JSON payload encoding of the store.
 
@@ -129,16 +138,61 @@ def encode_json_bytes(payload: Any) -> bytes:
                       sort_keys=True).encode()
 
 
-def encode_array_bytes(arrays: Mapping[str, "np.ndarray"]) -> bytes:
-    """The canonical npz payload encoding of the store: members are
-    stored, not deflated (:func:`decode_array_bytes` reads both)."""
+#: Chunk size of the store's streamed IO: an array member is written,
+#: and an object hashed, 1 MiB at a time.
+_CHUNK_BYTES = 1 << 20
+
+
+def _write_npz(handle: BinaryIO, arrays: Mapping[str, "np.ndarray"]) -> None:
+    """Write ``arrays`` into ``handle`` as the store's npz payload.
+
+    The one array encoder; its bytes are ``np.savez``'s: one stored
+    (not deflated) zip64 ``<name>.npy`` member per array, in order.
+    NumPy's ``write_array`` copies a zip member's data out in
+    ``tobytes`` chunks of up to 16 MiB, so a C-contiguous array of a
+    plain dtype is written as its ``.npy`` header and then 1 MiB slices
+    of its own memory; any other array goes through ``write_array``.
+    """
     if not arrays:
         raise ValueError("cannot store an empty array payload")
     import numpy as np
+    from numpy.lib import format as npy_format
 
+    with zipfile.ZipFile(handle, mode="w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as archive:
+        for name, value in arrays.items():
+            array = np.asarray(value)
+            with archive.open(f"{name}.npy", mode="w",
+                              force_zip64=True) as member:
+                if (not array.flags.c_contiguous or array.dtype.hasobject
+                        or array.dtype.names is not None):
+                    npy_format.write_array(member, array)
+                    continue
+                npy_format.write_array_header_1_0(
+                    member, npy_format.header_data_from_array_1_0(array))
+                data = array.reshape(-1).view(np.uint8)
+                for start in range(0, data.size, _CHUNK_BYTES):
+                    member.write(data[start:start + _CHUNK_BYTES])
+
+
+def _read_npz(handle: BinaryIO) -> Dict[str, "np.ndarray"]:
+    """Parse an npz payload from ``handle`` (raises when torn/corrupt);
+    NumPy copies each member into its array in 256 KiB reads."""
+    import numpy as np
+
+    with np.load(handle, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _read_json(handle: BinaryIO) -> Any:
+    return decode_json_bytes(handle.read())
+
+
+def encode_array_bytes(arrays: Mapping[str, "np.ndarray"]) -> bytes:
+    """The store's npz payload of ``arrays`` as bytes (the encoder
+    ``put_arrays`` streams into the object file, run on a buffer)."""
     buffer = io.BytesIO()
-    np.savez(buffer, **{str(name): np.asarray(value)
-                        for name, value in arrays.items()})
+    _write_npz(buffer, arrays)
     return buffer.getvalue()
 
 
@@ -148,22 +202,46 @@ def decode_json_bytes(data: bytes) -> Any:
 
 
 def decode_array_bytes(data: bytes) -> Dict[str, "np.ndarray"]:
-    """Parse an npz object payload (raises on a torn/corrupt archive)."""
-    import numpy as np
-
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        return {name: archive[name] for name in archive.files}
+    """Parse npz payload bytes (raises on a torn/corrupt archive); reads
+    stored and deflated members alike."""
+    return _read_npz(io.BytesIO(data))
 
 
-def _parses(filename: str, data: bytes) -> bool:
-    """True when ``data`` parses as the payload kind ``filename`` names."""
-    decode = (decode_json_bytes if filename.endswith(".json")
-              else decode_array_bytes)
+def _parses(filename: str, handle: BinaryIO) -> bool:
+    """True when ``handle`` parses as the payload kind ``filename`` names."""
+    decode = _read_json if filename.endswith(".json") else _read_npz
     try:
-        decode(data)
+        decode(handle)
     except _DECODE_ERRORS:
         return False
     return True
+
+
+def _sha256_file(handle: BinaryIO) -> str:
+    """SHA-256 of ``handle`` from its start, read in 1 MiB chunks; the
+    handle is left rewound."""
+    digest = hashlib.sha256()
+    chunk = bytearray(_CHUNK_BYTES)
+    view = memoryview(chunk)
+    handle.seek(0)
+    while True:
+        size = handle.readinto(chunk)
+        if not size:
+            break
+        digest.update(view[:size])
+    handle.seek(0)
+    return digest.hexdigest()
+
+
+def _open_hashed(path: Path) -> Tuple[BinaryIO, str]:
+    """``path`` opened for reading, rewound, and its SHA-256: one read
+    verifies an object and the same handle then decodes it."""
+    handle = open(path, "rb")
+    try:
+        return handle, _sha256_file(handle)
+    except BaseException:
+        handle.close()
+        raise
 
 
 def _list_dir(directory: Path) -> List[Path]:
@@ -180,12 +258,17 @@ def _is_tmp(name: str) -> bool:
     return name.startswith(".") and name.endswith(".tmp")
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file + replace,
-    creating the directory on first use.
+def _atomic_write_bytes(path: Path, payload: Payload) -> str:
+    """Install ``payload`` at ``path`` via a same-directory temp file +
+    replace, creating the directory on first use; returns the SHA-256
+    of the installed bytes.
 
+    ``payload`` is the bytes, or a function that writes them into the
+    temp file.  The digest comes from reading the temp file back before
+    the replace, so it names the bytes on disk whatever was streamed.
     The temp file is hidden and ends in ``.tmp``, the pattern
-    ``fsck``/``gc`` sweep after an interrupted write.
+    ``fsck``/``gc`` sweep after an interrupted write; a writer that
+    raises leaves none behind.
     """
     def make_temp() -> Tuple[int, str]:
         return tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
@@ -197,8 +280,12 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         handle, temp_name = make_temp()
     try:
-        with os.fdopen(handle, "wb") as temp_file:
-            temp_file.write(data)
+        with os.fdopen(handle, "w+b") as temp_file:
+            if callable(payload):
+                payload(temp_file)
+            else:
+                temp_file.write(payload)
+            digest = _sha256_file(temp_file)
         os.replace(temp_name, path)
     except BaseException:
         try:
@@ -206,6 +293,7 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    return digest
 
 
 def _move(source: Path, destination: Path) -> None:
@@ -392,29 +480,24 @@ class ArtifactStore:
                    entry.to_bytes())
         return entry
 
-    def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
+    def put_object(self, entry: ManifestEntry,
+                   payload: Payload) -> ManifestEntry:
         """Write one artifact: the object, then its manifest entry.
 
-        ``put_json``/``put_arrays`` land here.  The payload is checked
-        against ``entry.digest`` before anything is written (a
-        digest-less entry gets one), so corrupt bytes can never be
-        installed as a hit.  Both files are written under
-        :meth:`_write_guard`, so the entry names the digest of
-        the object beside it and maintenance never sees the object
-        without its entry.
+        Every put lands here: ``put_json`` with the payload bytes,
+        ``put_arrays`` with the npz writer, which streams the arrays
+        straight into the object's temp file.  The entry records
+        the SHA-256 of the bytes read back from that temp file before it
+        is installed.  Both files are written under
+        :meth:`_write_guard`, so the entry names the digest of the
+        object beside it and maintenance never sees the object without
+        its entry.
         """
         _check_key(entry.key)
-        digest = _sha256(data)
-        if entry.digest is None:
-            entry = dataclasses.replace(entry, digest=digest)
-        elif entry.digest != digest:
-            raise StoreIntegrityError(
-                f"refusing to write artifact {entry.key!r}: payload bytes "
-                f"do not match the manifest digest")
         with self._write_guard(entry.key):
-            self._call(_atomic_write_bytes,
-                       self.objects_dir / entry.filename, data)
-            return self._record(entry)
+            digest = self._call(_atomic_write_bytes,
+                                self.objects_dir / entry.filename, payload)
+            return self._record(dataclasses.replace(entry, digest=digest))
 
     def put_json(self, key: str, payload: Any, *, kind: str = "json",
                  meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
@@ -426,10 +509,12 @@ class ArtifactStore:
     def put_arrays(self, key: str, arrays: Mapping[str, np.ndarray], *,
                    kind: str = "arrays",
                    meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a named-array payload under ``key`` as an npz archive."""
+        """Store a named-array payload under ``key`` as an npz archive,
+        written member by member into the object file."""
         entry = ManifestEntry(key=_check_key(key), kind=kind,
                               filename=f"{key}.npz", meta=dict(meta or {}))
-        return self.put_object(entry, encode_array_bytes(arrays))
+        return self.put_object(entry,
+                               functools.partial(_write_npz, arrays=arrays))
 
     # -- read ---------------------------------------------------------------------
 
@@ -486,18 +571,21 @@ class ArtifactStore:
             f"{destination} and the key is now a miss"
         ) from cause
 
-    def _verified_bytes(self, key: str) -> Tuple[ManifestEntry, bytes]:
-        """The entry and object payload of ``key``, digest-checked.
+    def _read(self, key: str, decode: Callable[[BinaryIO], Any]) -> Any:
+        """Fetch, verify and decode one payload; quarantine what fails.
 
-        Raises ``KeyError`` on a miss and :class:`StoreIntegrityError`
-        (after quarantining) when the payload does not match its
-        recorded digest.
+        One read serves both checks: the object is opened once and
+        hashed in 1 MiB chunks, and when the digest matches ``decode``
+        parses from the same handle, rewound.  Raises ``KeyError`` on a
+        miss and :class:`StoreIntegrityError` (after quarantining) on a
+        digest mismatch or an unparseable payload.
         """
         entry = self.entry(key)
         if entry is None:
             raise KeyError(f"artifact {key!r} is not in the store")
         try:
-            data = self._call((self.objects_dir / entry.filename).read_bytes)
+            handle, digest = self._call(_open_hashed,
+                                        self.objects_dir / entry.filename)
         except FileNotFoundError:
             # A concurrent discard/gc between the manifest read and this
             # read: a clean miss, not a raw error escaping the engine.
@@ -506,19 +594,20 @@ class ArtifactStore:
                 f"manifest read and the payload read (concurrent "
                 f"discard or gc); the key is a miss"
             ) from None
-        if entry.digest is not None and _sha256(data) != entry.digest:
-            self._reject(entry, "does not match its recorded SHA-256 digest "
-                                "(torn or truncated write)")
-        return entry, data
-
-    def _read(self, key: str, decode: Callable[[bytes], Any]) -> Any:
-        """Fetch, verify and decode one payload; quarantine what fails."""
-        entry, data = self._verified_bytes(key)
-        try:
-            return decode(data)
-        except _DECODE_ERRORS as error:
-            self._reject(entry, f"holds an unparseable payload ({error})",
-                         error)
+        cause = None
+        with handle:
+            if entry.digest is not None and digest != entry.digest:
+                problem = ("does not match its recorded SHA-256 digest "
+                           "(torn or truncated write)")
+            else:
+                try:
+                    return decode(handle)
+                except _DECODE_ERRORS as error:
+                    if is_transient_os_error(error):
+                        raise
+                    problem = f"holds an unparseable payload ({error})"
+                    cause = error
+        self._reject(entry, problem, cause)
 
     def get_json(self, key: str) -> Any:
         """Load the JSON payload stored under ``key``.
@@ -527,16 +616,17 @@ class ArtifactStore:
         :class:`StoreIntegrityError` — never returned, never a raw
         ``JSONDecodeError``.
         """
-        return self._read(key, decode_json_bytes)
+        return self._read(key, _read_json)
 
     def get_arrays(self, key: str) -> Dict[str, np.ndarray]:
         """Load the named-array payload stored under ``key``.
 
-        A corrupt payload is quarantined and raised as
-        :class:`StoreIntegrityError` — never returned, never a raw
-        ``BadZipFile``.
+        The arrays are decoded from the verified object file, never
+        from a copy of its bytes.  A corrupt payload is quarantined and
+        raised as :class:`StoreIntegrityError` — never returned, never a
+        raw ``BadZipFile``.
         """
-        return self._read(key, decode_array_bytes)
+        return self._read(key, _read_npz)
 
     def load_json(self, key: str) -> Optional[Any]:
         """Read-through helper: the payload, or ``None`` on miss *or*
@@ -582,12 +672,13 @@ class ArtifactStore:
     def _verify_entry(self, entry: ManifestEntry) -> bool:
         """True when the entry's payload passes digest + parse checks."""
         try:
-            data = (self.objects_dir / entry.filename).read_bytes()
+            handle, digest = _open_hashed(self.objects_dir / entry.filename)
         except OSError:
             return False
-        if entry.digest is not None and _sha256(data) != entry.digest:
-            return False
-        return _parses(entry.filename, data)
+        with handle:
+            if entry.digest is not None and digest != entry.digest:
+                return False
+            return _parses(entry.filename, handle)
 
     def _rebuild_manifest(self, key: str) -> Optional[ManifestEntry]:
         """Rebuild a corrupt/unreadable manifest from the intact object.
@@ -600,18 +691,19 @@ class ArtifactStore:
         for suffix, kind in ((".json", "json"), (".npz", "arrays")):
             object_path = self.objects_dir / f"{key}{suffix}"
             try:
-                data = object_path.read_bytes()
+                handle, digest = _open_hashed(object_path)
             except OSError:
                 continue
-            if not _parses(object_path.name, data):
-                continue
+            with handle:
+                if not _parses(object_path.name, handle):
+                    continue
             # Not via put_object: the caller (fsck --repair) already
             # holds the exclusive store lock, and a same-process shared
             # acquisition on a second fd would self-conflict under flock
             # semantics.
             return self._record(ManifestEntry(
                 key=key, kind=kind, filename=object_path.name,
-                meta={"rebuilt": True}, digest=_sha256(data)))
+                meta={"rebuilt": True}, digest=digest))
         return None
 
     def _check_manifests(self, report: FsckReport) -> None:

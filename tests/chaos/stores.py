@@ -198,8 +198,10 @@ class TransientFaultStore(ArtifactStore):
     """An :class:`ArtifactStore` whose file operations hit scripted
     ``EAGAIN`` blips.
 
-    ``faults`` maps a file-operation name (``"read_bytes"``,
-    ``"_atomic_write_bytes"``, ``"_list_dir"``, ...) to a period ``n``:
+    ``faults`` maps a file-operation name (``"read_bytes"`` for a
+    manifest read, ``"_open_hashed"`` for an object read,
+    ``"_atomic_write_bytes"`` for an object or manifest write,
+    ``"_list_dir"``, ...) to a period ``n``:
     attempts 1, 1 + n, 1 + 2n, ... of that operation raise
     ``OSError(EAGAIN)`` before touching the disk.  ``n = 1`` makes every
     attempt fail; ``n = 2`` fails each operation's first try and lets

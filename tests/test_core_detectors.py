@@ -8,7 +8,12 @@ from repro.core.decision import DetectionOutcome, ThresholdPolicy
 from repro.core.delay_detector import DelayDetector
 from repro.core.em_detector import PopulationEMDetector, SameDieEMDetector
 from repro.core.fingerprint import DelayFingerprint, EMReference
-from repro.core.metrics import LocalMaximaSumMetric
+from repro.core import em_detector
+from repro.core.metrics import (
+    L1TraceMetric,
+    LocalMaximaSumMetric,
+    MaxDifferenceMetric,
+)
 
 
 # -- decision policies -----------------------------------------------------------
@@ -235,3 +240,43 @@ def test_each_trojan_is_characterised_on_its_own(population_traces):
     for name, population in infected.items():
         _, alone = detector.fit_and_characterise(golden, {name: population})
         assert alone[name] == together[name] == reversed_order[name]
+
+
+#: Samples per trace of the block-scoring test: the e2e EM grid's.
+BLOCK_TEST_SAMPLES = 2912
+BLOCK_ROWS = em_detector._SCORE_BLOCK_VALUES // BLOCK_TEST_SAMPLES
+
+
+@pytest.mark.parametrize("metric", [LocalMaximaSumMetric(), L1TraceMetric(),
+                                    MaxDifferenceMetric()],
+                         ids=["local_maxima_sum", "l1", "max_difference"])
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                  BLOCK_ROWS + 1, 128])
+def test_block_scoring_matches_one_whole_matrix_call(monkeypatch, metric,
+                                                     rows):
+    """``fit_and_characterise`` scores each population in row blocks; the
+    scores it characterises are byte-identical to one whole-matrix
+    ``scores_matrix`` call, at block boundaries and off them."""
+    rng = np.random.default_rng(rows)
+    wave = np.sin(np.linspace(0.0, 60.0, BLOCK_TEST_SAMPLES))
+    golden = wave + 0.1 * rng.standard_normal((max(rows, 2),
+                                               BLOCK_TEST_SAMPLES))
+    infected = {name: wave * (1.0 + 0.01 * index)
+                + 0.1 * rng.standard_normal((rows, BLOCK_TEST_SAMPLES))
+                for index, name in enumerate(("HT1", "HT3"))}
+    seen = {}
+    original = em_detector.characterise_score_populations
+
+    def characterise(genuine, infected_scores):
+        seen.update(genuine=genuine, infected=infected_scores)
+        return original(genuine, infected_scores)
+
+    monkeypatch.setattr(em_detector, "characterise_score_populations",
+                        characterise)
+    reference, _ = PopulationEMDetector(metric).fit_and_characterise(
+        golden, infected)
+    assert seen["genuine"].tobytes() == \
+        metric.scores_matrix(golden, reference.mean).tobytes()
+    assert seen["infected"].tobytes() == np.stack(
+        [metric.scores_matrix(matrix, reference.mean)
+         for matrix in infected.values()]).tobytes()

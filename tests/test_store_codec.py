@@ -1,7 +1,10 @@
 """The store's array codec: stored npz, and deflated objects still read.
 
 Array payloads are written as npz archives whose members are stored,
-not deflated.  Objects written with the earlier deflated encoding keep
+not deflated, and they stream: a put writes the members into the
+object's temp file and a get decodes from the verified file, so
+neither holds a copy of the payload bytes (``tracemalloc`` bounds
+both).  Objects written with the earlier deflated encoding keep
 their manifest digests, verify and decode, so a store populated before
 the switch resumes warm.  A digest-less (format-version-1) entry lets
 corrupt bytes reach the npz parser; whatever the corruption, the read
@@ -11,8 +14,10 @@ ends in a clean decode or a quarantine — never a raw parser exception.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -25,6 +30,25 @@ from repro.store import ArtifactStore, StoreIntegrityError, stable_key
 from repro.store.artifact_store import ManifestEntry, encode_array_bytes
 
 ARRAYS = {"x": np.arange(4.0)}
+
+MiB = 1 << 20
+
+
+def _population_arrays():
+    """A 128-die x 4-design population payload: 4 x 2.98 MB."""
+    rng = np.random.default_rng(0)
+    return {f"design{index}": rng.standard_normal((128, 2912))
+            for index in range(4)}
+
+
+def _traced_peak(operation):
+    """The ``tracemalloc`` peak of ``operation()`` (NumPy buffers count)."""
+    tracemalloc.start()
+    try:
+        operation()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _npz_bytes(save, arrays) -> bytes:
@@ -62,6 +86,84 @@ def test_both_npz_encodings_decode_to_identical_arrays(tmp_path, save):
         assert loaded[name].dtype == value.dtype
         assert loaded[name].tobytes() == value.tobytes()
     assert encode_array_bytes(loaded) == _npz_bytes(np.savez, arrays)
+
+
+def test_streamed_put_holds_no_copy_of_the_payload(tmp_path):
+    """A put writes the npz into its temp file 1 MiB at a time: its
+    traced peak stays below 2 MiB for an 11.9 MB payload (building the
+    npz in memory first peaked at 14.2 MiB)."""
+    arrays = _population_arrays()
+    payload = sum(array.nbytes for array in arrays.values())
+    assert payload >= 8 * MiB
+    store = ArtifactStore(tmp_path / "store")
+    key = stable_key({"stream": "put"})
+    peak = _traced_peak(lambda: store.put_arrays(key, arrays))
+    assert peak < 2 * MiB, f"put peaked at {peak / MiB:.1f} MiB"
+    data = (store.objects_dir / f"{key}.npz").read_bytes()
+    assert data == _npz_bytes(np.savez, arrays)
+    assert store.entry(key).digest == hashlib.sha256(data).hexdigest()
+
+
+def test_streamed_get_decodes_from_the_verified_file(tmp_path):
+    """A get hashes the object in chunks and decodes from the same file:
+    its traced peak stays below the arrays it returns plus 2 MiB
+    (reading the object's bytes first peaked at twice the payload)."""
+    arrays = _population_arrays()
+    payload = sum(array.nbytes for array in arrays.values())
+    store = ArtifactStore(tmp_path / "store")
+    key = stable_key({"stream": "get"})
+    store.put_arrays(key, arrays)
+    loaded = {}
+    peak = _traced_peak(lambda: loaded.update(store.get_arrays(key)))
+    assert peak < payload + 2 * MiB, f"get peaked at {peak / MiB:.1f} MiB"
+    assert list(loaded) == list(arrays)
+    for name, array in arrays.items():
+        assert loaded[name].tobytes() == array.tobytes()
+
+
+def test_deflated_multi_chunk_object_verifies_through_the_streamed_get(
+        tmp_path):
+    """A deflated object larger than one hash chunk records the digest
+    of its whole bytes, then verifies and decodes through the streamed
+    get and the fsck audit."""
+    rng = np.random.default_rng(1)
+    arrays = {"signal": rng.standard_normal((64, 8192)),
+              "labels": np.array(["golden", "HT1"])}
+    data = _npz_bytes(np.savez_compressed, arrays)
+    assert len(data) > 2 * MiB
+    store = ArtifactStore(tmp_path / "store")
+    key = stable_key({"stream": "deflated"})
+    entry = store.put_object(ManifestEntry(key=key, kind="arrays",
+                                           filename=f"{key}.npz"), data)
+    assert entry.digest == hashlib.sha256(data).hexdigest()
+    loaded = store.get_arrays(key)
+    for name, array in arrays.items():
+        assert loaded[name].tobytes() == array.tobytes()
+    assert store.fsck().ok == [key]
+
+
+class _Unconvertible:
+    """An array member whose conversion fails mid-put."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("conversion failed")
+
+
+def test_a_put_that_raises_mid_write_leaves_nothing_behind(tmp_path):
+    """The npz writer raises after its first member is written: the temp
+    object is removed, no manifest entry is written, the key is a
+    miss, and the next put of the key succeeds."""
+    store = ArtifactStore(tmp_path / "store")
+    key = stable_key({"stream": "raises"})
+    first = {"x": np.arange(3 * MiB // 8, dtype=np.float64)}
+    with pytest.raises(RuntimeError, match="conversion failed"):
+        store.put_arrays(key, {**first, "y": _Unconvertible()})
+    assert list(store.objects_dir.iterdir()) == []
+    assert list(store.manifest_dir.iterdir()) == []
+    assert key not in store
+    store.put_arrays(key, first)
+    assert store.get_arrays(key)["x"].tobytes() == first["x"].tobytes()
+    assert store.fsck().clean()
 
 
 @pytest.mark.parametrize("save", [np.savez, np.savez_compressed],

@@ -411,7 +411,8 @@ def test_sharded_campaign_through_transient_store_faults(tmp_path):
     root = _stress_root(tmp_path, "transient")
     store_root = root / "store"
     retry = RetryPolicy(attempts=3, base_s=0.0)
-    faults = {"read_bytes": 3, "_atomic_write_bytes": 3, "_list_dir": 3}
+    faults = {"read_bytes": 3, "_open_hashed": 3, "_atomic_write_bytes": 3,
+              "_list_dir": 3}
 
     shard_results = []
     faulted = 0

@@ -129,7 +129,8 @@ def test_corrupt_object_is_read_once_never_retried(tmp_path):
     with pytest.raises(StoreIntegrityError):
         store.get_json(key)
     # One manifest read, one object read, one move aside.
-    assert store.calls["read_bytes"] == 2
+    assert store.calls["read_bytes"] == 1
+    assert store.calls["_open_hashed"] == 1
     assert store.calls["_move"] == 1
     assert key not in store
 
@@ -142,7 +143,8 @@ def test_transient_os_blips_in_store_io_are_retried(tmp_path):
     store's retry policy carries every read and write through."""
     store = TransientFaultStore(
         tmp_path / "store",
-        {"read_bytes": 2, "_atomic_write_bytes": 2, "_list_dir": 2},
+        {"read_bytes": 2, "_open_hashed": 2, "_atomic_write_bytes": 2,
+         "_list_dir": 2},
         retry=FAST_RETRY)
     jkey = stable_key({"blip": "json"})
     akey = stable_key({"blip": "arrays"})
@@ -151,13 +153,34 @@ def test_transient_os_blips_in_store_io_are_retried(tmp_path):
     assert store.get_json(jkey) == {"v": 1}
     assert np.array_equal(store.get_arrays(akey)["x"], np.arange(4.0))
     assert sorted(store.keys()) == sorted([jkey, akey])
-    for name in ("read_bytes", "_atomic_write_bytes", "_list_dir"):
+    for name in ("read_bytes", "_open_hashed", "_atomic_write_bytes",
+                 "_list_dir"):
         assert store.faulted[name] > 0, name
         assert store.calls[name] == 2 * store.faulted[name], name
     # The blips left no trace: a fault-free handle reads the same store.
     plain = ArtifactStore(store.root)
     assert plain.get_json(jkey) == {"v": 1}
     assert plain.fsck().clean()
+
+
+def test_transient_blips_in_streamed_array_io_are_retried(tmp_path):
+    """The streamed array put and get run as store file operations: an
+    ``EAGAIN`` on the object's streamed write, on its manifest write
+    and on the streamed read is each retried, and the arrays round-trip
+    (a put or get that bypassed the store's operations would not
+    fault here)."""
+    store = TransientFaultStore(
+        tmp_path / "store", {"_atomic_write_bytes": 2, "_open_hashed": 2},
+        retry=FAST_RETRY)
+    key = stable_key({"blip": "streamed"})
+    arrays = {"x": np.arange(300_000.0), "y": np.arange(6).reshape(2, 3)}
+    store.put_arrays(key, arrays)
+    assert store.faulted == {"_atomic_write_bytes": 2}
+    loaded = store.get_arrays(key)
+    assert store.faulted == {"_atomic_write_bytes": 2, "_open_hashed": 1}
+    for name, array in arrays.items():
+        assert loaded[name].tobytes() == array.tobytes()
+    assert ArtifactStore(store.root).fsck().clean()
 
 
 def test_persistent_write_error_fails_the_put_and_leaves_a_miss(tmp_path):

@@ -334,6 +334,32 @@ def test_chaos_run_matches_clean_serial_run_bit_for_bit(tmp_path,
     assert store.fsck().clean()
 
 
+def test_torn_population_put_is_quarantined_and_recomputed(tmp_path,
+                                                          one_chunk_rows,
+                                                          monkeypatch):
+    """The first write of cell 0 is its EM population, a streamed array
+    put: the chaos store tears it after the manifest entry and dies.
+    The retry quarantines the torn ``.npz`` on read and recomputes the
+    population, and the rows match a serial run.  (The fault store
+    sees array puts only because they take the one put path.)"""
+    plan = FaultPlan(injections=(
+        FaultInjection(cell_index=0, attempt=1, kind=FaultKind.TRUNCATE),
+    ))
+    supervise(monkeypatch, plan)
+    spec = CampaignSpec(**ONE_CHUNK_KWARGS)
+    result = CampaignEngine(spec, store=tmp_path / "store").run()
+
+    assert result.failed_cells() == []
+    assert [row.to_dict() for row in result.rows()] == one_chunk_rows
+    assert {cell.index: cell.attempts for cell in result.cells} == \
+        {0: 2, 1: 1}
+    store = ArtifactStore(tmp_path / "store")
+    quarantined = [path.name for path in store.quarantine_dir.iterdir()]
+    assert len(quarantined) == 1 and quarantined[0].endswith(".npz"), \
+        quarantined
+    assert store.fsck().clean()
+
+
 def test_hung_worker_is_killed_and_its_cell_retried(tmp_path, one_chunk_rows,
                                                     monkeypatch):
     """A hang, resolved only by the supervisor's timeout kill, then a
