@@ -18,10 +18,8 @@ from .. import _lazy_exports
 # Public name -> defining submodule (relative to this package).
 _EXPORTS = {
     "AcquisitionVariant": ".spec",
-    "KNOWN_DELAY_METRICS": ".spec",
-    "KNOWN_EM_METRICS": ".spec",
-    "KNOWN_FAULT_METRICS": ".spec",
     "KNOWN_METRICS": ".spec",
+    "METRIC_ARTIFACTS": ".spec",
     "CampaignCellResult": ".engine",
     "CampaignEngine": ".engine",
     "CampaignResult": ".engine",
@@ -29,7 +27,6 @@ _EXPORTS = {
     "CampaignSpec": ".spec",
     "CampaignSupervisor": ".supervisor",
     "GridCell": ".spec",
-    "SupervisorPolicy": ".supervisor",
     "run_cells_serial": ".supervisor",
     "apply_em_overrides": ".spec",
     "build_metric": ".engine",

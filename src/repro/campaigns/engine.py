@@ -22,14 +22,17 @@ grid far faster than naively re-running a population study per cell:
   :class:`~repro.campaigns.supervisor.CampaignSupervisor`); results are
   identical to the serial order, and worker crashes, hung cells and
   raising cells are retried with backoff then quarantined as explicit
-  ``failed`` rows instead of aborting the grid;
-* **delay-study cells** — grid cells carrying a ``delay_*`` metric run
-  the Sec. III clock-glitch campaign across the die population through
-  the compiled timing kernel: one
+  ``failed`` rows instead of aborting the grid (one retry ledger decides
+  for the serial loop and the fleet alike);
+* **one cell path** — a cell's metric names the stored artifact it
+  scores (:data:`~repro.campaigns.spec.METRIC_ARTIFACTS`), and
+  :meth:`CampaignEngine.run_cell` is the one way a cell runs: an EM
+  cell scores its population's traces, a ``delay_*`` cell the Eq. (4)
+  difference tensors of the Sec. III clock-glitch campaign (one
   :meth:`~repro.measurement.delay_meter.PathDelayMeter.measure_batch`
-  call covers every (pair, device) combination, and cells differing
-  only in metric re-score the cached Eq. (4) difference tensors with
-  one :data:`DELAY_METRIC_BATCH_SCORERS` call per population;
+  call covers every (pair, device) combination), a ``fault_coverage``
+  cell a glitch-grid sweep; cells differing only in metric re-score the
+  cached artifact;
 * **content-addressed persistence** — with a
   :class:`~repro.store.ArtifactStore` attached, the acquisition, delay
   and fault-sweep caches and the infected-design summaries go through
@@ -62,6 +65,7 @@ loads none of them (``tests/test_import_graph.py``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,7 +91,6 @@ from .spec import CampaignSpec, GridCell
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from ..analysis.gaussian import GaussianFit
     from ..attacks.glitch_grid import GlitchGrid
     from ..core.pipeline import (
         HTDetectionPlatform,
@@ -127,28 +130,11 @@ DELAY_METRIC_BATCH_SCORERS = {
 
 
 def build_metric(name: str):
-    """Instantiate an EM detection metric from its campaign-spec name."""
-    try:
-        class_name = METRIC_FACTORIES[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown metric {name!r}; available: "
-            + ", ".join(METRIC_FACTORIES)
-        ) from exc
+    """Instantiate an EM detection metric from its campaign-spec name
+    (the spec has already rejected an unknown one)."""
     from ..core import metrics
 
-    return getattr(metrics, class_name)()
-
-
-def build_delay_batch_scorer(name: str):
-    """Resolve a batched delay-metric scorer from its campaign-spec name."""
-    try:
-        return DELAY_METRIC_BATCH_SCORERS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown delay metric {name!r}; available: "
-            + ", ".join(DELAY_METRIC_BATCH_SCORERS)
-        ) from exc
+    return getattr(metrics, METRIC_FACTORIES[name])()
 
 
 @dataclass
@@ -544,23 +530,24 @@ class CampaignEngine:
         again whatever else the spec grows or reorders.
         """
         spec = self.spec
+        kind = cell.artifact
         inputs: Dict[str, Any] = {"seed": int(spec.seed),
                                   "num_dies": cell.num_dies,
                                   "trojans": spec.trojans}
-        if cell.is_delay:
+        if kind == "delay_differences":
             inputs.update(delay_repetitions=spec.delay_repetitions,
                           num_pk_pairs=int(spec.num_pk_pairs))
-            return "delay_differences", cell.num_dies, inputs
+            return kind, cell.num_dies, inputs
         inputs.update(key=spec.key, plaintext=spec.plaintext,
                       num_plaintexts=spec.num_plaintexts)
-        if cell.is_fault:
+        if kind == "fault_sweep":
             inputs.update(delay_repetitions=spec.delay_repetitions,
                           offsets_ps=spec.glitch_offsets_ps,
                           widths_ps=spec.glitch_widths_ps,
                           periods_ps=spec.glitch_periods_ps)
-            return "fault_sweep", cell.num_dies, inputs
+            return kind, cell.num_dies, inputs
         inputs["em_overrides"] = cell.variant.em_overrides
-        return "population_traces", cell.acquisition_key, inputs
+        return kind, cell.acquisition_key, inputs
 
     def _artifact_key_fields(self, cell: GridCell,
                              inputs: Mapping[str, Any]) -> Dict[str, Any]:
@@ -873,107 +860,65 @@ class CampaignEngine:
     # -- execution ----------------------------------------------------------------
 
     def run_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Execute one grid cell (EM acquisition, delay study or fault sweep)."""
-        if cell.is_delay:
-            return self._run_delay_cell(cell)
-        if cell.is_fault:
-            return self._run_fault_cell(cell)
-        return self._run_em_cell(cell)
+        """Execute one grid cell: score the artifact it reads, decide.
 
-    def _run_fault_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Score one fault-sweep cell from the cached ciphertext tensors.
-
-        Same Gaussian characterisation as the delay cells, with the
-        per-die score being the device's *fault coverage* over the
-        glitch grid — a trojan's altered path delays shift which grid
-        points fault, separating the infected population from the clean
-        one.  Scoring is one
-        :func:`~repro.attacks.glitch_grid.device_fault_coverages` pass
-        per population, then batched fits / Eq. (5) rates.
-        """
-        import numpy as np
-
-        from ..analysis.batch import characterise_score_populations
-        from ..attacks.glitch_grid import device_fault_coverages
-
-        start = time.perf_counter()
-        data = self.fault_sweep_data(cell)
-        fits = characterise_score_populations(
-            device_fault_coverages(data.correct, data.golden_faulted),
-            np.stack([device_fault_coverages(data.correct,
-                                             data.infected_faulted[name])
-                      for name in self.spec.trojans]),
-        )
-        return self._cell_result(cell, start, fits.genuine, fits.mus,
-                                 fits.sigmas, fits.rates)
-
-    def _run_delay_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Score one delay-study cell from the cached difference tensors.
-
-        Mirrors the EM cells' Gaussian characterisation: the genuine
-        population is the per-die score of clean devices against the
-        golden fingerprint, the infected population the per-die scores
-        of one trojan, and the Eq. (5) overlap gives the
-        false-negative rate.  Scoring is batched end-to-end: one
-        :data:`DELAY_METRIC_BATCH_SCORERS` pass per population and
-        batched Gaussian fits / Eq. (5) rates over the per-trojan score
-        matrix (:mod:`repro.analysis.batch`), bit-identical to the
-        per-die serial loops.
-        """
-        import numpy as np
-
-        from ..analysis.batch import characterise_score_populations
-
-        start = time.perf_counter()
-        data = self.delay_study_data(cell)
-        scorer = build_delay_batch_scorer(cell.metric)
-        fits = characterise_score_populations(
-            scorer(data.golden_differences),
-            np.stack([scorer(data.infected_differences[name])
-                      for name in self.spec.trojans]),
-        )
-        return self._cell_result(cell, start, fits.genuine, fits.mus,
-                                 fits.sigmas, fits.rates)
-
-    def _run_em_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Execute one EM grid cell: acquire (or reuse) traces, score, decide.
-
-        The rows are the cell's :meth:`population_study`: its population
-        is shared across every metric cell of the acquisition key.
+        An EM cell's rows are its :meth:`population_study` (its
+        population is shared by every metric cell of the acquisition
+        key).  A delay or fault cell scores each device of its cached
+        tensors — its :data:`DELAY_METRIC_BATCH_SCORERS` entry over the
+        Eq. (4) differences, or its
+        :func:`~repro.attacks.glitch_grid.device_fault_coverages` over
+        the glitch grid (a trojan's altered path delays shift which grid
+        points fault) — and one
+        :func:`~repro.analysis.batch.characterise_score_populations`
+        call makes the batched Gaussian fits and Eq. (5) rates,
+        bit-identical to the per-die serial loops.
         """
         start = time.perf_counter()
-        study = self.population_study(cell)
-        characterisations = [study.characterisations[name]
-                             for name in self.spec.trojans]
-        if self._archive_owners.get(cell.acquisition_key) == cell.index:
-            self._save_archive(cell)
-        return self._cell_result(
-            cell, start, characterisations[0].genuine,
-            [char.mu for char in characterisations],
-            [char.sigma for char in characterisations],
-            [char.false_negative_rate for char in characterisations],
-        )
+        trojans = self.spec.trojans
+        if cell.artifact == "population_traces":
+            study = self.population_study(cell)
+            chars = [study.characterisations[name] for name in trojans]
+            if self._archive_owners.get(cell.acquisition_key) == cell.index:
+                self._save_archive(cell)
+            genuine = chars[0].genuine
+            mus = [char.mu for char in chars]
+            sigmas = [char.sigma for char in chars]
+            rates = [char.false_negative_rate for char in chars]
+        else:
+            import numpy as np
 
-    def _cell_result(self, cell: GridCell, start: float,
-                     genuine: GaussianFit, mus: Sequence[float],
-                     sigmas: Sequence[float], rates: Sequence[float]
-                     ) -> CampaignCellResult:
-        """One row per trojan (in spec order) plus the cell's summary."""
-        rows = []
-        for index, name in enumerate(self.spec.trojans):
-            fn_rate = float(rates[index])
-            rows.append(CampaignRow(
-                cell_index=cell.index,
-                num_dies=cell.num_dies,
-                variant=cell.variant.name,
-                metric=cell.metric,
-                trojan=name,
-                area_fraction=self.trojan_area_fraction(name),
-                mu=float(mus[index]),
-                sigma=float(sigmas[index]),
-                false_negative_rate=fn_rate,
-                detection_probability=1.0 - fn_rate,
-            ))
+            from ..analysis.batch import characterise_score_populations
+
+            if cell.artifact == "delay_differences":
+                data = self.delay_study_data(cell)
+                score = DELAY_METRIC_BATCH_SCORERS[cell.metric]
+                golden = data.golden_differences
+                infected = data.infected_differences
+            else:
+                from ..attacks.glitch_grid import device_fault_coverages
+
+                data = self.fault_sweep_data(cell)
+                score = functools.partial(device_fault_coverages,
+                                          data.correct)
+                golden, infected = data.golden_faulted, data.infected_faulted
+            batch = characterise_score_populations(
+                score(golden), np.stack([score(infected[name])
+                                         for name in trojans]))
+            genuine, mus, sigmas, rates = (batch.genuine, batch.mus,
+                                           batch.sigmas, batch.rates)
+        rows = [CampaignRow(
+            cell_index=cell.index,
+            num_dies=cell.num_dies,
+            variant=cell.variant.name,
+            metric=cell.metric,
+            trojan=name,
+            area_fraction=self.trojan_area_fraction(name),
+            mu=float(mus[index]),
+            sigma=float(sigmas[index]),
+            false_negative_rate=float(rates[index]),
+            detection_probability=1.0 - float(rates[index]),
+        ) for index, name in enumerate(trojans)]
         return CampaignCellResult(
             index=cell.index,
             num_dies=cell.num_dies,
@@ -1116,7 +1061,7 @@ class CampaignEngine:
         # (reversed: the lowest index is set last); resumed cells never
         # run.
         archived = [cell for cell in cells if self.spec.save_traces
-                    and not cell.is_delay and not cell.is_fault]
+                    and cell.artifact == "population_traces"]
         executing = {cell.index for cell in pending}
         self._archive_owners = {cell.acquisition_key: cell.index
                                 for cell in reversed(archived)

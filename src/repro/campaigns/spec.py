@@ -11,10 +11,13 @@ through JSON so campaigns can be stored next to their results);
 the :class:`~repro.campaigns.engine.CampaignEngine` executes.  One cell
 is one full population study — all trojans of the spec measured over one
 die population under one acquisition configuration, scored with one
-metric.  EM metrics run the Sec. V inter-die trace study; ``delay_*``
-metrics run the Sec. III clock-glitch delay study across the same die
-population through the compiled timing kernel (``num_pk_pairs`` (P, K)
-stimuli, ``delay_repetitions`` repetitions).
+metric.  One table, :data:`METRIC_ARTIFACTS`, names the stored artifact
+each metric scores: EM metrics score the Sec. V inter-die trace study's
+``population_traces``; ``delay_*`` metrics the ``delay_differences`` of
+the Sec. III clock-glitch delay study across the same die population
+(``num_pk_pairs`` (P, K) stimuli, ``delay_repetitions`` repetitions);
+``fault_coverage`` the glitch-grid ``fault_sweep``.  Everything that
+depends on a cell's kind reads :attr:`GridCell.artifact`.
 
 Acquisition variants are expressed as dotted-path overrides applied on
 top of the default :class:`~repro.measurement.em_simulator.EMAcquisitionConfig`,
@@ -48,22 +51,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 PathLike = Union[str, Path]
 
-#: EM trace metrics (resolved by the engine's metric registry).
-KNOWN_EM_METRICS = ("local_maxima_sum", "l1", "max_difference")
-
-#: Delay-study metrics: a grid cell carrying one of these runs the
-#: Sec. III clock-glitch campaign (through the compiled timing kernel)
-#: across the die population instead of an EM acquisition.
-KNOWN_DELAY_METRICS = ("delay_max_difference", "delay_mean_pair_max")
-
-#: Fault-attack metrics: a grid cell carrying one of these runs a
-#: glitch-grid fault-injection sweep (:mod:`repro.attacks`) across the
-#: die population and scores each device by the fraction of
-#: (grid point, stimulus) captures with at least one faulted byte.
-KNOWN_FAULT_METRICS = ("fault_coverage",)
+#: Metric name -> the stored artifact a cell of that metric scores:
+#: ``population_traces`` (an EM acquisition, Sec. V),
+#: ``delay_differences`` (the Sec. III clock-glitch campaign through the
+#: compiled timing kernel) or ``fault_sweep`` (a glitch-grid
+#: fault-injection sweep, each device scored by the fraction of (grid
+#: point, stimulus) captures with at least one faulted byte).  The
+#: engine holds each metric's scorer (``tests/test_campaigns.py`` checks
+#: that both tables name the same metrics).
+METRIC_ARTIFACTS = {
+    "local_maxima_sum": "population_traces",
+    "l1": "population_traces",
+    "max_difference": "population_traces",
+    "delay_max_difference": "delay_differences",
+    "delay_mean_pair_max": "delay_differences",
+    "fault_coverage": "fault_sweep",
+}
 
 #: All metric names accepted by ``CampaignSpec.metrics``.
-KNOWN_METRICS = KNOWN_EM_METRICS + KNOWN_DELAY_METRICS + KNOWN_FAULT_METRICS
+KNOWN_METRICS = tuple(METRIC_ARTIFACTS)
 
 
 def _is_a(value: Any, cls: type) -> bool:
@@ -239,14 +245,10 @@ class GridCell:
         return (self.num_dies, self.variant.name)
 
     @property
-    def is_delay(self) -> bool:
-        """True if this cell runs the delay study rather than an EM one."""
-        return self.metric in KNOWN_DELAY_METRICS
-
-    @property
-    def is_fault(self) -> bool:
-        """True if this cell runs a glitch-grid fault-injection sweep."""
-        return self.metric in KNOWN_FAULT_METRICS
+    def artifact(self) -> str:
+        """The kind of stored artifact this cell scores
+        (:data:`METRIC_ARTIFACTS`)."""
+        return METRIC_ARTIFACTS[self.metric]
 
 
 @dataclass
@@ -268,11 +270,9 @@ class CampaignSpec:
     #: enter content keys, so tuning them keeps the store warm.
     #: ``max_retries`` bounds retries *after* the first attempt of a
     #: cell; ``cell_timeout_s`` bounds one attempt's wall-clock in
-    #: multi-worker runs (``None`` = no timeout); ``retry_backoff_s`` is
-    #: the exponential-backoff base between attempts.
+    #: multi-worker runs (``None`` = no timeout).
     max_retries: int = 2
     cell_timeout_s: Optional[float] = None
-    retry_backoff_s: float = 0.5
     #: Delay-study campaign sizes (used by ``delay_*`` metric cells).
     num_pk_pairs: int = 4
     delay_repetitions: int = 3
@@ -336,8 +336,6 @@ class CampaignSpec:
             if not self.cell_timeout_s > 0:
                 raise ValueError("cell_timeout_s must be positive (or None "
                                  "to disable the per-cell timeout)")
-        if not self.retry_backoff_s >= 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if self.num_pk_pairs < 1:
             raise ValueError("num_pk_pairs must be >= 1")
         if self.delay_repetitions < 1:
@@ -415,14 +413,11 @@ class CampaignSpec:
         for num_dies in self.die_counts:
             for variant_index, variant in enumerate(self.variants):
                 for metric in self.metrics:
-                    if variant_index and metric not in KNOWN_EM_METRICS:
-                        continue
-                    cells.append(GridCell(
-                        index=len(cells),
-                        num_dies=num_dies,
-                        variant=variant,
-                        metric=metric,
-                    ))
+                    cell = GridCell(index=len(cells), num_dies=num_dies,
+                                    variant=variant, metric=metric)
+                    if (not variant_index
+                            or cell.artifact == "population_traces"):
+                        cells.append(cell)
         return cells
 
     def num_cells(self) -> int:
@@ -476,7 +471,6 @@ class CampaignSpec:
             "save_traces": self.save_traces,
             "max_retries": self.max_retries,
             "cell_timeout_s": self.cell_timeout_s,
-            "retry_backoff_s": self.retry_backoff_s,
             "num_pk_pairs": self.num_pk_pairs,
             "delay_repetitions": self.delay_repetitions,
             "num_plaintexts": self.num_plaintexts,
@@ -493,10 +487,12 @@ class CampaignSpec:
             raise ValueError(f"a campaign spec must be a JSON object, got "
                              f"{type(payload).__name__}")
         kwargs: Dict[str, Any] = dict(payload)
-        # Specs written before the netlist kernel had a single
-        # implementation carry an execution-only ``kernel_backend``;
-        # it never entered content keys, so dropping it keeps stores warm.
+        # Older specs carry execution-only fields that are gone: the
+        # netlist kernel's ``kernel_backend`` and the retry backoff base
+        # ``retry_backoff_s`` (now the supervisor's ``RETRY_BACKOFF_S``).
+        # Neither entered content keys, so dropping them keeps stores warm.
         kwargs.pop("kernel_backend", None)
+        kwargs.pop("retry_backoff_s", None)
         if "variants" in kwargs:
             kwargs["variants"] = tuple(
                 AcquisitionVariant.from_dict(entry)

@@ -1,14 +1,18 @@
 """Fault-tolerant supervised execution of campaign grid cells.
 
-:class:`CampaignSupervisor` replaces the engine's former bare
-``ProcessPoolExecutor.map``: instead of one opaque ``map`` whose first
-crashed worker raises ``BrokenProcessPool`` and discards every other
-chunk's in-flight work, the supervisor owns a small fleet of directly
-managed ``multiprocessing.Process`` workers and feeds them **one cell at
-a time** over per-worker pipes.  Each worker is a ``fork`` of the
-parent: it runs its cells on the run's own engine (its store and
-trace-archive owners included) and rebuilds nothing.  On top of
-that fleet the supervisor gives:
+One attempt of a cell is one :func:`_attempt` (one ``engine.run_cell``
+call, stamped with its attempt number and recorded in the store), and
+one retry ledger (:class:`_Failures`) decides what a failed attempt
+means, for the in-process loop (:func:`run_cells_serial`) and the
+supervised fleet alike.  The spec is the run's policy.
+
+:class:`CampaignSupervisor` owns a small fleet of directly managed
+``multiprocessing.Process`` workers, instead of a process pool whose
+first crashed worker discards every other chunk's in-flight work, and
+feeds them **one cell at a time** over per-worker pipes.  Each worker is
+a ``fork`` of the parent: it runs its cells on the run's own engine (its
+store and trace-archive owners included) and rebuilds nothing.  On top
+of that fleet the supervisor gives:
 
 * **chunk affinity, per-cell dispatch** — cells are still grouped by
   acquisition key (so a worker's caches are reused across the metrics of
@@ -19,8 +23,9 @@ that fleet the supervisor gives:
   go back on the queue untouched.
 * **bounded retries with backoff** — a failed attempt (worker death,
   raised exception, or per-cell timeout) is retried up to
-  ``spec.max_retries`` times with exponential backoff plus deterministic
-  jitter before the cell is quarantined.
+  ``spec.max_retries`` times with exponential backoff (base
+  :data:`RETRY_BACKOFF_S`) plus deterministic jitter before the cell is
+  quarantined.
 * **poison-cell quarantine** — a cell that fails every attempt becomes
   an explicit ``failed`` :class:`~repro.campaigns.engine.CampaignCellResult`
   row (carried through save/merge/CSV, never recorded to the store)
@@ -28,8 +33,9 @@ that fleet the supervisor gives:
   rerun with the same store retries only the failed cells.
 * **per-cell timeout** — ``spec.cell_timeout_s`` bounds one attempt; a
   hung worker is SIGKILLed (workers ignore SIGINT/SIGTERM, so only an
-  unignorable signal reliably ends a deadlocked kernel call) and the
-  attempt enters the normal retry path.
+  unignorable signal reliably ends a deadlocked kernel call) and lost
+  like a worker that died: its attempt enters the retry path and the
+  rest of its chunk goes back on the queue.
 * **graceful drain** — SIGINT/SIGTERM stops feeding new cells, waits
   for in-flight cells to finish and record their completion in the
   store, then raises ``KeyboardInterrupt`` — the store is left
@@ -53,6 +59,7 @@ killed after a reply never leaves half of it in the pipe.
 from __future__ import annotations
 
 import heapq
+import itertools
 import signal
 import threading
 import time
@@ -61,55 +68,65 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
-                    Optional, Tuple)
+                    Optional, Tuple, Union)
 
 from ..store.retry import backoff_delay_s
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .engine import CampaignCellResult, CampaignEngine
-    from .spec import GridCell
+    from .spec import CampaignSpec, GridCell
 
 #: Main-loop wake-up period; bounds timeout detection latency.
 POLL_INTERVAL_S = 0.05
 
+#: Base of the exponential retry backoff: the wait after failed attempt
+#: ``n`` is about ``RETRY_BACKOFF_S * 2**(n-1)`` seconds.
+RETRY_BACKOFF_S = 0.5
 
-@dataclass
-class SupervisorPolicy:
-    """Fault-tolerance knobs of one supervised run, read from the
-    campaign spec (:meth:`from_spec`)."""
 
-    workers: int = 2
-    #: Retries *after* the first attempt; a cell gets
-    #: ``max_retries + 1`` attempts before it is quarantined as failed.
-    max_retries: int = 2
-    #: Wall-clock bound of one attempt; ``None`` disables the timeout.
-    cell_timeout_s: Optional[float] = None
-    #: Base of the exponential retry backoff (attempt ``n`` waits
-    #: ``retry_backoff_s * 2**(n-1)``, jittered deterministically).
-    retry_backoff_s: float = 0.5
-    #: Jitter / backoff determinism seed (the spec seed by default).
-    seed: int = 0
+def retry_delay_s(seed: int, cell_index: int, attempt: int) -> float:
+    """The wait before retrying ``cell_index`` after failed ``attempt``:
+    the one backoff formula (:func:`repro.store.retry.backoff_delay_s`),
+    jittered by the spec seed and the cell, so it repeats run to run."""
+    return backoff_delay_s(RETRY_BACKOFF_S, attempt,
+                           token=f"{seed}:{cell_index}")
 
-    @classmethod
-    def from_spec(cls, spec: Any) -> "SupervisorPolicy":
-        return cls(
-            workers=spec.workers,
-            max_retries=spec.max_retries,
-            cell_timeout_s=spec.cell_timeout_s,
-            retry_backoff_s=spec.retry_backoff_s,
-            seed=spec.seed,
-        )
 
-    def backoff_s(self, cell_index: int, attempt: int) -> float:
-        """Deterministic jittered exponential backoff after ``attempt``.
+class _Failures:
+    """The retry ledger of one run: the failed attempts of each cell."""
 
-        Delegates to the repository's one backoff formula
-        (:func:`repro.store.retry.backoff_delay_s`) — the token encodes
-        the spec seed and the cell, so the schedule is reproducible
-        run-to-run and bit-identical to the pre-refactor values.
-        """
-        return backoff_delay_s(self.retry_backoff_s, attempt,
-                               token=f"{self.seed}:{cell_index}")
+    def __init__(self, spec: "CampaignSpec"):
+        self.spec = spec
+        self._log: Dict[int, List[str]] = {}
+
+    def record(self, cell: "GridCell", attempt: int,
+               message: str) -> Optional["CampaignCellResult"]:
+        """Log one failed attempt.  ``None`` while the cell has retries
+        left (retry it after :func:`retry_delay_s`); after its
+        ``spec.max_retries + 1``-th attempt, its quarantine row — never
+        recorded to the store, so a resuming run retries the cell."""
+        log = self._log.setdefault(cell.index, [])
+        log.append(f"attempt {attempt}: {message}")
+        if attempt <= self.spec.max_retries:
+            return None
+        from .engine import CampaignCellResult
+
+        return CampaignCellResult.failed(cell, error=" | ".join(log),
+                                         attempts=attempt)
+
+
+def _attempt(engine: "CampaignEngine", cell: "GridCell",
+             attempt: int) -> Union["CampaignCellResult", str]:
+    """Run one attempt of ``cell``: one ``engine.run_cell`` call, stamped
+    with ``attempt`` and recorded in the store.  The result, or the
+    error message of whatever the attempt raised."""
+    try:
+        result = engine.run_cell(cell)
+        result.attempts = attempt
+        engine.record_cell_result(cell, result)
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+    return result
 
 
 @dataclass
@@ -144,8 +161,8 @@ def _worker_main(engine: "CampaignEngine",
     its ``run`` set up (store, artifact directory, trace-archive
     owners).  Protocol: the parent sends ``("cell", index, attempt)``
     messages and finally ``("bye",)``; the worker answers each cell with
-    ``("done", index, attempt, CampaignCellResult)`` or ``("error",
-    index, attempt, message)``.  Completion records are written by the
+    ``("result", index, attempt, outcome)``, ``outcome`` being what
+    :func:`_attempt` returns.  Completion records are written by the
     worker itself (store writes are atomic and content-addressed, so a
     concurrent duplicate write is byte-identical), which keeps every
     finished cell resumable even if the parent dies right after.
@@ -160,15 +177,8 @@ def _worker_main(engine: "CampaignEngine",
         _, index, attempt = message
         if before_attempt is not None:
             before_attempt(engine, index, attempt)
-        try:
-            cell_result = engine.run_cell(grid[index])
-            cell_result.attempts = attempt
-            engine.record_cell_result(grid[index], cell_result)
-        except Exception as error:
-            result_conn.send(("error", index, attempt,
-                              f"{type(error).__name__}: {error}"))
-        else:
-            result_conn.send(("done", index, attempt, cell_result))
+        result_conn.send(("result", index, attempt,
+                          _attempt(engine, grid[index], attempt)))
     result_conn.send(("bye",))
 
 
@@ -179,23 +189,23 @@ class CampaignSupervisor:
     cell — successes and explicit ``failed`` quarantine rows alike.
     ``clock`` is read for attempt starts, timeouts and retry due times;
     ``before_attempt(engine, cell_index, attempt)`` runs in the worker
-    before each cell.
+    before each cell.  One supervisor runs once.
     """
 
     def __init__(self, engine: "CampaignEngine", *,
                  clock: Callable[[], float] = time.monotonic,
                  before_attempt: Optional[Callable[..., None]] = None):
         self.engine = engine
-        self.policy = SupervisorPolicy.from_spec(engine.spec)
+        #: The spec is the run's policy (workers, retries, timeout).
+        self.policy = engine.spec
         self.clock = clock
         self.before_attempt = before_attempt
         self._grid = {cell.index: cell for cell in engine.spec.grid()}
         # Workers are forks of the parent: they inherit the engine.
         self._mp = get_context("fork")
-        # Run state (reset per run()).
         self._results: Dict[int, "CampaignCellResult"] = {}
         self._attempts: Dict[int, int] = {}
-        self._failures: Dict[int, List[str]] = {}
+        self._failures = _Failures(engine.spec)
         self._chunk_queue: Deque[List[int]] = deque()
         self._retry_heap: List[Tuple[float, int]] = []
         self._workers: List[_Worker] = []
@@ -259,27 +269,20 @@ class CampaignSupervisor:
     def _handle_failure(self, index: int, attempt: int,
                         message: str) -> None:
         """Route one failed attempt: retry with backoff, or quarantine."""
-        self._failures.setdefault(index, []).append(
-            f"attempt {attempt}: {message}")
-        if attempt >= self.policy.max_retries + 1:
-            from .engine import CampaignCellResult
-
-            # Not recorded to the store: the saved result carries the
-            # explicit failed row, and a resuming run retries the cell.
-            self._results[index] = CampaignCellResult.failed(
-                self._grid[index], error=" | ".join(self._failures[index]),
-                attempts=attempt,
-            )
+        failed = self._failures.record(self._grid[index], attempt, message)
+        if failed is not None:
+            self._results[index] = failed
         elif not self._draining:
-            due = self.clock() + self.policy.backoff_s(index, attempt)
+            due = self.clock() + retry_delay_s(self.policy.seed, index,
+                                               attempt)
             heapq.heappush(self._retry_heap, (due, index))
         # While draining, a non-final failure is simply left unrecorded:
         # the cell stays pending for the resuming run.
 
-    def _dispatch(self, worker: _Worker) -> bool:
-        """Feed one cell to an idle worker. True if something was sent."""
+    def _dispatch(self, worker: _Worker) -> None:
+        """Feed one cell to an idle worker, if one is due."""
         if self._draining or worker.current is not None:
-            return False
+            return
         index: Optional[int] = None
         if worker.chunk:
             index = worker.chunk.popleft()
@@ -289,7 +292,7 @@ class CampaignSupervisor:
             worker.chunk = deque(self._chunk_queue.popleft())
             index = worker.chunk.popleft()
         if index is None:
-            return False
+            return
         attempt = self._attempts.get(index, 0) + 1
         self._attempts[index] = attempt
         # Timestamped before the send, so whatever the worker does for
@@ -297,7 +300,6 @@ class CampaignSupervisor:
         worker.started_at = self.clock()
         worker.task_conn.send(("cell", index, attempt))
         worker.current = (index, attempt)
-        return True
 
     def _drain_messages(self, worker: _Worker) -> None:
         """Process every message currently readable from one worker."""
@@ -308,55 +310,50 @@ class CampaignSupervisor:
                 message = worker.result_conn.recv()
             except (EOFError, OSError):
                 return
-            kind = message[0]
-            if kind == "done":
-                _, index, attempt, cell_result = message
-                self._results[index] = cell_result
-                if worker.current == (index, attempt):
-                    worker.current = None
-            elif kind == "error":
-                _, index, attempt, error_message = message
-                if worker.current == (index, attempt):
-                    worker.current = None
-                self._handle_failure(index, attempt, error_message)
-            elif kind == "bye":
+            if message[0] == "bye":
                 return
+            _, index, attempt, outcome = message
+            if worker.current == (index, attempt):
+                worker.current = None
+            if isinstance(outcome, str):
+                self._handle_failure(index, attempt, outcome)
+            else:
+                self._results[index] = outcome
 
-    def _handle_worker_death(self, worker: _Worker) -> None:
-        """A worker process exited: salvage its pipe, fail its cell."""
-        self._drain_messages(worker)
-        exitcode = worker.process.exitcode
+    def _lose_worker(self, worker: _Worker, message: str,
+                     kill: bool = False) -> None:
+        """A worker is gone — it died, or is killed (``kill``) for a
+        timeout: its attempt in flight fails with ``message`` and the
+        rest of its chunk goes back on the queue."""
         current = worker.current
         remaining = list(worker.chunk)
-        self._dismiss_worker(worker)
+        self._dismiss_worker(worker, kill=kill)
         if current is not None:
-            index, attempt = current
-            self._handle_failure(
-                index, attempt,
-                f"worker process died (exit code {exitcode})")
+            self._handle_failure(*current, message)
         if remaining and not self._draining:
             self._chunk_queue.appendleft(remaining)
 
-    def _check_timeouts(self) -> None:
+    def _check_workers(self) -> None:
+        """Lose every worker that exited (after salvaging its pipe) and,
+        with a ``cell_timeout_s``, every worker whose attempt ran out of
+        time."""
+        for worker in list(self._workers):
+            if not worker.process.is_alive():
+                self._drain_messages(worker)
+                self._lose_worker(worker, f"worker process died (exit code "
+                                          f"{worker.process.exitcode})")
         timeout = self.policy.cell_timeout_s
         if timeout is None:
             return
         now = self.clock()
         for worker in list(self._workers):
-            if worker.current is None:
-                continue
-            if now - worker.started_at < timeout:
-                continue
-            index, attempt = worker.current
-            remaining = list(worker.chunk)
-            # SIGKILL: the worker ignores SIGINT/SIGTERM by design, and
-            # a hung native call would not honour them anyway.
-            self._dismiss_worker(worker, kill=True)
-            self._handle_failure(
-                index, attempt,
-                f"cell attempt exceeded cell_timeout_s={timeout}")
-            if remaining and not self._draining:
-                self._chunk_queue.appendleft(remaining)
+            if worker.current is not None \
+                    and now - worker.started_at >= timeout:
+                # SIGKILL: the worker ignores SIGINT/SIGTERM by design,
+                # and a hung native call would not honour them anyway.
+                self._lose_worker(
+                    worker, f"cell attempt exceeded cell_timeout_s={timeout}",
+                    kill=True)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -375,14 +372,7 @@ class CampaignSupervisor:
         chunks: Dict[Tuple[int, str], List[int]] = {}
         for cell in cells:
             chunks.setdefault(cell.acquisition_key, []).append(cell.index)
-        self._results = {}
-        self._attempts = {}
-        self._failures = {}
-        self._chunk_queue = deque(chunks.values())
-        self._retry_heap = []
-        self._workers = []
-        self._draining = False
-        self._drain_reason = ""
+        self._chunk_queue.extend(chunks.values())
         target = {cell.index for cell in cells}
 
         previous_handlers: Dict[int, Any] = {}
@@ -418,10 +408,7 @@ class CampaignSupervisor:
                 connection_wait(waitables, timeout=POLL_INTERVAL_S)
                 for worker in list(self._workers):
                     self._drain_messages(worker)
-                for worker in list(self._workers):
-                    if not worker.process.is_alive():
-                        self._handle_worker_death(worker)
-                self._check_timeouts()
+                self._check_workers()
                 # Workers died with work left: fork a replacement only
                 # while a queued chunk or retry has no idle worker to
                 # take it (a busy worker's own chunk needs no second).
@@ -455,35 +442,22 @@ def run_cells_serial(engine: "CampaignEngine", cells: List["GridCell"]
     """The supervisor's retry/quarantine semantics, in-process.
 
     Single-worker runs share the exact failure contract of supervised
-    ones — bounded retries with backoff, then an explicit ``failed`` row
-    — minus what needs a separate process (crash containment, timeout
-    kills).  ``KeyboardInterrupt`` propagates: every previously finished
-    cell is already recorded, so the run is resumable.
+    ones — the same :func:`_attempt`, the same ledger, bounded retries
+    with backoff, then an explicit ``failed`` row — minus what needs a
+    separate process (crash containment, timeout kills).
+    ``KeyboardInterrupt`` propagates: every previously finished cell is
+    already recorded, so the run is resumable.
     """
-    from .engine import CampaignCellResult
-
-    policy = SupervisorPolicy.from_spec(engine.spec)
-    results: Dict[int, CampaignCellResult] = {}
+    failures = _Failures(engine.spec)
+    results: Dict[int, "CampaignCellResult"] = {}
     for cell in cells:
-        failures: List[str] = []
-        for attempt in range(1, policy.max_retries + 2):
-            try:
-                cell_result = engine.run_cell(cell)
-            except Exception as error:
-                failures.append(
-                    f"attempt {attempt}: {type(error).__name__}: {error}")
-                if attempt <= policy.max_retries:
-                    backoff = policy.backoff_s(cell.index, attempt)
-                    if backoff > 0:
-                        time.sleep(backoff)
-                continue
-            cell_result.attempts = attempt
-            engine.record_cell_result(cell, cell_result)
-            results[cell.index] = cell_result
-            break
-        else:
-            results[cell.index] = CampaignCellResult.failed(
-                cell, error=" | ".join(failures),
-                attempts=policy.max_retries + 1,
-            )
+        for attempt in itertools.count(1):
+            outcome = _attempt(engine, cell, attempt)
+            if not isinstance(outcome, str):
+                break
+            outcome = failures.record(cell, attempt, outcome)
+            if outcome is not None:
+                break
+            time.sleep(retry_delay_s(engine.spec.seed, cell.index, attempt))
+        results[cell.index] = outcome
     return results

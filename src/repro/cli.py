@@ -17,7 +17,8 @@ Sub-commands:
   (warm reruns resume with only the missing cells) and ``--shard I/N``
   runs one deterministic partition of the grid; ``campaign merge``
   fuses shard result directories back into one full-grid summary;
-  ``campaign report`` pretty-prints a stored summary.
+  ``campaign report`` prints a stored summary (a file or a shard
+  directory) as ``campaign run`` printed it, quarantined cells named.
 * ``store``      — artifact-store maintenance: ``store fsck`` verifies
   every stored payload against its recorded SHA-256 digest (and with
   ``--repair`` quarantines what fails), ``store gc`` sweeps orphan
@@ -165,8 +166,10 @@ def _parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
-def _run_and_report(args: argparse.Namespace, engine: Any):
-    """Run ``engine`` (its ``--shard`` only) and print the summary."""
+def _run_and_report(args: argparse.Namespace, engine: Any) -> int:
+    """Run ``engine`` (its ``--shard`` only) and print the summary; exit
+    status 1 for a degraded run (a quarantined cell), so scripts
+    notice."""
     result = engine.run(artifact_dir=args.out, shard=args.shard)
     print(result.report())
     shard_note = (f" (shard {args.shard[0]}/{args.shard[1]} of "
@@ -178,7 +181,7 @@ def _run_and_report(args: argparse.Namespace, engine: Any):
     if args.store is not None:
         print(f"artifact store: {args.store} ({result.resumed} cell(s) "
               f"resumed)")
-    return result
+    return 1 if result.failed_cells() else 0
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -212,9 +215,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         engine = CampaignEngine(spec, store=args.store)
     except ValueError as error:
         return _fail(error)
-    result = _run_and_report(args, engine)
-    # A degraded (quarantined-cell) run exits non-zero so scripts notice.
-    return 1 if result.failed_cells() else 0
+    return _run_and_report(args, engine)
 
 
 def _existing_store(path: str):
@@ -227,6 +228,15 @@ def _existing_store(path: str):
     return ArtifactStore(path)
 
 
+def _store_busy(error: object) -> int:
+    """Report a store whose writers kept the exclusive lock; exit
+    status 3."""
+    print(f"store busy: {error}", file=sys.stderr)
+    print("(writers hold the store lock; retry with a longer --wait)",
+          file=sys.stderr)
+    return 3
+
+
 def cmd_store_fsck(args: argparse.Namespace) -> int:
     from .store import LockTimeout
 
@@ -237,10 +247,7 @@ def cmd_store_fsck(args: argparse.Namespace) -> int:
     try:
         report = store.fsck(repair=args.repair, wait_s=args.wait)
     except LockTimeout as error:
-        print(f"store busy: {error}", file=sys.stderr)
-        print("(writers hold the store lock; retry with a longer --wait)",
-              file=sys.stderr)
-        return 3
+        return _store_busy(error)
     print(report.summary())
     if args.repair and not report.clean():
         moved = (f"; corrupt objects moved to {store.quarantine_dir}"
@@ -260,15 +267,17 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
         removed = store.gc(purge_quarantine=args.purge_quarantine,
                            wait_s=args.wait)
     except LockTimeout as error:
-        print(f"store busy: {error}", file=sys.stderr)
-        print("(writers hold the store lock; retry with a longer --wait)",
-              file=sys.stderr)
-        return 3
+        return _store_busy(error)
     print(f"removed {removed['orphan_objects']} orphan object(s), "
           f"{removed['stray_tmp']} stray temp file(s), "
           f"{removed['quarantined']} quarantined object(s); "
           f"{len(store)} artifact(s) remain")
     return 0
+
+
+def _is_summary(payload: Any) -> bool:
+    return isinstance(payload, dict) and "spec" in payload \
+        and "cells" in payload
 
 
 def _load_campaign_payload(path: Path) -> dict:
@@ -280,8 +289,7 @@ def _load_campaign_payload(path: Path) -> dict:
                 payload = json.loads(json_path.read_text())
             except json.JSONDecodeError:
                 continue
-            if isinstance(payload, dict) and "spec" in payload \
-                    and "cells" in payload:
+            if _is_summary(payload):
                 candidates.append((json_path, payload))
         if not candidates:
             raise FileNotFoundError(
@@ -294,7 +302,10 @@ def _load_campaign_payload(path: Path) -> dict:
                 "file you mean directly"
             )
         return candidates[0][1]
-    return json.loads(path.read_text())
+    payload = json.loads(path.read_text())
+    if not _is_summary(payload):
+        raise ValueError(f"{path} is not a campaign summary JSON")
+    return payload
 
 
 def cmd_campaign_merge(args: argparse.Namespace) -> int:
@@ -316,22 +327,19 @@ def cmd_campaign_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .campaigns import format_campaign_rows
+    """Print a stored summary as ``campaign run`` printed it; exit 1 when
+    it holds a quarantined cell or no rows."""
+    from .campaigns import CampaignResult
 
     try:
-        payload = json.loads(Path(args.results).read_text())
-    except (OSError, ValueError) as error:
+        result = CampaignResult.from_dict(
+            _load_campaign_payload(Path(args.results)))
+    except (OSError, ValueError, KeyError) as error:
         return _fail(error)
-    rows = [row for cell in payload.get("cells", []) for row in cell["rows"]]
-    if not rows:
-        print("no campaign rows in", args.results)
-        return 1
-    print(f"campaign {payload['spec']['name']!r} "
-          f"({len(payload['cells'])} cells, {payload['elapsed_s']:.2f} s)")
-    print(format_campaign_rows(rows))
-    return 0
+    print(f"campaign {result.spec.name!r} "
+          f"({len(result.cells)} cells, {result.elapsed_s:.2f} s)")
+    print(result.report())
+    return 1 if result.failed_cells() or not result.rows() else 0
 
 
 def _attack_spec(args: argparse.Namespace, **execution: Any):
@@ -368,8 +376,7 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
         engine = CampaignEngine(spec, store=args.store)
     except ValueError as error:
         return _fail(error)
-    result = _run_and_report(args, engine)
-    return 1 if result.failed_cells() else 0
+    return _run_and_report(args, engine)
 
 
 def cmd_attack_recover(args: argparse.Namespace) -> int:
@@ -385,7 +392,8 @@ def cmd_attack_recover(args: argparse.Namespace) -> int:
         engine = CampaignEngine(spec, store=args.store)
     except ValueError as error:
         return _fail(error)
-    cell = next(cell for cell in spec.grid() if cell.is_fault)
+    cell = next(cell for cell in spec.grid()
+                if cell.artifact == "fault_sweep")
     data = engine.fault_sweep_data(cell)
     grid = data.grid
     print(f"glitch grid: {len(grid.periods_ps)} period(s) x "
@@ -427,6 +435,20 @@ def cmd_attack_recover(args: argparse.Namespace) -> int:
               f"all match: {infected.matches(expected)}")
 
     return 0 if dfa.num_recovered >= 1 and dfa.matches(expected) else 1
+
+
+def _add_execution_options(parser: argparse.ArgumentParser) -> None:
+    """The supervised-execution flags of the commands that run cells."""
+    parser.add_argument("--workers", type=int, default=None,
+                        help="supervised worker processes for independent "
+                             "grid cells")
+    parser.add_argument("--retries", type=int, default=None,
+                        help="retries per failing cell before it is "
+                             "quarantined as a failed row (default 2)")
+    parser.add_argument("--cell-timeout", type=float, default=None,
+                        dest="cell_timeout", metavar="S",
+                        help="per-cell attempt timeout in seconds "
+                             "(multi-worker runs; default: no timeout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,16 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="EM stimulus diversity: 1 fixed plaintext "
                             "(paper), N sweeps N-1 extra random plaintexts "
                             "through the batched stimulus kernel")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="supervised worker processes for independent "
-                            "grid cells")
-    p_run.add_argument("--retries", type=int, default=None,
-                       help="retries per failing cell before it is "
-                            "quarantined as a failed row (default 2)")
-    p_run.add_argument("--cell-timeout", type=float, default=None,
-                       dest="cell_timeout", metavar="S",
-                       help="per-cell attempt timeout in seconds "
-                            "(multi-worker runs; default: no timeout)")
+    _add_execution_options(p_run)
     p_run.add_argument("--out", default=None,
                        help="directory for the JSON/CSV summary and artifacts")
     p_run.add_argument("--save-traces", action="store_true",
@@ -530,7 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = campaign_sub.add_parser(
         "report", help="pretty-print a stored campaign summary"
     )
-    p_report.add_argument("results", help="campaign summary JSON file")
+    p_report.add_argument("results",
+                          help="campaign summary JSON file (or the --out "
+                               "directory holding it)")
     p_report.set_defaults(func=cmd_campaign_report)
 
     p_merge = campaign_sub.add_parser(
@@ -611,16 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a glitch-grid fault sweep over the die population"
     )
     _add_attack_spec_options(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="supervised worker processes for independent "
-                              "grid cells")
-    p_sweep.add_argument("--retries", type=int, default=None,
-                         help="retries per failing cell before it is "
-                              "quarantined as a failed row (default 2)")
-    p_sweep.add_argument("--cell-timeout", type=float, default=None,
-                         dest="cell_timeout", metavar="S",
-                         help="per-cell attempt timeout in seconds "
-                              "(multi-worker runs; default: no timeout)")
+    _add_execution_options(p_sweep)
     p_sweep.add_argument("--out", default=None,
                          help="directory for the JSON/CSV summary")
     p_sweep.add_argument("--shard", type=_parse_shard, default=None,

@@ -64,12 +64,11 @@ def golden_signature(golden: Any) -> Dict[str, Any]:
 
 #: Spec fields that change how a campaign *executes* but not what its
 #: rows contain; they are excluded from content keys.  The supervisor's
-#: fault-tolerance knobs (retries, timeout, backoff) belong here: a
-#: campaign rerun with a longer timeout must hit the artifacts the
-#: impatient run already computed.
+#: fault-tolerance knobs (retries, timeout) belong here: a campaign
+#: rerun with a longer timeout must hit the artifacts the impatient run
+#: already computed.
 EXECUTION_ONLY_SPEC_FIELDS = ("name", "workers", "save_traces",
-                              "max_retries", "cell_timeout_s",
-                              "retry_backoff_s")
+                              "max_retries", "cell_timeout_s")
 
 
 def spec_content_fragment(spec_payload: Mapping[str, Any]) -> Dict[str, Any]:

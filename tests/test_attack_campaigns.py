@@ -14,7 +14,7 @@ from repro.campaigns import (
     AcquisitionVariant,
     CampaignEngine,
     CampaignSpec,
-    KNOWN_FAULT_METRICS,
+    METRIC_ARTIFACTS,
 )
 from repro.cli import build_parser, main
 from repro.crypto.keyschedule import last_round_key
@@ -104,11 +104,11 @@ def fault_campaign(golden_design):
 
 
 def test_fault_metric_is_registered():
-    assert "fault_coverage" in KNOWN_FAULT_METRICS
+    assert METRIC_ARTIFACTS["fault_coverage"] == "fault_sweep"
     spec = _fault_spec()
     cells = spec.grid()
     assert len(cells) == 1
-    assert cells[0].is_fault and not cells[0].is_delay
+    assert cells[0].artifact == "fault_sweep"
 
 
 def test_fault_cell_produces_rows(fault_campaign):
@@ -122,7 +122,7 @@ def test_fault_cell_produces_rows(fault_campaign):
 
 def test_fault_sweep_data_shapes_and_coverage(fault_campaign):
     spec, engine, _result = fault_campaign
-    cell = next(cell for cell in spec.grid() if cell.is_fault)
+    cell = next(cell for cell in spec.grid() if cell.artifact == "fault_sweep")
     data = engine.fault_sweep_data(cell)
     num_stimuli = spec.num_plaintexts
     assert data.correct.shape == (num_stimuli, 16)
@@ -148,7 +148,7 @@ def test_fault_cells_are_deterministic(golden_design):
 def test_fault_sweep_store_roundtrip(golden_design, tmp_path):
     store = tmp_path / "store"
     spec = _fault_spec()
-    cell = next(c for c in spec.grid() if c.is_fault)
+    cell = next(c for c in spec.grid() if c.artifact == "fault_sweep")
     cold = CampaignEngine(spec, golden=golden_design, store=store)
     cold_data = cold.fault_sweep_data(cell)
     warm = CampaignEngine(_fault_spec(), golden=golden_design, store=store)
@@ -173,7 +173,7 @@ def test_attack_shards_cover_the_grid(golden_design):
 
 def test_recover_from_engine_sweep(fault_campaign):
     spec, engine, _result = fault_campaign
-    cell = next(c for c in spec.grid() if c.is_fault)
+    cell = next(c for c in spec.grid() if c.artifact == "fault_sweep")
     data = engine.fault_sweep_data(cell)
     dfa = recover_from_sweep(data.correct, data.golden_faulted)
     expected = last_round_key(spec.key)

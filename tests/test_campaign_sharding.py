@@ -14,9 +14,17 @@ from repro.campaigns import (
     CampaignSpec,
     merge_campaign_results,
 )
+from repro.campaigns import supervisor
 from repro.cli import main
 
 from chaos import FaultInjection, FaultKind, FaultPlan, supervise
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """A near-zero retry backoff, so retries don't dominate the test
+    wall-clock."""
+    monkeypatch.setattr(supervisor, "RETRY_BACKOFF_S", 0.01)
 
 
 def _grid_spec(num_trojans, num_die_counts, num_variants, metrics):
@@ -204,7 +212,7 @@ def test_interrupted_run_resumes_from_the_store(tmp_path, monkeypatch):
     starts."""
     spec = CampaignSpec(name="resume", trojans=("HT1",), die_counts=(2, 3),
                         metrics=("local_maxima_sum", "l1"), seed=7,
-                        workers=2, max_retries=1, retry_backoff_s=0.01)
+                        workers=2, max_retries=1)
     baseline = [row.to_dict() for row in CampaignEngine(spec).run().rows()]
 
     store_root = tmp_path / "store"

@@ -96,8 +96,6 @@ def test_apply_em_overrides_rejects_unknown_paths():
 def test_build_metric_registry():
     assert isinstance(build_metric("local_maxima_sum"), LocalMaximaSumMetric)
     assert isinstance(build_metric("l1"), L1TraceMetric)
-    with pytest.raises(KeyError):
-        build_metric("nope")
 
 
 # -- engine --------------------------------------------------------------------
@@ -519,23 +517,28 @@ def test_delay_spec_round_trips(tmp_path):
     assert loaded.num_pk_pairs == 5
     assert loaded.delay_repetitions == 4
     assert loaded.metrics == ("delay_max_difference",)
-    assert loaded.grid()[0].is_delay
+    assert loaded.grid()[0].artifact == "delay_differences"
 
 
-def test_legacy_kernel_backend_field_is_accepted_and_dropped():
+@pytest.mark.parametrize("field, values", [
+    ("kernel_backend", ("bitslice", "numpy", "vulkan")),
+    ("retry_backoff_s", (0.5, 0.01, 0.0, -1.0)),
+], ids=["kernel_backend", "retry_backoff_s"])
+def test_legacy_kernel_backend_field_is_accepted_and_dropped(field, values):
     """Specs saved while the netlist kernel had a selectable backend
-    carry ``kernel_backend``; any value loads, is dropped from
-    ``to_dict``, and leaves the store content fragment unchanged."""
+    carry ``kernel_backend``, and specs saved while the retry backoff
+    base was a spec field carry ``retry_backoff_s``; any value loads, is
+    dropped from ``to_dict``, and leaves the store content fragment
+    unchanged."""
     from repro.store import spec_content_fragment
 
     spec = CampaignSpec(name="legacy", trojans=("HT1",), die_counts=(2,),
                         metrics=("local_maxima_sum",
                                  "delay_max_difference"),
                         seed=11, num_pk_pairs=2, delay_repetitions=2)
-    for value in ("bitslice", "numpy", "vulkan"):
-        legacy = CampaignSpec.from_dict(
-            {**spec.to_dict(), "kernel_backend": value})
-        assert "kernel_backend" not in legacy.to_dict()
+    for value in values:
+        legacy = CampaignSpec.from_dict({**spec.to_dict(), field: value})
+        assert field not in legacy.to_dict()
         assert legacy.to_dict() == spec.to_dict()
         assert spec_content_fragment(legacy.to_dict()) == \
             spec_content_fragment(spec.to_dict())
@@ -570,14 +573,28 @@ def test_delay_metrics_not_crossed_with_em_variants():
     )
     cells = spec.grid()
     assert spec.num_cells() == len(cells) == 6  # 2 dies x (2 EM + 1 delay)
-    delay_cells = [cell for cell in cells if cell.is_delay]
+    delay_cells = [cell for cell in cells
+                   if cell.artifact == "delay_differences"]
     assert [cell.variant.name for cell in delay_cells] == ["paper", "paper"]
     assert sorted(cell.num_dies for cell in delay_cells) == [2, 3]
     assert [cell.index for cell in cells] == list(range(6))
 
 
-def test_build_delay_scorer_rejects_unknown_names():
-    from repro.campaigns.engine import build_delay_batch_scorer
+def test_every_metric_has_one_scorer_of_its_artifact_kind():
+    """The spec's metric table and the engine's scorers name the same
+    metrics per artifact kind, so a metric added in one place only
+    fails here instead of being scored as another kind."""
+    from repro.campaigns.engine import (
+        DELAY_METRIC_BATCH_SCORERS,
+        METRIC_FACTORIES,
+    )
+    from repro.campaigns.spec import METRIC_ARTIFACTS
 
-    with pytest.raises(KeyError, match="delay_max_difference"):
-        build_delay_batch_scorer("nope")
+    by_kind: dict = {}
+    for metric, kind in METRIC_ARTIFACTS.items():
+        by_kind.setdefault(kind, set()).add(metric)
+    assert by_kind == {
+        "population_traces": set(METRIC_FACTORIES),
+        "delay_differences": set(DELAY_METRIC_BATCH_SCORERS),
+        "fault_sweep": {"fault_coverage"},
+    }

@@ -48,7 +48,6 @@ def _assert_well_typed(spec: CampaignSpec) -> None:
     assert all(type(name) is str for name in spec.trojans + spec.metrics)
     assert type(spec.save_traces) is bool
     assert spec.cell_timeout_s is None or spec.cell_timeout_s > 0
-    assert spec.retry_backoff_s >= 0
     round_tripped = CampaignSpec.from_dict(
         json.loads(json.dumps(spec.to_dict())))
     assert round_tripped == spec

@@ -176,14 +176,18 @@ _EM_CELL = ["campaign", "run", "--trojan", "HT1", "--dies", "2",
     (["attack", "recover", "--dies", "0"], "die_counts"),
     (["attack", "sweep", "--dies", "1"], "die_counts"),
     (["campaign", "report", "MISSING"], "missing.json"),
+    (["campaign", "report", "LIST"], "not a campaign summary"),
 ], ids=["plaintexts", "pk-pairs", "retries", "cell-timeout", "dies",
         "trojan", "repeated-trojan", "repeated-dies", "repeated-metric",
-        "recover-trojan", "recover-dies", "sweep-dies", "report-missing"])
+        "recover-trojan", "recover-dies", "sweep-dies", "report-missing",
+        "report-not-a-summary"])
 def test_cli_spec_and_input_errors_exit_2_on_one_line(argv, message, capsys,
                                                        tmp_path):
     """Bad flags are rejected before any cell runs: one ``error:`` line
     on stderr, nothing on stdout, exit status 2."""
-    argv = [str(tmp_path / "missing.json") if arg == "MISSING" else arg
+    (tmp_path / "list.json").write_text("[]")
+    files = {"MISSING": "missing.json", "LIST": "list.json"}
+    argv = [str(tmp_path / files[arg]) if arg in files else arg
             for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -191,6 +195,66 @@ def test_cli_spec_and_input_errors_exit_2_on_one_line(argv, message, capsys,
     lines = captured.err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("error: ") and message in lines[0]
+
+
+def _saved_summary(directory, *, failed=False, shard=None):
+    """A two-cell campaign summary saved under ``directory`` (cell 1 a
+    quarantined failed cell when ``failed``) and its result."""
+    from repro.campaigns import (
+        CampaignCellResult,
+        CampaignResult,
+        CampaignRow,
+        CampaignSpec,
+    )
+
+    spec = CampaignSpec(name="report", trojans=("HT1",), die_counts=(2,),
+                        metrics=("l1", "local_maxima_sum"))
+    cells = []
+    for cell in spec.grid():
+        if failed and cell.index == 1:
+            cells.append(CampaignCellResult.failed(
+                cell, error="attempt 1: RuntimeError: boom", attempts=1))
+            continue
+        row = CampaignRow(cell_index=cell.index, num_dies=2,
+                          variant="paper", metric=cell.metric,
+                          trojan="HT1", area_fraction=0.005, mu=19.0,
+                          sigma=5.5, false_negative_rate=0.045,
+                          detection_probability=0.955)
+        cells.append(CampaignCellResult(
+            index=cell.index, num_dies=2, variant="paper",
+            metric=cell.metric, rows=[row], golden_score_mean=100.0,
+            golden_score_std=4.0, elapsed_s=0.25))
+    result = CampaignResult(spec=spec, cells=cells, elapsed_s=1.5,
+                            shard=shard)
+    return result.save(directory), result
+
+
+def test_campaign_report_prints_what_campaign_run_printed(tmp_path, capsys):
+    path, result = _saved_summary(tmp_path / "out")
+    assert main(["campaign", "report", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "campaign 'report' (2 cells, 1.50 s)\n" + result.report() + "\n")
+
+
+def test_campaign_report_names_a_quarantined_cell_and_exits_1(tmp_path,
+                                                              capsys):
+    path, result = _saved_summary(tmp_path / "out", failed=True)
+    assert main(["campaign", "report", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == ("campaign 'report' (2 cells, 1.50 s)\n" + result.report()
+                   + "\n")
+    assert "cell 1 FAILED after 1 attempt(s): attempt 1: RuntimeError: " \
+        "boom" in out
+    assert "l1" in out and "local_maxima_sum" not in out
+
+
+def test_campaign_report_reads_a_shard_directory(tmp_path, capsys):
+    path, result = _saved_summary(tmp_path / "shard0", shard=(0, 1))
+    assert main(["campaign", "report", str(path.parent)]) == 0
+    from_directory = capsys.readouterr().out
+    assert main(["campaign", "report", str(path)]) == 0
+    assert from_directory == capsys.readouterr().out
+    assert result.report() in from_directory
 
 
 def test_cli_trojans_command(capsys):

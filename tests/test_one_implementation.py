@@ -183,6 +183,23 @@ ORACLE_ONLY_NAMES = {
     "_worker_payload",
     "_maybe_save_traces",
     "_archive_resumed_cells",
+    # A cell's kind is its metric's ``METRIC_ARTIFACTS`` entry, it runs
+    # through the one ``CampaignEngine.run_cell``, and one retry ledger
+    # serves the serial loop and the fleet: the per-kind metric tuples
+    # and cell predicates, the per-kind cell runners, the policy copy of
+    # the spec, its backoff field and the separate worker-death path.
+    "KNOWN_EM_METRICS",
+    "KNOWN_DELAY_METRICS",
+    "KNOWN_FAULT_METRICS",
+    "is_delay",
+    "is_fault",
+    "build_delay_batch_scorer",
+    "_run_em_cell",
+    "_run_delay_cell",
+    "_run_fault_cell",
+    "SupervisorPolicy",
+    "retry_backoff_s",
+    "_handle_worker_death",
     # The scalar scoring references (``tests/oracles/scoring.py``): the
     # greedy peak finder, its per-trace sum, the pooled sigma and the
     # per-trace metric score.
@@ -694,17 +711,15 @@ def test_the_engine_and_supervisor_take_no_fault_plan():
     import inspect
 
     from repro.campaigns.engine import CampaignEngine
-    from repro.campaigns.supervisor import (
-        CampaignSupervisor,
-        SupervisorPolicy,
-    )
+    from repro.campaigns.spec import CampaignSpec
+    from repro.campaigns.supervisor import CampaignSupervisor
 
     assert list(inspect.signature(CampaignEngine.run).parameters) == \
         ["self", "artifact_dir", "shard"]
     assert "fault_plan" not in inspect.signature(
         CampaignSupervisor.__init__).parameters
     assert "poll_interval_s" not in {
-        field.name for field in dataclasses.fields(SupervisorPolicy)}
+        field.name for field in dataclasses.fields(CampaignSpec)}
 
 
 #: Definitions no command, example or probe reaches that stay on

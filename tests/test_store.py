@@ -99,7 +99,7 @@ def test_cell_result_key_ignores_execution_only_fields(tmp_path):
     spec = CampaignSpec(name="a", trojans=("HT1",), die_counts=(2,))
     renamed = CampaignSpec(name="b", trojans=("HT1",), die_counts=(2,),
                            workers=4, save_traces=True, max_retries=5,
-                           cell_timeout_s=9.0, retry_backoff_s=0.1)
+                           cell_timeout_s=9.0)
     assert cell_key(spec) == cell_key(renamed)
     reseeded = CampaignSpec(name="a", trojans=("HT1",), die_counts=(2,),
                             seed=1)
@@ -155,8 +155,8 @@ _SPEC_CHANGES = {
                                        "local_maxima_sum")},
                           (False, False, False)),
     "execution_settings": ({"workers": 2, "save_traces": True,
-                            "max_retries": 5, "cell_timeout_s": 9.0,
-                            "retry_backoff_s": 0.1}, (False, False, False)),
+                            "max_retries": 5, "cell_timeout_s": 9.0},
+                           (False, False, False)),
 }
 
 _CELL_KINDS = {"em": "local_maxima_sum", "delay": "delay_max_difference",

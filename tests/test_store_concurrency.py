@@ -30,6 +30,7 @@ from repro.campaigns import (
     CampaignSpec,
     merge_campaign_results,
 )
+from repro.campaigns import supervisor
 from repro.store import ArtifactStore, LockTimeout, RetryPolicy, stable_key
 from chaos import (
     OneShotTrigger,
@@ -41,9 +42,16 @@ from chaos import (
 #: Small but multi-chunk campaign grid: 2 die populations x 2 metrics.
 SPEC_KWARGS = dict(
     name="shared-store", trojans=("HT1",), die_counts=(2, 3),
-    metrics=("local_maxima_sum", "l1"), seed=13,
-    max_retries=1, retry_backoff_s=0.01,
+    metrics=("local_maxima_sum", "l1"), seed=13, max_retries=1,
 )
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """A near-zero retry backoff, so retries don't dominate the test
+    wall-clock."""
+    monkeypatch.setattr(supervisor, "RETRY_BACKOFF_S", 0.01)
+
 
 SHARDS = 3
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.campaigns.supervisor import SupervisorPolicy
+from repro.campaigns.supervisor import RETRY_BACKOFF_S, retry_delay_s
 from repro.store import (
     ArtifactStore,
     FileLock,
@@ -266,12 +266,12 @@ def test_a_put_takes_the_store_lock_once_then_its_key_lock(tmp_path,
 def test_backoff_formula_matches_supervisor_schedule():
     """One formula for the whole repo: the supervisor's pinned backoff
     schedule and the shared helper must agree bit-for-bit."""
-    policy = SupervisorPolicy(retry_backoff_s=0.5, seed=42)
+    assert RETRY_BACKOFF_S == 0.5
     for cell_index in (0, 3, 17):
         for attempt in (1, 2, 3, 4):
             expected = backoff_delay_s(0.5, attempt,
                                        token=f"42:{cell_index}")
-            assert policy.backoff_s(cell_index, attempt) == expected
+            assert retry_delay_s(42, cell_index, attempt) == expected
     # Determinism and exponential envelope.
     assert backoff_delay_s(0.5, 1, "t") == backoff_delay_s(0.5, 1, "t")
     assert 0.25 <= backoff_delay_s(0.5, 1, "t") <= 0.75

@@ -23,19 +23,17 @@ from repro.campaigns import (
     CampaignEngine,
     CampaignResult,
     CampaignSpec,
-    SupervisorPolicy,
     merge_campaign_results,
 )
+from repro.campaigns import supervisor
 from repro.store import ArtifactStore, spec_content_fragment
 
 from chaos import FaultInjection, FaultKind, FaultPlan, supervise
 
-#: One small two-chunk grid shared by every test in this module; retry
-#: backoff is near-zero so retries don't dominate the test wall-clock.
+#: One small two-chunk grid shared by every test in this module.
 SPEC_KWARGS = dict(
     name="supervised", trojans=("HT1",), die_counts=(2, 3),
-    metrics=("local_maxima_sum", "l1"), seed=7,
-    max_retries=2, retry_backoff_s=0.01,
+    metrics=("local_maxima_sum", "l1"), seed=7, max_retries=2,
 )
 
 #: The one-chunk grid of the hang tests: one die count, so one worker
@@ -43,6 +41,13 @@ SPEC_KWARGS = dict(
 #: hang clock jumps.
 ONE_CHUNK_KWARGS = dict(SPEC_KWARGS, name="one-chunk", die_counts=(2,),
                         workers=2, cell_timeout_s=15.0)
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """A near-zero retry backoff, so retries don't dominate the test
+    wall-clock."""
+    monkeypatch.setattr(supervisor, "RETRY_BACKOFF_S", 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -81,35 +86,21 @@ def test_spec_validates_fault_tolerance_knobs():
         CampaignSpec(trojans=("HT1",), die_counts=(2,), max_retries=-1)
     with pytest.raises(ValueError, match="cell_timeout_s"):
         CampaignSpec(trojans=("HT1",), die_counts=(2,), cell_timeout_s=0.0)
-    with pytest.raises(ValueError, match="retry_backoff_s"):
-        CampaignSpec(trojans=("HT1",), die_counts=(2,),
-                     retry_backoff_s=-0.5)
     spec = CampaignSpec(trojans=("HT1",), die_counts=(2,), max_retries=5,
-                        cell_timeout_s=30.0, retry_backoff_s=0.0)
+                        cell_timeout_s=30.0)
     round_tripped = CampaignSpec.from_dict(
         json.loads(json.dumps(spec.to_dict())))
     assert round_tripped.max_retries == 5
     assert round_tripped.cell_timeout_s == 30.0
-    assert round_tripped.retry_backoff_s == 0.0
 
 
 def test_retry_knobs_are_execution_only():
     """Tuning retries/timeouts must keep every stored artifact warm."""
     patient = CampaignSpec(**SPEC_KWARGS)
     impatient = CampaignSpec(**{**SPEC_KWARGS, "max_retries": 0,
-                                "cell_timeout_s": 1.0,
-                                "retry_backoff_s": 9.0})
+                                "cell_timeout_s": 1.0})
     assert spec_content_fragment(patient.to_dict()) == \
         spec_content_fragment(impatient.to_dict())
-
-
-def test_policy_backoff_is_deterministic_and_exponential():
-    policy = SupervisorPolicy(retry_backoff_s=0.5, seed=3)
-    first = policy.backoff_s(cell_index=1, attempt=1)
-    assert first == policy.backoff_s(cell_index=1, attempt=1)
-    assert 0.25 <= first <= 0.75
-    assert 1.0 <= policy.backoff_s(cell_index=1, attempt=3) <= 3.0
-    assert SupervisorPolicy(retry_backoff_s=0.0).backoff_s(1, 1) == 0.0
 
 
 # -- fault-plan validation ----------------------------------------------------
@@ -204,6 +195,28 @@ def test_failed_cell_leaves_no_record_in_the_store(tmp_path):
     assert store.fsck().clean()
 
 
+def test_poison_cell_fails_alike_serially_and_in_workers(tmp_path):
+    """One ledger decides for the in-process loop and the forked fleet:
+    a cell that raises on every attempt becomes the same failed row,
+    error log and attempt count included."""
+    failed = {}
+    for workers in (1, 2):
+        spec = CampaignSpec(**{**SPEC_KWARGS, "workers": workers})
+        engine = CampaignEngine(spec, store=tmp_path / f"store-{workers}")
+
+        def run_cell(cell, original=engine.run_cell):
+            if cell.index == 1:
+                raise RuntimeError("poison cell 1")
+            return original(cell)
+
+        engine.run_cell = run_cell
+        (cell,) = engine.run().failed_cells()
+        failed[workers] = (cell.index, cell.error, cell.attempts)
+    log = " | ".join(f"attempt {attempt}: RuntimeError: poison cell 1"
+                     for attempt in (1, 2, 3))
+    assert failed[1] == failed[2] == (1, log, 3)
+
+
 # -- merge semantics ----------------------------------------------------------
 
 
@@ -246,8 +259,6 @@ def test_one_chunk_run_forks_one_worker(tmp_path, one_chunk_rows,
                                         monkeypatch):
     """``workers=2`` over a one-chunk grid forks one worker: the second
     would have nothing to take while the first runs the whole chunk."""
-    from repro.campaigns import supervisor
-
     forks = []
     original = supervisor.CampaignSupervisor._spawn_worker
 
